@@ -297,53 +297,6 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
-def simulate_controlled_batch(
-    A: Kernel, x0: int, policy, n: int, n_paths: int, seed: int, chunk: int = 8192
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized controlled runs; the policy must accept ``(k, (r, d) array)``.
-
-    Returns ``(final, cost)``: the measure after ``n`` updates per path and
-    the per-path running-cost average
-    ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  Path ``i`` uses stream ``i``.
-    """
-    if n < 1 or n_paths < 1:
-        raise PreconditionViolation("simulate_controlled_batch: n and n_paths must be >= 1")
-    d = A.d
-    x0 = _validate_x0(x0, d)
-    Amat = A.matrix
-    final = np.empty((n_paths, d))
-    cost = np.empty(n_paths)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        r = hi - lo
-        u = np.empty((r, n))
-        for i in range(r):
-            u[i] = path_rng(seed, lo + i).random(n)
-        Lb = np.zeros((r, d))
-        Lb[:, x0 - 1] = 1.0
-        acc = np.zeros(r)
-        rows = np.arange(r)
-        for k in range(1, n + 1):
-            w = np.asarray(policy(k, Lb), dtype=float)
-            if w.shape != (r, d) or not np.all(np.isfinite(w)):
-                raise PolicyError(f"batch policy returned an invalid block at step {k}")
-            if w.min() < -1e-9:
-                raise PolicyError(f"batch policy returned negative mass at step {k}")
-            w = np.maximum(w, 0.0)
-            sums = w.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise PolicyError(f"batch policy rows do not sum to 1 at step {k}")
-            w = w / sums[:, None]
-            acc += rel_entr(w, Lb @ Amat).sum(axis=1)
-            x = _inverse_cdf_rows(w, u[:, k - 1])
-            e = np.zeros((r, d))
-            e[rows, x] = 1.0
-            Lb += (e - Lb) / (k + 1.0)
-        final[lo:hi] = Lb
-        cost[lo:hi] = acc / n
-    return final, cost
-
-
 # ---------------------------------------------------------------------------
 # interpolation and time reversal
 
@@ -482,19 +435,3 @@ def export_path_csv(path, file, provenance: str | None = None) -> None:
         rows = _rows()
     write_csv(file, header, rows, provenance)
 
-
-def export_occupation_csv(occ: DiscountedOccupation, file, provenance: str | None = None) -> None:
-    header = ["state", "t_lo", "t_hi", "beta_mass", "theta_mass"]
-
-    def _rows():
-        for j in range(occ.n):
-            for x in range(occ.d):
-                yield [
-                    x + 1,
-                    float(occ.edges[j]),
-                    float(occ.edges[j + 1]),
-                    float(occ.beta[j, x]),
-                    float(occ.theta[j, x]),
-                ]
-
-    write_csv(file, header, _rows(), provenance)

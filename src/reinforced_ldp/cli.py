@@ -10,7 +10,8 @@ line flags override config values.  Every CSV output starts with a
 provenance comment ``# config_sha256=<hash> seed=<seed>`` where the hash
 covers the effective (post-override) parameter set.  Exit codes: 0
 success, 1 validation failures, 2 configuration errors, 3 violated
-preconditions, 4 resource limits.
+preconditions, 4 resource limits, 5 solver failures (a solve that does
+not converge or a control that leaves the simplex).
 """
 from __future__ import annotations
 
@@ -27,7 +28,9 @@ from ._format import write_csv
 from .chains import export_path_csv, simulate_chain
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DimensionMismatch,
+    InfeasibleTrajectory,
     PolicyError,
     PositivityViolation,
     PreconditionViolation,
@@ -244,20 +247,23 @@ def cmd_rate(args) -> int:
     header = [f"m_{x}" for x in range(1, A.d + 1)] + ["lower", "upper"]
     if dv:
         header.append("dv_rate")
-    header += ["iterations", "grad_norm", "boundary_flag"]
+    header += ["iterations", "gap", "converged", "boundary_flag"]
 
     def _rows():
         for r in rows:
             rec = list(r.m) + [r.lower, r.upper]
             if dv:
                 rec.append(r.dv_rate)
-            rec += [r.iterations, r.grad_norm, int(r.boundary_lifted)]
+            rec += [r.iterations, r.gap, int(r.converged), int(r.boundary_lifted)]
             yield rec
 
     write_csv(out / "rate_profile.csv", header, _rows(), prov)
     for r in rows:
+        at = " ".join(f"{v:.6f}" for v in r.m)
+        if not r.converged:
+            print(f"rate: solve did not converge at m={at} (gap bound {r.gap:.3e})")
         if r.binding:
-            print("rate: feasibility cap binding at m=" + " ".join(f"{v:.6f}" for v in r.m))
+            print(f"rate: feasibility cap binding at m={at}")
     print(f"rate: {len(rows)} point(s) written to rate_profile.csv")
     return 0
 
@@ -417,6 +423,9 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return 4
+    except (ConvergenceError, InfeasibleTrajectory) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

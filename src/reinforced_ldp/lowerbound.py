@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import rel_entr
 
 from ._format import write_csv
@@ -51,12 +50,12 @@ from .errors import (
 )
 from .measures import Kernel, ProbVec, kernel_apply, relative_entropy, stationary_distribution
 from .ratesolver import (
-    FEASIBILITY_ATOL,
     PiecewiseControl,
     RateBracket,
-    SolveOptions,
     TrajectoryGrid,
+    _as_grid,
     _cost_value,
+    _flow_nodes,
     _weights_vector,
     solve_rate,
 )
@@ -221,34 +220,11 @@ def reversed_flow_nodes(q, path) -> np.ndarray:
     return M
 
 
-def reversed_flow(q, path, s) -> np.ndarray:
-    """Evaluate the reversed flow at arbitrary times in ``[0, horizon]``."""
-    Mn = reversed_flow_nodes(q, path)
-    b = path.breaks
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > b[-1] * (1.0 + 1e-12)):
-        raise PreconditionViolation(f"reversed_flow: time outside [0, {b[-1]!r}]")
-    ss = np.atleast_1d(s_arr)
-    K = b.size - 1
-    idx = np.clip(np.searchsorted(b, ss, side="right") - 1, 0, K - 1)
-    decay = np.exp(-(ss - b[idx]))[:, None]
-    if isinstance(path, PiecewiseConstantPath):
-        v = path.vals[idx]
-        out = v + decay * (Mn[idx] - v)
-    else:
-        beta = path.slopes[idx]
-        v_lo = path.nodes[idx]
-        eta_s = v_lo + beta * (ss - b[idx])[:, None]
-        out = eta_s - beta + decay * (Mn[idx] - v_lo + beta)
-    return out if s_arr.ndim else out[0]
-
-
 def integrate_reversed(q, eta: np.ndarray, c: float) -> TrajectoryGrid:
     """Nodes of ``M' = eta - M`` on the uniform grid of mesh ``c``.
 
-    Same numerics as the forward integrator: the recursion runs on
-    ``D_j = M_j - eta_j`` (a linear filter of control differences, exact
-    at equilibrium) and each node is re-centered onto the simplex sum.
+    Same integrator as the forward flow, with contraction factor ``e^{-c}``
+    in place of ``e^delta``.
     """
     q_arr = _unwrap(q)
     eta = np.asarray(eta, dtype=float)
@@ -256,42 +232,19 @@ def integrate_reversed(q, eta: np.ndarray, c: float) -> TrajectoryGrid:
         raise DimensionMismatch("integrate_reversed: eta and q dimensions disagree")
     if not c > 0.0:
         raise PreconditionViolation("integrate_reversed: mesh must be positive")
-    K, d = eta.shape
-    f = math.exp(-c)
-    D0 = q_arr - eta[0]
-    if K > 1:
-        x = eta[:-1] - eta[1:]
-        D_rest = lfilter([1.0], [1.0, -f], x, axis=0, zi=(f * D0)[None, :])[0]
-        D = np.vstack([D0[None, :], D_rest])
-    else:
-        D = D0[None, :]
-    M = np.empty((K + 1, d))
-    M[0] = q_arr
-    M[1:] = eta + f * D
-    M[1:] -= ((M[1:].sum(axis=1) - 1.0) / d)[:, None]
-    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
-    M.flags.writeable = False
-    feasible.flags.writeable = False
-    return TrajectoryGrid(M=M, feasible=feasible)
+    return _as_grid(_flow_nodes(q_arr, eta, math.exp(-c)))
 
 
-def _rev_quad_const(Amat, T, lo, hi, vals, M_lo) -> float:
-    """``e^{-T} int e^s R(eta(s) || M(s) A) ds`` over constant pieces."""
-    total = 0.0
-    for a in range(0, lo.size, _QUAD_CHUNK):
-        b = min(a + _QUAD_CHUNK, lo.size)
-        l, h, v, Ml = lo[a:b], hi[a:b], vals[a:b], M_lo[a:b]
-        half = 0.5 * (h - l)
-        s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
-        decay = np.exp(-(s - l[:, None]))
-        M = v[:, None, :] + decay[..., None] * (Ml - v)[:, None, :]
-        r = rel_entr(v[:, None, :], M @ Amat).sum(axis=2)
-        piece = (np.exp(s - T) * r * _GL_W[None, :]).sum(axis=1) * half
-        total += float(piece.sum())
-    return total
+def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -> float:
+    """``int w(s) R(eta(s) || M(s) A) ds`` over linear pieces of the control.
 
-
-def _rev_quad_linear(Amat, T, lo, hi, v_lo, slope, M_lo) -> float:
+    On ``[lo, hi]`` the control is ``eta(s) = v_lo + slope (s - lo)`` (a
+    constant piece has slope 0) and ``M_lo`` is the flow at ``lo``.  The
+    forward flow ``M' = M - eta`` is weighted by ``w(s) = e^{-s}``, the
+    reversed flow ``M' = eta - M`` by ``w(s) = e^{s - T}``; both are
+    integrated in closed form inside each piece.
+    """
+    sign = 1.0 if forward else -1.0
     total = 0.0
     for a in range(0, lo.size, _QUAD_CHUNK):
         b = min(a + _QUAD_CHUNK, lo.size)
@@ -299,29 +252,12 @@ def _rev_quad_linear(Amat, T, lo, hi, v_lo, slope, M_lo) -> float:
         vl, bt, Ml = v_lo[a:b], slope[a:b], M_lo[a:b]
         half = 0.5 * (h - l)
         s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
-        ds = (s - l[:, None])[..., None]
-        decay = np.exp(-(s - l[:, None]))[..., None]
-        eta_s = vl[:, None, :] + bt[:, None, :] * ds
-        M = eta_s - bt[:, None, :] + decay * (Ml - vl + bt)[:, None, :]
+        ds = s - l[:, None]
+        eta_s = vl[:, None, :] + bt[:, None, :] * ds[..., None]
+        M = eta_s + sign * bt[:, None, :] + np.exp(sign * ds)[..., None] * (Ml - vl - sign * bt)[:, None, :]
         r = rel_entr(eta_s, M @ Amat).sum(axis=2)
-        piece = (np.exp(s - T) * r * _GL_W[None, :]).sum(axis=1) * half
-        total += float(piece.sum())
-    return total
-
-
-def _fwd_quad_const(Amat, lo, hi, vals, M_lo) -> float:
-    """``int e^{-s} R(eta(s) || M(s) A) ds`` over constant forward pieces."""
-    total = 0.0
-    for a in range(0, lo.size, _QUAD_CHUNK):
-        b = min(a + _QUAD_CHUNK, lo.size)
-        l, h, v, Ml = lo[a:b], hi[a:b], vals[a:b], M_lo[a:b]
-        half = 0.5 * (h - l)
-        s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
-        growth = np.exp(s - l[:, None])
-        M = v[:, None, :] + growth[..., None] * (Ml - v)[:, None, :]
-        r = rel_entr(v[:, None, :], M @ Amat).sum(axis=2)
-        piece = (np.exp(-s) * r * _GL_W[None, :]).sum(axis=1) * half
-        total += float(piece.sum())
+        weight = np.exp(-s) if forward else np.exp(s - T)
+        total += float(((weight * r * _GL_W[None, :]).sum(axis=1) * half).sum())
     return total
 
 
@@ -333,7 +269,7 @@ def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Ker
     """
     edges = np.linspace(0.0, ctrl.T, ctrl.J + 1)
     eta = np.asarray(ctrl.eta, dtype=float)
-    return _fwd_quad_const(A.matrix, edges[:-1], edges[1:], eta, grid.M[:-1])
+    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), grid.M[:-1], forward=True)
 
 
 def reversed_cost(q, path, A: Kernel) -> float:
@@ -346,8 +282,10 @@ def reversed_cost(q, path, A: Kernel) -> float:
     Mn = reversed_flow_nodes(q, path)
     lo, hi = path.breaks[:-1], path.breaks[1:]
     if isinstance(path, PiecewiseConstantPath):
-        return _rev_quad_const(A.matrix, T, lo, hi, path.vals, Mn[:-1])
-    return _rev_quad_linear(A.matrix, T, lo, hi, path.nodes[:-1], path.slopes, Mn[:-1])
+        v_lo, slope = path.vals, np.zeros_like(path.vals)
+    else:
+        v_lo, slope = path.nodes[:-1], path.slopes
+    return _flow_quad(A.matrix, lo, hi, v_lo, slope, Mn[:-1], forward=False, T=T)
 
 
 def _scheduled_cost(Amat, T, c, eta_rows, M_nodes) -> float:
@@ -355,7 +293,9 @@ def _scheduled_cost(Amat, T, c, eta_rows, M_nodes) -> float:
     K = eta_rows.shape[0]
     edges = np.arange(K + 1) * c
     edges[-1] = T
-    return _rev_quad_const(Amat, T, edges[:-1], edges[1:], eta_rows, M_nodes[:-1])
+    return _flow_quad(
+        Amat, edges[:-1], edges[1:], eta_rows, np.zeros_like(eta_rows), M_nodes[:-1], forward=False, T=T
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +319,7 @@ def mix_with_stationary(
     eta1 = (1.0 - kappa1) * np.asarray(ctrl.eta, dtype=float) + kappa1 * mstar
     M1 = (1.0 - kappa1) * grid.M + kappa1 * mstar
     delta = float(kappa1 * mstar.min())
-    feasible = M1.min(axis=1) >= -FEASIBILITY_ATOL
-    M1.flags.writeable = False
-    feasible.flags.writeable = False
-    return (
-        PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1),
-        TrajectoryGrid(M=M1, feasible=feasible),
-        delta,
-    )
+    return PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1), _as_grid(M1), delta
 
 
 def reverse_control(ctrl: PiecewiseControl) -> PiecewiseConstantPath:
@@ -584,7 +517,6 @@ def build_plan(
     eps_target: float = DEFAULT_EPS_TARGET,
     slack: float = DEFAULT_SLACK,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
-    opts: SolveOptions | None = None,
 ) -> ReversedPlan:
     """Solve (or accept) a rate bracket at ``m`` and discretize its control.
 
@@ -598,7 +530,7 @@ def build_plan(
     m_arr = ProbVec(_unwrap(m)).weights
     if bracket is None:
         horizon = 2.0 if T is None else float(T)
-        bracket = solve_rate(m_arr, A, T=horizon, J=J, opts=opts)
+        bracket = solve_rate(m_arr, A, T=horizon, J=J)
     T_val = float(bracket.eta_opt.T)
     if not 0.0 < slack:
         raise PreconditionViolation("build_plan: slack must be positive")

@@ -1,40 +1,46 @@
 """Rate computation for empirical-measure deviations of the reinforced chain.
 
 The rate at a simplex point ``m`` is approximated by a finite-horizon,
-discretized version of a discounted control problem: choose piecewise
-constant controls ``eta_0..eta_{J-1}`` on ``J`` intervals of width
-``delta = T/J``, evolve the state by the exact exponential update
+discretized version of a discounted control problem on ``J`` intervals
+of width ``delta = T/J``.  A piecewise constant control
+``eta_0..eta_{J-1}`` moves the state by the exact exponential update
 
     M_{j+1} = eta_j + e^delta (M_j - eta_j),        M_0 = m,
 
-and minimize ``sum_j w_j R(eta_j || M_j A)`` with discount weights
-``w_j = e^{-j delta} - e^{-(j+1) delta}``.  The state must stay in the
-simplex, which is equivalent to the componentwise cap
-``eta_j <= e^delta / (e^delta - 1) * M_j``.
+at running cost ``sum_j w_j R(eta_j || M_j A)`` with discount weights
+``w_j = e^{-j delta} - e^{-(j+1) delta}``.
 
-The best value found is reported as ``lower``; adding the discounted tail
-allowance ``e^{-T} log(1/delta0)`` (the cost of freezing the trajectory
-after ``T``) gives ``upper``.  A separate occupation-measure formulation,
-``solve_dv_rate``, computes the pair-measure rate by iterative proportional
-fitting and is exposed for cross-checks.
+:func:`solve_rate` minimizes over the nodes ``M_1..M_J`` instead of the
+controls: each control is recovered as
+``eta_j = (e^delta M_j - M_{j+1}) / (e^delta - 1)``, so the feasible set
+is the polytope ``M_j >= 0, eta_j >= 0`` (node sums are fixed at 1 by
+dropping each node's last coordinate), every constraint is local, and
+the Hessian of the objective is block-tridiagonal.  A log-barrier
+method centres with damped Newton steps, each one banded Cholesky solve,
+and stops when the barrier's duality-gap bound ``2dJ/t`` is below
+``1e-10``.
 
-Numerics worth knowing about:
+The value at the returned point is reported as ``lower``; adding the
+discounted tail allowance ``e^{-T} log(1/delta0)`` (the cost of freezing
+the trajectory after ``T``) gives ``upper``.  A separate
+occupation-measure formulation, ``solve_dv_rate``, computes the
+pair-measure rate by iterative proportional fitting and is exposed for
+cross-checks.
 
-* the forward recursion is evaluated in difference form
-  ``D_{j+1} = (eta_j - eta_{j+1}) + e^delta D_j`` with ``D_j = M_j - eta_j``
-  (a first-order linear filter), which keeps equilibria exact in floating
-  point;
-* each node is then nudged along the all-ones direction so its sum is
-  exactly 1 -- without this, rounding grows like ``e^T`` through the
-  unstable forward dynamics; the adjoint differentiates the corrected map.
+The forward integrator evaluates the recursion in difference form
+``D_{j+1} = (eta_j - eta_{j+1}) + e^delta D_j`` with ``D_j = M_j - eta_j``
+(a first-order linear filter), which keeps equilibria exact in floating
+point, and re-centres each node onto sum 1 -- without this, rounding
+grows like ``e^T`` through the unstable forward dynamics.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.signal import lfilter
 from scipy.special import rel_entr
 
@@ -48,7 +54,16 @@ from .measures import Kernel, ProbVec
 
 FEASIBILITY_ATOL = 1e-9      # node entries below -this mark the node infeasible
 BOUNDARY_LIFT = 1e-9         # queried m entries below this are lifted
-_LOG_TINY = 1e-300           # floor inside log() at the simplex boundary
+BINDING_ATOL = 1e-8          # node entries below this report a binding cap
+
+# barrier-Newton schedule
+_T_INIT = 1.0                # barrier weight of the first centring
+_T_GROWTH = 20.0             # factor between successive centrings
+_GAP_TOL = 1e-10             # stop once the gap bound 2dJ/t is this small
+_FULL_STEP_LAM2 = 0.25       # squared Newton decrement below which steps are full
+_ARMIJO = 0.25               # sufficient-decrease fraction of damped steps
+_CENTRED_LAM2 = 1e-12        # squared Newton decrement that ends a centring
+_MAX_NEWTON = 1000           # Newton steps over all centrings
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,22 +106,14 @@ class TrajectoryGrid:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    tol: float = 1e-8
-    max_iters: int = 5000
-    armijo_slope: float = 1e-4
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_min: float = 1e-14
-    dykstra_iters: int = 100
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
+    """``gap`` bounds the returned value's distance above the discretized
+    minimum; ``binding`` flags a node coordinate at 0, where the cap
+    ``eta_j <= e^delta / (e^delta - 1) * M_j`` holds with equality."""
+
     iterations: int
-    grad_norm: float
+    gap: float
     converged: bool
-    stalled: bool
     binding: bool
     boundary_lifted: bool
 
@@ -120,23 +127,34 @@ class RateBracket:
     diagnostics: SolveDiagnostics
 
 
+def _as_grid(M: np.ndarray) -> TrajectoryGrid:
+    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
+    M.flags.writeable = False
+    feasible.flags.writeable = False
+    return TrajectoryGrid(M=M, feasible=feasible)
+
+
 # ---------------------------------------------------------------------------
-# forward flow, cost, gradient
+# flow and cost
 
 
-def _forward_nodes(m: np.ndarray, eta: np.ndarray, e_delta: float) -> np.ndarray:
-    """Nodes M_0..M_J of the exponential update, sum-corrected per node."""
-    J, d = eta.shape
-    D0 = m - eta[0]
-    if J > 1:
+def _flow_nodes(start: np.ndarray, eta: np.ndarray, factor: float) -> np.ndarray:
+    """Nodes of ``M_{j+1} = eta_j + factor (M_j - eta_j)``, re-centred to sum 1.
+
+    Runs the recursion on ``D_j = M_j - eta_j``, a linear filter of control
+    differences that is exact at equilibrium.
+    """
+    K, d = eta.shape
+    D0 = start - eta[0]
+    if K > 1:
         x = eta[:-1] - eta[1:]
-        D_rest = lfilter([1.0], [1.0, -e_delta], x, axis=0, zi=(e_delta * D0)[None, :])[0]
+        D_rest = lfilter([1.0], [1.0, -factor], x, axis=0, zi=(factor * D0)[None, :])[0]
         D = np.vstack([D0[None, :], D_rest])
     else:
         D = D0[None, :]
-    M = np.empty((J + 1, d))
-    M[0] = m
-    M[1:] = eta + e_delta * D
+    M = np.empty((K + 1, d))
+    M[0] = start
+    M[1:] = eta + factor * D
     M[1:] -= ((M[1:].sum(axis=1) - 1.0) / d)[:, None]
     return M
 
@@ -146,11 +164,7 @@ def integrate_forward(m, ctrl: PiecewiseControl) -> TrajectoryGrid:
     m_arr = m.weights if isinstance(m, ProbVec) else np.asarray(m, dtype=float)
     if m_arr.size != ctrl.d:
         raise DimensionMismatch("integrate_forward: dimension mismatch between m and control")
-    M = _forward_nodes(m_arr, np.asarray(ctrl.eta, dtype=float), math.exp(ctrl.delta))
-    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
-    M.flags.writeable = False
-    feasible.flags.writeable = False
-    return TrajectoryGrid(M=M, feasible=feasible)
+    return _as_grid(_flow_nodes(m_arr, np.asarray(ctrl.eta, dtype=float), math.exp(ctrl.delta)))
 
 
 def _weights_vector(T: float, J: int) -> np.ndarray:
@@ -176,133 +190,129 @@ def discounted_cost(m, ctrl: PiecewiseControl, A: Kernel) -> float:
     return val
 
 
-def _cost_gradient_raw(
-    eta: np.ndarray, M: np.ndarray, Amat: np.ndarray, w: np.ndarray, e_delta: float
-) -> np.ndarray:
-    """Gradient of the discretized cost wrt the raw control entries.
+# ---------------------------------------------------------------------------
+# the solver: log-barrier Newton over the trajectory nodes
 
-    Differentiates exactly the implemented forward map, including the
-    per-node sum correction (reflected by centering the state partials).
+
+def _node_controls(M: np.ndarray, e_delta: float) -> np.ndarray:
+    """Controls ``eta_0..eta_{J-1}`` that move the nodes ``M_0..M_J``."""
+    return (e_delta * M[:-1] - M[1:]) / (e_delta - 1.0)
+
+
+def _newton_parts(M, Amat, w, e_delta: float, t: float, barrier: bool = True):
+    """Gradient and Hessian of ``t * cost (- log barrier)`` in the free node
+    coordinates ``M_j[:d-1]``, ``j = 1..J`` (``M_j[d-1] = 1 - sum``).
+
+    Returns the gradient as a ``(J, d-1)`` array and the Hessian in the
+    lower banded form of :func:`scipy.linalg.solveh_banded`; the barrier
+    covers the ``2dJ`` constraints ``M_j >= 0`` and ``eta_j >= 0``.
     """
-    J, d = eta.shape
+    J, d = M.shape[0] - 1, M.shape[1]
+    b = d - 1
+    c = 1.0 / (e_delta - 1.0)
+    ce = c * e_delta
+    eta = _node_controls(M, e_delta)
     K = M[:-1] @ Amat
-    ratio = eta / K
-    xi = -(ratio @ Amat.T) * w[:, None]
-    xi -= xi.mean(axis=1, keepdims=True)          # sum-correction adjoint
-    lam = lfilter([1.0], [1.0, -e_delta], xi[::-1], axis=0)[::-1]
-    lam_next = np.vstack([lam[1:], np.zeros((1, d))])
-    direct = w[:, None] * (np.log(np.maximum(eta, _LOG_TINY) / K) + 1.0)
-    return direct + (1.0 - e_delta) * lam_next
+    tw = t * w[:, None]
+    # partial derivatives of the running cost in (eta_j, K_j = M_j A)
+    g_eta = tw * (np.log(eta / K) + 1.0)
+    g_K = -tw * eta / K
+    h_eta = tw / eta
+    h_cross = -tw / K
+    h_K = tw * eta / K**2
+    if barrier:
+        g_eta -= 1.0 / eta
+        h_eta += 1.0 / eta**2
+    # full gradient wrt M_1..M_J: node j+1 is the "next" node of interval j
+    # and the "current" node of interval j+1
+    G = -c * g_eta
+    G[:-1] += ce * g_eta[1:] + g_K[1:] @ Amat.T
+    # Hessian blocks of interval j: H_cur (M_j, M_j), H_cn (M_j, M_{j+1}) and
+    # H_next (M_{j+1}, M_{j+1}); node j+1 collects H_next of interval j and
+    # H_cur of interval j+1
+    AhA = np.einsum("xy,jy,zy->jxz", Amat, h_K, Amat)
+    cross = h_cross[:, :, None] * Amat.T[None] + Amat[None] * h_cross[:, None, :]
+    H_cur = ce * ce * _diag(h_eta) + ce * cross + AhA
+    H_cn = -c * ce * _diag(h_eta) - c * Amat[None] * h_cross[:, None, :]
+    diag = c * c * _diag(h_eta)          # H_next
+    diag[:-1] += H_cur[1:]
+    if barrier:
+        G -= 1.0 / M[1:]
+        diag += _diag(1.0 / M[1:] ** 2)
+    # reduce to the free coordinates: P = [I; -1^T] on each block
+    grad = G[:, :b] - G[:, b:]
+    diag = _reduce(diag, b)
+    off = _reduce(H_cn[1:], b)
+    band = np.zeros((2 * b, J * b))
+    for r in range(2 * b):
+        for p in range(b):
+            q = p + r
+            if q < b:
+                band[r, p::b] = diag[:, q, p]
+            elif q < 2 * b:
+                band[r, p::b][: J - 1] = off[:, p, q - b]
+    return grad, band
 
 
-def cost_gradient(m, ctrl: PiecewiseControl, A: Kernel) -> np.ndarray:
-    """Adjoint gradient of :func:`discounted_cost` wrt every control entry.
+def _diag(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape + (v.shape[-1],))
+    idx = np.arange(v.shape[-1])
+    out[..., idx, idx] = v
+    return out
 
-    Requires a strictly interior control; the entropy gradient is unbounded
-    on the simplex boundary.
+
+def _reduce(B: np.ndarray, b: int) -> np.ndarray:
+    return B[..., :b, :b] - B[..., :b, b:] - B[..., b:, :b] + B[..., b:, b:]
+
+
+def _strictly_feasible(M: np.ndarray, e_delta: float) -> bool:
+    return bool(M[1:].min() > 0.0 and _node_controls(M, e_delta).min() > 0.0)
+
+
+def _barrier_value(M, Amat, w, e_delta: float, t: float) -> float:
+    """``t * cost - sum log M_j - sum log eta_j``; ``inf`` outside the open polytope."""
+    if not _strictly_feasible(M, e_delta):
+        return math.inf
+    eta = _node_controls(M, e_delta)
+    return t * _cost_value(eta, M, Amat, w) - float(np.log(M[1:]).sum() + np.log(eta).sum())
+
+
+def _centre(M, Amat, w, e_delta: float, t: float, max_steps: int):
+    """Damped Newton steps towards the barrier minimizer at weight ``t``.
+
+    While the squared Newton decrement ``lambda^2`` is at least 1/4, steps
+    backtrack from 1 until the barrier function falls by a quarter of the
+    predicted decrease; below that, steps are full (halved only if rounding
+    would leave the open polytope).  Returns ``(M, steps, centred)``.
     """
-    eta = np.asarray(ctrl.eta, dtype=float)
-    if eta.min() <= 0.0:
-        raise PreconditionViolation("cost_gradient: control must be strictly positive")
-    grid = integrate_forward(m, ctrl)
-    if not grid.all_feasible:
-        raise InfeasibleTrajectory("cost_gradient: trajectory leaves the simplex")
-    w = _weights_vector(ctrl.T, ctrl.J)
-    return _cost_gradient_raw(eta, grid.M, A.matrix, w, math.exp(ctrl.delta))
-
-
-# ---------------------------------------------------------------------------
-# projections
-
-
-def simplex_project_rows(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the simplex (sort and threshold)."""
-    V = np.asarray(V, dtype=float)
-    J, d = V.shape
-    u = -np.sort(-V, axis=1)
-    css = np.cumsum(u, axis=1)
-    ar = np.arange(1, d + 1)
-    rho = (u + (1.0 - css) / ar > 0.0).sum(axis=1)
-    tau = (css[np.arange(J), rho - 1] - 1.0) / rho
-    return np.maximum(V - tau[:, None], 0.0)
-
-
-def _dykstra_simplex_box(v, cap, iters: int) -> list:
-    """Projection onto {simplex} intersect {0 <= x <= cap} by Dykstra's method.
-
-    Pure-scalar inner loop: rows are short and this sits inside the line
-    search, where array-op dispatch used to dominate the solve time.
-    """
-    d = len(v)
-    x = [float(t) for t in v]
-    box = [float(t) for t in cap]
-    p = [0.0] * d
-    q = [0.0] * d
-    for _ in range(iters):
-        z = [x[i] + p[i] for i in range(d)]
-        u = sorted(z, reverse=True)
-        css = 0.0
-        tau = 0.0
-        for k in range(d):
-            css += u[k]
-            t = (css - 1.0) / (k + 1)
-            if u[k] - t > 0.0:
-                tau = t
-        y = [z[i] - tau for i in range(d)]
-        done = True
-        for i in range(d):
-            yi = y[i] if y[i] > 0.0 else 0.0
-            y[i] = yi
-            p[i] = z[i] - yi
-            s = yi + q[i]
-            xi = 0.0 if s < 0.0 else (box[i] if s > box[i] else s)
-            q[i] = s - xi
-            if abs(xi - yi) > 1e-15:
-                done = False
-            x[i] = xi
-        if done:
-            break
-    return x
-
-
-def project_control(m: np.ndarray, raw: np.ndarray, T: float, dykstra_iters: int = 100) -> np.ndarray:
-    """Map a raw control onto the feasible set (simplex rows, trajectory caps).
-
-    Rows are first projected onto the simplex in one vectorized pass; if any
-    row then exceeds its trajectory cap ``e^delta/(e^delta - 1) * M_j``, the
-    tail is repaired sequentially, each row projected onto simplex-and-box
-    with the cap of the repaired prefix trajectory.
-    """
-    J, d = raw.shape
-    delta = T / J
-    e_delta = math.exp(delta)
-    cap_factor = e_delta / (e_delta - 1.0)
-    eta = simplex_project_rows(raw)
-    M = _forward_nodes(m, eta, e_delta)
-    cap = cap_factor * np.maximum(M[:-1], 0.0)
-    viol = (eta > cap + 1e-15).any(axis=1)
-    if not viol.any():
-        return eta
-    j0 = int(np.argmax(viol))
-    rows = eta[j0:].tolist()
-    Mj = [float(t) for t in M[j0]]
-    for row in rows:
-        cap_j = [cap_factor * t if t > 0.0 else 0.0 for t in Mj]
-        if any(row[i] > cap_j[i] + 1e-15 for i in range(d)):
-            row[:] = _dykstra_simplex_box(row, cap_j, dykstra_iters)
-        s = 0.0
-        for i in range(d):
-            Mj[i] = row[i] + e_delta * (Mj[i] - row[i])
-            s += Mj[i]
-        corr = (s - 1.0) / d
-        for i in range(d):
-            Mj[i] -= corr
-    eta[j0:] = rows
-    return eta
-
-
-# ---------------------------------------------------------------------------
-# the solver
+    J, d = M.shape[0] - 1, M.shape[1]
+    for steps in range(max_steps):
+        grad, band = _newton_parts(M, Amat, w, e_delta, t)
+        try:
+            step = solveh_banded(band, -grad.ravel(), lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise ConvergenceError(f"solve_rate: Newton system not positive definite at t={t:.3g}") from exc
+        lam2 = -float(grad.ravel() @ step)
+        if not np.isfinite(lam2):
+            raise ConvergenceError(f"solve_rate: non-finite Newton decrement at t={t:.3g}")
+        if lam2 <= _CENTRED_LAM2:
+            return M, steps, True
+        step = step.reshape(J, d - 1)
+        dM = np.hstack([step, -step.sum(axis=1, keepdims=True)])
+        damped = lam2 >= _FULL_STEP_LAM2
+        phi = _barrier_value(M, Amat, w, e_delta, t) if damped else 0.0
+        s = 1.0
+        while True:
+            trial = M.copy()
+            trial[1:] += s * dM
+            if damped:
+                if _barrier_value(trial, Amat, w, e_delta, t) <= phi - _ARMIJO * s * lam2:
+                    break
+            elif _strictly_feasible(trial, e_delta):
+                break
+            s *= 0.5
+        M = trial
+    return M, max_steps, False
 
 
 def _lift_boundary(m) -> tuple[np.ndarray, bool]:
@@ -313,22 +323,15 @@ def _lift_boundary(m) -> tuple[np.ndarray, bool]:
     return lifted / lifted.sum(), True
 
 
-def solve_rate(
-    m,
-    A: Kernel,
-    T: float = 14.0,
-    J: int | None = None,
-    opts: SolveOptions | None = None,
-) -> RateBracket:
-    """Minimize the discretized discounted cost from ``m`` by projected
-    gradient descent with Armijo backtracking.
+def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBracket:
+    """Minimize the discretized discounted cost from ``m`` by a log-barrier
+    Newton method over the trajectory nodes.
 
     Returns the bracket ``[lower, lower + e^{-T} log(1/delta0)]`` along with
-    the best control found and solve diagnostics.  Queried points on (or
-    numerically at) the simplex boundary are lifted inward by ``1e-9`` and
-    renormalized, recorded in ``diagnostics.boundary_lifted``.
+    the optimal control and trajectory and solve diagnostics.  Queried
+    points on (or numerically at) the simplex boundary are lifted inward by
+    ``1e-9`` and renormalized, recorded in ``diagnostics.boundary_lifted``.
     """
-    opts = opts or SolveOptions()
     if J is None:
         J = max(1, int(round(20 * T)))
     if not (T > 0 and J >= 1):
@@ -337,70 +340,41 @@ def solve_rate(
     d = m_arr.size
     if d != A.d:
         raise DimensionMismatch("solve_rate: m and A dimensions differ")
-    delta = T / J
-    e_delta = math.exp(delta)
-    cap_factor = e_delta / (e_delta - 1.0)
+    e_delta = math.exp(T / J)
     w = _weights_vector(T, J)
     Amat = A.matrix
-
-    def cost_of(eta):
-        M = _forward_nodes(m_arr, eta, e_delta)
-        c = _cost_value(eta, M, Amat, w)
-        return c, M
-
-    eta = np.tile(m_arr, (J, 1))
-    cost, M = cost_of(eta)
-    if not np.isfinite(cost):
-        raise ConvergenceError("solve_rate: non-finite cost at the initializer")
-    grad_norm = math.inf
-    converged = False
-    stalled = False
+    n_constraints = 2 * d * J
+    M = np.tile(m_arr, (J + 1, 1))
+    t = _T_INIT
     iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        g = _cost_gradient_raw(eta, M, Amat, w, e_delta)
-        cand_unit = project_control(m_arr, eta - g, T, opts.dykstra_iters)
-        grad_norm = float(np.sqrt(((eta - cand_unit) ** 2).sum()))
-        if grad_norm <= opts.tol:
+    converged = d == 1           # a single state leaves nothing to optimize
+    while not converged:
+        M, steps, centred = _centre(M, Amat, w, e_delta, t, _MAX_NEWTON - iterations)
+        iterations += steps
+        if not centred:
+            break
+        if n_constraints / t <= _GAP_TOL:
             converged = True
-            break
-        step = opts.step_init
-        accepted = False
-        while step >= opts.step_min:
-            cand = cand_unit if step == opts.step_init == 1.0 else project_control(
-                m_arr, eta - step * g, T, opts.dykstra_iters
-            )
-            descent = float((g * (cand - eta)).sum())
-            if descent < 0.0:
-                cand_cost, cand_M = cost_of(cand)
-                if np.isnan(cand_cost):
-                    raise ConvergenceError("solve_rate: cost became NaN during line search")
-                if cand_cost <= cost + opts.armijo_slope * descent:
-                    eta, cost, M = cand, cand_cost, cand_M
-                    accepted = True
-                    break
-            step *= opts.step_shrink
-        if not accepted:
-            stalled = True
-            break
-    cap = cap_factor * np.maximum(M[:-1], 0.0)
-    binding = bool((eta >= cap - 1e-12).any())
-    lower = max(float(cost), 0.0)
+        else:
+            t *= _T_GROWTH
+    eta = _node_controls(M, e_delta)
+    cost = _cost_value(eta, M, Amat, w)
+    if not np.isfinite(cost):
+        raise ConvergenceError("solve_rate: non-finite cost at the returned point")
+    lower = max(cost, 0.0)
     upper = lower + math.exp(-T) * math.log(1.0 / A.delta0)
-    ctrl = PiecewiseControl(T=T, J=J, eta=eta)
-    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
     diag = SolveDiagnostics(
         iterations=iterations,
-        grad_norm=grad_norm,
+        gap=n_constraints / t,
         converged=converged,
-        stalled=stalled,
-        binding=binding,
+        binding=bool(M[1:].min() <= BINDING_ATOL),
         boundary_lifted=lifted,
     )
     return RateBracket(
         lower=lower,
         upper=upper,
-        eta_opt=ctrl,
-        M_opt=TrajectoryGrid(M=M, feasible=feasible),
+        eta_opt=PiecewiseControl(T=T, J=J, eta=eta),
+        M_opt=_as_grid(M),
         diagnostics=diag,
     )
 
@@ -446,14 +420,15 @@ class RateProfileRow:
     upper: float
     dv_rate: float
     iterations: int
-    grad_norm: float
+    gap: float
+    converged: bool
     boundary_lifted: bool
     binding: bool
 
 
 def _profile_one(task) -> RateProfileRow:
-    A, m, T, J, opts, dv = task
-    bracket = solve_rate(m, A, T=T, J=J, opts=opts)
+    A, m, T, J, dv = task
+    bracket = solve_rate(m, A, T=T, J=J)
     dv_rate = solve_dv_rate(m, A) if dv else math.nan
     return RateProfileRow(
         m=tuple(float(v) for v in np.asarray(m, dtype=float)),
@@ -461,7 +436,8 @@ def _profile_one(task) -> RateProfileRow:
         upper=bracket.upper,
         dv_rate=dv_rate,
         iterations=bracket.diagnostics.iterations,
-        grad_norm=bracket.diagnostics.grad_norm,
+        gap=bracket.diagnostics.gap,
+        converged=bracket.diagnostics.converged,
         boundary_lifted=bracket.diagnostics.boundary_lifted,
         binding=bracket.diagnostics.binding,
     )
@@ -472,13 +448,12 @@ def rate_profile(
     ms,
     T: float = 14.0,
     J: int | None = None,
-    opts: SolveOptions | None = None,
     dv: bool = True,
     threads: int = 1,
 ) -> list[RateProfileRow]:
     """Solve many query points; results are ordered like the input
     regardless of the worker pool size."""
-    tasks = [(A, np.asarray(m.weights if isinstance(m, ProbVec) else m, dtype=float), T, J, opts, dv) for m in ms]
+    tasks = [(A, np.asarray(m.weights if isinstance(m, ProbVec) else m, dtype=float), T, J, dv) for m in ms]
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_profile_one, tasks, chunksize=1))

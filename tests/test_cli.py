@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from reinforced_ldp import ratesolver
 from reinforced_ldp.cli import main
+from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
 from reinforced_ldp.validation import REPORT_FILENAME
 
 BENCH_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
@@ -68,8 +70,23 @@ def test_rate_profile_csv(tmp_path):
     assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "rate_profile.csv").read_text().splitlines()
     assert PROV_RE.match(lines[0])
-    assert lines[1] == "m_1,m_2,lower,upper,iterations,grad_norm,boundary_flag"
+    assert lines[1] == "m_1,m_2,lower,upper,iterations,gap,converged,boundary_flag"
     assert len(lines) == 3
+    assert lines[2].endswith(",1,0")
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, InfeasibleTrajectory])
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(ratesolver, "solve_rate", fail)
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40},
+    })
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 5
+    assert "solver failure: forced failure" in capsys.readouterr().err
 
 
 def test_lowerbound_plan_json(tmp_path):

@@ -37,9 +37,9 @@ LIGHT_TARGET = (0.6, 0.4)
 
 @pytest.fixture(scope="module")
 def bench_plan():
-    # boundary-hugging target: every stage of the construction is active and
-    # the schedule is long, so budgets are tight (slack 1) and the cap raised
-    return build_plan(BENCH_TARGET, BENCH, T=2.0, slack=1.0, max_intervals=2_600_000)
+    # boundary-hugging target: every stage of the construction is active;
+    # tight budgets (slack 1) keep the schedule length moderate
+    return build_plan(BENCH_TARGET, BENCH, T=2.0, slack=1.0)
 
 
 @pytest.fixture(scope="module")

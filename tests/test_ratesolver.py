@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import rel_entr
 
 from reinforced_ldp.errors import (
-    ConvergenceError,
     DimensionMismatch,
     InfeasibleTrajectory,
     PreconditionViolation,
@@ -17,13 +18,14 @@ from reinforced_ldp.measures import (
 )
 from reinforced_ldp.ratesolver import (
     PiecewiseControl,
-    cost_gradient,
+    _barrier_value,
+    _newton_parts,
+    _node_controls,
+    _weights_vector,
     discounted_cost,
     integrate_forward,
-    project_control,
     rate_profile,
     simplex_mesh,
-    simplex_project_rows,
     solve_dv_rate,
     solve_rate,
 )
@@ -38,6 +40,52 @@ def _tile_control(m, T, J):
     return PiecewiseControl(T=T, J=J, eta=np.tile(np.asarray(m, float), (J, 1)))
 
 
+def _random_nodes(rng, m, T, J):
+    """Strictly feasible nodes ``M_0..M_J``: each step moves toward a random
+    simplex point by at most ``(e^delta - 1) min M_j``, so every recovered
+    control stays positive."""
+    e_delta = math.exp(T / J)
+    M = [np.asarray(m, float)]
+    for _ in range(J):
+        lam = rng.uniform(0.1, 0.9) * (e_delta - 1.0) * M[-1].min()
+        M.append((1.0 - lam) * M[-1] + lam * rng.dirichlet(np.ones(len(m))))
+    return np.array(M)
+
+
+def _random_control(rng, m, T, J):
+    return PiecewiseControl(T=T, J=J, eta=_node_controls(_random_nodes(rng, m, T, J), math.exp(T / J)))
+
+
+def _slsqp_rate(m1, A, T, J):
+    """Independent d=2 solve in the node variables ``x_j = M_j[0]``; restarts
+    from the last point until the objective stops falling."""
+    e_delta = math.exp(T / J)
+    w = _weights_vector(T, J)
+
+    def cost(x):
+        first = np.concatenate([[m1], x])
+        M = np.column_stack([first, 1.0 - first])
+        eta = np.maximum((e_delta * M[:-1] - M[1:]) / (e_delta - 1.0), 0.0)
+        return float(w @ rel_entr(eta, M[:-1] @ A.matrix).sum(axis=1))
+
+    # eta_j >= 0 in both coordinates: e x_j - x_{j+1} >= 0 and
+    # (e - 1) - e x_j + x_{j+1} >= 0, with x_0 = m1 fixed
+    def slack(x):
+        prev = np.concatenate([[m1], x[:-1]])
+        return np.concatenate([e_delta * prev - x, (e_delta - 1.0) - e_delta * prev + x])
+
+    x, best = np.full(J, m1), cost(np.full(J, m1))
+    for _ in range(20):
+        res = minimize(cost, x, method="SLSQP", bounds=[(0.0, 1.0)] * J,
+                       constraints=[{"type": "ineq", "fun": slack}],
+                       options={"ftol": 1e-16, "maxiter": 2000})
+        val = cost(res.x)
+        if not val < best:
+            break
+        x, best = res.x, val
+    return best
+
+
 def test_equilibrium_trajectory_is_bit_exact():
     """eta == m keeps every node at m, with no float drift over 280 steps."""
     m = np.array([0.3, 0.7])
@@ -49,9 +97,7 @@ def test_equilibrium_trajectory_is_bit_exact():
 def test_trajectory_rows_sum_to_one():
     rng = np.random.default_rng(0)
     m = np.array([0.25, 0.35, 0.4])
-    raw = rng.dirichlet(np.ones(3), size=160)
-    eta = project_control(m, raw, 8.0)
-    grid = integrate_forward(m, PiecewiseControl(T=8.0, J=160, eta=eta))
+    grid = integrate_forward(m, _random_control(rng, m, 8.0, 160))
     assert np.abs(grid.M.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -94,22 +140,61 @@ def test_bracket_width_identity():
 
 
 def test_solve_rate_monotone_in_horizon_when_converged():
-    """With the mesh width fixed, longer horizons only add nonnegative cost.
-
-    Checked on the product kernel, where the solves converge; stalled
-    solves report an upper approximation that need not be monotone.
-    """
+    """With the mesh width fixed, longer horizons only add nonnegative cost."""
     m = np.array([0.3, 0.7])
     vals = [solve_rate(m, RANK1, T=T, J=int(T / 0.05)).lower for T in (2.0, 6.0, 10.0)]
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
+    brs = [solve_rate(m, BENCH, T=T, J=int(T / 0.05)) for T in (2.0, 6.0, 10.0)]
+    assert all(br.diagnostics.converged for br in brs)
+    assert brs[0].lower <= brs[1].lower + 1e-9
+    assert brs[1].lower <= brs[2].lower + 1e-9
 
 
-def test_solve_rate_flags_stall_and_binding():
-    br = solve_rate(np.array([0.3, 0.7]), BENCH, T=2.0, J=40)
-    assert br.diagnostics.stalled
-    assert br.diagnostics.binding
-    assert not br.diagnostics.converged
+@pytest.mark.parametrize("m1,T,J", [(0.3, 2.0, 40), (0.45, 4.0, 80)])
+def test_solve_rate_reaches_slsqp_optimum(m1, T, J):
+    br = solve_rate(np.array([m1, 1.0 - m1]), BENCH, T=T, J=J)
+    assert br.diagnostics.converged
+    assert br.diagnostics.gap <= 1e-9
+    assert abs(br.lower - _slsqp_rate(m1, BENCH, T, J)) <= 1e-8
+    # the returned control drives the returned nodes
+    assert np.abs(integrate_forward(br.M_opt.M[0], br.eta_opt).M - br.M_opt.M).max() <= 1e-9
+
+
+def test_newton_parts_match_finite_differences():
+    """Barrier gradient against central differences of the barrier value,
+    and the banded Hessian times a random vector against central
+    differences of the gradient, in the free node coordinates."""
+    rng = np.random.default_rng(5)
+    T, J, t, h = 1.0, 12, 3.0, 1e-6
+    M = _random_nodes(rng, np.array([0.2, 0.3, 0.5]), T, J)
+    e_delta = math.exp(T / J)
+    w = _weights_vector(T, J)
+    A = D3.matrix
+    grad, band = _newton_parts(M, A, w, e_delta, t)
+
+    def shifted(v):
+        out = M.copy()
+        out[1:, :2] += v
+        out[1:, 2] -= v.sum(axis=1)
+        return out
+
+    for idx in [(0, 0), (5, 1), (J - 1, 0)]:
+        bump = np.zeros((J, 2))
+        bump[idx] = h
+        fd = (_barrier_value(shifted(bump), A, w, e_delta, t)
+              - _barrier_value(shifted(-bump), A, w, e_delta, t)) / (2 * h)
+        assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+    n = 2 * J
+    H = np.zeros((n, n))
+    for r in range(band.shape[0]):
+        i = np.arange(n - r)
+        H[i + r, i] = H[i, i + r] = band[r, : n - r]
+    v = rng.normal(size=(J, 2))
+    g_up, _ = _newton_parts(shifted(h * v), A, w, e_delta, t)
+    g_dn, _ = _newton_parts(shifted(-h * v), A, w, e_delta, t)
+    fd = ((g_up - g_dn) / (2 * h)).ravel()
+    assert np.abs(H @ v.ravel() - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_boundary_query_is_lifted():
@@ -123,53 +208,12 @@ def test_solve_rate_dimension_check():
         solve_rate(np.array([0.2, 0.3, 0.5]), BENCH, T=2.0, J=40)
 
 
-def test_project_control_feasible_and_idempotent():
-    rng = np.random.default_rng(1)
-    m = np.array([0.3, 0.7])
-    raw = rng.normal(0.0, 1.0, size=(60, 2))
-    eta = project_control(m, raw, 3.0)
-    assert eta.min() >= 0.0
-    assert np.abs(eta.sum(axis=1) - 1.0).max() <= 1e-12
-    grid = integrate_forward(m, PiecewiseControl(T=3.0, J=60, eta=eta))
-    assert grid.M.min() >= -1e-9
-    again = project_control(m, eta.copy(), 3.0)
-    assert np.abs(again - eta).max() <= 1e-12
-
-
-def test_simplex_projection_is_closest_point():
-    rng = np.random.default_rng(2)
-    v = rng.normal(0.0, 2.0, size=(50, 4))
-    proj = simplex_project_rows(v)
-    others = rng.dirichlet(np.ones(4), size=50)
-    d_proj = ((proj - v) ** 2).sum(axis=1)
-    d_other = ((others - v) ** 2).sum(axis=1)
-    assert np.all(d_proj <= d_other + 1e-12)
-
-
-def test_adjoint_gradient_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    m = np.array([0.4, 0.6])
-    T, J = 1.5, 30
-    base = np.tile(m, (J, 1))
-    eta = 0.8 * base + 0.2 * rng.dirichlet(np.ones(2), size=J)
-    ctrl = PiecewiseControl(T=T, J=J, eta=eta)
-    g = cost_gradient(m, ctrl, BENCH)
-    h = 1e-6
-    for idx in [(0, 0), (7, 1), (J - 1, 0)]:
-        bump = np.zeros_like(eta)
-        bump[idx] = h
-        up = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=eta + bump), BENCH)
-        dn = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=eta - bump), BENCH)
-        fd = (up - dn) / (2 * h)
-        assert abs(g[idx] - fd) <= 1e-5 * max(1.0, abs(fd))
-
-
 def test_cost_is_jointly_convex_along_segments():
     rng = np.random.default_rng(4)
     m = np.array([0.3, 0.7])
     T, J = 2.0, 40
-    a = project_control(m, np.tile(m, (J, 1)) + rng.normal(0, 0.1, (J, 2)), T)
-    b = project_control(m, np.tile(m, (J, 1)) + rng.normal(0, 0.1, (J, 2)), T)
+    a = _random_control(rng, m, T, J).eta
+    b = _random_control(rng, m, T, J).eta
     ca = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=a), BENCH)
     cb = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=b), BENCH)
     mid = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=0.5 * (a + b)), BENCH)
