@@ -8,9 +8,9 @@ lower-bound experiments.
 
 A deterministic time grid ``t_k = sum_{j=1..k} 1/(j+1)`` (harmonic tail,
 computed with compensated summation) turns step indices into continuous
-time.  Paths interpolate linearly on that grid, and the pair of discounted
-occupation measures built from a controlled path satisfies the chain-rule
-identity checked by :func:`verify_chain_rule_identity`.
+time.  The pair of discounted occupation measures built from a controlled
+path on that grid satisfies the chain-rule identity checked by
+:func:`verify_chain_rule_identity`.
 
 Randomness: a counter-based Philox generator keyed by ``(seed, stream)``,
 one independent stream per path, so batched and per-path simulations are
@@ -98,13 +98,6 @@ class TimeGrid:
 @functools.lru_cache(maxsize=8)
 def _cached_grid(n: int) -> TimeGrid:
     return TimeGrid(n)
-
-
-def grid_functions(t: float, n: int) -> tuple[int, float, int]:
-    """(index, node time, step weight) of time ``t`` on the grid of size n."""
-    g = _cached_grid(int(n))
-    k = g.index_of(t)
-    return int(k), float(g.node_below(t)), int(k) + 2
 
 
 def _validate_x0(x0: int, d: int) -> int:
@@ -295,65 +288,6 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
-
-
-# ---------------------------------------------------------------------------
-# interpolation and time reversal
-
-
-class PathInterpolant:
-    """Evaluate the linear interpolation of a controlled path in grid time.
-
-    On ``[t_k, t_{k+1}]`` the value is
-    ``Lbar[k] + (k+2) (t - t_k) (Lbar[k+1] - Lbar[k])``, which matches the
-    nodes exactly and is 2-Lipschitz in total-variation norm.
-    """
-
-    def __init__(self, path: ControlledPath):
-        self.path = path
-        self.grid = path.grid()
-
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.grid.horizon):
-            raise PreconditionViolation(
-                f"interpolation time outside [0, {self.grid.horizon!r}]"
-            )
-        k = np.minimum(self.grid.index_of(t_arr), self.path.n - 1)
-        k_arr = np.atleast_1d(k)
-        tt = np.atleast_1d(t_arr)
-        base = self.path.Lbar[k_arr]
-        step = self.path.Lbar[k_arr + 1] - base
-        frac = ((k_arr + 2) * (tt - self.grid.times[k_arr]))[:, None]
-        out = base + frac * step
-        return out if t_arr.ndim else out[0]
-
-
-def interpolate_path(path: ControlledPath) -> PathInterpolant:
-    return PathInterpolant(path)
-
-
-class ReversedInterpolant:
-    """Time reversal of an interpolated path, frozen after the horizon."""
-
-    def __init__(self, interp: PathInterpolant):
-        self.interp = interp
-        self.horizon = interp.horizon
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
-            raise PreconditionViolation("reversed time must be >= 0")
-        s = np.maximum(self.horizon - t_arr, 0.0)
-        return self.interp(s)
-
-
-def reverse_path(path: ControlledPath, interp: PathInterpolant | None = None) -> ReversedInterpolant:
-    return ReversedInterpolant(interp if interp is not None else PathInterpolant(path))
 
 
 # ---------------------------------------------------------------------------

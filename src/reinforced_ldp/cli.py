@@ -10,8 +10,9 @@ line flags override config values.  Every CSV output starts with a
 provenance comment ``# config_sha256=<hash> seed=<seed>`` where the hash
 covers the effective (post-override) parameter set.  Exit codes: 0
 success, 1 validation failures, 2 configuration errors, 3 violated
-preconditions, 4 resource limits, 5 solver failures (a solve that does
-not converge or a control that leaves the simplex).
+preconditions, 4 resource limits, 5 numerical failures (a solve that does
+not converge, a control that leaves the simplex, or an exact law whose mass
+drifts).
 """
 from __future__ import annotations
 
@@ -37,14 +38,7 @@ from .errors import (
     ResourceLimitExceeded,
     SimplexViolation,
 )
-from .exact import (
-    DEFAULT_MEM_CAP_BYTES,
-    FiniteNRate,
-    event_probability,
-    exact_law_levels,
-    export_law_csv,
-    export_rate_trend_csv,
-)
+from .exact import DEFAULT_MEM_CAP_BYTES, ball_rate, exact_law_levels, export_law_csv, export_rate_trend_csv
 from .lowerbound import (
     DEFAULT_EPS_TARGET,
     DEFAULT_MAX_INTERVALS,
@@ -83,17 +77,24 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _field(sect, key: str, where: str):
+    """``sect[key]``, or a ConfigError naming the missing ``where.key``."""
+    if not isinstance(sect, dict) or key not in sect:
+        raise ConfigError(f"config needs '{where}.{key}'")
+    return sect[key]
+
+
 def _kernel_from_config(doc: dict) -> Kernel:
     spec = doc.get("kernel")
-    if spec is None:
-        raise ConfigError("config must define a 'kernel'")
+    if not isinstance(spec, dict):
+        raise ConfigError("config must define a 'kernel' object")
     if "matrix" in spec:
         return Kernel(spec["matrix"])
     if "qsd" in spec:
-        return build_kernel_qsd(spec["qsd"]["p"])
+        return build_kernel_qsd(_field(spec["qsd"], "p", "kernel.qsd"))
     if "mixture" in spec:
         mix = spec["mixture"]
-        return build_kernel_mixture(mix["alpha"], mix["p"], mix["B"])
+        return build_kernel_mixture(*(_field(mix, key, "kernel.mixture") for key in ("alpha", "p", "B")))
     raise ConfigError("kernel config needs one of 'matrix', 'qsd', 'mixture'")
 
 
@@ -205,13 +206,7 @@ def cmd_exact(args) -> int:
     if sect.get("target") is not None:
         radius = float(sect.get("radius", 0.05))
         target = np.asarray(sect["target"], dtype=float)
-        records = []
-        for n in sorted(laws):
-            p = event_probability(laws[n], target, radius)
-            if p > 0.0:
-                records.append(FiniteNRate(n=n, probability=p, rate=-np.log(p) / n, infinite=False))
-            else:
-                records.append(FiniteNRate(n=n, probability=0.0, rate=float("inf"), infinite=True))
+        records = [ball_rate(laws[n], target, radius) for n in sorted(laws)]
         export_rate_trend_csv(records, out / "rate_trend.csv", prov)
         print(f"exact: ball rates for {len(records)} level(s) written")
     return 0
@@ -322,7 +317,7 @@ def cmd_lowerbound(args) -> int:
               f"allowance {report.allowance:.6f})")
     runs_sect = sect.get("runs")
     if runs_sect is not None:
-        n_run = int(runs_sect["n"])
+        n_run = int(_field(runs_sect, "n", "lowerbound.runs"))
         n_seeds = int(runs_sect.get("n_seeds", 10))
         runs = [run_plan(plan, A, n_run, eps0, seed + i) for i in range(n_seeds)]
         export_runs_csv(out / "runs.csv", runs, prov)
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PositivityViolation, SimplexViolation, DimensionMismatch, PolicyError, KeyError, TypeError) as exc:
+    except (PositivityViolation, SimplexViolation, DimensionMismatch, PolicyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PreconditionViolation as exc:

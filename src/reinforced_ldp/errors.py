@@ -30,7 +30,8 @@ class ResourceLimitExceeded(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance."""
+    """A numerical computation failed: an iterative solve missed its tolerance,
+    or a conserved probability mass drifted."""
 
 
 class ConfigError(ValueError):

@@ -6,10 +6,13 @@ Propagating the full distribution level by level yields the exact law after
 ``n`` steps, which in turn gives exact event probabilities and finite-``n``
 rate estimates ``-(1/n) log P``.
 
-Levels are processed in sorted atom order with a fixed reduction order, so
-results are bitwise reproducible.  Atom counts grow like ``n^(d-1)``; a
-configurable memory cap (default 2 GiB) aborts cleanly before a level that
-would not fit.
+Level ``k`` is one dense float array over the box ``[0, k]^(d-1)`` of the
+first ``d - 1`` counts; the last count is ``k`` minus their sum, and cells
+outside the simplex hold zero.  A step adds each transition's mass to the
+cell shifted by one along the moved count's axis, in a fixed order, so
+results are bitwise reproducible.  Cells grow like ``n^(d-1)``; a
+configurable memory cap (default 2 GiB) on the bytes of the sweep's largest
+step aborts cleanly before the sweep starts.
 """
 from __future__ import annotations
 
@@ -19,17 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._format import write_csv
-from .errors import DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
+from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
 from .measures import Kernel, ProbVec
 
 DEFAULT_MEM_CAP_BYTES = 2 << 30
 DROP_THRESHOLD = 1e-300
 MASS_CHECK_ATOL = 1e-12
-
-# rough per-atom footprint of the dict representation: tuple of d ints,
-# a float, and hash-table overhead
-_ATOM_BYTES_BASE = 120
-_ATOM_BYTES_PER_DIM = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,18 +47,6 @@ class CountLaw:
 
     def total_mass(self) -> float:
         return math.fsum(self.atoms.values())
-
-
-def _level_cap_check(level: int, d: int, x0_fixed: bool, mem_cap_bytes: int) -> None:
-    # compositions of the non-pinned population into d parts
-    population = level - 1 if x0_fixed else level
-    max_atoms = math.comb(population + d - 1, d - 1)
-    est = max_atoms * (_ATOM_BYTES_BASE + _ATOM_BYTES_PER_DIM * d)
-    if est > mem_cap_bytes:
-        raise ResourceLimitExceeded(
-            f"exact_law: level {level} may need ~{est / 2**20:.0f} MiB "
-            f"({max_atoms} atoms), above the cap of {mem_cap_bytes / 2**20:.0f} MiB"
-        )
 
 
 def exact_law(
@@ -83,44 +69,51 @@ def exact_law_levels(
         raise DimensionMismatch(f"x0={x0} outside 1..{d}")
     x0 = int(x0)
     n_max = wanted[-1]
-    Amat = A.matrix
+    # peak of the sweep, at the product in its last step: 8-byte arrays of the law,
+    # the previous transitions, the index grid and the counts, scaled counts and
+    # new transitions (5d values a cell of the level n_max - 1 box), and the
+    # 1-byte drop mask
+    need = (40 * d + 1) * n_max ** (d - 1)
+    if need > mem_cap_bytes:
+        raise ResourceLimitExceeded(
+            f"exact_law: level {n_max} needs {need / 2**20:.2f} MiB of lattice arrays, "
+            f"above the cap of {mem_cap_bytes / 2**20:.2f} MiB"
+        )
 
-    start = [0] * d
-    start[x0 - 1] = 1
-    atoms: dict[tuple[int, ...], float] = {tuple(start): 1.0}
+    # P[c_1, .., c_{d-1}] is the probability of the counts (c_1, .., c_{d-1}, k - sum)
+    P = np.zeros((2,) * (d - 1))
+    P[tuple(int(x == x0) for x in range(1, d))] = 1.0
     dropped = 0.0
     out: dict[int, CountLaw] = {}
 
     def snapshot(level: int) -> CountLaw:
-        return CountLaw(n=level, d=d, x0=x0, atoms=dict(atoms), dropped_mass=dropped)
+        cells = np.argwhere(P)
+        keys = np.column_stack([cells, level - cells.sum(axis=1)]).tolist()
+        atoms = dict(zip(map(tuple, keys), P[P != 0.0].tolist()))
+        return CountLaw(n=level, d=d, x0=x0, atoms=atoms, dropped_mass=dropped)
 
     if 1 in wanted:
         out[1] = snapshot(1)
-    basis = np.eye(d, dtype=np.int64)
     for k in range(1, n_max):
-        _level_cap_check(k + 1, d, True, mem_cap_bytes)
-        items = sorted(atoms.items())
-        counts = np.array([key for key, _ in items], dtype=np.int64)
-        probs = np.array([p for _, p in items])
-        trans = (counts / float(k)) @ Amat
-        nxt: dict[tuple[int, ...], float] = {}
-        for i in range(len(items)):
-            child_mass = probs[i] * trans[i]
-            base = counts[i]
-            for y in range(d):
-                key = tuple(base + basis[y])
-                m = child_mass[y]
-                if key in nxt:
-                    nxt[key] += m
-                else:
-                    nxt[key] = m
-        small = [key for key, p in nxt.items() if p < DROP_THRESHOLD]
-        for key in small:
-            dropped += nxt.pop(key)
-        atoms = nxt
-        mass = math.fsum(atoms.values())
+        grid = np.indices(P.shape).reshape(d - 1, P.size).T
+        counts = np.column_stack([grid, k - grid.sum(axis=1)])
+        trans = ((counts / float(k)) @ A.matrix).reshape(*P.shape, d)
+        nxt = np.zeros((k + 2,) * (d - 1))
+        # move y adds one to count y; the last count is implied, so its move
+        # keeps the cell.  Adding moves in order y = 0..d-1 sums each child's
+        # parents in lexicographic order.
+        for y in range(d):
+            cell = [slice(0, k + 1)] * (d - 1)
+            if y < d - 1:
+                cell[y] = slice(1, k + 2)
+            nxt[tuple(cell)] += P * trans[..., y]
+        small = nxt < DROP_THRESHOLD
+        dropped += math.fsum(nxt[small].tolist())
+        nxt[small] = 0.0
+        P = nxt
+        mass = float(P.sum())
         if abs(mass + dropped - 1.0) > MASS_CHECK_ATOL:
-            raise AssertionError(
+            raise ConvergenceError(
                 f"exact_law: mass {mass!r} + dropped {dropped!r} drifted from 1 at level {k + 1}"
             )
         if k + 1 in wanted:
@@ -152,21 +145,22 @@ class FiniteNRate:
     infinite: bool
 
 
-def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:
-    """Finite-``n`` decay rates ``-(1/n) log P(||L^n - target||_1 <= radius)``.
+def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
+    """Decay rate ``-(1/n) log P(||L^n - target||_1 <= radius)`` under ``law``.
 
-    Zero-probability events yield an infinite rate with the ``infinite``
+    A zero-probability event yields an infinite rate with the ``infinite``
     flag set instead of an error.
     """
+    p = event_probability(law, target, radius)
+    if p > 0.0:
+        return FiniteNRate(n=law.n, probability=p, rate=-math.log(p) / law.n, infinite=False)
+    return FiniteNRate(n=law.n, probability=0.0, rate=math.inf, infinite=True)
+
+
+def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:
+    """Finite-``n`` ball rates (see :func:`ball_rate`) at each level of ``n_list``."""
     laws = exact_law_levels(A, x0, n_list)
-    out = []
-    for n in sorted(set(int(v) for v in n_list)):
-        p = event_probability(laws[n], target, radius)
-        if p > 0.0:
-            out.append(FiniteNRate(n=n, probability=p, rate=-math.log(p) / n, infinite=False))
-        else:
-            out.append(FiniteNRate(n=n, probability=0.0, rate=math.inf, infinite=True))
-    return out
+    return [ball_rate(laws[n], target, radius) for n in sorted(laws)]
 
 
 def export_law_csv(law: CountLaw, file, provenance: str | None = None) -> None:

@@ -5,12 +5,9 @@ import pytest
 
 from reinforced_ldp.chains import (
     TimeGrid,
-    grid_functions,
-    interpolate_path,
     occupation_measures,
     path_rng,
     reference_policy,
-    reverse_path,
     simulate_chain,
     simulate_chain_batch,
     simulate_controlled,
@@ -30,8 +27,6 @@ def test_grid_spacing_and_lookup():
     g = TimeGrid(10)
     assert g.times[0] == 0.0
     assert np.allclose(np.diff(g.times), 1.0 / np.arange(2, 12))
-    # t_1 = 1/2 <= 0.6 < t_2 = 1/2 + 1/3
-    assert grid_functions(0.6, 10) == (1, 0.5, 3)
     assert g.index_of(0.0) == 0
     assert g.index_of(g.horizon + 5.0) == 10
 
@@ -147,26 +142,6 @@ def test_occupation_measures_marginals():
     assert np.allclose(time_theta, 1.0 / 80)
     assert occ.edges[0] == 0.0
     assert occ.edges[-1] == pytest.approx(path.grid().horizon)
-
-
-def test_interpolant_hits_nodes_and_is_two_lipschitz():
-    path = simulate_controlled(BENCH, 1, reference_policy(BENCH), 60, SEED)
-    interp = interpolate_path(path)
-    g = path.grid()
-    assert np.allclose(interp(g.times[:-1]), path.Lbar[:-1], atol=1e-14)
-    rng = np.random.default_rng(3)
-    ts = rng.uniform(0.0, g.horizon, size=40)
-    ss = rng.uniform(0.0, g.horizon, size=40)
-    vt, vs = interp(ts), interp(ss)
-    l1 = np.abs(vt - vs).sum(axis=1)
-    assert np.all(l1 <= 2.0 * np.abs(ts - ss) + 1e-12)
-
-
-def test_reversed_interpolant_freezes_past_horizon():
-    path = simulate_controlled(BENCH, 1, reference_policy(BENCH), 30, SEED)
-    rev = reverse_path(path)
-    assert np.allclose(rev(0.0), path.Lbar[-1], atol=1e-14)
-    assert np.allclose(rev(rev.horizon + 3.0), path.Lbar[0], atol=1e-14)
 
 
 def test_path_rng_streams_are_distinct():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from reinforced_ldp import ratesolver
+from reinforced_ldp import exact, ratesolver
 from reinforced_ldp.cli import main
 from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
 from reinforced_ldp.validation import REPORT_FILENAME
@@ -89,6 +89,13 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     assert "solver failure: forced failure" in capsys.readouterr().err
 
 
+def test_mass_drift_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(exact, "MASS_CHECK_ATOL", -1.0)
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "exact": {"n": 5}})
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+    assert "drifted from 1" in capsys.readouterr().err
+
+
 def test_lowerbound_plan_json(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
@@ -114,6 +121,18 @@ def test_validate_single_criterion(tmp_path, capsys):
 def test_zero_kernel_entry_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"kernel": {"matrix": [[1.0, 0.0], [0.2, 0.8]]}})
     assert main(["simulate", "--config", cfg, "--n", "10"]) == 2
+
+
+@pytest.mark.parametrize("command,doc,missing", [
+    ("simulate", {"kernel": {"mixture": {"alpha": 0.5, "p": [0.4, 0.6]}}}, "kernel.mixture.B"),
+    ("simulate", {"kernel": {"qsd": {}}}, "kernel.qsd.p"),
+    ("lowerbound", {"kernel": {"matrix": BENCH_MATRIX},
+                    "lowerbound": {"m": [0.6, 0.4], "T": 1.0, "runs": {"n_seeds": 1}}}, "lowerbound.runs.n"),
+])
+def test_missing_config_key_is_config_error(tmp_path, capsys, command, doc, missing):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config needs '{missing}'" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_config_error(tmp_path):

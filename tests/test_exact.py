@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +40,22 @@ def test_law_n3_hand_enumerated():
     assert law.atoms[(3, 0)] == pytest.approx(0.81, abs=1e-15)
     assert law.atoms[(2, 1)] == pytest.approx(0.145, abs=1e-15)
     assert law.atoms[(1, 2)] == pytest.approx(0.045, abs=1e-15)
+
+
+@pytest.mark.parametrize("x0", [1, 2, 3])
+def test_law_d3_matches_path_enumeration(x0):
+    """Sum over all 3^5 paths, stepping with the running mean of ``A[x_j, :]``."""
+    n = 6
+    expect = {}
+    for tail in itertools.product(range(3), repeat=n - 1):
+        path = (x0 - 1,) + tail
+        p = math.prod(D3.matrix[list(path[:k]), path[k]].mean() for k in range(1, n))
+        key = tuple(path.count(x) for x in range(3))
+        expect[key] = expect.get(key, 0.0) + p
+    law = exact_law(D3, x0, n)
+    assert set(law.atoms) == set(expect)
+    for key, p in expect.items():
+        assert law.atoms[key] == pytest.approx(p, rel=0, abs=1e-15)
 
 
 def test_law_uniform_kernel_symmetric():
