@@ -23,12 +23,16 @@ def cell(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance: str | None = None) -> None:
+    write_csv_lines(path, header, (",".join(cell(v) for v in row) + "\n" for row in rows), provenance)
+
+
+def write_csv_lines(path, header: Sequence[str], lines: Iterable[str], provenance: str | None = None) -> None:
+    """Write CSV rows already formatted as text, each line ending in a newline."""
     buf = io.StringIO()
     if provenance:
         buf.write(f"# {provenance}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(cell(v) for v in row) + "\n")
+    buf.writelines(lines)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 

@@ -84,6 +84,29 @@ def _field(sect, key: str, where: str):
     return sect[key]
 
 
+def _typed(value, kind, where: str):
+    """``kind(value)``, or a ConfigError naming ``where`` when the value has the wrong type."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config '{where}' has a value of the wrong type: {value!r}") from None
+
+
+def _int_list(values) -> list[int]:
+    return [int(v) for v in values]
+
+
+def _float_list(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _section(doc: dict, name: str) -> dict:
+    sect = doc.get(name, {})
+    if not isinstance(sect, dict):
+        raise ConfigError(f"config '{name}' must be an object")
+    return sect
+
+
 def _kernel_from_config(doc: dict) -> Kernel:
     spec = doc.get("kernel")
     if not isinstance(spec, dict):
@@ -105,16 +128,14 @@ def _provenance(effective: dict, seed: int) -> str:
 
 
 def _resolve_seed(args, doc: dict) -> int:
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    seed = int(seed)
+    seed = args.seed if args.seed is not None else _typed(doc.get("seed", 0), int, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def _resolve_threads(args, doc: dict) -> int:
-    threads = args.threads if args.threads else doc.get("threads", 0)
-    threads = int(threads)
+    threads = args.threads if args.threads else _typed(doc.get("threads", 0), int, "threads")
     if threads <= 0:
         threads = os.cpu_count() or 1
     return threads
@@ -146,10 +167,10 @@ def _mem_cap_bytes() -> int:
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = doc.get("simulate", {})
-    n = int(args.n if args.n is not None else sect.get("n", 1000))
-    x0 = int(args.x0 if args.x0 is not None else sect.get("x0", 1))
-    paths = int(args.paths if args.paths is not None else sect.get("paths", 1))
+    sect = _section(doc, "simulate")
+    n = args.n if args.n is not None else _typed(sect.get("n", 1000), int, "simulate.n")
+    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), int, "simulate.x0")
+    paths = args.paths if args.paths is not None else _typed(sect.get("paths", 1), int, "simulate.paths")
     if paths < 1:
         raise ConfigError("simulate: paths must be >= 1")
     seed = _resolve_seed(args, doc)
@@ -179,14 +200,14 @@ def cmd_simulate(args) -> int:
 def cmd_exact(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = doc.get("exact", {})
+    sect = _section(doc, "exact")
     if args.n is not None:
-        n_list = [int(args.n)]
+        n_list = [args.n]
     elif "n_list" in sect:
-        n_list = [int(v) for v in sect["n_list"]]
+        n_list = _typed(sect["n_list"], _int_list, "exact.n_list")
     else:
-        n_list = [int(sect.get("n", 20))]
-    x0 = int(args.x0 if args.x0 is not None else sect.get("x0", 1))
+        n_list = [_typed(sect.get("n", 20), int, "exact.n")]
+    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), int, "exact.x0")
     seed = _resolve_seed(args, doc)
     eff = {
         "command": "exact",
@@ -204,8 +225,8 @@ def cmd_exact(args) -> int:
         print(f"exact: law at n={n} has {len(laws[n].atoms)} atoms "
               f"(dropped mass {laws[n].dropped_mass:.3e})")
     if sect.get("target") is not None:
-        radius = float(sect.get("radius", 0.05))
-        target = np.asarray(sect["target"], dtype=float)
+        radius = _typed(sect.get("radius", 0.05), float, "exact.radius")
+        target = np.asarray(_typed(sect["target"], _float_list, "exact.target"))
         records = [ball_rate(laws[n], target, radius) for n in sorted(laws)]
         export_rate_trend_csv(records, out / "rate_trend.csv", prov)
         print(f"exact: ball rates for {len(records)} level(s) written")
@@ -215,15 +236,16 @@ def cmd_exact(args) -> int:
 def cmd_rate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = doc.get("rate", {})
-    T = float(args.T if args.T is not None else sect.get("T", 14.0))
+    sect = _section(doc, "rate")
+    T = args.T if args.T is not None else _typed(sect.get("T", 14.0), float, "rate.T")
     J = sect.get("J")
-    J = int(J) if J is not None else None
+    J = _typed(J, int, "rate.J") if J is not None else None
     dv = bool(args.dv) if args.dv else bool(sect.get("dv", False))
     if sect.get("points") is not None:
-        points = [np.asarray(p, dtype=float) for p in sect["points"]]
+        raw_points = _typed(sect["points"], list, "rate.points")
+        points = [np.asarray(_typed(p, _float_list, "rate.points")) for p in raw_points]
     elif sect.get("mesh_step") is not None:
-        points = simplex_mesh(A.d, float(sect["mesh_step"]))
+        points = simplex_mesh(A.d, _typed(sect["mesh_step"], float, "rate.mesh_step"))
     else:
         raise ConfigError("rate config needs 'points' or 'mesh_step'")
     seed = _resolve_seed(args, doc)
@@ -266,18 +288,31 @@ def cmd_rate(args) -> int:
 def cmd_lowerbound(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = doc.get("lowerbound", {})
+    sect = _section(doc, "lowerbound")
     m = sect.get("m")
     if m is None:
         raise ConfigError("lowerbound config needs a target 'm'")
+    m = _typed(m, _float_list, "lowerbound.m")
     seed = _resolve_seed(args, doc)
-    T = float(sect.get("T", 2.0))
+    T = _typed(sect.get("T", 2.0), float, "lowerbound.T")
     J = sect.get("J")
-    slack = float(sect.get("slack", DEFAULT_SLACK))
+    slack = _typed(sect.get("slack", DEFAULT_SLACK), float, "lowerbound.slack")
+    eps_target = _typed(sect.get("eps_target", DEFAULT_EPS_TARGET), float, "lowerbound.eps_target")
+    max_intervals = _typed(sect.get("max_intervals", DEFAULT_MAX_INTERVALS), int, "lowerbound.max_intervals")
+    eps0 = _typed(sect.get("eps0", 0.3), float, "lowerbound.eps0")
+    # read the experiment settings before the plan, so a bad one costs no plan work
+    n_list = sect.get("n_list")
+    if n_list is not None:
+        n_list = _typed(n_list, _int_list, "lowerbound.n_list")
+        trend_seeds = _typed(sect.get("n_seeds", 20), int, "lowerbound.n_seeds")
+    runs_sect = sect.get("runs")
+    if runs_sect is not None:
+        n_run = _typed(_field(runs_sect, "n", "lowerbound.runs"), int, "lowerbound.runs.n")
+        run_seeds = _typed(runs_sect.get("n_seeds", 10), int, "lowerbound.runs.n_seeds")
     eff = {
         "command": "lowerbound",
         "kernel": A.matrix.tolist(),
-        "m": [float(v) for v in m],
+        "m": m,
         "T": T,
         "J": J,
         "slack": slack,
@@ -286,7 +321,7 @@ def cmd_lowerbound(args) -> int:
         "eps0": sect.get("eps0", 0.3),
         "n_list": sect.get("n_list"),
         "n_seeds": sect.get("n_seeds", 20),
-        "runs": sect.get("runs"),
+        "runs": runs_sect,
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
@@ -294,42 +329,36 @@ def cmd_lowerbound(args) -> int:
         m,
         A,
         T=T,
-        J=int(J) if J is not None else None,
+        J=_typed(J, int, "lowerbound.J") if J is not None else None,
         kappa1=sect.get("kappa1"),
         kappa2=sect.get("kappa2"),
         kappa3=sect.get("kappa3"),
-        eps_target=float(sect.get("eps_target", DEFAULT_EPS_TARGET)),
+        eps_target=eps_target,
         slack=slack,
-        max_intervals=int(sect.get("max_intervals", DEFAULT_MAX_INTERVALS)),
+        max_intervals=max_intervals,
     )
     plan_doc = json.loads(plan_to_json(plan, include_schedule=bool(sect.get("include_schedule", False))))
     plan_doc["provenance"] = prov
     (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
     print(f"lowerbound: schedule of {plan.Jc} intervals (mesh {plan.c:.3e}), "
           f"certified cost {plan.certified_cost:.6f}, target gap {plan.bounds.target_gap:.3e}")
-    eps0 = float(sect.get("eps0", 0.3))
-    if sect.get("n_list") is not None:
-        n_list = [int(v) for v in sect["n_list"]]
-        n_seeds = int(sect.get("n_seeds", 20))
-        report = check_cost_convergence(plan, A, n_list, n_seeds, eps0, seed=seed)
+    if n_list is not None:
+        report = check_cost_convergence(plan, A, n_list, trend_seeds, eps0, seed=seed)
         export_cost_report_csv(out / "cost_trend.csv", report, prov)
         print(f"lowerbound: cost trend over n={n_list} written (quad {report.quad_cost:.6f}, "
               f"allowance {report.allowance:.6f})")
-    runs_sect = sect.get("runs")
     if runs_sect is not None:
-        n_run = int(_field(runs_sect, "n", "lowerbound.runs"))
-        n_seeds = int(runs_sect.get("n_seeds", 10))
-        runs = [run_plan(plan, A, n_run, eps0, seed + i) for i in range(n_seeds)]
+        runs = [run_plan(plan, A, n_run, eps0, seed + i) for i in range(run_seeds)]
         export_runs_csv(out / "runs.csv", runs, prov)
         hits = sum(r.an_occurred for r in runs)
-        print(f"lowerbound: {n_seeds} run(s) at n={n_run}; fallback taken {hits} time(s)")
+        print(f"lowerbound: {run_seeds} run(s) at n={n_run}; fallback taken {hits} time(s)")
     return 0
 
 
 def cmd_validate(args) -> int:
     doc = _load_config(args.config)
-    sect = doc.get("validate", {})
-    scale = float(args.scale if args.scale is not None else sect.get("scale", 1.0))
+    sect = _section(doc, "validate")
+    scale = args.scale if args.scale is not None else _typed(sect.get("scale", 1.0), float, "validate.scale")
     if args.include is not None:
         include = [c for c in args.include.split(",") if c]
     else:

@@ -43,7 +43,6 @@ from .chains import (
     verify_chain_rule_identity,
 )
 from .errors import (
-    ConvergenceError,
     DimensionMismatch,
     PreconditionViolation,
     ResourceLimitExceeded,
@@ -747,51 +746,6 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
 
 # ---------------------------------------------------------------------------
 # experiments on top of plans
-
-
-def an_frequency(q, x0: int, a0: int, eps0: float, n_samples: int, seed: int) -> float:
-    """Estimate the chance that the i.i.d. head misses its ``eps0`` ball.
-
-    The head measure is exactly a shifted multinomial, so this samples
-    count vectors directly instead of whole paths.
-    """
-    qv = _unwrap(q)
-    qv = qv / qv.sum()
-    d = qv.size
-    x0 = _validate_x0(x0, d)
-    if a0 < 1 or n_samples < 1:
-        raise PreconditionViolation("an_frequency: a0 and n_samples must be >= 1")
-    rng = path_rng(seed, 0)
-    counts = rng.multinomial(a0 + 1, qv, size=int(n_samples)).astype(float)
-    counts[:, x0 - 1] += 1.0
-    L = counts / (a0 + 2.0)
-    return float((np.abs(L - qv).sum(axis=1) >= eps0).mean())
-
-
-def estimate_lln_threshold(
-    q,
-    x0: int,
-    eps0: float,
-    target_freq: float,
-    seed: int,
-    n_samples: int = 20000,
-    a0_start: int = 8,
-    a0_cap: int = 1 << 22,
-) -> tuple[int, float]:
-    """Smallest power-of-two head length whose miss frequency is acceptable.
-
-    Doubles ``a0`` until :func:`an_frequency` drops to ``target_freq``;
-    the concentration is exponential in ``a0`` so the loop is short.
-    """
-    a0 = int(a0_start)
-    while a0 <= a0_cap:
-        freq = an_frequency(q, x0, a0, eps0, n_samples, seed)
-        if freq <= target_freq:
-            return a0, freq
-        a0 *= 2
-    raise ConvergenceError(
-        f"estimate_lln_threshold: frequency stayed above {target_freq!r} up to a0={a0_cap}"
-    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from reinforced_ldp.chains import (
     TimeGrid,
     occupation_measures,
     path_rng,
+    philox_uniforms,
     reference_policy,
     simulate_chain,
     simulate_chain_batch,
@@ -75,6 +76,39 @@ def test_simulate_chain_batch_stream_zero_matches_single():
     batch = simulate_chain_batch(BENCH, 1, 60, 4, SEED)
     assert np.array_equal(batch[0], single.counts[-1])
     assert np.all(batch.sum(axis=1) == 60)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 19, 64])
+def test_philox_uniforms_matches_numpy_philox(seed, count):
+    # counts that are not multiples of 4 leave a partly used last block;
+    # 8191/8192 straddle the default batch chunk, 2**63+5 sets the key's top bit
+    streams = [0, 1, 8191, 8192, 2**63 + 5]
+    u = philox_uniforms(seed, streams, count)
+    assert u.shape == (len(streams), count)
+    for row, stream in zip(u, streams):
+        assert np.array_equal(row, path_rng(seed, stream).random(count))
+
+
+def _chain_counts_from_stream(A, x0, n, seed, stream):
+    """Final counts of one reinforced chain driven by ``path_rng(seed, stream)``."""
+    u = path_rng(seed, stream).random(n - 1)
+    counts = np.zeros(A.d, dtype=np.int64)
+    counts[x0 - 1] = 1
+    for k in range(1, n):
+        cdf = np.cumsum((counts / float(k)) @ A.matrix)
+        x = min(int(np.searchsorted(cdf, u[k - 1], side="left")), A.d - 1)
+        counts[x] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_simulate_chain_batch_rows_match_per_path_streams(n):
+    # 7 paths in chunks of 3: rows 3 and 6 open a new chunk
+    A = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+    batch = simulate_chain_batch(A, 2, n, 7, SEED, chunk=3)
+    for i in range(7):
+        assert np.array_equal(batch[i], _chain_counts_from_stream(A, 2, n, SEED, i))
 
 
 def test_x0_validation():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from reinforced_ldp import exact, ratesolver
+from reinforced_ldp import cli, exact, ratesolver
 from reinforced_ldp.cli import main
 from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
 from reinforced_ldp.validation import REPORT_FILENAME
@@ -133,6 +133,31 @@ def test_missing_config_key_is_config_error(tmp_path, capsys, command, doc, miss
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config needs '{missing}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["ten", None])
+def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "simulate": {"n": value}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'simulate.n' has a value of the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,where", [
+    ({"runs": {"n_seeds": 1}}, "lowerbound.runs.n"),
+    ({"runs": {"n": "many"}}, "lowerbound.runs.n"),
+    ({"runs": {"n": 100, "n_seeds": None}}, "lowerbound.runs.n_seeds"),
+    ({"n_list": "abc"}, "lowerbound.n_list"),
+    ({"n_list": [100], "n_seeds": [3]}, "lowerbound.n_seeds"),
+])
+def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch, capsys, extra, where):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("build_plan ran before the config was checked")
+
+    monkeypatch.setattr(cli, "build_plan", no_plan)
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX},
+                                  "lowerbound": {"m": [0.6, 0.4], "T": 1.0, **extra}})
+    assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{where}'" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_config_error(tmp_path):

@@ -13,10 +13,8 @@ from reinforced_ldp.lowerbound import (
     DEFAULT_SLACK,
     PiecewiseConstantPath,
     build_plan,
-    an_frequency,
     check_cost_convergence,
     discretize_control,
-    estimate_lln_threshold,
     export_cost_report_csv,
     export_runs_csv,
     integrate_reversed,
@@ -235,24 +233,6 @@ def test_run_plan_alternate_start(bench_plan):
     run = run_plan(bench_plan, BENCH, 5_000, 0.3, seed=1, x0=2)
     assert run.path.states[0] == 2
     assert np.isfinite(run.terminal_error)
-
-
-def test_an_frequency_monotone_in_tolerance(light_plan):
-    freqs = [
-        an_frequency(light_plan.q, 1, 512, eps0, 1_000, seed=0)
-        for eps0 in (0.3, 0.1, 0.02)
-    ]
-    assert all(0.0 <= f <= 1.0 for f in freqs)
-    # same sample paths, shrinking tolerance: the early-exit event grows
-    assert freqs[0] <= freqs[1] <= freqs[2]
-
-
-def test_estimate_lln_threshold(light_plan):
-    a0, freq = estimate_lln_threshold(
-        light_plan.q, 1, 0.3, 0.01, seed=0, n_samples=2_000
-    )
-    assert isinstance(a0, int) and a0 >= 8
-    assert freq <= 0.01
 
 
 def test_check_cost_convergence_structure(light_plan):
