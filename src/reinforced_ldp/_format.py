@@ -1,4 +1,4 @@
-"""Text formatting helpers: 17-significant-digit floats, CSV and JSON emission.
+"""Text formatting helpers: 17-significant-digit floats and CSV emission.
 
 Floats are written with %.17g so that every IEEE-754 double round-trips
 exactly through text.  CSV files use '.' as the decimal separator and LF
@@ -35,11 +35,3 @@ def write_csv_lines(path, header: Sequence[str], lines: Iterable[str], provenanc
     buf.writelines(lines)
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())
-
-
-def json_float_list(values) -> str:
-    return "[" + ", ".join(f17(v) for v in values) + "]"
-
-
-def json_float_matrix(rows) -> str:
-    return "[" + ", ".join(json_float_list(r) for r in rows) + "]"

@@ -30,7 +30,7 @@ from scipy.special import rel_entr
 
 from ._format import write_csv_lines
 from .errors import DimensionMismatch, PolicyError, PreconditionViolation
-from .measures import Kernel, ProbVec
+from .measures import Kernel
 
 _MASK64 = (1 << 64) - 1
 # rows per Python-list block in export_path_csv: 4096-row blocks raised the
@@ -152,16 +152,6 @@ class TimeGrid:
         idx = np.searchsorted(self.times, t_arr, side="right") - 1
         return idx if idx.ndim else int(idx)
 
-    def node_below(self, t):
-        """a(t) = t_{index_of(t)}, clipped to the last node."""
-        idx = np.minimum(self.index_of(t), self.n)
-        out = self.times[idx]
-        return out if np.ndim(out) else float(out)
-
-    def step_weight(self, t):
-        """Weight of the step covering time t: index_of(t) + 2."""
-        return self.index_of(t) + 2
-
 
 @functools.lru_cache(maxsize=8)
 def _cached_grid(n: int) -> TimeGrid:
@@ -201,9 +191,6 @@ class ChainPath:
     states: np.ndarray
     counts: np.ndarray
     L: np.ndarray
-
-    def final(self) -> ProbVec:
-        return ProbVec(self.L[-1])
 
 
 def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
@@ -290,24 +277,6 @@ class ControlledPath:
     mu: np.ndarray
     Lbar: np.ndarray
 
-    def final(self) -> ProbVec:
-        return ProbVec(self.Lbar[-1])
-
-    def grid(self) -> TimeGrid:
-        return _cached_grid(self.n)
-
-
-def reference_policy(A: Kernel):
-    """The zero-cost policy: feed the current measure back through ``A``.
-
-    Works on single measures (shape ``(d,)``) and batches (``(r, d)``).
-    """
-
-    def policy(k: int, Lbar: np.ndarray) -> np.ndarray:
-        return Lbar @ A.matrix
-
-    return policy
-
 
 def _clean_policy_row(p, d: int, step: int) -> np.ndarray:
     w = np.asarray(p, dtype=float)
@@ -377,15 +346,9 @@ class DiscountedOccupation:
     beta: np.ndarray
     theta: np.ndarray
 
-    def total_mass(self) -> tuple[float, float]:
-        return float(self.beta.sum()), float(self.theta.sum())
-
-    def time_marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.beta.sum(axis=1), self.theta.sum(axis=1)
-
 
 def occupation_measures(path: ControlledPath, A: Kernel) -> DiscountedOccupation:
-    grid = path.grid()
+    grid = _cached_grid(path.n)
     n = path.n
     rho = path.Lbar[:n] @ A.matrix
     beta = path.mu[::-1] / n

@@ -92,6 +92,13 @@ def _typed(value, kind, where: str):
         raise ConfigError(f"config '{where}' has a value of the wrong type: {value!r}") from None
 
 
+def _json_bool(value) -> bool:
+    """A JSON ``true``/``false``; anything else, the string "false" included, is a TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _int_list(values) -> list[int]:
     return [int(v) for v in values]
 
@@ -240,7 +247,7 @@ def cmd_rate(args) -> int:
     T = args.T if args.T is not None else _typed(sect.get("T", 14.0), float, "rate.T")
     J = sect.get("J")
     J = _typed(J, int, "rate.J") if J is not None else None
-    dv = bool(args.dv) if args.dv else bool(sect.get("dv", False))
+    dv = True if args.dv else _typed(sect.get("dv", False), _json_bool, "rate.dv")
     if sect.get("points") is not None:
         raw_points = _typed(sect["points"], list, "rate.points")
         points = [np.asarray(_typed(p, _float_list, "rate.points")) for p in raw_points]
@@ -296,6 +303,11 @@ def cmd_lowerbound(args) -> int:
     seed = _resolve_seed(args, doc)
     T = _typed(sect.get("T", 2.0), float, "lowerbound.T")
     J = sect.get("J")
+    kappas = [sect.get(f"kappa{i}") for i in (1, 2, 3)]
+    kappa1, kappa2, kappa3 = (
+        _typed(k, float, f"lowerbound.kappa{i}") if k is not None else None for i, k in enumerate(kappas, 1)
+    )
+    include_schedule = _typed(sect.get("include_schedule", False), _json_bool, "lowerbound.include_schedule")
     slack = _typed(sect.get("slack", DEFAULT_SLACK), float, "lowerbound.slack")
     eps_target = _typed(sect.get("eps_target", DEFAULT_EPS_TARGET), float, "lowerbound.eps_target")
     max_intervals = _typed(sect.get("max_intervals", DEFAULT_MAX_INTERVALS), int, "lowerbound.max_intervals")
@@ -316,7 +328,7 @@ def cmd_lowerbound(args) -> int:
         "T": T,
         "J": J,
         "slack": slack,
-        "kappas": [sect.get("kappa1"), sect.get("kappa2"), sect.get("kappa3")],
+        "kappas": kappas,
         "eps_target": sect.get("eps_target", DEFAULT_EPS_TARGET),
         "eps0": sect.get("eps0", 0.3),
         "n_list": sect.get("n_list"),
@@ -330,14 +342,14 @@ def cmd_lowerbound(args) -> int:
         A,
         T=T,
         J=_typed(J, int, "lowerbound.J") if J is not None else None,
-        kappa1=sect.get("kappa1"),
-        kappa2=sect.get("kappa2"),
-        kappa3=sect.get("kappa3"),
+        kappa1=kappa1,
+        kappa2=kappa2,
+        kappa3=kappa3,
         eps_target=eps_target,
         slack=slack,
         max_intervals=max_intervals,
     )
-    plan_doc = json.loads(plan_to_json(plan, include_schedule=bool(sect.get("include_schedule", False))))
+    plan_doc = json.loads(plan_to_json(plan, include_schedule=include_schedule))
     plan_doc["provenance"] = prov
     (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
     print(f"lowerbound: schedule of {plan.Jc} intervals (mesh {plan.c:.3e}), "

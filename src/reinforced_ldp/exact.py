@@ -45,9 +45,6 @@ class CountLaw:
     atoms: dict[tuple[int, ...], float]
     dropped_mass: float
 
-    def total_mass(self) -> float:
-        return math.fsum(self.atoms.values())
-
 
 def exact_law(
     A: Kernel, x0: int, n: int, mem_cap_bytes: int = DEFAULT_MEM_CAP_BYTES

@@ -10,6 +10,10 @@ measure ``m``, build an explicit simulation schedule in three steps:
    average, making it Lipschitz in time;
 3. sample the mollified control on a uniform grid of mesh ``c``.
 
+Both controls in reversed time, the step function of step 2 and its
+mollified version, are one type, :class:`PiecewiseLinearPath`: a start
+value and a slope per piece, with zero slopes for the step function.
+
 Each step carries an explicit bound on the cost increase and on the
 trajectory deviation it can introduce, so the scheduled cost stays within
 a certified distance of the solver's value.  The reversed-time dynamics
@@ -25,7 +29,6 @@ schedule by grid time.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -77,145 +80,99 @@ def _unwrap(v) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseConstantPath:
-    """Right-continuous step function, constant after the last break.
+class PiecewiseLinearPath:
+    """Piecewise-linear path on ``[0, inf)``, possibly discontinuous at breaks.
 
-    ``vals[i]`` holds on ``[breaks[i], breaks[i+1])`` and ``extend`` on
-    ``[breaks[-1], inf)``; the cumulative integral is exact per segment.
+    On piece ``i``, ``[breaks[i], breaks[i+1])``, the value is
+    ``start[i] + slope[i] (s - breaks[i])``; the last piece continues past
+    ``breaks[-1]``.  A step function has zero slopes.  The cumulative
+    integral is exact on every piece.
     """
 
     breaks: np.ndarray
-    vals: np.ndarray
-    extend: np.ndarray
+    start: np.ndarray
+    slope: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.vals, dtype=float)
-        e = np.asarray(self.extend, dtype=float)
-        if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size - 1:
+        v = np.asarray(self.start, dtype=float)
+        beta = np.asarray(self.slope, dtype=float)
+        if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size - 1 or beta.shape != v.shape:
             raise DimensionMismatch(
-                f"PiecewiseConstantPath: breaks {b.shape} and vals {v.shape} disagree"
+                f"PiecewiseLinearPath: breaks {b.shape}, start {v.shape} and slope {beta.shape} disagree"
             )
-        if e.shape != (v.shape[1],):
-            raise DimensionMismatch("PiecewiseConstantPath: extension dimension mismatch")
         if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
-            raise PreconditionViolation("PiecewiseConstantPath: breaks must increase from 0")
+            raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
+        h = np.diff(b)[:, None]
         F = np.zeros((b.size, v.shape[1]))
-        np.cumsum(v * np.diff(b)[:, None], axis=0, out=F[1:])
-        for arr in (b, v, e, F):
+        np.cumsum(v * h + 0.5 * beta * h * h, axis=0, out=F[1:])
+        for arr in (b, v, beta, F):
             arr.flags.writeable = False
         object.__setattr__(self, "breaks", b)
-        object.__setattr__(self, "vals", v)
-        object.__setattr__(self, "extend", e)
+        object.__setattr__(self, "start", v)
+        object.__setattr__(self, "slope", beta)
         object.__setattr__(self, "_F", F)
 
     @property
     def d(self) -> int:
-        return int(self.vals.shape[1])
+        return int(self.start.shape[1])
 
     @property
     def horizon(self) -> float:
         return float(self.breaks[-1])
 
-    def value(self, s):
+    def _locate(self, s):
+        """Times as a 1-d array, with the index of the piece holding each."""
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < 0.0):
             raise PreconditionViolation("path time must be >= 0")
         ss = np.atleast_1d(s_arr)
-        K = self.vals.shape[0]
-        idx = np.searchsorted(self.breaks, ss, side="right") - 1
-        out = np.where(
-            (idx >= K)[:, None], self.extend, self.vals[np.minimum(idx, K - 1)]
-        )
-        return out if s_arr.ndim else out[0]
+        return s_arr.ndim, ss, np.searchsorted(self.breaks, ss, side="right") - 1
+
+    def value(self, s):
+        ndim, ss, idx = self._locate(s)
+        p = np.minimum(idx, self.start.shape[0] - 1)
+        out = self.start[p] + self.slope[p] * (ss - self.breaks[p])[:, None]
+        return out if ndim else out[0]
 
     def integral(self, s):
-        """Componentwise ``int_0^s`` of the path, vectorized in ``s``."""
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0.0):
-            raise PreconditionViolation("path time must be >= 0")
-        ss = np.atleast_1d(s_arr)
-        K = self.vals.shape[0]
-        idx = np.searchsorted(self.breaks, ss, side="right") - 1
-        node = np.minimum(idx, K)
-        slope = np.where((idx >= K)[:, None], self.extend, self.vals[np.minimum(idx, K - 1)])
-        out = self._F[node] + slope * (ss - self.breaks[node])[:, None]
-        return out if s_arr.ndim else out[0]
+        """Componentwise ``int_0^s`` of the path, vectorized in ``s``.
 
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinearPath:
-    """Continuous piecewise-linear function on ``[0, T]`` given by node values."""
-
-    breaks: np.ndarray
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.nodes, dtype=float)
-        if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size:
-            raise DimensionMismatch(
-                f"PiecewiseLinearPath: breaks {b.shape} and nodes {v.shape} disagree"
-            )
-        if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
-            raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
-        slopes = np.diff(v, axis=0) / np.diff(b)[:, None]
-        for arr in (b, v, slopes):
-            arr.flags.writeable = False
-        object.__setattr__(self, "breaks", b)
-        object.__setattr__(self, "nodes", v)
-        object.__setattr__(self, "slopes", slopes)
-
-    @property
-    def d(self) -> int:
-        return int(self.nodes.shape[1])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.breaks[-1])
-
-    def value(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0.0):
-            raise PreconditionViolation("path time must be >= 0")
-        ss = np.atleast_1d(s_arr)
-        K = self.slopes.shape[0]
-        idx = np.clip(np.searchsorted(self.breaks, ss, side="right") - 1, 0, K - 1)
-        out = self.nodes[idx] + self.slopes[idx] * (ss - self.breaks[idx])[:, None]
-        return out if s_arr.ndim else out[0]
+        Past the last break the integral continues from the node at
+        ``breaks[-1]`` with the last piece's end value there.
+        """
+        ndim, ss, idx = self._locate(s)
+        K = self.start.shape[0]
+        p, node = np.minimum(idx, K - 1), np.minimum(idx, K)
+        v_node = self.start[p] + self.slope[p] * (self.breaks[node] - self.breaks[p])[:, None]
+        ds = (ss - self.breaks[node])[:, None]
+        out = self._F[node] + (v_node + 0.5 * self.slope[p] * ds) * ds
+        return out if ndim else out[0]
 
     def lipschitz_l1(self) -> float:
-        if self.slopes.shape[0] == 0:
-            return 0.0
-        return float(np.abs(self.slopes).sum(axis=1).max())
+        return float(np.abs(self.slope).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
 # reversed-time flow M' = eta - M and cost quadratures
 
 
-def reversed_flow_nodes(q, path) -> np.ndarray:
+def reversed_flow_nodes(q, path: PiecewiseLinearPath) -> np.ndarray:
     """Values of ``M' = eta - M``, ``M(0) = q`` at the path's breaks.
 
-    Uses the closed form on each segment, so the nodes are exact up to
-    one rounding per segment.
+    On a piece of width ``h`` with control ``v + beta s`` the flow is
+    ``M(h) = v + beta h - beta + e^{-h} (M(0) - v + beta)``, so the nodes
+    are exact up to one rounding per piece.
     """
     q_arr = _unwrap(q)
-    b = path.breaks
+    b, v, beta = path.breaks, path.start, path.slope
     K = b.size - 1
+    end = v + beta * np.diff(b)[:, None]
     M = np.empty((K + 1, q_arr.size))
     M[0] = q_arr
-    if isinstance(path, PiecewiseConstantPath):
-        for i in range(K):
-            f = math.exp(-(b[i + 1] - b[i]))
-            v = path.vals[i]
-            M[i + 1] = v + f * (M[i] - v)
-    else:
-        for i in range(K):
-            f = math.exp(-(b[i + 1] - b[i]))
-            beta = path.slopes[i]
-            v = path.nodes[i]
-            M[i + 1] = path.nodes[i + 1] - beta + f * (M[i] - v + beta)
+    for i in range(K):
+        f = math.exp(-(b[i + 1] - b[i]))
+        M[i + 1] = end[i] - beta[i] + f * (M[i] - v[i] + beta[i])
     return M
 
 
@@ -271,20 +228,15 @@ def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Ker
     return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), grid.M[:-1], forward=True)
 
 
-def reversed_cost(q, path, A: Kernel) -> float:
+def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
     """``e^{-T} int_0^T e^s R(eta(s) || M(s) A) ds`` along the reversed flow.
 
     By the substitution ``s -> T - s`` this equals the forward discounted
     cost of the un-reversed pair, which is what the step bounds control.
     """
-    T = path.horizon
     Mn = reversed_flow_nodes(q, path)
-    lo, hi = path.breaks[:-1], path.breaks[1:]
-    if isinstance(path, PiecewiseConstantPath):
-        v_lo, slope = path.vals, np.zeros_like(path.vals)
-    else:
-        v_lo, slope = path.nodes[:-1], path.slopes
-    return _flow_quad(A.matrix, lo, hi, v_lo, slope, Mn[:-1], forward=False, T=T)
+    b = path.breaks
+    return _flow_quad(A.matrix, b[:-1], b[1:], path.start, path.slope, Mn[:-1], forward=False, T=path.horizon)
 
 
 def _scheduled_cost(Amat, T, c, eta_rows, M_nodes) -> float:
@@ -321,27 +273,27 @@ def mix_with_stationary(
     return PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1), _as_grid(M1), delta
 
 
-def reverse_control(ctrl: PiecewiseControl) -> PiecewiseConstantPath:
+def reverse_control(ctrl: PiecewiseControl) -> PiecewiseLinearPath:
     """View a forward piecewise-constant control backwards from time T.
 
-    The extension value repeats the last reversed piece, so the path is
-    defined on all of ``[0, inf)`` as the mollifier window requires.
+    The result has zero slopes, and its last reversed piece continues past
+    ``T``, so the path is defined on all of ``[0, inf)`` as the mollifier
+    window requires.
     """
     breaks = np.linspace(0.0, ctrl.T, ctrl.J + 1)
     vals = np.asarray(ctrl.eta, dtype=float)[::-1]
-    return PiecewiseConstantPath(breaks=breaks, vals=vals, extend=vals[-1].copy())
+    return PiecewiseLinearPath(breaks=breaks, start=vals, slope=np.zeros_like(vals))
 
 
 @dataclass(frozen=True)
 class MollifyResult:
     path: PiecewiseLinearPath
-    lipschitz_l1: float
     cost_increase: float
     deviation: float
 
 
 def mollify_control(
-    rev: PiecewiseConstantPath, kappa2: float, delta: float, delta0: float
+    rev: PiecewiseLinearPath, kappa2: float, delta: float, delta0: float
 ) -> MollifyResult:
     """Forward moving average of width ``kappa2`` over the reversed control.
 
@@ -371,11 +323,10 @@ def mollify_control(
     else:
         kinks[-1] = T
     nodes = (rev.integral(kinks + kappa2) - rev.integral(kinks)) / kappa2
-    path = PiecewiseLinearPath(breaks=kinks, nodes=nodes)
+    slope = np.diff(nodes, axis=0) / np.diff(kinks)[:, None]
+    path = PiecewiseLinearPath(breaks=kinks, start=nodes[:-1], slope=slope)
     b2 = kappa2 * math.exp(kappa2) * abs(math.log(delta0)) + (dev + 2.0 * kappa2) / delta0
-    return MollifyResult(
-        path=path, lipschitz_l1=path.lipschitz_l1(), cost_increase=b2, deviation=dev
-    )
+    return MollifyResult(path=path, cost_increase=b2, deviation=dev)
 
 
 @dataclass(frozen=True)
@@ -392,21 +343,20 @@ def discretize_control(
     kappa3: float,
     delta: float,
     delta0: float,
-    lipschitz_l1: float | None = None,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> DiscretizeResult:
     """Sample a Lipschitz control at the left endpoints of a uniform grid.
 
     The requested mesh ``kappa3`` is snapped to ``c = T / ceil(T / kappa3)``
-    so the grid tiles ``[0, T]`` exactly; ``eta`` has ``Jc + 1`` rows, the
-    last being the value at ``T`` for a step whose clock reaches the
-    horizon.  Requires ``C1 c T e^T <= delta / 4`` with ``C1`` the
+    so the grid tiles ``[0, T]`` exactly; ``eta`` (read-only) has ``Jc + 1``
+    rows, the last being the value at ``T`` for a step whose clock reaches
+    the horizon.  Requires ``C1 c T e^T <= delta / 4`` with ``C1`` the
     Lipschitz constant in total variation.
     """
     if not kappa3 > 0.0:
         raise PreconditionViolation("discretize_control: mesh must be positive")
     T = lin.horizon
-    C1 = lin.lipschitz_l1() if lipschitz_l1 is None else float(lipschitz_l1)
+    C1 = lin.lipschitz_l1()
     Jc = max(1, math.ceil(T / kappa3))
     if Jc + 1 > max_intervals:
         raise ResourceLimitExceeded(
@@ -422,7 +372,8 @@ def discretize_control(
             "need C1 c T e^T <= delta / 4"
         )
     eta = lin.value(np.arange(Jc + 1) * c)
-    b3 = C1 * c * (abs(math.log(delta0)) + abs(math.log(delta)) + 1.0) + dev / delta0
+    eta.flags.writeable = False
+    b3 =C1 * c * (abs(math.log(delta0)) + abs(math.log(delta)) + 1.0) + dev / delta0
     return DiscretizeResult(eta=eta, c=c, Jc=Jc, cost_increase=b3, deviation=dev)
 
 
@@ -470,11 +421,11 @@ class PlanBounds:
 class ReversedPlan:
     """A fully discretized reversed control ready to drive a chain.
 
-    ``eta_hat`` holds rows ``0..Jc-1`` of the schedule on ``[0, T)`` and
-    ``eta_overflow`` the value at ``T`` for the (measure-zero, float-edge)
-    case of a step clock reaching the horizon.  ``M_hat`` is the reversed
-    trajectory; its final node sits within ``bounds.target_gap`` of the
-    original target in total variation.
+    ``schedule`` is a read-only ``(Jc + 1, d)`` array: row ``j < Jc`` holds
+    on ``[j c, (j+1) c)``, and the last row is the value at ``T`` for the
+    (measure-zero, float-edge) case of a step clock reaching the horizon.
+    ``M_hat`` is the reversed trajectory; its final node sits within
+    ``bounds.target_gap`` of the original target in total variation.
     """
 
     T: float
@@ -484,24 +435,15 @@ class ReversedPlan:
     delta0: float
     c: float
     Jc: int
-    eta_hat: PiecewiseControl
-    eta_overflow: np.ndarray
+    schedule: np.ndarray
     M_hat: TrajectoryGrid
     kappas: KappaSchedule
     bounds: PlanBounds
-    control_reversed: PiecewiseConstantPath
-    control_mollified: PiecewiseLinearPath
+    control_reversed: PiecewiseLinearPath
 
     @property
     def certified_cost(self) -> float:
         return self.bounds.cost_schedule_quad
-
-    @functools.cached_property
-    def schedule_rows(self) -> np.ndarray:
-        """All ``Jc + 1`` schedule rows as one read-only array."""
-        rows = np.vstack([self.eta_hat.eta, self.eta_overflow[None, :]])
-        rows.flags.writeable = False
-        return rows
 
 
 def build_plan(
@@ -548,16 +490,14 @@ def build_plan(
     k2 = delta / (6.0 * eT) / slack if kappa2 is None else float(kappa2)
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
-    C1 = moll.lipschitz_l1
+    C1 = moll.path.lipschitz_l1()
     if kappa3 is not None:
         k3 = float(kappa3)
     elif C1 > 0.0:
         k3 = delta / (4.0 * C1 * T_val * eT) / slack
     else:
         k3 = T_val / 40.0
-    disc = discretize_control(
-        moll.path, k3, delta, A.delta0, lipschitz_l1=C1, max_intervals=max_intervals
-    )
+    disc = discretize_control(moll.path, k3, delta, A.delta0, max_intervals=max_intervals)
     sched = integrate_reversed(q.weights, disc.eta[: disc.Jc], disc.c)
     cost_schedule_quad = _scheduled_cost(A.matrix, T_val, disc.c, disc.eta[: disc.Jc], sched.M)
     target_gap = float(np.abs(sched.M[-1] - m_arr).sum())
@@ -576,8 +516,6 @@ def build_plan(
         target_gap=target_gap,
         lipschitz_l1=C1,
     )
-    overflow = disc.eta[disc.Jc].copy()
-    overflow.flags.writeable = False
     return ReversedPlan(
         T=T_val,
         q=q,
@@ -586,8 +524,7 @@ def build_plan(
         delta0=A.delta0,
         c=disc.c,
         Jc=disc.Jc,
-        eta_hat=PiecewiseControl(T=T_val, J=disc.Jc, eta=disc.eta[: disc.Jc]),
-        eta_overflow=overflow,
+        schedule=disc.eta,
         M_hat=sched,
         kappas=KappaSchedule(
             kappa1=float(kappa1), kappa2=k2, kappa3=k3, slack=float(slack),
@@ -595,7 +532,6 @@ def build_plan(
         ),
         bounds=bounds,
         control_reversed=rev,
-        control_mollified=moll.path,
     )
 
 
@@ -626,8 +562,8 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
         },
     }
     if include_schedule:
-        doc["schedule"] = [[float(v) for v in row] for row in plan.eta_hat.eta]
-        doc["schedule_overflow"] = [float(v) for v in plan.eta_overflow]
+        doc["schedule"] = [[float(v) for v in row] for row in plan.schedule[:-1]]
+        doc["schedule_overflow"] = [float(v) for v in plan.schedule[-1]]
     return json.dumps(doc, indent=2)
 
 
@@ -715,7 +651,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         sigma = grid.times[n1]
         clock = grid.times[n1 + 1 : n + 1] - sigma
         j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
-        mu[n1:] = plan.schedule_rows[j]
+        mu[n1:] = plan.schedule[j]
         x2 = _inverse_cdf_rows(mu[n1:], u[n1:])
         states[n1:] = x2 + 1
 

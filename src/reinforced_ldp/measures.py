@@ -1,27 +1,25 @@
 """Probability vectors, strictly positive stochastic kernels, relative entropy.
 
 State spaces are finite; states are labelled ``1..d`` externally and stored
-as 0-indexed numpy arrays internally.  Three immutable value types live here:
+as 0-indexed numpy arrays internally.  Two immutable value types live here:
 
 * :class:`ProbVec` -- a point of the probability simplex.
 * :class:`Kernel` -- a dense row-stochastic ``d x d`` matrix whose smallest
   entry ``delta0`` must be strictly positive.  The floor bounds every
   relative entropy against a kernel image: ``R(nu || m A) <= log(1/delta0)``.
-* :class:`PairMeasure` -- a probability measure on pairs of states.
 
 Construction renormalizes inputs that are within ``1e-9`` of the simplex and
 rejects anything farther.  Inputs that already satisfy the ``1e-12`` simplex
-invariant are stored untouched, so JSON serialization round-trips exactly.
+invariant are stored untouched.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import rel_entr
 
-from ._format import f17, json_float_list, json_float_matrix
+from ._format import f17
 from .errors import ConvergenceError, DimensionMismatch, PositivityViolation, SimplexViolation
 
 SIMPLEX_ATOL = 1e-12      # stored weights satisfy |sum - 1| <= this
@@ -64,10 +62,6 @@ class ProbVec:
         return int(self.weights.size)
 
     @classmethod
-    def uniform(cls, d: int) -> "ProbVec":
-        return cls(np.full(d, 1.0 / d))
-
-    @classmethod
     def point_mass(cls, state: int, d: int) -> "ProbVec":
         """Unit mass at ``state`` (1-based)."""
         if not 1 <= state <= d:
@@ -75,17 +69,6 @@ class ProbVec:
         w = np.zeros(d)
         w[state - 1] = 1.0
         return cls(w)
-
-    def min_entry(self) -> float:
-        return float(self.weights.min())
-
-    def to_json(self) -> str:
-        return '{"weights": ' + json_float_list(self.weights) + "}"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbVec":
-        doc = json.loads(text)
-        return cls(doc["weights"])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProbVec([{', '.join(f17(x) for x in self.weights)}])"
@@ -123,52 +106,9 @@ class Kernel:
     def d(self) -> int:
         return int(self.matrix.shape[0])
 
-    @property
-    def rows(self) -> tuple[ProbVec, ...]:
-        return tuple(ProbVec(self.matrix[x]) for x in range(self.d))
-
-    def to_json(self) -> str:
-        return '{"d": %d, "rows": %s}' % (self.d, json_float_matrix(self.matrix))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Kernel":
-        doc = json.loads(text)
-        rows = np.asarray(doc["rows"], dtype=float)
-        if "d" in doc and int(doc["d"]) != rows.shape[0]:
-            raise DimensionMismatch(f"Kernel JSON: d={doc['d']} but {rows.shape[0]} rows")
-        return cls(rows)
-
-
-@dataclass(frozen=True, eq=False)
-class PairMeasure:
-    """A probability measure on ordered pairs of states, stored as a d x d array."""
-
-    weights: np.ndarray
-
-    def __init__(self, weights):
-        w = np.array(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionMismatch(f"PairMeasure: expected a square array, got shape {w.shape}")
-        flat = _clean_weights(w.reshape(-1), "PairMeasure")
-        w = flat.reshape(w.shape).copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def d(self) -> int:
-        return int(self.weights.shape[0])
-
-    def first_marginal(self) -> ProbVec:
-        return ProbVec(self.weights.sum(axis=1))
-
-    def second_marginal(self) -> ProbVec:
-        return ProbVec(self.weights.sum(axis=0))
-
 
 def _weights_of(obj) -> np.ndarray:
-    if isinstance(obj, (ProbVec, PairMeasure)):
-        return obj.weights
-    return np.asarray(obj, dtype=float)
+    return obj.weights if isinstance(obj, ProbVec) else np.asarray(obj, dtype=float)
 
 
 def relative_entropy(nu, mu) -> float:

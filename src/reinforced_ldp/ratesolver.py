@@ -101,9 +101,6 @@ class TrajectoryGrid:
     def all_feasible(self) -> bool:
         return bool(self.feasible.all())
 
-    def node(self, j: int) -> ProbVec:
-        return ProbVec(self.M[j])
-
 
 @dataclass(frozen=True)
 class SolveDiagnostics:

@@ -8,7 +8,6 @@ from reinforced_ldp.chains import (
     occupation_measures,
     path_rng,
     philox_uniforms,
-    reference_policy,
     simulate_chain,
     simulate_chain_batch,
     simulate_controlled,
@@ -22,6 +21,11 @@ BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 EULER_GAMMA = 0.5772156649015329
 N_STEPS = 200
 SEED = 42
+
+
+def feedback(k, Lbar):
+    """The zero-cost policy: the current measure fed back through the kernel."""
+    return Lbar @ BENCH.matrix
 
 
 def test_grid_spacing_and_lookup():
@@ -68,7 +72,7 @@ def test_simulate_chain_counts_accumulate():
     assert np.array_equal(path.counts, np.cumsum(onehot, axis=0))
     ks = np.arange(1, N_STEPS + 1)[:, None]
     assert np.allclose(path.L, path.counts / ks)
-    assert path.final().weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert path.L[-1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulate_chain_batch_stream_zero_matches_single():
@@ -120,7 +124,7 @@ def test_x0_validation():
 
 def test_controlled_reference_policy_has_zero_cost():
     """Feeding Lbar A back as the control makes both occupation measures equal."""
-    path = simulate_controlled(BENCH, 1, reference_policy(BENCH), N_STEPS, SEED)
+    path = simulate_controlled(BENCH, 1, feedback, N_STEPS, SEED)
     rho = path.Lbar[:-1] @ BENCH.matrix
     # policy rows are renormalized on ingestion, so equality is up to one ulp
     assert np.allclose(path.mu, rho, atol=1e-15, rtol=0.0)
@@ -129,7 +133,7 @@ def test_controlled_reference_policy_has_zero_cost():
 
 
 def test_controlled_update_form():
-    path = simulate_controlled(BENCH, 1, reference_policy(BENCH), 50, SEED)
+    path = simulate_controlled(BENCH, 1, feedback, 50, SEED)
     assert np.array_equal(path.Lbar[0], [1.0, 0.0])
     for k in range(50):
         e = np.zeros(2)
@@ -166,16 +170,14 @@ def test_policy_outside_kernel_support_raises():
 
 
 def test_occupation_measures_marginals():
-    path = simulate_controlled(BENCH, 1, reference_policy(BENCH), 80, SEED)
+    path = simulate_controlled(BENCH, 1, feedback, 80, SEED)
     occ = occupation_measures(path, BENCH)
-    bm, tm = occ.total_mass()
-    assert bm == pytest.approx(1.0, abs=1e-12)
-    assert tm == pytest.approx(1.0, abs=1e-12)
-    time_beta, time_theta = occ.time_marginals()
-    assert np.allclose(time_beta, 1.0 / 80)
-    assert np.allclose(time_theta, 1.0 / 80)
+    assert occ.beta.sum() == pytest.approx(1.0, abs=1e-12)
+    assert occ.theta.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(occ.beta.sum(axis=1), 1.0 / 80)
+    assert np.allclose(occ.theta.sum(axis=1), 1.0 / 80)
     assert occ.edges[0] == 0.0
-    assert occ.edges[-1] == pytest.approx(path.grid().horizon)
+    assert occ.edges[-1] == pytest.approx(TimeGrid(80).horizon)
 
 
 def test_path_rng_streams_are_distinct():

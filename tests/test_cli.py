@@ -75,6 +75,27 @@ def test_rate_profile_csv(tmp_path):
     assert lines[2].endswith(",1,0")
 
 
+@pytest.mark.parametrize("dv", [False, True])
+def test_rate_dv_flag_sets_the_column(tmp_path, dv):
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40, "dv": dv},
+    })
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    header = (out / "rate_profile.csv").read_text().splitlines()[1]
+    assert ("dv_rate" in header.split(",")) == dv
+
+
+def test_rate_dv_flag_string_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40, "dv": "false"},
+    })
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'rate.dv' has a value of the wrong type" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [ConvergenceError, InfeasibleTrajectory])
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
@@ -148,6 +169,9 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
     ({"runs": {"n": 100, "n_seeds": None}}, "lowerbound.runs.n_seeds"),
     ({"n_list": "abc"}, "lowerbound.n_list"),
     ({"n_list": [100], "n_seeds": [3]}, "lowerbound.n_seeds"),
+    ({"kappa1": "x"}, "lowerbound.kappa1"),
+    ({"kappa3": [0.01]}, "lowerbound.kappa3"),
+    ({"include_schedule": "false"}, "lowerbound.include_schedule"),
 ])
 def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch, capsys, extra, where):
     def no_plan(*args, **kwargs):

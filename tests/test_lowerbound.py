@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from reinforced_ldp.errors import PreconditionViolation, ResourceLimitExceeded
 from reinforced_ldp.lowerbound import (
     DEFAULT_EPS_TARGET,
     DEFAULT_MAX_INTERVALS,
     DEFAULT_SLACK,
-    PiecewiseConstantPath,
+    PiecewiseLinearPath,
     build_plan,
     check_cost_convergence,
     discretize_control,
@@ -22,6 +23,7 @@ from reinforced_ldp.lowerbound import (
     mollify_control,
     plan_to_json,
     reverse_control,
+    reversed_flow_nodes,
     run_plan,
     verify_chain_rule_identity,
 )
@@ -43,6 +45,12 @@ def bench_plan():
 @pytest.fixture(scope="module")
 def light_plan():
     return build_plan(LIGHT_TARGET, BENCH, T=1.0, slack=1.0)
+
+
+def _step_path():
+    """Step function 1 -> 0.3 at s = 0.05 on [0, 0.1], as zero-slope pieces."""
+    start = np.array([[1.0, 0.0], [0.3, 0.7]])
+    return PiecewiseLinearPath(np.array([0.0, 0.05, 0.1]), start, np.zeros_like(start))
 
 
 def _toy_control():
@@ -74,7 +82,7 @@ def test_terminal_gap(bench_plan):
 
 
 def test_schedule_rows(bench_plan):
-    rows = bench_plan.schedule_rows
+    rows = bench_plan.schedule
     assert rows.shape == (bench_plan.Jc + 1, 2)
     assert not rows.flags.writeable
     assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
@@ -105,55 +113,95 @@ def test_reversal_mapping():
     ctrl1, grid1, _ = mix_with_stationary(ctrl, grid, BENCH, 0.5)
     rev = reverse_control(ctrl1)
     assert np.array_equal(rev.breaks, np.linspace(0.0, 1.0, 5))
-    assert np.array_equal(rev.vals, ctrl1.eta[::-1])
-    # the extension row freezes the last reversed value
-    assert np.array_equal(rev.extend, ctrl1.eta[0])
+    assert np.array_equal(rev.start, ctrl1.eta[::-1])
+    assert not rev.slope.any()
+    # past the horizon the path freezes the last reversed value
+    assert np.array_equal(rev.value(1.5), ctrl1.eta[0])
+
+
+def test_reversed_flow_nodes_match_grid_integrator():
+    """Closed-form nodes of a step path agree with the uniform-grid integrator."""
+    ctrl, grid = _toy_control()
+    rev = reverse_control(ctrl)
+    q = grid.M[-1]
+    nodes = reversed_flow_nodes(q, rev)
+    assert np.abs(nodes - integrate_reversed(q, rev.start, ctrl.T / ctrl.J).M).max() < 1e-12
+
+
+def test_reversed_flow_nodes_solve_the_ode_on_linear_pieces():
+    """Closed-form nodes under nonzero slopes agree with a numerical ODE solve."""
+    breaks = np.array([0.0, 0.3, 0.45, 1.0])
+    start = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
+    slope = np.array([[0.5, -0.5], [-2.0, 2.0], [0.25, -0.25]])
+    path = PiecewiseLinearPath(breaks, start, slope)
+    q = np.array([0.35, 0.65])
+    nodes = reversed_flow_nodes(q, path)
+    M = q
+    for i in range(3):
+        sol = solve_ivp(
+            lambda s, y, i=i: start[i] + slope[i] * (s - breaks[i]) - y,
+            (breaks[i], breaks[i + 1]), M, method="DOP853", rtol=1e-12, atol=1e-14,
+        )
+        M = sol.y[:, -1]
+        assert np.abs(nodes[i + 1] - M).max() < 1e-10
 
 
 def test_piecewise_constant_path_semantics():
-    p = PiecewiseConstantPath(
-        np.array([0.0, 0.05, 0.1]),
-        np.array([[1.0, 0.0], [0.3, 0.7]]),
-        np.array([0.3, 0.7]),
-    )
+    p = _step_path()
     assert np.array_equal(p.value(0.0), [1.0, 0.0])
     assert np.array_equal(p.value(0.05), [0.3, 0.7])
     assert np.array_equal(p.value(0.2), [0.3, 0.7])
     assert np.allclose(p.integral(0.075), [0.0575, 0.0175], atol=1e-15)
+    assert p.lipschitz_l1() == 0.0
+
+
+def test_linear_path_integral_closed_form():
+    """Integral of nonzero-slope pieces, inside pieces, at breaks and past the horizon."""
+    breaks = np.array([0.0, 0.5, 1.25, 2.0])
+    start = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
+    slope = np.array([[2.0, 4.0], [-1.5, 0.5], [3.0, -2.0]])
+    p = PiecewiseLinearPath(breaks, start, slope)
+
+    def exact(s):
+        # sum over pieces of int_{b_i}^{min(s, b_{i+1})} start_i + slope_i (u - b_i) du,
+        # the last piece running on past the horizon
+        total = np.zeros(2)
+        for i in range(3):
+            hi = s if i == 2 else min(s, breaks[i + 1])
+            w = max(hi - breaks[i], 0.0)
+            total += start[i] * w + 0.5 * slope[i] * w * w
+        return total
+
+    times = np.array([0.0, 0.2, 0.5, 0.9, 1.25, 1.7, 2.0, 2.6, 4.0])
+    got = p.integral(times)
+    for s, row in zip(times, got):
+        assert np.allclose(row, exact(s), atol=1e-13, rtol=0.0)
+        assert np.allclose(p.integral(s), exact(s), atol=1e-13, rtol=0.0)
+    assert np.allclose(p.value(2.6), start[2] + slope[2] * (2.6 - 1.25), atol=1e-15)
+    assert p.lipschitz_l1() == 6.0
 
 
 def test_mollify_is_window_average():
-    p = PiecewiseConstantPath(
-        np.array([0.0, 0.05, 0.1]),
-        np.array([[1.0, 0.0], [0.3, 0.7]]),
-        np.array([0.3, 0.7]),
-    )
+    p = _step_path()
     kappa2 = 0.01
     res = mollify_control(p, kappa2, 0.5, 0.1)
     for s in np.linspace(0.0, 0.1, 23):
         avg = (p.integral(s + kappa2) - p.integral(s)) / kappa2
         assert np.allclose(res.path.value(s), avg, atol=1e-12)
     # steepest slope is the single jump smeared over one window
-    assert res.lipschitz_l1 == pytest.approx(1.4 / kappa2, rel=1e-12)
+    assert res.path.lipschitz_l1() == pytest.approx(1.4 / kappa2, rel=1e-12)
     assert res.cost_increase >= 0.0 and res.deviation >= 0.0
 
 
 def test_mollify_window_too_wide():
-    p = PiecewiseConstantPath(
-        np.array([0.0, 0.1]), np.array([[0.5, 0.5]]), np.array([0.5, 0.5])
-    )
+    p = PiecewiseLinearPath(np.array([0.0, 0.1]), np.array([[0.5, 0.5]]), np.zeros((1, 2)))
     with pytest.raises(PreconditionViolation):
         mollify_control(p, 0.05, 0.1, 0.1)
 
 
 def test_discretize_left_sampling():
-    p = PiecewiseConstantPath(
-        np.array([0.0, 0.05, 0.1]),
-        np.array([[1.0, 0.0], [0.3, 0.7]]),
-        np.array([0.3, 0.7]),
-    )
-    res = mollify_control(p, 0.01, 0.5, 0.1)
-    disc = discretize_control(res.path, 0.004, 0.5, 0.1, lipschitz_l1=res.lipschitz_l1)
+    res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
+    disc = discretize_control(res.path, 0.004, 0.5, 0.1)
     assert disc.Jc == 25 and disc.c == pytest.approx(0.1 / 25, rel=1e-15)
     grid_pts = np.arange(disc.Jc + 1) * disc.c
     manual = np.array([res.path.value(s) for s in grid_pts])
@@ -161,18 +209,12 @@ def test_discretize_left_sampling():
 
 
 def test_discretize_limits():
-    p = PiecewiseConstantPath(
-        np.array([0.0, 0.05, 0.1]),
-        np.array([[1.0, 0.0], [0.3, 0.7]]),
-        np.array([0.3, 0.7]),
-    )
-    res = mollify_control(p, 0.01, 0.5, 0.1)
+    res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
     with pytest.raises(ResourceLimitExceeded):
-        discretize_control(
-            res.path, 1e-7, 0.5, 0.1, lipschitz_l1=res.lipschitz_l1, max_intervals=50
-        )
+        discretize_control(res.path, 1e-7, 0.5, 0.1, max_intervals=50)
+    # C1 = 140, so a mesh of 0.05 deviates by about 0.77, above delta / 4
     with pytest.raises(PreconditionViolation):
-        discretize_control(res.path, 0.09, 0.5, 0.1, lipschitz_l1=1e9)
+        discretize_control(res.path, 0.09, 0.5, 0.1)
 
 
 @settings(max_examples=50, deadline=None)
