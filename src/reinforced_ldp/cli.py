@@ -41,7 +41,6 @@ from .errors import (
 from .exact import DEFAULT_MEM_CAP_BYTES, ball_rate, exact_law_levels, export_law_csv, export_rate_trend_csv
 from .lowerbound import (
     DEFAULT_EPS_TARGET,
-    DEFAULT_MAX_INTERVALS,
     DEFAULT_SLACK,
     build_plan,
     check_cost_convergence,
@@ -105,6 +104,13 @@ def _int_list(values) -> list[int]:
 
 def _float_list(values) -> list[float]:
     return [float(v) for v in values]
+
+
+def _str_list(values) -> list[str]:
+    """A JSON list of strings; a bare string or a number is a TypeError."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"expected a list of strings, got {values!r}")
+    return values
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -215,14 +221,18 @@ def cmd_exact(args) -> int:
     else:
         n_list = [_typed(sect.get("n", 20), int, "exact.n")]
     x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), int, "exact.x0")
+    target, radius = sect.get("target"), None
+    if target is not None:
+        target = _typed(target, _float_list, "exact.target")
+        radius = _typed(sect.get("radius", 0.05), float, "exact.radius")
     seed = _resolve_seed(args, doc)
     eff = {
         "command": "exact",
         "kernel": A.matrix.tolist(),
         "n_list": n_list,
         "x0": x0,
-        "target": sect.get("target"),
-        "radius": sect.get("radius"),
+        "target": target,
+        "radius": radius,
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
@@ -231,10 +241,8 @@ def cmd_exact(args) -> int:
         export_law_csv(laws[n], out / f"law_{n}.csv", prov)
         print(f"exact: law at n={n} has {len(laws[n].atoms)} atoms "
               f"(dropped mass {laws[n].dropped_mass:.3e})")
-    if sect.get("target") is not None:
-        radius = _typed(sect.get("radius", 0.05), float, "exact.radius")
-        target = np.asarray(_typed(sect["target"], _float_list, "exact.target"))
-        records = [ball_rate(laws[n], target, radius) for n in sorted(laws)]
+    if target is not None:
+        records = [ball_rate(laws[n], np.asarray(target), radius) for n in sorted(laws)]
         export_rate_trend_csv(records, out / "rate_trend.csv", prov)
         print(f"exact: ball rates for {len(records)} level(s) written")
     return 0
@@ -303,20 +311,20 @@ def cmd_lowerbound(args) -> int:
     seed = _resolve_seed(args, doc)
     T = _typed(sect.get("T", 2.0), float, "lowerbound.T")
     J = sect.get("J")
-    kappas = [sect.get(f"kappa{i}") for i in (1, 2, 3)]
-    kappa1, kappa2, kappa3 = (
-        _typed(k, float, f"lowerbound.kappa{i}") if k is not None else None for i, k in enumerate(kappas, 1)
+    J = _typed(J, int, "lowerbound.J") if J is not None else None
+    kappa1, kappa2 = (
+        _typed(sect[k], float, f"lowerbound.{k}") if sect.get(k) is not None else None
+        for k in ("kappa1", "kappa2")
     )
     include_schedule = _typed(sect.get("include_schedule", False), _json_bool, "lowerbound.include_schedule")
     slack = _typed(sect.get("slack", DEFAULT_SLACK), float, "lowerbound.slack")
     eps_target = _typed(sect.get("eps_target", DEFAULT_EPS_TARGET), float, "lowerbound.eps_target")
-    max_intervals = _typed(sect.get("max_intervals", DEFAULT_MAX_INTERVALS), int, "lowerbound.max_intervals")
     eps0 = _typed(sect.get("eps0", 0.3), float, "lowerbound.eps0")
     # read the experiment settings before the plan, so a bad one costs no plan work
     n_list = sect.get("n_list")
     if n_list is not None:
         n_list = _typed(n_list, _int_list, "lowerbound.n_list")
-        trend_seeds = _typed(sect.get("n_seeds", 20), int, "lowerbound.n_seeds")
+    trend_seeds = _typed(sect.get("n_seeds", 20), int, "lowerbound.n_seeds")
     runs_sect = sect.get("runs")
     if runs_sect is not None:
         n_run = _typed(_field(runs_sect, "n", "lowerbound.runs"), int, "lowerbound.runs.n")
@@ -328,12 +336,12 @@ def cmd_lowerbound(args) -> int:
         "T": T,
         "J": J,
         "slack": slack,
-        "kappas": kappas,
-        "eps_target": sect.get("eps_target", DEFAULT_EPS_TARGET),
-        "eps0": sect.get("eps0", 0.3),
-        "n_list": sect.get("n_list"),
-        "n_seeds": sect.get("n_seeds", 20),
-        "runs": runs_sect,
+        "kappas": [kappa1, kappa2],
+        "eps_target": eps_target,
+        "eps0": eps0,
+        "n_list": n_list,
+        "n_seeds": trend_seeds,
+        "runs": {"n": n_run, "n_seeds": run_seeds} if runs_sect is not None else None,
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
@@ -341,13 +349,11 @@ def cmd_lowerbound(args) -> int:
         m,
         A,
         T=T,
-        J=_typed(J, int, "lowerbound.J") if J is not None else None,
+        J=J,
         kappa1=kappa1,
         kappa2=kappa2,
-        kappa3=kappa3,
         eps_target=eps_target,
         slack=slack,
-        max_intervals=max_intervals,
     )
     plan_doc = json.loads(plan_to_json(plan, include_schedule=include_schedule))
     plan_doc["provenance"] = prov
@@ -371,16 +377,17 @@ def cmd_validate(args) -> int:
     doc = _load_config(args.config)
     sect = _section(doc, "validate")
     scale = args.scale if args.scale is not None else _typed(sect.get("scale", 1.0), float, "validate.scale")
+    include = sect.get("include")
     if args.include is not None:
         include = [c for c in args.include.split(",") if c]
-    else:
-        include = sect.get("include")
+    elif include is not None:
+        include = _typed(include, _str_list, "validate.include")
     seed = _resolve_seed(args, doc)
     threads = _resolve_threads(args, doc)
     eff = {
         "command": "validate",
         "scale": scale,
-        "include": list(include) if include is not None else "all",
+        "include": include if include is not None else "all",
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)

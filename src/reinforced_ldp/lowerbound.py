@@ -8,7 +8,10 @@ measure ``m``, build an explicit simulation schedule in three steps:
    and, by joint convexity of relative entropy, can only shrink the cost;
 2. reverse time and mollify the reversed control with a short moving
    average, making it Lipschitz in time;
-3. sample the mollified control on a uniform grid of mesh ``c``.
+3. sample the mollified control at the left endpoints of a uniform grid,
+   doubling the solver's grid until a measured certificate bounds the flow
+   deviation by ``delta / 4`` and the scheduled cost is within 1% of the
+   mollified one, or until the paper's a-priori mesh is reached.
 
 Both controls in reversed time, the step function of step 2 and its
 mollified version, are one type, :class:`PiecewiseLinearPath`: a start
@@ -45,11 +48,7 @@ from .chains import (
     path_rng,
     verify_chain_rule_identity,
 )
-from .errors import (
-    DimensionMismatch,
-    PreconditionViolation,
-    ResourceLimitExceeded,
-)
+from .errors import DimensionMismatch, PreconditionViolation
 from .measures import Kernel, ProbVec, kernel_apply, relative_entropy, stationary_distribution
 from .ratesolver import (
     PiecewiseControl,
@@ -64,9 +63,9 @@ from .ratesolver import (
 
 DEFAULT_SLACK = 10.0
 DEFAULT_EPS_TARGET = 0.05
-DEFAULT_MAX_INTERVALS = 2_000_000
 _KINK_MERGE = 1e-12          # relative gap below which adjacent kinks merge
 _QUAD_CHUNK = 65536          # pieces per quadrature block
+_COST_RTOL = 1e-2            # relative change in reversed cost a schedule grid may leave
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -151,6 +150,12 @@ class PiecewiseLinearPath:
 
     def lipschitz_l1(self) -> float:
         return float(np.abs(self.slope).sum(axis=1).max())
+
+    def refined(self, points) -> PiecewiseLinearPath:
+        """The same path with extra breaks at ``points`` inside ``[0, horizon]``."""
+        b = np.union1d(self.breaks, points)
+        piece = np.searchsorted(self.breaks, b[:-1], side="right") - 1
+        return PiecewiseLinearPath(b, self.value(b[:-1]), self.slope[piece])
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +244,6 @@ def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
     return _flow_quad(A.matrix, b[:-1], b[1:], path.start, path.slope, Mn[:-1], forward=False, T=path.horizon)
 
 
-def _scheduled_cost(Amat, T, c, eta_rows, M_nodes) -> float:
-    """Reversed cost of a uniform-grid schedule with known flow nodes."""
-    K = eta_rows.shape[0]
-    edges = np.arange(K + 1) * c
-    edges[-1] = T
-    return _flow_quad(
-        Amat, edges[:-1], edges[1:], eta_rows, np.zeros_like(eta_rows), M_nodes[:-1], forward=False, T=T
-    )
-
-
 # ---------------------------------------------------------------------------
 # the three plan-building steps
 
@@ -329,52 +324,62 @@ def mollify_control(
     return MollifyResult(path=path, cost_increase=b2, deviation=dev)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizeResult:
     eta: np.ndarray
     c: float
     Jc: int
+    M_hat: TrajectoryGrid
+    cost: float
     cost_increase: float
     deviation: float
 
 
 def discretize_control(
-    lin: PiecewiseLinearPath,
-    kappa3: float,
-    delta: float,
-    delta0: float,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
+    lin: PiecewiseLinearPath, q, A: Kernel, J: int, delta: float, cost_mollified: float
 ) -> DiscretizeResult:
-    """Sample a Lipschitz control at the left endpoints of a uniform grid.
+    """Sample a Lipschitz control at the left endpoints of the coarsest adequate grid.
 
-    The requested mesh ``kappa3`` is snapped to ``c = T / ceil(T / kappa3)``
-    so the grid tiles ``[0, T]`` exactly; ``eta`` (read-only) has ``Jc + 1``
-    rows, the last being the value at ``T`` for a step whose clock reaches
-    the horizon.  Requires ``C1 c T e^T <= delta / 4`` with ``C1`` the
-    Lipschitz constant in total variation.
+    Grids of ``Jc = J, 2J, 4J, ...`` pieces of mesh ``c = T / Jc`` are tried
+    in turn.  On each, the schedule's flow from ``q`` is compared with the
+    exact flow of ``lin`` at the grid nodes.  Inside piece ``j`` their
+    difference obeys ``e' = (eta(s) - eta(jc)) - e``, so its sup is at most
+    the largest node gap plus ``C1 c^2 / 2`` (``C1`` the Lipschitz constant
+    in total variation); the paper's ``C1 c T e^T`` bounds it too, and the
+    smaller is the certified ``deviation``.  The first grid with deviation
+    at most ``delta / 4`` and scheduled cost within ``_COST_RTOL`` of
+    ``cost_mollified`` is kept, and the doubling stops at the a-priori mesh,
+    where ``C1 c T e^T <= delta / 4``.  ``eta`` (read-only) has ``Jc + 1``
+    rows, the last being the value at ``T``; ``M_hat`` and ``cost`` are the
+    schedule's flow nodes and reversed cost.
     """
-    if not kappa3 > 0.0:
-        raise PreconditionViolation("discretize_control: mesh must be positive")
+    if J < 1 or not delta > 0.0:
+        raise PreconditionViolation("discretize_control: need J >= 1 and delta > 0")
+    q_arr = _unwrap(q)
     T = lin.horizon
     C1 = lin.lipschitz_l1()
-    Jc = max(1, math.ceil(T / kappa3))
-    if Jc + 1 > max_intervals:
-        raise ResourceLimitExceeded(
-            f"discretize_control: {Jc + 1} schedule rows exceed the cap {max_intervals}; "
-            "widen the mesh or raise max_intervals"
-        )
-    c = T / Jc
     eT = math.exp(T)
-    dev = C1 * c * T * eT
-    if dev > 0.25 * delta * (1.0 + 1e-9):
-        raise PreconditionViolation(
-            f"discretize_control: mesh {c!r} too coarse for floor {delta!r}; "
-            "need C1 c T e^T <= delta / 4"
-        )
-    eta = lin.value(np.arange(Jc + 1) * c)
+    Jc_max = max(1, math.ceil(4.0 * C1 * T * T * eT / delta))
+    Jc = min(J, Jc_max)
+    while True:
+        c = T / Jc
+        nodes = np.arange(Jc + 1) * c
+        nodes[-1] = T
+        eta = lin.value(nodes)
+        sched = integrate_reversed(q_arr, eta[:Jc], c)
+        fine = lin.refined(nodes)
+        exact = reversed_flow_nodes(q_arr, fine)[np.searchsorted(fine.breaks, nodes)]
+        node_dev = float(np.abs(sched.M - exact).sum(axis=1).max())
+        dev = min(node_dev + 0.5 * C1 * c * c, C1 * c * T * eT)
+        zero = np.zeros((Jc, eta.shape[1]))
+        cost = _flow_quad(A.matrix, nodes[:-1], nodes[1:], eta[:Jc], zero, sched.M[:-1], forward=False, T=T)
+        close = abs(cost - cost_mollified) <= _COST_RTOL * cost_mollified + 1e-15
+        if Jc >= Jc_max or (dev <= 0.25 * delta and close):
+            break
+        Jc = min(2 * Jc, Jc_max)
     eta.flags.writeable = False
-    b3 =C1 * c * (abs(math.log(delta0)) + abs(math.log(delta)) + 1.0) + dev / delta0
-    return DiscretizeResult(eta=eta, c=c, Jc=Jc, cost_increase=b3, deviation=dev)
+    b3 = C1 * c * (abs(math.log(A.delta0)) + abs(math.log(delta)) + 1.0) + dev / A.delta0
+    return DiscretizeResult(eta=eta, c=c, Jc=Jc, M_hat=sched, cost=cost, cost_increase=b3, deviation=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +390,6 @@ def discretize_control(
 class KappaSchedule:
     kappa1: float
     kappa2: float
-    kappa3: float
     slack: float
     eps_target: float
 
@@ -400,6 +404,8 @@ class PlanBounds:
     ``cost_mollified_quad <= cost_reversed_quad + bound_mollify`` and
     ``cost_schedule_quad <= cost_mollified_quad + bound_discretize``,
     with ``cost_reversed_quad == cost_mixed_quad`` by the time change.
+    ``dev_discretize`` is measured on the chosen grid (see
+    :func:`discretize_control`); the other deviations are a-priori bounds.
     """
 
     cost_solver: float
@@ -454,19 +460,15 @@ def build_plan(
     J: int | None = None,
     kappa1: float | None = None,
     kappa2: float | None = None,
-    kappa3: float | None = None,
     eps_target: float = DEFAULT_EPS_TARGET,
     slack: float = DEFAULT_SLACK,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
 ) -> ReversedPlan:
     """Solve (or accept) a rate bracket at ``m`` and discretize its control.
 
     Default tuning: ``kappa1`` targets a mixing deviation of
     ``eps_target`` in total variation (capped at 1), and each window
-    takes ``1/slack`` of the largest value its precondition allows.
-    ``slack`` trades certified budgets against schedule length: the grid
-    size grows roughly like ``slack**2``, so tight-budget plans at long
-    horizons can exceed ``max_intervals``.
+    takes ``1/slack`` of the largest value its precondition allows.  The
+    schedule grid is chosen by :func:`discretize_control`.
     """
     m_arr = ProbVec(_unwrap(m)).weights
     if bracket is None:
@@ -490,31 +492,21 @@ def build_plan(
     k2 = delta / (6.0 * eT) / slack if kappa2 is None else float(kappa2)
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
-    C1 = moll.path.lipschitz_l1()
-    if kappa3 is not None:
-        k3 = float(kappa3)
-    elif C1 > 0.0:
-        k3 = delta / (4.0 * C1 * T_val * eT) / slack
-    else:
-        k3 = T_val / 40.0
-    disc = discretize_control(moll.path, k3, delta, A.delta0, max_intervals=max_intervals)
-    sched = integrate_reversed(q.weights, disc.eta[: disc.Jc], disc.c)
-    cost_schedule_quad = _scheduled_cost(A.matrix, T_val, disc.c, disc.eta[: disc.Jc], sched.M)
-    target_gap = float(np.abs(sched.M[-1] - m_arr).sum())
+    disc = discretize_control(moll.path, q, A, ctrl1.J, delta, cost_mollified_quad)
     bounds = PlanBounds(
         cost_solver=bracket.lower,
         cost_mixed=cost_mixed,
         cost_mixed_quad=cost_mixed_quad,
         cost_reversed_quad=cost_reversed_quad,
         cost_mollified_quad=cost_mollified_quad,
-        cost_schedule_quad=cost_schedule_quad,
+        cost_schedule_quad=disc.cost,
         bound_mollify=moll.cost_increase,
         bound_discretize=disc.cost_increase,
         dev_mix=kappa1 * gap_star,
         dev_mollify=moll.deviation,
         dev_discretize=disc.deviation,
-        target_gap=target_gap,
-        lipschitz_l1=C1,
+        target_gap=float(np.abs(disc.M_hat.M[-1] - m_arr).sum()),
+        lipschitz_l1=moll.path.lipschitz_l1(),
     )
     return ReversedPlan(
         T=T_val,
@@ -525,9 +517,9 @@ def build_plan(
         c=disc.c,
         Jc=disc.Jc,
         schedule=disc.eta,
-        M_hat=sched,
+        M_hat=disc.M_hat,
         kappas=KappaSchedule(
-            kappa1=float(kappa1), kappa2=k2, kappa3=k3, slack=float(slack),
+            kappa1=float(kappa1), kappa2=k2, slack=float(slack),
             eps_target=float(eps_target),
         ),
         bounds=bounds,
@@ -547,7 +539,6 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
         "kappas": {
             "kappa1": plan.kappas.kappa1,
             "kappa2": plan.kappas.kappa2,
-            "kappa3": plan.kappas.kappa3,
             "slack": plan.kappas.slack,
             "eps_target": plan.kappas.eps_target,
         },

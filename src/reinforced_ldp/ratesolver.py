@@ -460,9 +460,9 @@ def rate_profile(
 def simplex_mesh(d: int, step: float) -> list[np.ndarray]:
     """Lattice points of the simplex with spacing ``step`` (1/step integer),
     boundary included, in lexicographic order."""
-    K = int(round(1.0 / step))
-    if abs(K * step - 1.0) > 1e-9 or K < 1:
-        raise PreconditionViolation(f"simplex_mesh: 1/step must be an integer, got step={step!r}")
+    K = int(round(1.0 / step)) if step > 0.0 else 0
+    if K < 1 or abs(K * step - 1.0) > 1e-9:
+        raise PreconditionViolation(f"simplex_mesh: need step > 0 with 1/step an integer, got step={step!r}")
 
     out: list[np.ndarray] = []
 

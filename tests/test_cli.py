@@ -129,6 +129,38 @@ def test_lowerbound_plan_json(tmp_path):
     assert re.match(r"^config_sha256=[0-9a-f]{64} seed=2$", doc["provenance"])
 
 
+def test_retired_lowerbound_keys_are_ignored(tmp_path):
+    """The retired keys ``kappa3`` and ``max_intervals`` change neither the plan nor its provenance."""
+    plan = {"m": [0.3, 0.7], "T": 2.0, "slack": 1.0, "eps0": 0.3}
+    texts = []
+    for name, extra in (("new", {}), ("old", {"max_intervals": 2_600_000, "kappa3": 1e-5})):
+        cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "lowerbound": {**plan, **extra}},
+                           name=f"{name}.json")
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name / "plan.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert b"kappa3" not in texts[0]
+
+
+@pytest.mark.parametrize("command,section,as_int,as_float", [
+    ("lowerbound", {"m": [0.6, 0.4], "T": 1.0, "slack": 1.0}, {"kappa1": 1}, {"kappa1": 1.0}),
+    ("exact", {"n": 3}, {"target": [1, 0], "radius": 1}, {"target": [1.0, 0.0], "radius": 1.0}),
+])
+def test_provenance_hashes_typed_values(tmp_path, command, section, as_int, as_float):
+    """An integer and the equal float in a config give one provenance."""
+    lines = []
+    for name, extra in (("int", as_int), ("float", as_float)):
+        cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, command: {**section, **extra}},
+                           name=f"{name}.json")
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        if command == "lowerbound":
+            lines.append(json.loads((out / "plan.json").read_text())["provenance"])
+        else:
+            lines.append((out / "rate_trend.csv").read_text().splitlines()[0])
+    assert lines[0] == lines[1]
+
+
 def test_validate_single_criterion(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["validate", "--include", "C5", "--scale", "0.02",
@@ -170,7 +202,7 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
     ({"n_list": "abc"}, "lowerbound.n_list"),
     ({"n_list": [100], "n_seeds": [3]}, "lowerbound.n_seeds"),
     ({"kappa1": "x"}, "lowerbound.kappa1"),
-    ({"kappa3": [0.01]}, "lowerbound.kappa3"),
+    ({"kappa2": [0.01]}, "lowerbound.kappa2"),
     ({"include_schedule": "false"}, "lowerbound.include_schedule"),
 ])
 def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch, capsys, extra, where):
@@ -182,6 +214,13 @@ def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch,
                                   "lowerbound": {"m": [0.6, 0.4], "T": 1.0, **extra}})
     assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"'{where}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("include", [5, "C6"])
+def test_validate_include_must_be_a_list_of_strings(tmp_path, capsys, include):
+    cfg = write_config(tmp_path, {"validate": {"include": include}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'validate.include' has a value of the wrong type" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_config_error(tmp_path):
@@ -198,13 +237,11 @@ def test_negative_horizon_is_precondition_error(tmp_path):
                  "--T", "-1"]) == 3
 
 
-def test_schedule_cap_is_resource_error(tmp_path):
-    cfg = write_config(tmp_path, {
-        "kernel": {"matrix": BENCH_MATRIX},
-        "lowerbound": {"m": [0.3, 0.7], "T": 2.0, "slack": 1.0,
-                       "max_intervals": 100},
-    })
-    assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+@pytest.mark.parametrize("step", [0, -0.25])
+def test_nonpositive_mesh_step_is_precondition_error(tmp_path, capsys, step):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "rate": {"mesh_step": step}})
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "need step > 0" in capsys.readouterr().err
 
 
 def test_mem_cap_env_is_resource_error(tmp_path, monkeypatch):

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from reinforced_ldp.errors import PreconditionViolation, ResourceLimitExceeded
+from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_EPS_TARGET,
-    DEFAULT_MAX_INTERVALS,
     DEFAULT_SLACK,
     PiecewiseLinearPath,
     build_plan,
@@ -23,6 +22,7 @@ from reinforced_ldp.lowerbound import (
     mollify_control,
     plan_to_json,
     reverse_control,
+    reversed_cost,
     reversed_flow_nodes,
     run_plan,
     verify_chain_rule_identity,
@@ -47,10 +47,32 @@ def light_plan():
     return build_plan(LIGHT_TARGET, BENCH, T=1.0, slack=1.0)
 
 
-def _step_path():
-    """Step function 1 -> 0.3 at s = 0.05 on [0, 0.1], as zero-slope pieces."""
-    start = np.array([[1.0, 0.0], [0.3, 0.7]])
+def _step_path(after=0.3):
+    """Step function 1 -> ``after`` at s = 0.05 on [0, 0.1], as zero-slope pieces."""
+    start = np.array([[1.0, 0.0], [after, 1.0 - after]])
     return PiecewiseLinearPath(np.array([0.0, 0.05, 0.1]), start, np.zeros_like(start))
+
+
+def _sup_deviation(q, lin, eta, c, Jc):
+    """Sup over [0, T] of the l1 gap between the flows of ``lin`` and of the
+    left-sampled schedule ``eta`` of mesh ``c``, from DOP853 solves on every
+    piece of the joint break set, sampled at 4 points per piece."""
+    d = q.size
+    nodes = np.arange(Jc + 1) * c
+    nodes[-1] = lin.horizon
+    y, worst = np.concatenate([q, q]), 0.0
+    b = np.union1d(lin.breaks, nodes)
+    for lo, hi in zip(b[:-1], b[1:]):
+        mid = 0.5 * (lo + hi)
+        row = eta[int(np.searchsorted(nodes, mid, side="right")) - 1]
+        v, beta = lin.value(mid), lin.slope[np.searchsorted(lin.breaks, mid, side="right") - 1]
+        sol = solve_ivp(
+            lambda s, z: np.concatenate([v + beta * (s - mid) - z[:d], row - z[d:]]),
+            (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-14, t_eval=np.linspace(lo, hi, 4),
+        )
+        worst = max(worst, float(np.abs(sol.y[:d] - sol.y[d:]).sum(axis=0).max()))
+        y = sol.y[:, -1]
+    return worst
 
 
 def _toy_control():
@@ -201,20 +223,70 @@ def test_mollify_window_too_wide():
 
 def test_discretize_left_sampling():
     res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
-    disc = discretize_control(res.path, 0.004, 0.5, 0.1)
-    assert disc.Jc == 25 and disc.c == pytest.approx(0.1 / 25, rel=1e-15)
+    q = np.array([0.5, 0.5])
+    disc = discretize_control(res.path, q, BENCH, 2, 0.5, reversed_cost(q, res.path, BENCH))
+    assert disc.c == pytest.approx(0.1 / disc.Jc, rel=1e-15)
     grid_pts = np.arange(disc.Jc + 1) * disc.c
     manual = np.array([res.path.value(s) for s in grid_pts])
     assert np.array_equal(disc.eta, manual)
+    assert np.array_equal(disc.M_hat.M, integrate_reversed(q, manual[:-1], disc.c).M)
 
 
-def test_discretize_limits():
+@pytest.mark.parametrize("J,delta", [(0, 0.5), (2, 0.0)])
+def test_discretize_rejects_empty_grid_or_floor(J, delta):
     res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
-    with pytest.raises(ResourceLimitExceeded):
-        discretize_control(res.path, 1e-7, 0.5, 0.1, max_intervals=50)
-    # C1 = 140, so a mesh of 0.05 deviates by about 0.77, above delta / 4
     with pytest.raises(PreconditionViolation):
-        discretize_control(res.path, 0.09, 0.5, 0.1)
+        discretize_control(res.path, np.array([0.5, 0.5]), BENCH, J, delta, 1.0)
+
+
+def test_discretize_certificate_needs_doubling():
+    """C1 = 140: the in-piece term C1 c^2 / 2 alone rejects the first two grids.
+
+    The jump is small, so the node deviation and the cost change already pass
+    on the first grid; only the in-piece term forces grids 2 -> 4 -> 8.
+    """
+    lin = mollify_control(_step_path(0.93), 0.001, 0.5, 0.1).path
+    assert lin.lipschitz_l1() == pytest.approx(140.0, rel=1e-12)
+    q = np.array([0.5, 0.5])
+    cost = reversed_cost(q, lin, BENCH)
+    disc = discretize_control(lin, q, BENCH, 2, 0.1, cost)
+    assert disc.Jc == 8
+    assert 0.5 * 140.0 * (0.1 / 4) ** 2 > 0.1 / 4 >= disc.deviation
+    assert abs(disc.cost - cost) <= 1e-2 * cost
+    sup = _sup_deviation(q, lin, disc.eta, disc.c, disc.Jc)
+    assert sup <= disc.deviation <= sup + 0.5 * lin.lipschitz_l1() * disc.c**2 + 1e-9
+
+
+def test_bench_plan_schedule_mesh(bench_plan):
+    """The measured certificate keeps the bench schedule short and tight."""
+    b = bench_plan.bounds
+    assert bench_plan.Jc <= 8192
+    assert b.dev_discretize <= bench_plan.delta / 4
+    assert abs(b.cost_schedule_quad - b.cost_mollified_quad) <= 1e-2 * b.cost_mollified_quad
+    # the discretization budget is the paper's formula at the certified deviation
+    c, d0 = bench_plan.c, bench_plan.delta0
+    logs = abs(np.log(d0)) + abs(np.log(bench_plan.delta)) + 1.0
+    assert b.bound_discretize == pytest.approx(b.lipschitz_l1 * c * logs + b.dev_discretize / d0, rel=1e-12)
+
+
+@pytest.mark.parametrize("T,slack", [(2.0, DEFAULT_SLACK), (4.0, 1.0)])
+def test_huge_apriori_mesh_gets_a_short_grid(T, slack):
+    """Plans whose slack-scaled a-priori mesh has over 2e6 rows get a short grid."""
+    plan = build_plan(BENCH_TARGET, BENCH, T=T, slack=slack)
+    b = plan.bounds
+    apriori = 4.0 * b.lipschitz_l1 * T * T * np.exp(T) / plan.delta
+    assert apriori * slack > 2_000_000
+    assert plan.Jc <= 1024 and plan.Jc <= np.ceil(apriori)
+    assert b.dev_discretize <= plan.delta / 4
+
+
+def test_bench_certificate_bounds_the_ode_deviation(bench_plan):
+    """Independent cross-check: DOP853 solves of both controls on the bench plan."""
+    p = bench_plan
+    lin = mollify_control(p.control_reversed, p.kappas.kappa2, p.delta, p.delta0).path
+    sup = _sup_deviation(p.q.weights, lin, p.schedule, p.c, p.Jc)
+    in_piece = 0.5 * p.bounds.lipschitz_l1 * p.c**2
+    assert sup <= p.bounds.dev_discretize <= sup + in_piece + 1e-9
 
 
 @settings(max_examples=50, deadline=None)
@@ -302,18 +374,14 @@ def test_plan_json_roundtrip(light_plan):
 
 
 def test_kappa_overrides_pass_through():
-    plan = build_plan(
-        LIGHT_TARGET, BENCH, T=1.0, slack=1.0, kappa1=0.3, kappa2=0.006, kappa3=0.01
-    )
+    plan = build_plan(LIGHT_TARGET, BENCH, T=1.0, slack=1.0, kappa1=0.3, kappa2=0.006)
     k = plan.kappas
-    assert (k.kappa1, k.kappa2, k.kappa3) == (0.3, 0.006, 0.01)
-    assert plan.Jc == 100
+    assert (k.kappa1, k.kappa2) == (0.3, 0.006)
 
 
 def test_default_budgets():
     assert DEFAULT_SLACK == 10.0
     assert DEFAULT_EPS_TARGET == 0.05
-    assert DEFAULT_MAX_INTERVALS == 2_000_000
 
 
 def test_export_csvs(light_plan, tmp_path):
