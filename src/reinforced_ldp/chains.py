@@ -19,6 +19,15 @@ numpy ``Generator`` over ``np.random.Philox``; a batch draws all its
 uniforms at once from :func:`philox_uniforms`, a vectorized Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, SC'11) that reproduces numpy's Philox
 streams bit for bit.
+
+A single path turns its uniforms into states in a scalar loop
+(:func:`_reinforced_draws`): the running row ``count @ A`` is kept in
+Python floats, one row of ``A`` added per step, so a step costs O(d).
+Where a uniform lies within the rounding bound ``tol(k)`` of a CDF edge,
+the step is redrawn with numpy's ``cumsum((count / k) @ A)``, so every
+draw is bit-identical to sampling from ``L^k A`` as computed by numpy.
+The fallback of :func:`~reinforced_ldp.lowerbound.run_plan` shares the
+loop.
 """
 from __future__ import annotations
 
@@ -36,6 +45,9 @@ _MASK64 = (1 << 64) - 1
 # rows per Python-list block in export_path_csv: 4096-row blocks raised the
 # peak RSS of a 5e4-step simulate run by about 2 MB, 512-row blocks did not
 _CSV_BLOCK_ROWS = 512
+# uniforms per Python-list block in _reinforced_draws, for the same reason
+_DRAW_BLOCK = 4096
+_EPS = 2.0**-53
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -193,32 +205,86 @@ class ChainPath:
     L: np.ndarray
 
 
+def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndarray:
+    """0-based states of ``len(u)`` reinforced draws from ``count`` after ``k`` steps.
+
+    Step ``t`` draws the smallest ``x`` with ``u[t] <= CDF(x)`` of
+    ``(count / k) @ Amat`` (clamped to ``d-1``), then adds one to
+    ``count[x]`` and to ``k``; ``count`` holds exact integers summing to
+    ``k``.  The running row ``r = count @ Amat`` is kept in Python floats
+    and row ``Amat[x]`` is added after each draw, so a step costs O(d);
+    the CDF ``cumsum(r / k)`` is scanned over indices ``0..d-2``.  A step
+    whose ``u`` lies within ``tol(k)`` of a scanned CDF value is redrawn
+    with numpy's ``searchsorted(cumsum((count / k) @ Amat), u, "left")``,
+    so every draw equals that expression's bit for bit.
+
+    ``tol(k)``: let ``eps = 2**-53`` and ``gamma_n = n eps / (1 - n eps)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1:
+    a sum or dot product of ``n`` nonnegative terms, in any order and with
+    or without fused multiply-adds, is within ``gamma_n`` of its value,
+    relative to the exact sum).  Let ``C_i`` be the exact CDF, at most the
+    largest row sum, ``1 + 1e-12`` for a :class:`Kernel`.  numpy's value is
+    ``d`` rounded products ``count_x / k`` in a ``d``-term dot product, then
+    a cumsum of at most ``d-1`` terms: within ``gamma_{2d} C_i`` of
+    ``C_i``.  After ``m`` steps the running row is a sum of ``d + m``
+    nonnegative terms, so with the division by ``k`` and the scan the
+    scalar value is within ``gamma_{2d+m} C_i`` of ``C_i``, where
+    ``m <= k``.  The two differ by at most ``gamma_{4d+k} C_i``, below
+    ``2 (4d + k) eps`` while ``(4d + k) eps <= 1/2``.  ``tol(k) = (8d + 4k)
+    eps`` is twice that, which also covers the rounding of ``c +- tol`` in
+    the comparisons.  The band grows with ``k`` because the running row
+    carries one rounding per step.
+    """
+    d = Amat.shape[0]
+    last = d - 1
+    out = np.empty(u.size, dtype=np.int64)
+    rows = Amat[:, :last].tolist()
+    cnt = np.asarray(count, dtype=float)
+    r = (cnt @ Amat)[:last].tolist()
+    cnt = cnt.tolist()
+    kk = float(k)
+    tol = (8.0 * d + 4.0 * kk) * _EPS
+    for lo in range(0, u.size, _DRAW_BLOCK):
+        xs = []
+        for ut in u[lo : lo + _DRAW_BLOCK].tolist():
+            c = 0.0
+            for x in range(last):
+                c += r[x] / kk
+                if ut <= c + tol:
+                    if ut > c - tol:
+                        # u sits within tol(k) of a CDF edge: draw as numpy does
+                        cdf = np.cumsum((np.array(cnt) / kk) @ Amat)
+                        x = min(int(np.searchsorted(cdf, ut, side="left")), last)
+                    break
+            else:
+                x = last
+            xs.append(x)
+            row = rows[x]
+            for j in range(last):
+                r[j] += row[j]
+            cnt[x] += 1.0
+            kk += 1.0
+            tol += 4.0 * _EPS
+        out[lo : lo + len(xs)] = xs
+    return out
+
+
 def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
     """Simulate ``n`` steps of the reinforced chain (stream 0 of ``seed``)."""
     if n < 1:
         raise PreconditionViolation(f"simulate_chain: n must be >= 1, got {n}")
     d = A.d
     x0 = _validate_x0(x0, d)
-    rng = path_rng(seed, 0)
-    uniforms = rng.random(n - 1) if n > 1 else np.empty(0)
-    states = np.empty(n, dtype=np.int64)
-    counts = np.zeros((n, d), dtype=np.int64)
-    L = np.empty((n, d))
     count = np.zeros(d, dtype=np.int64)
-    states[0] = x0
     count[x0 - 1] = 1
-    counts[0] = count
-    L[0] = count / 1.0
-    Amat = A.matrix
-    for k in range(1, n):
-        dist = L[k - 1] @ Amat
-        cdf = np.cumsum(dist)
-        x = int(np.searchsorted(cdf, uniforms[k - 1], side="left"))
-        x = min(x, d - 1)
-        states[k] = x + 1
-        count[x] += 1
-        counts[k] = count
-        L[k] = count / float(k + 1)
+    states = np.empty(n, dtype=np.int64)
+    states[0] = x0 - 1
+    states[1:] = _reinforced_draws(A.matrix, count, 1, path_rng(seed, 0).random(n - 1))
+    counts = np.zeros((n, d), dtype=np.int64)
+    counts[np.arange(n), states] = 1
+    np.cumsum(counts, axis=0, out=counts)
+    states += 1
+    L = counts / np.arange(1.0, n + 1.0)[:, None]
     for arr in (states, counts, L):
         arr.flags.writeable = False
     return ChainPath(n=n, d=d, x0=x0, seed=int(seed), states=states, counts=counts, L=L)

@@ -44,6 +44,7 @@ from .chains import (
     ControlledPath,
     _cached_grid,
     _inverse_cdf_rows,
+    _reinforced_draws,
     _validate_x0,
     path_rng,
     verify_chain_rule_identity,
@@ -53,6 +54,7 @@ from .measures import Kernel, ProbVec, kernel_apply, relative_entropy, stationar
 from .ratesolver import (
     PiecewiseControl,
     RateBracket,
+    SolveDiagnostics,
     TrajectoryGrid,
     _as_grid,
     _cost_value,
@@ -333,6 +335,7 @@ class DiscretizeResult:
     cost: float
     cost_increase: float
     deviation: float
+    stop_rule: str
 
 
 def discretize_control(
@@ -349,9 +352,11 @@ def discretize_control(
     smaller is the certified ``deviation``.  The first grid with deviation
     at most ``delta / 4`` and scheduled cost within ``_COST_RTOL`` of
     ``cost_mollified`` is kept, and the doubling stops at the a-priori mesh,
-    where ``C1 c T e^T <= delta / 4``.  ``eta`` (read-only) has ``Jc + 1``
-    rows, the last being the value at ``T``; ``M_hat`` and ``cost`` are the
-    schedule's flow nodes and reversed cost.
+    where ``C1 c T e^T <= delta / 4``.  ``stop_rule`` says which rule kept
+    the grid: ``"certified"`` when both tests held, ``"a_priori"`` when the
+    doubling reached the a-priori mesh without them.  ``eta`` (read-only)
+    has ``Jc + 1`` rows, the last being the value at ``T``; ``M_hat`` and
+    ``cost`` are the schedule's flow nodes and reversed cost.
     """
     if J < 1 or not delta > 0.0:
         raise PreconditionViolation("discretize_control: need J >= 1 and delta > 0")
@@ -374,12 +379,16 @@ def discretize_control(
         zero = np.zeros((Jc, eta.shape[1]))
         cost = _flow_quad(A.matrix, nodes[:-1], nodes[1:], eta[:Jc], zero, sched.M[:-1], forward=False, T=T)
         close = abs(cost - cost_mollified) <= _COST_RTOL * cost_mollified + 1e-15
-        if Jc >= Jc_max or (dev <= 0.25 * delta and close):
+        certified = dev <= 0.25 * delta and close
+        if certified or Jc >= Jc_max:
             break
         Jc = min(2 * Jc, Jc_max)
     eta.flags.writeable = False
     b3 = C1 * c * (abs(math.log(A.delta0)) + abs(math.log(delta)) + 1.0) + dev / A.delta0
-    return DiscretizeResult(eta=eta, c=c, Jc=Jc, M_hat=sched, cost=cost, cost_increase=b3, deviation=dev)
+    return DiscretizeResult(
+        eta=eta, c=c, Jc=Jc, M_hat=sched, cost=cost, cost_increase=b3, deviation=dev,
+        stop_rule="certified" if certified else "a_priori",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +441,9 @@ class ReversedPlan:
     (measure-zero, float-edge) case of a step clock reaching the horizon.
     ``M_hat`` is the reversed trajectory; its final node sits within
     ``bounds.target_gap`` of the original target in total variation.
+    ``stop_rule`` is the rule that kept the grid (see
+    :func:`discretize_control`) and ``solve`` the diagnostics of the rate
+    solve the plan was built from.
     """
 
     T: float
@@ -441,8 +453,10 @@ class ReversedPlan:
     delta0: float
     c: float
     Jc: int
+    stop_rule: str
     schedule: np.ndarray
     M_hat: TrajectoryGrid
+    solve: SolveDiagnostics
     kappas: KappaSchedule
     bounds: PlanBounds
     control_reversed: PiecewiseLinearPath
@@ -516,8 +530,10 @@ def build_plan(
         delta0=A.delta0,
         c=disc.c,
         Jc=disc.Jc,
+        stop_rule=disc.stop_rule,
         schedule=disc.eta,
         M_hat=disc.M_hat,
+        solve=bracket.diagnostics,
         kappas=KappaSchedule(
             kappa1=float(kappa1), kappa2=k2, slack=float(slack),
             eps_target=float(eps_target),
@@ -532,6 +548,12 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
         "T": plan.T,
         "Jc": plan.Jc,
         "c": plan.c,
+        "stop_rule": plan.stop_rule,
+        "solve": {
+            "iterations": plan.solve.iterations,
+            "gap": plan.solve.gap,
+            "converged": plan.solve.converged,
+        },
         "delta": plan.delta,
         "delta0": plan.delta0,
         "q": [float(v) for v in plan.q.weights],
@@ -590,9 +612,12 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     Steps ``1..a0+1`` draw i.i.d. from ``q`` with ``a0`` the grid index of
     ``t_n - T``; if the empirical measure then sits within ``eps0`` of
     ``q`` the remaining steps read the schedule by grid clock, otherwise
-    the run falls back to the zero-cost reference policy.  The empirical
-    measure is assembled in closed counts form, which is exact in exact
-    arithmetic and agrees with the sequential update to rounding.
+    the run falls back to the zero-cost reference policy.  The fallback is
+    the reinforced chain continued from the head's counts, drawn by the
+    single-path loop of :mod:`~reinforced_ldp.chains`, with control rows
+    ``mu_k = Lbar_{k-1} A``.  The empirical measure is assembled in closed
+    counts form, which is exact in exact arithmetic and agrees with the
+    sequential update to rounding.
     """
     d = A.d
     if plan.q.d != d:
@@ -627,30 +652,24 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     an = bool(np.abs(L_head - q).sum() >= eps0)
 
     if an:
-        # fallback: zero-cost reference policy, sequential by necessity
-        Amat = A.matrix
-        cnt = head_counts.copy()
-        for k in range(n1 + 1, n + 1):
-            Lb = (e0 + cnt) / k
-            wrow = Lb @ Amat
-            mu[k - 1] = wrow
-            x = int(np.searchsorted(np.cumsum(wrow), u[k - 1], side="left"))
-            x = min(x, d - 1)
-            states[k - 1] = x + 1
-            cnt[x] += 1.0
+        # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
+        x2 = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
     else:
         sigma = grid.times[n1]
         clock = grid.times[n1 + 1 : n + 1] - sigma
         j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
         mu[n1:] = plan.schedule[j]
         x2 = _inverse_cdf_rows(mu[n1:], u[n1:])
-        states[n1:] = x2 + 1
+    states[n1:] = x2 + 1
 
     one_hot = np.zeros((n, d))
     one_hot[np.arange(n), states - 1] = 1.0
     Lbar = np.empty((n + 1, d))
     Lbar[0] = e0
     Lbar[1:] = (e0 + np.cumsum(one_hot, axis=0)) / np.arange(2, n + 2, dtype=float)[:, None]
+    if an:
+        # update k of the fallback reads Lbar[k-1] A
+        mu[n1:] = Lbar[n1:n] @ A.matrix
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
     path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)

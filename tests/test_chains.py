@@ -5,6 +5,7 @@ import pytest
 
 from reinforced_ldp.chains import (
     TimeGrid,
+    _reinforced_draws,
     occupation_measures,
     path_rng,
     philox_uniforms,
@@ -18,6 +19,9 @@ from reinforced_ldp.errors import DimensionMismatch, PolicyError, PreconditionVi
 from reinforced_ldp.measures import Kernel
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
+D3 = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+D12 = Kernel(0.9 * np.random.default_rng(12).dirichlet(np.ones(12), size=12) + 0.1 / 12)
+EPS = 2.0**-53
 EULER_GAMMA = 0.5772156649015329
 N_STEPS = 200
 SEED = 42
@@ -64,6 +68,96 @@ def test_simulate_chain_reproducible():
     assert (a.states != c.states).any()
 
 
+def _reference_chain(A, x0, n, seed, stream=0):
+    """``simulate_chain`` as one numpy dispatch per step, driven by
+    ``path_rng(seed, stream)``: the draw oracle."""
+    d = A.d
+    uniforms = path_rng(seed, stream).random(n - 1) if n > 1 else np.empty(0)
+    states = np.empty(n, dtype=np.int64)
+    counts = np.zeros((n, d), dtype=np.int64)
+    L = np.empty((n, d))
+    count = np.zeros(d, dtype=np.int64)
+    states[0] = x0
+    count[x0 - 1] = 1
+    counts[0] = count
+    L[0] = count / 1.0
+    for k in range(1, n):
+        cdf = np.cumsum(L[k - 1] @ A.matrix)
+        x = min(int(np.searchsorted(cdf, uniforms[k - 1], side="left")), d - 1)
+        states[k] = x + 1
+        count[x] += 1
+        counts[k] = count
+        L[k] = count / float(k + 1)
+    return states, counts, L
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("A, x0", [(BENCH, 1), (D3, 2), (D12, 7)], ids=["d2", "d3", "d12"])
+def test_simulate_chain_matches_reference_loop(A, x0, seed):
+    path = simulate_chain(A, x0, 10_000, seed)
+    states, counts, L = _reference_chain(A, x0, 10_000, seed)
+    assert np.array_equal(path.states, states)
+    assert np.array_equal(path.counts, counts)
+    assert np.array_equal(path.L, L)
+    assert (path.states.dtype, path.counts.dtype, path.L.dtype) == (states.dtype, counts.dtype, L.dtype)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_simulate_chain_shortest_paths(n):
+    path = simulate_chain(D3, 3, n, SEED)
+    states, counts, L = _reference_chain(D3, 3, n, SEED)
+    assert np.array_equal(path.states, states) and np.array_equal(path.L, L)
+
+
+def _edge_uniforms(A, count, k, steps, seed):
+    """Uniforms that sit exactly on numpy's CDF edge wherever the running-row
+    CDF differs from numpy's, with the draws numpy makes from them.
+
+    On even steps, edge ``i`` (cycling over ``0..d-2``) of the running-row
+    CDF ``cumsum(r / k)``, with ``r`` kept by adding ``A[x]`` after each draw,
+    is compared with numpy's ``cumsum((count / k) @ A)``.  When they differ,
+    ``u`` is set to numpy's edge if the running row lies below it, or one ulp
+    above it if the running row lies above, so reading the running row draws
+    the other state.  Returns the uniforms, the draws and the gaps in units
+    of 2**-53.
+    """
+    Amat, d = A.matrix, A.d
+    count = np.array(count, dtype=np.int64)
+    r = (count.astype(float) @ Amat).tolist()
+    u = path_rng(seed, 0).random(steps)
+    draws = np.empty(steps, dtype=np.int64)
+    gaps = []
+    for t in range(steps):
+        kk = float(k + t)
+        cdf = np.cumsum((count / kk) @ Amat)
+        i = (t // 2) % (d - 1)
+        gap = float(np.cumsum(np.array(r) / kk)[i] - cdf[i])
+        if t % 2 == 0 and gap != 0.0:
+            u[t] = cdf[i] if gap < 0.0 else np.nextafter(cdf[i], 2.0)
+            gaps.append(abs(gap) / EPS)
+        x = min(int(np.searchsorted(cdf, u[t], side="left")), d - 1)
+        draws[t] = x
+        count[x] += 1
+        r = [rj + a for rj, a in zip(r, Amat[x])]
+    return u, draws, np.array(gaps)
+
+
+@pytest.mark.parametrize("A, count", [(BENCH, [66_667, 33_333]), (D3, [30_000, 40_000, 30_001])], ids=["d2", "d3"])
+def test_reinforced_draws_on_cdf_edges(A, count):
+    """Draws on numpy's CDF edges at k >= 1e5 equal numpy's draws.
+
+    The running row drifts from numpy's CDF by far more than the ``8 d``
+    ulps of the dimension term of ``tol(k)``, so both a zero band and a band
+    without its ``k`` term read the drifted CDF on the wrong side of ``u``.
+    """
+    k = sum(count)
+    u, expect, gaps = _edge_uniforms(A, count, k, 2000, SEED)
+    assert len(gaps) >= 500
+    assert (gaps > 8 * A.d).sum() >= 100
+    got = _reinforced_draws(A.matrix, np.array(count), k, u)
+    assert np.array_equal(got, expect)
+
+
 def test_simulate_chain_counts_accumulate():
     path = simulate_chain(BENCH, 2, N_STEPS, SEED)
     assert path.states[0] == 2
@@ -94,25 +188,13 @@ def test_philox_uniforms_matches_numpy_philox(seed, count):
         assert np.array_equal(row, path_rng(seed, stream).random(count))
 
 
-def _chain_counts_from_stream(A, x0, n, seed, stream):
-    """Final counts of one reinforced chain driven by ``path_rng(seed, stream)``."""
-    u = path_rng(seed, stream).random(n - 1)
-    counts = np.zeros(A.d, dtype=np.int64)
-    counts[x0 - 1] = 1
-    for k in range(1, n):
-        cdf = np.cumsum((counts / float(k)) @ A.matrix)
-        x = min(int(np.searchsorted(cdf, u[k - 1], side="left")), A.d - 1)
-        counts[x] += 1
-    return counts
-
-
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_simulate_chain_batch_rows_match_per_path_streams(n):
     # 7 paths in chunks of 3: rows 3 and 6 open a new chunk
     A = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
     batch = simulate_chain_batch(A, 2, n, 7, SEED, chunk=3)
     for i in range(7):
-        assert np.array_equal(batch[i], _chain_counts_from_stream(A, 2, n, SEED, i))
+        assert np.array_equal(batch[i], _reference_chain(A, 2, n, SEED, stream=i)[1][-1])
 
 
 def test_x0_validation():

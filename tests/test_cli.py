@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -46,6 +47,23 @@ def test_simulate_rerun_byte_identical(tmp_path, kernel_config):
                      "--n", "200", "--seed", "11"]) == 0
         outs.append((out / "path_11.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# SHA-256 of `simulate` on the bench kernel, seed 0, n=20000, two paths, as
+# written by the one-dispatch-per-step loop; any rewrite of the draws must keep them
+SIMULATE_DIGESTS = {
+    "path_0.csv": "d4e6506a147f581f3c8b7dd540e2f4e19a0099790a116d1b9fb6711939778b58",
+    "path_1.csv": "8b6581a87385cf825ea4db03abfe77338bed578c3deb75d9c75fa4097662cbef",
+    "simulate_summary.csv": "0f1c29561af6ce425826999f78514d6dcd87e1f69fb7ff38acf0b74ce8640607",
+}
+
+
+def test_simulate_artifacts_match_golden_digests(tmp_path, kernel_config):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", kernel_config, "--out", str(out),
+                 "--n", "20000", "--paths", "2", "--seed", "0"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in SIMULATE_DIGESTS}
+    assert digests == SIMULATE_DIGESTS
 
 
 def test_exact_laws_and_ball_rates(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from reinforced_ldp.chains import ControlledPath, TimeGrid, _inverse_cdf_rows, path_rng
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_EPS_TARGET,
@@ -343,6 +344,45 @@ def test_run_plan_fallback_on_early_exit(bench_plan):
     assert run.path.mu.min() >= 0.0
 
 
+def _reference_fallback_run(plan, A, n, seed):
+    """``run_plan`` from x0 = 1 with the fallback taken, one numpy dispatch per step: the oracle."""
+    d = A.d
+    grid = TimeGrid(n)
+    n1 = int(grid.index_of(grid.horizon - plan.T)) + 1
+    q = plan.q.weights
+    u = path_rng(seed, 0).random(n)
+    states = np.empty(n, dtype=np.int64)
+    mu = np.empty((n, d))
+    x1 = _inverse_cdf_rows(np.broadcast_to(q, (n1, d)), u[:n1])
+    states[:n1] = x1 + 1
+    mu[:n1] = q
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    cnt = np.bincount(x1, minlength=d).astype(float)
+    for k in range(n1 + 1, n + 1):
+        wrow = ((e0 + cnt) / k) @ A.matrix
+        mu[k - 1] = wrow
+        x = min(int(np.searchsorted(np.cumsum(wrow), u[k - 1], side="left")), d - 1)
+        states[k - 1] = x + 1
+        cnt[x] += 1.0
+    one_hot = np.zeros((n, d))
+    one_hot[np.arange(n), states - 1] = 1.0
+    Lbar = np.empty((n + 1, d))
+    Lbar[0] = e0
+    Lbar[1:] = (e0 + np.cumsum(one_hot, axis=0)) / np.arange(2, n + 2, dtype=float)[:, None]
+    path = ControlledPath(n=n, d=d, x0=1, seed=seed, states=states, mu=mu, Lbar=Lbar)
+    return path, verify_chain_rule_identity(path, A)
+
+
+def test_run_plan_fallback_matches_reference_loop(bench_plan):
+    run = run_plan(bench_plan, BENCH, 2_000, 1e-12, seed=3)
+    path, (lhs, rhs) = _reference_fallback_run(bench_plan, BENCH, 2_000, 3)
+    assert run.an_occurred
+    for name in ("states", "mu", "Lbar"):
+        assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
+    assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+
+
 def test_run_plan_alternate_start(bench_plan):
     run = run_plan(bench_plan, BENCH, 5_000, 0.3, seed=1, x0=2)
     assert run.path.states[0] == 2
@@ -364,13 +404,29 @@ def test_check_cost_convergence_structure(light_plan):
 
 def test_plan_json_roundtrip(light_plan):
     base = json.loads(plan_to_json(light_plan))
-    assert set(base) == {"Jc", "T", "bounds", "c", "delta", "delta0", "kappas", "m", "q"}
+    assert set(base) == {"Jc", "T", "bounds", "c", "delta", "delta0", "kappas", "m", "q", "solve", "stop_rule"}
+    assert base["stop_rule"] == light_plan.stop_rule
+    assert base["solve"] == {
+        "iterations": light_plan.solve.iterations,
+        "gap": light_plan.solve.gap,
+        "converged": light_plan.solve.converged,
+    }
     assert base["Jc"] == light_plan.Jc
     assert np.allclose(base["m"], light_plan.m.weights)
     assert np.allclose(base["q"], light_plan.q.weights)
     full = json.loads(plan_to_json(light_plan, include_schedule=True))
     assert len(full["schedule"]) == light_plan.Jc
     assert len(full["schedule_overflow"]) == 2
+
+
+def test_plan_records_the_grid_stop_rule(light_plan, bench_plan):
+    # the light plan's a-priori mesh (14 rows) is below its solver grid, and
+    # its scheduled cost there is far outside the 1% rule
+    assert light_plan.stop_rule == "a_priori"
+    b = light_plan.bounds
+    assert abs(b.cost_schedule_quad - b.cost_mollified_quad) > 0.01 * b.cost_mollified_quad
+    assert bench_plan.stop_rule == "certified"
+    assert bench_plan.solve.converged and bench_plan.solve.gap <= 1e-10
 
 
 def test_kappa_overrides_pass_through():
