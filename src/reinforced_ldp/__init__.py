@@ -8,6 +8,7 @@ laws (:mod:`~reinforced_ldp.exact`), the discounted-cost rate solver
 scheduled runs (:mod:`~reinforced_ldp.lowerbound`), and the acceptance
 battery (:mod:`~reinforced_ldp.validation`).
 """
+import gc
 
 from .errors import (
     ConfigError,
@@ -85,6 +86,12 @@ from .lowerbound import (
     run_plan,
 )
 from .validation import CriterionResult, run_acceptance, write_report_csv
+
+# A full collection gives CPython's collector its long-lived baseline; without
+# one, its first full pass fires in the first allocation-heavy call (an exact
+# law's atom dictionaries) and, in a process forked after import, copies every
+# inherited page.
+gc.collect()
 
 __version__ = "0.1.0"
 

@@ -331,8 +331,10 @@ class ControlledPath:
     ``Lbar[k]`` for ``k = 0..n`` is the measure after ``k`` controlled
     updates (``Lbar[0]`` is the point mass at ``x0``); ``mu[k-1]`` is the
     control used by update ``k`` and ``states[k-1]`` the sampled state.
-    Updates follow ``Lbar[k] = Lbar[k-1] + (e_state - Lbar[k-1]) / (k+1)``
-    in exactly that floating-point form.
+    :func:`simulate_controlled` follows the update ``Lbar[k] = Lbar[k-1] +
+    (e_state - Lbar[k-1]) / (k+1)`` in exactly that floating-point form;
+    :func:`~reinforced_ldp.lowerbound.run_plan` uses the closed counts form
+    ``(e_x0 + counts_k) / (k+1)``, equal to it up to rounding.
     """
 
     n: int

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._format import write_csv
 from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
-from .measures import Kernel, ProbVec
+from .measures import Kernel, _weights_of
 
 DEFAULT_MEM_CAP_BYTES = 2 << 30
 DROP_THRESHOLD = 1e-300
@@ -121,7 +121,7 @@ def exact_law_levels(
 def event_probability(law: CountLaw, target, radius: float) -> float:
     """Probability of the closed l1 ball: ``sum P(c)`` over counts with
     ``||c/n - target||_1 <= radius``."""
-    t = target.weights if isinstance(target, ProbVec) else np.asarray(target, dtype=float)
+    t = _weights_of(target)
     if t.shape != (law.d,):
         raise DimensionMismatch(f"event_probability: target shape {t.shape}, law dimension {law.d}")
     if radius < 0:

@@ -22,7 +22,8 @@ trajectory deviation it can introduce, so the scheduled cost stays within
 a certified distance of the solver's value.  The reversed-time dynamics
 ``M' = eta - M`` coincide with the drift of the empirical-measure
 recursion, so a controlled chain run forward under the schedule tracks
-the reversed trajectory and its empirical measure lands near ``m``.
+the reversed trajectory and its empirical measure lands near ``m``.  The
+flow and its cost quadrature come from :mod:`~reinforced_ldp.ratesolver`.
 
 :func:`run_plan` executes the schedule: an i.i.d. warm-up drives the
 empirical measure toward the reversed starting point ``q``, a one-shot
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from ._format import write_csv
 from .chains import (
@@ -50,30 +50,27 @@ from .chains import (
     verify_chain_rule_identity,
 )
 from .errors import DimensionMismatch, PreconditionViolation
-from .measures import Kernel, ProbVec, kernel_apply, relative_entropy, stationary_distribution
-from .ratesolver import (
+from .measures import Kernel, ProbVec, _weights_of, kernel_apply, relative_entropy, stationary_distribution
+from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes counter)
+    _GL_X,
     PiecewiseControl,
     RateBracket,
     SolveDiagnostics,
     TrajectoryGrid,
     _as_grid,
     _cost_value,
+    _flow_gap,
     _flow_nodes,
+    _flow_quad,
     _weights_vector,
+    forward_cost_continuous,
     solve_rate,
 )
 
 DEFAULT_SLACK = 10.0
 DEFAULT_EPS_TARGET = 0.05
 _KINK_MERGE = 1e-12          # relative gap below which adjacent kinks merge
-_QUAD_CHUNK = 65536          # pieces per quadrature block
 _COST_RTOL = 1e-2            # relative change in reversed cost a schedule grid may leave
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-
-def _unwrap(v) -> np.ndarray:
-    return v.weights if isinstance(v, ProbVec) else np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -153,86 +150,25 @@ class PiecewiseLinearPath:
     def lipschitz_l1(self) -> float:
         return float(np.abs(self.slope).sum(axis=1).max())
 
-    def refined(self, points) -> PiecewiseLinearPath:
-        """The same path with extra breaks at ``points`` inside ``[0, horizon]``."""
-        b = np.union1d(self.breaks, points)
-        piece = np.searchsorted(self.breaks, b[:-1], side="right") - 1
-        return PiecewiseLinearPath(b, self.value(b[:-1]), self.slope[piece])
-
 
 # ---------------------------------------------------------------------------
-# reversed-time flow M' = eta - M and cost quadratures
+# reversed-time flow M' = eta - M and its cost, by the integrator of ratesolver
 
 
 def reversed_flow_nodes(q, path: PiecewiseLinearPath) -> np.ndarray:
-    """Values of ``M' = eta - M``, ``M(0) = q`` at the path's breaks.
-
-    On a piece of width ``h`` with control ``v + beta s`` the flow is
-    ``M(h) = v + beta h - beta + e^{-h} (M(0) - v + beta)``, so the nodes
-    are exact up to one rounding per piece.
-    """
-    q_arr = _unwrap(q)
-    b, v, beta = path.breaks, path.start, path.slope
-    K = b.size - 1
-    end = v + beta * np.diff(b)[:, None]
-    M = np.empty((K + 1, q_arr.size))
-    M[0] = q_arr
-    for i in range(K):
-        f = math.exp(-(b[i + 1] - b[i]))
-        M[i + 1] = end[i] - beta[i] + f * (M[i] - v[i] + beta[i])
-    return M
+    """Values of ``M' = eta - M``, ``M(0) = q`` at the path's breaks, re-centred to sum 1."""
+    return _flow_nodes(_weights_of(q), np.diff(path.breaks), path.start, path.slope, -1.0)
 
 
 def integrate_reversed(q, eta: np.ndarray, c: float) -> TrajectoryGrid:
-    """Nodes of ``M' = eta - M`` on the uniform grid of mesh ``c``.
-
-    Same integrator as the forward flow, with contraction factor ``e^{-c}``
-    in place of ``e^delta``.
-    """
-    q_arr = _unwrap(q)
+    """Nodes of ``M' = eta - M`` on the uniform grid of mesh ``c``."""
+    q_arr = _weights_of(q)
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 2 or eta.shape[1] != q_arr.size:
         raise DimensionMismatch("integrate_reversed: eta and q dimensions disagree")
     if not c > 0.0:
         raise PreconditionViolation("integrate_reversed: mesh must be positive")
-    return _as_grid(_flow_nodes(q_arr, eta, math.exp(-c)))
-
-
-def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -> float:
-    """``int w(s) R(eta(s) || M(s) A) ds`` over linear pieces of the control.
-
-    On ``[lo, hi]`` the control is ``eta(s) = v_lo + slope (s - lo)`` (a
-    constant piece has slope 0) and ``M_lo`` is the flow at ``lo``.  The
-    forward flow ``M' = M - eta`` is weighted by ``w(s) = e^{-s}``, the
-    reversed flow ``M' = eta - M`` by ``w(s) = e^{s - T}``; both are
-    integrated in closed form inside each piece.
-    """
-    sign = 1.0 if forward else -1.0
-    total = 0.0
-    for a in range(0, lo.size, _QUAD_CHUNK):
-        b = min(a + _QUAD_CHUNK, lo.size)
-        l, h = lo[a:b], hi[a:b]
-        vl, bt, Ml = v_lo[a:b], slope[a:b], M_lo[a:b]
-        half = 0.5 * (h - l)
-        s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
-        ds = s - l[:, None]
-        eta_s = vl[:, None, :] + bt[:, None, :] * ds[..., None]
-        M = eta_s + sign * bt[:, None, :] + np.exp(sign * ds)[..., None] * (Ml - vl - sign * bt)[:, None, :]
-        r = rel_entr(eta_s, M @ Amat).sum(axis=2)
-        weight = np.exp(-s) if forward else np.exp(s - T)
-        total += float(((weight * r * _GL_W[None, :]).sum(axis=1) * half).sum())
-    return total
-
-
-def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Kernel) -> float:
-    """Continuous-time discounted cost of a piecewise-constant control.
-
-    Unlike the solver objective this integrates the exact in-piece flow,
-    so it differs from the left-endpoint sum by ``O(T/J)``.
-    """
-    edges = np.linspace(0.0, ctrl.T, ctrl.J + 1)
-    eta = np.asarray(ctrl.eta, dtype=float)
-    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), grid.M[:-1], forward=True)
+    return _as_grid(_flow_nodes(q_arr, np.full(len(eta), c), eta, np.zeros_like(eta), -1.0))
 
 
 def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
@@ -345,7 +281,8 @@ def discretize_control(
 
     Grids of ``Jc = J, 2J, 4J, ...`` pieces of mesh ``c = T / Jc`` are tried
     in turn.  On each, the schedule's flow from ``q`` is compared with the
-    exact flow of ``lin`` at the grid nodes.  Inside piece ``j`` their
+    exact flow of ``lin`` at the grid nodes, carried by the piece map from
+    ``lin``'s own nodes (integrated once).  Inside piece ``j`` their
     difference obeys ``e' = (eta(s) - eta(jc)) - e``, so its sup is at most
     the largest node gap plus ``C1 c^2 / 2`` (``C1`` the Lipschitz constant
     in total variation); the paper's ``C1 c T e^T`` bounds it too, and the
@@ -360,20 +297,23 @@ def discretize_control(
     """
     if J < 1 or not delta > 0.0:
         raise PreconditionViolation("discretize_control: need J >= 1 and delta > 0")
-    q_arr = _unwrap(q)
+    q_arr = _weights_of(q)
     T = lin.horizon
     C1 = lin.lipschitz_l1()
     eT = math.exp(T)
     Jc_max = max(1, math.ceil(4.0 * C1 * T * T * eT / delta))
     Jc = min(J, Jc_max)
+    lin_nodes = reversed_flow_nodes(q_arr, lin)
     while True:
         c = T / Jc
         nodes = np.arange(Jc + 1) * c
         nodes[-1] = T
         eta = lin.value(nodes)
         sched = integrate_reversed(q_arr, eta[:Jc], c)
-        fine = lin.refined(nodes)
-        exact = reversed_flow_nodes(q_arr, fine)[np.searchsorted(fine.breaks, nodes)]
+        # the piece holding each grid node; T closes the last piece
+        p = np.minimum(np.searchsorted(lin.breaks, nodes, side="right") - 1, lin.start.shape[0] - 1)
+        ds = (nodes - lin.breaks[p])[:, None]
+        exact = eta + _flow_gap(lin_nodes[p] - lin.start[p], lin.slope[p], ds, -1.0)
         node_dev = float(np.abs(sched.M - exact).sum(axis=1).max())
         dev = min(node_dev + 0.5 * C1 * c * c, C1 * c * T * eT)
         zero = np.zeros((Jc, eta.shape[1]))
@@ -484,7 +424,7 @@ def build_plan(
     takes ``1/slack`` of the largest value its precondition allows.  The
     schedule grid is chosen by :func:`discretize_control`.
     """
-    m_arr = ProbVec(_unwrap(m)).weights
+    m_arr = ProbVec(_weights_of(m)).weights
     if bracket is None:
         horizon = 2.0 if T is None else float(T)
         bracket = solve_rate(m_arr, A, T=horizon, J=J)

@@ -27,11 +27,13 @@ occupation-measure formulation, ``solve_dv_rate``, computes the
 pair-measure rate by iterative proportional fitting and is exposed for
 cross-checks.
 
-The forward integrator evaluates the recursion in difference form
-``D_{j+1} = (eta_j - eta_{j+1}) + e^delta D_j`` with ``D_j = M_j - eta_j``
-(a first-order linear filter), which keeps equilibria exact in floating
-point, and re-centres each node onto sum 1 -- without this, rounding
-grows like ``e^T`` through the unstable forward dynamics.
+The linear flow ``M' = sigma (M - eta)`` is integrated here for both signs
+(``sigma = -1`` is the plan pipeline's reversed flow) by one piece map: under
+a control ``v + beta s`` the gap ``G = M - eta`` is ``e^{sigma s} G(0) -
+sigma beta expm1(sigma s)``, free of cancellation on steep pieces.  Nodes
+carry the gap in difference form, exact at equilibria, and are re-centred
+onto sum 1 (else rounding grows like ``e^T`` forward); the quadrature reuses
+the map.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
-from scipy.signal import lfilter
 from scipy.special import rel_entr
 
 from .errors import (
@@ -50,7 +51,7 @@ from .errors import (
     InfeasibleTrajectory,
     PreconditionViolation,
 )
-from .measures import Kernel, ProbVec
+from .measures import Kernel, ProbVec, _weights_of
 
 FEASIBILITY_ATOL = 1e-9      # node entries below -this mark the node infeasible
 BOUNDARY_LIFT = 1e-9         # queried m entries below this are lifted
@@ -64,6 +65,9 @@ _FULL_STEP_LAM2 = 0.25       # squared Newton decrement below which steps are fu
 _ARMIJO = 0.25               # sufficient-decrease fraction of damped steps
 _CENTRED_LAM2 = 1e-12        # squared Newton decrement that ends a centring
 _MAX_NEWTON = 1000           # Newton steps over all centrings
+
+_QUAD_CHUNK = 65536          # pieces per quadrature block
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,33 +139,80 @@ def _as_grid(M: np.ndarray) -> TrajectoryGrid:
 # flow and cost
 
 
-def _flow_nodes(start: np.ndarray, eta: np.ndarray, factor: float) -> np.ndarray:
-    """Nodes of ``M_{j+1} = eta_j + factor (M_j - eta_j)``, re-centred to sum 1.
-
-    Runs the recursion on ``D_j = M_j - eta_j``, a linear filter of control
-    differences that is exact at equilibrium.
-    """
-    K, d = eta.shape
-    D0 = start - eta[0]
-    if K > 1:
-        x = eta[:-1] - eta[1:]
-        D_rest = lfilter([1.0], [1.0, -factor], x, axis=0, zi=(factor * D0)[None, :])[0]
-        D = np.vstack([D0[None, :], D_rest])
+def _flow_gap(gap, slope, ds, sign: float):
+    """``M - eta`` at offset ``ds`` into a piece of ``M' = sign (M - eta)``
+    with control ``v + slope s`` and start gap ``gap``.  Scalar ``ds`` (node
+    recursion) uses libm's exponentials, bit-pinned to a linear-filter
+    reference by tests; arrays (quadrature) use numpy's, 1 ulp off at times."""
+    x = sign * ds
+    if isinstance(x, float):
+        e, em = math.exp(x), math.expm1(x)
     else:
-        D = D0[None, :]
-    M = np.empty((K + 1, d))
-    M[0] = start
-    M[1:] = eta + factor * D
-    M[1:] -= ((M[1:].sum(axis=1) - 1.0) / d)[:, None]
+        e, em = np.exp(x), np.expm1(x)
+    return e * gap - sign * em * slope
+
+
+def _flow_nodes(start, widths, v, slope, sign: float) -> np.ndarray:
+    """Nodes of ``M' = sign (M - eta)`` from ``start`` over linear control
+    pieces ``v_i + slope_i s`` of the given widths, re-centred to sum 1.
+    The recursion runs on Python floats: O(d) a step, rounded as in numpy."""
+    end = v + slope * widths[:, None]
+    lead = (end[:-1] - v[1:]).tolist()
+    D = (start - v[0]).tolist()
+    gaps = []
+    for i, (h, beta) in enumerate(zip(widths.tolist(), slope.tolist())):
+        gaps.append([_flow_gap(g, b, h, sign) for g, b in zip(D, beta)])
+        if i < len(lead):
+            D = [x + g for x, g in zip(lead[i], gaps[-1])]
+    M = np.vstack([start, end + np.array(gaps)])
+    M[1:] -= ((M[1:].sum(axis=1) - 1.0) / M.shape[1])[:, None]
     return M
 
 
 def integrate_forward(m, ctrl: PiecewiseControl) -> TrajectoryGrid:
     """Evolve ``m`` under ``ctrl``; flags mark nodes pushed out of the simplex."""
-    m_arr = m.weights if isinstance(m, ProbVec) else np.asarray(m, dtype=float)
+    m_arr = _weights_of(m)
     if m_arr.size != ctrl.d:
         raise DimensionMismatch("integrate_forward: dimension mismatch between m and control")
-    return _as_grid(_flow_nodes(m_arr, np.asarray(ctrl.eta, dtype=float), math.exp(ctrl.delta)))
+    eta = np.asarray(ctrl.eta, dtype=float)
+    return _as_grid(_flow_nodes(m_arr, np.full(ctrl.J, ctrl.delta), eta, np.zeros_like(eta), 1.0))
+
+
+def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -> float:
+    """``int w(s) R(eta(s) || M(s) A) ds`` over linear pieces of the control.
+
+    On ``[lo, hi]`` the control is ``eta(s) = v_lo + slope (s - lo)`` (a
+    constant piece has slope 0) and ``M_lo`` is the flow at ``lo``.  The
+    forward flow ``M' = M - eta`` is weighted by ``w(s) = e^{-s}``, the
+    reversed flow ``M' = eta - M`` by ``w(s) = e^{s - T}``; the in-piece flow
+    is :func:`_flow_gap`, the rule 16-point Gauss-Legendre.
+    """
+    sign = 1.0 if forward else -1.0
+    total = 0.0
+    for a in range(0, lo.size, _QUAD_CHUNK):
+        b = min(a + _QUAD_CHUNK, lo.size)
+        l, h = lo[a:b], hi[a:b]
+        vl, bt, Ml = v_lo[a:b], slope[a:b], M_lo[a:b]
+        half = 0.5 * (h - l)
+        s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
+        ds = s - l[:, None]
+        eta_s = vl[:, None, :] + bt[:, None, :] * ds[..., None]
+        M = eta_s + _flow_gap((Ml - vl)[:, None, :], bt[:, None, :], ds[..., None], sign)
+        r = rel_entr(eta_s, M @ Amat).sum(axis=2)
+        weight = np.exp(-s) if forward else np.exp(s - T)
+        total += float(((weight * r * _GL_W[None, :]).sum(axis=1) * half).sum())
+    return total
+
+
+def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Kernel) -> float:
+    """Continuous-time discounted cost of a piecewise-constant control.
+
+    Unlike the solver objective this integrates the exact in-piece flow,
+    so it differs from the left-endpoint sum by ``O(T/J)``.
+    """
+    edges = np.linspace(0.0, ctrl.T, ctrl.J + 1)
+    eta = np.asarray(ctrl.eta, dtype=float)
+    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), grid.M[:-1], forward=True)
 
 
 def _weights_vector(T: float, J: int) -> np.ndarray:
@@ -312,28 +363,25 @@ def _centre(M, Amat, w, e_delta: float, t: float, max_steps: int):
     return M, max_steps, False
 
 
-def _lift_boundary(m) -> tuple[np.ndarray, bool]:
-    w = m.weights if isinstance(m, ProbVec) else np.array(m, dtype=float)
-    if w.min() >= BOUNDARY_LIFT:
-        return w.copy(), False
-    lifted = np.maximum(w, BOUNDARY_LIFT)
-    return lifted / lifted.sum(), True
-
-
 def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBracket:
     """Minimize the discretized discounted cost from ``m`` by a log-barrier
     Newton method over the trajectory nodes.
 
     Returns the bracket ``[lower, lower + e^{-T} log(1/delta0)]`` along with
-    the optimal control and trajectory and solve diagnostics.  Queried
-    points on (or numerically at) the simplex boundary are lifted inward by
-    ``1e-9`` and renormalized, recorded in ``diagnostics.boundary_lifted``.
+    the optimal control and trajectory and solve diagnostics.  ``m`` must be
+    a :class:`ProbVec` or within ``1e-9`` of the simplex.  Points on (or
+    numerically at) the simplex boundary are lifted inward by ``1e-9`` and
+    renormalized, recorded in ``diagnostics.boundary_lifted``.
     """
     if J is None:
         J = max(1, int(round(20 * T)))
     if not (T > 0 and J >= 1):
         raise PreconditionViolation("solve_rate: need T > 0 and J >= 1")
-    m_arr, lifted = _lift_boundary(m)
+    m_arr = ProbVec(_weights_of(m)).weights
+    lifted = bool(m_arr.min() < BOUNDARY_LIFT)
+    if lifted:
+        m_arr = np.maximum(m_arr, BOUNDARY_LIFT)
+        m_arr = m_arr / m_arr.sum()
     d = m_arr.size
     if d != A.d:
         raise DimensionMismatch("solve_rate: m and A dimensions differ")
@@ -387,7 +435,7 @@ def solve_dv_rate(theta, A: Kernel, tol: float = 1e-12, max_iters: int = 100000)
     marginals both equal ``theta``, by iterative proportional fitting
     restricted to the support of ``theta``.
     """
-    th = theta.weights if isinstance(theta, ProbVec) else np.asarray(theta, dtype=float)
+    th = _weights_of(theta)
     if th.size != A.d:
         raise DimensionMismatch("solve_dv_rate: theta and A dimensions differ")
     support = th > 0.0
@@ -450,7 +498,7 @@ def rate_profile(
 ) -> list[RateProfileRow]:
     """Solve many query points; results are ordered like the input
     regardless of the worker pool size."""
-    tasks = [(A, np.asarray(m.weights if isinstance(m, ProbVec) else m, dtype=float), T, J, dv) for m in ms]
+    tasks = [(A, _weights_of(m), T, J, dv) for m in ms]
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_profile_one, tasks, chunksize=1))

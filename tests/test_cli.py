@@ -246,6 +246,17 @@ def test_unreadable_config_is_config_error(tmp_path):
     assert main(["simulate", "--config", missing]) == 2
 
 
+@pytest.mark.parametrize("point", [[0.5, 0.6], [1.4, -0.4]])
+def test_off_simplex_rate_point_is_config_error(tmp_path, capsys, point):
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [point], "T": 2.0, "J": 40},
+    })
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+    assert "ProbVec" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rate_profile.csv").exists()
+
+
 def test_negative_horizon_is_precondition_error(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},

@@ -1,6 +1,7 @@
 """Tests for the reversed-schedule construction and its simulation harness."""
 
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ LIGHT_TARGET = (0.6, 0.4)
 @pytest.fixture(scope="module")
 def bench_plan():
     # boundary-hugging target: every stage of the construction is active;
-    # tight budgets (slack 1) keep the schedule length moderate
+    # slack 1 is the plan acceptance criteria C9/C10 and the perfbench plan
+    # workload were calibrated on (5,120 schedule rows; slack 10 gives 320)
     return build_plan(BENCH_TARGET, BENCH, T=2.0, slack=1.0)
 
 
@@ -167,6 +169,49 @@ def test_reversed_flow_nodes_solve_the_ode_on_linear_pieces():
         )
         M = sol.y[:, -1]
         assert np.abs(nodes[i + 1] - M).max() < 1e-10
+
+
+def _steep_ramp_path(n_ramps=40, width=1e-4):
+    """Flat pieces joined by ramps ``width`` wide, slopes up to ~1e4.  Rows are
+    dyadic pairs ``(a, 1 - a)`` and slopes ``(s, -s)``, so the exact flow stays
+    on sum 1 and re-centring moves no node."""
+    rng = np.random.default_rng(1)
+    breaks = np.concatenate([[0.0], np.cumsum(np.tile([1.0 / n_ramps - width, width], n_ramps))])
+    a = rng.integers(0, 65, size=n_ramps + 1) / 64.0
+    start = np.zeros((2 * n_ramps, 2))
+    slope = np.zeros((2 * n_ramps, 2))
+    start[:, 0] = np.repeat(a[:-1], 2)
+    slope[1::2, 0] = (a[1:] - a[:-1]) / width
+    start[:, 1] = 1.0 - start[:, 0]
+    slope[:, 1] = -slope[:, 0]
+    return PiecewiseLinearPath(breaks, start, slope)
+
+
+def test_reversed_flow_nodes_match_a_decimal_reference_on_steep_ramps():
+    """40-digit reference of ``M(h) = v + beta h + e^{-h} (M(0) - v) + beta (e^{-h} - 1)``.
+
+    The form ``-beta + e^{-h} (M(0) - v + beta)`` cancels on these ramps and
+    is off by about 1e-12.
+    """
+    path = _steep_ramp_path()
+    q = np.array([0.25, 0.75])
+    got = reversed_flow_nodes(q, path)
+    b, v, beta = path.breaks, path.start, path.slope
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        M = [Decimal(x) for x in q]
+        for i in range(len(b) - 1):
+            h = Decimal(b[i + 1]) - Decimal(b[i])
+            e = (-h).exp()
+            M = [
+                Decimal(v[i, k]) + Decimal(beta[i, k]) * h + e * (M[k] - Decimal(v[i, k]))
+                + Decimal(beta[i, k]) * (e - 1)
+                for k in range(2)
+            ]
+            worst = max(worst, *(abs(float(Decimal(got[i + 1, k]) - M[k])) for k in range(2)))
+    assert np.abs(path.slope).max() > 5e3
+    assert worst <= 1e-15
 
 
 def test_piecewise_constant_path_semantics():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.signal import lfilter
 from scipy.special import rel_entr
 
 from reinforced_ldp.errors import (
@@ -16,6 +17,7 @@ from reinforced_ldp.measures import (
     relative_entropy,
     stationary_distribution,
 )
+from reinforced_ldp.lowerbound import integrate_reversed
 from reinforced_ldp.ratesolver import (
     PiecewiseControl,
     _barrier_value,
@@ -92,6 +94,38 @@ def test_equilibrium_trajectory_is_bit_exact():
     grid = integrate_forward(m, _tile_control(m, 14.0, 280))
     assert np.array_equal(grid.M, np.tile(m, (281, 1)))
     assert grid.all_feasible
+
+
+def _lfilter_flow_nodes(start, eta, factor):
+    """Reference for constant pieces of equal width: ``M_{j+1} = eta_j + factor (M_j - eta_j)``
+    as the linear filter ``D_{j+1} = (eta_j - eta_{j+1}) + factor D_j``, re-centred to sum 1."""
+    K, d = eta.shape
+    D0 = start - eta[0]
+    if K > 1:
+        D_rest = lfilter([1.0], [1.0, -factor], eta[:-1] - eta[1:], axis=0, zi=(factor * D0)[None, :])[0]
+        D = np.vstack([D0[None, :], D_rest])
+    else:
+        D = D0[None, :]
+    M = np.empty((K + 1, d))
+    M[0] = start
+    M[1:] = eta + factor * D
+    M[1:] -= ((M[1:].sum(axis=1) - 1.0) / d)[:, None]
+    return M
+
+
+def test_uniform_integrators_match_the_lfilter_reference_bitwise():
+    """Zero slopes reduce the piece map to the filter's ``x + f D``, in both directions."""
+    rng = np.random.default_rng(11)
+    for trial, K in enumerate([1, 2, 400, *rng.integers(1, 401, size=57).tolist()]):
+        d = 2 + trial % 3
+        start = rng.dirichlet(np.ones(d))
+        eta = rng.dirichlet(np.ones(d), size=K)
+        T = float(rng.uniform(0.05, 6.0))
+        fwd = integrate_forward(start, PiecewiseControl(T=T, J=K, eta=eta)).M
+        assert np.array_equal(fwd, _lfilter_flow_nodes(start, eta, math.exp(T / K)))
+        c = T / K
+        rev = integrate_reversed(start, eta, c).M
+        assert np.array_equal(rev, _lfilter_flow_nodes(start, eta, math.exp(-c)))
 
 
 def test_trajectory_rows_sum_to_one():
