@@ -28,10 +28,18 @@ the step is redrawn with numpy's ``cumsum((count / k) @ A)``, so every
 draw is bit-identical to sampling from ``L^k A`` as computed by numpy.
 The fallback of :func:`~reinforced_ldp.lowerbound.run_plan` shares the
 loop.
+
+Many draws at once go through one column scan (:func:`_column_scan`):
+``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF, with no
+``(draws, d)`` temporary.  A batch step scans the CDF of every path's
+``L^k A``; :func:`~reinforced_ldp.lowerbound.run_plan` scans ``q``'s CDF
+for its head and the schedule's, row by grid clock, for its scheduled
+phase.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,11 +184,28 @@ def _validate_x0(x0: int, d: int) -> int:
     return int(x0)
 
 
-def _inverse_cdf_rows(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Smallest index x with u <= CDF(x), one draw per row (0-based)."""
-    cdf = np.cumsum(prob_rows, axis=1)
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
+def _as_count(n, name: str) -> int:
+    """``n`` as a Python int; a value that is not an integer raises."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise PreconditionViolation(f"{name} must be an integer, got {n!r}") from None
+
+
+def _column_scan(cdf: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
+    """0-based draws ``x = sum_{i<d-1} [u > C_i]``, one CDF column at a time.
+
+    ``cdf`` holds the ``d`` CDF values ``C_0..C_{d-1}`` along its last axis:
+    one row for every draw, one row per draw, or, given ``rows``, row
+    ``rows[t]`` for draw ``t``.  For a nonnegative row the float CDF is
+    nondecreasing, so ``x`` is the smallest index with ``u <= C_x``, clamped
+    to ``d-1``; ``C_{d-1}`` is never read.
+    """
+    x = np.zeros(u.shape, dtype=np.int64)
+    for i in range(cdf.shape[-1] - 1):
+        column = cdf[..., i]
+        x += u > (column if rows is None else column.take(rows))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +296,7 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndar
 
 def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
     """Simulate ``n`` steps of the reinforced chain (stream 0 of ``seed``)."""
+    n = _as_count(n, "simulate_chain: n")
     if n < 1:
         raise PreconditionViolation(f"simulate_chain: n must be >= 1, got {n}")
     d = A.d
@@ -296,8 +322,12 @@ def simulate_chain_batch(
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
     Path ``i`` consumes stream ``i`` of ``seed``, so path 0 reproduces
-    ``simulate_chain(A, x0, n, seed)``.
+    ``simulate_chain(A, x0, n, seed)``.  Each step forms the CDF
+    ``cumsum((counts / k) @ A)`` of every path in the chunk and draws all
+    their states with one column scan.
     """
+    n = _as_count(n, "simulate_chain_batch: n")
+    n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")
     if n < 1 or n_paths < 1:
         raise PreconditionViolation("simulate_chain_batch: n and n_paths must be >= 1")
     d = A.d
@@ -312,9 +342,8 @@ def simulate_chain_batch(
         counts[:, x0 - 1] = 1
         rows = np.arange(r)
         for k in range(1, n):
-            prob = (counts / float(k)) @ Amat
-            x = _inverse_cdf_rows(prob, u[:, k - 1])
-            counts[rows, x] += 1
+            cdf = np.cumsum((counts / float(k)) @ Amat, axis=1)
+            counts[rows, _column_scan(cdf, u[:, k - 1])] += 1
         out[lo:hi] = counts
         del u  # before the next chunk draws its own
     return out
@@ -367,6 +396,7 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     ``policy(k, Lbar)`` supplies the distribution of update ``k`` given the
     measure after ``k-1`` updates, for ``k = 1..n``.
     """
+    n = _as_count(n, "simulate_controlled: n")
     if n < 1:
         raise PreconditionViolation(f"simulate_controlled: n must be >= 1, got {n}")
     d = A.d
@@ -432,12 +462,21 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
 
     Left: relative entropy between the two occupation measures.  Right: the
     per-step average ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree
-    to floating-point rounding.
+    to floating-point rounding.  Both read one product ``rho = Lbar A``; the
+    left side divides in step order and sums the atoms in the reversed-time
+    order of :func:`occupation_measures`, so it equals the relative entropy
+    of that function's ``beta`` and ``theta`` bit for bit.
     """
-    occ = occupation_measures(path, A)
-    lhs = float(rel_entr(occ.beta, occ.theta).sum())
-    rho = path.Lbar[: path.n] @ A.matrix
-    rhs = float(rel_entr(path.mu, rho).sum() / path.n)
+    n = path.n
+    rho = path.Lbar[:n] @ A.matrix
+    rhs = float(rel_entr(path.mu, rho).sum() / n)
+    # rho and beta are this call's own temporaries: the atoms overwrite rho,
+    # and their reversed copy overwrites beta
+    rho /= n
+    beta = path.mu / n
+    rel_entr(beta, rho, out=rho)
+    beta[...] = rho[::-1]
+    lhs = float(beta.sum())
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         raise PolicyError("infinite running cost: control mass escaped the kernel support")
     return lhs, rhs

@@ -43,7 +43,8 @@ from ._format import write_csv
 from .chains import (
     ControlledPath,
     _cached_grid,
-    _inverse_cdf_rows,
+    _as_count,
+    _column_scan,
     _reinforced_draws,
     _validate_x0,
     path_rng,
@@ -552,20 +553,25 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     Steps ``1..a0+1`` draw i.i.d. from ``q`` with ``a0`` the grid index of
     ``t_n - T``; if the empirical measure then sits within ``eps0`` of
     ``q`` the remaining steps read the schedule by grid clock, otherwise
-    the run falls back to the zero-cost reference policy.  The fallback is
-    the reinforced chain continued from the head's counts, drawn by the
-    single-path loop of :mod:`~reinforced_ldp.chains`, with control rows
-    ``mu_k = Lbar_{k-1} A``.  The empirical measure is assembled in closed
-    counts form, which is exact in exact arithmetic and agrees with the
-    sequential update to rounding.
+    the run falls back to the zero-cost reference policy.  The head and
+    the scheduled phase draw by one column scan of a CDF computed once per
+    call: ``q``'s, and the schedule's, whose row ``j`` of the grid clock is
+    read per column.  The fallback is the reinforced chain continued from
+    the head's counts, drawn by the single-path loop of
+    :mod:`~reinforced_ldp.chains`, with control rows ``mu_k = Lbar_{k-1} A``.
+    The empirical measure is assembled in closed counts form, one state
+    ``x`` at a time: ``Lbar[k, x] = (e0[x] + #{i <= k : X_i = x}) / (k+1)``
+    from the running count of ``x`` in exact integers, which agrees with
+    the sequential update to rounding.
     """
     d = A.d
     if plan.q.d != d:
         raise DimensionMismatch("run_plan: plan and kernel dimensions differ")
     if not eps0 > 0.0:
         raise PreconditionViolation("run_plan: eps0 must be positive")
+    n = _as_count(n, "run_plan: n")
     x0 = _validate_x0(x0, d)
-    grid = _cached_grid(int(n))
+    grid = _cached_grid(n)
     t_n = grid.horizon
     if t_n <= plan.T:
         raise PreconditionViolation(
@@ -581,8 +587,8 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
 
     states = np.empty(n, dtype=np.int64)
     mu = np.empty((n, d))
-    x1 = _inverse_cdf_rows(np.broadcast_to(q, (n1, d)), u[:n1])
-    states[:n1] = x1 + 1
+    x1 = _column_scan(np.cumsum(q), u[:n1])
+    states[:n1] = x1
     mu[:n1] = q
 
     e0 = np.zeros(d)
@@ -593,20 +599,23 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
 
     if an:
         # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
-        x2 = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
+        states[n1:] = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
     else:
         sigma = grid.times[n1]
         clock = grid.times[n1 + 1 : n + 1] - sigma
         j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
-        mu[n1:] = plan.schedule[j]
-        x2 = _inverse_cdf_rows(mu[n1:], u[n1:])
-    states[n1:] = x2 + 1
+        np.take(plan.schedule, j, axis=0, out=mu[n1:])
+        states[n1:] = _column_scan(np.cumsum(plan.schedule, axis=1), u[n1:], j)
 
-    one_hot = np.zeros((n, d))
-    one_hot[np.arange(n), states - 1] = 1.0
     Lbar = np.empty((n + 1, d))
     Lbar[0] = e0
-    Lbar[1:] = (e0 + np.cumsum(one_hot, axis=0)) / np.arange(2, n + 2, dtype=float)[:, None]
+    steps = np.arange(2, n + 2, dtype=float)
+    counts = np.empty(n)
+    for x in range(d):
+        np.cumsum(states == x, dtype=float, out=counts)
+        counts += e0[x]
+        np.divide(counts, steps, out=Lbar[1:, x])
+    states += 1
     if an:
         # update k of the fallback reads Lbar[k-1] A
         mu[n1:] = Lbar[n1:n] @ A.matrix
@@ -617,7 +626,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     terminal = Lbar[n]
     terminal_error = float(np.abs(terminal - plan.M_hat.M[-1]).sum())
     return PlanRun(
-        n=int(n),
+        n=n,
         a0=a0,
         eps0=float(eps0),
         an_occurred=an,

@@ -5,6 +5,7 @@ import pytest
 
 from reinforced_ldp.chains import (
     TimeGrid,
+    _column_scan,
     _reinforced_draws,
     occupation_measures,
     path_rng,
@@ -186,6 +187,82 @@ def test_philox_uniforms_matches_numpy_philox(seed, count):
     assert u.shape == (len(streams), count)
     for row, stream in zip(u, streams):
         assert np.array_equal(row, path_rng(seed, stream).random(count))
+
+
+def _inverse_cdf_rows(prob_rows, u):
+    """Smallest index x with u <= CDF(x), one draw per row (0-based), by
+    counting all ``d`` CDF values below ``u`` and clamping: the draw oracle."""
+    cdf = np.cumsum(prob_rows, axis=1)
+    idx = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[1] - 1)
+
+
+# (row, u, draw): u equal to a CDF value, a zero-probability column (two equal
+# CDF values), and u above a row total below 1, which only the clamp keeps at d-1
+CRAFTED_DRAWS = [
+    ([0.25, 0.25, 0.5], 0.25, 0),
+    ([0.25, 0.25, 0.5], 0.5, 1),
+    ([0.25, 0.25, 0.5], 0.5000000000000001, 2),
+    ([0.25, 0.0, 0.75], 0.25, 0),
+    ([0.25, 0.0, 0.75], 0.25000000000000006, 2),
+    ([0.0, 0.5, 0.5], 0.0, 0),
+    ([0.0, 0.5, 0.5], 1e-300, 1),
+    ([0.3, 0.3, 0.3], 0.95, 2),
+    ([0.6, 0.3], 0.95, 1),
+    ([0.2, 0.2, 0.2, 0.2], 0.9, 3),
+]
+
+
+@pytest.mark.parametrize("row, u, draw", CRAFTED_DRAWS)
+def test_column_scan_matches_the_clamped_count_on_crafted_rows(row, u, draw):
+    rows = np.array([row])
+    cdf = np.cumsum(rows, axis=1)
+    expect = _inverse_cdf_rows(rows, np.array([u]))
+    assert expect.tolist() == [draw]
+    # one row per draw, one row for every draw, and rows picked by index
+    assert _column_scan(cdf, np.array([u])).tolist() == [draw]
+    assert _column_scan(cdf[0], np.full(3, u)).tolist() == [draw] * 3
+    assert _column_scan(cdf, np.full(2, u), np.zeros(2, dtype=np.int64)).tolist() == [draw] * 2
+
+
+def _reference_batch(A, x0, n, n_paths, seed, chunk):
+    """``simulate_chain_batch`` drawing each step with :func:`_inverse_cdf_rows`: the batch oracle."""
+    out = np.empty((n_paths, A.d), dtype=np.int64)
+    for lo in range(0, n_paths, chunk):
+        hi = min(lo + chunk, n_paths)
+        u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
+        counts = np.zeros((hi - lo, A.d), dtype=np.int64)
+        counts[:, x0 - 1] = 1
+        for k in range(1, n):
+            prob = (counts / float(k)) @ A.matrix
+            counts[np.arange(hi - lo), _inverse_cdf_rows(prob, u[:, k - 1])] += 1
+        out[lo:hi] = counts
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_simulate_chain_batch_matches_the_count_and_clamp_loop(d):
+    A = Kernel(0.9 * np.random.default_rng(d).dirichlet(np.ones(d), size=d) + 0.1 / d)
+    for x0 in (1, d):
+        got = simulate_chain_batch(A, x0, 40, 300, SEED + d, chunk=128)
+        assert np.array_equal(got, _reference_batch(A, x0, 40, 300, SEED + d, 128))
+
+
+def test_non_integer_step_count_is_precondition_error():
+    calls = (
+        lambda n: simulate_chain(BENCH, 1, n, SEED),
+        lambda n: simulate_chain_batch(BENCH, 1, n, 3, SEED),
+        lambda n: simulate_chain_batch(BENCH, 1, 20, n, SEED),
+        lambda n: simulate_controlled(BENCH, 1, feedback, n, SEED),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionViolation, match="must be an integer"):
+            call(20.0)
+    path = simulate_chain(BENCH, 1, np.int64(20), SEED)
+    assert type(path.n) is int and path.n == 20
+    assert type(simulate_controlled(BENCH, 1, feedback, np.int64(20), SEED).n) is int
+    assert np.array_equal(simulate_chain_batch(BENCH, 1, np.int64(20), np.int64(3), SEED),
+                          simulate_chain_batch(BENCH, 1, 20, 3, SEED))
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])

@@ -147,6 +147,28 @@ def test_lowerbound_plan_json(tmp_path):
     assert re.match(r"^config_sha256=[0-9a-f]{64} seed=2$", doc["provenance"])
 
 
+# SHA-256 of `lowerbound` on the bench kernel at m=(0.5, 0.5), T=2, slack 1,
+# seed 0, with a cost trend over n=1000, 2000 (4 seeds) and two runs at n=10000,
+# as written by the one-hot run assembly; any rewrite of the draws or costs must keep them
+LOWERBOUND_DIGESTS = {
+    "plan.json": "6b1deadb494d508e6d850e0562d7e594d613257ce1dbd3fc85055b41533c0091",
+    "cost_trend.csv": "91d921eaa6295530af3b4832d7b9dd46baf113d1c5a4cefb94c99535f46d4d45",
+    "runs.csv": "6a05ce7c67106357ff22ef8f5056fd25854aaeb3476f9402b7cd24c2383e65d3",
+}
+
+
+def test_lowerbound_artifacts_match_golden_digests(tmp_path):
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "lowerbound": {"m": [0.5, 0.5], "T": 2.0, "slack": 1.0, "eps0": 0.3,
+                       "n_list": [1000, 2000], "n_seeds": 4, "runs": {"n": 10000, "n_seeds": 2}},
+    })
+    out = tmp_path / "out"
+    assert main(["lowerbound", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LOWERBOUND_DIGESTS}
+    assert digests == LOWERBOUND_DIGESTS
+
+
 def test_retired_lowerbound_keys_are_ignored(tmp_path):
     """The retired keys ``kappa3`` and ``max_intervals`` change neither the plan nor its provenance."""
     plan = {"m": [0.3, 0.7], "T": 2.0, "slack": 1.0, "eps0": 0.3}

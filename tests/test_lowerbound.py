@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.special import rel_entr
 
-from reinforced_ldp.chains import ControlledPath, TimeGrid, _inverse_cdf_rows, path_rng
+from reinforced_ldp.chains import ControlledPath, TimeGrid, occupation_measures, path_rng, simulate_controlled
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_EPS_TARGET,
@@ -389,8 +390,27 @@ def test_run_plan_fallback_on_early_exit(bench_plan):
     assert run.path.mu.min() >= 0.0
 
 
-def _reference_fallback_run(plan, A, n, seed):
-    """``run_plan`` from x0 = 1 with the fallback taken, one numpy dispatch per step: the oracle."""
+def _inverse_cdf_rows(prob_rows, u):
+    """Smallest index x with u <= CDF(x), one draw per row (0-based), by
+    counting all ``d`` CDF values below ``u`` and clamping: the draw oracle."""
+    cdf = np.cumsum(prob_rows, axis=1)
+    idx = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(idx, prob_rows.shape[1] - 1)
+
+
+def _two_product_chain_rule(path, A):
+    """Both sides of the chain-rule identity, the left through
+    ``occupation_measures`` with its own product ``Lbar A``: the cost oracle."""
+    occ = occupation_measures(path, A)
+    lhs = float(rel_entr(occ.beta, occ.theta).sum())
+    rho = path.Lbar[: path.n] @ A.matrix
+    rhs = float(rel_entr(path.mu, rho).sum() / path.n)
+    return lhs, rhs
+
+
+def _reference_run(plan, A, n, eps0, seed, x0=1):
+    """``run_plan`` with gathered schedule rows, a fallback of one numpy
+    dispatch per step and a one-hot ``Lbar``: the run oracle."""
     d = A.d
     grid = TimeGrid(n)
     n1 = int(grid.index_of(grid.horizon - plan.T)) + 1
@@ -402,30 +422,89 @@ def _reference_fallback_run(plan, A, n, seed):
     states[:n1] = x1 + 1
     mu[:n1] = q
     e0 = np.zeros(d)
-    e0[0] = 1.0
+    e0[x0 - 1] = 1.0
     cnt = np.bincount(x1, minlength=d).astype(float)
-    for k in range(n1 + 1, n + 1):
-        wrow = ((e0 + cnt) / k) @ A.matrix
-        mu[k - 1] = wrow
-        x = min(int(np.searchsorted(np.cumsum(wrow), u[k - 1], side="left")), d - 1)
-        states[k - 1] = x + 1
-        cnt[x] += 1.0
+    an = bool(np.abs((e0 + cnt) / (n1 + 1.0) - q).sum() >= eps0)
+    if an:
+        for k in range(n1 + 1, n + 1):
+            cdf = np.cumsum(((e0 + cnt) / k) @ A.matrix)
+            x = min(int(np.searchsorted(cdf, u[k - 1], side="left")), d - 1)
+            states[k - 1] = x + 1
+            cnt[x] += 1.0
+    else:
+        clock = grid.times[n1 + 1 : n + 1] - grid.times[n1]
+        j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
+        mu[n1:] = plan.schedule[j]
+        states[n1:] = _inverse_cdf_rows(mu[n1:], u[n1:]) + 1
     one_hot = np.zeros((n, d))
     one_hot[np.arange(n), states - 1] = 1.0
     Lbar = np.empty((n + 1, d))
     Lbar[0] = e0
     Lbar[1:] = (e0 + np.cumsum(one_hot, axis=0)) / np.arange(2, n + 2, dtype=float)[:, None]
-    path = ControlledPath(n=n, d=d, x0=1, seed=seed, states=states, mu=mu, Lbar=Lbar)
-    return path, verify_chain_rule_identity(path, A)
+    if an:
+        # as run_plan forms them: one product, whose rows can differ in the
+        # last bit from per-step row products (they do at d = 4)
+        mu[n1:] = Lbar[n1:n] @ A.matrix
+    path = ControlledPath(n=n, d=d, x0=x0, seed=seed, states=states, mu=mu, Lbar=Lbar)
+    return path, _two_product_chain_rule(path, A)
 
 
 def test_run_plan_fallback_matches_reference_loop(bench_plan):
     run = run_plan(bench_plan, BENCH, 2_000, 1e-12, seed=3)
-    path, (lhs, rhs) = _reference_fallback_run(bench_plan, BENCH, 2_000, 3)
+    path, (lhs, rhs) = _reference_run(bench_plan, BENCH, 2_000, 1e-12, 3)
     assert run.an_occurred
     for name in ("states", "mu", "Lbar"):
         assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
     assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+
+
+D3 = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+D4 = Kernel([[0.4, 0.3, 0.2, 0.1], [0.1, 0.5, 0.2, 0.2], [0.2, 0.2, 0.4, 0.2], [0.25, 0.25, 0.25, 0.25]])
+
+
+@pytest.fixture(scope="module")
+def plans_by_dimension(bench_plan):
+    return {
+        2: (BENCH, bench_plan),
+        3: (D3, build_plan((0.2, 0.3, 0.5), D3, T=1.0, slack=1.0)),
+        4: (D4, build_plan((0.1, 0.2, 0.3, 0.4), D4, T=1.0, slack=1.0)),
+    }
+
+
+# eps0 = 3 exceeds every l1 distance between measures; eps0 = 1e-12 is exceeded at once
+@pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
+@pytest.mark.parametrize("start", ["first", "last"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_run_plan_matches_the_one_hot_reference(plans_by_dimension, d, start, eps0):
+    A, plan = plans_by_dimension[d]
+    x0 = 1 if start == "first" else d
+    run = run_plan(plan, A, 3_000, eps0, seed=5, x0=x0)
+    path, (lhs, rhs) = _reference_run(plan, A, 3_000, eps0, 5, x0)
+    assert run.an_occurred == (eps0 < 1.0)
+    for name in ("states", "mu", "Lbar"):
+        assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
+    assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+
+
+@pytest.mark.parametrize("source", ["simulate_controlled", "run_plan_scheduled", "run_plan_fallback"])
+def test_chain_rule_check_matches_the_two_product_formula(bench_plan, source):
+    if source == "simulate_controlled":
+        def policy(k, Lbar):
+            return 0.6 * (Lbar @ BENCH.matrix) + 0.4 * np.array([0.3, 0.7])
+
+        path = simulate_controlled(BENCH, 1, policy, 5_000, 11)
+    else:
+        path = run_plan(bench_plan, BENCH, 10_000, 1e-12 if source.endswith("fallback") else 3.0, seed=11).path
+    lhs, rhs = verify_chain_rule_identity(path, BENCH)
+    assert (lhs, rhs) == _two_product_chain_rule(path, BENCH)
+
+
+def test_run_plan_step_count_must_be_an_integer(bench_plan):
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        run_plan(bench_plan, BENCH, 10_000.0, 0.3, seed=3)
+    run = run_plan(bench_plan, BENCH, np.int64(5_000), 0.3, seed=3)
+    assert type(run.n) is int and type(run.path.n) is int
+    assert np.array_equal(run.path.Lbar, run_plan(bench_plan, BENCH, 5_000, 0.3, seed=3).path.Lbar)
 
 
 def test_run_plan_alternate_start(bench_plan):
