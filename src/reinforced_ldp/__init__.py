@@ -2,7 +2,7 @@
 
 The package covers the full experimental loop: probability primitives
 (:mod:`~reinforced_ldp.measures`), chain and controlled-chain simulation
-with occupation measures (:mod:`~reinforced_ldp.chains`), exact count
+with the chain-rule check (:mod:`~reinforced_ldp.chains`), exact count
 laws (:mod:`~reinforced_ldp.exact`), the discounted-cost rate solver
 (:mod:`~reinforced_ldp.ratesolver`), reversed-plan construction and
 scheduled runs (:mod:`~reinforced_ldp.lowerbound`), and the acceptance
@@ -33,9 +33,7 @@ from .measures import (
 from .chains import (
     ChainPath,
     ControlledPath,
-    DiscountedOccupation,
     TimeGrid,
-    occupation_measures,
     path_rng,
     simulate_chain,
     simulate_chain_batch,
@@ -105,7 +103,6 @@ __all__ = [
     "CountLaw",
     "CriterionResult",
     "DimensionMismatch",
-    "DiscountedOccupation",
     "DiscretizeResult",
     "FiniteNRate",
     "InfeasibleTrajectory",
@@ -143,7 +140,6 @@ __all__ = [
     "kernel_apply",
     "mix_with_stationary",
     "mollify_control",
-    "occupation_measures",
     "path_rng",
     "plan_to_json",
     "rate_profile",

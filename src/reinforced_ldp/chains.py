@@ -1,4 +1,4 @@
-"""Reinforced-chain simulation, controlled companions, and occupation measures.
+"""Reinforced-chain simulation, controlled companions, and the chain-rule check.
 
 The reinforced chain on ``{1..d}`` starts at ``x0`` and, given the running
 empirical measure ``L^k = (count vector after k steps) / k``, draws its next
@@ -20,21 +20,17 @@ uniforms at once from :func:`philox_uniforms`, a vectorized Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, SC'11) that reproduces numpy's Philox
 streams bit for bit.
 
-A single path turns its uniforms into states in a scalar loop
-(:func:`_reinforced_draws`): the running row ``count @ A`` is kept in
-Python floats, one row of ``A`` added per step, so a step costs O(d).
-Where a uniform lies within the rounding bound ``tol(k)`` of a CDF edge,
-the step is redrawn with numpy's ``cumsum((count / k) @ A)``, so every
-draw is bit-identical to sampling from ``L^k A`` as computed by numpy.
-The fallback of :func:`~reinforced_ldp.lowerbound.run_plan` shares the
-loop.
-
-Many draws at once go through one column scan (:func:`_column_scan`):
-``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF, with no
-``(draws, d)`` temporary.  A batch step scans the CDF of every path's
-``L^k A``; :func:`~reinforced_ldp.lowerbound.run_plan` scans ``q``'s CDF
-for its head and the schedule's, row by grid clock, for its scheduled
-phase.
+Every state is drawn by one rule, the column scan :func:`_column_scan`:
+``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF ``C``, the smallest
+``x`` with ``u <= C_x``, clamped to ``d-1``.  Batch steps, controlled steps
+and :func:`~reinforced_ldp.lowerbound.run_plan` scan their CDFs.  A single
+path, and the fallback of ``run_plan``, apply the rule in a scalar loop
+(:func:`_reinforced_draws`) over a running row ``count @ A`` kept in Python
+floats, one row of ``A`` added per step, so a step costs O(d).  Where a
+uniform lies within the rounding bound ``tol(k)`` of a CDF edge, the step is
+redrawn by scanning numpy's ``cumsum((count / k) @ A)``, so every draw is
+bit-identical to sampling from ``L^k A`` as computed by numpy.  Every
+controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 """
 from __future__ import annotations
 
@@ -55,6 +51,8 @@ _MASK64 = (1 << 64) - 1
 _CSV_BLOCK_ROWS = 512
 # uniforms per Python-list block in _reinforced_draws, for the same reason
 _DRAW_BLOCK = 4096
+# paths per block of simulate_chain_batch, which holds the block's uniforms at once
+_BATCH_CHUNK = 8192
 _EPS = 2.0**-53
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
@@ -178,18 +176,20 @@ def _cached_grid(n: int) -> TimeGrid:
     return TimeGrid(n)
 
 
-def _validate_x0(x0: int, d: int) -> int:
-    if not 1 <= int(x0) <= d:
-        raise DimensionMismatch(f"x0={x0} outside 1..{d}")
-    return int(x0)
-
-
 def _as_count(n, name: str) -> int:
     """``n`` as a Python int; a value that is not an integer raises."""
     try:
         return operator.index(n)
     except TypeError:
         raise PreconditionViolation(f"{name} must be an integer, got {n!r}") from None
+
+
+def _validate_x0(x0, d: int) -> int:
+    """The 1-based start state ``x0`` as a Python int in ``1..d``."""
+    x0 = _as_count(x0, "x0")
+    if not 1 <= x0 <= d:
+        raise DimensionMismatch(f"x0={x0} outside 1..{d}")
+    return x0
 
 
 def _column_scan(cdf: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
@@ -238,10 +238,11 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndar
     ``count[x]`` and to ``k``; ``count`` holds exact integers summing to
     ``k``.  The running row ``r = count @ Amat`` is kept in Python floats
     and row ``Amat[x]`` is added after each draw, so a step costs O(d);
-    the CDF ``cumsum(r / k)`` is scanned over indices ``0..d-2``.  A step
-    whose ``u`` lies within ``tol(k)`` of a scanned CDF value is redrawn
-    with numpy's ``searchsorted(cumsum((count / k) @ Amat), u, "left")``,
-    so every draw equals that expression's bit for bit.
+    the CDF ``cumsum(r / k)`` is scanned over indices ``0..d-2``, which is
+    the rule of :func:`_column_scan` in Python floats.  A step whose ``u``
+    lies within ``tol(k)`` of a scanned CDF value is redrawn by
+    :func:`_column_scan` on numpy's ``cumsum((count / k) @ Amat)``, so every
+    draw equals that scan's bit for bit.
 
     ``tol(k)``: let ``eps = 2**-53`` and ``gamma_n = n eps / (1 - n eps)``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1:
@@ -277,9 +278,9 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndar
                 c += r[x] / kk
                 if ut <= c + tol:
                     if ut > c - tol:
-                        # u sits within tol(k) of a CDF edge: draw as numpy does
+                        # u sits within tol(k) of a CDF edge: draw from numpy's CDF
                         cdf = np.cumsum((np.array(cnt) / kk) @ Amat)
-                        x = min(int(np.searchsorted(cdf, ut, side="left")), last)
+                        x = int(_column_scan(cdf, np.array([ut]))[0])
                     break
             else:
                 x = last
@@ -316,15 +317,14 @@ def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
     return ChainPath(n=n, d=d, x0=x0, seed=int(seed), states=states, counts=counts, L=L)
 
 
-def simulate_chain_batch(
-    A: Kernel, x0: int, n: int, n_paths: int, seed: int, chunk: int = 8192
-) -> np.ndarray:
+def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
     Path ``i`` consumes stream ``i`` of ``seed``, so path 0 reproduces
-    ``simulate_chain(A, x0, n, seed)``.  Each step forms the CDF
-    ``cumsum((counts / k) @ A)`` of every path in the chunk and draws all
-    their states with one column scan.
+    ``simulate_chain(A, x0, n, seed)``.  Paths run in blocks of
+    ``_BATCH_CHUNK``; each step forms the CDF ``cumsum((counts / k) @ A)``
+    of every path in the block and draws all their states with one column
+    scan.
     """
     n = _as_count(n, "simulate_chain_batch: n")
     n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")
@@ -334,8 +334,8 @@ def simulate_chain_batch(
     x0 = _validate_x0(x0, d)
     Amat = A.matrix
     out = np.empty((n_paths, d), dtype=np.int64)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+    for lo in range(0, n_paths, _BATCH_CHUNK):
+        hi = min(lo + _BATCH_CHUNK, n_paths)
         r = hi - lo
         u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
         counts = np.zeros((r, d), dtype=np.int64)
@@ -345,7 +345,7 @@ def simulate_chain_batch(
             cdf = np.cumsum((counts / float(k)) @ Amat, axis=1)
             counts[rows, _column_scan(cdf, u[:, k - 1])] += 1
         out[lo:hi] = counts
-        del u  # before the next chunk draws its own
+        del u  # before the next block draws its own
     return out
 
 
@@ -360,10 +360,8 @@ class ControlledPath:
     ``Lbar[k]`` for ``k = 0..n`` is the measure after ``k`` controlled
     updates (``Lbar[0]`` is the point mass at ``x0``); ``mu[k-1]`` is the
     control used by update ``k`` and ``states[k-1]`` the sampled state.
-    :func:`simulate_controlled` follows the update ``Lbar[k] = Lbar[k-1] +
-    (e_state - Lbar[k-1]) / (k+1)`` in exactly that floating-point form;
-    :func:`~reinforced_ldp.lowerbound.run_plan` uses the closed counts form
-    ``(e_x0 + counts_k) / (k+1)``, equal to it up to rounding.
+    ``Lbar[k] = (e_x0 + counts_k) / (k+1)``, where ``counts_k`` counts the
+    states of the first ``k`` updates (see :func:`_running_measure`).
     """
 
     n: int
@@ -390,82 +388,68 @@ def _clean_policy_row(p, d: int, step: int) -> np.ndarray:
     return w / s
 
 
+def _running_measure(states: np.ndarray, x0: int, d: int) -> np.ndarray:
+    """The ``(n+1, d)`` running measure of a controlled path, one state at a time.
+
+    ``states`` holds the 0-based states ``X_1..X_n``; ``Lbar[k, x] =
+    (e_x0[x] + #{i <= k : X_i = x}) / (k+1)``, each count an exact integer,
+    so every entry is one rounding from its value.
+    """
+    n = states.size
+    Lbar = np.empty((n + 1, d))
+    Lbar[0] = 0.0
+    Lbar[0, x0 - 1] = 1.0
+    steps = np.arange(2, n + 2, dtype=float)
+    counts = np.empty(n)
+    for x in range(d):
+        np.cumsum(states == x, dtype=float, out=counts)
+        counts += Lbar[0, x]
+        np.divide(counts, steps, out=Lbar[1:, x])
+    return Lbar
+
+
 def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> ControlledPath:
     """Run ``n`` controlled updates from the point mass at ``x0``.
 
     ``policy(k, Lbar)`` supplies the distribution of update ``k`` given the
-    measure after ``k-1`` updates, for ``k = 1..n``.
+    measure after ``k-1`` updates, for ``k = 1..n``.  That measure is
+    ``(e_x0 + counts) / k`` from the running counts in exact integers, equal
+    bit for bit to the returned ``Lbar[k-1]``.
     """
     n = _as_count(n, "simulate_controlled: n")
     if n < 1:
         raise PreconditionViolation(f"simulate_controlled: n must be >= 1, got {n}")
     d = A.d
     x0 = _validate_x0(x0, d)
-    rng = path_rng(seed, 0)
-    uniforms = rng.random(n)
-    Lbar = np.empty((n + 1, d))
+    uniforms = path_rng(seed, 0).random(n)
     mu = np.empty((n, d))
     states = np.empty(n, dtype=np.int64)
-    Lbar[0] = 0.0
-    Lbar[0, x0 - 1] = 1.0
+    # e_x0 + counts: exact integers, so dividing by k rounds once
+    running = np.zeros(d)
+    running[x0 - 1] = 1.0
     for k in range(1, n + 1):
-        w = _clean_policy_row(policy(k, Lbar[k - 1]), d, k)
+        w = _clean_policy_row(policy(k, running / k), d, k)
         mu[k - 1] = w
-        cdf = np.cumsum(w)
-        x = int(np.searchsorted(cdf, uniforms[k - 1], side="left"))
-        x = min(x, d - 1)
-        states[k - 1] = x + 1
-        e = np.zeros(d)
-        e[x] = 1.0
-        Lbar[k] = Lbar[k - 1] + (e - Lbar[k - 1]) / (k + 1.0)
+        x = int(_column_scan(np.cumsum(w), uniforms[k - 1 : k])[0])
+        states[k - 1] = x
+        running[x] += 1.0
+    Lbar = _running_measure(states, x0, d)
+    states += 1
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
-# ---------------------------------------------------------------------------
-# discounted occupation measures
-
-
-@dataclass(frozen=True, eq=False)
-class DiscountedOccupation:
-    """The pair of discounted occupation measures of a controlled path.
-
-    Atoms live on (state, reversed-time bin); bin ``j`` covers
-    ``[edges[j], edges[j+1])`` measured backwards from the final grid time.
-    ``beta[j, x]`` carries the control mass ``mu / n`` of the step that bin
-    reverses onto, ``theta[j, x]`` the kernel-image mass ``rho / n`` of the
-    same step, so both time marginals are identically ``1/n`` per bin.
-    """
-
-    n: int
-    d: int
-    edges: np.ndarray
-    beta: np.ndarray
-    theta: np.ndarray
-
-
-def occupation_measures(path: ControlledPath, A: Kernel) -> DiscountedOccupation:
-    grid = _cached_grid(path.n)
-    n = path.n
-    rho = path.Lbar[:n] @ A.matrix
-    beta = path.mu[::-1] / n
-    theta = rho[::-1] / n
-    edges = grid.horizon - grid.times[::-1]
-    for arr in (beta, theta, edges):
-        arr.flags.writeable = False
-    return DiscountedOccupation(n=n, d=path.d, edges=edges, beta=beta, theta=theta)
-
-
 def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, float]:
     """Running cost computed two ways.
 
-    Left: relative entropy between the two occupation measures.  Right: the
-    per-step average ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree
-    to floating-point rounding.  Both read one product ``rho = Lbar A``; the
-    left side divides in step order and sums the atoms in the reversed-time
-    order of :func:`occupation_measures`, so it equals the relative entropy
-    of that function's ``beta`` and ``theta`` bit for bit.
+    Left: relative entropy between the two discounted occupation measures,
+    whose atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k /
+    n`` with ``rho_k = Lbar_{k-1} A``.  Right: the per-step average ``(1/n)
+    sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree to floating-point
+    rounding.  Both read one product ``rho = Lbar A``; the left side divides
+    in step order and sums the atoms in reversed-time order, so it equals
+    ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` bit for bit.
     """
     n = path.n
     rho = path.Lbar[:n] @ A.matrix
@@ -486,15 +470,11 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
 # CSV export
 
 
-def export_path_csv(path, file, provenance: str | None = None) -> None:
-    """Write a chain or controlled path as rows ``step, state, L_1..L_d``."""
+def export_path_csv(path: ChainPath, file, provenance: str | None = None) -> None:
+    """Write a chain path as rows ``step, state, L_1..L_d``."""
     d = path.d
     header = ["step", "state"] + [f"L_{x}" for x in range(1, d + 1)]
-    if isinstance(path, ChainPath):
-        states, L = path.states, path.L
-    else:
-        # row k reports the state added by update k-1 (x0 for the first row)
-        states, L = np.concatenate(([path.x0], path.states)), path.Lbar
+    states, L = path.states, path.L
     template = "%d,%d" + ",%.17g" * d + "\n"
 
     def _lines():

@@ -98,8 +98,20 @@ def _json_bool(value) -> bool:
     return value
 
 
+def _json_int(value) -> int:
+    """A JSON integer, or a number with an integral value (``1000.0`` is 1000);
+    a fractional number, a string or a bool is a TypeError."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_list(values) -> list[int]:
-    return [int(v) for v in values]
+    """A JSON list of integers, each as :func:`_json_int` reads it."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return [_json_int(v) for v in values]
 
 
 def _float_list(values) -> list[float]:
@@ -141,14 +153,14 @@ def _provenance(effective: dict, seed: int) -> str:
 
 
 def _resolve_seed(args, doc: dict) -> int:
-    seed = args.seed if args.seed is not None else _typed(doc.get("seed", 0), int, "seed")
+    seed = args.seed if args.seed is not None else _typed(doc.get("seed", 0), _json_int, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def _resolve_threads(args, doc: dict) -> int:
-    threads = args.threads if args.threads else _typed(doc.get("threads", 0), int, "threads")
+    threads = args.threads if args.threads else _typed(doc.get("threads", 0), _json_int, "threads")
     if threads <= 0:
         threads = os.cpu_count() or 1
     return threads
@@ -181,9 +193,9 @@ def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
     sect = _section(doc, "simulate")
-    n = args.n if args.n is not None else _typed(sect.get("n", 1000), int, "simulate.n")
-    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), int, "simulate.x0")
-    paths = args.paths if args.paths is not None else _typed(sect.get("paths", 1), int, "simulate.paths")
+    n = args.n if args.n is not None else _typed(sect.get("n", 1000), _json_int, "simulate.n")
+    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), _json_int, "simulate.x0")
+    paths = args.paths if args.paths is not None else _typed(sect.get("paths", 1), _json_int, "simulate.paths")
     if paths < 1:
         raise ConfigError("simulate: paths must be >= 1")
     seed = _resolve_seed(args, doc)
@@ -219,8 +231,8 @@ def cmd_exact(args) -> int:
     elif "n_list" in sect:
         n_list = _typed(sect["n_list"], _int_list, "exact.n_list")
     else:
-        n_list = [_typed(sect.get("n", 20), int, "exact.n")]
-    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), int, "exact.x0")
+        n_list = [_typed(sect.get("n", 20), _json_int, "exact.n")]
+    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), _json_int, "exact.x0")
     target, radius = sect.get("target"), None
     if target is not None:
         target = _typed(target, _float_list, "exact.target")
@@ -254,7 +266,7 @@ def cmd_rate(args) -> int:
     sect = _section(doc, "rate")
     T = args.T if args.T is not None else _typed(sect.get("T", 14.0), float, "rate.T")
     J = sect.get("J")
-    J = _typed(J, int, "rate.J") if J is not None else None
+    J = _typed(J, _json_int, "rate.J") if J is not None else None
     dv = True if args.dv else _typed(sect.get("dv", False), _json_bool, "rate.dv")
     if sect.get("points") is not None:
         raw_points = _typed(sect["points"], list, "rate.points")
@@ -311,7 +323,7 @@ def cmd_lowerbound(args) -> int:
     seed = _resolve_seed(args, doc)
     T = _typed(sect.get("T", 2.0), float, "lowerbound.T")
     J = sect.get("J")
-    J = _typed(J, int, "lowerbound.J") if J is not None else None
+    J = _typed(J, _json_int, "lowerbound.J") if J is not None else None
     kappa1, kappa2 = (
         _typed(sect[k], float, f"lowerbound.{k}") if sect.get(k) is not None else None
         for k in ("kappa1", "kappa2")
@@ -324,11 +336,11 @@ def cmd_lowerbound(args) -> int:
     n_list = sect.get("n_list")
     if n_list is not None:
         n_list = _typed(n_list, _int_list, "lowerbound.n_list")
-    trend_seeds = _typed(sect.get("n_seeds", 20), int, "lowerbound.n_seeds")
+    trend_seeds = _typed(sect.get("n_seeds", 20), _json_int, "lowerbound.n_seeds")
     runs_sect = sect.get("runs")
     if runs_sect is not None:
-        n_run = _typed(_field(runs_sect, "n", "lowerbound.runs"), int, "lowerbound.runs.n")
-        run_seeds = _typed(runs_sect.get("n_seeds", 10), int, "lowerbound.runs.n_seeds")
+        n_run = _typed(_field(runs_sect, "n", "lowerbound.runs"), _json_int, "lowerbound.runs.n")
+        run_seeds = _typed(runs_sect.get("n_seeds", 10), _json_int, "lowerbound.runs.n_seeds")
     eff = {
         "command": "lowerbound",
         "kernel": A.matrix.tolist(),

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._format import write_csv
+from .chains import _as_count, _validate_x0
 from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
 from .measures import Kernel, _weights_of
 
@@ -58,13 +59,11 @@ def exact_law_levels(
     A: Kernel, x0: int, n_list, mem_cap_bytes: int = DEFAULT_MEM_CAP_BYTES
 ) -> dict[int, CountLaw]:
     """Laws at several levels from one DP sweep (keyed by requested n)."""
-    wanted = sorted(set(int(n) for n in n_list))
+    wanted = sorted(set(_as_count(n, "exact_law: n") for n in n_list))
     if not wanted or wanted[0] < 1:
         raise PreconditionViolation("exact_law: every n must be >= 1")
     d = A.d
-    if not 1 <= int(x0) <= d:
-        raise DimensionMismatch(f"x0={x0} outside 1..{d}")
-    x0 = int(x0)
+    x0 = _validate_x0(x0, d)
     n_max = wanted[-1]
     # peak of the sweep, at the product in its last step: 8-byte arrays of the law,
     # the previous transitions, the index grid and the counts, scaled counts and

@@ -46,6 +46,7 @@ from .chains import (
     _as_count,
     _column_scan,
     _reinforced_draws,
+    _running_measure,
     _validate_x0,
     path_rng,
     verify_chain_rule_identity,
@@ -559,10 +560,9 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     read per column.  The fallback is the reinforced chain continued from
     the head's counts, drawn by the single-path loop of
     :mod:`~reinforced_ldp.chains`, with control rows ``mu_k = Lbar_{k-1} A``.
-    The empirical measure is assembled in closed counts form, one state
-    ``x`` at a time: ``Lbar[k, x] = (e0[x] + #{i <= k : X_i = x}) / (k+1)``
-    from the running count of ``x`` in exact integers, which agrees with
-    the sequential update to rounding.
+    The empirical measure comes from the one builder every controlled path
+    uses, ``chains._running_measure``: ``Lbar[k, x] = (e0[x] + #{i <= k :
+    X_i = x}) / (k+1)`` from the running count of ``x`` in exact integers.
     """
     d = A.d
     if plan.q.d != d:
@@ -607,14 +607,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         np.take(plan.schedule, j, axis=0, out=mu[n1:])
         states[n1:] = _column_scan(np.cumsum(plan.schedule, axis=1), u[n1:], j)
 
-    Lbar = np.empty((n + 1, d))
-    Lbar[0] = e0
-    steps = np.arange(2, n + 2, dtype=float)
-    counts = np.empty(n)
-    for x in range(d):
-        np.cumsum(states == x, dtype=float, out=counts)
-        counts += e0[x]
-        np.divide(counts, steps, out=Lbar[1:, x])
+    Lbar = _running_measure(states, x0, d)
     states += 1
     if an:
         # update k of the fallback reads Lbar[k-1] A
@@ -683,6 +676,7 @@ def check_cost_convergence(
     x0: int = 1,
 ) -> CostConvergenceReport:
     """Run the plan across horizons and compare mean costs to the quadrature."""
+    n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:
         raise PreconditionViolation("check_cost_convergence: n_seeds must be >= 1")
     quad = plan.bounds.cost_schedule_quad
@@ -691,17 +685,18 @@ def check_cost_convergence(
     limit_total = quad + iid_limit
     rows = []
     for block, n in enumerate(n_list):
+        n = _as_count(n, "check_cost_convergence: n")
         costs = np.empty(n_seeds)
         an_count = 0
         for i in range(n_seeds):
-            run = run_plan(plan, A, int(n), eps0, seed + block * n_seeds + i, x0)
+            run = run_plan(plan, A, n, eps0, seed + block * n_seeds + i, x0)
             costs[i] = run.cost_occupation
             an_count += int(run.an_occurred)
         mean = float(costs.mean())
         rows.append(
             CostTrendRow(
-                n=int(n),
-                n_seeds=int(n_seeds),
+                n=n,
+                n_seeds=n_seeds,
                 mc_mean=mean,
                 mc_std=float(costs.std()),
                 an_rate=an_count / n_seeds,

@@ -27,8 +27,16 @@ RENORM_TOL = 1e-9         # inputs this close to the simplex are renormalized
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 
+def _float_array(raw, what: str, error) -> np.ndarray:
+    """``raw`` as a new float array; ragged or non-numeric input raises ``error``."""
+    try:
+        return np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{what}: expected a regular array of numbers, got {raw!r}") from None
+
+
 def _clean_weights(raw, what: str) -> np.ndarray:
-    w = np.array(raw, dtype=float)
+    w = _float_array(raw, what, SimplexViolation)
     if w.ndim != 1 or w.size == 0:
         raise SimplexViolation(f"{what}: expected a non-empty 1-d array, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -87,7 +95,7 @@ class Kernel:
     delta0: float = field(init=False)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
+        m = _float_array(matrix, "Kernel", DimensionMismatch)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatch(f"Kernel: expected a square matrix, got shape {m.shape}")
         rows = [_clean_weights(m[x], f"Kernel row {x + 1}") for x in range(m.shape[0])]
@@ -174,7 +182,7 @@ def build_kernel_mixture(alpha: float, p, B) -> Kernel:
     q = _clean_weights(p, "build_kernel_mixture: p")
     if q.min() <= 0.0:
         raise PositivityViolation("build_kernel_mixture: p must be strictly positive")
-    Bm = np.array(B, dtype=float)
+    Bm = _float_array(B, "build_kernel_mixture: B", DimensionMismatch)
     if Bm.ndim != 2 or Bm.shape[0] != Bm.shape[1]:
         raise DimensionMismatch(f"build_kernel_mixture: B must be square, got {Bm.shape}")
     if Bm.shape[0] != q.size:

@@ -33,6 +33,7 @@ from .lowerbound import build_plan, check_cost_convergence, run_plan
 from .measures import Kernel, ProbVec, relative_entropy, stationary_distribution
 from .ratesolver import (
     PiecewiseControl,
+    _cost_value,
     _newton_parts,
     _node_controls,
     _weights_vector,
@@ -203,8 +204,9 @@ def _c7_gradient(scale, seed, threads):
     rng = path_rng(seed, 0)
     worst = 0.0
 
-    def cost_at(m, M):
-        return discounted_cost(m, PiecewiseControl(T, J, _node_controls(M, e_delta)), A)
+    def cost_at(M):
+        # the node-space objective that _newton_parts differentiates
+        return _cost_value(_node_controls(M, e_delta), M, A.matrix, w)
 
     for _ in range(n_controls):
         m = _interior_point(rng, d)
@@ -215,7 +217,7 @@ def _c7_gradient(scale, seed, threads):
                 # the free coordinate x of node j+1 moves against the last one
                 bump = np.zeros_like(M)
                 bump[j + 1, x], bump[j + 1, -1] = h, -h
-                fd = (cost_at(m, M + bump) - cost_at(m, M - bump)) / (2.0 * h)
+                fd = (cost_at(M + bump) - cost_at(M - bump)) / (2.0 * h)
                 worst = max(worst, abs(g[j, x] - fd) / max(1.0, abs(fd)))
     return worst, 1e-5, worst <= 1e-5, f"{n_controls} trajectories of {J}x{d - 1} free coordinates"
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from reinforced_ldp import chains
 from reinforced_ldp.chains import (
     TimeGrid,
     _column_scan,
     _reinforced_draws,
-    occupation_measures,
     path_rng,
     philox_uniforms,
     simulate_chain,
@@ -225,6 +225,30 @@ def test_column_scan_matches_the_clamped_count_on_crafted_rows(row, u, draw):
     assert _column_scan(cdf, np.full(2, u), np.zeros(2, dtype=np.int64)).tolist() == [draw] * 2
 
 
+def _searchsorted_draw(cdf, u):
+    """``min(searchsorted(cdf, u, "left"), d-1)``: the single-draw oracle."""
+    return min(int(np.searchsorted(cdf, u, side="left")), len(cdf) - 1)
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
+def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
+    """Each update draws from its control's CDF as searchsorted-and-clamp does,
+    with uniforms on CDF values and past zero-probability columns."""
+    crafted = [case for case in CRAFTED_DRAWS if len(case[0]) == 3 and sum(case[0]) == 1.0]
+    assert len(crafted) == 7
+    monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms([u for _, u, _ in crafted]))
+    path = simulate_controlled(D3, 1, lambda k, Lbar: crafted[k - 1][0], len(crafted), SEED)
+    expect = [_searchsorted_draw(np.cumsum(row), u) + 1 for row, u, _ in crafted]
+    assert path.states.tolist() == expect == [draw + 1 for _, _, draw in crafted]
+
+
 def _reference_batch(A, x0, n, n_paths, seed, chunk):
     """``simulate_chain_batch`` drawing each step with :func:`_inverse_cdf_rows`: the batch oracle."""
     out = np.empty((n_paths, A.d), dtype=np.int64)
@@ -241,10 +265,11 @@ def _reference_batch(A, x0, n, n_paths, seed, chunk):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_simulate_chain_batch_matches_the_count_and_clamp_loop(d):
+def test_simulate_chain_batch_matches_the_count_and_clamp_loop(monkeypatch, d):
+    monkeypatch.setattr(chains, "_BATCH_CHUNK", 128)
     A = Kernel(0.9 * np.random.default_rng(d).dirichlet(np.ones(d), size=d) + 0.1 / d)
     for x0 in (1, d):
-        got = simulate_chain_batch(A, x0, 40, 300, SEED + d, chunk=128)
+        got = simulate_chain_batch(A, x0, 40, 300, SEED + d)
         assert np.array_equal(got, _reference_batch(A, x0, 40, 300, SEED + d, 128))
 
 
@@ -266,10 +291,11 @@ def test_non_integer_step_count_is_precondition_error():
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])
-def test_simulate_chain_batch_rows_match_per_path_streams(n):
+def test_simulate_chain_batch_rows_match_per_path_streams(monkeypatch, n):
     # 7 paths in chunks of 3: rows 3 and 6 open a new chunk
+    monkeypatch.setattr(chains, "_BATCH_CHUNK", 3)
     A = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
-    batch = simulate_chain_batch(A, 2, n, 7, SEED, chunk=3)
+    batch = simulate_chain_batch(A, 2, n, 7, SEED)
     for i in range(7):
         assert np.array_equal(batch[i], _reference_chain(A, 2, n, SEED, stream=i)[1][-1])
 
@@ -279,6 +305,20 @@ def test_x0_validation():
         simulate_chain(BENCH, 3, 10, SEED)
     with pytest.raises(DimensionMismatch):
         simulate_chain(BENCH, 0, 10, SEED)
+
+
+def test_non_integer_start_state_is_precondition_error():
+    calls = (
+        lambda x0: simulate_chain(BENCH, x0, 10, SEED),
+        lambda x0: simulate_chain_batch(BENCH, x0, 10, 3, SEED),
+        lambda x0: simulate_controlled(BENCH, x0, feedback, 10, SEED),
+    )
+    for call in calls:
+        for x0 in (1.7, 2.0):
+            with pytest.raises(PreconditionViolation, match="x0 must be an integer"):
+                call(x0)
+    path = simulate_chain(BENCH, np.int64(2), 10, SEED)
+    assert type(path.x0) is int and np.array_equal(path.states, simulate_chain(BENCH, 2, 10, SEED).states)
 
 
 def test_controlled_reference_policy_has_zero_cost():
@@ -291,14 +331,31 @@ def test_controlled_reference_policy_has_zero_cost():
     assert abs(lhs) <= 1e-12 and abs(rhs) <= 1e-12
 
 
-def test_controlled_update_form():
-    path = simulate_controlled(BENCH, 1, feedback, 50, SEED)
-    assert np.array_equal(path.Lbar[0], [1.0, 0.0])
-    for k in range(50):
-        e = np.zeros(2)
-        e[path.states[k] - 1] = 1.0
-        expect = path.Lbar[k] + (e - path.Lbar[k]) / (k + 2)
-        assert np.array_equal(path.Lbar[k + 1], expect)
+@pytest.mark.parametrize("A, x0", [(BENCH, 1), (D3, 3)], ids=["d2", "d3"])
+def test_controlled_counts_form(A, x0):
+    """``Lbar[k] = (e_x0 + counts_k) / (k+1)``, with the counts of the first k states."""
+    n = 300
+    path = simulate_controlled(A, x0, lambda k, Lbar: Lbar @ A.matrix, n, SEED)
+    e0 = np.zeros(A.d)
+    e0[x0 - 1] = 1.0
+    assert np.array_equal(path.Lbar[0], e0)
+    counts = np.zeros(A.d)
+    for k in range(1, n + 1):
+        counts[path.states[k - 1] - 1] += 1
+        assert np.array_equal(path.Lbar[k], (e0 + counts) / (k + 1)), k
+
+
+def test_policy_sees_the_stored_measure():
+    seen = []
+
+    def recording(k, Lbar):
+        seen.append(np.array(Lbar))
+        return 0.5 * (Lbar @ D3.matrix) + 0.5 * np.array([0.2, 0.5, 0.3])
+
+    path = simulate_controlled(D3, 2, recording, 200, SEED)
+    assert len(seen) == 200
+    for k, row in enumerate(seen, start=1):
+        assert np.array_equal(row, path.Lbar[k - 1]), k
 
 
 def test_chain_rule_identity_random_policies():
@@ -326,17 +383,6 @@ def test_policy_outside_kernel_support_raises():
     # control mass on state 1 is fine here; cost stays finite
     lhs, rhs = verify_chain_rule_identity(path, bad)
     assert math.isfinite(lhs) and math.isfinite(rhs)
-
-
-def test_occupation_measures_marginals():
-    path = simulate_controlled(BENCH, 1, feedback, 80, SEED)
-    occ = occupation_measures(path, BENCH)
-    assert occ.beta.sum() == pytest.approx(1.0, abs=1e-12)
-    assert occ.theta.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(occ.beta.sum(axis=1), 1.0 / 80)
-    assert np.allclose(occ.theta.sum(axis=1), 1.0 / 80)
-    assert occ.edges[0] == 0.0
-    assert occ.edges[-1] == pytest.approx(TimeGrid(80).horizon)
 
 
 def test_path_rng_streams_are_distinct():

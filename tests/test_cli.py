@@ -105,6 +105,19 @@ def test_rate_dv_flag_sets_the_column(tmp_path, dv):
     assert ("dv_rate" in header.split(",")) == dv
 
 
+def test_rate_threads_write_the_same_profile(tmp_path):
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]], "T": 2.0, "J": 40, "dv": True},
+    })
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["rate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        written.append((out / "rate_profile.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_rate_dv_flag_string_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
@@ -214,6 +227,47 @@ def test_validate_single_criterion(tmp_path, capsys):
 def test_zero_kernel_entry_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"kernel": {"matrix": [[1.0, 0.0], [0.2, 0.8]]}})
     assert main(["simulate", "--config", cfg, "--n", "10"]) == 2
+
+
+@pytest.mark.parametrize("kernel", [
+    {"matrix": [[0.5, 0.5], [1]]},
+    {"matrix": [["a", "b"], ["c", "d"]]},
+    {"qsd": {"p": "abc"}},
+], ids=["ragged", "text", "qsd-text"])
+def test_malformed_kernel_is_config_error(tmp_path, capsys, kernel):
+    cfg = write_config(tmp_path, {"kernel": kernel})
+    assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(tmp_path / "o")]) == 2
+    assert "expected a regular array of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,where", [
+    ("simulate", {"n": 10.7}, "simulate.n"),
+    ("simulate", {"n": "10"}, "simulate.n"),
+    ("simulate", {"n": True}, "simulate.n"),
+    ("simulate", {"x0": 1.5}, "simulate.x0"),
+    ("rate", {"points": [[0.5, 0.5]], "T": 2.0, "J": 20.5}, "rate.J"),
+    ("exact", {"n_list": [3, 4.5]}, "exact.n_list"),
+    ("exact", {"n_list": [3, "4"]}, "exact.n_list"),
+    ("lowerbound", {"m": [0.6, 0.4], "n_list": [100], "n_seeds": 2.5}, "lowerbound.n_seeds"),
+    ("lowerbound", {"m": [0.6, 0.4], "runs": {"n": 100, "n_seeds": False}}, "lowerbound.runs.n_seeds"),
+])
+def test_non_integer_count_is_config_error(tmp_path, monkeypatch, capsys, command, section, where):
+    monkeypatch.setattr(cli, "build_plan", None)
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, command: section})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+    assert f"'{where}' has a value of the wrong type" in capsys.readouterr().err
+
+
+def test_integral_float_count_reads_as_the_integer(tmp_path):
+    outputs = []
+    for name, n in (("int", 30), ("float", 30.0)):
+        cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "simulate": {"n": n, "x0": 2.0}},
+                           name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("path_4.csv", "simulate_summary.csv")])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].decode().splitlines()[2].startswith("1,2,")
 
 
 @pytest.mark.parametrize("command,doc,missing", [

@@ -89,6 +89,17 @@ def test_law_rejects_bad_inputs():
         exact_law(BENCH, 5, 10)
 
 
+def test_law_rejects_non_integer_level_and_start():
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        exact_law(BENCH, 1, 20.5)
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        exact_law_levels(BENCH, 1, [5, 7.0])
+    with pytest.raises(PreconditionViolation, match="x0 must be an integer"):
+        exact_law(BENCH, 1.7, 5)
+    law = exact_law(BENCH, np.int64(2), np.int64(5))
+    assert type(law.x0) is int and law.atoms == exact_law(BENCH, 2, 5).atoms
+
+
 def test_law_matches_monte_carlo():
     n, n_paths = 12, 20_000
     law = exact_law(BENCH, 1, n)

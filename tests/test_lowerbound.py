@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import rel_entr
 
-from reinforced_ldp.chains import ControlledPath, TimeGrid, occupation_measures, path_rng, simulate_controlled
+from reinforced_ldp.chains import ControlledPath, TimeGrid, path_rng, simulate_controlled
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_EPS_TARGET,
@@ -399,12 +399,13 @@ def _inverse_cdf_rows(prob_rows, u):
 
 
 def _two_product_chain_rule(path, A):
-    """Both sides of the chain-rule identity, the left through
-    ``occupation_measures`` with its own product ``Lbar A``: the cost oracle."""
-    occ = occupation_measures(path, A)
-    lhs = float(rel_entr(occ.beta, occ.theta).sum())
-    rho = path.Lbar[: path.n] @ A.matrix
-    rhs = float(rel_entr(path.mu, rho).sum() / path.n)
+    """Both sides of the chain-rule identity, the left as the relative entropy
+    of the two discounted occupation measures, atoms ``mu / n`` and ``rho / n``
+    in reversed-time order: the cost oracle."""
+    n = path.n
+    rho = path.Lbar[:n] @ A.matrix
+    lhs = float(rel_entr(path.mu[::-1] / n, rho[::-1] / n).sum())
+    rhs = float(rel_entr(path.mu, rho).sum() / n)
     return lhs, rhs
 
 
@@ -524,6 +525,15 @@ def test_check_cost_convergence_structure(light_plan):
         assert row.mc_mean >= 0.0 and row.mc_std >= 0.0
         assert 0.0 <= row.an_rate <= 1.0
         assert np.isfinite(row.gap_to_limit)
+
+
+def test_check_cost_convergence_counts_must_be_integers(light_plan):
+    with pytest.raises(PreconditionViolation, match="n must be an integer"):
+        check_cost_convergence(light_plan, BENCH, [1000.7], 2, 0.3)
+    with pytest.raises(PreconditionViolation, match="n_seeds must be an integer"):
+        check_cost_convergence(light_plan, BENCH, [500], 2.0, 0.3)
+    rep = check_cost_convergence(light_plan, BENCH, [np.int64(500)], np.int64(2), 0.3)
+    assert [(type(r.n), type(r.n_seeds)) for r in rep.rows] == [(int, int)]
 
 
 def test_plan_json_roundtrip(light_plan):

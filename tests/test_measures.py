@@ -92,6 +92,20 @@ def test_kernel_rejects_non_square():
         Kernel([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]])
 
 
+@pytest.mark.parametrize("matrix", [[[0.5, 0.5], [1.0]], [["a", "b"], ["c", "d"]]], ids=["ragged", "text"])
+def test_kernel_rejects_ragged_or_non_numeric(matrix):
+    with pytest.raises(DimensionMismatch, match="regular array of numbers"):
+        Kernel(matrix)
+
+
+@pytest.mark.parametrize("weights", ["abc", [0.5, [0.5]], [0.5, "x"]])
+def test_weights_reject_ragged_or_non_numeric(weights):
+    with pytest.raises(SimplexViolation, match="regular array of numbers"):
+        ProbVec(weights)
+    with pytest.raises(SimplexViolation, match="regular array of numbers"):
+        build_kernel_qsd(weights)
+
+
 def test_kernel_delta0_is_min_entry():
     A = Kernel(BENCH)
     assert A.delta0 == 0.1

@@ -302,6 +302,14 @@ def test_rate_profile_generic_kernel_differs_from_dv():
     assert abs(rows[0].lower - rows[0].dv_rate) > 5e-3
 
 
+def test_rate_profile_process_pool_matches_serial():
+    points = [np.array(p) for p in ([0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3])]
+    serial = rate_profile(D3, points, T=4.0, J=40, dv=True, threads=1)
+    pooled = rate_profile(D3, points, T=4.0, J=40, dv=True, threads=2)
+    assert pooled == serial
+    assert [r.m for r in pooled] == [tuple(p) for p in points]
+
+
 def test_simplex_mesh_counts_and_validation():
     assert len(simplex_mesh(2, 0.25)) == 5
     assert len(simplex_mesh(3, 0.5)) == 6
