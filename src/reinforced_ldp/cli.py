@@ -38,10 +38,10 @@ from .errors import (
     ResourceLimitExceeded,
     SimplexViolation,
 )
-from .exact import DEFAULT_MEM_CAP_BYTES, ball_rate, exact_law_levels, export_law_csv, export_rate_trend_csv
+from .exact import DEFAULT_MEM_CAP_BYTES, ball_rate, check_ball, exact_law_levels, export_law_csv, export_rate_trend_csv
 from .lowerbound import (
-    DEFAULT_EPS_TARGET,
     DEFAULT_SLACK,
+    EPS_TARGET,
     build_plan,
     check_cost_convergence,
     export_cost_report_csv,
@@ -76,73 +76,82 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _field(sect, key: str, where: str):
-    """``sect[key]``, or a ConfigError naming the missing ``where.key``."""
-    if not isinstance(sect, dict) or key not in sect:
-        raise ConfigError(f"config needs '{where}.{key}'")
-    return sect[key]
+_REQUIRED = object()
 
 
-def _typed(value, kind, where: str):
-    """``kind(value)``, or a ConfigError naming ``where`` when the value has the wrong type."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config '{where}' has a value of the wrong type: {value!r}") from None
+def _as_kind(value, kind):
+    """``value`` as the JSON kind ``kind``, or a TypeError.
 
-
-def _json_bool(value) -> bool:
-    """A JSON ``true``/``false``; anything else, the string "false" included, is a TypeError."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
+    ``int`` takes an integer or an integral float (``1000.0`` is 1000),
+    ``float`` any number, ``bool`` only ``true``/``false``, ``str`` a string,
+    ``dict`` an object, ``object`` any value but a bool, and ``[kind]`` a list
+    of ``kind``.  Strings and bools are never numbers.
+    """
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise TypeError
+        return [_as_kind(v, kind[0]) for v in value]
+    if isinstance(value, bool) != (kind is bool):
+        raise TypeError
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and isinstance(value, int):
+        return float(value)
+    if not isinstance(value, kind):
+        raise TypeError
     return value
 
 
-def _json_int(value) -> int:
-    """A JSON integer, or a number with an integral value (``1000.0`` is 1000);
-    a fractional number, a string or a bool is a TypeError."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+def _read(sect: dict, where: str, key: str, kind, default=_REQUIRED):
+    """``sect[key]`` as ``kind`` (see :func:`_as_kind`), or ``default`` when absent.
+
+    A null value counts as absent only where ``default`` is None.  A missing
+    required key or a value of the wrong kind is a ConfigError naming
+    ``where.key``.
+    """
+    name = f"{where}.{key}" if where else key
+    value = sect.get(key)
+    if value is None and (key not in sect or default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs '{name}'")
+        return default
+    try:
+        return _as_kind(value, kind)
+    except TypeError:
+        raise ConfigError(f"config '{name}' has a value of the wrong type: {value!r}") from None
 
 
-def _int_list(values) -> list[int]:
-    """A JSON list of integers, each as :func:`_json_int` reads it."""
-    if not isinstance(values, list):
-        raise TypeError(f"expected a list of integers, got {values!r}")
-    return [_json_int(v) for v in values]
+def _count(sect: dict, where: str, key: str, default=_REQUIRED) -> int:
+    """An integer key that must be at least 1."""
+    value = _read(sect, where, key, int, default)
+    if value < 1:
+        raise ConfigError(f"config '{where}.{key}' must be >= 1, got {value}")
+    return value
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
+def _overlay(sect: dict, **flags) -> dict:
+    """``sect`` with the command-line ``flags`` laid over its keys; a flag
+    left at None does not override."""
+    return {**sect, **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _str_list(values) -> list[str]:
-    """A JSON list of strings; a bare string or a number is a TypeError."""
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise TypeError(f"expected a list of strings, got {values!r}")
-    return values
-
-
-def _section(doc: dict, name: str) -> dict:
-    sect = doc.get(name, {})
-    if not isinstance(sect, dict):
-        raise ConfigError(f"config '{name}' must be an object")
-    return sect
+def _section(doc: dict, name: str, **flags) -> dict:
+    return _overlay(_read(doc, "", name, dict, {}), **flags)
 
 
 def _kernel_from_config(doc: dict) -> Kernel:
-    spec = doc.get("kernel")
-    if not isinstance(spec, dict):
-        raise ConfigError("config must define a 'kernel' object")
+    spec = _read(doc, "", "kernel", dict)
     if "matrix" in spec:
-        return Kernel(spec["matrix"])
+        return Kernel(_read(spec, "kernel", "matrix", object))
     if "qsd" in spec:
-        return build_kernel_qsd(_field(spec["qsd"], "p", "kernel.qsd"))
+        return build_kernel_qsd(_read(_read(spec, "kernel", "qsd", dict), "kernel.qsd", "p", object))
     if "mixture" in spec:
-        mix = spec["mixture"]
-        return build_kernel_mixture(*(_field(mix, key, "kernel.mixture") for key in ("alpha", "p", "B")))
+        mix = _read(spec, "kernel", "mixture", dict)
+        return build_kernel_mixture(
+            _read(mix, "kernel.mixture", "alpha", float),
+            _read(mix, "kernel.mixture", "p", object),
+            _read(mix, "kernel.mixture", "B", object),
+        )
     raise ConfigError("kernel config needs one of 'matrix', 'qsd', 'mixture'")
 
 
@@ -153,17 +162,15 @@ def _provenance(effective: dict, seed: int) -> str:
 
 
 def _resolve_seed(args, doc: dict) -> int:
-    seed = args.seed if args.seed is not None else _typed(doc.get("seed", 0), _json_int, "seed")
+    seed = _read(_overlay(doc, seed=args.seed), "", "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
 def _resolve_threads(args, doc: dict) -> int:
-    threads = args.threads if args.threads else _typed(doc.get("threads", 0), _json_int, "threads")
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return threads
+    threads = _read(_overlay(doc, threads=args.threads), "", "threads", int, 0)
+    return threads if threads > 0 else os.cpu_count() or 1
 
 
 def _out_dir(args) -> Path:
@@ -192,12 +199,10 @@ def _mem_cap_bytes() -> int:
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = _section(doc, "simulate")
-    n = args.n if args.n is not None else _typed(sect.get("n", 1000), _json_int, "simulate.n")
-    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), _json_int, "simulate.x0")
-    paths = args.paths if args.paths is not None else _typed(sect.get("paths", 1), _json_int, "simulate.paths")
-    if paths < 1:
-        raise ConfigError("simulate: paths must be >= 1")
+    sect = _section(doc, "simulate", n=args.n, x0=args.x0, paths=args.paths)
+    n = _read(sect, "simulate", "n", int, 1000)
+    x0 = _read(sect, "simulate", "x0", int, 1)
+    paths = _count(sect, "simulate", "paths", 1)
     seed = _resolve_seed(args, doc)
     eff = {
         "command": "simulate",
@@ -225,18 +230,15 @@ def cmd_simulate(args) -> int:
 def cmd_exact(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = _section(doc, "exact")
-    if args.n is not None:
-        n_list = [args.n]
-    elif "n_list" in sect:
-        n_list = _typed(sect["n_list"], _int_list, "exact.n_list")
-    else:
-        n_list = [_typed(sect.get("n", 20), _json_int, "exact.n")]
-    x0 = args.x0 if args.x0 is not None else _typed(sect.get("x0", 1), _json_int, "exact.x0")
-    target, radius = sect.get("target"), None
+    sect = _section(doc, "exact", n_list=None if args.n is None else [args.n], x0=args.x0)
+    n_list = _read(sect, "exact", "n_list", [int], None)
+    if n_list is None:
+        n_list = [_read(sect, "exact", "n", int, 20)]
+    x0 = _read(sect, "exact", "x0", int, 1)
+    target = _read(sect, "exact", "target", [float], None)
+    radius = _read(sect, "exact", "radius", float, 0.05)
     if target is not None:
-        target = _typed(target, _float_list, "exact.target")
-        radius = _typed(sect.get("radius", 0.05), float, "exact.radius")
+        check_ball(target, radius, A.d)  # before the DP, so a bad ball costs no law
     seed = _resolve_seed(args, doc)
     eff = {
         "command": "exact",
@@ -244,7 +246,7 @@ def cmd_exact(args) -> int:
         "n_list": n_list,
         "x0": x0,
         "target": target,
-        "radius": radius,
+        "radius": radius if target is not None else None,
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
@@ -263,16 +265,16 @@ def cmd_exact(args) -> int:
 def cmd_rate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
-    sect = _section(doc, "rate")
-    T = args.T if args.T is not None else _typed(sect.get("T", 14.0), float, "rate.T")
-    J = sect.get("J")
-    J = _typed(J, _json_int, "rate.J") if J is not None else None
-    dv = True if args.dv else _typed(sect.get("dv", False), _json_bool, "rate.dv")
-    if sect.get("points") is not None:
-        raw_points = _typed(sect["points"], list, "rate.points")
-        points = [np.asarray(_typed(p, _float_list, "rate.points")) for p in raw_points]
-    elif sect.get("mesh_step") is not None:
-        points = simplex_mesh(A.d, _typed(sect["mesh_step"], float, "rate.mesh_step"))
+    sect = _section(doc, "rate", T=args.T, dv=args.dv)
+    T = _read(sect, "rate", "T", float, 14.0)
+    J = _read(sect, "rate", "J", int, None)
+    dv = _read(sect, "rate", "dv", bool, False)
+    points = _read(sect, "rate", "points", [[float]], None)
+    mesh_step = _read(sect, "rate", "mesh_step", float, None)
+    if points is not None:
+        points = [np.asarray(p) for p in points]
+    elif mesh_step is not None:
+        points = simplex_mesh(A.d, mesh_step)
     else:
         raise ConfigError("rate config needs 'points' or 'mesh_step'")
     seed = _resolve_seed(args, doc)
@@ -316,31 +318,20 @@ def cmd_lowerbound(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
     sect = _section(doc, "lowerbound")
-    m = sect.get("m")
-    if m is None:
-        raise ConfigError("lowerbound config needs a target 'm'")
-    m = _typed(m, _float_list, "lowerbound.m")
+    m = _read(sect, "lowerbound", "m", [float])
     seed = _resolve_seed(args, doc)
-    T = _typed(sect.get("T", 2.0), float, "lowerbound.T")
-    J = sect.get("J")
-    J = _typed(J, _json_int, "lowerbound.J") if J is not None else None
-    kappa1, kappa2 = (
-        _typed(sect[k], float, f"lowerbound.{k}") if sect.get(k) is not None else None
-        for k in ("kappa1", "kappa2")
-    )
-    include_schedule = _typed(sect.get("include_schedule", False), _json_bool, "lowerbound.include_schedule")
-    slack = _typed(sect.get("slack", DEFAULT_SLACK), float, "lowerbound.slack")
-    eps_target = _typed(sect.get("eps_target", DEFAULT_EPS_TARGET), float, "lowerbound.eps_target")
-    eps0 = _typed(sect.get("eps0", 0.3), float, "lowerbound.eps0")
+    T = _read(sect, "lowerbound", "T", float, 2.0)
+    J = _read(sect, "lowerbound", "J", int, None)
+    include_schedule = _read(sect, "lowerbound", "include_schedule", bool, False)
+    slack = _read(sect, "lowerbound", "slack", float, DEFAULT_SLACK)
+    eps0 = _read(sect, "lowerbound", "eps0", float, 0.3)
     # read the experiment settings before the plan, so a bad one costs no plan work
-    n_list = sect.get("n_list")
-    if n_list is not None:
-        n_list = _typed(n_list, _int_list, "lowerbound.n_list")
-    trend_seeds = _typed(sect.get("n_seeds", 20), _json_int, "lowerbound.n_seeds")
-    runs_sect = sect.get("runs")
+    n_list = _read(sect, "lowerbound", "n_list", [int], None)
+    trend_seeds = _count(sect, "lowerbound", "n_seeds", 20)
+    runs_sect = _read(sect, "lowerbound", "runs", dict, None)
     if runs_sect is not None:
-        n_run = _typed(_field(runs_sect, "n", "lowerbound.runs"), _json_int, "lowerbound.runs.n")
-        run_seeds = _typed(runs_sect.get("n_seeds", 10), _json_int, "lowerbound.runs.n_seeds")
+        n_run = _count(runs_sect, "lowerbound.runs", "n")
+        run_seeds = _count(runs_sect, "lowerbound.runs", "n_seeds", 10)
     eff = {
         "command": "lowerbound",
         "kernel": A.matrix.tolist(),
@@ -348,8 +339,10 @@ def cmd_lowerbound(args) -> int:
         "T": T,
         "J": J,
         "slack": slack,
-        "kappas": [kappa1, kappa2],
-        "eps_target": eps_target,
+        # the retired kappa1, kappa2 and eps_target settings, hashed at the
+        # values every config that set none of them always hashed
+        "kappas": [None, None],
+        "eps_target": EPS_TARGET,
         "eps0": eps0,
         "n_list": n_list,
         "n_seeds": trend_seeds,
@@ -357,16 +350,7 @@ def cmd_lowerbound(args) -> int:
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
-    plan = build_plan(
-        m,
-        A,
-        T=T,
-        J=J,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        eps_target=eps_target,
-        slack=slack,
-    )
+    plan = build_plan(m, A, T=T, J=J, slack=slack)
     plan_doc = json.loads(plan_to_json(plan, include_schedule=include_schedule))
     plan_doc["provenance"] = prov
     (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
@@ -387,13 +371,9 @@ def cmd_lowerbound(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = _load_config(args.config)
-    sect = _section(doc, "validate")
-    scale = args.scale if args.scale is not None else _typed(sect.get("scale", 1.0), float, "validate.scale")
-    include = sect.get("include")
-    if args.include is not None:
-        include = [c for c in args.include.split(",") if c]
-    elif include is not None:
-        include = _typed(include, _str_list, "validate.include")
+    sect = _section(doc, "validate", scale=args.scale, include=args.include)
+    scale = _read(sect, "validate", "scale", float, 1.0)
+    include = _read(sect, "validate", "include", [str], None)
     seed = _resolve_seed(args, doc)
     threads = _resolve_threads(args, doc)
     eff = {
@@ -423,8 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=0,
-                        help="worker processes (0 = all available)")
+    common.add_argument("--threads", type=int, default=None,
+                        help="worker processes (0 = all available; default: config, else 0)")
     parser = argparse.ArgumentParser(
         prog="reinforced-ldp",
         description="Reinforced-chain empirical-measure rates: simulation, "
@@ -445,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", parents=[common], help="rate brackets over query points")
     p.add_argument("--T", type=float, default=None, help="horizon of the discretization")
-    p.add_argument("--dv", action="store_true", default=False,
+    p.add_argument("--dv", action="store_true", default=None,
                    help="also solve the pair-measure rate per point")
     p.set_defaults(func=cmd_rate)
 
@@ -456,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", parents=[common], help="run the acceptance battery")
     p.add_argument("--scale", type=float, default=None,
                    help="sample-count multiplier (tolerances unchanged)")
-    p.add_argument("--include", default=None, help="comma-separated criterion ids")
+    p.add_argument("--include", type=lambda s: [c for c in s.split(",") if c], default=None,
+                   help="comma-separated criterion ids")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -117,14 +117,20 @@ def exact_law_levels(
     return out
 
 
+def check_ball(target, radius: float, d: int) -> np.ndarray:
+    """``target`` as an array, once it and ``radius`` describe an l1 ball in dimension ``d``."""
+    t = _weights_of(target)
+    if t.shape != (d,):
+        raise DimensionMismatch(f"ball target shape {t.shape}, law dimension {d}")
+    if radius < 0:
+        raise PreconditionViolation("ball radius must be >= 0")
+    return t
+
+
 def event_probability(law: CountLaw, target, radius: float) -> float:
     """Probability of the closed l1 ball: ``sum P(c)`` over counts with
     ``||c/n - target||_1 <= radius``."""
-    t = _weights_of(target)
-    if t.shape != (law.d,):
-        raise DimensionMismatch(f"event_probability: target shape {t.shape}, law dimension {law.d}")
-    if radius < 0:
-        raise PreconditionViolation("event_probability: radius must be >= 0")
+    t = check_ball(target, radius, law.d)
     items = sorted(law.atoms.items())
     counts = np.array([key for key, _ in items], dtype=np.int64)
     probs = [p for _, p in items]

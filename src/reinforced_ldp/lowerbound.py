@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from .measures import Kernel, ProbVec, _weights_of, kernel_apply, relative_entro
 from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes counter)
     _GL_X,
     PiecewiseControl,
-    RateBracket,
     SolveDiagnostics,
     TrajectoryGrid,
     _as_grid,
@@ -70,7 +69,7 @@ from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes cou
 )
 
 DEFAULT_SLACK = 10.0
-DEFAULT_EPS_TARGET = 0.05
+EPS_TARGET = 0.05            # total-variation deviation the mixing step may add
 _KINK_MERGE = 1e-12          # relative gap below which adjacent kinks merge
 _COST_RTOL = 1e-2            # relative change in reversed cost a schedule grid may leave
 
@@ -408,35 +407,23 @@ class ReversedPlan:
         return self.bounds.cost_schedule_quad
 
 
-def build_plan(
-    m,
-    A: Kernel,
-    bracket: RateBracket | None = None,
-    T: float | None = None,
-    J: int | None = None,
-    kappa1: float | None = None,
-    kappa2: float | None = None,
-    eps_target: float = DEFAULT_EPS_TARGET,
-    slack: float = DEFAULT_SLACK,
-) -> ReversedPlan:
-    """Solve (or accept) a rate bracket at ``m`` and discretize its control.
+def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float = DEFAULT_SLACK) -> ReversedPlan:
+    """Solve the rate bracket at ``m`` on horizon ``T`` and discretize its control.
 
-    Default tuning: ``kappa1`` targets a mixing deviation of
-    ``eps_target`` in total variation (capped at 1), and each window
-    takes ``1/slack`` of the largest value its precondition allows.  The
-    schedule grid is chosen by :func:`discretize_control`.
+    The tuning is derived: ``kappa1`` targets a mixing deviation of
+    ``EPS_TARGET`` in total variation (capped at 1), and the mollifier
+    window ``kappa2`` takes ``1/slack`` of the largest value its
+    precondition allows.  The schedule grid is chosen by
+    :func:`discretize_control`.
     """
     m_arr = ProbVec(_weights_of(m)).weights
-    if bracket is None:
-        horizon = 2.0 if T is None else float(T)
-        bracket = solve_rate(m_arr, A, T=horizon, J=J)
+    bracket = solve_rate(m_arr, A, T=float(T), J=J)
     T_val = float(bracket.eta_opt.T)
     if not 0.0 < slack:
         raise PreconditionViolation("build_plan: slack must be positive")
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
-    if kappa1 is None:
-        kappa1 = 1.0 if gap_star <= eps_target else min(1.0, eps_target / gap_star)
+    kappa1 = 1.0 if gap_star <= EPS_TARGET else EPS_TARGET / gap_star
     ctrl1, grid1, delta = mix_with_stationary(bracket.eta_opt, bracket.M_opt, A, kappa1)
     w = _weights_vector(ctrl1.T, ctrl1.J)
     cost_mixed = _cost_value(np.asarray(ctrl1.eta, dtype=float), grid1.M, A.matrix, w)
@@ -445,7 +432,7 @@ def build_plan(
     rev = reverse_control(ctrl1)
     cost_reversed_quad = reversed_cost(q, rev, A)
     eT = math.exp(T_val)
-    k2 = delta / (6.0 * eT) / slack if kappa2 is None else float(kappa2)
+    k2 = delta / (6.0 * eT) / slack
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
     disc = discretize_control(moll.path, q, A, ctrl1.J, delta, cost_mollified_quad)
@@ -476,10 +463,7 @@ def build_plan(
         schedule=disc.eta,
         M_hat=disc.M_hat,
         solve=bracket.diagnostics,
-        kappas=KappaSchedule(
-            kappa1=float(kappa1), kappa2=k2, slack=float(slack),
-            eps_target=float(eps_target),
-        ),
+        kappas=KappaSchedule(kappa1=float(kappa1), kappa2=k2, slack=float(slack), eps_target=EPS_TARGET),
         bounds=bounds,
         control_reversed=rev,
     )
@@ -500,21 +484,8 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
         "delta0": plan.delta0,
         "q": [float(v) for v in plan.q.weights],
         "m": [float(v) for v in plan.m.weights],
-        "kappas": {
-            "kappa1": plan.kappas.kappa1,
-            "kappa2": plan.kappas.kappa2,
-            "slack": plan.kappas.slack,
-            "eps_target": plan.kappas.eps_target,
-        },
-        "bounds": {
-            k: float(getattr(plan.bounds, k))
-            for k in (
-                "cost_solver", "cost_mixed", "cost_mixed_quad", "cost_reversed_quad",
-                "cost_mollified_quad", "cost_schedule_quad", "bound_mollify",
-                "bound_discretize", "dev_mix", "dev_mollify", "dev_discretize",
-                "target_gap", "lipschitz_l1",
-            )
-        },
+        "kappas": asdict(plan.kappas),
+        "bounds": asdict(plan.bounds),
     }
     if include_schedule:
         doc["schedule"] = [[float(v) for v in row] for row in plan.schedule[:-1]]

@@ -15,6 +15,7 @@ invariant are stored untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.special import rel_entr
@@ -28,11 +29,12 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 
 
 def _float_array(raw, what: str, error) -> np.ndarray:
-    """``raw`` as a new float array; ragged or non-numeric input raises ``error``."""
-    try:
-        return np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise error(f"{what}: expected a regular array of numbers, got {raw!r}") from None
+    """``raw`` as a new float array; ragged input, or an entry that is not a
+    real number (a string or a bool), raises ``error``."""
+    cells = np.array(raw, dtype=object)
+    if not all(isinstance(v, Real) and not isinstance(v, (bool, np.bool_)) for v in cells.flat):
+        raise error(f"{what}: expected a regular array of numbers, got {raw!r}")
+    return cells.astype(float)
 
 
 def _clean_weights(raw, what: str) -> np.ndarray:

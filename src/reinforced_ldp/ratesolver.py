@@ -66,6 +66,10 @@ _ARMIJO = 0.25               # sufficient-decrease fraction of damped steps
 _CENTRED_LAM2 = 1e-12        # squared Newton decrement that ends a centring
 _MAX_NEWTON = 1000           # Newton steps over all centrings
 
+# pair-measure (iterative proportional fitting) solve
+_DV_TOL = 1e-12              # l1 error of the column marginal that ends the fit
+_DV_MAX_SWEEPS = 100000      # row-and-column sweeps before giving up
+
 _QUAD_CHUNK = 65536          # pieces per quadrature block
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
@@ -428,7 +432,7 @@ def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBrack
 # pair-measure (occupation) rate
 
 
-def solve_dv_rate(theta, A: Kernel, tol: float = 1e-12, max_iters: int = 100000) -> float:
+def solve_dv_rate(theta, A: Kernel) -> float:
     """Rate of the stationary-pair formulation at ``theta``.
 
     Minimizes ``R(gamma || theta (x) A)`` over pair measures whose two
@@ -442,15 +446,15 @@ def solve_dv_rate(theta, A: Kernel, tol: float = 1e-12, max_iters: int = 100000)
     sub = th[support]
     ref = sub[:, None] * A.matrix[np.ix_(support, support)]
     gamma = ref.copy()
-    for _ in range(max_iters):
+    for _ in range(_DV_MAX_SWEEPS):
         gamma *= (sub / gamma.sum(axis=1))[:, None]
         col = gamma.sum(axis=0)
         err = float(np.abs(col - sub).sum())
-        if err <= tol:
+        if err <= _DV_TOL:
             break
         gamma *= (sub / col)[None, :]
     else:
-        raise ConvergenceError(f"solve_dv_rate: marginal error {err:.3e} > {tol} after {max_iters} sweeps")
+        raise ConvergenceError(f"solve_dv_rate: marginal error {err:.3e} > {_DV_TOL} after {_DV_MAX_SWEEPS} sweeps")
     return float(rel_entr(gamma, ref).sum())
 
 

@@ -376,6 +376,8 @@ def run_acceptance(
         chosen = list(CRITERIA)
     else:
         chosen = [str(c).strip().upper() for c in include]
+        if not chosen:
+            raise ConfigError("run_acceptance: include names no criterion")
         unknown = [c for c in chosen if c not in _REGISTRY]
         if unknown:
             raise ConfigError(f"run_acceptance: unknown criteria {unknown}")

@@ -1,8 +1,10 @@
 """End-to-end checks of the command line interface and its exit codes."""
 
+import copy
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
 from reinforced_ldp.validation import REPORT_FILENAME
 
 BENCH_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
+README = Path(__file__).resolve().parents[1] / "README.md"
 PROV_RE = re.compile(r"^# config_sha256=[0-9a-f]{64} seed=\d+$")
 
 
@@ -24,6 +27,30 @@ def write_config(tmp_path, doc, name="config.json"):
 @pytest.fixture()
 def kernel_config(tmp_path):
     return write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}})
+
+
+class Sentinel(Exception):
+    """Raised by a patched entry point once a command is past its config reads."""
+
+
+def _stop(*args, **kwargs):
+    raise Sentinel
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Every subcommand's expensive entry point raises :class:`Sentinel`."""
+    for name in ("simulate_chain", "exact_law_levels", "rate_profile", "build_plan", "run_acceptance"):
+        monkeypatch.setattr(cli, name, _stop)
+
+
+@pytest.mark.parametrize("command", ["simulate", "exact", "rate", "lowerbound", "validate"])
+def test_readme_example_config_reads_in_every_subcommand(tmp_path, no_work, command):
+    """Every subcommand accepts the README's example config and reaches its work."""
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    cfg = write_config(tmp_path, json.loads(block))
+    with pytest.raises(Sentinel):
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
 
 
 def test_simulate_writes_paths_and_summary(tmp_path, kernel_config):
@@ -182,11 +209,14 @@ def test_lowerbound_artifacts_match_golden_digests(tmp_path):
     assert digests == LOWERBOUND_DIGESTS
 
 
+RETIRED_LOWERBOUND_KEYS = {"max_intervals": 2_600_000, "kappa1": 0.3, "kappa2": 0.006, "kappa3": 1e-5, "eps_target": 0.1}
+
+
 def test_retired_lowerbound_keys_are_ignored(tmp_path):
-    """The retired keys ``kappa3`` and ``max_intervals`` change neither the plan nor its provenance."""
+    """The retired keys change neither the plan nor its provenance."""
     plan = {"m": [0.3, 0.7], "T": 2.0, "slack": 1.0, "eps0": 0.3}
     texts = []
-    for name, extra in (("new", {}), ("old", {"max_intervals": 2_600_000, "kappa3": 1e-5})):
+    for name, extra in (("new", {}), ("old", RETIRED_LOWERBOUND_KEYS)):
         cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "lowerbound": {**plan, **extra}},
                            name=f"{name}.json")
         assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / name)]) == 0
@@ -196,7 +226,7 @@ def test_retired_lowerbound_keys_are_ignored(tmp_path):
 
 
 @pytest.mark.parametrize("command,section,as_int,as_float", [
-    ("lowerbound", {"m": [0.6, 0.4], "T": 1.0, "slack": 1.0}, {"kappa1": 1}, {"kappa1": 1.0}),
+    ("lowerbound", {"m": [0.6, 0.4], "T": 1.0}, {"slack": 1}, {"slack": 1.0}),
     ("exact", {"n": 3}, {"target": [1, 0], "radius": 1}, {"target": [1.0, 0.0], "radius": 1.0}),
 ])
 def test_provenance_hashes_typed_values(tmp_path, command, section, as_int, as_float):
@@ -233,7 +263,10 @@ def test_zero_kernel_entry_is_config_error(tmp_path):
     {"matrix": [[0.5, 0.5], [1]]},
     {"matrix": [["a", "b"], ["c", "d"]]},
     {"qsd": {"p": "abc"}},
-], ids=["ragged", "text", "qsd-text"])
+    {"matrix": [["0.9", "0.1"], ["0.2", "0.8"]]},
+    {"matrix": [[True, 0.5], [0.2, 0.8]]},
+    {"qsd": {"p": ["0.2", "0.3", "0.5"]}},
+], ids=["ragged", "text", "qsd-text", "numeric-text", "bool", "qsd-numeric-text"])
 def test_malformed_kernel_is_config_error(tmp_path, capsys, kernel):
     cfg = write_config(tmp_path, {"kernel": kernel})
     assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(tmp_path / "o")]) == 2
@@ -254,6 +287,28 @@ def test_malformed_kernel_is_config_error(tmp_path, capsys, kernel):
 def test_non_integer_count_is_config_error(tmp_path, monkeypatch, capsys, command, section, where):
     monkeypatch.setattr(cli, "build_plan", None)
     cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, command: section})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+    assert f"'{where}' has a value of the wrong type" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "1.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("command,doc,where", [
+    ("rate", {"rate": {"points": [[0.5, 0.5]]}}, "rate.T"),
+    ("rate", {"rate": {}}, "rate.mesh_step"),
+    ("exact", {"exact": {"n": 3, "target": [0.5, 0.5]}}, "exact.radius"),
+    ("lowerbound", {"lowerbound": {"m": [0.6, 0.4]}}, "lowerbound.slack"),
+    ("validate", {"validate": {"include": ["C5"]}}, "validate.scale"),
+    ("simulate", {"kernel": {"mixture": {"p": [0.4, 0.6], "B": BENCH_MATRIX}}}, "kernel.mixture.alpha"),
+])
+def test_non_number_is_config_error(tmp_path, no_work, capsys, command, doc, where, value):
+    """A bool or a numeric string where a number belongs exits 2 naming the key."""
+    doc = {"kernel": {"matrix": BENCH_MATRIX}, **copy.deepcopy(doc)}
+    *path, key = where.split(".")
+    sect = doc
+    for name in path:
+        sect = sect[name]
+    sect[key] = value
+    cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
     assert f"'{where}' has a value of the wrong type" in capsys.readouterr().err
 
@@ -295,9 +350,13 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
     ({"runs": {"n": 100, "n_seeds": None}}, "lowerbound.runs.n_seeds"),
     ({"n_list": "abc"}, "lowerbound.n_list"),
     ({"n_list": [100], "n_seeds": [3]}, "lowerbound.n_seeds"),
-    ({"kappa1": "x"}, "lowerbound.kappa1"),
-    ({"kappa2": [0.01]}, "lowerbound.kappa2"),
+    ({"n_list": [100], "n_seeds": 0}, "lowerbound.n_seeds"),
+    ({"runs": {"n": 100, "n_seeds": 0}}, "lowerbound.runs.n_seeds"),
     ({"include_schedule": "false"}, "lowerbound.include_schedule"),
+    ({"slack": "1"}, "lowerbound.slack"),
+    ({"eps0": True}, "lowerbound.eps0"),
+    ({"runs": [100, 2]}, "lowerbound.runs"),
+    ({"runs": {"n": 0}}, "lowerbound.runs.n"),
 ])
 def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch, capsys, extra, where):
     def no_plan(*args, **kwargs):
@@ -308,6 +367,27 @@ def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch,
                                   "lowerbound": {"m": [0.6, 0.4], "T": 1.0, **extra}})
     assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"'{where}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["--include", ","], {}),
+    ([], {"validate": {"include": []}}),
+], ids=["flag", "config"])
+def test_validate_empty_include_is_config_error(tmp_path, capsys, argv, doc):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", cfg, "--out", str(out), *argv]) == 2
+    assert "include names no criterion" in capsys.readouterr().err
+    assert not (out / REPORT_FILENAME).exists()
+
+
+@pytest.mark.parametrize("ball,code", [
+    ({"target": [0.2, 0.3, 0.5]}, 2),
+    ({"target": [0.5, 0.5], "radius": -0.1}, 3),
+], ids=["target-length", "negative-radius"])
+def test_exact_ball_checked_before_the_law(tmp_path, no_work, ball, code):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "exact": {"n": 5, **ball}})
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == code
 
 
 @pytest.mark.parametrize("include", [5, "C6"])

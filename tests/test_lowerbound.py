@@ -12,8 +12,8 @@ from scipy.special import rel_entr
 from reinforced_ldp.chains import ControlledPath, TimeGrid, path_rng, simulate_controlled
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
-    DEFAULT_EPS_TARGET,
     DEFAULT_SLACK,
+    EPS_TARGET,
     PiecewiseLinearPath,
     build_plan,
     check_cost_convergence,
@@ -563,15 +563,9 @@ def test_plan_records_the_grid_stop_rule(light_plan, bench_plan):
     assert bench_plan.solve.converged and bench_plan.solve.gap <= 1e-10
 
 
-def test_kappa_overrides_pass_through():
-    plan = build_plan(LIGHT_TARGET, BENCH, T=1.0, slack=1.0, kappa1=0.3, kappa2=0.006)
-    k = plan.kappas
-    assert (k.kappa1, k.kappa2) == (0.3, 0.006)
-
-
 def test_default_budgets():
     assert DEFAULT_SLACK == 10.0
-    assert DEFAULT_EPS_TARGET == 0.05
+    assert EPS_TARGET == 0.05
 
 
 def test_export_csvs(light_plan, tmp_path):
