@@ -31,6 +31,14 @@ uniform lies within the rounding bound ``tol(k)`` of a CDF edge, the step is
 redrawn by scanning numpy's ``cumsum((count / k) @ A)``, so every draw is
 bit-identical to sampling from ``L^k A`` as computed by numpy.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
+
+:func:`export_path_csv` writes ``L^k`` one row per step through
+:func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
+rows in numpy: integer digits by vectorized division, and the 17 ``%.17g``
+digits of every value in the fast domain ``0`` and ``[1e-4, 1)`` exactly in
+integer arithmetic, with one 128-bit product (:func:`~reinforced_ldp._format.mulhilo64`,
+which the Philox rounds share).  Other values (``1``, coordinates below
+``1e-4``) go through ``f17``, so the bytes equal a row-by-row ``%.17g``.
 """
 from __future__ import annotations
 
@@ -41,26 +49,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr
 
-from ._format import write_csv_lines
+from ._format import mulhilo64, write_array_csv
 from .errors import DimensionMismatch, PolicyError, PreconditionViolation
 from .measures import Kernel
 
 _MASK64 = (1 << 64) - 1
-# rows per Python-list block in export_path_csv: 4096-row blocks raised the
-# peak RSS of a 5e4-step simulate run by about 2 MB, 512-row blocks did not
-_CSV_BLOCK_ROWS = 512
-# uniforms per Python-list block in _reinforced_draws, for the same reason
+# uniforms per Python-list block in _reinforced_draws, to bound their memory
 _DRAW_BLOCK = 4096
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
 _EPS = 2.0**-53
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
 
 
@@ -78,17 +81,6 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for stream ``stream`` of seed ``seed``."""
     k0, k1 = _stream_key(seed, stream)
     return np.random.Generator(np.random.Philox(key=k0 | (int(k1) << 64)))
-
-
-def _mulhilo64(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo, hi_lo, lo_hi = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
-    # lo_hi <= (2**32 - 1)**2 and the other two addends are below 2**32, so cross fits in 64 bits
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + lo_hi
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
-    return hi, np.uint64(m) * x
 
 
 def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
@@ -115,8 +107,8 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
             if i:
                 key0 = key0 + _PHILOX_W[0]
                 key1 = key1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo64(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo64(_PHILOX_M[1], c2)
+            hi0, lo0 = mulhilo64(_PHILOX_M[0], c0)
+            hi1, lo1 = mulhilo64(_PHILOX_M[1], c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
         for j, c in enumerate((c0, c1, c2, c3)):
             np.multiply(c >> _SHIFT11, 2.0**-53, out=out[:, 4 * b + j])
@@ -471,17 +463,13 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
 
 
 def export_path_csv(path: ChainPath, file, provenance: str | None = None) -> None:
-    """Write a chain path as rows ``step, state, L_1..L_d``."""
-    d = path.d
-    header = ["step", "state"] + [f"L_{x}" for x in range(1, d + 1)]
-    states, L = path.states, path.L
-    template = "%d,%d" + ",%.17g" * d + "\n"
+    """Write a chain path as rows ``step, state, L_1..L_d``, floats as ``%.17g``.
 
-    def _lines():
-        # rows go through Python lists one block at a time, to bound their memory
-        for lo in range(0, len(L), _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
-            for k, x, row in zip(range(lo + 1, hi + 1), states[lo:hi].tolist(), L[lo:hi].tolist()):
-                yield template % (k, x, *row)
-
-    write_csv_lines(file, header, _lines(), provenance)
+    The rows go through :func:`~reinforced_ldp._format.write_array_csv`,
+    which formats blocks of rows in numpy: the ``L`` values in ``[1e-4, 1)``
+    and zeros get exact integer-arithmetic digits, and every other value
+    (``1``, and values below ``1e-4`` in exponent form) goes through ``f17``.
+    """
+    header = ["step", "state"] + [f"L_{x}" for x in range(1, path.d + 1)]
+    steps = np.arange(1, len(path.L) + 1)
+    write_array_csv(file, header, [steps, path.states], path.L, provenance)

@@ -129,6 +129,16 @@ def _count(sect: dict, where: str, key: str, default=_REQUIRED) -> int:
     return value
 
 
+def _list(sect: dict, where: str, key: str, kind):
+    """A non-empty list of ``kind`` (see :func:`_read`), or None when absent;
+    a list of integers is a list of counts, each at least 1."""
+    value = _read(sect, where, key, [kind], None)
+    if value is not None and (not value or (kind is int and min(value) < 1)):
+        what = "non-empty list of counts >= 1" if kind is int else "non-empty list"
+        raise ConfigError(f"config '{where}.{key}' must be a {what}, got {value!r}")
+    return value
+
+
 def _overlay(sect: dict, **flags) -> dict:
     """``sect`` with the command-line ``flags`` laid over its keys; a flag
     left at None does not override."""
@@ -231,9 +241,9 @@ def cmd_exact(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
     sect = _section(doc, "exact", n_list=None if args.n is None else [args.n], x0=args.x0)
-    n_list = _read(sect, "exact", "n_list", [int], None)
+    n_list = _list(sect, "exact", "n_list", int)
     if n_list is None:
-        n_list = [_read(sect, "exact", "n", int, 20)]
+        n_list = [_count(sect, "exact", "n", 20)]
     x0 = _read(sect, "exact", "x0", int, 1)
     target = _read(sect, "exact", "target", [float], None)
     radius = _read(sect, "exact", "radius", float, 0.05)
@@ -269,7 +279,7 @@ def cmd_rate(args) -> int:
     T = _read(sect, "rate", "T", float, 14.0)
     J = _read(sect, "rate", "J", int, None)
     dv = _read(sect, "rate", "dv", bool, False)
-    points = _read(sect, "rate", "points", [[float]], None)
+    points = _list(sect, "rate", "points", [float])
     mesh_step = _read(sect, "rate", "mesh_step", float, None)
     if points is not None:
         points = [np.asarray(p) for p in points]
@@ -326,7 +336,7 @@ def cmd_lowerbound(args) -> int:
     slack = _read(sect, "lowerbound", "slack", float, DEFAULT_SLACK)
     eps0 = _read(sect, "lowerbound", "eps0", float, 0.3)
     # read the experiment settings before the plan, so a bad one costs no plan work
-    n_list = _read(sect, "lowerbound", "n_list", [int], None)
+    n_list = _list(sect, "lowerbound", "n_list", int)
     trend_seeds = _count(sect, "lowerbound", "n_seeds", 20)
     runs_sect = _read(sect, "lowerbound", "runs", dict, None)
     if runs_sect is not None:

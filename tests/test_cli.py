@@ -93,6 +93,28 @@ def test_simulate_artifacts_match_golden_digests(tmp_path, kernel_config):
     assert digests == SIMULATE_DIGESTS
 
 
+# SHA-256 of `simulate` for d=3 with a third kernel column of 1e-5, seed 12,
+# n=50000, as written one %.17g row at a time: step 1 writes 1, L_3 is 0 up
+# to step 2036 and lies below 1e-4, in exponent form, from step 10001 on
+FALLBACK_KERNEL = [[0.6, 0.39999, 1e-5], [0.3, 0.69999, 1e-5], [0.5, 0.49999, 1e-5]]
+FALLBACK_DIGESTS = {
+    "path_12.csv": "f14b755ea3b54839841ce3d03e7e4fc2ab776aa0358eeff2bc9014ee777ef6a1",
+    "simulate_summary.csv": "51675cf6a5d270c307b83f20ab007bff1c996aadad5568dbde98e5ca999aec01",
+}
+
+
+def test_simulate_exponent_form_values_match_golden_digests(tmp_path):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": FALLBACK_KERNEL},
+                                  "simulate": {"n": 50000, "x0": 1, "paths": 1}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "12"]) == 0
+    lines = (out / "path_12.csv").read_text().splitlines()
+    assert lines[2] == "1,1,1,0,0"
+    assert lines[2 + 10000].endswith(",9.9990000999900015e-05")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FALLBACK_DIGESTS}
+    assert digests == FALLBACK_DIGESTS
+
+
 def test_exact_laws_and_ball_rates(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
@@ -357,6 +379,9 @@ def test_wrongly_typed_config_value_is_config_error(tmp_path, capsys, value):
     ({"eps0": True}, "lowerbound.eps0"),
     ({"runs": [100, 2]}, "lowerbound.runs"),
     ({"runs": {"n": 0}}, "lowerbound.runs.n"),
+    ({"n_list": [0]}, "lowerbound.n_list"),
+    ({"n_list": []}, "lowerbound.n_list"),
+    ({"n_list": [1000, -1]}, "lowerbound.n_list"),
 ])
 def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch, capsys, extra, where):
     def no_plan(*args, **kwargs):
@@ -367,6 +392,23 @@ def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch,
                                   "lowerbound": {"m": [0.6, 0.4], "T": 1.0, **extra}})
     assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"'{where}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,argv,where", [
+    ("rate", {"points": []}, [], "rate.points"),
+    ("exact", {"n_list": []}, [], "exact.n_list"),
+    ("exact", {"n_list": [0]}, [], "exact.n_list"),
+    ("exact", {"n_list": [5, -2]}, [], "exact.n_list"),
+    ("exact", {}, ["--n", "0"], "exact.n_list"),
+    ("exact", {"n": 0}, [], "exact.n"),
+])
+def test_empty_list_or_zero_count_is_config_error(tmp_path, no_work, capsys, command, section, argv, where):
+    """A count list (or rate point list) must be non-empty, each count >= 1, before any solve."""
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, command: section})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--threads", "1", *argv]) == 2
+    assert f"'{where}' must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,doc", [
