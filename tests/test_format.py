@@ -12,8 +12,16 @@ from reinforced_ldp.measures import Kernel
 
 DECADE_NEIGHBOURS = [x for b in (1e-4, 1e-3, 1e-2, 0.1, 1.0)
                      for x in (np.nextafter(b, 0.0), b, np.nextafter(b, 2.0))]
-# v = j 2^-(P+1) with j odd puts v 10^P exactly half-way between two integers
-TIES = [j / 2.0 ** (P + 1) for P in range(17, 21) for j in range(1, 2000, 2)]
+
+
+def _ties(P):
+    """About 1000 odd ``j`` with ``v = j 2^-(P+1)`` in the decade ``[10^(16-P), 10^(17-P))``:
+    there ``%.17g`` scales by ``10^P``, and ``v 10^P`` lies exactly half-way between two integers."""
+    lo, hi = -(-2 ** (P + 1) // 10 ** (P - 16)), 2 ** (P + 1) // 10 ** (P - 17)
+    return range(lo | 1, hi, 2 * max(1, (hi - lo) // 2000))
+
+
+TIES = [j / 2.0 ** (P + 1) for P in range(17, 21) for j in _ties(P)]
 OUTSIDE = [-0.0, -0.25, 1e-5, 9.999999999999999e-05, 5e-324, 2.5, 1e300, float("inf"), float("nan")]
 
 
@@ -45,6 +53,16 @@ def test_block_floats_equal_f17_on_the_oracle_values(tmp_path):
 ])
 def test_block_float_spot_values(tmp_path, value, text):
     assert _written_floats(tmp_path, [value]) == [text]
+
+
+def test_tie_values_are_half_way():
+    for P in range(17, 21):
+        ties = _ties(P)
+        assert len(ties) >= 900
+        for j in ties:
+            v = Fraction(j, 2 ** (P + 1))
+            assert Fraction(10) ** (16 - P) <= v < Fraction(10) ** (17 - P)
+            assert (v * 10**P) % 1 == Fraction(1, 2)
 
 
 def test_decade_doubles_lie_above_their_powers_of_ten():
