@@ -16,9 +16,11 @@ controls: each control is recovered as
 is the polytope ``M_j >= 0, eta_j >= 0`` (node sums are fixed at 1 by
 dropping each node's last coordinate), every constraint is local, and
 the Hessian of the objective is block-tridiagonal.  A log-barrier
-method centres with damped Newton steps, each one banded Cholesky solve,
-and stops when the barrier's duality-gap bound ``2dJ/t`` is below
-``1e-10``.
+method centres with damped Newton steps, each one banded Cholesky solve
+(LAPACK ``dptsv``/``dpbsv``), and stops when the barrier's duality-gap bound
+``2dJ/t`` is below ``1e-10``.  All query points of a call advance as one
+lock-step batch; arithmetic is elementwise and reductions are per point, so
+a point's result has the same bits alone or in any batch.
 
 The value at the returned point is reported as ``lower``; adding the
 discounted tail allowance ``e^{-T} log(1/delta0)`` (the cost of freezing
@@ -42,7 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dpbsv, dptsv
 from scipy.special import rel_entr
 
 from .errors import (
@@ -247,25 +249,27 @@ def discounted_cost(m, ctrl: PiecewiseControl, A: Kernel) -> float:
 
 
 def _node_controls(M: np.ndarray, e_delta: float) -> np.ndarray:
-    """Controls ``eta_0..eta_{J-1}`` that move the nodes ``M_0..M_J``."""
-    return (e_delta * M[:-1] - M[1:]) / (e_delta - 1.0)
+    """Controls ``eta_0..eta_{J-1}`` that move the nodes ``M_0..M_J`` (last two axes)."""
+    return (e_delta * M[..., :-1, :] - M[..., 1:, :]) / (e_delta - 1.0)
 
 
-def _newton_parts(M, Amat, w, e_delta: float, t: float, barrier: bool = True):
-    """Gradient and Hessian of ``t * cost (- log barrier)`` in the free node
-    coordinates ``M_j[:d-1]``, ``j = 1..J`` (``M_j[d-1] = 1 - sum``).
+def _newton_parts(M, Amat, w, e_delta: float, t, barrier: bool = True):
+    """Gradients and Hessians of ``t[p] * cost (- log barrier)`` at the
+    trajectories ``M[p]``, in the free node coordinates ``M_j[:d-1]``,
+    ``j = 1..J`` (``M_j[d-1] = 1 - sum``).
 
-    Returns the gradient as a ``(J, d-1)`` array and the Hessian in the
-    lower banded form of :func:`scipy.linalg.solveh_banded`; the barrier
-    covers the ``2dJ`` constraints ``M_j >= 0`` and ``eta_j >= 0``.
+    ``M`` has shape ``(P, J+1, d)`` and ``t`` shape ``(P,)``.  Returns the
+    gradients as a ``(P, J, d-1)`` array and the Hessians in LAPACK's lower
+    band storage, ``(P, 2(d-1), J(d-1))``; the barrier covers the ``2dJ``
+    constraints ``M_j >= 0`` and ``eta_j >= 0``.
     """
-    J, d = M.shape[0] - 1, M.shape[1]
+    P, J, d = M.shape[0], M.shape[1] - 1, M.shape[2]
     b = d - 1
     c = 1.0 / (e_delta - 1.0)
     ce = c * e_delta
     eta = _node_controls(M, e_delta)
-    K = M[:-1] @ Amat
-    tw = t * w[:, None]
+    K = M[:, :-1] @ Amat
+    tw = np.repeat((t[:, None] * w)[:, :, None], d, axis=2)
     # partial derivatives of the running cost in (eta_j, K_j = M_j A)
     g_eta = tw * (np.log(eta / K) + 1.0)
     g_K = -tw * eta / K
@@ -278,93 +282,192 @@ def _newton_parts(M, Amat, w, e_delta: float, t: float, barrier: bool = True):
     # full gradient wrt M_1..M_J: node j+1 is the "next" node of interval j
     # and the "current" node of interval j+1
     G = -c * g_eta
-    G[:-1] += ce * g_eta[1:] + g_K[1:] @ Amat.T
+    G[:, :-1] += ce * g_eta[:, 1:] + g_K[:, 1:] @ Amat.T
     # Hessian blocks of interval j: H_cur (M_j, M_j), H_cn (M_j, M_{j+1}) and
     # H_next (M_{j+1}, M_{j+1}); node j+1 collects H_next of interval j and
-    # H_cur of interval j+1
-    AhA = np.einsum("xy,jy,zy->jxz", Amat, h_K, Amat)
-    cross = h_cross[:, :, None] * Amat.T[None] + Amat[None] * h_cross[:, None, :]
-    H_cur = ce * ce * _diag(h_eta) + ce * cross + AhA
-    H_cn = -c * ce * _diag(h_eta) - c * Amat[None] * h_cross[:, None, :]
-    diag = c * c * _diag(h_eta)          # H_next
-    diag[:-1] += H_cur[1:]
+    # H_cur of interval j+1.  Blocks are stored entry-major, B[x, z] a (P, J)
+    # array, and A diag(h_K) A^T is summed in y order.
+    A4 = Amat[:, :, None, None]
+    hK, hc = h_K.transpose(2, 0, 1), h_cross.transpose(2, 0, 1)
+    AhA = 0.0
+    for y in range(d):
+        AhA = AhA + (A4[:, y] * hK[y])[:, None] * A4[:, y]
+    cross = hc[:, None] * A4.transpose(1, 0, 2, 3) + A4 * hc
+    D_eta = np.zeros((d, d, P, J))
+    _diagonal(D_eta)[:] = h_eta.transpose(2, 0, 1)
+    H_cur = ce * ce * D_eta + ce * cross + AhA
+    H_cn = -c * ce * D_eta - c * A4 * hc
+    diag = c * c * D_eta                 # H_next
+    diag[..., :-1] += H_cur[..., 1:]
     if barrier:
-        G -= 1.0 / M[1:]
-        diag += _diag(1.0 / M[1:] ** 2)
+        G -= 1.0 / M[:, 1:]
+        _diagonal(diag)[:] += (1.0 / M[:, 1:] ** 2).transpose(2, 0, 1)
     # reduce to the free coordinates: P = [I; -1^T] on each block
-    grad = G[:, :b] - G[:, b:]
+    grad = G[..., :b] - G[..., b:]
     diag = _reduce(diag, b)
-    off = _reduce(H_cn[1:], b)
-    band = np.zeros((2 * b, J * b))
+    off = _reduce(H_cn[..., 1:], b)
+    band = np.zeros((P, 2 * b, J * b))
     for r in range(2 * b):
         for p in range(b):
             q = p + r
             if q < b:
-                band[r, p::b] = diag[:, q, p]
+                band[:, r, p::b] = diag[q, p]
             elif q < 2 * b:
-                band[r, p::b][: J - 1] = off[:, p, q - b]
+                band[:, r, p::b][:, : J - 1] = off[p, q - b]
     return grad, band
 
 
-def _diag(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape + (v.shape[-1],))
-    idx = np.arange(v.shape[-1])
-    out[..., idx, idx] = v
-    return out
+def _diagonal(B: np.ndarray) -> np.ndarray:
+    """View of the entries ``B[x, x]`` of entry-major blocks."""
+    return B.reshape((-1,) + B.shape[2:])[:: B.shape[0] + 1]
 
 
 def _reduce(B: np.ndarray, b: int) -> np.ndarray:
-    return B[..., :b, :b] - B[..., :b, b:] - B[..., b:, :b] + B[..., b:, b:]
+    return B[:b, :b] - B[:b, b:] - B[b:, :b] + B[b:, b:]
 
 
-def _strictly_feasible(M: np.ndarray, e_delta: float) -> bool:
-    return bool(M[1:].min() > 0.0 and _node_controls(M, e_delta).min() > 0.0)
+def _barrier_values(M, eta, Amat, w, t) -> np.ndarray:
+    """``t[p] * cost - sum log M_j - sum log eta_j`` of each trajectory
+    ``M[p]`` inside the open polytope, with controls ``eta[p]``.  The cost
+    and the log sums are reduced per point, as for a lone trajectory."""
+    P = M.shape[0]
+    r = rel_entr(eta, M[:, :-1] @ Amat).sum(axis=2)
+    cost = np.array([w @ row for row in r])
+    logs = np.log(M[:, 1:]).reshape(P, -1).sum(axis=1) + np.log(eta).reshape(P, -1).sum(axis=1)
+    return t * cost - logs
 
 
-def _barrier_value(M, Amat, w, e_delta: float, t: float) -> float:
-    """``t * cost - sum log M_j - sum log eta_j``; ``inf`` outside the open polytope."""
-    if not _strictly_feasible(M, e_delta):
-        return math.inf
-    eta = _node_controls(M, e_delta)
-    return t * _cost_value(eta, M, Amat, w) - float(np.log(M[1:]).sum() + np.log(eta).sum())
+def _newton_steps(grad, band, ms, t):
+    """Solve each point's system ``H step = -grad`` (``dptsv`` for a
+    tridiagonal ``H``, else ``dpbsv``); returns the steps in all ``d`` node
+    coordinates and the squared Newton decrements ``-grad . step``."""
+    P, J, b = grad.shape
+    dM = np.empty((P, J, b + 1))
+    lam2 = []
+    for k in range(P):
+        g = grad[k].ravel()
+        if b == 1:
+            x, info = dptsv(band[k, 0], band[k, 1, :-1], -g, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
+        else:
+            _, x, info = dpbsv(band[k], -g, lower=1, overwrite_b=1)
+        if info > 0:
+            raise ConvergenceError(f"solve_rate: Newton system not positive definite at m={tuple(ms[k].tolist())}, t={t[k]:.3g}")
+        lam2.append(-float(g @ x))
+        if not math.isfinite(lam2[-1]):
+            raise ConvergenceError(f"solve_rate: non-finite Newton decrement at m={tuple(ms[k].tolist())}, t={t[k]:.3g}")
+        dM[k, :, :b] = x.reshape(J, b)
+    dM[:, :, b] = -dM[:, :, :b].sum(axis=2)
+    return dM, lam2
 
 
-def _centre(M, Amat, w, e_delta: float, t: float, max_steps: int):
-    """Damped Newton steps towards the barrier minimizer at weight ``t``.
+def _line_search(M, dM, lam2, t, Amat, w, e_delta: float) -> np.ndarray:
+    """Next nodes of each point along its Newton direction ``dM``.
 
-    While the squared Newton decrement ``lambda^2`` is at least 1/4, steps
-    backtrack from 1 until the barrier function falls by a quarter of the
-    predicted decrease; below that, steps are full (halved only if rounding
-    would leave the open polytope).  Returns ``(M, steps, centred)``.
+    Points with ``lambda^2`` at least 1/4 backtrack from 1 until the barrier
+    function falls by a quarter of the predicted decrease; the others take
+    full steps, halved only while rounding would leave the open polytope.
+    Each point halves its own step; an accepted one keeps its trial.
     """
-    J, d = M.shape[0] - 1, M.shape[1]
-    for steps in range(max_steps):
-        grad, band = _newton_parts(M, Amat, w, e_delta, t)
-        try:
-            step = solveh_banded(band, -grad.ravel(), lower=True, check_finite=False)
-        except LinAlgError as exc:
-            raise ConvergenceError(f"solve_rate: Newton system not positive definite at t={t:.3g}") from exc
-        lam2 = -float(grad.ravel() @ step)
-        if not np.isfinite(lam2):
-            raise ConvergenceError(f"solve_rate: non-finite Newton decrement at t={t:.3g}")
-        if lam2 <= _CENTRED_LAM2:
-            return M, steps, True
-        step = step.reshape(J, d - 1)
-        dM = np.hstack([step, -step.sum(axis=1, keepdims=True)])
-        damped = lam2 >= _FULL_STEP_LAM2
-        phi = _barrier_value(M, Amat, w, e_delta, t) if damped else 0.0
-        s = 1.0
-        while True:
-            trial = M.copy()
-            trial[1:] += s * dM
-            if damped:
-                if _barrier_value(trial, Amat, w, e_delta, t) <= phi - _ARMIJO * s * lam2:
-                    break
-            elif _strictly_feasible(trial, e_delta):
-                break
-            s *= 0.5
-        M = trial
-    return M, max_steps, False
+    damped = [v >= _FULL_STEP_LAM2 for v in lam2]
+    if any(damped):
+        at = [k for k, v in enumerate(damped) if v]
+        phi = dict(zip(at, _barrier_values(M[at], _node_controls(M[at], e_delta), Amat, w, t[at]).tolist()))
+    s = [1.0] * M.shape[0]
+    pending = range(M.shape[0])
+    while True:
+        trial = M.copy()
+        trial[:, 1:] += np.array(s)[:, None, None] * dM
+        eta = _node_controls(trial, e_delta)
+        inside = (np.minimum.reduce(np.minimum(trial[:, 1:], eta), axis=(1, 2)) > 0.0).tolist()
+        test = [k for k in pending if inside[k] and damped[k]]
+        if test:
+            value = _barrier_values(trial[test], eta[test], Amat, w, t[test]).tolist()
+            for k, v in zip(test, value):
+                inside[k] = v <= phi[k] - _ARMIJO * s[k] * lam2[k]
+        pending = [k for k in pending if not inside[k]]
+        if not pending:
+            return trial
+        for k in pending:
+            s[k] *= 0.5
+
+
+def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
+    """:func:`solve_rate` for every point of ``ms`` in lock-step: each tick
+    builds the Newton parts of all running points at once, and a point
+    leaves the batch when it converges or runs out of steps."""
+    if J is None:
+        J = max(1, int(round(20 * T)))
+    if not (T > 0 and J >= 1):
+        raise PreconditionViolation("solve_rate: need T > 0 and J >= 1")
+    queries, starts, lifted = [], [], []
+    for m in ms:
+        m_arr = ProbVec(_weights_of(m)).weights
+        queries.append(m_arr)
+        lift = bool(m_arr.min() < BOUNDARY_LIFT)
+        if lift:
+            m_arr = np.maximum(m_arr, BOUNDARY_LIFT)
+            m_arr = m_arr / m_arr.sum()
+        if m_arr.size != A.d:
+            raise DimensionMismatch("solve_rate: m and A dimensions differ")
+        starts.append(m_arr)
+        lifted.append(lift)
+    P, d = len(starts), A.d
+    e_delta = math.exp(T / J)
+    w = _weights_vector(T, J)
+    Amat = A.matrix
+    n_constraints = 2 * d * J
+    # the running points: input positions, nodes, barrier weights, Newton steps
+    ids = list(range(P))
+    M = np.repeat(np.reshape(starts, (P, 1, d)), J + 1, axis=1)
+    t = [_T_INIT] * P
+    steps = [0] * P
+    final = [None] * P
+
+    def retire(done: dict):
+        nonlocal ids, M, t, steps
+        for k, converged in done.items():
+            final[ids[k]] = (M[k].copy(), t[k], steps[k], converged)
+        keep = [k for k in range(len(ids)) if k not in done]
+        ids, M = [ids[k] for k in keep], M[keep]
+        t, steps = [t[k] for k in keep], [steps[k] for k in keep]
+
+    # a single state leaves nothing to optimize; no budget, no step
+    retire({k: d == 1 for k in ids if d == 1 or _MAX_NEWTON <= 0})
+    while ids:
+        t_arr = np.array(t)
+        grad, band = _newton_parts(M, Amat, w, e_delta, t_arr)
+        dM, lam2 = _newton_steps(grad, band, [queries[i] for i in ids], t)
+        go = [k for k, v in enumerate(lam2) if v > _CENTRED_LAM2]
+        if len(go) == len(ids):
+            M = _line_search(M, dM, lam2, t_arr, Amat, w, e_delta)
+        elif go:
+            M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
+        done = {}
+        for k, v in enumerate(lam2):
+            if v > _CENTRED_LAM2:
+                steps[k] += 1
+                if steps[k] >= _MAX_NEWTON:
+                    done[k] = False
+            elif n_constraints / t[k] <= _GAP_TOL:
+                done[k] = True
+            else:
+                t[k] *= _T_GROWTH
+        if done:
+            retire(done)
+
+    brackets = []
+    for m_arr, lift, (M, t, iterations, converged) in zip(queries, lifted, final):
+        eta = _node_controls(M, e_delta)
+        cost = _cost_value(eta, M, Amat, w)
+        if not np.isfinite(cost):
+            raise ConvergenceError(f"solve_rate: non-finite cost at the returned point for m={tuple(m_arr.tolist())}")
+        lower = max(cost, 0.0)
+        diag = SolveDiagnostics(iterations=iterations, gap=n_constraints / t, converged=converged,
+                                binding=bool(M[1:].min() <= BINDING_ATOL), boundary_lifted=lift)
+        brackets.append(RateBracket(lower=lower, upper=lower + math.exp(-T) * math.log(1.0 / A.delta0),
+                                    eta_opt=PiecewiseControl(T=T, J=J, eta=eta), M_opt=_as_grid(M),
+                                    diagnostics=diag))
+    return brackets
 
 
 def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBracket:
@@ -377,55 +480,7 @@ def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBrack
     numerically at) the simplex boundary are lifted inward by ``1e-9`` and
     renormalized, recorded in ``diagnostics.boundary_lifted``.
     """
-    if J is None:
-        J = max(1, int(round(20 * T)))
-    if not (T > 0 and J >= 1):
-        raise PreconditionViolation("solve_rate: need T > 0 and J >= 1")
-    m_arr = ProbVec(_weights_of(m)).weights
-    lifted = bool(m_arr.min() < BOUNDARY_LIFT)
-    if lifted:
-        m_arr = np.maximum(m_arr, BOUNDARY_LIFT)
-        m_arr = m_arr / m_arr.sum()
-    d = m_arr.size
-    if d != A.d:
-        raise DimensionMismatch("solve_rate: m and A dimensions differ")
-    e_delta = math.exp(T / J)
-    w = _weights_vector(T, J)
-    Amat = A.matrix
-    n_constraints = 2 * d * J
-    M = np.tile(m_arr, (J + 1, 1))
-    t = _T_INIT
-    iterations = 0
-    converged = d == 1           # a single state leaves nothing to optimize
-    while not converged:
-        M, steps, centred = _centre(M, Amat, w, e_delta, t, _MAX_NEWTON - iterations)
-        iterations += steps
-        if not centred:
-            break
-        if n_constraints / t <= _GAP_TOL:
-            converged = True
-        else:
-            t *= _T_GROWTH
-    eta = _node_controls(M, e_delta)
-    cost = _cost_value(eta, M, Amat, w)
-    if not np.isfinite(cost):
-        raise ConvergenceError("solve_rate: non-finite cost at the returned point")
-    lower = max(cost, 0.0)
-    upper = lower + math.exp(-T) * math.log(1.0 / A.delta0)
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        gap=n_constraints / t,
-        converged=converged,
-        binding=bool(M[1:].min() <= BINDING_ATOL),
-        boundary_lifted=lifted,
-    )
-    return RateBracket(
-        lower=lower,
-        upper=upper,
-        eta_opt=PiecewiseControl(T=T, J=J, eta=eta),
-        M_opt=_as_grid(M),
-        diagnostics=diag,
-    )
+    return _solve_batch([m], A, T, J)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +530,22 @@ class RateProfileRow:
     binding: bool
 
 
-def _profile_one(task) -> RateProfileRow:
-    A, m, T, J, dv = task
-    bracket = solve_rate(m, A, T=T, J=J)
-    dv_rate = solve_dv_rate(m, A) if dv else math.nan
-    return RateProfileRow(
-        m=tuple(float(v) for v in np.asarray(m, dtype=float)),
-        lower=bracket.lower,
-        upper=bracket.upper,
-        dv_rate=dv_rate,
-        iterations=bracket.diagnostics.iterations,
-        gap=bracket.diagnostics.gap,
-        converged=bracket.diagnostics.converged,
-        boundary_lifted=bracket.diagnostics.boundary_lifted,
-        binding=bracket.diagnostics.binding,
-    )
+def _profile_rows(task) -> list[RateProfileRow]:
+    A, points, T, J, dv = task
+    rows = []
+    for m, bracket in zip(points, _solve_batch(points, A, T, J)):
+        rows.append(RateProfileRow(
+            m=tuple(float(v) for v in m),
+            lower=bracket.lower,
+            upper=bracket.upper,
+            dv_rate=solve_dv_rate(m, A) if dv else math.nan,
+            iterations=bracket.diagnostics.iterations,
+            gap=bracket.diagnostics.gap,
+            converged=bracket.diagnostics.converged,
+            boundary_lifted=bracket.diagnostics.boundary_lifted,
+            binding=bracket.diagnostics.binding,
+        ))
+    return rows
 
 
 def rate_profile(
@@ -500,13 +556,17 @@ def rate_profile(
     dv: bool = True,
     threads: int = 1,
 ) -> list[RateProfileRow]:
-    """Solve many query points; results are ordered like the input
-    regardless of the worker pool size."""
-    tasks = [(A, _weights_of(m), T, J, dv) for m in ms]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_profile_one, tasks, chunksize=1))
-    return [_profile_one(t) for t in tasks]
+    """Solve many query points as one lock-step batch, or with ``threads > 1``
+    as one batch per worker over a contiguous chunk; results are ordered
+    like the input and do not depend on the pool size."""
+    points = [_weights_of(m) for m in ms]
+    chunks = min(max(threads, 1), len(points))
+    if chunks > 1:
+        cuts = [len(points) * i // chunks for i in range(chunks + 1)]
+        tasks = [(A, points[lo:hi], T, J, dv) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            return [row for rows in pool.map(_profile_rows, tasks) for row in rows]
+    return _profile_rows((A, points, T, J, dv))
 
 
 def simplex_mesh(d: int, step: float) -> list[np.ndarray]:

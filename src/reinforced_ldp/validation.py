@@ -211,7 +211,7 @@ def _c7_gradient(scale, seed, threads):
     for _ in range(n_controls):
         m = _interior_point(rng, d)
         M = integrate_forward(m, _feasible_control(rng, m, T, J, d)).M
-        g, _ = _newton_parts(M, A.matrix, w, e_delta, 1.0, barrier=False)
+        g = _newton_parts(M[None], A.matrix, w, e_delta, np.ones(1), barrier=False)[0][0]
         for j in range(J):
             for x in range(d - 1):
                 # the free coordinate x of node j+1 moves against the last one

@@ -142,6 +142,33 @@ def test_rate_profile_csv(tmp_path):
     assert lines[2].endswith(",1,0")
 
 
+# SHA-256 of `rate_profile.csv` for a d=2 profile with `dv` on (the point
+# (0, 1) is lifted) and a d=3 interior mesh, as written by the one-point-at-a-time
+# Newton solver; any batching of the solves must keep them
+D3_MATRIX = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]]
+RATE_CONFIGS = {
+    "d2": {"kernel": {"matrix": BENCH_MATRIX},
+           "rate": {"points": [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], "T": 4.0, "J": 80, "dv": True}},
+    "d3": {"kernel": {"matrix": D3_MATRIX},
+           "rate": {"points": [[0.2, 0.2, 0.6], [0.2, 0.4, 0.4], [0.2, 0.6, 0.2],
+                               [0.4, 0.2, 0.4], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]], "T": 4.0, "J": 40}},
+}
+RATE_DIGESTS = {
+    "d2": "24b546ef0b3ddda5f0ca9afda2b3e3071a53c2635059e8c7e37c37c925d5dce0",
+    "d3": "69afdf2f5b182b6bbc8e12a18f4acb283405986ac48864182fd1056afb75759d",
+}
+
+
+def test_rate_profiles_match_golden_digests(tmp_path):
+    digests = {}
+    for name, doc in RATE_CONFIGS.items():
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256((out / "rate_profile.csv").read_bytes()).hexdigest()
+    assert digests == RATE_DIGESTS
+
+
 @pytest.mark.parametrize("dv", [False, True])
 def test_rate_dv_flag_sets_the_column(tmp_path, dv):
     cfg = write_config(tmp_path, {
@@ -181,7 +208,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
-    monkeypatch.setattr(ratesolver, "solve_rate", fail)
+    monkeypatch.setattr(ratesolver, "_solve_batch", fail)
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
         "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40},

@@ -6,7 +6,9 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import rel_entr
 
+from reinforced_ldp import ratesolver
 from reinforced_ldp.errors import (
+    ConvergenceError,
     DimensionMismatch,
     InfeasibleTrajectory,
     PreconditionViolation,
@@ -20,9 +22,10 @@ from reinforced_ldp.measures import (
 from reinforced_ldp.lowerbound import integrate_reversed
 from reinforced_ldp.ratesolver import (
     PiecewiseControl,
-    _barrier_value,
+    _barrier_values,
     _newton_parts,
     _node_controls,
+    _solve_batch,
     _weights_vector,
     discounted_cost,
     integrate_forward,
@@ -196,12 +199,14 @@ def test_solve_rate_reaches_slsqp_optimum(m1, T, J):
 
 
 def test_newton_parts_match_finite_differences():
-    """Barrier gradient against central differences of the barrier value,
-    and the banded Hessian times a random vector against central
-    differences of the gradient, in the free node coordinates."""
+    """Barrier gradients against central differences of the barrier values,
+    and each banded Hessian times a random vector against central
+    differences of the gradients, in the free node coordinates, for a batch
+    of two trajectories at different barrier weights."""
     rng = np.random.default_rng(5)
-    T, J, t, h = 1.0, 12, 3.0, 1e-6
-    M = _random_nodes(rng, np.array([0.2, 0.3, 0.5]), T, J)
+    T, J, h = 1.0, 12, 1e-6
+    t = np.array([3.0, 60.0])
+    M = np.stack([_random_nodes(rng, np.array(m), T, J) for m in ([0.2, 0.3, 0.5], [0.5, 0.35, 0.15])])
     e_delta = math.exp(T / J)
     w = _weights_vector(T, J)
     A = D3.matrix
@@ -209,26 +214,106 @@ def test_newton_parts_match_finite_differences():
 
     def shifted(v):
         out = M.copy()
-        out[1:, :2] += v
-        out[1:, 2] -= v.sum(axis=1)
+        out[:, 1:, :2] += v
+        out[:, 1:, 2] -= v.sum(axis=2)
         return out
 
-    for idx in [(0, 0), (5, 1), (J - 1, 0)]:
-        bump = np.zeros((J, 2))
-        bump[idx] = h
-        fd = (_barrier_value(shifted(bump), A, w, e_delta, t)
-              - _barrier_value(shifted(-bump), A, w, e_delta, t)) / (2 * h)
-        assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+    def barrier(X):
+        return _barrier_values(X, _node_controls(X, e_delta), A, w, t)
+
+    for j, x in [(0, 0), (5, 1), (J - 1, 0)]:
+        bump = np.zeros((2, J, 2))
+        bump[:, j, x] = h
+        fd = (barrier(shifted(bump)) - barrier(shifted(-bump))) / (2 * h)
+        assert np.all(np.abs(grad[:, j, x] - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
     n = 2 * J
-    H = np.zeros((n, n))
-    for r in range(band.shape[0]):
-        i = np.arange(n - r)
-        H[i + r, i] = H[i, i + r] = band[r, : n - r]
-    v = rng.normal(size=(J, 2))
+    v = rng.normal(size=(2, J, 2))
     g_up, _ = _newton_parts(shifted(h * v), A, w, e_delta, t)
     g_dn, _ = _newton_parts(shifted(-h * v), A, w, e_delta, t)
-    fd = ((g_up - g_dn) / (2 * h)).ravel()
-    assert np.abs(H @ v.ravel() - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+    for p in range(2):
+        H = np.zeros((n, n))
+        for r in range(band.shape[1]):
+            i = np.arange(n - r)
+            H[i + r, i] = H[i, i + r] = band[p, r, : n - r]
+        fd = ((g_up[p] - g_dn[p]) / (2 * h)).ravel()
+        assert np.abs(H @ v[p].ravel() - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def _bracket_bits(br):
+    diag = br.diagnostics
+    return (br.lower, br.upper, br.eta_opt.eta.tobytes(), br.M_opt.M.tobytes(),
+            br.M_opt.feasible.tobytes(), diag.iterations, diag.gap, diag.converged,
+            diag.binding, diag.boundary_lifted)
+
+
+def _row_bits(row):
+    return (row.m, row.lower, row.upper, row.iterations, row.gap, row.converged,
+            row.binding, row.boundary_lifted)
+
+
+# (kernel, T, J, points, Newton budget); at T=4, J=80 the budget of 50 stops
+# (0.3, 0.7) and (0.8, 0.2) while (0.5, 0.5) and the lifted (0, 1) converge
+BATCH_CASES = {
+    "d2": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], None),
+    "d3": (D3, 4.0, 40, [[0.2, 0.2, 0.6], [0.0, 0.5, 0.5], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]], None),
+    "budget": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], 50),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_results_do_not_depend_on_batch_make_up(monkeypatch, case):
+    """A point's bracket is the same bits alone, in input order, shuffled
+    and split over two workers."""
+    A, T, J, pts, budget = BATCH_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(ratesolver, "_MAX_NEWTON", budget)
+    points = [np.array(p) for p in pts]
+    alone = [solve_rate(p, A, T=T, J=J) for p in points]
+    assert any(br.diagnostics.boundary_lifted for br in alone)
+    if budget is not None:
+        assert {br.diagnostics.converged for br in alone} == {True, False}
+        assert max(br.diagnostics.iterations for br in alone) == budget
+    order = [2, 0, 3, 1]
+    shuffled = [points[i] for i in order]
+    expect = [_bracket_bits(br) for br in alone]
+    assert [_bracket_bits(br) for br in _solve_batch(points, A, T, J)] == expect
+    assert [_bracket_bits(br) for br in _solve_batch(shuffled, A, T, J)] == [expect[i] for i in order]
+
+    seen = []
+    real = ratesolver._solve_batch
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ratesolver, "_solve_batch", spy)
+    in_order = rate_profile(A, points, T=T, J=J, dv=False, threads=1)
+    mixed = rate_profile(A, shuffled, T=T, J=J, dv=False, threads=1)
+    assert [_bracket_bits(br) for br in seen[0]] == expect
+    assert [_bracket_bits(br) for br in seen[1]] == [expect[i] for i in order]
+    pooled = rate_profile(A, points, T=T, J=J, dv=False, threads=2)
+    rows = [_row_bits(r) for r in in_order]
+    assert [_row_bits(r) for r in pooled] == rows
+    assert [_row_bits(r) for r in mixed] == [rows[i] for i in order]
+    assert [r[1:] for r in rows] == [
+        (br.lower, br.upper, br.diagnostics.iterations, br.diagnostics.gap, br.diagnostics.converged,
+         br.diagnostics.binding, br.diagnostics.boundary_lifted) for br in alone]
+
+
+def test_failed_newton_system_names_the_point(monkeypatch):
+    """A LAPACK failure for one point of a batch names that point and its t."""
+    real = ratesolver.dptsv
+    calls = []
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(None)
+        return out[:3] + (1,) if len(calls) == 2 else out
+
+    monkeypatch.setattr(ratesolver, "dptsv", failing)
+    points = [np.array(p) for p in ([0.3, 0.7], [0.55, 0.45], [0.8, 0.2])]
+    with pytest.raises(ConvergenceError, match=r"not positive definite at m=\(0\.55, 0\.45\), t=1\b"):
+        rate_profile(BENCH, points, T=2.0, J=40, dv=False)
 
 
 def test_boundary_query_is_lifted():
