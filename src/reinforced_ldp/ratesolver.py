@@ -327,9 +327,8 @@ def _reduce(B: np.ndarray, b: int) -> np.ndarray:
 
 
 def _barrier_values(M, eta, Amat, w, t) -> np.ndarray:
-    """``t[p] * cost - sum log M_j - sum log eta_j`` of each trajectory
-    ``M[p]`` inside the open polytope, with controls ``eta[p]``.  The cost
-    and the log sums are reduced per point, as for a lone trajectory."""
+    """``t[p] * cost - sum log M_j - sum log eta_j`` of each interior trajectory
+    ``M[p]`` with controls ``eta[p]``, reduced per point as for a lone one."""
     P = M.shape[0]
     r = rel_entr(eta, M[:, :-1] @ Amat).sum(axis=2)
     cost = np.array([w @ row for row in r])
@@ -350,6 +349,8 @@ def _newton_steps(grad, band, ms, t):
             x, info = dptsv(band[k, 0], band[k, 1, :-1], -g, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
         else:
             _, x, info = dpbsv(band[k], -g, lower=1, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"solve_rate: illegal value in argument {-info} of the LAPACK band solve")
         if info > 0:
             raise ConvergenceError(f"solve_rate: Newton system not positive definite at m={tuple(ms[k].tolist())}, t={t[k]:.3g}")
         lam2.append(-float(g @ x))
@@ -369,9 +370,8 @@ def _line_search(M, dM, lam2, t, Amat, w, e_delta: float) -> np.ndarray:
     Each point halves its own step; an accepted one keeps its trial.
     """
     damped = [v >= _FULL_STEP_LAM2 for v in lam2]
-    if any(damped):
-        at = [k for k, v in enumerate(damped) if v]
-        phi = dict(zip(at, _barrier_values(M[at], _node_controls(M[at], e_delta), Amat, w, t[at]).tolist()))
+    at = [k for k, v in enumerate(damped) if v]
+    phi = dict(zip(at, _barrier_values(M[at], _node_controls(M[at], e_delta), Amat, w, t[at]).tolist())) if at else {}
     s = [1.0] * M.shape[0]
     pending = range(M.shape[0])
     while True:
@@ -431,7 +431,7 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
         ids, M = [ids[k] for k in keep], M[keep]
         t, steps = [t[k] for k in keep], [steps[k] for k in keep]
 
-    # a single state leaves nothing to optimize; no budget, no step
+    # one state leaves nothing to optimize; a budget of 0 allows no step
     retire({k: d == 1 for k in ids if d == 1 or _MAX_NEWTON <= 0})
     while ids:
         t_arr = np.array(t)
