@@ -178,11 +178,6 @@ def _resolve_seed(args, doc: dict) -> int:
     return seed
 
 
-def _resolve_threads(args, doc: dict) -> int:
-    threads = _read(_overlay(doc, threads=args.threads), "", "threads", int, 0)
-    return threads if threads > 0 else os.cpu_count() or 1
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,7 +205,7 @@ def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     A = _kernel_from_config(doc)
     sect = _section(doc, "simulate", n=args.n, x0=args.x0, paths=args.paths)
-    n = _read(sect, "simulate", "n", int, 1000)
+    n = _count(sect, "simulate", "n", 1000)
     x0 = _read(sect, "simulate", "x0", int, 1)
     paths = _count(sect, "simulate", "paths", 1)
     seed = _resolve_seed(args, doc)
@@ -288,7 +283,6 @@ def cmd_rate(args) -> int:
     else:
         raise ConfigError("rate config needs 'points' or 'mesh_step'")
     seed = _resolve_seed(args, doc)
-    threads = _resolve_threads(args, doc)
     eff = {
         "command": "rate",
         "kernel": A.matrix.tolist(),
@@ -299,7 +293,7 @@ def cmd_rate(args) -> int:
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
-    rows = rate_profile(A, points, T=T, J=J, dv=dv, threads=threads)
+    rows = rate_profile(A, points, T=T, J=J, dv=dv)
     header = [f"m_{x}" for x in range(1, A.d + 1)] + ["lower", "upper"]
     if dv:
         header.append("dv_rate")
@@ -385,7 +379,6 @@ def cmd_validate(args) -> int:
     scale = _read(sect, "validate", "scale", float, 1.0)
     include = _read(sect, "validate", "include", [str], None)
     seed = _resolve_seed(args, doc)
-    threads = _resolve_threads(args, doc)
     eff = {
         "command": "validate",
         "scale": scale,
@@ -393,7 +386,7 @@ def cmd_validate(args) -> int:
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
-    results = run_acceptance(scale=scale, seed=seed, threads=threads, include=include)
+    results = run_acceptance(scale=scale, seed=seed, include=include)
     write_report_csv(out / REPORT_FILENAME, results, prov)
     for line in format_report_lines(results):
         print(line)
@@ -413,8 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--out", default=".", help="output directory (default: current)")
     common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes (0 = all available; default: config, else 0)")
+    common.add_argument("--threads", type=int, default=None, help="accepted and ignored; every solve runs in-process")
     parser = argparse.ArgumentParser(
         prog="reinforced-ldp",
         description="Reinforced-chain empirical-measure rates: simulation, "

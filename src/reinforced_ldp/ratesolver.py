@@ -40,7 +40,6 @@ the map.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,7 @@ from .measures import Kernel, ProbVec, _weights_of
 FEASIBILITY_ATOL = 1e-9      # node entries below -this mark the node infeasible
 BOUNDARY_LIFT = 1e-9         # queried m entries below this are lifted
 BINDING_ATOL = 1e-8          # node entries below this report a binding cap
+_RELABEL_BELOW = 1e-3        # d > 2: a queried m whose last entry is below this is relabelled
 
 # barrier-Newton schedule
 _T_INIT = 1.0                # barrier weight of the first centring
@@ -394,7 +394,15 @@ def _line_search(M, dM, lam2, t, Amat, w, e_delta: float) -> np.ndarray:
 def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
     """:func:`solve_rate` for every point of ``ms`` in lock-step: each tick
     builds the Newton parts of all running points at once, and a point
-    leaves the batch when it converges or runs out of steps."""
+    leaves the batch when it converges or runs out of steps.
+
+    The free coordinates drop each node's last entry, whose barrier curvature
+    ``1/M^2`` enters every entry of the reduced Hessian block; near 0 it swamps
+    the other terms in rounding.  So for ``d > 2`` a point whose last entry is
+    below ``_RELABEL_BELOW`` is solved in a second batch, with its largest
+    state swapped into the last place (the kernel relabelled alike) and
+    swapped back after; the other points keep the bits of a plain solve.
+    """
     if J is None:
         J = max(1, int(round(20 * T)))
     if not (T > 0 and J >= 1):
@@ -414,51 +422,55 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
     P, d = len(starts), A.d
     e_delta = math.exp(T / J)
     w = _weights_vector(T, J)
-    Amat = A.matrix
     n_constraints = 2 * d * J
-    # the running points: input positions, nodes, barrier weights, Newton steps
-    ids = list(range(P))
-    M = np.repeat(np.reshape(starts, (P, 1, d)), J + 1, axis=1)
-    t = [_T_INIT] * P
-    steps = [0] * P
+    swap = [int(np.argmax(m)) if d > 2 and m[-1] < _RELABEL_BELOW else d - 1 for m in queries]
     final = [None] * P
 
     def retire(done: dict):
         nonlocal ids, M, t, steps
         for k, converged in done.items():
-            final[ids[k]] = (M[k].copy(), t[k], steps[k], converged)
+            final[ids[k]] = (M[k][:, perm], t[k], steps[k], converged)
         keep = [k for k in range(len(ids)) if k not in done]
         ids, M = [ids[k] for k in keep], M[keep]
         t, steps = [t[k] for k in keep], [steps[k] for k in keep]
 
-    # one state leaves nothing to optimize; a budget of 0 allows no step
-    retire({k: d == 1 for k in ids if d == 1 or _MAX_NEWTON <= 0})
-    while ids:
-        t_arr = np.array(t)
-        grad, band = _newton_parts(M, Amat, w, e_delta, t_arr)
-        dM, lam2 = _newton_steps(grad, band, [queries[i] for i in ids], t)
-        go = [k for k, v in enumerate(lam2) if v > _CENTRED_LAM2]
-        if len(go) == len(ids):
-            M = _line_search(M, dM, lam2, t_arr, Amat, w, e_delta)
-        elif go:
-            M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
-        done = {}
-        for k, v in enumerate(lam2):
-            if v > _CENTRED_LAM2:
-                steps[k] += 1
-                if steps[k] >= _MAX_NEWTON:
-                    done[k] = False
-            elif n_constraints / t[k] <= _GAP_TOL:
-                done[k] = True
-            else:
-                t[k] *= _T_GROWTH
-        if done:
-            retire(done)
+    for x in sorted(set(swap)):
+        perm = np.arange(d)
+        perm[[x, -1]] = perm[[-1, x]]
+        Amat = A.matrix[np.ix_(perm, perm)]
+        # the running points: input positions, nodes, barrier weights, Newton steps
+        ids = [k for k in range(P) if swap[k] == x]
+        M = np.repeat(np.reshape([starts[k][perm] for k in ids], (len(ids), 1, d)), J + 1, axis=1)
+        t = [_T_INIT] * len(ids)
+        steps = [0] * len(ids)
+        # one state leaves nothing to optimize; a budget of 0 allows no step
+        retire({k: d == 1 for k in range(len(ids)) if d == 1 or _MAX_NEWTON <= 0})
+        while ids:
+            t_arr = np.array(t)
+            grad, band = _newton_parts(M, Amat, w, e_delta, t_arr)
+            dM, lam2 = _newton_steps(grad, band, [queries[i] for i in ids], t)
+            go = [k for k, v in enumerate(lam2) if v > _CENTRED_LAM2]
+            if len(go) == len(ids):
+                M = _line_search(M, dM, lam2, t_arr, Amat, w, e_delta)
+            elif go:
+                M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
+            done = {}
+            for k, v in enumerate(lam2):
+                if v > _CENTRED_LAM2:
+                    steps[k] += 1
+                    if steps[k] >= _MAX_NEWTON:
+                        done[k] = False
+                elif n_constraints / t[k] <= _GAP_TOL:
+                    done[k] = True
+                else:
+                    t[k] *= _T_GROWTH
+            if done:
+                retire(done)
 
     brackets = []
     for m_arr, lift, (M, t, iterations, converged) in zip(queries, lifted, final):
         eta = _node_controls(M, e_delta)
-        cost = _cost_value(eta, M, Amat, w)
+        cost = _cost_value(eta, M, A.matrix, w)
         if not np.isfinite(cost):
             raise ConvergenceError(f"solve_rate: non-finite cost at the returned point for m={tuple(m_arr.tolist())}")
         lower = max(cost, 0.0)
@@ -530,11 +542,13 @@ class RateProfileRow:
     binding: bool
 
 
-def _profile_rows(task) -> list[RateProfileRow]:
-    A, points, T, J, dv = task
-    rows = []
-    for m, bracket in zip(points, _solve_batch(points, A, T, J)):
-        rows.append(RateProfileRow(
+def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None, dv: bool = True) -> list[RateProfileRow]:
+    """Solve many query points as one lock-step batch; rows are ordered like
+    the input, and each row's bracket has the bits of a lone :func:`solve_rate`
+    call."""
+    points = [_weights_of(m) for m in ms]
+    return [
+        RateProfileRow(
             m=tuple(float(v) for v in m),
             lower=bracket.lower,
             upper=bracket.upper,
@@ -544,29 +558,9 @@ def _profile_rows(task) -> list[RateProfileRow]:
             converged=bracket.diagnostics.converged,
             boundary_lifted=bracket.diagnostics.boundary_lifted,
             binding=bracket.diagnostics.binding,
-        ))
-    return rows
-
-
-def rate_profile(
-    A: Kernel,
-    ms,
-    T: float = 14.0,
-    J: int | None = None,
-    dv: bool = True,
-    threads: int = 1,
-) -> list[RateProfileRow]:
-    """Solve many query points as one lock-step batch, or with ``threads > 1``
-    as one batch per worker over a contiguous chunk; results are ordered
-    like the input and do not depend on the pool size."""
-    points = [_weights_of(m) for m in ms]
-    chunks = min(max(threads, 1), len(points))
-    if chunks > 1:
-        cuts = [len(points) * i // chunks for i in range(chunks + 1)]
-        tasks = [(A, points[lo:hi], T, J, dv) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            return [row for rows in pool.map(_profile_rows, tasks) for row in rows]
-    return _profile_rows((A, points, T, J, dv))
+        )
+        for m, bracket in zip(points, _solve_batch(points, A, T, J))
+    ]
 
 
 def simplex_mesh(d: int, step: float) -> list[np.ndarray]:

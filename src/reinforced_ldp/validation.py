@@ -79,20 +79,20 @@ def _interior_point(rng: np.random.Generator, d: int) -> np.ndarray:
 # criteria
 
 
-def _c1_sanov(scale, seed, threads):
+def _c1_sanov(scale, seed):
     """Product kernels reduce the rate to a single relative entropy."""
     A = Kernel(np.tile(_SANOV_P, (2, 1)))
     n_pts = _count(20, scale, 3)
     firsts = np.linspace(0.05, 0.95, n_pts)
     points = [np.array([v, 1.0 - v]) for v in firsts]
-    rows = rate_profile(A, points, T=14.0, J=280, dv=False, threads=threads)
+    rows = rate_profile(A, points, T=14.0, J=280, dv=False)
     worst = max(
         abs(row.lower - relative_entropy(np.asarray(row.m), _SANOV_P)) for row in rows
     )
     return worst, 1e-3, worst <= 1e-3, f"{n_pts} query points"
 
 
-def _c2_stationary(scale, seed, threads):
+def _c2_stationary(scale, seed):
     """The rate vanishes at the stationary measure."""
     n_kernels = _count(5, scale, 1)
     rng = path_rng(seed, 0)
@@ -106,7 +106,7 @@ def _c2_stationary(scale, seed, threads):
     return worst, 1e-6, worst <= 1e-6, f"{n_kernels} random kernels"
 
 
-def _c3_law_vs_mc(scale, seed, threads):
+def _c3_law_vs_mc(scale, seed):
     """Exact count law against a Monte Carlo histogram at n = 20."""
     n = 20
     law = exact_law(_BENCH, x0=1, n=n)
@@ -120,7 +120,7 @@ def _c3_law_vs_mc(scale, seed, threads):
     return tv, 0.015, tv <= 0.015, f"{n_paths} paths"
 
 
-def _c4_rate_trend(scale, seed, threads):
+def _c4_rate_trend(scale, seed):
     """Finite-n ball rates move toward the solver bracket."""
     radius = 0.05
     n_list = (50, 100, 200)
@@ -135,7 +135,7 @@ def _c4_rate_trend(scale, seed, threads):
     return dists[-1], 0.15, ok, detail
 
 
-def _c5_chain_rule(scale, seed, threads):
+def _c5_chain_rule(scale, seed):
     """Occupation-measure entropy equals the per-step cost average."""
     n_policies = _count(100, scale, 5)
     n = 100
@@ -155,7 +155,7 @@ def _c5_chain_rule(scale, seed, threads):
     return worst, 1e-8, worst <= 1e-8, f"{n_policies} random policies"
 
 
-def _c6_grid(scale, seed, threads):
+def _c6_grid(scale, seed):
     """Grid index and step weight track the exponential clock."""
     n = max(20_000, int(round(100_000 * scale)))
     g = TimeGrid(n)
@@ -194,7 +194,7 @@ def _feasible_control(rng, m, T, J, d):
     raise ConfigError("could not sample a feasible control")
 
 
-def _c7_gradient(scale, seed, threads):
+def _c7_gradient(scale, seed):
     """Node-space gradient of the solver objective against central differences."""
     d, T, J, h = 2, 1.5, 30, 1e-6
     n_controls = _count(50, scale, 5)
@@ -222,7 +222,7 @@ def _c7_gradient(scale, seed, threads):
     return worst, 1e-5, worst <= 1e-5, f"{n_controls} trajectories of {J}x{d - 1} free coordinates"
 
 
-def _c8_convexity(scale, seed, threads):
+def _c8_convexity(scale, seed):
     """Midpoint cost never exceeds the average cost (joint convexity)."""
     n_pairs = _count(100, scale, 10)
     T, J, d = 2.0, 40, 2
@@ -253,7 +253,7 @@ def _bench_plan():
 _PLAN_EPS0 = 0.3
 
 
-def _c9_terminal(scale, seed, threads):
+def _c9_terminal(scale, seed):
     """Scheduled chains land near the reversed trajectory endpoint."""
     plan = _bench_plan()
     n_seeds = _count(200, scale, 10)
@@ -271,7 +271,7 @@ def _c9_terminal(scale, seed, threads):
     return means[-1], 0.05, ok, detail
 
 
-def _c10_cost_band(scale, seed, threads):
+def _c10_cost_band(scale, seed):
     """Monte Carlo occupation cost stays inside the certified band."""
     plan = _bench_plan()
     n_seeds = _count(40, scale, 8)
@@ -290,7 +290,7 @@ def _c10_cost_band(scale, seed, threads):
     return last.mc_mean, hi, in_band and improving, detail
 
 
-def _c11_dv(scale, seed, threads):
+def _c11_dv(scale, seed):
     """Pair-measure rates match point-mass, stationary, and product forms."""
     worst_tight = 0.0
     rng = path_rng(seed, 0)
@@ -312,7 +312,7 @@ def _c11_dv(scale, seed, threads):
     return value, 1.0, value <= 1.0, detail
 
 
-def _c12_determinism(scale, seed, threads):
+def _c12_determinism(scale, seed):
     """Two identical validate invocations write identical report bytes."""
     inner = ",".join(c for c in CRITERIA if c != "C12")
     # the child must import this same package, installed or not
@@ -359,12 +359,7 @@ _REGISTRY = {
 CRITERIA = tuple(_REGISTRY)
 
 
-def run_acceptance(
-    scale: float = 1.0,
-    seed: int = 0,
-    threads: int = 1,
-    include=None,
-) -> list[CriterionResult]:
+def run_acceptance(scale: float = 1.0, seed: int = 0, include=None) -> list[CriterionResult]:
     """Run the acceptance criteria and collect one result per criterion.
 
     A criterion that raises is recorded as failed with the exception in
@@ -386,7 +381,7 @@ def run_acceptance(
         description, fn = _REGISTRY[cid]
         start = time.perf_counter()
         try:
-            value, threshold, passed, detail = fn(scale, seed, threads)
+            value, threshold, passed, detail = fn(scale, seed)
         except Exception as exc:  # noqa: BLE001 - report, do not abort the battery
             value, threshold, passed = math.nan, math.nan, False
             detail = f"{type(exc).__name__}: {exc}"

@@ -10,12 +10,11 @@ from reinforced_ldp.validation import CRITERIA, format_report_lines, run_accepta
 
 SCALE = 1.0
 SEED = 0
-THREADS = 1
 
 
 @pytest.mark.parametrize("cid", CRITERIA)
 def test_criterion(cid):
-    results = run_acceptance(scale=SCALE, seed=SEED, threads=THREADS, include=[cid])
+    results = run_acceptance(scale=SCALE, seed=SEED, include=[cid])
     assert len(results) == 1
     line = format_report_lines(results)[0]
     print(line)

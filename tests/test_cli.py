@@ -169,6 +169,18 @@ def test_rate_profiles_match_golden_digests(tmp_path):
     assert digests == RATE_DIGESTS
 
 
+def test_rate_d3_mesh_solves_its_boundary(tmp_path):
+    """Every point of the step-0.25 d=3 mesh converges, those on the boundary
+    lifted; points whose last entry is 0 once failed the Newton solve."""
+    cfg = write_config(tmp_path, {"kernel": {"matrix": D3_MATRIX}, "rate": {"mesh_step": 0.25, "T": 8.0, "J": 80}})
+    out = tmp_path / "o"
+    assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "rate_profile.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 15
+    for row in rows:
+        assert row[-2:] == ["1", str(int(min(map(float, row[:3])) == 0.0))]
+
+
 @pytest.mark.parametrize("dv", [False, True])
 def test_rate_dv_flag_sets_the_column(tmp_path, dv):
     cfg = write_config(tmp_path, {
@@ -182,16 +194,19 @@ def test_rate_dv_flag_sets_the_column(tmp_path, dv):
 
 
 def test_rate_threads_write_the_same_profile(tmp_path):
-    cfg = write_config(tmp_path, {
+    """``--threads`` and a top-level ``threads`` key are accepted and change nothing."""
+    doc = {
         "kernel": {"matrix": BENCH_MATRIX},
         "rate": {"points": [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]], "T": 2.0, "J": 40, "dv": True},
-    })
+    }
     written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert main(["rate", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+    for name, extra, argv in (("none", {}, []), ("one", {}, ["--threads", "1"]),
+                              ("two", {}, ["--threads", "2"]), ("key", {"threads": "all"}, [])):
+        cfg = write_config(tmp_path, {**doc, **extra}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["rate", "--config", cfg, "--out", str(out), *argv]) == 0
         written.append((out / "rate_profile.csv").read_bytes())
-    assert written[0] == written[1]
+    assert written[1:] == written[:1] * 3
 
 
 def test_rate_dv_flag_string_is_config_error(tmp_path, capsys):
@@ -428,6 +443,7 @@ def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch,
     ("exact", {"n_list": [5, -2]}, [], "exact.n_list"),
     ("exact", {}, ["--n", "0"], "exact.n_list"),
     ("exact", {"n": 0}, [], "exact.n"),
+    ("simulate", {"n": 0}, [], "simulate.n"),
 ])
 def test_empty_list_or_zero_count_is_config_error(tmp_path, no_work, capsys, command, section, argv, where):
     """A count list (or rate point list) must be non-empty, each count >= 1, before any solve."""

@@ -257,13 +257,14 @@ BATCH_CASES = {
     "d2": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], None),
     "d3": (D3, 4.0, 40, [[0.2, 0.2, 0.6], [0.0, 0.5, 0.5], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]], None),
     "budget": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], 50),
+    # two points solved relabelled, each with another state swapped last
+    "relabel": (D3, 4.0, 40, [[0.2, 0.2, 0.6], [0.5, 0.5, 0.0], [0.4, 0.4, 0.2], [0.0, 0.9995, 0.0005]], None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_results_do_not_depend_on_batch_make_up(monkeypatch, case):
-    """A point's bracket is the same bits alone, in input order, shuffled
-    and split over two workers."""
+    """A point's bracket is the same bits alone, in input order and shuffled."""
     A, T, J, pts, budget = BATCH_CASES[case]
     if budget is not None:
         monkeypatch.setattr(ratesolver, "_MAX_NEWTON", budget)
@@ -287,13 +288,11 @@ def test_results_do_not_depend_on_batch_make_up(monkeypatch, case):
         return seen[-1]
 
     monkeypatch.setattr(ratesolver, "_solve_batch", spy)
-    in_order = rate_profile(A, points, T=T, J=J, dv=False, threads=1)
-    mixed = rate_profile(A, shuffled, T=T, J=J, dv=False, threads=1)
+    in_order = rate_profile(A, points, T=T, J=J, dv=False)
+    mixed = rate_profile(A, shuffled, T=T, J=J, dv=False)
     assert [_bracket_bits(br) for br in seen[0]] == expect
     assert [_bracket_bits(br) for br in seen[1]] == [expect[i] for i in order]
-    pooled = rate_profile(A, points, T=T, J=J, dv=False, threads=2)
     rows = [_row_bits(r) for r in in_order]
-    assert [_row_bits(r) for r in pooled] == rows
     assert [_row_bits(r) for r in mixed] == [rows[i] for i in order]
     assert [r[1:] for r in rows] == [
         (br.lower, br.upper, br.diagnostics.iterations, br.diagnostics.gap, br.diagnostics.converged,
@@ -364,7 +363,7 @@ def test_dv_rate_dimension_check():
 
 def test_rate_profile_ordering_and_minimum_near_stationary():
     mesh = simplex_mesh(2, 0.25)
-    rows = rate_profile(BENCH, mesh, T=14.0, J=280, dv=True, threads=1)
+    rows = rate_profile(BENCH, mesh, T=14.0, J=280, dv=True)
     assert [tuple(r.m) for r in rows] == [tuple(p) for p in mesh]
     lowers = np.array([r.lower for r in rows])
     # m_* = (2/3, 1/3): the mesh minimizer sits one lattice point away
@@ -376,7 +375,7 @@ def test_rate_profile_ordering_and_minimum_near_stationary():
 
 def test_rate_profile_rank_one_matches_dv():
     mesh = simplex_mesh(2, 0.25)
-    rows = rate_profile(RANK1, mesh, T=14.0, J=280, dv=True, threads=1)
+    rows = rate_profile(RANK1, mesh, T=14.0, J=280, dv=True)
     worst = max(abs(r.lower - r.dv_rate) for r in rows if not r.boundary_lifted)
     assert worst <= 2e-3
 
@@ -385,14 +384,6 @@ def test_rate_profile_generic_kernel_differs_from_dv():
     """Recorded observation: the two rates separate on the test kernel."""
     rows = rate_profile(BENCH, [np.array([0.25, 0.75])], T=14.0, J=280, dv=True)
     assert abs(rows[0].lower - rows[0].dv_rate) > 5e-3
-
-
-def test_rate_profile_process_pool_matches_serial():
-    points = [np.array(p) for p in ([0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.1, 0.6, 0.3])]
-    serial = rate_profile(D3, points, T=4.0, J=40, dv=True, threads=1)
-    pooled = rate_profile(D3, points, T=4.0, J=40, dv=True, threads=2)
-    assert pooled == serial
-    assert [r.m for r in pooled] == [tuple(p) for p in points]
 
 
 def test_simplex_mesh_counts_and_validation():
@@ -411,3 +402,34 @@ def test_d3_solves_run_and_bracket_holds():
     assert br.upper == pytest.approx(br.lower + math.exp(-8.0) * math.log(1 / D3.delta0))
     mstar = stationary_distribution(D3)
     assert solve_rate(mstar, D3, T=8.0, J=160).lower <= 1e-6
+
+
+# a random positive d=4 kernel
+D4 = Kernel(0.9 * np.random.default_rng(0).dirichlet(np.ones(4), size=4) + 0.025)
+
+
+@pytest.mark.parametrize("A,step", [(D3, 0.1), (D4, 0.25)], ids=["d3", "d4"])
+def test_mesh_points_with_last_entry_zero_converge(A, step):
+    """Every mesh point solves, those whose last entry is 0 included: their
+    barrier curvature once swamped the reduced Newton system."""
+    mesh = simplex_mesh(A.d, step)
+    rows = rate_profile(A, mesh, T=8.0, J=80, dv=False)
+    assert sum(p[-1] == 0.0 for p in mesh) >= 10
+    assert all(r.converged for r in rows)
+
+
+def test_tiny_last_entry_converges():
+    br = solve_rate((0.5, 0.5 - 1e-7, 1e-7), D3, T=8.0, J=80)
+    assert br.diagnostics.converged and not br.diagnostics.boundary_lifted
+
+
+def test_relabelled_solve_matches_the_plain_solve():
+    """A point with a small last entry, solved relabelled, agrees with the
+    same point with its states reordered so that no relabelling is needed."""
+    m = np.array([0.5, 0.5 - 1e-4, 1e-4])
+    perm = [2, 0, 1]
+    br = solve_rate(m, D3, T=8.0, J=80)
+    plain = solve_rate(m[perm], Kernel(D3.matrix[np.ix_(perm, perm)]), T=8.0, J=80)
+    assert br.diagnostics.converged and plain.diagnostics.converged
+    assert abs(br.lower - plain.lower) <= 1e-12
+    assert np.abs(br.M_opt.M[:, perm] - plain.M_opt.M).max() <= 1e-8
