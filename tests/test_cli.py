@@ -128,6 +128,52 @@ def test_exact_laws_and_ball_rates(tmp_path):
     assert PROV_RE.match(trend[0])
 
 
+# `exact` configs: the perfbench d=2 and d=3 workloads at seed 0, and a kernel
+# that seldom leaves state 1, whose deep cells print with three-digit exponents
+# and whose levels 200 and 400 drop mass below the underflow threshold
+EXACT_CONFIGS = {
+    "d2": {"kernel": {"matrix": BENCH_MATRIX},
+           "exact": {"n_list": [75, 150, 300, 600], "x0": 1, "target": [0.45, 0.55], "radius": 0.05}},
+    "d3": {"kernel": {"matrix": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]]},
+           "exact": {"n_list": [24, 48, 96], "x0": 1, "target": [0.2, 0.4, 0.4], "radius": 0.1}},
+    "deep": {"kernel": {"matrix": [[0.999, 0.001], [0.998, 0.002]]},
+             "exact": {"n_list": [100, 200, 400], "x0": 1, "target": [0.99, 0.01], "radius": 0.02}},
+}
+# SHA-256 of the `exact` artifacts at seed 0, as written by the dict-of-atoms
+# law and one %.17g cell at a time; any rewrite of the law or its CSV must keep them
+EXACT_DIGESTS = {
+    "d2/law_75.csv": "cf45e5f1505f5eaeed344ef90c3d1a699798c9b13aa77a30471333a63fbd6f38",
+    "d2/law_150.csv": "8954811b514afd26fdc885adca2794eec70ac230738c6d4a1a29da20ccae67b4",
+    "d2/law_300.csv": "523d71e3079445381058eced6fdbd0bba62562cb34575eb33e2891470248774d",
+    "d2/law_600.csv": "fd9629160ff16447aa8dafb0d07076005a2902ae779641f699af4909f2150fff",
+    "d2/rate_trend.csv": "7f702d5740df70e65c87d5ae66b4d489ae8b6912891db8ce4243f13fe42f5503",
+    "d3/law_24.csv": "9d3d2ca7e116d89134ff71a9e3d921170d71def24bd0facb11947368c2ca7f71",
+    "d3/law_48.csv": "94f001d834e43f9b38327d895ad41d279da0ae6d044f3dca324aeeb54c0bfc11",
+    "d3/law_96.csv": "ed567c1554b5380e5597d9c4a0db7f9103cd0c60cf0e50febec9ac7db943081e",
+    "d3/rate_trend.csv": "d58412a4f1bc919174ab340e6dc603e822f66ae7af68b5b9199f70c59702f817",
+    "deep/law_100.csv": "dec028226e19bae9b160d7a5fb6e7c657e43fef711e9e1b2c1a81781ce85b82b",
+    "deep/law_200.csv": "7353f99cb4773da20ca92149340356d7a99f60a7d32688b42ae930adf3e21b51",
+    "deep/law_400.csv": "44f3187ed929c7f3054e182de3daad992a935bf863c39df2435ad481771565ed",
+    "deep/rate_trend.csv": "ea9af3c48daada21b093dbeeb8ff9aa37604f57fbfa2cb47c09ebf49575e10ba",
+}
+
+
+def test_exact_artifacts_match_golden_digests(tmp_path, capsys):
+    digests = {}
+    for name, doc in EXACT_CONFIGS.items():
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["exact", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        digests.update({f"{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()})
+    assert digests == EXACT_DIGESTS
+    # the deep case reaches what it is there for: three-digit exponents and dropped mass
+    deep = (tmp_path / "deep" / "law_400.csv").read_text()
+    assert re.search(r"e-\d{3}$", deep, flags=re.M)
+    dropped = [float(x) for x in re.findall(r"dropped mass (\S+)\)", capsys.readouterr().out)]
+    assert len(dropped) == 10 and max(dropped[-3:]) > 0.0
+
+
 def test_rate_profile_csv(tmp_path):
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
