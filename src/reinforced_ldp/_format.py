@@ -10,33 +10,102 @@ Python values one cell at a time.  :func:`write_array_csv` writes columns
 of numpy arrays in blocks of ``_BLOCK_ROWS`` rows: each block is laid out
 as a uint8 matrix, one fixed-width slot per cell, with a keep-mask over
 it, and the kept bytes, in row order, are written straight to the file.
-Its floats equal :func:`f17` byte for byte.  On the fast domain, ``0.0``
-and ``1e-4 <= v < 1``, the 17 significant digits are computed exactly in
-integer arithmetic (:func:`_fast_fraction`); every other value goes
-through :func:`f17` itself.
+Its floats equal :func:`f17` byte for byte.  The fast domain is ``0.0``
+and the normal doubles ``2^-1022 <= v < 1``: fixed form ``0.000ddd`` on
+``[1e-4, 1)`` and exponent form ``d.ddde-XX`` below.  There the 17
+significant digits come from integer arithmetic (:func:`_significand17`):
+the significand times the top 128 bits of a power of five.  Where that
+power fits in 128 bits, which covers ``v >= 1e-39``, the digits are
+exact, ties included.  Below, the truncated power leaves the product short
+by under ``2^53`` units, which can move the rounding only when the
+remainder lies less than ``2^64`` units below one half.  Such a value,
+about one in ``2^59``, goes through :func:`f17` itself, as does every
+value outside the domain.
 """
 from __future__ import annotations
 
 import io
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_ONE = np.uint64(1)
 
 # rows per block of write_array_csv
 _BLOCK_ROWS = 8192
-# the doubles nearest 1e-4, 1e-3, 1e-2 and 1e-1; each lies above its power of ten
-_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1])
-# 5**P for the digit scale P = 16 - E, indexed by E + 4 for E = -4..-1
-_POW5 = np.array([5**20, 5**19, 5**18, 5**17], dtype=np.uint64)
-# a fast-domain cell is "0.000" and 17 digits
-_FAST_WIDTH = 22
-_FAST_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17, dtype=np.uint8)
-# _FAST_KEEP[E + 4, last] keeps "0.", the last -E - 1 of the three zeros, and the bytes up to `last`
+
+
+def _decades() -> np.ndarray:
+    """``_DECADES[E + 308]``: the smallest double ``>= 10^E``, for ``E = -308..0``."""
+    out = [1.0]
+    five = 1
+    for k in range(1, 309):
+        five *= 5
+        x = float(f"1e-{k}")  # the nearest double
+        num, den = x.as_integer_ratio()
+        # x = num / den with den = 2^j, j >= k; it lies below 10^-k when num 5^k < 2^(j-k)
+        out.append(math.nextafter(x, 1.0) if num * five < den >> k else x)
+    return np.array(out[::-1])
+
+
+def _pow5_table(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per ``E = -308..-1`` (index ``E + 308``) the digit scale ``5^P``, ``P = 16 - E``.
+
+    Returns ``hi``, ``lo``, ``shift`` and ``err``.  ``hi 2^64 + lo`` is
+    ``5^P`` scaled by a power of two into ``[2^127, 2^128)``, exactly when
+    ``5^P`` has at most ``bits`` bits, else truncated to its top ``bits``
+    bits.  For a double with significand ``m`` and biased exponent ``e``,
+    ``v 10^P = m (hi 2^64 + lo) / 2^(64 + shift - e)``.  ``err`` is
+    0 for an exact entry; for a truncated one it bounds the product's
+    error, below ``m 2^(128 - bits) < 2^(181 - bits)``, in units of ``2^64``.
+    """
+    hi, lo, shift, err = [], [], [], []
+    five = 5**16
+    for P in range(17, 325):
+        five *= 5
+        b = five.bit_length()
+        F = five << (128 - b) if b <= 128 else five >> (b - 128)
+        F = F >> (128 - bits) << (128 - bits) if b > bits else F
+        hi.append(F >> 64)
+        lo.append(F & 0xFFFFFFFFFFFFFFFF)
+        # v 10^P = m 5^P 2^(e - 1075 + P), and 5^P = F 2^(b - 128)
+        shift.append(1139 - P - b)
+        err.append(0 if b <= bits else 1 << max(117 - bits, 0))
+    return (np.array(hi[::-1], dtype=np.uint64), np.array(lo[::-1], dtype=np.uint64),
+            np.array(shift[::-1], dtype=np.uint64), np.array(err[::-1], dtype=np.uint64))
+
+
+_DECADES = _decades()
+# _BINADE_DECADE[e] = floor(log10 2^(e - 1023)) for the biased exponents e = 1..1022 of
+# normal doubles below 1; a double of that binade lies in that decade or the next
+_BINADE_DECADE = np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-1023, 0)), side="right") - 309
+_POW5 = _pow5_table(128)
+
+# A fast cell's slot: a lead byte, ".", "000", the 17 digits, "e-" and three
+# exponent digits.  The lead is "0" in fixed form and the first digit in
+# exponent form.  Every f17 text, at most 24 bytes, fits in it as well.
+_FAST_WIDTH = 27
+_FAST_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"e-000", dtype=np.uint8)
+# _FAST_KEEP[row, last] keeps the bytes of a cell whose last nonzero digit
+# sits at `last` (5..21).  Rows 0..3 are fixed form for E = -4..-1: "0.",
+# the last -E - 1 of the three zeros, and the digits up to `last`; row 3
+# with last = 0 keeps only the "0" of a zero.  Rows 4 and 5 are exponent
+# form with two and three exponent digits: the lead, "." if a digit after
+# the first is kept, the digits after the first up to `last`, and the exponent.
 _pos = np.arange(_FAST_WIDTH)
-_FAST_KEEP = (_pos <= _pos[:, None]) & ((_pos < 2) | (_pos >= np.arange(2, 6)[:, None, None]))
+_last = _pos[:, None]
+_fixed = (_pos <= _last) & ((_pos < 2) | (_pos >= np.arange(2, 6)[:, None, None]))
+_expo = ((_pos == 0) | ((_pos == 1) & (_last >= 6)) | ((_pos >= 6) & (_pos <= _last))
+         | (_pos >= 22))
+_FAST_KEEP = np.concatenate([_fixed, (_expo & (_pos != 24))[None], _expo[None]])
+# _FAST_ROW[E + 308] is the row of _FAST_KEEP for the decimal exponent E
+_FAST_ROW = np.array([5] * 209 + [4] * 95 + [0, 1, 2, 3])
+# _EXPONENT_DIGITS[E + 308]: the three digits of -E
+_k = np.arange(308, 0, -1)
+_EXPONENT_DIGITS = np.stack([_k // 100, _k // 10 % 10, _k % 10], axis=1).astype(np.uint8)
 
 
 def f17(x: float) -> str:
@@ -75,63 +144,100 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance:
         fh.write(buf.getvalue())
 
 
-def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``N`` and ``E`` with ``v = N 10^(E-16)`` to 17 significant digits, for ``1e-4 <= v < 1``.
+def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``N``, ``E`` and ``sure`` with ``v = N 10^(E-16)`` to 17 significant digits
+    where ``sure``, for normal doubles ``2^-1022 <= v < 1``.
 
-    Write ``v = m 2^q`` with ``m`` the 53-bit significand and ``q = e - 1075``
-    (``e`` the biased exponent).  The decimal exponent ``E = floor(log10 v)``
-    is the number of entries of ``_DECADES`` at or below ``v``, minus 5, and
-    it is exact: each entry is the double nearest its power of ten ``10^k``
-    and lies above it, so the next double below lies below ``10^k``, and
-    ``v >= 10^k`` holds as doubles exactly when it holds as reals.
+    Write ``v = m 2^(e-1075)`` with ``m`` the 53-bit significand and ``e``
+    the biased exponent.  The decimal exponent ``E = floor(log10 v)`` is
+    ``B = _BINADE_DECADE[e]`` or ``B + 1``, as the binade ``[2^(e-1023),
+    2^(e-1022))`` spans less than a decade.  It is ``B + 1`` exactly when
+    ``v >= _DECADES[B + 309]``: that entry is the smallest double at or
+    above ``10^(B+1)``, so the comparison of doubles decides the one of reals.
 
-    The 17 significant digits are ``N = round_half_even(v 10^P)`` with
-    ``P = 16 - E`` in [17, 20], that is ``N = round_half_even(m 5^P / 2^s)``
-    with ``s = -(q + P)``.  As ``e - 1023 = floor(log2 v)`` and
-    ``10^E <= v < 10^(E+1)``, ``s = 36 + E - floor(log2 v)`` lies in
-    [36, 46] for E = -4..-1, inside [1, 63]: the product
-    ``m 5^P < 2^53 5^20 < 2^100`` is formed exactly by :func:`mulhilo64`,
-    the quotient by ``2^s`` is ``hi << (64 - s) | lo >> s`` and its
-    remainder ``lo mod 2^s`` lies in the low word.  Rounding never carries
-    ``N`` to ``10^17``: that would need ``v`` within ``5e-18`` relative
-    below ``10^(E+1)``, but the double below 1 is ``1 - 2^-53``, and the
-    double below any other ``10^(E+1)`` lies at least half a spacing, over
-    ``5e-17`` relative, below it, by the same nearest-double argument.  So
-    ``10^16 <= N < 10^17``.
+    The digits are ``N = round_half_even(v 10^P)`` with ``P = 16 - E``, and
+    ``v 10^P = m F / 2^u`` with ``F = hi 2^64 + lo`` and ``u = 64 + shift - e``
+    from ``_POW5``.  As ``v 10^P`` lies in ``[10^16, 10^17)`` and ``m F`` in
+    ``[2^179, 2^181)``, ``u`` lies in [123, 127].  Two :func:`mulhilo64`
+    products give ``m F = w2 2^128 + w1 2^64 + w0``; with ``r = u - 64`` the
+    quotient is ``w2 << (64 - r) | w1 >> r`` and the remainder is
+    ``R 2^64 + w0`` with ``R = w1 mod 2^r``, against the half ``H 2^64``,
+    ``H = 2^(r-1)``.  Where ``F`` is exact this rounds half to even.  Where
+    ``F`` is truncated, the true remainder lies strictly between ``R`` and
+    ``R + 1 + err`` in units of ``2^64`` (``5^P`` is odd, so the cut is
+    never zero): above the half when ``R >= H``, so the quotient rounds up,
+    also if the remainder passes ``2^r`` (it then leaves under ``1 + err``
+    units, far below the half); below it when ``R + 1 + err <= H``.  Between
+    the two the value is not ``sure`` and must go through :func:`f17`.
+
+    Rounding carries ``N`` to ``10^17`` when ``v`` lies within half a unit
+    of the 17th digit below ``10^(E+1)``; then ``N = 10^16`` in the next
+    decade.  That decade is never ``-4`` or ``0``: the doubles below 1e-4
+    and 1, ``9.9999999999999991e-05`` and ``1 - 2^-53``, do not carry.
     """
-    E = np.searchsorted(_DECADES, v, side="right") - 5
+    hi5, lo5, shift5, err5 = _POW5
     bits = v.view(np.uint64)
+    e = bits >> np.uint64(52)
+    k = _BINADE_DECADE[e] + 308
+    k += v >= _DECADES[k + 1]
+    r = shift5[k] - e
+    del e  # each block array is freed as soon as it is spent, to keep the peak low
     m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-    s = (1059 + E - (bits >> np.uint64(52)).astype(np.int64)).astype(np.uint64)
-    hi, lo = mulhilo64(_POW5[E + 4], m)
-    N = (hi << (np.uint64(64) - s)) | (lo >> s)
-    rem = lo & ((np.uint64(1) << s) - np.uint64(1))
-    half = np.uint64(1) << (s - np.uint64(1))
-    N += (rem > half) | ((rem == half) & (N & np.uint64(1)).astype(bool))
-    return N, E
+    w2, w1 = mulhilo64(hi5[k], m)
+    w0 = np.uint64(0)
+    if lo5[k].any():  # 5^P < 2^64 has a zero low word, for every v >= 1e-11
+        b1, w0 = mulhilo64(lo5[k], m)
+        w1 += b1
+        w2 += w1 < b1
+        del b1
+    del m
+    N = (w2 << (np.uint64(64) - r)) | (w1 >> r)
+    del w2
+    R = w1 & ((_ONE << r) - _ONE)
+    del w1
+    H = _ONE << (r - _ONE)
+    up = R > H
+    tie = R == H
+    if tie.any():
+        up |= tie & ((w0 != 0) | (err5[k] != 0) | (N & _ONE).astype(bool))
+    N += up
+    # R + 1 + err <= H, or R >= H, where H - R - 1 wraps round to above any err
+    sure = H - R - _ONE >= err5[k]
+    carry = N == np.uint64(10**17)
+    if carry.any():
+        N[carry] = np.uint64(10**16)
+        k += carry
+    E = k - 308
+    return N, E, sure
 
 
 def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bytes and keep-mask of the cells ``f17(v) + ","``, shape ``v.shape + (width + 1,)``.
 
-    A fast-domain cell is laid out as ``"0.000"`` and the 17 digits of
-    ``N``; the mask keeps ``"0."``, the last ``-E - 1`` of the three zeros,
-    and the digits up to the last nonzero one.  A zero keeps only its
-    ``"0"``.  Every other cell holds ``f17(v)``, padded with masked NULs.
+    A fast-domain cell is laid out in the ``_FAST_TEMPLATE`` slot with the
+    17 digits of ``N`` and the exponent digits of ``E``, and the row of
+    ``_FAST_KEEP`` for ``E`` keeps its fixed or its exponent form.  A zero
+    keeps only its ``"0"``.  Every other cell holds ``f17(v)``, padded with
+    masked NULs.  A block without exponent-form cells is cut to the fixed
+    form's first 22 bytes, or to its longest ``f17`` text.
     """
     zero = (v == 0) & ~np.signbit(v)
-    fast = zero | ((v >= 1e-4) & (v < 1))
-    N, E = _significand17(np.where(fast & ~zero, v, 0.5))
-    slow = np.flatnonzero(~fast)
+    fast = zero | ((v >= 2.0**-1022) & (v < 1))
+    N, E, sure = _significand17(np.where(fast & ~zero, v, 0.5))
+    slow = np.flatnonzero(~(fast & (sure | zero)))
     texts = [f17(x).encode() for x in v.ravel()[slow].tolist()]
-    width = max([_FAST_WIDTH] + [len(t) for t in texts])
+    expo = E < -4
+    width = max([_FAST_WIDTH if expo.any() else 22] + [len(t) for t in texts])
     chars = np.zeros(v.shape + (width + 1,), dtype=np.uint8)
-    for j in range(_FAST_WIDTH - 1, 4, -1):
+    for j in range(21, 4, -1):
         N, chars[..., j] = np.divmod(N, np.uint64(10))
-    last = _FAST_WIDTH - 1 - np.argmax(chars[..., _FAST_WIDTH - 1:4:-1] != 0, axis=-1)
+    if width == _FAST_WIDTH:
+        chars[..., 0] = chars[..., 5] * expo
+        chars[..., 24:27] = _EXPONENT_DIGITS[E + 308]
+    last = 21 - np.argmax(chars[..., 21:4:-1] != 0, axis=-1)
     keep = np.zeros(chars.shape, dtype=bool)
-    keep[..., :_FAST_WIDTH] = _FAST_KEEP[E + 4, np.where(zero, 0, last)]
-    chars[..., :_FAST_WIDTH] += _FAST_TEMPLATE
+    keep[..., :width] = _FAST_KEEP[_FAST_ROW[E + 308], np.where(zero, 0, last), :width]
+    chars[..., :width] += _FAST_TEMPLATE[:width]
     if texts:
         flat_chars, flat_keep = chars.reshape(-1, width + 1), keep.reshape(-1, width + 1)
         flat_chars[slow, :width] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)

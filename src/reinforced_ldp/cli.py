@@ -258,7 +258,7 @@ def cmd_exact(args) -> int:
     laws = exact_law_levels(A, x0, n_list, _mem_cap_bytes())
     for n in sorted(laws):
         export_law_csv(laws[n], out / f"law_{n}.csv", prov)
-        print(f"exact: law at n={n} has {len(laws[n].atoms)} atoms "
+        print(f"exact: law at n={n} has {len(laws[n].probs)} atoms "
               f"(dropped mass {laws[n].dropped_mass:.3e})")
     if target is not None:
         records = [ball_rate(laws[n], np.asarray(target), radius) for n in sorted(laws)]

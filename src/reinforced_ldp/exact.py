@@ -13,15 +13,23 @@ cell shifted by one along the moved count's axis, in a fixed order, so
 results are bitwise reproducible.  Cells grow like ``n^(d-1)``; a
 configurable memory cap (default 2 GiB) on the bytes of the sweep's largest
 step aborts cleanly before the sweep starts.
+
+A law keeps its atoms in two read-only arrays, from the DP to the CSV: the
+counts of the nonzero cells, in lexicographic order, and their
+probabilities.  Ball probabilities sum a masked slice of them with
+``math.fsum``, and the law CSV goes through the block writer
+:func:`~reinforced_ldp._format.write_array_csv`, whose exponent-form digits
+cover the deep cells, most of them below ``1e-4``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._format import write_csv
+from ._format import write_array_csv, write_csv
 from .chains import _as_count, _validate_x0
 from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
 from .measures import Kernel, _weights_of
@@ -35,7 +43,9 @@ MASS_CHECK_ATOL = 1e-12
 class CountLaw:
     """Distribution of the count vector after ``n`` steps.
 
-    ``atoms`` maps count tuples (summing to ``n``) to probabilities;
+    ``counts`` (int64, ``(N, d)``, each row summing to ``n``) lists the
+    count vectors of positive probability in lexicographic order, and
+    ``probs`` (float64, ``(N,)``) their probabilities; both are read-only.
     ``dropped_mass`` is the total probability removed by the underflow
     threshold while building the law.
     """
@@ -43,8 +53,14 @@ class CountLaw:
     n: int
     d: int
     x0: int
-    atoms: dict[tuple[int, ...], float]
+    counts: np.ndarray
+    probs: np.ndarray
     dropped_mass: float
+
+    @functools.cached_property
+    def atoms(self) -> dict[tuple[int, ...], float]:
+        """The law as a dict from count tuples to probabilities."""
+        return dict(zip(map(tuple, self.counts.tolist()), self.probs.tolist()))
 
 
 def exact_law(
@@ -83,10 +99,12 @@ def exact_law_levels(
     out: dict[int, CountLaw] = {}
 
     def snapshot(level: int) -> CountLaw:
+        # argwhere walks the cells in C order, which is lexicographic in the counts
         cells = np.argwhere(P)
-        keys = np.column_stack([cells, level - cells.sum(axis=1)]).tolist()
-        atoms = dict(zip(map(tuple, keys), P[P != 0.0].tolist()))
-        return CountLaw(n=level, d=d, x0=x0, atoms=atoms, dropped_mass=dropped)
+        counts = np.column_stack([cells, level - cells.sum(axis=1)])
+        probs = P[tuple(cells.T)]
+        counts.flags.writeable = probs.flags.writeable = False
+        return CountLaw(n=level, d=d, x0=x0, counts=counts, probs=probs, dropped_mass=dropped)
 
     if 1 in wanted:
         out[1] = snapshot(1)
@@ -103,7 +121,8 @@ def exact_law_levels(
             if y < d - 1:
                 cell[y] = slice(1, k + 2)
             nxt[tuple(cell)] += P * trans[..., y]
-        small = nxt < DROP_THRESHOLD
+        # the zero cells of the box have nothing to drop
+        small = (nxt > 0.0) & (nxt < DROP_THRESHOLD)
         dropped += math.fsum(nxt[small].tolist())
         nxt[small] = 0.0
         P = nxt
@@ -131,12 +150,8 @@ def event_probability(law: CountLaw, target, radius: float) -> float:
     """Probability of the closed l1 ball: ``sum P(c)`` over counts with
     ``||c/n - target||_1 <= radius``."""
     t = check_ball(target, radius, law.d)
-    items = sorted(law.atoms.items())
-    counts = np.array([key for key, _ in items], dtype=np.int64)
-    probs = [p for _, p in items]
-    dist = np.abs(counts / float(law.n) - t[None, :]).sum(axis=1)
-    hit = dist <= radius
-    return math.fsum(p for p, h in zip(probs, hit) if h)
+    dist = np.abs(law.counts / float(law.n) - t[None, :]).sum(axis=1)
+    return math.fsum(law.probs[dist <= radius].tolist())
 
 
 @dataclass(frozen=True)
@@ -166,9 +181,9 @@ def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[Fin
 
 
 def export_law_csv(law: CountLaw, file, provenance: str | None = None) -> None:
+    """Write the law as rows ``c_1..c_d, probability`` in lexicographic order, floats as ``%.17g``."""
     header = [f"c_{x}" for x in range(1, law.d + 1)] + ["probability"]
-    rows = ([*key, float(p)] for key, p in sorted(law.atoms.items()))
-    write_csv(file, header, rows, provenance)
+    write_array_csv(file, header, list(law.counts.T), law.probs[:, None], provenance)
 
 
 def export_rate_trend_csv(records: list[FiniteNRate], file, provenance: str | None = None) -> None:

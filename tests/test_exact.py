@@ -156,3 +156,83 @@ def test_export_csvs(tmp_path):
     export_rate_trend_csv(records, trend, "config_sha256=0 seed=0")
     header = trend.read_text().splitlines()[1]
     assert header == "n,probability,rate,infinite"
+
+
+# ---------------------------------------------------------------------------
+# the array-backed law against the dict-of-atoms law it replaced
+
+
+def _dict_laws(A, x0, n_list):
+    """The DP with its former snapshot and drop step: per level, the dict of
+    atoms built from the lattice array and the dropped mass."""
+    d, wanted = A.d, sorted(set(n_list))
+    P = np.zeros((2,) * (d - 1))
+    P[tuple(int(x == x0) for x in range(1, d))] = 1.0
+    dropped, out = 0.0, {}
+
+    def snapshot(level):
+        cells = np.argwhere(P)
+        keys = np.column_stack([cells, level - cells.sum(axis=1)]).tolist()
+        return dict(zip(map(tuple, keys), P[P != 0.0].tolist())), dropped
+
+    if 1 in wanted:
+        out[1] = snapshot(1)
+    for k in range(1, wanted[-1]):
+        grid = np.indices(P.shape).reshape(d - 1, P.size).T
+        counts = np.column_stack([grid, k - grid.sum(axis=1)])
+        trans = ((counts / float(k)) @ A.matrix).reshape(*P.shape, d)
+        nxt = np.zeros((k + 2,) * (d - 1))
+        for y in range(d):
+            cell = [slice(0, k + 1)] * (d - 1)
+            if y < d - 1:
+                cell[y] = slice(1, k + 2)
+            nxt[tuple(cell)] += P * trans[..., y]
+        small = nxt < 1e-300
+        dropped += math.fsum(nxt[small].tolist())
+        nxt[small] = 0.0
+        P = nxt
+        if k + 1 in wanted:
+            out[k + 1] = snapshot(k + 1)
+    return out
+
+
+def _dict_event_probability(atoms, n, target, radius):
+    items = sorted(atoms.items())
+    counts = np.array([key for key, _ in items], dtype=np.int64)
+    probs = [p for _, p in items]
+    dist = np.abs(counts / float(n) - np.asarray(target)[None, :]).sum(axis=1)
+    return math.fsum(p for p, h in zip(probs, dist <= radius) if h)
+
+
+D4 = Kernel(0.8 * np.random.default_rng(40).dirichlet(np.ones(4), size=4) + 0.05)
+NEAR_ABSORBING = Kernel([[0.999, 0.001], [0.998, 0.002]])
+
+
+@pytest.mark.parametrize("A,x0,n_list", [(BENCH, 1, [1, 7, 60]), (D3, 2, [5, 30]), (D4, 3, [12]),
+                                        (NEAR_ABSORBING, 1, [100, 200, 400])])
+def test_arrays_are_the_former_atoms(A, x0, n_list):
+    laws, former = exact_law_levels(A, x0, n_list), _dict_laws(A, x0, n_list)
+    for n in n_list:
+        law, (atoms, dropped) = laws[n], former[n]
+        assert law.counts.dtype == np.int64 and law.probs.dtype == np.float64
+        assert law.counts.shape == (len(atoms), A.d) and law.probs.shape == (len(atoms),)
+        assert not law.counts.flags.writeable and not law.probs.flags.writeable
+        with pytest.raises(ValueError):
+            law.probs[0] = 0.5
+        rows = law.counts.tolist()
+        assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+        assert list(law.atoms.items()) == list(atoms.items())
+        assert law.dropped_mass == dropped
+    if A is NEAR_ABSORBING:
+        assert laws[400].dropped_mass > 0.0 and laws[400].probs.min() < 1e-99
+
+
+@pytest.mark.parametrize("A,n", [(BENCH, 200), (D3, 40), (D4, 16)])
+def test_event_probability_equals_the_dict_sum(A, n):
+    law = exact_law(A, 1, n)
+    rng = np.random.default_rng(A.d)
+    for _ in range(40):
+        target = rng.dirichlet(np.ones(A.d))
+        radius = float(rng.uniform(0.0, 0.6))
+        expect = _dict_event_probability(law.atoms, n, target, radius)
+        assert event_probability(law, target, radius) == expect

@@ -66,9 +66,65 @@ def test_tie_values_are_half_way():
 
 
 def test_decade_doubles_lie_above_their_powers_of_ten():
-    """The exact-exponent rule: each decade double exceeds 10^k and its lower neighbour does not."""
-    for k, x in zip(range(-4, 0), _format._DECADES):
-        assert Fraction(float(np.nextafter(x, 0.0))) < Fraction(10) ** k < Fraction(float(x))
+    """The exact-exponent rule: each decade double is the smallest double at or above 10^k."""
+    assert len(_format._DECADES) == 309
+    for k, x in zip(range(-308, 1), _format._DECADES):
+        assert Fraction(float(np.nextafter(x, 0.0))) < Fraction(10) ** k <= Fraction(float(x))
+
+
+def test_binade_decades_are_the_floor_of_log10():
+    for e in range(1, 1023):
+        k = int(_format._BINADE_DECADE[e])
+        assert Fraction(10) ** k <= Fraction(2) ** (e - 1023) < Fraction(10) ** (k + 1)
+
+
+# exponent form: every decade of normal doubles below 1e-4, with its edges
+LOG_UNIFORM = np.exp(np.random.default_rng(21).uniform(np.log(2.0**-1022), np.log(1e-4), 150_000))
+DECADE_EDGES = [float(x) for d in _format._DECADES[1:305] for x in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))]
+EXPONENT_TIES = [j / 2.0 ** (P + 1) for P in range(21, 25) for j in _ties(P)]
+
+
+def test_exponent_form_equals_f17(tmp_path):
+    values = LOG_UNIFORM.tolist() + DECADE_EDGES + EXPONENT_TIES
+    assert _written_floats(tmp_path, values) == [f17(x) for x in values]
+    # the 128-bit powers of five decide every one of them
+    assert _format._significand17(np.array(values))[2].all()
+
+
+def test_exponent_ties_are_half_way():
+    """Ties exist down to 1e-8: ``v = j 2^-(P+1)`` with odd ``j`` needs ``j < 2^(P+1) 10^(17-P)``."""
+    assert len(EXPONENT_TIES) > 200 and len(_ties(24)) > 0
+    for P in range(21, 25):
+        for j in _ties(P):
+            v = Fraction(j, 2 ** (P + 1))
+            assert Fraction(10) ** (16 - P) <= v < Fraction(10) ** (17 - P)
+            assert (v * 10**P) % 1 == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k", [-14, -176, -305])
+def test_carry_to_the_next_decade(tmp_path, k):
+    """The double below the decade double rounds up to 10^17 in its own decade and
+    is written as the next power of ten."""
+    below = float(np.nextafter(_format._DECADES[k + 308], 0.0))
+    assert Fraction(below) < Fraction(10) ** k
+    assert _written_floats(tmp_path, [below]) == [f"1e-{-k}"] == [f17(below)]
+
+
+def test_values_outside_the_fast_domain_go_through_f17(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(_format, "f17", lambda x: seen.append(x) or f17(x))
+    slow = [5e-324, 1e-310, float(np.nextafter(2.0**-1022, 0.0)), 1.0]
+    fast = [2.0**-1022, 1e-100, 1e-4]
+    assert _written_floats(tmp_path, slow + fast) == [f17(x) for x in slow + fast]
+    assert seen == slow
+
+
+def test_truncated_powers_fall_back_to_f17(tmp_path, monkeypatch):
+    """With powers of five cut to 64 bits, values the cut leaves undecided go through f17."""
+    monkeypatch.setattr(_format, "_POW5", _format._pow5_table(64))
+    values = np.exp(np.random.default_rng(22).uniform(np.log(1e-300), np.log(1e-12), 30_000))
+    assert (~_format._significand17(values)[2]).sum() > 50
+    assert _written_floats(tmp_path, values.tolist()) == [f17(x) for x in values.tolist()]
 
 
 def test_mulhilo64_matches_python_integers():

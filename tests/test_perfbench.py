@@ -1,0 +1,26 @@
+"""The benchmark's traced ``exact`` smoke run passes its output and tracing checks.
+
+A traced run alternates traced and untraced passes and checks, besides the
+artifacts, that no pass crashes under the span tracer and that the time
+outside the layer spans stays within the tracing overhead plus 1 ms
+(``trace.self_times_sum``).  A change to what the package allocates can move
+a garbage collection into a pass and fail that check.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_exact_smoke_run_passes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "exact", "--smoke",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-3000:]
