@@ -145,8 +145,8 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance:
 
 
 def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``N``, ``E`` and ``sure`` with ``v = N 10^(E-16)`` to 17 significant digits
-    where ``sure``, for normal doubles ``2^-1022 <= v < 1``.
+    """``N`` and ``E`` with ``v = N 10^(E-16)`` to 17 significant digits, wherever
+    ``sure``, for the normal doubles ``2^-1022 <= v < 1``.
 
     Write ``v = m 2^(e-1075)`` with ``m`` the 53-bit significand and ``e``
     the biased exponent.  The decimal exponent ``E = floor(log10 v)`` is
@@ -162,7 +162,10 @@ def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     products give ``m F = w2 2^128 + w1 2^64 + w0``; with ``r = u - 64`` the
     quotient is ``w2 << (64 - r) | w1 >> r`` and the remainder is
     ``R 2^64 + w0`` with ``R = w1 mod 2^r``, against the half ``H 2^64``,
-    ``H = 2^(r-1)``.  Where ``F`` is exact this rounds half to even.  Where
+    ``H = 2^(r-1)``.  Where ``F`` is exact this rounds half to even (an
+    exhaustive search over the binades of ``1e-39 <= v < 1e-11``, where
+    ``w0`` can be nonzero, found no double with ``R = H`` and ``w0 > 0``, but
+    the test of ``w0`` keeps the rounding exact by construction).  Where
     ``F`` is truncated, the true remainder lies strictly between ``R`` and
     ``R + 1 + err`` in units of ``2^64`` (``5^P`` is odd, so the cut is
     never zero): above the half when ``R >= H``, so the quotient rounds up,
@@ -196,18 +199,13 @@ def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     R = w1 & ((_ONE << r) - _ONE)
     del w1
     H = _ONE << (r - _ONE)
-    up = R > H
-    tie = R == H
-    if tie.any():
-        up |= tie & ((w0 != 0) | (err5[k] != 0) | (N & _ONE).astype(bool))
-    N += up
+    err = err5[k]
+    N += (R > H) | ((R == H) & ((w0 != 0) | (err != 0) | (N & _ONE).astype(bool)))
     # R + 1 + err <= H, or R >= H, where H - R - 1 wraps round to above any err
-    sure = H - R - _ONE >= err5[k]
+    sure = H - R - _ONE >= err
     carry = N == np.uint64(10**17)
-    if carry.any():
-        N[carry] = np.uint64(10**16)
-        k += carry
-    E = k - 308
+    N[carry] = np.uint64(10**16)
+    E = k + carry - 308
     return N, E, sure
 
 
@@ -224,7 +222,7 @@ def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero = (v == 0) & ~np.signbit(v)
     fast = zero | ((v >= 2.0**-1022) & (v < 1))
     N, E, sure = _significand17(np.where(fast & ~zero, v, 0.5))
-    slow = np.flatnonzero(~(fast & (sure | zero)))
+    slow = np.flatnonzero(~(fast & sure))
     texts = [f17(x).encode() for x in v.ravel()[slow].tolist()]
     expo = E < -4
     width = max([_FAST_WIDTH if expo.any() else 22] + [len(t) for t in texts])

@@ -35,10 +35,10 @@ controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
 rows in numpy: integer digits by vectorized division, and the 17 ``%.17g``
-digits of every value in the fast domain ``0`` and ``[1e-4, 1)`` exactly in
-integer arithmetic, with one 128-bit product (:func:`~reinforced_ldp._format.mulhilo64`,
-which the Philox rounds share).  Other values (``1``, coordinates below
-``1e-4``) go through ``f17``, so the bytes equal a row-by-row ``%.17g``.
+digits of ``0`` and of every normal value below 1 in integer arithmetic,
+from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`, which the
+Philox rounds share).  Other values (``1``) go through ``f17``, so the
+bytes equal a row-by-row ``%.17g``.
 """
 from __future__ import annotations
 
@@ -466,9 +466,9 @@ def export_path_csv(path: ChainPath, file, provenance: str | None = None) -> Non
     """Write a chain path as rows ``step, state, L_1..L_d``, floats as ``%.17g``.
 
     The rows go through :func:`~reinforced_ldp._format.write_array_csv`,
-    which formats blocks of rows in numpy: the ``L`` values in ``[1e-4, 1)``
-    and zeros get exact integer-arithmetic digits, and every other value
-    (``1``, and values below ``1e-4`` in exponent form) goes through ``f17``.
+    which formats blocks of rows in numpy: zeros and the ``L`` values below
+    1, in fixed or exponent form, get integer-arithmetic digits, and every
+    other value (``1``) goes through ``f17``.
     """
     header = ["step", "state"] + [f"L_{x}" for x in range(1, path.d + 1)]
     steps = np.arange(1, len(path.L) + 1)
