@@ -18,8 +18,8 @@ A law keeps its atoms in two read-only arrays, from the DP to the CSV: the
 counts of the nonzero cells, in lexicographic order, and their
 probabilities.  Ball probabilities sum a masked slice of them with
 ``math.fsum``, and the law CSV goes through the block writer
-:func:`~reinforced_ldp._format.write_array_csv`, whose exponent-form digits
-cover the deep cells, most of them below ``1e-4``.
+:func:`~reinforced_ldp._format.write_array_csv`, whose fast path also
+covers the exponent form that most probabilities of a deep law print in.
 """
 from __future__ import annotations
 
