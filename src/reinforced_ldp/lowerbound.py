@@ -7,7 +7,10 @@ measure ``m``, build an explicit simulation schedule in three steps:
    the kernel; this floors every coordinate at a computable ``delta > 0``
    and, by joint convexity of relative entropy, can only shrink the cost;
 2. reverse time and mollify the reversed control with a short moving
-   average, making it Lipschitz in time;
+   average, making it Lipschitz in time; on a step control the average is
+   known in closed form: each row, held flat, then a linear ramp to the
+   next row over the window before each break, so the mollified path's
+   values at its kinks are the solver's own rows, bit for bit;
 3. sample the mollified control at the left endpoints of a uniform grid,
    doubling the solver's grid until a measured certificate bounds the flow
    deviation by ``delta / 4`` and the scheduled cost is within 1% of the
@@ -70,7 +73,6 @@ from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes cou
 
 DEFAULT_SLACK = 10.0
 EPS_TARGET = 0.05            # total-variation deviation the mixing step may add
-_KINK_MERGE = 1e-12          # relative gap below which adjacent kinks merge
 _COST_RTOL = 1e-2            # relative change in reversed cost a schedule grid may leave
 
 
@@ -84,8 +86,7 @@ class PiecewiseLinearPath:
 
     On piece ``i``, ``[breaks[i], breaks[i+1])``, the value is
     ``start[i] + slope[i] (s - breaks[i])``; the last piece continues past
-    ``breaks[-1]``.  A step function has zero slopes.  The cumulative
-    integral is exact on every piece.
+    ``breaks[-1]``.  A step function has zero slopes.
     """
 
     breaks: np.ndarray
@@ -102,15 +103,11 @@ class PiecewiseLinearPath:
             )
         if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
             raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
-        h = np.diff(b)[:, None]
-        F = np.zeros((b.size, v.shape[1]))
-        np.cumsum(v * h + 0.5 * beta * h * h, axis=0, out=F[1:])
-        for arr in (b, v, beta, F):
+        for arr in (b, v, beta):
             arr.flags.writeable = False
         object.__setattr__(self, "breaks", b)
         object.__setattr__(self, "start", v)
         object.__setattr__(self, "slope", beta)
-        object.__setattr__(self, "_F", F)
 
     @property
     def d(self) -> int:
@@ -120,33 +117,14 @@ class PiecewiseLinearPath:
     def horizon(self) -> float:
         return float(self.breaks[-1])
 
-    def _locate(self, s):
-        """Times as a 1-d array, with the index of the piece holding each."""
+    def value(self, s):
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < 0.0):
             raise PreconditionViolation("path time must be >= 0")
         ss = np.atleast_1d(s_arr)
-        return s_arr.ndim, ss, np.searchsorted(self.breaks, ss, side="right") - 1
-
-    def value(self, s):
-        ndim, ss, idx = self._locate(s)
-        p = np.minimum(idx, self.start.shape[0] - 1)
+        p = np.minimum(np.searchsorted(self.breaks, ss, side="right") - 1, self.start.shape[0] - 1)
         out = self.start[p] + self.slope[p] * (ss - self.breaks[p])[:, None]
-        return out if ndim else out[0]
-
-    def integral(self, s):
-        """Componentwise ``int_0^s`` of the path, vectorized in ``s``.
-
-        Past the last break the integral continues from the node at
-        ``breaks[-1]`` with the last piece's end value there.
-        """
-        ndim, ss, idx = self._locate(s)
-        K = self.start.shape[0]
-        p, node = np.minimum(idx, K - 1), np.minimum(idx, K)
-        v_node = self.start[p] + self.slope[p] * (self.breaks[node] - self.breaks[p])[:, None]
-        ds = (ss - self.breaks[node])[:, None]
-        out = self._F[node] + (v_node + 0.5 * self.slope[p] * ds) * ds
-        return out if ndim else out[0]
+        return out if s_arr.ndim else out[0]
 
     def lipschitz_l1(self) -> float:
         return float(np.abs(self.slope).sum(axis=1).max())
@@ -229,18 +207,26 @@ class MollifyResult:
 def mollify_control(
     rev: PiecewiseLinearPath, kappa2: float, delta: float, delta0: float
 ) -> MollifyResult:
-    """Forward moving average of width ``kappa2`` over the reversed control.
+    """Forward moving average of width ``kappa2`` over the reversed step control.
 
-    The result is exactly piecewise linear with kinks at the original
-    breaks and at each break shifted left by the window width, evaluated
-    through the cumulative integral.  Requires
+    ``rev`` must be a step function (zero slopes) whose pieces are all wider
+    than the window.  The average ``(1/kappa2) int_s^{s+kappa2} rev`` is then
+    flat at each row and ramps linearly to the next row over the window
+    ending at each interior break, so the result is exactly piecewise linear
+    with kinks ``0, b_1 - kappa2, b_1, ..., b_{J-1} - kappa2, b_{J-1}, T``;
+    its value at the kinks is each row of ``rev`` twice, bit for bit (the
+    last row holds on past ``T``, so there is no ramp at ``T``).  Requires
     ``3 kappa2 e^T <= delta / 2`` so the flow deviation keeps the control
-    floored; ``cost_increase`` and ``deviation`` are the certified
-    budgets for this step.
+    floored; ``cost_increase`` and ``deviation`` are the certified budgets
+    for this step.
     """
     T = rev.horizon
-    if not kappa2 > 0.0:
-        raise PreconditionViolation("mollify_control: window must be positive")
+    if np.any(rev.slope != 0.0):
+        raise PreconditionViolation("mollify_control: the reversed control must be a step function")
+    if not 0.0 < kappa2 < np.diff(rev.breaks).min():
+        raise PreconditionViolation(
+            f"mollify_control: window {kappa2!r} must be positive and narrower than every piece"
+        )
     eT = math.exp(T)
     dev = 3.0 * kappa2 * eT
     if dev > 0.5 * delta * (1.0 + 1e-9):
@@ -248,15 +234,9 @@ def mollify_control(
             f"mollify_control: window {kappa2!r} too wide for floor {delta!r}; "
             "need 3 kappa2 e^T <= delta / 2"
         )
-    kinks = np.concatenate([rev.breaks, rev.breaks - kappa2, [0.0, T]])
-    kinks = np.unique(np.clip(kinks, 0.0, T))
-    keep = np.concatenate([[True], np.diff(kinks) > _KINK_MERGE * max(T, 1.0)])
-    kinks = kinks[keep]
-    if kinks.size < 2:
-        kinks = np.array([0.0, T])
-    else:
-        kinks[-1] = T
-    nodes = (rev.integral(kinks + kappa2) - rev.integral(kinks)) / kappa2
+    inner = rev.breaks[1:-1]
+    kinks = np.concatenate([[0.0], np.column_stack([inner - kappa2, inner]).ravel(), [T]])
+    nodes = np.repeat(rev.start, 2, axis=0)
     slope = np.diff(nodes, axis=0) / np.diff(kinks)[:, None]
     path = PiecewiseLinearPath(breaks=kinks, start=nodes[:-1], slope=slope)
     b2 = kappa2 * math.exp(kappa2) * abs(math.log(delta0)) + (dev + 2.0 * kappa2) / delta0
@@ -413,8 +393,9 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     The tuning is derived: ``kappa1`` targets a mixing deviation of
     ``EPS_TARGET`` in total variation (capped at 1), and the mollifier
     window ``kappa2`` takes ``1/slack`` of the largest value its
-    precondition allows.  The schedule grid is chosen by
-    :func:`discretize_control`.
+    precondition allows, capped at half the solver mesh ``T / J`` so that
+    the window stays narrower than every piece of the step control.  The
+    schedule grid is chosen by :func:`discretize_control`.
     """
     m_arr = ProbVec(_weights_of(m)).weights
     bracket = solve_rate(m_arr, A, T=float(T), J=J)
@@ -432,7 +413,7 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     rev = reverse_control(ctrl1)
     cost_reversed_quad = reversed_cost(q, rev, A)
     eT = math.exp(T_val)
-    k2 = delta / (6.0 * eT) / slack
+    k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / ctrl1.J)
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
     disc = discretize_control(moll.path, q, A, ctrl1.J, delta, cost_mollified_quad)

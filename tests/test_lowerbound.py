@@ -220,34 +220,35 @@ def test_piecewise_constant_path_semantics():
     assert np.array_equal(p.value(0.0), [1.0, 0.0])
     assert np.array_equal(p.value(0.05), [0.3, 0.7])
     assert np.array_equal(p.value(0.2), [0.3, 0.7])
-    assert np.allclose(p.integral(0.075), [0.0575, 0.0175], atol=1e-15)
     assert p.lipschitz_l1() == 0.0
 
 
-def test_linear_path_integral_closed_form():
-    """Integral of nonzero-slope pieces, inside pieces, at breaks and past the horizon."""
+def _sloped_path():
     breaks = np.array([0.0, 0.5, 1.25, 2.0])
     start = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
     slope = np.array([[2.0, 4.0], [-1.5, 0.5], [3.0, -2.0]])
-    p = PiecewiseLinearPath(breaks, start, slope)
+    return PiecewiseLinearPath(breaks, start, slope)
 
-    def exact(s):
-        # sum over pieces of int_{b_i}^{min(s, b_{i+1})} start_i + slope_i (u - b_i) du,
-        # the last piece running on past the horizon
-        total = np.zeros(2)
-        for i in range(3):
-            hi = s if i == 2 else min(s, breaks[i + 1])
-            w = max(hi - breaks[i], 0.0)
-            total += start[i] * w + 0.5 * slope[i] * w * w
-        return total
 
+def test_linear_path_values():
+    """Values of nonzero-slope pieces, inside pieces, at breaks and past the horizon."""
+    p = _sloped_path()
+    b, start, slope = p.breaks, p.start, p.slope
     times = np.array([0.0, 0.2, 0.5, 0.9, 1.25, 1.7, 2.0, 2.6, 4.0])
-    got = p.integral(times)
+    got = p.value(times)
     for s, row in zip(times, got):
-        assert np.allclose(row, exact(s), atol=1e-13, rtol=0.0)
-        assert np.allclose(p.integral(s), exact(s), atol=1e-13, rtol=0.0)
-    assert np.allclose(p.value(2.6), start[2] + slope[2] * (2.6 - 1.25), atol=1e-15)
+        i = min(int(np.searchsorted(b, s, side="right")) - 1, 2)
+        assert np.allclose(row, start[i] + slope[i] * (s - b[i]), atol=1e-15, rtol=0.0)
+        assert np.array_equal(p.value(s), row)
     assert p.lipschitz_l1() == 6.0
+
+
+def _window_average(p, s, kappa2):
+    """``(1/kappa2) int_s^{s+kappa2}`` of a step path, as the sum of each row
+    times the overlap of the window with its piece (the last piece without end)."""
+    ends = np.append(p.breaks[1:-1], np.inf)
+    overlap = np.maximum(np.minimum(ends, s + kappa2) - np.maximum(p.breaks[:-1], s), 0.0)
+    return overlap @ p.start / kappa2
 
 
 def test_mollify_is_window_average():
@@ -255,17 +256,61 @@ def test_mollify_is_window_average():
     kappa2 = 0.01
     res = mollify_control(p, kappa2, 0.5, 0.1)
     for s in np.linspace(0.0, 0.1, 23):
-        avg = (p.integral(s + kappa2) - p.integral(s)) / kappa2
-        assert np.allclose(res.path.value(s), avg, atol=1e-12)
+        assert np.allclose(res.path.value(s), _window_average(p, s, kappa2), atol=1e-12)
     # steepest slope is the single jump smeared over one window
     assert res.path.lipschitz_l1() == pytest.approx(1.4 / kappa2, rel=1e-12)
     assert res.cost_increase >= 0.0 and res.deviation >= 0.0
+
+
+@pytest.mark.parametrize("T,slack", [(2.0, 1.0), (4.0, 1.0)])
+def test_mollified_nodes_are_the_reversed_rows(T, slack):
+    """At its kinks the mollified path takes each reversed mixed row twice, bit
+    for bit, so its nodes sum to 1 as the solver's rows do; the flat pieces
+    have exactly zero slope."""
+    p = build_plan(BENCH_TARGET, BENCH, T=T, slack=slack)
+    rev = p.control_reversed
+    lin = mollify_control(rev, p.kappas.kappa2, p.delta, p.delta0).path
+    assert np.array_equal(lin.value(lin.breaks), np.repeat(rev.start, 2, axis=0))
+    assert not lin.slope[::2].any()
+    assert np.array_equal(lin.breaks[::2], rev.breaks[:-1])
 
 
 def test_mollify_window_too_wide():
     p = PiecewiseLinearPath(np.array([0.0, 0.1]), np.array([[0.5, 0.5]]), np.zeros((1, 2)))
     with pytest.raises(PreconditionViolation):
         mollify_control(p, 0.05, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("kappa2", [0.05, 0.08])
+def test_mollify_window_not_narrower_than_a_piece(kappa2):
+    # 3 kappa2 e^T <= delta / 2 holds; the window reaches across a whole piece
+    with pytest.raises(PreconditionViolation, match="narrower than every piece"):
+        mollify_control(_step_path(), kappa2, 1.0, 0.1)
+
+
+def test_mollify_rejects_sloped_path():
+    with pytest.raises(PreconditionViolation, match="step function"):
+        mollify_control(_sloped_path(), 1e-4, 0.5, 0.1)
+
+
+def test_kappa2_cap_binds_on_a_short_horizon():
+    """At T = 0.2 near a uniform stationary measure the derived window would be
+    wider than half the solver mesh T / J; the cap keeps the window inside
+    every piece, and the plan builds with its certified budgets holding.  The
+    control is nearly flat, so the a-priori mesh is one piece and keeps the grid."""
+    A = Kernel([[0.6, 0.4], [0.4, 0.6]])
+    T, slack = 0.2, 1.0
+    p = build_plan((0.55, 0.45), A, T=T, slack=slack)
+    J = len(p.control_reversed.start)
+    assert p.delta / (6.0 * np.exp(T)) / slack > 0.5 * T / J
+    assert p.kappas.kappa2 == 0.5 * T / J
+    b = p.bounds
+    assert b.lipschitz_l1 > 0.0
+    assert b.cost_mollified_quad <= b.cost_reversed_quad + b.bound_mollify
+    assert b.cost_schedule_quad <= b.cost_mollified_quad + b.bound_discretize
+    assert b.dev_discretize <= p.delta / 4
+    assert b.target_gap <= b.dev_mix + b.dev_mollify + b.dev_discretize
+    assert np.abs(p.schedule.sum(axis=1) - 1.0).max() < 1e-12 and p.schedule.min() >= p.delta
 
 
 def test_discretize_left_sampling():
