@@ -299,11 +299,12 @@ def test_lowerbound_plan_json(tmp_path):
 
 # SHA-256 of `lowerbound` on the bench kernel at m=(0.5, 0.5), T=2, slack 1,
 # seed 0, with a cost trend over n=1000, 2000 (4 seeds) and two runs at n=10000,
-# as written by the one-hot run assembly; any rewrite of the draws or costs must keep them
+# with the mollified path's nodes taken as the reversed rows themselves; any
+# rewrite of the draws or costs must keep them
 LOWERBOUND_DIGESTS = {
-    "plan.json": "6b1deadb494d508e6d850e0562d7e594d613257ce1dbd3fc85055b41533c0091",
-    "cost_trend.csv": "91d921eaa6295530af3b4832d7b9dd46baf113d1c5a4cefb94c99535f46d4d45",
-    "runs.csv": "6a05ce7c67106357ff22ef8f5056fd25854aaeb3476f9402b7cd24c2383e65d3",
+    "plan.json": "497424044fcf1ce610782932ad6d86db7f71471097599715549948310c6e889e",
+    "cost_trend.csv": "8e9551fda1659cb639f282063b4ef6ba7ffdcbce50028a1873667e95400486a6",
+    "runs.csv": "667d4ef0f6ef0e461e7d9fa3ef43c80f33c8bb1285383d0362b4efc460fedfe1",
 }
 
 
