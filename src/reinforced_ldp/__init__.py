@@ -85,10 +85,10 @@ from .lowerbound import (
 )
 from .validation import CriterionResult, run_acceptance, write_report_csv
 
-# A full collection gives CPython's collector its long-lived baseline; without
-# one, its first full pass fires in the first allocation-heavy call (an exact
-# law's atom dictionaries) and, in a process forked after import, copies every
-# inherited page.
+# A full collection resets CPython's generation counters at the end of import;
+# without one, how far import moved them decides which later call pays the
+# first full collection over the ~43k objects import leaves, and in a process
+# forked after import that collection also copies every inherited page.
 gc.collect()
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -83,9 +84,10 @@ def _as_kind(value, kind):
     """``value`` as the JSON kind ``kind``, or a TypeError.
 
     ``int`` takes an integer or an integral float (``1000.0`` is 1000),
-    ``float`` any number, ``bool`` only ``true``/``false``, ``str`` a string,
-    ``dict`` an object, ``object`` any value but a bool, and ``[kind]`` a list
-    of ``kind``.  Strings and bools are never numbers.
+    ``float`` any finite number, ``bool`` only ``true``/``false``, ``str`` a
+    string, ``dict`` an object, ``object`` any value but a bool, and
+    ``[kind]`` a list of ``kind``.  Strings, bools, ``NaN`` and ``Infinity``
+    are never numbers.
     """
     if isinstance(kind, list):
         if not isinstance(value, list):
@@ -97,7 +99,7 @@ def _as_kind(value, kind):
         return int(value)
     if kind is float and isinstance(value, int):
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
         raise TypeError
     return value
 

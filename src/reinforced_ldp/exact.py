@@ -102,7 +102,8 @@ def exact_law_levels(
         # argwhere walks the cells in C order, which is lexicographic in the counts
         cells = np.argwhere(P)
         counts = np.column_stack([cells, level - cells.sum(axis=1)])
-        probs = P[tuple(cells.T)]
+        # at d = 1 the box is a single cell, and indexing it gives a scalar
+        probs = np.atleast_1d(P[tuple(cells.T)])
         counts.flags.writeable = probs.flags.writeable = False
         return CountLaw(n=level, d=d, x0=x0, counts=counts, probs=probs, dropped_mass=dropped)
 
@@ -141,8 +142,8 @@ def check_ball(target, radius: float, d: int) -> np.ndarray:
     t = _weights_of(target)
     if t.shape != (d,):
         raise DimensionMismatch(f"ball target shape {t.shape}, law dimension {d}")
-    if radius < 0:
-        raise PreconditionViolation("ball radius must be >= 0")
+    if not radius >= 0:
+        raise PreconditionViolation(f"ball radius must be >= 0, got {radius!r}")
     return t
 
 

@@ -403,10 +403,12 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
     state swapped into the last place (the kernel relabelled alike) and
     swapped back after; the other points keep the bits of a plain solve.
     """
+    if not 0.0 < T < math.inf:
+        raise PreconditionViolation(f"solve_rate: need a finite T > 0, got {T!r}")
     if J is None:
         J = max(1, int(round(20 * T)))
-    if not (T > 0 and J >= 1):
-        raise PreconditionViolation("solve_rate: need T > 0 and J >= 1")
+    if not J >= 1:
+        raise PreconditionViolation("solve_rate: need J >= 1")
     queries, starts, lifted = [], [], []
     for m in ms:
         m_arr = ProbVec(_weights_of(m)).weights

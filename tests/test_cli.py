@@ -128,6 +128,21 @@ def test_exact_laws_and_ball_rates(tmp_path):
     assert PROV_RE.match(trend[0])
 
 
+def test_one_state_exact_law(tmp_path):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": [[1.0]]}, "exact": {"n": 5, "target": [1.0]}})
+    out = tmp_path / "out"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "law_5.csv").read_text().splitlines()[1:] == ["c_1,probability", "5,1"]
+    assert (out / "rate_trend.csv").read_text().splitlines()[2].startswith("5,1,")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flag_is_config_error(tmp_path, no_work, capsys, value):
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "rate": {"points": [[0.5, 0.5]]}})
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--T", value]) == 2
+    assert "'rate.T' has a value of the wrong type" in capsys.readouterr().err
+
+
 # `exact` configs: the perfbench d=2 and d=3 workloads at seed 0, and a kernel
 # that seldom leaves state 1, whose deep cells print with three-digit exponents
 # and whose levels 200 and 400 drop mass below the underflow threshold
@@ -402,7 +417,7 @@ def test_non_integer_count_is_config_error(tmp_path, monkeypatch, capsys, comman
     assert f"'{where}' has a value of the wrong type" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [True, "1.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("value", [True, "1.5", float("nan"), float("inf")], ids=["bool", "string", "nan", "inf"])
 @pytest.mark.parametrize("command,doc,where", [
     ("rate", {"rate": {"points": [[0.5, 0.5]]}}, "rate.T"),
     ("rate", {"rate": {}}, "rate.mesh_step"),
@@ -412,7 +427,7 @@ def test_non_integer_count_is_config_error(tmp_path, monkeypatch, capsys, comman
     ("simulate", {"kernel": {"mixture": {"p": [0.4, 0.6], "B": BENCH_MATRIX}}}, "kernel.mixture.alpha"),
 ])
 def test_non_number_is_config_error(tmp_path, no_work, capsys, command, doc, where, value):
-    """A bool or a numeric string where a number belongs exits 2 naming the key."""
+    """A bool, a numeric string, NaN or Infinity where a number belongs exits 2 naming the key."""
     doc = {"kernel": {"matrix": BENCH_MATRIX}, **copy.deepcopy(doc)}
     *path, key = where.split(".")
     sect = doc

@@ -122,10 +122,20 @@ def test_event_probability_ball_geometry():
     assert p == pytest.approx(law.atoms[(2, 1)], abs=1e-15)
     # radius 2 covers the whole simplex
     assert event_probability(law, MSTAR_BENCH, 2.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(PreconditionViolation):
-        event_probability(law, MSTAR_BENCH, -0.1)
+    for radius in (-0.1, math.nan):
+        with pytest.raises(PreconditionViolation):
+            event_probability(law, MSTAR_BENCH, radius)
     with pytest.raises(DimensionMismatch):
         event_probability(law, np.array([0.2, 0.3, 0.5]), 0.1)
+
+
+def test_one_state_law_is_the_single_atom():
+    laws = exact_law_levels(Kernel([[1.0]]), 1, [1, 5])
+    for n, law in laws.items():
+        assert law.counts.tolist() == [[n]] and law.probs.tolist() == [1.0]
+        assert law.dropped_mass == 0.0 and law.atoms == {(n,): 1.0}
+        assert not law.counts.flags.writeable and not law.probs.flags.writeable
+    assert event_probability(laws[5], [1.0], 0.0) == 1.0
 
 
 def test_finite_n_rate_trend_and_infinite_flag():

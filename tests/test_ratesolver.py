@@ -321,6 +321,12 @@ def test_boundary_query_is_lifted():
     assert np.isfinite(br.lower)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_solve_rate_needs_a_finite_positive_horizon(T):
+    with pytest.raises(PreconditionViolation, match="finite T > 0"):
+        solve_rate(np.array([0.3, 0.7]), BENCH, T=T)
+
+
 def test_solve_rate_dimension_check():
     with pytest.raises(DimensionMismatch):
         solve_rate(np.array([0.2, 0.3, 0.5]), BENCH, T=2.0, J=40)
