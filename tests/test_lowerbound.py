@@ -262,12 +262,12 @@ def test_mollify_is_window_average():
     assert res.cost_increase >= 0.0 and res.deviation >= 0.0
 
 
-@pytest.mark.parametrize("T,slack", [(2.0, 1.0), (4.0, 1.0)])
-def test_mollified_nodes_are_the_reversed_rows(T, slack):
+@pytest.mark.parametrize("T", [2.0, 4.0])
+def test_mollified_nodes_are_the_reversed_rows(T):
     """At its kinks the mollified path takes each reversed mixed row twice, bit
     for bit, so its nodes sum to 1 as the solver's rows do; the flat pieces
     have exactly zero slope."""
-    p = build_plan(BENCH_TARGET, BENCH, T=T, slack=slack)
+    p = build_plan(BENCH_TARGET, BENCH, T=T, slack=1.0)
     rev = p.control_reversed
     lin = mollify_control(rev, p.kappas.kappa2, p.delta, p.delta0).path
     assert np.array_equal(lin.value(lin.breaks), np.repeat(rev.start, 2, axis=0))
