@@ -64,7 +64,6 @@ from .ratesolver import (
 from .lowerbound import (
     CostConvergenceReport,
     CostTrendRow,
-    DiscretizeResult,
     KappaSchedule,
     MollifyResult,
     PiecewiseLinearPath,
@@ -73,8 +72,6 @@ from .lowerbound import (
     ReversedPlan,
     build_plan,
     check_cost_convergence,
-    discretize_control,
-    integrate_reversed,
     mix_with_stationary,
     mollify_control,
     plan_to_json,
@@ -103,7 +100,6 @@ __all__ = [
     "CountLaw",
     "CriterionResult",
     "DimensionMismatch",
-    "DiscretizeResult",
     "FiniteNRate",
     "InfeasibleTrajectory",
     "KappaSchedule",
@@ -130,13 +126,11 @@ __all__ = [
     "build_plan",
     "check_cost_convergence",
     "discounted_cost",
-    "discretize_control",
     "event_probability",
     "exact_law",
     "exact_law_levels",
     "finite_n_rate",
     "integrate_forward",
-    "integrate_reversed",
     "kernel_apply",
     "mix_with_stationary",
     "mollify_control",

@@ -184,19 +184,17 @@ def _validate_x0(x0, d: int) -> int:
     return x0
 
 
-def _column_scan(cdf: np.ndarray, u: np.ndarray, rows=None) -> np.ndarray:
+def _column_scan(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """0-based draws ``x = sum_{i<d-1} [u > C_i]``, one CDF column at a time.
 
     ``cdf`` holds the ``d`` CDF values ``C_0..C_{d-1}`` along its last axis:
-    one row for every draw, one row per draw, or, given ``rows``, row
-    ``rows[t]`` for draw ``t``.  For a nonnegative row the float CDF is
-    nondecreasing, so ``x`` is the smallest index with ``u <= C_x``, clamped
-    to ``d-1``; ``C_{d-1}`` is never read.
+    one row for every draw, or one row per draw.  For a nonnegative row the
+    float CDF is nondecreasing, so ``x`` is the smallest index with
+    ``u <= C_x``, clamped to ``d-1``; ``C_{d-1}`` is never read.
     """
     x = np.zeros(u.shape, dtype=np.int64)
     for i in range(cdf.shape[-1] - 1):
-        column = cdf[..., i]
-        x += u > (column if rows is None else column.take(rows))
+        x += u > cdf[..., i]
     return x
 
 

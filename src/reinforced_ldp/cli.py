@@ -360,7 +360,7 @@ def cmd_lowerbound(args) -> int:
     plan_doc = json.loads(plan_to_json(plan, include_schedule=include_schedule))
     plan_doc["provenance"] = prov
     (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
-    print(f"lowerbound: schedule of {plan.Jc} intervals (mesh {plan.c:.3e}), "
+    print(f"lowerbound: schedule of {plan.Jc} pieces, "
           f"certified cost {plan.certified_cost:.6f}, target gap {plan.bounds.target_gap:.3e}")
     if n_list is not None:
         report = check_cost_convergence(plan, A, n_list, trend_seeds, eps0, seed=seed)

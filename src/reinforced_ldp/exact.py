@@ -149,10 +149,11 @@ def check_ball(target, radius: float, d: int) -> np.ndarray:
 
 def event_probability(law: CountLaw, target, radius: float) -> float:
     """Probability of the closed l1 ball: ``sum P(c)`` over counts with
-    ``||c/n - target||_1 <= radius``."""
+    ``||c/n - target||_1 <= radius``, capped at 1 (a ball over the whole
+    simplex can sum the law's rounded atoms above 1)."""
     t = check_ball(target, radius, law.d)
     dist = np.abs(law.counts / float(law.n) - t[None, :]).sum(axis=1)
-    return math.fsum(law.probs[dist <= radius].tolist())
+    return min(math.fsum(law.probs[dist <= radius].tolist()), 1.0)
 
 
 @dataclass(frozen=True)
@@ -167,12 +168,13 @@ def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
     """Decay rate ``-(1/n) log P(||L^n - target||_1 <= radius)`` under ``law``.
 
     A zero-probability event yields an infinite rate with the ``infinite``
-    flag set instead of an error.
+    flag set instead of an error, and a sure event a rate of exactly 0.
     """
     p = event_probability(law, target, radius)
-    if p > 0.0:
-        return FiniteNRate(n=law.n, probability=p, rate=-math.log(p) / law.n, infinite=False)
-    return FiniteNRate(n=law.n, probability=0.0, rate=math.inf, infinite=True)
+    if p == 0.0:
+        return FiniteNRate(n=law.n, probability=0.0, rate=math.inf, infinite=True)
+    rate = -math.log(p) / law.n if p < 1.0 else 0.0
+    return FiniteNRate(n=law.n, probability=p, rate=rate, infinite=False)
 
 
 def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:

@@ -1,7 +1,7 @@
 """Feasible-plan pipeline for finite-horizon lower-bound experiments.
 
 Starting from a near-optimal control for the discounted cost at a target
-measure ``m``, build an explicit simulation schedule in three steps:
+measure ``m``, build an explicit simulation schedule in two steps:
 
 1. mix the control and its trajectory toward the stationary measure of
    the kernel; this floors every coordinate at a computable ``delta > 0``
@@ -10,15 +10,14 @@ measure ``m``, build an explicit simulation schedule in three steps:
    average, making it Lipschitz in time; on a step control the average is
    known in closed form: each row, held flat, then a linear ramp to the
    next row over the window before each break, so the mollified path's
-   values at its kinks are the solver's own rows, bit for bit;
-3. sample the mollified control at the left endpoints of a uniform grid,
-   doubling the solver's grid until a measured certificate bounds the flow
-   deviation by ``delta / 4`` and the scheduled cost is within 1% of the
-   mollified one, or until the paper's a-priori mesh is reached.
+   values at its kinks are the solver's own rows, bit for bit.
 
-Both controls in reversed time, the step function of step 2 and its
-mollified version, are one type, :class:`PiecewiseLinearPath`: a start
-value and a slope per piece, with zero slopes for the step function.
+The mollified path is the schedule: a run reads it at the chain's own
+clock by linear interpolation between its kinks, so no second time grid
+is laid over the chain's.  Both controls in reversed time, the step
+function and its mollified version, are one type,
+:class:`PiecewiseLinearPath`: a start value and a slope per piece, with
+zero slopes for the step function.
 
 Each step carries an explicit bound on the cost increase and on the
 trajectory deviation it can introduce, so the scheduled cost stays within
@@ -31,8 +30,8 @@ flow and its cost quadrature come from :mod:`~reinforced_ldp.ratesolver`.
 :func:`run_plan` executes the schedule: an i.i.d. warm-up drives the
 empirical measure toward the reversed starting point ``q``, a one-shot
 distance check decides whether to follow the schedule or to fall back to
-the zero-cost reference policy, and the remaining steps consume the
-schedule by grid time.
+the zero-cost reference policy, and the remaining steps read the schedule
+at the chain's clock.
 """
 from __future__ import annotations
 
@@ -63,7 +62,6 @@ from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes cou
     TrajectoryGrid,
     _as_grid,
     _cost_value,
-    _flow_gap,
     _flow_nodes,
     _flow_quad,
     _weights_vector,
@@ -73,7 +71,6 @@ from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes cou
 
 DEFAULT_SLACK = 10.0
 EPS_TARGET = 0.05            # total-variation deviation the mixing step may add
-_COST_RTOL = 1e-2            # relative change in reversed cost a schedule grid may leave
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +136,6 @@ def reversed_flow_nodes(q, path: PiecewiseLinearPath) -> np.ndarray:
     return _flow_nodes(_weights_of(q), np.diff(path.breaks), path.start, path.slope, -1.0)
 
 
-def integrate_reversed(q, eta: np.ndarray, c: float) -> TrajectoryGrid:
-    """Nodes of ``M' = eta - M`` on the uniform grid of mesh ``c``."""
-    q_arr = _weights_of(q)
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 2 or eta.shape[1] != q_arr.size:
-        raise DimensionMismatch("integrate_reversed: eta and q dimensions disagree")
-    if not c > 0.0:
-        raise PreconditionViolation("integrate_reversed: mesh must be positive")
-    return _as_grid(_flow_nodes(q_arr, np.full(len(eta), c), eta, np.zeros_like(eta), -1.0))
-
-
 def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
     """``e^{-T} int_0^T e^s R(eta(s) || M(s) A) ds`` along the reversed flow.
 
@@ -162,7 +148,7 @@ def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the three plan-building steps
+# the two plan-building steps
 
 
 def mix_with_stationary(
@@ -243,75 +229,6 @@ def mollify_control(
     return MollifyResult(path=path, cost_increase=b2, deviation=dev)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscretizeResult:
-    eta: np.ndarray
-    c: float
-    Jc: int
-    M_hat: TrajectoryGrid
-    cost: float
-    cost_increase: float
-    deviation: float
-    stop_rule: str
-
-
-def discretize_control(
-    lin: PiecewiseLinearPath, q, A: Kernel, J: int, delta: float, cost_mollified: float
-) -> DiscretizeResult:
-    """Sample a Lipschitz control at the left endpoints of the coarsest adequate grid.
-
-    Grids of ``Jc = J, 2J, 4J, ...`` pieces of mesh ``c = T / Jc`` are tried
-    in turn.  On each, the schedule's flow from ``q`` is compared with the
-    exact flow of ``lin`` at the grid nodes, carried by the piece map from
-    ``lin``'s own nodes (integrated once).  Inside piece ``j`` their
-    difference obeys ``e' = (eta(s) - eta(jc)) - e``, so its sup is at most
-    the largest node gap plus ``C1 c^2 / 2`` (``C1`` the Lipschitz constant
-    in total variation); the paper's ``C1 c T e^T`` bounds it too, and the
-    smaller is the certified ``deviation``.  The first grid with deviation
-    at most ``delta / 4`` and scheduled cost within ``_COST_RTOL`` of
-    ``cost_mollified`` is kept, and the doubling stops at the a-priori mesh,
-    where ``C1 c T e^T <= delta / 4``.  ``stop_rule`` says which rule kept
-    the grid: ``"certified"`` when both tests held, ``"a_priori"`` when the
-    doubling reached the a-priori mesh without them.  ``eta`` (read-only)
-    has ``Jc + 1`` rows, the last being the value at ``T``; ``M_hat`` and
-    ``cost`` are the schedule's flow nodes and reversed cost.
-    """
-    if J < 1 or not delta > 0.0:
-        raise PreconditionViolation("discretize_control: need J >= 1 and delta > 0")
-    q_arr = _weights_of(q)
-    T = lin.horizon
-    C1 = lin.lipschitz_l1()
-    eT = math.exp(T)
-    Jc_max = max(1, math.ceil(4.0 * C1 * T * T * eT / delta))
-    Jc = min(J, Jc_max)
-    lin_nodes = reversed_flow_nodes(q_arr, lin)
-    while True:
-        c = T / Jc
-        nodes = np.arange(Jc + 1) * c
-        nodes[-1] = T
-        eta = lin.value(nodes)
-        sched = integrate_reversed(q_arr, eta[:Jc], c)
-        # the piece holding each grid node; T closes the last piece
-        p = np.minimum(np.searchsorted(lin.breaks, nodes, side="right") - 1, lin.start.shape[0] - 1)
-        ds = (nodes - lin.breaks[p])[:, None]
-        exact = eta + _flow_gap(lin_nodes[p] - lin.start[p], lin.slope[p], ds, -1.0)
-        node_dev = float(np.abs(sched.M - exact).sum(axis=1).max())
-        dev = min(node_dev + 0.5 * C1 * c * c, C1 * c * T * eT)
-        zero = np.zeros((Jc, eta.shape[1]))
-        cost = _flow_quad(A.matrix, nodes[:-1], nodes[1:], eta[:Jc], zero, sched.M[:-1], forward=False, T=T)
-        close = abs(cost - cost_mollified) <= _COST_RTOL * cost_mollified + 1e-15
-        certified = dev <= 0.25 * delta and close
-        if certified or Jc >= Jc_max:
-            break
-        Jc = min(2 * Jc, Jc_max)
-    eta.flags.writeable = False
-    b3 = C1 * c * (abs(math.log(A.delta0)) + abs(math.log(delta)) + 1.0) + dev / A.delta0
-    return DiscretizeResult(
-        eta=eta, c=c, Jc=Jc, M_hat=sched, cost=cost, cost_increase=b3, deviation=dev,
-        stop_rule="certified" if certified else "a_priori",
-    )
-
-
 # ---------------------------------------------------------------------------
 # assembled plans
 
@@ -331,11 +248,12 @@ class PlanBounds:
     The quadrature values are continuous-time integrals; ``cost_mixed``
     is the solver's left-endpoint sum for the mixed pair, comparable to
     ``cost_solver`` only.  The chain of guarantees is
-    ``cost_mollified_quad <= cost_reversed_quad + bound_mollify`` and
-    ``cost_schedule_quad <= cost_mollified_quad + bound_discretize``,
-    with ``cost_reversed_quad == cost_mixed_quad`` by the time change.
-    ``dev_discretize`` is measured on the chosen grid (see
-    :func:`discretize_control`); the other deviations are a-priori bounds.
+    ``cost_mollified_quad <= cost_reversed_quad + bound_mollify``, with
+    ``cost_reversed_quad == cost_mixed_quad`` by the time change.  The
+    schedule is the mollified control itself, so ``cost_schedule_quad``
+    is ``cost_mollified_quad`` and ``bound_discretize`` and
+    ``dev_discretize`` are 0 by construction; the other deviations are
+    a-priori bounds.
     """
 
     cost_solver: float
@@ -355,16 +273,15 @@ class PlanBounds:
 
 @dataclass(frozen=True, eq=False)
 class ReversedPlan:
-    """A fully discretized reversed control ready to drive a chain.
+    """A mollified reversed control ready to drive a chain.
 
-    ``schedule`` is a read-only ``(Jc + 1, d)`` array: row ``j < Jc`` holds
-    on ``[j c, (j+1) c)``, and the last row is the value at ``T`` for the
-    (measure-zero, float-edge) case of a step clock reaching the horizon.
-    ``M_hat`` is the reversed trajectory; its final node sits within
+    ``knots`` are the kinks of the mollified path and ``schedule`` a
+    read-only ``(Jc + 1, d)`` array of its values there: the schedule is
+    linear between knots, and its last row holds past ``T``.  ``M_hat`` is
+    the reversed trajectory at the knots; its final node sits within
     ``bounds.target_gap`` of the original target in total variation.
-    ``stop_rule`` is the rule that kept the grid (see
-    :func:`discretize_control`) and ``solve`` the diagnostics of the rate
-    solve the plan was built from.
+    ``solve`` holds the diagnostics of the rate solve the plan was built
+    from.
     """
 
     T: float
@@ -372,9 +289,7 @@ class ReversedPlan:
     m: ProbVec
     delta: float
     delta0: float
-    c: float
-    Jc: int
-    stop_rule: str
+    knots: np.ndarray
     schedule: np.ndarray
     M_hat: TrajectoryGrid
     solve: SolveDiagnostics
@@ -383,25 +298,29 @@ class ReversedPlan:
     control_reversed: PiecewiseLinearPath
 
     @property
+    def Jc(self) -> int:
+        return len(self.knots) - 1
+
+    @property
     def certified_cost(self) -> float:
         return self.bounds.cost_schedule_quad
 
 
 def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float = DEFAULT_SLACK) -> ReversedPlan:
-    """Solve the rate bracket at ``m`` on horizon ``T`` and discretize its control.
+    """Solve the rate bracket at ``m`` on horizon ``T`` and mollify its control.
 
     The tuning is derived: ``kappa1`` targets a mixing deviation of
     ``EPS_TARGET`` in total variation (capped at 1), and the mollifier
     window ``kappa2`` takes ``1/slack`` of the largest value its
     precondition allows, capped at half the solver mesh ``T / J`` so that
     the window stays narrower than every piece of the step control.  The
-    schedule grid is chosen by :func:`discretize_control`.
+    mollified path is the schedule.
     """
+    if not 0.0 < slack:
+        raise PreconditionViolation("build_plan: slack must be positive")
     m_arr = ProbVec(_weights_of(m)).weights
     bracket = solve_rate(m_arr, A, T=float(T), J=J)
     T_val = float(bracket.eta_opt.T)
-    if not 0.0 < slack:
-        raise PreconditionViolation("build_plan: slack must be positive")
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
     kappa1 = 1.0 if gap_star <= EPS_TARGET else EPS_TARGET / gap_star
@@ -416,20 +335,22 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / ctrl1.J)
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
-    disc = discretize_control(moll.path, q, A, ctrl1.J, delta, cost_mollified_quad)
+    M_hat = _as_grid(reversed_flow_nodes(q, moll.path))
+    schedule = np.repeat(rev.start, 2, axis=0)
+    schedule.flags.writeable = False
     bounds = PlanBounds(
         cost_solver=bracket.lower,
         cost_mixed=cost_mixed,
         cost_mixed_quad=cost_mixed_quad,
         cost_reversed_quad=cost_reversed_quad,
         cost_mollified_quad=cost_mollified_quad,
-        cost_schedule_quad=disc.cost,
+        cost_schedule_quad=cost_mollified_quad,
         bound_mollify=moll.cost_increase,
-        bound_discretize=disc.cost_increase,
+        bound_discretize=0.0,
         dev_mix=kappa1 * gap_star,
         dev_mollify=moll.deviation,
-        dev_discretize=disc.deviation,
-        target_gap=float(np.abs(disc.M_hat.M[-1] - m_arr).sum()),
+        dev_discretize=0.0,
+        target_gap=float(np.abs(M_hat.M[-1] - m_arr).sum()),
         lipschitz_l1=moll.path.lipschitz_l1(),
     )
     return ReversedPlan(
@@ -438,11 +359,9 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
         m=ProbVec(m_arr),
         delta=delta,
         delta0=A.delta0,
-        c=disc.c,
-        Jc=disc.Jc,
-        stop_rule=disc.stop_rule,
-        schedule=disc.eta,
-        M_hat=disc.M_hat,
+        knots=moll.path.breaks,
+        schedule=schedule,
+        M_hat=M_hat,
         solve=bracket.diagnostics,
         kappas=KappaSchedule(kappa1=float(kappa1), kappa2=k2, slack=float(slack), eps_target=EPS_TARGET),
         bounds=bounds,
@@ -454,8 +373,6 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
     doc = {
         "T": plan.T,
         "Jc": plan.Jc,
-        "c": plan.c,
-        "stop_rule": plan.stop_rule,
         "solve": {
             "iterations": plan.solve.iterations,
             "gap": plan.solve.gap,
@@ -469,8 +386,8 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
         "bounds": asdict(plan.bounds),
     }
     if include_schedule:
-        doc["schedule"] = [[float(v) for v in row] for row in plan.schedule[:-1]]
-        doc["schedule_overflow"] = [float(v) for v in plan.schedule[-1]]
+        doc["knots"] = plan.knots.tolist()
+        doc["schedule"] = plan.schedule.tolist()
     return json.dumps(doc, indent=2)
 
 
@@ -505,11 +422,13 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
 
     Steps ``1..a0+1`` draw i.i.d. from ``q`` with ``a0`` the grid index of
     ``t_n - T``; if the empirical measure then sits within ``eps0`` of
-    ``q`` the remaining steps read the schedule by grid clock, otherwise
-    the run falls back to the zero-cost reference policy.  The head and
-    the scheduled phase draw by one column scan of a CDF computed once per
-    call: ``q``'s, and the schedule's, whose row ``j`` of the grid clock is
-    read per column.  The fallback is the reinforced chain continued from
+    ``q`` the remaining steps read the schedule at the chain's clock,
+    otherwise the run falls back to the zero-cost reference policy.  The
+    head draws by one column scan of ``q``'s CDF.  The scheduled phase
+    fills each column of ``mu`` by linear interpolation of the schedule
+    between its knots at the clock of each step, adds the columns one at a
+    time into the CDF of every step and draws by one column scan of it.
+    The fallback is the reinforced chain continued from
     the head's counts, drawn by the single-path loop of
     :mod:`~reinforced_ldp.chains`, with control rows ``mu_k = Lbar_{k-1} A``.
     The empirical measure comes from the one builder every controlled path
@@ -553,11 +472,14 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
         states[n1:] = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
     else:
-        sigma = grid.times[n1]
-        clock = grid.times[n1 + 1 : n + 1] - sigma
-        j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
-        np.take(plan.schedule, j, axis=0, out=mu[n1:])
-        states[n1:] = _column_scan(np.cumsum(plan.schedule, axis=1), u[n1:], j)
+        clock = grid.times[n1 + 1 : n + 1] - grid.times[n1]
+        cdf = np.empty((d, n - n1))
+        for x in range(d):
+            cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+            mu[n1:, x] = cdf[x]
+            if x:
+                cdf[x] += cdf[x - 1]
+        states[n1:] = _column_scan(cdf.T, u[n1:])
 
     Lbar = _running_measure(states, x0, d)
     states += 1

@@ -244,8 +244,8 @@ def _c8_convexity(scale, seed):
 
 @functools.lru_cache(maxsize=1)
 def _bench_plan():
-    # C9/C10 and the perfbench plan workload were calibrated on slack 1
-    # (5,120 schedule rows; the default slack 10 gives 320)
+    # C9/C10 and the perfbench plan workload were calibrated on slack 1; the
+    # schedule has 79 pieces (2J - 1 at J = 40) whatever the slack
     return build_plan(tuple(_BENCH_TARGET), _BENCH, T=2.0, slack=1.0)
 
 

@@ -219,10 +219,9 @@ def test_column_scan_matches_the_clamped_count_on_crafted_rows(row, u, draw):
     cdf = np.cumsum(rows, axis=1)
     expect = _inverse_cdf_rows(rows, np.array([u]))
     assert expect.tolist() == [draw]
-    # one row per draw, one row for every draw, and rows picked by index
+    # one row per draw, and one row for every draw
     assert _column_scan(cdf, np.array([u])).tolist() == [draw]
     assert _column_scan(cdf[0], np.full(3, u)).tolist() == [draw] * 3
-    assert _column_scan(cdf, np.full(2, u), np.zeros(2, dtype=np.int64)).tolist() == [draw] * 2
 
 
 def _searchsorted_draw(cdf, u):

@@ -133,7 +133,7 @@ def test_one_state_exact_law(tmp_path):
     out = tmp_path / "out"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "law_5.csv").read_text().splitlines()[1:] == ["c_1,probability", "5,1"]
-    assert (out / "rate_trend.csv").read_text().splitlines()[2].startswith("5,1,")
+    assert (out / "rate_trend.csv").read_text().splitlines()[2] == "5,1,0,false"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -308,7 +308,8 @@ def test_lowerbound_plan_json(tmp_path):
     out = tmp_path / "out"
     assert main(["lowerbound", "--config", cfg, "--out", str(out), "--seed", "2"]) == 0
     doc = json.loads((out / "plan.json").read_text())
-    assert {"Jc", "c", "delta", "bounds", "provenance"} <= set(doc)
+    assert {"Jc", "delta", "bounds", "provenance"} <= set(doc)
+    assert not {"c", "stop_rule", "knots", "schedule"} & set(doc)
     assert re.match(r"^config_sha256=[0-9a-f]{64} seed=2$", doc["provenance"])
 
 

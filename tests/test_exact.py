@@ -11,6 +11,7 @@ from reinforced_ldp.errors import (
     ResourceLimitExceeded,
 )
 from reinforced_ldp.exact import (
+    ball_rate,
     event_probability,
     exact_law,
     exact_law_levels,
@@ -146,6 +147,19 @@ def test_finite_n_rate_trend_and_infinite_flag():
     r50 = by_n[50]
     assert not r50.infinite and r50.probability > 0.0
     assert r50.rate == pytest.approx(-math.log(r50.probability) / 50, abs=1e-15)
+
+
+@pytest.mark.parametrize("A,n,target,radius", [
+    (Kernel([[1.0]]), 5, [1.0], 0.0),
+    (BENCH, 50, MSTAR_BENCH, 2.0),
+], ids=["one_state", "whole_simplex"])
+def test_sure_ball_has_rate_exactly_zero(A, n, target, radius):
+    """A ball of probability 1 has rate +0.0, never -0.0 or below 0, even
+    where the law's rounded atoms sum above 1 (1.0000000000000018 on the
+    bench kernel at n=50)."""
+    r = ball_rate(exact_law(A, 1, n), target, radius)
+    assert r.probability == 1.0 and not r.infinite
+    assert r.rate == 0.0 and math.copysign(1.0, r.rate) == 1.0
 
 
 def test_mem_cap_enforced():

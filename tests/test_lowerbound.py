@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import rel_entr
 
+from reinforced_ldp import lowerbound
 from reinforced_ldp.chains import ControlledPath, TimeGrid, path_rng, simulate_controlled
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
@@ -17,10 +18,8 @@ from reinforced_ldp.lowerbound import (
     PiecewiseLinearPath,
     build_plan,
     check_cost_convergence,
-    discretize_control,
     export_cost_report_csv,
     export_runs_csv,
-    integrate_reversed,
     mix_with_stationary,
     mollify_control,
     plan_to_json,
@@ -31,7 +30,7 @@ from reinforced_ldp.lowerbound import (
     verify_chain_rule_identity,
 )
 from reinforced_ldp.measures import Kernel, ProbVec, stationary_distribution
-from reinforced_ldp.ratesolver import PiecewiseControl, integrate_forward
+from reinforced_ldp.ratesolver import PiecewiseControl, _as_grid, integrate_forward
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 BENCH_TARGET = (0.3, 0.7)
@@ -42,7 +41,7 @@ LIGHT_TARGET = (0.6, 0.4)
 def bench_plan():
     # boundary-hugging target: every stage of the construction is active;
     # slack 1 is the plan acceptance criteria C9/C10 and the perfbench plan
-    # workload were calibrated on (5,120 schedule rows; slack 10 gives 320)
+    # workload were calibrated on (79 schedule pieces, 2J - 1 at J = 40)
     return build_plan(BENCH_TARGET, BENCH, T=2.0, slack=1.0)
 
 
@@ -55,28 +54,6 @@ def _step_path(after=0.3):
     """Step function 1 -> ``after`` at s = 0.05 on [0, 0.1], as zero-slope pieces."""
     start = np.array([[1.0, 0.0], [after, 1.0 - after]])
     return PiecewiseLinearPath(np.array([0.0, 0.05, 0.1]), start, np.zeros_like(start))
-
-
-def _sup_deviation(q, lin, eta, c, Jc):
-    """Sup over [0, T] of the l1 gap between the flows of ``lin`` and of the
-    left-sampled schedule ``eta`` of mesh ``c``, from DOP853 solves on every
-    piece of the joint break set, sampled at 4 points per piece."""
-    d = q.size
-    nodes = np.arange(Jc + 1) * c
-    nodes[-1] = lin.horizon
-    y, worst = np.concatenate([q, q]), 0.0
-    b = np.union1d(lin.breaks, nodes)
-    for lo, hi in zip(b[:-1], b[1:]):
-        mid = 0.5 * (lo + hi)
-        row = eta[int(np.searchsorted(nodes, mid, side="right")) - 1]
-        v, beta = lin.value(mid), lin.slope[np.searchsorted(lin.breaks, mid, side="right") - 1]
-        sol = solve_ivp(
-            lambda s, z: np.concatenate([v + beta * (s - mid) - z[:d], row - z[d:]]),
-            (lo, hi), y, method="DOP853", rtol=1e-11, atol=1e-14, t_eval=np.linspace(lo, hi, 4),
-        )
-        worst = max(worst, float(np.abs(sol.y[:d] - sol.y[d:]).sum(axis=0).max()))
-        y = sol.y[:, -1]
-    return worst
 
 
 def _toy_control():
@@ -98,6 +75,7 @@ def test_bounds_chain(bench_plan):
     assert b.cost_mollified_quad <= b.cost_reversed_quad + b.bound_mollify + 1e-10
     assert b.cost_schedule_quad <= b.cost_mollified_quad + b.bound_discretize + 1e-10
     assert b.bound_mollify >= 0.0 and b.bound_discretize >= 0.0
+    assert bench_plan.solve.converged and bench_plan.solve.gap <= 1e-10
 
 
 def test_terminal_gap(bench_plan):
@@ -145,13 +123,26 @@ def test_reversal_mapping():
     assert np.array_equal(rev.value(1.5), ctrl1.eta[0])
 
 
+def _grid_flow(q, eta, c):
+    """Nodes of ``M' = eta_j - M`` on a uniform grid of mesh ``c``, one
+    contraction ``M <- eta_j + e^{-c} (M - eta_j)`` per interval."""
+    M = [np.asarray(q, dtype=float)]
+    for row in eta:
+        M.append(row + np.exp(-c) * (M[-1] - row))
+    return np.array(M)
+
+
+def _uniform_step_path(eta, c):
+    return PiecewiseLinearPath(np.arange(len(eta) + 1) * c, eta, np.zeros_like(eta))
+
+
 def test_reversed_flow_nodes_match_grid_integrator():
     """Closed-form nodes of a step path agree with the uniform-grid integrator."""
     ctrl, grid = _toy_control()
     rev = reverse_control(ctrl)
     q = grid.M[-1]
     nodes = reversed_flow_nodes(q, rev)
-    assert np.abs(nodes - integrate_reversed(q, rev.start, ctrl.T / ctrl.J).M).max() < 1e-12
+    assert np.abs(nodes - _grid_flow(q, rev.start, ctrl.T / ctrl.J)).max() < 1e-12
 
 
 def test_reversed_flow_nodes_solve_the_ode_on_linear_pieces():
@@ -296,8 +287,7 @@ def test_mollify_rejects_sloped_path():
 def test_kappa2_cap_binds_on_a_short_horizon():
     """At T = 0.2 near a uniform stationary measure the derived window would be
     wider than half the solver mesh T / J; the cap keeps the window inside
-    every piece, and the plan builds with its certified budgets holding.  The
-    control is nearly flat, so the a-priori mesh is one piece and keeps the grid."""
+    every piece, and the plan builds with its certified budgets holding."""
     A = Kernel([[0.6, 0.4], [0.4, 0.6]])
     T, slack = 0.2, 1.0
     p = build_plan((0.55, 0.45), A, T=T, slack=slack)
@@ -313,72 +303,48 @@ def test_kappa2_cap_binds_on_a_short_horizon():
     assert np.abs(p.schedule.sum(axis=1) - 1.0).max() < 1e-12 and p.schedule.min() >= p.delta
 
 
-def test_discretize_left_sampling():
-    res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
-    q = np.array([0.5, 0.5])
-    disc = discretize_control(res.path, q, BENCH, 2, 0.5, reversed_cost(q, res.path, BENCH))
-    assert disc.c == pytest.approx(0.1 / disc.Jc, rel=1e-15)
-    grid_pts = np.arange(disc.Jc + 1) * disc.c
-    manual = np.array([res.path.value(s) for s in grid_pts])
-    assert np.array_equal(disc.eta, manual)
-    assert np.array_equal(disc.M_hat.M, integrate_reversed(q, manual[:-1], disc.c).M)
-
-
-@pytest.mark.parametrize("J,delta", [(0, 0.5), (2, 0.0)])
-def test_discretize_rejects_empty_grid_or_floor(J, delta):
-    res = mollify_control(_step_path(), 0.01, 0.5, 0.1)
-    with pytest.raises(PreconditionViolation):
-        discretize_control(res.path, np.array([0.5, 0.5]), BENCH, J, delta, 1.0)
-
-
-def test_discretize_certificate_needs_doubling():
-    """C1 = 140: the in-piece term C1 c^2 / 2 alone rejects the first two grids.
-
-    The jump is small, so the node deviation and the cost change already pass
-    on the first grid; only the in-piece term forces grids 2 -> 4 -> 8.
-    """
-    lin = mollify_control(_step_path(0.93), 0.001, 0.5, 0.1).path
-    assert lin.lipschitz_l1() == pytest.approx(140.0, rel=1e-12)
-    q = np.array([0.5, 0.5])
-    cost = reversed_cost(q, lin, BENCH)
-    disc = discretize_control(lin, q, BENCH, 2, 0.1, cost)
-    assert disc.Jc == 8
-    assert 0.5 * 140.0 * (0.1 / 4) ** 2 > 0.1 / 4 >= disc.deviation
-    assert abs(disc.cost - cost) <= 1e-2 * cost
-    sup = _sup_deviation(q, lin, disc.eta, disc.c, disc.Jc)
-    assert sup <= disc.deviation <= sup + 0.5 * lin.lipschitz_l1() * disc.c**2 + 1e-9
+def _mollified_path(plan):
+    return mollify_control(plan.control_reversed, plan.kappas.kappa2, plan.delta, plan.delta0).path
 
 
 def test_bench_plan_schedule_mesh(bench_plan):
-    """The measured certificate keeps the bench schedule short and tight."""
-    b = bench_plan.bounds
-    assert bench_plan.Jc <= 8192
-    assert b.dev_discretize <= bench_plan.delta / 4
-    assert abs(b.cost_schedule_quad - b.cost_mollified_quad) <= 1e-2 * b.cost_mollified_quad
-    # the discretization budget is the paper's formula at the certified deviation
-    c, d0 = bench_plan.c, bench_plan.delta0
-    logs = abs(np.log(d0)) + abs(np.log(bench_plan.delta)) + 1.0
-    assert b.bound_discretize == pytest.approx(b.lipschitz_l1 * c * logs + b.dev_discretize / d0, rel=1e-12)
+    """The bench schedule is the mollified control: its knots are the mollified
+    path's kinks, its rows the path's values there (each reversed row twice),
+    and its flow and cost are the mollified ones, bit for bit."""
+    p, b = bench_plan, bench_plan.bounds
+    lin = _mollified_path(p)
+    assert np.array_equal(p.knots, lin.breaks)
+    assert np.array_equal(p.schedule, np.repeat(p.control_reversed.start, 2, axis=0))
+    assert p.Jc == 2 * len(p.control_reversed.start) - 1 == 79
+    assert np.array_equal(p.M_hat.M, reversed_flow_nodes(p.q, lin))
+    assert b.cost_schedule_quad == b.cost_mollified_quad
+    assert b.bound_discretize == b.dev_discretize == 0.0
 
 
-@pytest.mark.parametrize("T,slack", [(2.0, DEFAULT_SLACK), (4.0, 1.0)])
-def test_huge_apriori_mesh_gets_a_short_grid(T, slack):
-    """Plans whose slack-scaled a-priori mesh has over 2e6 rows get a short grid."""
-    plan = build_plan(BENCH_TARGET, BENCH, T=T, slack=slack)
-    b = plan.bounds
-    apriori = 4.0 * b.lipschitz_l1 * T * T * np.exp(T) / plan.delta
-    assert apriori * slack > 2_000_000
-    assert plan.Jc <= 1024 and plan.Jc <= np.ceil(apriori)
-    assert b.dev_discretize <= plan.delta / 4
+@pytest.mark.parametrize("kernel,m,T", [
+    (BENCH.matrix.tolist(), LIGHT_TARGET, 1.0),
+    ([[0.6, 0.4], [0.4, 0.6]], (0.55, 0.45), 0.2),
+], ids=["light", "short"])
+def test_schedule_cost_is_the_mollified_cost(kernel, m, T):
+    """On plans where a coarse constant schedule used to cost 32% and 376% more
+    than the mollified control, the schedule read linearly between its knots
+    is that control, and its reversed cost is the mollified cost."""
+    A = Kernel(kernel)
+    p = build_plan(m, A, T=T, slack=1.0)
+    slope = np.diff(p.schedule, axis=0) / np.diff(p.knots)[:, None]
+    read = PiecewiseLinearPath(p.knots, p.schedule[:-1], slope)
+    assert np.array_equal(read.slope, _mollified_path(p).slope)
+    assert reversed_cost(p.q, read, A) == p.bounds.cost_schedule_quad == p.bounds.cost_mollified_quad
 
 
-def test_bench_certificate_bounds_the_ode_deviation(bench_plan):
-    """Independent cross-check: DOP853 solves of both controls on the bench plan."""
-    p = bench_plan
-    lin = mollify_control(p.control_reversed, p.kappas.kappa2, p.delta, p.delta0).path
-    sup = _sup_deviation(p.q.weights, lin, p.schedule, p.c, p.Jc)
-    in_piece = 0.5 * p.bounds.lipschitz_l1 * p.c**2
-    assert sup <= p.bounds.dev_discretize <= sup + in_piece + 1e-9
+@pytest.mark.parametrize("slack", [0.0, -1.0, float("nan")])
+def test_bad_slack_is_rejected_before_the_solve(monkeypatch, slack):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_rate called")
+
+    monkeypatch.setattr(lowerbound, "solve_rate", no_solve)
+    with pytest.raises(PreconditionViolation, match="slack must be positive"):
+        build_plan(BENCH_TARGET, BENCH, T=2.0, slack=slack)
 
 
 @settings(max_examples=50, deadline=None)
@@ -389,20 +355,17 @@ def test_bench_certificate_bounds_the_ode_deviation(bench_plan):
     qraw=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
     c=st.floats(0.01, 0.5),
 )
-def test_integrate_reversed_stays_on_simplex(rows, qraw, c):
+def test_reversed_flow_nodes_stay_on_simplex(rows, qraw, c):
     """Reversed dynamics are convex combinations, so the simplex is invariant."""
     eta = np.array(rows)
     eta /= eta.sum(axis=1, keepdims=True)
     q = ProbVec(np.array(qraw) / np.sum(qraw))
-    grid = integrate_reversed(q, eta, c)
+    grid = _as_grid(reversed_flow_nodes(q, _uniform_step_path(eta, c)))
     assert grid.all_feasible
     assert np.abs(grid.M.sum(axis=1) - 1.0).max() < 1e-9
     assert grid.M.min() >= -1e-12
-    # one contraction step toward the current schedule row per interval
-    M = q.weights.copy()
-    for j in range(len(rows)):
-        M = eta[j] + np.exp(-c) * (M - eta[j])
-        assert np.abs(grid.M[j + 1] - M).max() < 1e-12
+    # one contraction step toward the current control row per interval
+    assert np.abs(grid.M - _grid_flow(q.weights, eta, c)).max() < 1e-12
 
 
 def test_run_plan_deterministic(bench_plan):
@@ -455,8 +418,8 @@ def _two_product_chain_rule(path, A):
 
 
 def _reference_run(plan, A, n, eps0, seed, x0=1):
-    """``run_plan`` with gathered schedule rows, a fallback of one numpy
-    dispatch per step and a one-hot ``Lbar``: the run oracle."""
+    """``run_plan`` with the mollified path's values at the clock, a fallback
+    of one numpy dispatch per step and a one-hot ``Lbar``: the run oracle."""
     d = A.d
     grid = TimeGrid(n)
     n1 = int(grid.index_of(grid.horizon - plan.T)) + 1
@@ -479,8 +442,7 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
             cnt[x] += 1.0
     else:
         clock = grid.times[n1 + 1 : n + 1] - grid.times[n1]
-        j = np.clip((clock / plan.c).astype(np.int64), 0, plan.Jc)
-        mu[n1:] = plan.schedule[j]
+        mu[n1:] = _mollified_path(plan).value(clock)
         states[n1:] = _inverse_cdf_rows(mu[n1:], u[n1:]) + 1
     one_hot = np.zeros((n, d))
     one_hot[np.arange(n), states - 1] = 1.0
@@ -583,8 +545,7 @@ def test_check_cost_convergence_counts_must_be_integers(light_plan):
 
 def test_plan_json_roundtrip(light_plan):
     base = json.loads(plan_to_json(light_plan))
-    assert set(base) == {"Jc", "T", "bounds", "c", "delta", "delta0", "kappas", "m", "q", "solve", "stop_rule"}
-    assert base["stop_rule"] == light_plan.stop_rule
+    assert set(base) == {"Jc", "T", "bounds", "delta", "delta0", "kappas", "m", "q", "solve"}
     assert base["solve"] == {
         "iterations": light_plan.solve.iterations,
         "gap": light_plan.solve.gap,
@@ -594,18 +555,9 @@ def test_plan_json_roundtrip(light_plan):
     assert np.allclose(base["m"], light_plan.m.weights)
     assert np.allclose(base["q"], light_plan.q.weights)
     full = json.loads(plan_to_json(light_plan, include_schedule=True))
-    assert len(full["schedule"]) == light_plan.Jc
-    assert len(full["schedule_overflow"]) == 2
-
-
-def test_plan_records_the_grid_stop_rule(light_plan, bench_plan):
-    # the light plan's a-priori mesh (14 rows) is below its solver grid, and
-    # its scheduled cost there is far outside the 1% rule
-    assert light_plan.stop_rule == "a_priori"
-    b = light_plan.bounds
-    assert abs(b.cost_schedule_quad - b.cost_mollified_quad) > 0.01 * b.cost_mollified_quad
-    assert bench_plan.stop_rule == "certified"
-    assert bench_plan.solve.converged and bench_plan.solve.gap <= 1e-10
+    assert set(full) == set(base) | {"knots", "schedule"}
+    assert np.array_equal(full["knots"], light_plan.knots)
+    assert np.array_equal(full["schedule"], light_plan.schedule)
 
 
 def test_default_budgets():

@@ -1,12 +1,14 @@
-"""The benchmark's traced ``exact`` and ``plan`` smoke runs pass their output and tracing checks.
+"""The benchmark's traced smoke runs of all four workloads pass their output and tracing checks.
 
 A traced run alternates traced and untraced passes and checks, besides the
 artifacts, that no pass crashes under the span tracer and that the time
 outside the layer spans stays within the tracing overhead plus 1 ms
 (``trace.self_times_sum``).  A change to what the package allocates can move
 a garbage collection into a pass and fail that check.  The tracer's counter
-hooks only count their own errors, so the ``plan`` run also asserts that the
-counters read from the plan's paths came out positive.
+hooks only count their own errors, so the ``plan`` and ``simulate`` runs also
+assert that the counters read from their outputs came out positive.  The
+``rate`` run asserts none: its solver counters hook ``solve_rate``, which the
+batched profile does not call, and read 0.
 """
 
 import json
@@ -17,7 +19,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-COUNTERS = {"exact": (), "plan": ("lowerbound.schedule_rows", "lowerbound.quad_nodes")}
+COUNTERS = {
+    "exact": (),
+    "plan": ("lowerbound.schedule_rows", "lowerbound.quad_nodes"),
+    "rate": (),
+    "simulate": ("chains.ns_per_batch_path_step", "chains.export_path_csv.bytes"),
+}
 
 
 @pytest.mark.parametrize("workload", sorted(COUNTERS))
