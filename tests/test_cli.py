@@ -315,12 +315,12 @@ def test_lowerbound_plan_json(tmp_path):
 
 # SHA-256 of `lowerbound` on the bench kernel at m=(0.5, 0.5), T=2, slack 1,
 # seed 0, with a cost trend over n=1000, 2000 (4 seeds) and two runs at n=10000,
-# with the mollified path's nodes taken as the reversed rows themselves; any
-# rewrite of the draws or costs must keep them
+# with the mollified path itself as the schedule, read at the chain's clock;
+# any rewrite of the draws or costs must keep them
 LOWERBOUND_DIGESTS = {
-    "plan.json": "497424044fcf1ce610782932ad6d86db7f71471097599715549948310c6e889e",
-    "cost_trend.csv": "8e9551fda1659cb639f282063b4ef6ba7ffdcbce50028a1873667e95400486a6",
-    "runs.csv": "667d4ef0f6ef0e461e7d9fa3ef43c80f33c8bb1285383d0362b4efc460fedfe1",
+    "plan.json": "47abe367278b2ca882780c704c4e2eae5b866376d66431ad1600637cd7c338c4",
+    "cost_trend.csv": "5f6c730cbf8151c8038161f7310e62a6b41e5adbd0f7c953faf5f5c4f62b56d8",
+    "runs.csv": "63572422587877c058b758c38c89d52b10c0ff5663173d0f7e986b406060f847",
 }
 
 
