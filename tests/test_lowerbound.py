@@ -326,9 +326,9 @@ def test_bench_plan_schedule_mesh(bench_plan):
     ([[0.6, 0.4], [0.4, 0.6]], (0.55, 0.45), 0.2),
 ], ids=["light", "short"])
 def test_schedule_cost_is_the_mollified_cost(kernel, m, T):
-    """On plans where a coarse constant schedule used to cost 32% and 376% more
-    than the mollified control, the schedule read linearly between its knots
-    is that control, and its reversed cost is the mollified cost."""
+    """On short horizons, where a few constant rows would cost 32% and 376%
+    more than the mollified control, the schedule read linearly between its
+    knots is that control, and its reversed cost is the mollified cost."""
     A = Kernel(kernel)
     p = build_plan(m, A, T=T, slack=1.0)
     slope = np.diff(p.schedule, axis=0) / np.diff(p.knots)[:, None]
