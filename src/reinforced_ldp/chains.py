@@ -24,12 +24,14 @@ Every state is drawn by one rule, the column scan :func:`_column_scan`:
 ``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF ``C``, the smallest
 ``x`` with ``u <= C_x``, clamped to ``d-1``.  Batch steps, controlled steps
 and :func:`~reinforced_ldp.lowerbound.run_plan` scan their CDFs.  A single
-path, and the fallback of ``run_plan``, apply the rule in a scalar loop
-(:func:`_reinforced_draws`) over a running row ``count @ A`` kept in Python
-floats, one row of ``A`` added per step, so a step costs O(d).  Where a
-uniform lies within the rounding bound ``tol(k)`` of a CDF edge, the step is
-redrawn by scanning numpy's ``cumsum((count / k) @ A)``, so every draw is
-bit-identical to sampling from ``L^k A`` as computed by numpy.  Every
+path, and the fallback of ``run_plan``, draw in blocks
+(:func:`_reinforced_draws`): each pass over a block forms the CDFs
+``cumsum((count / k) @ A)`` of all its steps from a guess of their draws,
+as one matrix product, and scans them; the draws a pass leaves unchanged
+are the sequential ones.  Where a uniform lies within the rounding bound
+``tol`` of a block CDF edge, the step is redrawn by scanning numpy's 1-D
+``cumsum((count / k) @ A)``, so every draw is bit-identical to sampling
+from ``L^k A`` as computed by numpy.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
@@ -54,8 +56,8 @@ from .errors import DimensionMismatch, PolicyError, PreconditionViolation
 from .measures import Kernel
 
 _MASK64 = (1 << 64) - 1
-# uniforms per Python-list block in _reinforced_draws, to bound their memory
-_DRAW_BLOCK = 4096
+# most steps per block of _reinforced_draws, which holds a few (steps, d) arrays at once
+_BLOCK_CAP = 8192
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
 _EPS = 2.0**-53
@@ -71,10 +73,16 @@ def _stream_key(seed: int, streams) -> tuple[int, np.ndarray]:
     """Philox key words ``(seed, stream)``, each reduced mod 2**64.
 
     ``streams`` is one stream or an array of them; the stream words come
-    back as a uint64 array of that shape.
+    back as a uint64 array of that shape.  The seed and every stream must
+    be integers; a negative one is reduced like any other.
     """
-    words = np.asarray(streams, dtype=object) & _MASK64
-    return int(seed) & _MASK64, np.asarray(words, dtype=np.uint64)
+    if isinstance(streams, np.ndarray) and streams.dtype.kind in "iu":
+        words = streams.astype(np.uint64)  # the cast wraps mod 2**64
+    else:
+        obj = np.asarray(streams, dtype=object)
+        words = [_as_count(w, "stream") & _MASK64 for w in obj.flat]
+        words = np.array(words, dtype=np.uint64).reshape(obj.shape)
+    return _as_count(seed, "seed") & _MASK64, words
 
 
 def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -92,6 +100,7 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     ``(b+1, 0, 0, 0)`` under key ``(seed, stream)``, its four words are used
     in order, and word ``w`` becomes the double ``(w >> 11) * 2**-53``.
     """
+    count = _as_count(count, "philox_uniforms: count")
     if count < 0:
         raise PreconditionViolation(f"philox_uniforms: count must be >= 0, got {count}")
     k0, k1 = _stream_key(seed, streams)
@@ -223,65 +232,78 @@ class ChainPath:
 def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndarray:
     """0-based states of ``len(u)`` reinforced draws from ``count`` after ``k`` steps.
 
-    Step ``t`` draws the smallest ``x`` with ``u[t] <= CDF(x)`` of
-    ``(count / k) @ Amat`` (clamped to ``d-1``), then adds one to
-    ``count[x]`` and to ``k``; ``count`` holds exact integers summing to
-    ``k``.  The running row ``r = count @ Amat`` is kept in Python floats
-    and row ``Amat[x]`` is added after each draw, so a step costs O(d);
-    the CDF ``cumsum(r / k)`` is scanned over indices ``0..d-2``, which is
-    the rule of :func:`_column_scan` in Python floats.  A step whose ``u``
-    lies within ``tol(k)`` of a scanned CDF value is redrawn by
-    :func:`_column_scan` on numpy's ``cumsum((count / k) @ Amat)``, so every
-    draw equals that scan's bit for bit.
+    Step ``t`` draws by :func:`_column_scan` of numpy's 1-D row
+    ``cumsum((count / k) @ Amat)``, then adds one to ``count[x]`` and to
+    ``k``; ``count`` holds exact integers summing to ``k``.  Every draw
+    equals that scan's bit for bit, but the steps run in blocks, each solved
+    by a fixed-point iteration in numpy.
 
-    ``tol(k)``: let ``eps = 2**-53`` and ``gamma_n = n eps / (1 - n eps)``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1:
-    a sum or dot product of ``n`` nonnegative terms, in any order and with
-    or without fused multiply-adds, is within ``gamma_n`` of its value,
-    relative to the exact sum).  Let ``C_i`` be the exact CDF, at most the
-    largest row sum, ``1 + 1e-12`` for a :class:`Kernel`.  numpy's value is
-    ``d`` rounded products ``count_x / k`` in a ``d``-term dot product, then
-    a cumsum of at most ``d-1`` terms: within ``gamma_{2d} C_i`` of
-    ``C_i``.  After ``m`` steps the running row is a sum of ``d + m``
-    nonnegative terms, so with the division by ``k`` and the scan the
-    scalar value is within ``gamma_{2d+m} C_i`` of ``C_i``, where
-    ``m <= k``.  The two differ by at most ``gamma_{4d+k} C_i``, below
-    ``2 (4d + k) eps`` while ``(4d + k) eps <= 1/2``.  ``tol(k) = (8d + 4k)
-    eps`` is twice that, which also covers the rounding of ``c +- tol`` in
-    the comparisons.  The band grows with ``k`` because the running row
-    carries one rounding per step.
+    A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
+    counts ``cnt`` at its first step ``k``, and its first guess scans the
+    CDF at that step.  A pass redraws every step of the guess from the
+    counts the guess implies, ``C = cnt + cumsum(one-hot of the earlier
+    draws)``, by one column scan of the block CDF ``cumsum(Amat.T @ (C /
+    steps))`` (states along the first axis).  A step's CDF depends only on
+    the draws before it, so the draws up to and including the first one a
+    pass changes are final; the next pass starts after it.  So every pass
+    settles at least one draw, and a block ends at the first pass that
+    changes nothing: the sequential draws.
+
+    A block CDF value can differ from numpy's 1-D row in the last bits,
+    since a matrix product may sum in another order than a vector-matrix
+    product.  So a step whose ``u`` lies within ``tol`` of a scanned block
+    CDF value is redrawn from the 1-D row of its counts.  ``tol``: let
+    ``eps = 2**-53`` and ``gamma_n = n eps / (1 - n eps)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1: a sum or
+    dot product of ``n`` nonnegative terms, in any order and with or without
+    fused multiply-adds, is within ``gamma_n`` of its value, relative to the
+    exact sum).  Both sides divide the same exact counts by the same ``k``,
+    so both are ``d``-term products of the same rounded quotients ``q``,
+    each entry within ``gamma_d`` of the exact ``s = q @ Amat``.  The cumsum
+    to a scanned column ``i <= d-2`` adds ``gamma_{d-2}``, so both CDF
+    values are within ``gamma_{2d-2} S_i`` of ``S_i = sum_{y<=i} s_y``, and
+    ``S_i`` is at most ``sum(q)`` times the largest row sum, below ``(1 +
+    eps)(1 + 1e-12)`` for a :class:`Kernel`.  While ``(2d - 2) eps <= 1/2``,
+    ``gamma_{2d-2} <= 2 (2d - 2) eps``, so the two differ by at most ``2
+    gamma_{2d-2} S_i < 4 (2d - 2) eps (1 + 2e-12) < 8 d eps = tol``.
+    Rounding is monotone and ``tol`` is a double, so a float ``|u - c|``
+    above ``tol`` means the exact one is too, and a step outside the band
+    draws the same state from either row.  Unlike a running row, a block
+    row carries no rounding from earlier steps, so ``tol`` does not grow
+    with ``k``.
     """
     d = Amat.shape[0]
     last = d - 1
     out = np.empty(u.size, dtype=np.int64)
-    rows = Amat[:, :last].tolist()
-    cnt = np.asarray(count, dtype=float)
-    r = (cnt @ Amat)[:last].tolist()
-    cnt = cnt.tolist()
-    kk = float(k)
-    tol = (8.0 * d + 4.0 * kk) * _EPS
-    for lo in range(0, u.size, _DRAW_BLOCK):
-        xs = []
-        for ut in u[lo : lo + _DRAW_BLOCK].tolist():
-            c = 0.0
-            for x in range(last):
-                c += r[x] / kk
-                if ut <= c + tol:
-                    if ut > c - tol:
-                        # u sits within tol(k) of a CDF edge: draw from numpy's CDF
-                        cdf = np.cumsum((np.array(cnt) / kk) @ Amat)
-                        x = int(_column_scan(cdf, np.array([ut]))[0])
-                    break
-            else:
-                x = last
-            xs.append(x)
-            row = rows[x]
-            for j in range(last):
-                r[j] += row[j]
-            cnt[x] += 1.0
-            kk += 1.0
-            tol += 4.0 * _EPS
-        out[lo : lo + len(xs)] = xs
+    cnt = np.array(count, dtype=float)
+    tol = 8.0 * d * _EPS
+    t = 0
+    while t < u.size:
+        b = min(max(64, (k + t) // 8), _BLOCK_CAP, u.size - t)
+        x = _column_scan(np.cumsum((cnt / (k + t)) @ Amat), u[t : t + b])
+        while x.size:
+            # one pass over the unsettled steps t .. t + x.size - 1
+            ub = u[t : t + x.size]
+            steps = np.arange(k + t, k + t + x.size, dtype=float)
+            C = np.zeros((d, x.size))
+            for i in range(d):
+                np.cumsum(x[:-1] == i, dtype=float, out=C[i, 1:])
+            C += cnt[:, None]
+            cdf = Amat.T @ (C / steps)
+            for i in range(1, last):
+                cdf[i] += cdf[i - 1]
+            y = _column_scan(cdf.T, ub)
+            near = (np.abs(cdf[:last] - ub) <= tol).any(axis=0)
+            for j in np.flatnonzero(near):
+                # u sits within tol of a block CDF edge: draw from numpy's 1-D row
+                row = np.cumsum((C[:, j] / steps[j]) @ Amat)
+                y[j] = _column_scan(row, ub[j : j + 1])[0]
+            changed = np.flatnonzero(x != y)
+            f = changed[0] + 1 if changed.size else y.size
+            out[t : t + f] = y[:f]
+            cnt += np.bincount(y[:f], minlength=d)
+            t += f
+            x = y[f:]
     return out
 
 

@@ -429,7 +429,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     between its knots at the clock of each step, adds the columns one at a
     time into the CDF of every step and draws by one column scan of it.
     The fallback is the reinforced chain continued from
-    the head's counts, drawn by the single-path loop of
+    the head's counts, drawn by the block draws of a single path in
     :mod:`~reinforced_ldp.chains`, with control rows ``mu_k = Lbar_{k-1} A``.
     The empirical measure comes from the one builder every controlled path
     uses, ``chains._running_measure``: ``Lbar[k, x] = (e0[x] + #{i <= k :

@@ -159,6 +159,116 @@ def test_reinforced_draws_on_cdf_edges(A, count):
     assert np.array_equal(got, expect)
 
 
+def _scalar_draws(Amat, count, k, u):
+    """The single-path draws one Python step at a time: the block-draw oracle.
+
+    A running row ``count @ Amat`` is kept in Python floats, one row of
+    ``Amat`` added per step, and scanned over ``0..d-2``.  A step whose
+    ``u`` lies within ``(8d + 4k) 2**-53`` of a scanned CDF value, which
+    bounds the drift of the running row from numpy's CDF, is redrawn by a
+    column scan of numpy's ``cumsum((count / k) @ Amat)``.
+    """
+    d = Amat.shape[0]
+    last = d - 1
+    rows = Amat[:, :last].tolist()
+    cnt = np.asarray(count, dtype=float)
+    r = (cnt @ Amat)[:last].tolist()
+    cnt = cnt.tolist()
+    kk = float(k)
+    tol = (8.0 * d + 4.0 * kk) * EPS
+    out = []
+    for ut in u.tolist():
+        c = 0.0
+        for x in range(last):
+            c += r[x] / kk
+            if ut <= c + tol:
+                if ut > c - tol:
+                    cdf = np.cumsum((np.array(cnt) / kk) @ Amat)
+                    x = int(_column_scan(cdf, np.array([ut]))[0])
+                break
+        else:
+            x = last
+        out.append(x)
+        for j in range(last):
+            r[j] += rows[x][j]
+        cnt[x] += 1.0
+        kk += 1.0
+        tol += 4.0 * EPS
+    return np.array(out, dtype=np.int64)
+
+
+def _random_kernel(d, seed):
+    return Kernel(0.9 * np.random.default_rng(seed).dirichlet(np.ones(d), size=d) + 0.1 / d)
+
+
+# random kernels at d = 2..5, a sticky one and a nearly cyclic one
+ORACLE_KERNELS = {
+    **{f"d{d}": _random_kernel(d, d) for d in (2, 3, 4, 5)},
+    "sticky": Kernel([[0.999, 0.001], [0.001, 0.999]]),
+    "cyclic": Kernel([[0.01, 0.98, 0.01], [0.01, 0.01, 0.98], [0.98, 0.01, 0.01]]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 5000])
+@pytest.mark.parametrize("name", list(ORACLE_KERNELS))
+def test_block_draws_match_the_scalar_loop_from_the_first_step(name, n):
+    """Lengths around the first block of 64 steps, and 5000 steps across
+    about 30 blocks, equal the scalar loop draw for draw."""
+    A = ORACLE_KERNELS[name]
+    count = np.zeros(A.d, dtype=np.int64)
+    count[-1] = 1
+    u = path_rng(SEED + n, 0).random(n)
+    assert np.array_equal(_reinforced_draws(A.matrix, count, 1, u), _scalar_draws(A.matrix, count, 1, u))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_KERNELS))
+def test_block_draws_match_the_scalar_loop_from_a_large_count(monkeypatch, name):
+    """A start from float counts at k = 120,000, as in run_plan's fallback:
+    three blocks at the cap, then about 30 blocks at a cap of 700."""
+    A = ORACLE_KERNELS[name]
+    k = 120_000
+    count = np.random.default_rng(A.d).multinomial(k, np.ones(A.d) / A.d).astype(float)
+    u = path_rng(SEED, A.d).random(20_000)
+    expect = _scalar_draws(A.matrix, count, k, u)
+    assert np.array_equal(_reinforced_draws(A.matrix, count, k, u), expect)
+    monkeypatch.setattr(chains, "_BLOCK_CAP", 700)
+    assert np.array_equal(_reinforced_draws(A.matrix, count, k, u), expect)
+
+
+def test_block_draws_on_block_cdf_edges():
+    """At d=4, uniforms on numpy's 1-D CDF edges where the block CDF lies on
+    the other side draw numpy's states.
+
+    A block CDF ``cumsum(A.T @ (C / steps))`` differs from numpy's 1-D rows
+    by an ulp or two on about a sixth of the rows at d=4.  Each crafted ``u``
+    keeps numpy's draw, so the counts and the block CDF stay those of the
+    uncrafted path, while a scan of the block CDF alone draws another state.
+    """
+    A, d = ORACLE_KERNELS["d4"].matrix, 4
+    count = np.array([30_000, 25_000, 20_001, 25_000])
+    k, steps = int(count.sum()), 2000
+    u = path_rng(SEED, 0).random(steps)
+    expect = _scalar_draws(A, count, k, u)
+    C = np.empty((d, steps))
+    C[:, 0] = count
+    C[:, 1:] = count[:, None] + np.cumsum(np.eye(d)[:, expect[:-1]], axis=1)
+    kk = np.arange(k, k + steps, dtype=float)
+    block = np.cumsum(A.T @ (C / kk), axis=0)
+    crafted = 0
+    for t, x in enumerate(expect):
+        one = np.cumsum((C[:, t] / kk[t]) @ A)
+        if x < d - 1 and block[x, t] < one[x]:
+            u[t] = one[x]
+        elif x > 0 and block[x - 1, t] > one[x - 1]:
+            u[t] = np.nextafter(one[x - 1], 2.0)
+        else:
+            continue
+        crafted += 1
+    assert crafted >= 100
+    assert np.array_equal(_scalar_draws(A, count, k, u), expect)
+    assert np.array_equal(_reinforced_draws(A, count, k, u), expect)
+
+
 def test_simulate_chain_counts_accumulate():
     path = simulate_chain(BENCH, 2, N_STEPS, SEED)
     assert path.states[0] == 2
@@ -297,6 +407,27 @@ def test_simulate_chain_batch_rows_match_per_path_streams(monkeypatch, n):
     batch = simulate_chain_batch(A, 2, n, 7, SEED)
     for i in range(7):
         assert np.array_equal(batch[i], _reference_chain(A, 2, n, SEED, stream=i)[1][-1])
+
+
+def test_non_integer_seed_or_stream_is_precondition_error():
+    calls = (
+        lambda s: simulate_chain(BENCH, 1, 10, s),
+        lambda s: simulate_chain_batch(BENCH, 1, 10, 3, s),
+        lambda s: simulate_controlled(BENCH, 1, feedback, 10, s),
+        lambda s: path_rng(s),
+        lambda s: path_rng(SEED, s),
+        lambda s: philox_uniforms(SEED, [0, s], 4),
+        lambda s: philox_uniforms(SEED, np.array([s]), 4),
+        lambda s: philox_uniforms(SEED, [0], s),
+    )
+    for call in calls:
+        for bad in (1.5, 2.0, "3"):
+            with pytest.raises(PreconditionViolation, match="must be an integer"):
+                call(bad)
+    # negative seeds and streams are reduced mod 2**64
+    assert np.array_equal(simulate_chain(BENCH, 1, 30, -1).states, simulate_chain(BENCH, 1, 30, 2**64 - 1).states)
+    assert np.array_equal(philox_uniforms(-2, np.array([-1, 3]), 5), philox_uniforms(2**64 - 2, [2**64 - 1, 3], 5))
+    assert np.array_equal(path_rng(-2, -1).random(5), path_rng(2**64 - 2, 2**64 - 1).random(5))
 
 
 def test_x0_validation():
