@@ -33,7 +33,6 @@ from .measures import (
 from .chains import (
     ChainPath,
     ControlledPath,
-    TimeGrid,
     path_rng,
     simulate_chain,
     simulate_chain_batch,
@@ -51,9 +50,7 @@ from .exact import (
 from .ratesolver import (
     PiecewiseControl,
     RateBracket,
-    RateProfileRow,
     SolveDiagnostics,
-    TrajectoryGrid,
     discounted_cost,
     integrate_forward,
     rate_profile,
@@ -114,13 +111,10 @@ __all__ = [
     "PreconditionViolation",
     "ProbVec",
     "RateBracket",
-    "RateProfileRow",
     "ResourceLimitExceeded",
     "ReversedPlan",
     "SimplexViolation",
     "SolveDiagnostics",
-    "TimeGrid",
-    "TrajectoryGrid",
     "build_kernel_mixture",
     "build_kernel_qsd",
     "build_plan",

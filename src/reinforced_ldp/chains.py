@@ -124,8 +124,21 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     return out[:, :count]
 
 
-def _kahan_harmonic_tail(n: int) -> np.ndarray:
-    """t_k = sum_{j=1..k} 1/(j+1) for k = 0..n, compensated summation."""
+@functools.lru_cache(maxsize=8, typed=True)
+def _time_grid(n: int) -> np.ndarray:
+    """The read-only clock ``t_k = sum_{j=1..k} 1/(j+1)``, ``k = 0..n``, by
+    compensated summation.
+
+    ``t_n - log(n+1)`` is pinned near the Euler-Mascheroni constant minus
+    one by a ``O(1/n)`` bracket, so the grid spans ``~ log n`` units of
+    continuous time and the index below ``t_n - t`` grows like ``n e^{-t}``.
+    The index of ``t`` is ``searchsorted(times, t, side="right") - 1``, the
+    largest ``k`` with ``t_k <= t``.  The cache is typed, so ``2.0`` misses
+    the entry of ``2`` and is rejected as not an integer.
+    """
+    n = _as_count(n, "time grid: n")
+    if n < 1:
+        raise PreconditionViolation(f"time grid: n must be >= 1, got {n}")
     t = np.empty(n + 1)
     t[0] = 0.0
     total = 0.0
@@ -136,45 +149,8 @@ def _kahan_harmonic_tail(n: int) -> np.ndarray:
         carry = (s - total) - y
         total = s
         t[k] = total
+    t.flags.writeable = False
     return t
-
-
-@dataclass(frozen=True, eq=False)
-class TimeGrid:
-    """Nodes ``t_0 = 0 < t_1 < .. < t_n`` with ``t_{k+1} - t_k = 1/(k+2)``.
-
-    ``t_n - log(n+1)`` is pinned near the Euler-Mascheroni constant minus
-    one by a ``O(1/n)`` bracket, so the grid spans ``~ log n`` units of
-    continuous time and the index below ``t_n - t`` grows like ``n e^{-t}``.
-    """
-
-    n: int
-    times: np.ndarray
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise PreconditionViolation(f"TimeGrid: n must be >= 1, got {n}")
-        t = _kahan_harmonic_tail(int(n))
-        t.flags.writeable = False
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "times", t)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def index_of(self, t):
-        """Largest k with t_k <= t (vectorized); requires t >= 0."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
-            raise PreconditionViolation("TimeGrid.index_of: t must be >= 0")
-        idx = np.searchsorted(self.times, t_arr, side="right") - 1
-        return idx if idx.ndim else int(idx)
-
-
-@functools.lru_cache(maxsize=8)
-def _cached_grid(n: int) -> TimeGrid:
-    return TimeGrid(n)
 
 
 def _as_count(n, name: str) -> int:

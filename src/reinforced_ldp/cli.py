@@ -51,7 +51,7 @@ from .lowerbound import (
     run_plan,
 )
 from .measures import Kernel, build_kernel_mixture, build_kernel_qsd
-from .ratesolver import rate_profile, simplex_mesh
+from .ratesolver import rate_profile, simplex_mesh, solve_dv_rate
 from .validation import REPORT_FILENAME, format_report_lines, run_acceptance, write_report_csv
 
 MEM_CAP_ENV = "REINFORCED_LDP_MEM_CAP_MB"
@@ -295,28 +295,30 @@ def cmd_rate(args) -> int:
     }
     prov = _provenance(eff, seed)
     out = _out_dir(args)
-    rows = rate_profile(A, points, T=T, J=J, dv=dv)
+    brackets = rate_profile(A, points, T=T, J=J)
+    dv_rates = [solve_dv_rate(m, A) for m in points] if dv else None
     header = [f"m_{x}" for x in range(1, A.d + 1)] + ["lower", "upper"]
     if dv:
         header.append("dv_rate")
     header += ["iterations", "gap", "converged", "boundary_flag"]
 
     def _rows():
-        for r in rows:
-            rec = list(r.m) + [r.lower, r.upper]
+        for i, (m, br) in enumerate(zip(eff["points"], brackets)):
+            diag = br.diagnostics
+            rec = m + [br.lower, br.upper]
             if dv:
-                rec.append(r.dv_rate)
-            rec += [r.iterations, r.gap, int(r.converged), int(r.boundary_lifted)]
+                rec.append(dv_rates[i])
+            rec += [diag.iterations, diag.gap, int(diag.converged), int(diag.boundary_lifted)]
             yield rec
 
     write_csv(out / "rate_profile.csv", header, _rows(), prov)
-    for r in rows:
-        at = " ".join(f"{v:.6f}" for v in r.m)
-        if not r.converged:
-            print(f"rate: solve did not converge at m={at} (gap bound {r.gap:.3e})")
-        if r.binding:
+    for m, br in zip(eff["points"], brackets):
+        at = " ".join(f"{v:.6f}" for v in m)
+        if not br.diagnostics.converged:
+            print(f"rate: solve did not converge at m={at} (gap bound {br.diagnostics.gap:.3e})")
+        if br.diagnostics.binding:
             print(f"rate: feasibility cap binding at m={at}")
-    print(f"rate: {len(rows)} point(s) written to rate_profile.csv")
+    print(f"rate: {len(brackets)} point(s) written to rate_profile.csv")
     return 0
 
 

@@ -142,6 +142,8 @@ def check_ball(target, radius: float, d: int) -> np.ndarray:
     t = _weights_of(target)
     if t.shape != (d,):
         raise DimensionMismatch(f"ball target shape {t.shape}, law dimension {d}")
+    if not np.all(np.isfinite(t)):
+        raise PreconditionViolation(f"ball target entries must be finite, got {t.tolist()!r}")
     if not radius >= 0:
         raise PreconditionViolation(f"ball radius must be >= 0, got {radius!r}")
     return t

@@ -44,11 +44,11 @@ import numpy as np
 from ._format import write_csv
 from .chains import (
     ControlledPath,
-    _cached_grid,
     _as_count,
     _column_scan,
     _reinforced_draws,
     _running_measure,
+    _time_grid,
     _validate_x0,
     path_rng,
     verify_chain_rule_identity,
@@ -59,8 +59,6 @@ from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes cou
     _GL_X,
     PiecewiseControl,
     SolveDiagnostics,
-    TrajectoryGrid,
-    _as_grid,
     _cost_value,
     _flow_nodes,
     _flow_quad,
@@ -152,9 +150,9 @@ def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
 
 
 def mix_with_stationary(
-    ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Kernel, kappa1: float
-) -> tuple[PiecewiseControl, TrajectoryGrid, float]:
-    """Convex-combine a control/trajectory pair with the stationary measure.
+    ctrl: PiecewiseControl, M: np.ndarray, A: Kernel, kappa1: float
+) -> tuple[PiecewiseControl, np.ndarray, float]:
+    """Convex-combine a control and its nodes ``M`` with the stationary measure.
 
     The flow map is affine and the stationary measure is one of its fixed
     points, so the mixed trajectory is exactly the flow of the mixed
@@ -166,9 +164,10 @@ def mix_with_stationary(
         raise PreconditionViolation(f"mix_with_stationary: kappa1={kappa1!r} outside (0, 1]")
     mstar = stationary_distribution(A).weights
     eta1 = (1.0 - kappa1) * np.asarray(ctrl.eta, dtype=float) + kappa1 * mstar
-    M1 = (1.0 - kappa1) * grid.M + kappa1 * mstar
+    M1 = (1.0 - kappa1) * M + kappa1 * mstar
+    M1.flags.writeable = False
     delta = float(kappa1 * mstar.min())
-    return PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1), _as_grid(M1), delta
+    return PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1), M1, delta
 
 
 def reverse_control(ctrl: PiecewiseControl) -> PiecewiseLinearPath:
@@ -278,10 +277,10 @@ class ReversedPlan:
     ``knots`` are the kinks of the mollified path and ``schedule`` a
     read-only ``(Jc + 1, d)`` array of its values there: the schedule is
     linear between knots, and its last row holds past ``T``.  ``M_hat`` is
-    the reversed trajectory at the knots; its final node sits within
-    ``bounds.target_gap`` of the original target in total variation.
-    ``solve`` holds the diagnostics of the rate solve the plan was built
-    from.
+    the read-only ``(Jc + 1, d)`` reversed trajectory at the knots; its
+    final node sits within ``bounds.target_gap`` of the original target in
+    total variation.  ``solve`` holds the diagnostics of the rate solve the
+    plan was built from.
     """
 
     T: float
@@ -291,7 +290,7 @@ class ReversedPlan:
     delta0: float
     knots: np.ndarray
     schedule: np.ndarray
-    M_hat: TrajectoryGrid
+    M_hat: np.ndarray
     solve: SolveDiagnostics
     kappas: KappaSchedule
     bounds: PlanBounds
@@ -324,18 +323,19 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
     kappa1 = 1.0 if gap_star <= EPS_TARGET else EPS_TARGET / gap_star
-    ctrl1, grid1, delta = mix_with_stationary(bracket.eta_opt, bracket.M_opt, A, kappa1)
+    ctrl1, M1, delta = mix_with_stationary(bracket.eta_opt, bracket.M_opt, A, kappa1)
     w = _weights_vector(ctrl1.T, ctrl1.J)
-    cost_mixed = _cost_value(np.asarray(ctrl1.eta, dtype=float), grid1.M, A.matrix, w)
-    cost_mixed_quad = forward_cost_continuous(ctrl1, grid1, A)
-    q = ProbVec(grid1.M[-1])
+    cost_mixed = _cost_value(np.asarray(ctrl1.eta, dtype=float), M1, A.matrix, w)
+    cost_mixed_quad = forward_cost_continuous(ctrl1, M1, A)
+    q = ProbVec(M1[-1])
     rev = reverse_control(ctrl1)
     cost_reversed_quad = reversed_cost(q, rev, A)
     eT = math.exp(T_val)
     k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / ctrl1.J)
     moll = mollify_control(rev, k2, delta, A.delta0)
     cost_mollified_quad = reversed_cost(q, moll.path, A)
-    M_hat = _as_grid(reversed_flow_nodes(q, moll.path))
+    M_hat = reversed_flow_nodes(q, moll.path)
+    M_hat.flags.writeable = False
     schedule = np.repeat(rev.start, 2, axis=0)
     schedule.flags.writeable = False
     bounds = PlanBounds(
@@ -350,7 +350,7 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
         dev_mix=kappa1 * gap_star,
         dev_mollify=moll.deviation,
         dev_discretize=0.0,
-        target_gap=float(np.abs(M_hat.M[-1] - m_arr).sum()),
+        target_gap=float(np.abs(M_hat[-1] - m_arr).sum()),
         lipschitz_l1=moll.path.lipschitz_l1(),
     )
     return ReversedPlan(
@@ -442,13 +442,13 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         raise PreconditionViolation("run_plan: eps0 must be positive")
     n = _as_count(n, "run_plan: n")
     x0 = _validate_x0(x0, d)
-    grid = _cached_grid(n)
-    t_n = grid.horizon
+    times = _time_grid(n)
+    t_n = float(times[-1])
     if t_n <= plan.T:
         raise PreconditionViolation(
             f"run_plan: need t_n > T, got t_n={t_n!r} at n={n} for T={plan.T!r}"
         )
-    a0 = int(grid.index_of(t_n - plan.T))
+    a0 = int(np.searchsorted(times, t_n - plan.T, side="right")) - 1
     n1 = a0 + 1
     if a0 < 1 or n1 >= n:
         raise PreconditionViolation(f"run_plan: horizon n={n} leaves no room for the schedule")
@@ -472,7 +472,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
         states[n1:] = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
     else:
-        clock = grid.times[n1 + 1 : n + 1] - grid.times[n1]
+        clock = times[n1 + 1 : n + 1] - times[n1]
         cdf = np.empty((d, n - n1))
         for x in range(d):
             cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
@@ -491,7 +491,7 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
     lhs, rhs = verify_chain_rule_identity(path, A)
     terminal = Lbar[n]
-    terminal_error = float(np.abs(terminal - plan.M_hat.M[-1]).sum())
+    terminal_error = float(np.abs(terminal - plan.M_hat[-1]).sum())
     return PlanRun(
         n=n,
         a0=a0,

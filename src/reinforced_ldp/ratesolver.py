@@ -46,6 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv, dptsv
 from scipy.special import rel_entr
 
+from .chains import _as_count
 from .errors import (
     ConvergenceError,
     DimensionMismatch,
@@ -100,18 +101,6 @@ class PiecewiseControl:
         return int(self.eta.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryGrid:
-    """Node values ``M_0..M_J`` of the controlled flow, with feasibility flags."""
-
-    M: np.ndarray
-    feasible: np.ndarray
-
-    @property
-    def all_feasible(self) -> bool:
-        return bool(self.feasible.all())
-
-
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """``gap`` bounds the returned value's distance above the discretized
@@ -127,18 +116,14 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class RateBracket:
+    """The bracket ``[lower, upper]`` at one query point, with the optimal
+    control and its read-only ``(J+1, d)`` nodes ``M_opt``."""
+
     lower: float
     upper: float
     eta_opt: PiecewiseControl
-    M_opt: TrajectoryGrid
+    M_opt: np.ndarray
     diagnostics: SolveDiagnostics
-
-
-def _as_grid(M: np.ndarray) -> TrajectoryGrid:
-    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
-    M.flags.writeable = False
-    feasible.flags.writeable = False
-    return TrajectoryGrid(M=M, feasible=feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +160,16 @@ def _flow_nodes(start, widths, v, slope, sign: float) -> np.ndarray:
     return M
 
 
-def integrate_forward(m, ctrl: PiecewiseControl) -> TrajectoryGrid:
-    """Evolve ``m`` under ``ctrl``; flags mark nodes pushed out of the simplex."""
+def integrate_forward(m, ctrl: PiecewiseControl) -> np.ndarray:
+    """Evolve ``m`` under ``ctrl``: the read-only ``(J+1, d)`` nodes ``M_0..M_J``,
+    which may leave the simplex."""
     m_arr = _weights_of(m)
     if m_arr.size != ctrl.d:
         raise DimensionMismatch("integrate_forward: dimension mismatch between m and control")
     eta = np.asarray(ctrl.eta, dtype=float)
-    return _as_grid(_flow_nodes(m_arr, np.full(ctrl.J, ctrl.delta), eta, np.zeros_like(eta), 1.0))
+    M = _flow_nodes(m_arr, np.full(ctrl.J, ctrl.delta), eta, np.zeros_like(eta), 1.0)
+    M.flags.writeable = False
+    return M
 
 
 def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -> float:
@@ -210,7 +198,7 @@ def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -
     return total
 
 
-def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Kernel) -> float:
+def forward_cost_continuous(ctrl: PiecewiseControl, M: np.ndarray, A: Kernel) -> float:
     """Continuous-time discounted cost of a piecewise-constant control.
 
     Unlike the solver objective this integrates the exact in-piece flow,
@@ -218,7 +206,7 @@ def forward_cost_continuous(ctrl: PiecewiseControl, grid: TrajectoryGrid, A: Ker
     """
     edges = np.linspace(0.0, ctrl.T, ctrl.J + 1)
     eta = np.asarray(ctrl.eta, dtype=float)
-    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), grid.M[:-1], forward=True)
+    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), M[:-1], forward=True)
 
 
 def _weights_vector(T: float, J: int) -> np.ndarray:
@@ -233,12 +221,12 @@ def _cost_value(eta: np.ndarray, M: np.ndarray, Amat: np.ndarray, w: np.ndarray)
 
 def discounted_cost(m, ctrl: PiecewiseControl, A: Kernel) -> float:
     """Discounted running cost of a feasible control."""
-    grid = integrate_forward(m, ctrl)
-    if not grid.all_feasible:
-        bad = int(np.argmin(grid.feasible))
-        raise InfeasibleTrajectory(f"discounted_cost: node {bad} leaves the simplex")
+    M = integrate_forward(m, ctrl)
+    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
+    if not feasible.all():
+        raise InfeasibleTrajectory(f"discounted_cost: node {int(np.argmin(feasible))} leaves the simplex")
     w = _weights_vector(ctrl.T, ctrl.J)
-    val = _cost_value(np.asarray(ctrl.eta, dtype=float), grid.M, A.matrix, w)
+    val = _cost_value(np.asarray(ctrl.eta, dtype=float), M, A.matrix, w)
     if not np.isfinite(val):
         raise InfeasibleTrajectory("discounted_cost: non-finite cost")
     return val
@@ -346,7 +334,9 @@ def _newton_steps(grad, band, ms, t):
     for k in range(P):
         g = grad[k].ravel()
         if b == 1:
-            x, info = dptsv(band[k, 0], band[k, 1, :-1], -g, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
+            # LAPACK ignores the off-diagonal of a 1x1 system, but scipy wants one entry
+            e = band[k, 1, : max(J - 1, 1)]
+            x, info = dptsv(band[k, 0], e, -g, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
         else:
             _, x, info = dpbsv(band[k], -g, lower=1, overwrite_b=1)
         if info < 0:
@@ -391,10 +381,12 @@ def _line_search(M, dM, lam2, t, Amat, w, e_delta: float) -> np.ndarray:
             s[k] *= 0.5
 
 
-def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
-    """:func:`solve_rate` for every point of ``ms`` in lock-step: each tick
-    builds the Newton parts of all running points at once, and a point
-    leaves the batch when it converges or runs out of steps.
+def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[RateBracket]:
+    """:func:`solve_rate` for every point of ``ms``, one bracket per point in
+    input order.  The points run in lock-step: each tick builds the Newton
+    parts of all running points at once, and a point leaves the batch when
+    it converges or runs out of steps, so each bracket has the bits of a
+    lone solve.
 
     The free coordinates drop each node's last entry, whose barrier curvature
     ``1/M^2`` enters every entry of the reduced Hessian block; near 0 it swamps
@@ -405,9 +397,8 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
     """
     if not 0.0 < T < math.inf:
         raise PreconditionViolation(f"solve_rate: need a finite T > 0, got {T!r}")
-    if J is None:
-        J = max(1, int(round(20 * T)))
-    if not J >= 1:
+    J = max(1, int(round(20 * T))) if J is None else _as_count(J, "solve_rate: J")
+    if J < 1:
         raise PreconditionViolation("solve_rate: need J >= 1")
     queries, starts, lifted = [], [], []
     for m in ms:
@@ -471,6 +462,7 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
 
     brackets = []
     for m_arr, lift, (M, t, iterations, converged) in zip(queries, lifted, final):
+        M.flags.writeable = False
         eta = _node_controls(M, e_delta)
         cost = _cost_value(eta, M, A.matrix, w)
         if not np.isfinite(cost):
@@ -479,8 +471,7 @@ def _solve_batch(ms, A: Kernel, T: float, J: int | None) -> list[RateBracket]:
         diag = SolveDiagnostics(iterations=iterations, gap=n_constraints / t, converged=converged,
                                 binding=bool(M[1:].min() <= BINDING_ATOL), boundary_lifted=lift)
         brackets.append(RateBracket(lower=lower, upper=lower + math.exp(-T) * math.log(1.0 / A.delta0),
-                                    eta_opt=PiecewiseControl(T=T, J=J, eta=eta), M_opt=_as_grid(M),
-                                    diagnostics=diag))
+                                    eta_opt=PiecewiseControl(T=T, J=J, eta=eta), M_opt=M, diagnostics=diag))
     return brackets
 
 
@@ -494,7 +485,7 @@ def solve_rate(m, A: Kernel, T: float = 14.0, J: int | None = None) -> RateBrack
     numerically at) the simplex boundary are lifted inward by ``1e-9`` and
     renormalized, recorded in ``diagnostics.boundary_lifted``.
     """
-    return _solve_batch([m], A, T, J)[0]
+    return rate_profile(A, [m], T, J)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +499,7 @@ def solve_dv_rate(theta, A: Kernel) -> float:
     marginals both equal ``theta``, by iterative proportional fitting
     restricted to the support of ``theta``.
     """
-    th = _weights_of(theta)
+    th = ProbVec(_weights_of(theta)).weights
     if th.size != A.d:
         raise DimensionMismatch("solve_dv_rate: theta and A dimensions differ")
     support = th > 0.0
@@ -528,46 +519,15 @@ def solve_dv_rate(theta, A: Kernel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# profiles over many query points
-
-
-@dataclass(frozen=True)
-class RateProfileRow:
-    m: tuple
-    lower: float
-    upper: float
-    dv_rate: float
-    iterations: int
-    gap: float
-    converged: bool
-    boundary_lifted: bool
-    binding: bool
-
-
-def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None, dv: bool = True) -> list[RateProfileRow]:
-    """Solve many query points as one lock-step batch; rows are ordered like
-    the input, and each row's bracket has the bits of a lone :func:`solve_rate`
-    call."""
-    points = [_weights_of(m) for m in ms]
-    return [
-        RateProfileRow(
-            m=tuple(float(v) for v in m),
-            lower=bracket.lower,
-            upper=bracket.upper,
-            dv_rate=solve_dv_rate(m, A) if dv else math.nan,
-            iterations=bracket.diagnostics.iterations,
-            gap=bracket.diagnostics.gap,
-            converged=bracket.diagnostics.converged,
-            boundary_lifted=bracket.diagnostics.boundary_lifted,
-            binding=bracket.diagnostics.binding,
-        )
-        for m, bracket in zip(points, _solve_batch(points, A, T, J))
-    ]
+# query meshes
 
 
 def simplex_mesh(d: int, step: float) -> list[np.ndarray]:
     """Lattice points of the simplex with spacing ``step`` (1/step integer),
     boundary included, in lexicographic order."""
+    d = _as_count(d, "simplex_mesh: d")
+    if d < 1:
+        raise PreconditionViolation(f"simplex_mesh: need d >= 1, got {d}")
     K = int(round(1.0 / step)) if step > 0.0 else 0
     if K < 1 or abs(K * step - 1.0) > 1e-9:
         raise PreconditionViolation(f"simplex_mesh: need step > 0 with 1/step an integer, got step={step!r}")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ._format import write_csv
-from .chains import TimeGrid, path_rng, simulate_chain_batch, simulate_controlled, verify_chain_rule_identity
+from .chains import _time_grid, path_rng, simulate_chain_batch, simulate_controlled, verify_chain_rule_identity
 from .errors import ConfigError
 from .exact import exact_law, finite_n_rate
 from .lowerbound import build_plan, check_cost_convergence, run_plan
@@ -85,10 +85,8 @@ def _c1_sanov(scale, seed):
     n_pts = _count(20, scale, 3)
     firsts = np.linspace(0.05, 0.95, n_pts)
     points = [np.array([v, 1.0 - v]) for v in firsts]
-    rows = rate_profile(A, points, T=14.0, J=280, dv=False)
-    worst = max(
-        abs(row.lower - relative_entropy(np.asarray(row.m), _SANOV_P)) for row in rows
-    )
+    brackets = rate_profile(A, points, T=14.0, J=280)
+    worst = max(abs(br.lower - relative_entropy(m, _SANOV_P)) for m, br in zip(points, brackets))
     return worst, 1e-3, worst <= 1e-3, f"{n_pts} query points"
 
 
@@ -157,13 +155,13 @@ def _c5_chain_rule(scale, seed):
 def _c6_grid(scale, seed):
     """Grid index and step weight track the exponential clock."""
     n = max(20_000, int(round(100_000 * scale)))
-    g = TimeGrid(n)
-    t = g.times
-    t_n = g.horizon
-    worst = 0.0
-    for s in (0.0, 0.5, 1.0, 2.0):
-        worst = max(worst, abs(g.index_of(t_n - s) / n - math.exp(-s)))
-    k_min = int(g.index_of(t_n - 2.0))
+    t = _time_grid(n)
+    t_n = float(t[-1])
+    shifts = (0.0, 0.5, 1.0, 2.0)
+    # the grid index of t_n - s: the largest k with t_k <= t_n - s
+    index = [int(np.searchsorted(t, t_n - s, side="right")) - 1 for s in shifts]
+    worst = max(abs(k / n - math.exp(-s)) for s, k in zip(shifts, index))
+    k_min = index[-1]
     ks = np.arange(k_min, n)
     left = np.maximum(t_n - t[ks + 1], 0.0)
     right = np.minimum(t_n - t[ks], 2.0)
@@ -186,8 +184,7 @@ def _feasible_control(rng, m, T, J, d):
         lam = rng.uniform(0.0, reach, size=(J, 1))
         eta = (1.0 - lam) * m + lam * targets
         ctrl = PiecewiseControl(T=T, J=J, eta=eta)
-        grid = integrate_forward(m, ctrl)
-        if grid.all_feasible and grid.M.min() > 1e-5:
+        if integrate_forward(m, ctrl).min() > 1e-5:
             return ctrl
         reach *= 0.9
     raise ConfigError("could not sample a feasible control")
@@ -209,7 +206,7 @@ def _c7_gradient(scale, seed):
 
     for _ in range(n_controls):
         m = _interior_point(rng, d)
-        M = integrate_forward(m, _feasible_control(rng, m, T, J, d)).M
+        M = integrate_forward(m, _feasible_control(rng, m, T, J, d))
         g = _newton_parts(M[None], A.matrix, w, e_delta, np.ones(1), barrier=False)[0][0]
         for j in range(J):
             for x in range(d - 1):

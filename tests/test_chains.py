@@ -5,9 +5,9 @@ import pytest
 
 from reinforced_ldp import chains
 from reinforced_ldp.chains import (
-    TimeGrid,
     _column_scan,
     _reinforced_draws,
+    _time_grid,
     path_rng,
     philox_uniforms,
     simulate_chain,
@@ -33,32 +33,42 @@ def feedback(k, Lbar):
     return Lbar @ BENCH.matrix
 
 
+def _grid_index(times, t):
+    """The grid index of ``t`` as the clock's readers take it."""
+    return np.searchsorted(times, t, side="right") - 1
+
+
 def test_grid_spacing_and_lookup():
-    g = TimeGrid(10)
-    assert g.times[0] == 0.0
-    assert np.allclose(np.diff(g.times), 1.0 / np.arange(2, 12))
-    assert g.index_of(0.0) == 0
-    assert g.index_of(g.horizon + 5.0) == 10
+    times = _time_grid(10)
+    assert times[0] == 0.0 and times.shape == (11,)
+    assert not times.flags.writeable
+    assert np.allclose(np.diff(times), 1.0 / np.arange(2, 12))
+    assert _grid_index(times, 0.0) == 0
+    assert _grid_index(times, times[-1] + 5.0) == 10
 
 
 def test_grid_horizon_tracks_log_n():
     """t_n - log(n+1) is sandwiched by the harmonic-sum bracket."""
     for n in (10, 100, 10_000):
-        g = TimeGrid(n)
-        centered = g.horizon - math.log(n + 1) - (EULER_GAMMA - 1.0)
+        centered = _time_grid(n)[-1] - math.log(n + 1) - (EULER_GAMMA - 1.0)
         assert 1.0 / (2 * (n + 2)) < centered < 1.0 / (2 * n)
 
 
 def test_grid_index_vectorized_matches_scalar():
-    g = TimeGrid(50)
-    ts = np.linspace(0.0, g.horizon, 23)
-    vec = g.index_of(ts)
-    assert vec.tolist() == [g.index_of(float(t)) for t in ts]
+    """The vectorized lookup is the largest k with t_k <= t, at the nodes too."""
+    times = _time_grid(50)
+    ts = np.concatenate([np.linspace(0.0, times[-1], 23), times])
+    expect = [max(k for k in range(51) if times[k] <= t) for t in ts]
+    assert _grid_index(times, ts).tolist() == expect
 
 
-def test_grid_rejects_negative_time():
-    with pytest.raises(PreconditionViolation):
-        TimeGrid(5).index_of(-0.1)
+@pytest.mark.parametrize("n", [2.7, 2.0, 0, -3])
+def test_grid_rejects_a_bad_length(n):
+    """A length that is not an integer (a float, even an integral one) or
+    below 1 raises, however the cache was filled."""
+    _time_grid(2)
+    with pytest.raises(PreconditionViolation, match="time grid: n"):
+        _time_grid(n)
 
 
 def test_simulate_chain_reproducible():
@@ -111,16 +121,17 @@ def test_simulate_chain_shortest_paths(n):
 
 
 def _edge_uniforms(A, count, k, steps, seed):
-    """Uniforms that sit exactly on numpy's CDF edge wherever the running-row
-    CDF differs from numpy's, with the draws numpy makes from them.
+    """Uniforms on the edges of numpy's 1-D CDFs, with the draws numpy makes
+    from them.
 
-    On even steps, edge ``i`` (cycling over ``0..d-2``) of the running-row
-    CDF ``cumsum(r / k)``, with ``r`` kept by adding ``A[x]`` after each draw,
-    is compared with numpy's ``cumsum((count / k) @ A)``.  When they differ,
-    ``u`` is set to numpy's edge if the running row lies below it, or one ulp
-    above it if the running row lies above, so reading the running row draws
-    the other state.  Returns the uniforms, the draws and the gaps in units
-    of 2**-53.
+    Step ``t`` draws from numpy's ``cumsum((count / k) @ A)``.  On even steps,
+    edge ``i`` of that CDF (cycling over ``0..d-2``) is compared with the same
+    edge of ``cumsum(r / k)``, where ``r`` adds ``A[x]`` after each draw; when
+    the two differ, ``u`` is set to numpy's edge, or one ulp above it, on the
+    side where that sum would draw the other state.  So each such ``u`` lies
+    on an edge whose value depends on the order of summation.  Returns the
+    uniforms, the draws and the gaps between the two CDFs in units of
+    2**-53.
     """
     Amat, d = A.matrix, A.d
     count = np.array(count, dtype=np.int64)
@@ -145,11 +156,12 @@ def _edge_uniforms(A, count, k, steps, seed):
 
 @pytest.mark.parametrize("A, count", [(BENCH, [66_667, 33_333]), (D3, [30_000, 40_000, 30_001])], ids=["d2", "d3"])
 def test_reinforced_draws_on_cdf_edges(A, count):
-    """Draws on numpy's CDF edges at k >= 1e5 equal numpy's draws.
+    """Uniforms on numpy's 1-D CDF edges at k >= 1e5 draw the states numpy
+    draws from them.
 
-    The running row drifts from numpy's CDF by far more than the ``8 d``
-    ulps of the dimension term of ``tol(k)``, so both a zero band and a band
-    without its ``k`` term read the drifted CDF on the wrong side of ``u``.
+    Each such ``u`` sits on an edge, and at least 100 of the edges move by
+    more than ``8 d`` ulps, the redraw band of the block draws, under another
+    order of summation; the block draws still give numpy's states.
     """
     k = sum(count)
     u, expect, gaps = _edge_uniforms(A, count, k, 2000, SEED)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from reinforced_ldp import cli, exact, ratesolver
+from reinforced_ldp import cli, exact
 from reinforced_ldp.cli import main
 from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
 from reinforced_ldp.validation import REPORT_FILENAME
@@ -284,13 +284,45 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
-    monkeypatch.setattr(ratesolver, "_solve_batch", fail)
+    monkeypatch.setattr(cli, "rate_profile", fail)
     cfg = write_config(tmp_path, {
         "kernel": {"matrix": BENCH_MATRIX},
         "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40},
     })
     assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 5
     assert "solver failure: forced failure" in capsys.readouterr().err
+
+
+def _solve_config(command, matrix, m, extra):
+    """A ``rate`` or ``lowerbound`` config at the one point ``m``."""
+    sect = {"points": [m]} if command == "rate" else {"m": m}
+    return {"kernel": {"matrix": matrix}, command: {**sect, **extra}}
+
+
+SMALLEST_RUNS = {
+    f"{command}-{name}-d{len(m)}": (command, _solve_config(command, matrix, m, extra))
+    for command in ("rate", "lowerbound")
+    for name, extra in (("J1", {"J": 1}), ("T0.01", {"T": 0.01}))
+    for matrix, m in ((BENCH_MATRIX, [0.3, 0.7]), (D3_MATRIX, [0.2, 0.3, 0.5]))
+}
+SMALLEST_RUNS.update({
+    "simulate-n1": ("simulate", {"kernel": {"matrix": BENCH_MATRIX}, "simulate": {"n": 1}}),
+    "exact-n1-d3": ("exact", {"kernel": {"matrix": D3_MATRIX}, "exact": {"n": 1}}),
+    "simulate-d1": ("simulate", {"kernel": {"matrix": [[1.0]]}, "simulate": {"n": 5}}),
+    "exact-d1": ("exact", {"kernel": {"matrix": [[1.0]]}, "exact": {"n": 5}}),
+    "rate-d1": ("rate", _solve_config("rate", [[1.0]], [1.0], {})),
+    "lowerbound-d1": ("lowerbound", _solve_config("lowerbound", [[1.0]], [1.0], {})),
+})
+
+
+@pytest.mark.parametrize("case", sorted(SMALLEST_RUNS))
+def test_smallest_legal_sizes_run(tmp_path, capsys, case):
+    """Every subcommand runs at its smallest legal sizes (one interval, one
+    step, one state) and exits 0 without a traceback."""
+    command, doc = SMALLEST_RUNS[case]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_mass_drift_exit_code(tmp_path, monkeypatch, capsys):

@@ -130,6 +130,14 @@ def test_event_probability_ball_geometry():
         event_probability(law, np.array([0.2, 0.3, 0.5]), 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ball_target_must_be_finite(bad):
+    """A non-finite target entry would make the ball empty and the rate infinite."""
+    law = exact_law(BENCH, 1, 3)
+    with pytest.raises(PreconditionViolation, match="must be finite"):
+        event_probability(law, [bad, 1.0], 0.1)
+
+
 def test_one_state_law_is_the_single_atom():
     laws = exact_law_levels(Kernel([[1.0]]), 1, [1, 5])
     for n, law in laws.items():

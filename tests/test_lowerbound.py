@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import rel_entr
 
 from reinforced_ldp import lowerbound
-from reinforced_ldp.chains import ControlledPath, TimeGrid, path_rng, simulate_controlled
+from reinforced_ldp.chains import ControlledPath, _time_grid, path_rng, simulate_controlled
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_SLACK,
@@ -30,7 +30,7 @@ from reinforced_ldp.lowerbound import (
     verify_chain_rule_identity,
 )
 from reinforced_ldp.measures import Kernel, ProbVec, stationary_distribution
-from reinforced_ldp.ratesolver import PiecewiseControl, _as_grid, integrate_forward
+from reinforced_ldp.ratesolver import PiecewiseControl, integrate_forward
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 BENCH_TARGET = (0.3, 0.7)
@@ -60,8 +60,7 @@ def _toy_control():
     """Small non-equilibrium control whose forward trajectory stays interior."""
     eta = np.array([[0.6, 0.4], [0.7, 0.3], [0.65, 0.35], [2.0 / 3.0, 1.0 / 3.0]])
     ctrl = PiecewiseControl(T=1.0, J=4, eta=eta)
-    grid = integrate_forward(np.array([0.5, 0.5]), ctrl)
-    return ctrl, grid
+    return ctrl, integrate_forward(np.array([0.5, 0.5]), ctrl)
 
 
 def test_bounds_chain(bench_plan):
@@ -80,7 +79,7 @@ def test_bounds_chain(bench_plan):
 
 def test_terminal_gap(bench_plan):
     b = bench_plan.bounds
-    gap = np.abs(bench_plan.M_hat.M[-1] - bench_plan.m.weights).sum()
+    gap = np.abs(bench_plan.M_hat[-1] - bench_plan.m.weights).sum()
     assert b.target_gap == pytest.approx(gap, abs=1e-12)
     assert b.target_gap <= b.dev_mix + b.dev_mollify + b.dev_discretize + 1e-12
 
@@ -95,26 +94,26 @@ def test_schedule_rows(bench_plan):
 
 
 def test_mixing_exactness():
-    ctrl, grid = _toy_control()
+    ctrl, M = _toy_control()
     m_star = stationary_distribution(BENCH).weights
     kappa = 0.4
-    ctrl1, grid1, delta = mix_with_stationary(ctrl, grid, BENCH, kappa)
+    ctrl1, M1, delta = mix_with_stationary(ctrl, M, BENCH, kappa)
     assert np.allclose(ctrl1.eta, (1 - kappa) * ctrl.eta + kappa * m_star, atol=1e-15)
-    assert np.allclose(grid1.M, (1 - kappa) * grid.M + kappa * m_star, atol=1e-12)
+    assert np.allclose(M1, (1 - kappa) * M + kappa * m_star, atol=1e-12)
     assert delta == pytest.approx(kappa * m_star.min(), rel=1e-15)
-    assert grid1.all_feasible
+    assert M1.min() >= delta - 1e-12 and not M1.flags.writeable
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.1, 1.2])
 def test_mixing_rejects_bad_weight(kappa):
-    ctrl, grid = _toy_control()
+    ctrl, M = _toy_control()
     with pytest.raises(PreconditionViolation):
-        mix_with_stationary(ctrl, grid, BENCH, kappa)
+        mix_with_stationary(ctrl, M, BENCH, kappa)
 
 
 def test_reversal_mapping():
-    ctrl, grid = _toy_control()
-    ctrl1, grid1, _ = mix_with_stationary(ctrl, grid, BENCH, 0.5)
+    ctrl, M = _toy_control()
+    ctrl1, _, _ = mix_with_stationary(ctrl, M, BENCH, 0.5)
     rev = reverse_control(ctrl1)
     assert np.array_equal(rev.breaks, np.linspace(0.0, 1.0, 5))
     assert np.array_equal(rev.start, ctrl1.eta[::-1])
@@ -138,9 +137,9 @@ def _uniform_step_path(eta, c):
 
 def test_reversed_flow_nodes_match_grid_integrator():
     """Closed-form nodes of a step path agree with the uniform-grid integrator."""
-    ctrl, grid = _toy_control()
+    ctrl, M = _toy_control()
     rev = reverse_control(ctrl)
-    q = grid.M[-1]
+    q = M[-1]
     nodes = reversed_flow_nodes(q, rev)
     assert np.abs(nodes - _grid_flow(q, rev.start, ctrl.T / ctrl.J)).max() < 1e-12
 
@@ -316,7 +315,7 @@ def test_bench_plan_schedule_mesh(bench_plan):
     assert np.array_equal(p.knots, lin.breaks)
     assert np.array_equal(p.schedule, np.repeat(p.control_reversed.start, 2, axis=0))
     assert p.Jc == 2 * len(p.control_reversed.start) - 1 == 79
-    assert np.array_equal(p.M_hat.M, reversed_flow_nodes(p.q, lin))
+    assert np.array_equal(p.M_hat, reversed_flow_nodes(p.q, lin))
     assert b.cost_schedule_quad == b.cost_mollified_quad
     assert b.bound_discretize == b.dev_discretize == 0.0
 
@@ -360,12 +359,11 @@ def test_reversed_flow_nodes_stay_on_simplex(rows, qraw, c):
     eta = np.array(rows)
     eta /= eta.sum(axis=1, keepdims=True)
     q = ProbVec(np.array(qraw) / np.sum(qraw))
-    grid = _as_grid(reversed_flow_nodes(q, _uniform_step_path(eta, c)))
-    assert grid.all_feasible
-    assert np.abs(grid.M.sum(axis=1) - 1.0).max() < 1e-9
-    assert grid.M.min() >= -1e-12
+    M = reversed_flow_nodes(q, _uniform_step_path(eta, c))
+    assert np.abs(M.sum(axis=1) - 1.0).max() < 1e-9
+    assert M.min() >= -1e-12
     # one contraction step toward the current control row per interval
-    assert np.abs(grid.M - _grid_flow(q.weights, eta, c)).max() < 1e-12
+    assert np.abs(M - _grid_flow(q.weights, eta, c)).max() < 1e-12
 
 
 def test_run_plan_deterministic(bench_plan):
@@ -380,7 +378,7 @@ def test_run_plan_tracks_schedule(bench_plan):
     run = run_plan(bench_plan, BENCH, 10_000, 0.3, seed=3)
     assert not run.an_occurred
     assert run.terminal_error < 0.05
-    err = np.abs(run.terminal.weights - bench_plan.M_hat.M[-1]).sum()
+    err = np.abs(run.terminal.weights - bench_plan.M_hat[-1]).sum()
     assert run.terminal_error == pytest.approx(err, abs=1e-15)
     lhs, rhs = verify_chain_rule_identity(run.path, BENCH)
     assert abs(lhs - rhs) < 1e-8
@@ -421,8 +419,8 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
     """``run_plan`` with the mollified path's values at the clock, a fallback
     of one numpy dispatch per step and a one-hot ``Lbar``: the run oracle."""
     d = A.d
-    grid = TimeGrid(n)
-    n1 = int(grid.index_of(grid.horizon - plan.T)) + 1
+    times = _time_grid(n)
+    n1 = int(np.searchsorted(times, times[-1] - plan.T, side="right"))  # a0 + 1
     q = plan.q.weights
     u = path_rng(seed, 0).random(n)
     states = np.empty(n, dtype=np.int64)
@@ -441,7 +439,7 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
             states[k - 1] = x + 1
             cnt[x] += 1.0
     else:
-        clock = grid.times[n1 + 1 : n + 1] - grid.times[n1]
+        clock = times[n1 + 1 : n + 1] - times[n1]
         mu[n1:] = _mollified_path(plan).value(clock)
         states[n1:] = _inverse_cdf_rows(mu[n1:], u[n1:]) + 1
     one_hot = np.zeros((n, d))

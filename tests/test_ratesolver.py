@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import lfilter
 from scipy.special import rel_entr
 
@@ -12,7 +12,9 @@ from reinforced_ldp.errors import (
     DimensionMismatch,
     InfeasibleTrajectory,
     PreconditionViolation,
+    SimplexViolation,
 )
+from reinforced_ldp.lowerbound import build_plan
 from reinforced_ldp.measures import (
     Kernel,
     ProbVec,
@@ -24,7 +26,6 @@ from reinforced_ldp.ratesolver import (
     _barrier_values,
     _newton_parts,
     _node_controls,
-    _solve_batch,
     _weights_vector,
     discounted_cost,
     integrate_forward,
@@ -93,9 +94,9 @@ def _slsqp_rate(m1, A, T, J):
 def test_equilibrium_trajectory_is_bit_exact():
     """eta == m keeps every node at m, with no float drift over 280 steps."""
     m = np.array([0.3, 0.7])
-    grid = integrate_forward(m, _tile_control(m, 14.0, 280))
-    assert np.array_equal(grid.M, np.tile(m, (281, 1)))
-    assert grid.all_feasible
+    M = integrate_forward(m, _tile_control(m, 14.0, 280))
+    assert np.array_equal(M, np.tile(m, (281, 1)))
+    assert not M.flags.writeable
 
 
 def _lfilter_flow_nodes(start, eta, factor):
@@ -123,7 +124,7 @@ def test_uniform_integrators_match_the_lfilter_reference_bitwise():
         start = rng.dirichlet(np.ones(d))
         eta = rng.dirichlet(np.ones(d), size=K)
         T = float(rng.uniform(0.05, 6.0))
-        fwd = integrate_forward(start, PiecewiseControl(T=T, J=K, eta=eta)).M
+        fwd = integrate_forward(start, PiecewiseControl(T=T, J=K, eta=eta))
         assert np.array_equal(fwd, _lfilter_flow_nodes(start, eta, math.exp(T / K)))
         c = T / K
         rev = ratesolver._flow_nodes(start, np.full(K, c), eta, np.zeros_like(eta), -1.0)
@@ -133,8 +134,8 @@ def test_uniform_integrators_match_the_lfilter_reference_bitwise():
 def test_trajectory_rows_sum_to_one():
     rng = np.random.default_rng(0)
     m = np.array([0.25, 0.35, 0.4])
-    grid = integrate_forward(m, _random_control(rng, m, 8.0, 160))
-    assert np.abs(grid.M.sum(axis=1) - 1.0).max() <= 1e-12
+    M = integrate_forward(m, _random_control(rng, m, 8.0, 160))
+    assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_discounted_cost_at_equilibrium_is_plain_entropy():
@@ -194,7 +195,28 @@ def test_solve_rate_reaches_slsqp_optimum(m1, T, J):
     assert br.diagnostics.gap <= 1e-9
     assert abs(br.lower - _slsqp_rate(m1, BENCH, T, J)) <= 1e-8
     # the returned control drives the returned nodes
-    assert np.abs(integrate_forward(br.M_opt.M[0], br.eta_opt).M - br.M_opt.M).max() <= 1e-9
+    assert np.abs(integrate_forward(br.M_opt[0], br.eta_opt) - br.M_opt).max() <= 1e-9
+
+
+@pytest.mark.parametrize("m1,T,J", [(0.3, 2.0, 1), (0.8, 0.01, None)], ids=["J1", "default-J"])
+def test_one_interval_d2_solve_matches_a_bounded_scalar_minimum(m1, T, J):
+    """At J=1 (the default J at T=0.01) the d=2 Newton system has one
+    unknown, ``x = M_1[0]``; the solve reaches the minimum of the same
+    objective over the interval where ``M_1`` and ``eta_0`` stay
+    nonnegative."""
+    m = np.array([m1, 1.0 - m1])
+    br = solve_rate(m, BENCH, T=T, J=J)
+    assert br.eta_opt.J == 1 and br.diagnostics.converged
+    e_delta = math.exp(T)
+    w = _weights_vector(T, 1)
+
+    def cost(x):
+        M = np.array([m, [x, 1.0 - x]])
+        return float(w @ rel_entr(_node_controls(M, e_delta), M[:-1] @ BENCH.matrix).sum(axis=1))
+
+    lo, hi = max(0.0, 1.0 - e_delta * m[1]), min(1.0, e_delta * m[0])
+    best = minimize_scalar(cost, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    assert abs(br.lower - best.fun) <= br.diagnostics.gap + 1e-9
 
 
 def test_newton_parts_match_finite_differences():
@@ -240,14 +262,8 @@ def test_newton_parts_match_finite_differences():
 
 def _bracket_bits(br):
     diag = br.diagnostics
-    return (br.lower, br.upper, br.eta_opt.eta.tobytes(), br.M_opt.M.tobytes(),
-            br.M_opt.feasible.tobytes(), diag.iterations, diag.gap, diag.converged,
-            diag.binding, diag.boundary_lifted)
-
-
-def _row_bits(row):
-    return (row.m, row.lower, row.upper, row.iterations, row.gap, row.converged,
-            row.binding, row.boundary_lifted)
+    return (br.lower, br.upper, br.eta_opt.eta.tobytes(), br.M_opt.tobytes(), diag.iterations,
+            diag.gap, diag.converged, diag.binding, diag.boundary_lifted)
 
 
 # (kernel, T, J, points, Newton budget); at T=4, J=80 the budget of 50 stops
@@ -276,26 +292,8 @@ def test_results_do_not_depend_on_batch_make_up(monkeypatch, case):
     order = [2, 0, 3, 1]
     shuffled = [points[i] for i in order]
     expect = [_bracket_bits(br) for br in alone]
-    assert [_bracket_bits(br) for br in _solve_batch(points, A, T, J)] == expect
-    assert [_bracket_bits(br) for br in _solve_batch(shuffled, A, T, J)] == [expect[i] for i in order]
-
-    seen = []
-    real = ratesolver._solve_batch
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(ratesolver, "_solve_batch", spy)
-    in_order = rate_profile(A, points, T=T, J=J, dv=False)
-    mixed = rate_profile(A, shuffled, T=T, J=J, dv=False)
-    assert [_bracket_bits(br) for br in seen[0]] == expect
-    assert [_bracket_bits(br) for br in seen[1]] == [expect[i] for i in order]
-    rows = [_row_bits(r) for r in in_order]
-    assert [_row_bits(r) for r in mixed] == [rows[i] for i in order]
-    assert [r[1:] for r in rows] == [
-        (br.lower, br.upper, br.diagnostics.iterations, br.diagnostics.gap, br.diagnostics.converged,
-         br.diagnostics.binding, br.diagnostics.boundary_lifted) for br in alone]
+    assert [_bracket_bits(br) for br in rate_profile(A, points, T=T, J=J)] == expect
+    assert [_bracket_bits(br) for br in rate_profile(A, shuffled, T=T, J=J)] == [expect[i] for i in order]
 
 
 def test_failed_newton_system_names_the_point(monkeypatch):
@@ -311,7 +309,7 @@ def test_failed_newton_system_names_the_point(monkeypatch):
     monkeypatch.setattr(ratesolver, "dptsv", failing)
     points = [np.array(p) for p in ([0.3, 0.7], [0.55, 0.45], [0.8, 0.2])]
     with pytest.raises(ConvergenceError, match=r"not positive definite at m=\(0\.55, 0\.45\), t=1\b"):
-        rate_profile(BENCH, points, T=2.0, J=40, dv=False)
+        rate_profile(BENCH, points, T=2.0, J=40)
 
 
 def test_boundary_query_is_lifted():
@@ -324,6 +322,16 @@ def test_boundary_query_is_lifted():
 def test_solve_rate_needs_a_finite_positive_horizon(T):
     with pytest.raises(PreconditionViolation, match="finite T > 0"):
         solve_rate(np.array([0.3, 0.7]), BENCH, T=T)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_rate(np.array([0.3, 0.7]), BENCH, T=2.0, J=2.5),
+    lambda: rate_profile(BENCH, [np.array([0.3, 0.7])], T=2.0, J=2.5),
+    lambda: build_plan(np.array([0.3, 0.7]), BENCH, T=2.0, J=2.5),
+], ids=["solve_rate", "rate_profile", "build_plan"])
+def test_fractional_J_is_rejected(solve):
+    with pytest.raises(PreconditionViolation, match="J must be an integer"):
+        solve()
 
 
 def test_solve_rate_dimension_check():
@@ -366,29 +374,37 @@ def test_dv_rate_dimension_check():
         solve_dv_rate(np.array([0.2, 0.3, 0.5]), BENCH)
 
 
+def test_dv_rate_rejects_a_non_finite_point():
+    with pytest.raises(SimplexViolation):
+        solve_dv_rate(np.array([math.nan, 1.0]), BENCH)
+
+
 def test_rate_profile_ordering_and_minimum_near_stationary():
     mesh = simplex_mesh(2, 0.25)
-    rows = rate_profile(BENCH, mesh, T=14.0, J=280, dv=True)
-    assert [tuple(r.m) for r in rows] == [tuple(p) for p in mesh]
-    lowers = np.array([r.lower for r in rows])
+    brackets = rate_profile(BENCH, mesh, T=14.0, J=280)
+    # each trajectory starts at its own query point, lifted by at most 1e-9
+    assert all(np.abs(br.M_opt[0] - p).max() <= 1e-8 for p, br in zip(mesh, brackets, strict=True))
+    lowers = np.array([br.lower for br in brackets])
     # m_* = (2/3, 1/3): the mesh minimizer sits one lattice point away
-    best = rows[int(np.argmin(lowers))]
-    assert abs(best.m[0] - 2.0 / 3.0) <= 0.25
-    flags = [r.boundary_lifted for r in rows]
+    best = mesh[int(np.argmin(lowers))]
+    assert abs(best[0] - 2.0 / 3.0) <= 0.25
+    flags = [br.diagnostics.boundary_lifted for br in brackets]
     assert flags[0] and flags[-1] and not any(flags[1:-1])
 
 
 def test_rate_profile_rank_one_matches_dv():
     mesh = simplex_mesh(2, 0.25)
-    rows = rate_profile(RANK1, mesh, T=14.0, J=280, dv=True)
-    worst = max(abs(r.lower - r.dv_rate) for r in rows if not r.boundary_lifted)
+    brackets = rate_profile(RANK1, mesh, T=14.0, J=280)
+    worst = max(abs(br.lower - solve_dv_rate(m, RANK1))
+                for m, br in zip(mesh, brackets) if not br.diagnostics.boundary_lifted)
     assert worst <= 2e-3
 
 
 def test_rate_profile_generic_kernel_differs_from_dv():
     """Recorded observation: the two rates separate on the test kernel."""
-    rows = rate_profile(BENCH, [np.array([0.25, 0.75])], T=14.0, J=280, dv=True)
-    assert abs(rows[0].lower - rows[0].dv_rate) > 5e-3
+    m = np.array([0.25, 0.75])
+    (br,) = rate_profile(BENCH, [m], T=14.0, J=280)
+    assert abs(br.lower - solve_dv_rate(m, BENCH)) > 5e-3
 
 
 def test_simplex_mesh_counts_and_validation():
@@ -398,6 +414,12 @@ def test_simplex_mesh_counts_and_validation():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PreconditionViolation):
         simplex_mesh(2, 0.3)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5])
+def test_simplex_mesh_rejects_a_bad_dimension(d):
+    with pytest.raises(PreconditionViolation, match="simplex_mesh: "):
+        simplex_mesh(d, 0.5)
 
 
 def test_d3_solves_run_and_bracket_holds():
@@ -418,9 +440,9 @@ def test_mesh_points_with_last_entry_zero_converge(A, step):
     """Every mesh point solves, those whose last entry is 0 included: their
     barrier curvature once swamped the reduced Newton system."""
     mesh = simplex_mesh(A.d, step)
-    rows = rate_profile(A, mesh, T=8.0, J=80, dv=False)
+    brackets = rate_profile(A, mesh, T=8.0, J=80)
     assert sum(p[-1] == 0.0 for p in mesh) >= 10
-    assert all(r.converged for r in rows)
+    assert all(br.diagnostics.converged for br in brackets)
 
 
 def test_tiny_last_entry_converges():
@@ -437,4 +459,4 @@ def test_relabelled_solve_matches_the_plain_solve():
     plain = solve_rate(m[perm], Kernel(D3.matrix[np.ix_(perm, perm)]), T=8.0, J=80)
     assert br.diagnostics.converged and plain.diagnostics.converged
     assert abs(br.lower - plain.lower) <= 1e-12
-    assert np.abs(br.M_opt.M[:, perm] - plain.M_opt.M).max() <= 1e-8
+    assert np.abs(br.M_opt[:, perm] - plain.M_opt).max() <= 1e-8
