@@ -61,6 +61,7 @@ _BLOCK_CAP = 8192
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
 _EPS = 2.0**-53
+_INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -428,30 +429,44 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
+def _occupation_cost(mu: np.ndarray, rho: np.ndarray, n: int) -> float:
+    """Relative entropy between the two discounted occupation measures of a path.
+
+    Their atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k /
+    n``, ``rho_k = Lbar_{k-1} A``; the atoms are divided in step order and
+    summed in reversed-time order, so the value equals
+    ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` bit for bit.  ``rho``
+    must be the caller's own temporary: the atoms overwrite it.
+    """
+    rho /= n
+    beta = mu / n
+    rel_entr(beta, rho, out=rho)
+    beta[...] = rho[::-1]
+    cost = float(beta.sum())
+    if not np.isfinite(cost):
+        raise PolicyError(_INFINITE_COST)
+    return cost
+
+
 def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, float]:
     """Running cost computed two ways.
 
     Left: relative entropy between the two discounted occupation measures,
-    whose atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k /
-    n`` with ``rho_k = Lbar_{k-1} A``.  Right: the per-step average ``(1/n)
-    sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree to floating-point
-    rounding.  Both read one product ``rho = Lbar A``; the left side divides
-    in step order and sums the atoms in reversed-time order, so it equals
-    ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` bit for bit.
+    by :func:`_occupation_cost`, whose atoms on (state, reversed-time bin)
+    are ``mu_k / n`` and ``rho_k / n`` with ``rho_k = Lbar_{k-1} A``.
+    Right: the per-step average ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.
+    The two agree to floating-point rounding.  Both read one product ``rho
+    = Lbar A``.  The cost trend of
+    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` computes the
+    left side only, by the same :func:`_occupation_cost`, so its costs are
+    this left side bit for bit.
     """
     n = path.n
     rho = path.Lbar[:n] @ A.matrix
     rhs = float(rel_entr(path.mu, rho).sum() / n)
-    # rho and beta are this call's own temporaries: the atoms overwrite rho,
-    # and their reversed copy overwrites beta
-    rho /= n
-    beta = path.mu / n
-    rel_entr(beta, rho, out=rho)
-    beta[...] = rho[::-1]
-    lhs = float(beta.sum())
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        raise PolicyError("infinite running cost: control mass escaped the kernel support")
-    return lhs, rhs
+    if not np.isfinite(rhs):
+        raise PolicyError(_INFINITE_COST)
+    return _occupation_cost(path.mu, rho, n), rhs
 
 
 # ---------------------------------------------------------------------------

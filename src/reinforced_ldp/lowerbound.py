@@ -35,6 +35,7 @@ at the chain's clock.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -46,6 +47,7 @@ from .chains import (
     ControlledPath,
     _as_count,
     _column_scan,
+    _occupation_cost,
     _reinforced_draws,
     _running_measure,
     _time_grid,
@@ -402,7 +404,9 @@ class PlanRun:
     ``cost_occupation`` is the relative entropy between the discounted
     occupation measures of the path; ``cost_stepsum`` the per-step
     average.  The two agree to rounding (chain rule); both are kept so
-    experiments can report either side.
+    experiments can report either side.  The cost trend of
+    :func:`check_cost_convergence` builds no ``PlanRun``: it computes the
+    occupation side only, with the bits of ``cost_occupation``.
     """
 
     n: int
@@ -417,24 +421,35 @@ class PlanRun:
     seed: int
 
 
-def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: int = 1) -> PlanRun:
-    """Drive the controlled chain with a reversed plan for ``n`` steps.
+@functools.lru_cache(maxsize=8)
+def _schedule_cdf(plan: ReversedPlan, n: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Control rows and CDF of the scheduled phase of a plan's ``n``-step runs.
 
-    Steps ``1..a0+1`` draw i.i.d. from ``q`` with ``a0`` the grid index of
-    ``t_n - T``; if the empirical measure then sits within ``eps0`` of
-    ``q`` the remaining steps read the schedule at the chain's clock,
-    otherwise the run falls back to the zero-cost reference policy.  The
-    head draws by one column scan of ``q``'s CDF.  The scheduled phase
-    fills each column of ``mu`` by linear interpolation of the schedule
-    between its knots at the clock of each step, adds the columns one at a
-    time into the CDF of every step and draws by one column scan of it.
-    The fallback is the reinforced chain continued from
-    the head's counts, drawn by the block draws of a single path in
-    :mod:`~reinforced_ldp.chains`, with control rows ``mu_k = Lbar_{k-1} A``.
-    The empirical measure comes from the one builder every controlled path
-    uses, ``chains._running_measure``: ``Lbar[k, x] = (e0[x] + #{i <= k :
-    X_i = x}) / (k+1)`` from the running count of ``x`` in exact integers.
+    The phase covers steps ``n1+1..n``; ``rows`` is the read-only ``(n -
+    n1, d)`` schedule read by linear interpolation between its knots at the
+    clock ``t_k - t_{n1}`` of each step, and ``cdf`` the read-only ``(d, n
+    - n1)`` array of its columns added one at a time.  ``n1`` is fixed by
+    the plan's horizon and ``n``, so the cache holds one copy per ``(plan,
+    n)``, shared by every seed that follows the schedule.
     """
+    times = _time_grid(n)
+    clock = times[n1 + 1 : n + 1] - times[n1]
+    cdf = np.empty((plan.q.d, n - n1))
+    rows = np.empty((n - n1, plan.q.d))
+    for x in range(plan.q.d):
+        cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+        rows[:, x] = cdf[x]
+        if x:
+            cdf[x] += cdf[x - 1]
+    for arr in (rows, cdf):
+        arr.flags.writeable = False
+    return rows, cdf
+
+
+def _plan_path(
+    plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: int = 1
+) -> tuple[ControlledPath, int, bool]:
+    """The path of :func:`run_plan`, without its costs: ``(path, a0, an)``."""
     d = A.d
     if plan.q.d != d:
         raise DimensionMismatch("run_plan: plan and kernel dimensions differ")
@@ -472,13 +487,8 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
         states[n1:] = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
     else:
-        clock = times[n1 + 1 : n + 1] - times[n1]
-        cdf = np.empty((d, n - n1))
-        for x in range(d):
-            cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
-            mu[n1:, x] = cdf[x]
-            if x:
-                cdf[x] += cdf[x - 1]
+        rows, cdf = _schedule_cdf(plan, n, n1)
+        mu[n1:] = rows
         states[n1:] = _column_scan(cdf.T, u[n1:])
 
     Lbar = _running_measure(states, x0, d)
@@ -488,18 +498,41 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
         mu[n1:] = Lbar[n1:n] @ A.matrix
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
-    path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
+    return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar), a0, an
+
+
+def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: int = 1) -> PlanRun:
+    """Drive the controlled chain with a reversed plan for ``n`` steps.
+
+    Steps ``1..a0+1`` draw i.i.d. from ``q`` with ``a0`` the grid index of
+    ``t_n - T``; if the empirical measure then sits within ``eps0`` of
+    ``q`` the remaining steps read the schedule at the chain's clock,
+    otherwise the run falls back to the zero-cost reference policy.  The
+    head draws by one column scan of ``q``'s CDF.  The scheduled phase
+    reads its control rows, the schedule interpolated linearly between its
+    knots at the clock of each step, and their CDF, the columns added one
+    at a time, from ``_schedule_cdf``: built once per ``(plan, n)`` and
+    cached read-only, so the seeds of one horizon share it.  It draws by
+    one column scan of that CDF.  The fallback is the reinforced chain
+    continued from the head's counts, drawn by the block draws of a single
+    path in :mod:`~reinforced_ldp.chains`, with control rows ``mu_k =
+    Lbar_{k-1} A``.  The empirical measure comes from the one builder every
+    controlled path uses, ``chains._running_measure``: ``Lbar[k, x] =
+    (e0[x] + #{i <= k : X_i = x}) / (k+1)`` from the running count of ``x``
+    in exact integers.  Both sides of the chain-rule identity are computed
+    (:func:`~reinforced_ldp.chains.verify_chain_rule_identity`).
+    """
+    path, a0, an = _plan_path(plan, A, n, eps0, seed, x0)
     lhs, rhs = verify_chain_rule_identity(path, A)
-    terminal = Lbar[n]
-    terminal_error = float(np.abs(terminal - plan.M_hat[-1]).sum())
+    terminal = path.Lbar[path.n]
     return PlanRun(
-        n=n,
+        n=path.n,
         a0=a0,
         eps0=float(eps0),
         an_occurred=an,
         path=path,
         terminal=ProbVec(terminal),
-        terminal_error=terminal_error,
+        terminal_error=float(np.abs(terminal - plan.M_hat[-1]).sum()),
         cost_occupation=lhs,
         cost_stepsum=rhs,
         seed=int(seed),
@@ -549,7 +582,14 @@ def check_cost_convergence(
     seed: int = 0,
     x0: int = 1,
 ) -> CostConvergenceReport:
-    """Run the plan across horizons and compare mean costs to the quadrature."""
+    """Run the plan across horizons and compare mean costs to the quadrature.
+
+    Each run is the path of :func:`run_plan` at seed ``seed + block *
+    n_seeds + i``, and its cost the occupation side of the chain-rule
+    identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
+    The seeds of one horizon share its schedule CDF, built once per
+    ``(plan, n)``.
+    """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:
         raise PreconditionViolation("check_cost_convergence: n_seeds must be >= 1")
@@ -563,9 +603,9 @@ def check_cost_convergence(
         costs = np.empty(n_seeds)
         an_count = 0
         for i in range(n_seeds):
-            run = run_plan(plan, A, n, eps0, seed + block * n_seeds + i, x0)
-            costs[i] = run.cost_occupation
-            an_count += int(run.an_occurred)
+            path, _, an = _plan_path(plan, A, n, eps0, seed + block * n_seeds + i, x0)
+            costs[i] = _occupation_cost(path.mu, path.Lbar[:n] @ A.matrix, n)
+            an_count += int(an)
         mean = float(costs.mean())
         rows.append(
             CostTrendRow(

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import rel_entr
 
 from ._format import write_csv
 from .chains import _time_grid, path_rng, simulate_chain_batch, simulate_controlled, verify_chain_rule_identity
 from .errors import ConfigError
 from .exact import exact_law, finite_n_rate
-from .lowerbound import build_plan, check_cost_convergence, run_plan
+from .lowerbound import _plan_path, build_plan, check_cost_convergence
 from .measures import Kernel, ProbVec, relative_entropy, stationary_distribution
 from .ratesolver import (
     PiecewiseControl,
@@ -133,7 +134,8 @@ def _c4_rate_trend(scale, seed):
 
 
 def _c5_chain_rule(scale, seed):
-    """Occupation-measure entropy equals the per-step cost average."""
+    """Occupation-measure entropy equals the per-step cost average, also
+    when the average reads the measures the policy was handed."""
     n_policies = _count(100, scale, 5)
     n = 100
     rng = path_rng(seed, 0)
@@ -142,13 +144,18 @@ def _c5_chain_rule(scale, seed):
         d = int(rng.integers(2, 4))
         A = _random_kernel(rng, d)
         rows = 0.8 * rng.dirichlet(np.ones(d), size=n) + 0.2 / d
+        seen = np.empty((n, d))
 
-        def policy(k, Lbar, rows=rows):
+        def policy(k, Lbar, rows=rows, seen=seen):
+            seen[k - 1] = Lbar
             return rows[k - 1]
 
         path = simulate_controlled(A, 1, policy, n, seed + 7919 * i + 13)
         lhs, rhs = verify_chain_rule_identity(path, A)
-        worst = max(worst, abs(lhs - rhs))
+        # a step sum whose rho_k is the measure the policy saw at step k, not
+        # path.Lbar: a wrong rho shared by both sides of the check cannot pass it
+        stepsum = float(rel_entr(path.mu, seen @ A.matrix).sum() / n)
+        worst = max(worst, abs(lhs - rhs), abs(lhs - stepsum))
     return worst, 1e-8, worst <= 1e-8, f"{n_policies} random policies"
 
 
@@ -258,8 +265,8 @@ def _c9_terminal(scale, seed):
     for block, n in enumerate(n_list):
         errs = np.empty(n_seeds)
         for i in range(n_seeds):
-            run = run_plan(plan, _BENCH, n, _PLAN_EPS0, seed + block * n_seeds + i)
-            errs[i] = run.terminal_error
+            path, _, _ = _plan_path(plan, _BENCH, n, _PLAN_EPS0, seed + block * n_seeds + i)
+            errs[i] = np.abs(path.Lbar[n] - plan.M_hat[-1]).sum()
         means.append(float(errs.mean()))
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
     ok = decreasing and means[-1] <= 0.05

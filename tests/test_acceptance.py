@@ -5,7 +5,9 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail table.
 """
 
 import pytest
+from scipy.special import rel_entr
 
+from reinforced_ldp import validation
 from reinforced_ldp.validation import CRITERIA, format_report_lines, run_acceptance
 
 SCALE = 1.0
@@ -19,3 +21,17 @@ def test_criterion(cid):
     line = format_report_lines(results)[0]
     print(line)
     assert results[0].passed, line
+
+
+def test_chain_rule_criterion_fails_a_shifted_rho(monkeypatch):
+    """C5 fails when the check reads ``rho_k = Lbar_k A`` in place of
+    ``Lbar_{k-1} A``, though both of the check's own sides share that rho."""
+
+    def shifted(path, A):
+        n = path.n
+        rho = path.Lbar[1:] @ A.matrix
+        return float(rel_entr(path.mu[::-1] / n, rho[::-1] / n).sum()), float(rel_entr(path.mu, rho).sum() / n)
+
+    monkeypatch.setattr(validation, "verify_chain_rule_identity", shifted)
+    value, threshold, passed, _ = validation._c5_chain_rule(0.05, SEED)
+    assert not passed and value > 1e3 * threshold

@@ -492,6 +492,46 @@ def test_run_plan_matches_the_one_hot_reference(plans_by_dimension, d, start, ep
     assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
 
 
+@pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cost_trend_is_the_occupation_cost_of_run_plan(plans_by_dimension, d, eps0):
+    """The trend computes the occupation side only, with the bits of
+    ``run_plan``'s ``cost_occupation`` over the same seeds."""
+    A, plan = plans_by_dimension[d]
+    n_list, n_seeds, seed = (1_500, 3_000), 3, 4
+    report = check_cost_convergence(plan, A, n_list, n_seeds, eps0, seed=seed)
+    assert [r.n for r in report.rows] == list(n_list)
+    for block, (n, row) in enumerate(zip(n_list, report.rows)):
+        runs = [run_plan(plan, A, n, eps0, seed + block * n_seeds + i) for i in range(n_seeds)]
+        costs = np.array([r.cost_occupation for r in runs])
+        assert (row.mc_mean, row.mc_std) == (float(costs.mean()), float(costs.std()))
+        assert row.an_rate == sum(r.an_occurred for r in runs) / n_seeds == (eps0 < 1.0)
+
+
+def test_schedule_cdf_is_one_read_only_copy_per_plan_and_horizon(bench_plan):
+    """Runs of two plans on one horizon T, at two n, interleaved: each draws as
+    the one-hot reference does, and the cache builds one read-only set of
+    control rows and CDF per ``(plan, n)``."""
+    other = build_plan(LIGHT_TARGET, BENCH, T=2.0, slack=1.0)
+    keys = [(bench_plan, 2_000), (other, 2_000), (bench_plan, 3_000), (other, 3_000)]
+    lowerbound._schedule_cdf.cache_clear()
+    for seed, (plan, n) in enumerate(keys * 2):
+        run = run_plan(plan, BENCH, n, 3.0, seed)
+        path, _ = _reference_run(plan, BENCH, n, 3.0, seed)
+        assert not run.an_occurred
+        for name in ("states", "mu"):
+            assert np.array_equal(getattr(run.path, name), getattr(path, name)), (seed, name)
+        rows, cdf = lowerbound._schedule_cdf(plan, n, run.a0 + 1)
+        assert np.array_equal(rows, run.path.mu[run.a0 + 1 :])
+        assert np.array_equal(cdf, np.cumsum(rows, axis=1).T)
+        for arr in (rows, cdf):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.5
+    info = lowerbound._schedule_cdf.cache_info()
+    assert info.currsize == info.misses == len(keys)
+
+
 @pytest.mark.parametrize("source", ["simulate_controlled", "run_plan_scheduled", "run_plan_fallback"])
 def test_chain_rule_check_matches_the_two_product_formula(bench_plan, source):
     if source == "simulate_controlled":
