@@ -6,9 +6,11 @@ state from ``L^k A``.  The controlled companion replaces ``L^k A`` with an
 arbitrary history-dependent distribution and is the basis of the
 lower-bound experiments.
 
-A deterministic time grid ``t_k = sum_{j=1..k} 1/(j+1)`` (harmonic tail,
-computed with compensated summation) turns step indices into continuous
-time.  The pair of discounted occupation measures built from a controlled
+A deterministic time grid ``t_k = sum_{j=1..k} 1/(j+1)`` (harmonic tail)
+turns step indices into continuous time.  :func:`_time_grid` builds it
+without a Python loop as the correctly rounded sum of the doubles
+``fl(1/(j+1))``: one exact int64 prefix sum of two limbs per term, for
+``n < 2**28``.  The pair of discounted occupation measures built from a controlled
 path on that grid satisfies the chain-rule identity checked by
 :func:`verify_chain_rule_identity`.
 
@@ -52,7 +54,7 @@ import numpy as np
 from scipy.special import rel_entr
 
 from ._format import mulhilo64, write_array_csv
-from .errors import DimensionMismatch, PolicyError, PreconditionViolation
+from .errors import DimensionMismatch, PolicyError, PreconditionViolation, ResourceLimitExceeded
 from .measures import Kernel
 
 _MASK64 = (1 << 64) - 1
@@ -127,8 +129,20 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _time_grid(n: int) -> np.ndarray:
-    """The read-only clock ``t_k = sum_{j=1..k} 1/(j+1)``, ``k = 0..n``, by
-    compensated summation.
+    """The read-only clock ``t_k``, ``k = 0..n``: the exact sum of the doubles
+    ``x_j = fl(1/(j+1))``, ``j = 1..k``, correctly rounded.
+
+    With ``b = n.bit_length()``, every ``x_j >= 2**-b`` is a multiple of its
+    ulp, so of ``2**-P`` with ``P = 54 + b``.  Each splits exactly into
+    integer limbs ``hi = floor(x 2**48)`` and ``lo = (x - hi 2**-48) 2**P <
+    2**(b+6)``; ``np.cumsum`` sums both in int64, ``lo``'s overflow is carried
+    into ``hi``, and ``t_k = H 2**-48 + L 2**-P`` adds two exact doubles in
+    one rounding.  ``H <= t_n 2**48 < 2**53`` and ``L <= n 2**(b+6) <
+    2**(2b+6)``, so no limb overflows while ``2b + 6 < 63``: ``n < 2**28``.
+    A larger ``n`` raises before anything is allocated (each array of its
+    clock would take 2 GiB).  For every ``k <= 3,000,000`` the clock equals
+    the compensated (Kahan) running sum of the ``x_j`` bit for bit; a plain
+    running sum does not.
 
     ``t_n - log(n+1)`` is pinned near the Euler-Mascheroni constant minus
     one by a ``O(1/n)`` bracket, so the grid spans ``~ log n`` units of
@@ -140,16 +154,22 @@ def _time_grid(n: int) -> np.ndarray:
     n = _as_count(n, "time grid: n")
     if n < 1:
         raise PreconditionViolation(f"time grid: n must be >= 1, got {n}")
+    b = n.bit_length()
+    if 2 * b + 6 >= 63:
+        raise ResourceLimitExceeded(f"time grid: n must be below 2**28, got {n}")
+    p = 54 + b
+    x = 1.0 / np.arange(2.0, n + 2.0)
+    hi = np.floor(x * 2.0**48)
+    x -= hi * 2.0**-48
+    x *= 2.0**p
+    H = np.cumsum(hi.astype(np.int64))
+    L = np.cumsum(x.astype(np.int64))
+    H += L >> (p - 48)
+    L &= (1 << (p - 48)) - 1
     t = np.empty(n + 1)
     t[0] = 0.0
-    total = 0.0
-    carry = 0.0
-    for k in range(1, n + 1):
-        y = 1.0 / (k + 1.0) - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-        t[k] = total
+    np.multiply(H, 2.0**-48, out=t[1:])
+    t[1:] += L * 2.0**-p
     t.flags.writeable = False
     return t
 
@@ -382,18 +402,23 @@ def _running_measure(states: np.ndarray, x0: int, d: int) -> np.ndarray:
 
     ``states`` holds the 0-based states ``X_1..X_n``; ``Lbar[k, x] =
     (e_x0[x] + #{i <= k : X_i = x}) / (k+1)``, each count an exact integer,
-    so every entry is one rounding from its value.
+    so every entry is one rounding from its value.  The first ``d - 1``
+    numerators are running counts; the last is the exact integer remainder
+    ``(k+1)`` minus their sum.
     """
     n = states.size
     Lbar = np.empty((n + 1, d))
     Lbar[0] = 0.0
     Lbar[0, x0 - 1] = 1.0
     steps = np.arange(2, n + 2, dtype=float)
+    rest = steps.copy()
     counts = np.empty(n)
-    for x in range(d):
+    for x in range(d - 1):
         np.cumsum(states == x, dtype=float, out=counts)
         counts += Lbar[0, x]
+        rest -= counts
         np.divide(counts, steps, out=Lbar[1:, x])
+    np.divide(rest, steps, out=Lbar[1:, d - 1])
     return Lbar
 
 

@@ -81,11 +81,11 @@ def exact_law_levels(
     d = A.d
     x0 = _validate_x0(x0, d)
     n_max = wanted[-1]
-    # peak of the sweep, at the product in its last step: 8-byte arrays of the law,
-    # the previous transitions, the index grid and the counts, scaled counts and
-    # new transitions (5d values a cell of the level n_max - 1 box), and the
-    # 1-byte drop mask
-    need = (40 * d + 1) * n_max ** (d - 1)
+    # peak of the sweep, at the product in its last step: 8-byte arrays of the
+    # lattice counts, their sums, the law, the scaled counts and the new
+    # transitions (3d + 2 values a cell of the level n_max - 1 box), and the
+    # previous step's 1-byte drop mask; the last snapshot holds no more
+    need = (24 * d + 17) * n_max ** (d - 1)
     if need > mem_cap_bytes:
         raise ResourceLimitExceeded(
             f"exact_law: level {n_max} needs {need / 2**20:.2f} MiB of lattice arrays, "
@@ -107,12 +107,19 @@ def exact_law_levels(
         counts.flags.writeable = probs.flags.writeable = False
         return CountLaw(n=level, d=d, x0=x0, counts=counts, probs=probs, dropped_mass=dropped)
 
+    # the count vectors of the level n_max - 1 box, the largest a step reads;
+    # level k slices its [0, k]^(d-1) box and fills the last count k - sum
+    lattice = np.empty((n_max,) * (d - 1) + (d,))
+    lattice[..., : d - 1] = np.moveaxis(np.indices((n_max,) * (d - 1)), 0, -1)
+    total = lattice[..., : d - 1].sum(axis=-1)
     if 1 in wanted:
         out[1] = snapshot(1)
     for k in range(1, n_max):
-        grid = np.indices(P.shape).reshape(d - 1, P.size).T
-        counts = np.column_stack([grid, k - grid.sum(axis=1)])
-        trans = ((counts / float(k)) @ A.matrix).reshape(*P.shape, d)
+        box = (slice(0, k + 1),) * (d - 1)
+        counts = lattice[box]
+        np.subtract(k, total[box], out=counts[..., d - 1])
+        # one (cells, d) product, as for a flat count matrix of the box
+        trans = ((counts / float(k)).reshape(P.size, d) @ A.matrix).reshape(*P.shape, d)
         nxt = np.zeros((k + 2,) * (d - 1))
         # move y adds one to count y; the last count is implied, so its move
         # keeps the cell.  Adding moves in order y = 0..d-1 sums each child's
@@ -122,6 +129,7 @@ def exact_law_levels(
             if y < d - 1:
                 cell[y] = slice(1, k + 2)
             nxt[tuple(cell)] += P * trans[..., y]
+        del trans  # before the next product and the snapshot
         # the zero cells of the box have nothing to drop
         small = (nxt > 0.0) & (nxt < DROP_THRESHOLD)
         dropped += math.fsum(nxt[small].tolist())

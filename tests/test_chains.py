@@ -16,7 +16,7 @@ from reinforced_ldp.chains import (
     verify_chain_rule_identity,
     export_path_csv,
 )
-from reinforced_ldp.errors import DimensionMismatch, PolicyError, PreconditionViolation
+from reinforced_ldp.errors import DimensionMismatch, PolicyError, PreconditionViolation, ResourceLimitExceeded
 from reinforced_ldp.measures import Kernel
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
@@ -69,6 +69,65 @@ def test_grid_rejects_a_bad_length(n):
     _time_grid(2)
     with pytest.raises(PreconditionViolation, match="time grid: n"):
         _time_grid(n)
+
+
+CLOCK_N = 200_000
+
+
+def _compensated_clock(n):
+    """``t_k = sum_{j=1..k} fl(1/(j+1))`` by a scalar compensated (Kahan) running sum."""
+    t = np.empty(n + 1)
+    t[0] = total = carry = 0.0
+    for k in range(1, n + 1):
+        y = 1.0 / (k + 1.0) - carry
+        s = total + y
+        carry = (s - total) - y
+        total = s
+        t[k] = total
+    return t
+
+
+@pytest.fixture(scope="module")
+def compensated_clock():
+    return _compensated_clock(CLOCK_N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, CLOCK_N])
+def test_grid_is_the_compensated_sum_bit_for_bit(compensated_clock, n):
+    """Every ``t_k``, ``k <= 200,000``, equals the scalar compensated sum."""
+    assert _time_grid(n).tobytes() == compensated_clock[: n + 1].tobytes()
+
+
+def test_grid_bit_test_sees_a_dropped_limb_and_a_plain_cumsum(compensated_clock):
+    """The bit test above has teeth: the high limb alone, and numpy's plain
+    running sum of the same terms, each miss most of the reference clock."""
+    x = 1.0 / np.arange(2.0, CLOCK_N + 2.0)
+    high_limb = np.cumsum(np.floor(x * 2.0**48)) * 2.0**-48
+    for near in (high_limb, np.cumsum(x)):
+        assert np.count_nonzero(near != compensated_clock[1:]) > CLOCK_N // 2
+
+
+class _Allocation(Exception):
+    pass
+
+
+class _NoNumpy:
+    """Stands in for numpy: any use of it raises, so nothing is allocated."""
+
+    def __getattr__(self, name):
+        raise _Allocation(name)
+
+
+@pytest.mark.parametrize("n", [2**28, 2**28 + 1, 10**12])
+def test_grid_rejects_a_clock_whose_limbs_could_overflow(monkeypatch, n):
+    """From ``n = 2**28`` the low limb's prefix sum could pass 2**63: the
+    size check raises before numpy is touched, while ``2**28 - 1`` passes
+    it and reaches the first allocation."""
+    monkeypatch.setattr(chains, "np", _NoNumpy())
+    with pytest.raises(ResourceLimitExceeded, match=r"time grid: n must be below 2\*\*28"):
+        _time_grid(n)
+    with pytest.raises(_Allocation):
+        _time_grid(2**28 - 1)
 
 
 def test_simulate_chain_reproducible():
@@ -485,6 +544,29 @@ def test_controlled_counts_form(A, x0):
     for k in range(1, n + 1):
         counts[path.states[k - 1] - 1] += 1
         assert np.array_equal(path.Lbar[k], (e0 + counts) / (k + 1)), k
+
+
+def _running_measure_by_state(states, x0, d):
+    """``Lbar`` with one running count per state, each divided by ``k+1``."""
+    n = states.size
+    Lbar = np.empty((n + 1, d))
+    Lbar[0] = 0.0
+    Lbar[0, x0 - 1] = 1.0
+    steps = np.arange(2, n + 2, dtype=float)
+    for x in range(d):
+        Lbar[1:, x] = (np.cumsum(states == x, dtype=float) + Lbar[0, x]) / steps
+    return Lbar
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_running_measure_takes_the_last_count_as_the_remainder(d):
+    """The last column from ``(k+1)`` minus the other numerators keeps every byte."""
+    rng = np.random.default_rng(d)
+    for x0 in range(1, d + 1):
+        for n in (1, 2, 37, 5000):
+            states = rng.choice(d, size=n, p=rng.dirichlet(np.ones(d)))
+            got = chains._running_measure(states, x0, d)
+            assert got.tobytes() == _running_measure_by_state(states, x0, d).tobytes(), (x0, n)
 
 
 def test_policy_sees_the_stored_measure():

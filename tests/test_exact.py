@@ -24,6 +24,7 @@ from reinforced_ldp.measures import Kernel
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 UNIFORM = Kernel([[0.5, 0.5], [0.5, 0.5]])
 D3 = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+D4 = Kernel(0.8 * np.random.default_rng(40).dirichlet(np.ones(4), size=4) + 0.05)
 MSTAR_BENCH = np.array([2.0 / 3.0, 1.0 / 3.0])
 
 
@@ -43,20 +44,29 @@ def test_law_n3_hand_enumerated():
     assert law.atoms[(1, 2)] == pytest.approx(0.045, abs=1e-15)
 
 
-@pytest.mark.parametrize("x0", [1, 2, 3])
-def test_law_d3_matches_path_enumeration(x0):
-    """Sum over all 3^5 paths, stepping with the running mean of ``A[x_j, :]``."""
-    n = 6
-    expect = {}
-    for tail in itertools.product(range(3), repeat=n - 1):
+def _assert_law_matches_path_enumeration(A, x0, n):
+    """Sum over all d^(n-1) paths, stepping with the running mean of ``A[x_j, :]``."""
+    d, expect = A.d, {}
+    for tail in itertools.product(range(d), repeat=n - 1):
         path = (x0 - 1,) + tail
-        p = math.prod(D3.matrix[list(path[:k]), path[k]].mean() for k in range(1, n))
-        key = tuple(path.count(x) for x in range(3))
+        p = math.prod(A.matrix[list(path[:k]), path[k]].mean() for k in range(1, n))
+        key = tuple(path.count(x) for x in range(d))
         expect[key] = expect.get(key, 0.0) + p
-    law = exact_law(D3, x0, n)
+    law = exact_law(A, x0, n)
     assert set(law.atoms) == set(expect)
     for key, p in expect.items():
         assert law.atoms[key] == pytest.approx(p, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("x0", [1, 2, 3])
+def test_law_d3_matches_path_enumeration(x0):
+    _assert_law_matches_path_enumeration(D3, x0, 6)
+
+
+@pytest.mark.parametrize("x0", [1, 2, 3, 4])
+def test_law_d4_matches_path_enumeration(x0):
+    """Each step slices a three-axis box of the lattice counts."""
+    _assert_law_matches_path_enumeration(D4, x0, 6)
 
 
 def test_law_uniform_kernel_symmetric():
@@ -236,7 +246,6 @@ def _dict_event_probability(atoms, n, target, radius):
     return math.fsum(p for p, h in zip(probs, dist <= radius) if h)
 
 
-D4 = Kernel(0.8 * np.random.default_rng(40).dirichlet(np.ones(4), size=4) + 0.05)
 NEAR_ABSORBING = Kernel([[0.999, 0.001], [0.998, 0.002]])
 
 
