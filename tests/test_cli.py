@@ -368,6 +368,31 @@ def test_lowerbound_artifacts_match_golden_digests(tmp_path):
     assert digests == LOWERBOUND_DIGESTS
 
 
+# SHA-256 of `plan.json` with `include_schedule: true`, seed 0, slack 1: a d=3
+# plan, and a short-horizon plan whose mollifier window is capped at half the
+# solver mesh; every knot and schedule row of the plan is in the digest
+PLAN_SCHEDULE_DIGESTS = {
+    "d3": ([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]], [0.6, 0.3, 0.1], 1.0,
+           "92cc98750e6118be3e88706846403ae0073ee73e513839d8f9290c68137ae02d"),
+    "kappa2_cap": ([[0.6, 0.4], [0.4, 0.6]], [0.55, 0.45], 0.2,
+                   "08f843042ac587af308c371dc2fe8ea74b4fa7a829bda87a1cfa06d5d17d1b36"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_SCHEDULE_DIGESTS))
+def test_lowerbound_schedule_matches_golden_digest(tmp_path, case):
+    matrix, m, T, digest = PLAN_SCHEDULE_DIGESTS[case]
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": matrix},
+        "lowerbound": {"m": m, "T": T, "slack": 1.0, "include_schedule": True},
+    })
+    out = tmp_path / "out"
+    assert main(["lowerbound", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    doc = json.loads((out / "plan.json").read_text())
+    assert {"knots", "schedule"} <= set(doc)
+    assert hashlib.sha256((out / "plan.json").read_bytes()).hexdigest() == digest
+
+
 RETIRED_LOWERBOUND_KEYS = {"max_intervals": 2_600_000, "kappa1": 0.3, "kappa2": 0.006, "kappa3": 1e-5, "eps_target": 0.1}
 
 
