@@ -62,17 +62,13 @@ from .lowerbound import (
     CostConvergenceReport,
     CostTrendRow,
     KappaSchedule,
-    MollifyResult,
     PiecewiseLinearPath,
     PlanBounds,
     PlanRun,
     ReversedPlan,
     build_plan,
     check_cost_convergence,
-    mix_with_stationary,
-    mollify_control,
     plan_to_json,
-    reverse_control,
     reversed_cost,
     reversed_flow_nodes,
     run_plan,
@@ -101,7 +97,6 @@ __all__ = [
     "InfeasibleTrajectory",
     "KappaSchedule",
     "Kernel",
-    "MollifyResult",
     "PiecewiseControl",
     "PiecewiseLinearPath",
     "PlanBounds",
@@ -126,13 +121,10 @@ __all__ = [
     "finite_n_rate",
     "integrate_forward",
     "kernel_apply",
-    "mix_with_stationary",
-    "mollify_control",
     "path_rng",
     "plan_to_json",
     "rate_profile",
     "relative_entropy",
-    "reverse_control",
     "reversed_cost",
     "reversed_flow_nodes",
     "run_acceptance",

@@ -96,6 +96,14 @@ def exact_law_levels(
     P = np.zeros((2,) * (d - 1))
     P[tuple(int(x == x0) for x in range(1, d))] = 1.0
     dropped = 0.0
+    # Mass drifts from 1 by at most `per_level` a level.  The kernel's rows
+    # sum to 1 within `rho`.  The rest is rounding, relative to a mass near 1,
+    # with u = 2^-53: u for `counts / k`, d u for the length-d dot product of
+    # a transition row, u for `P * trans`, and d - 1 u for the at most d
+    # parents added into a child cell, so (2d + 1) u; one more u covers the
+    # second-order terms.  MASS_CHECK_ATOL covers the sum that measures it.
+    rho = max(abs(math.fsum(row) - 1.0) for row in A.matrix.tolist())
+    per_level = rho + 2 * (d + 1) * 2.0**-53
     out: dict[int, CountLaw] = {}
 
     def snapshot(level: int) -> CountLaw:
@@ -136,7 +144,7 @@ def exact_law_levels(
         nxt[small] = 0.0
         P = nxt
         mass = float(P.sum())
-        if abs(mass + dropped - 1.0) > MASS_CHECK_ATOL:
+        if abs(mass + dropped - 1.0) > MASS_CHECK_ATOL + (k + 1) * per_level:
             raise ConvergenceError(
                 f"exact_law: mass {mass!r} + dropped {dropped!r} drifted from 1 at level {k + 1}"
             )

@@ -1,16 +1,17 @@
 """Feasible-plan pipeline for finite-horizon lower-bound experiments.
 
 Starting from a near-optimal control for the discounted cost at a target
-measure ``m``, build an explicit simulation schedule in two steps:
+measure ``m``, :func:`build_plan` builds an explicit simulation schedule in
+two steps, each in closed form:
 
 1. mix the control and its trajectory toward the stationary measure of
    the kernel; this floors every coordinate at a computable ``delta > 0``
    and, by joint convexity of relative entropy, can only shrink the cost;
 2. reverse time and mollify the reversed control with a short moving
    average, making it Lipschitz in time; on a step control the average is
-   known in closed form: each row, held flat, then a linear ramp to the
-   next row over the window before each break, so the mollified path's
-   values at its kinks are the solver's own rows, bit for bit.
+   each row, held flat, then a linear ramp to the next row over the
+   window before each break, so the mollified path's values at its kinks
+   are the solver's own rows, bit for bit.
 
 The mollified path is the schedule: a run reads it at the chain's own
 clock by linear interpolation between its kinks, so no second time grid
@@ -20,12 +21,13 @@ function and its mollified version, are one type,
 zero slopes for the step function.
 
 Each step carries an explicit bound on the cost increase and on the
-trajectory deviation it can introduce, so the scheduled cost stays within
-a certified distance of the solver's value.  The reversed-time dynamics
-``M' = eta - M`` coincide with the drift of the empirical-measure
-recursion, so a controlled chain run forward under the schedule tracks
-the reversed trajectory and its empirical measure lands near ``m``.  The
-flow and its cost quadrature come from :mod:`~reinforced_ldp.ratesolver`.
+trajectory deviation it can introduce, recorded in :class:`PlanBounds`, so
+the scheduled cost stays within a certified distance of the solver's
+value.  The reversed-time dynamics ``M' = eta - M`` coincide with the
+drift of the empirical-measure recursion, so a controlled chain run
+forward under the schedule tracks the reversed trajectory and its
+empirical measure lands near ``m``.  The flow and its cost quadrature
+come from :mod:`~reinforced_ldp.ratesolver`.
 
 :func:`run_plan` executes the schedule: an i.i.d. warm-up drives the
 empirical measure toward the reversed starting point ``q``, a one-shot
@@ -98,6 +100,8 @@ class PiecewiseLinearPath:
             raise DimensionMismatch(
                 f"PiecewiseLinearPath: breaks {b.shape}, start {v.shape} and slope {beta.shape} disagree"
             )
+        if not all(np.isfinite(arr).all() for arr in (b, v, beta)):
+            raise PreconditionViolation("PiecewiseLinearPath: breaks, start and slope must be finite")
         if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
             raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
         for arr in (b, v, beta):
@@ -107,24 +111,8 @@ class PiecewiseLinearPath:
         object.__setattr__(self, "slope", beta)
 
     @property
-    def d(self) -> int:
-        return int(self.start.shape[1])
-
-    @property
     def horizon(self) -> float:
         return float(self.breaks[-1])
-
-    def value(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0.0):
-            raise PreconditionViolation("path time must be >= 0")
-        ss = np.atleast_1d(s_arr)
-        p = np.minimum(np.searchsorted(self.breaks, ss, side="right") - 1, self.start.shape[0] - 1)
-        out = self.start[p] + self.slope[p] * (ss - self.breaks[p])[:, None]
-        return out if s_arr.ndim else out[0]
-
-    def lipschitz_l1(self) -> float:
-        return float(np.abs(self.slope).sum(axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -140,94 +128,11 @@ def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
     """``e^{-T} int_0^T e^s R(eta(s) || M(s) A) ds`` along the reversed flow.
 
     By the substitution ``s -> T - s`` this equals the forward discounted
-    cost of the un-reversed pair, which is what the step bounds control.
+    cost of the un-reversed pair, which is what the plan's bounds control.
     """
     Mn = reversed_flow_nodes(q, path)
     b = path.breaks
     return _flow_quad(A.matrix, b[:-1], b[1:], path.start, path.slope, Mn[:-1], forward=False, T=path.horizon)
-
-
-# ---------------------------------------------------------------------------
-# the two plan-building steps
-
-
-def mix_with_stationary(
-    ctrl: PiecewiseControl, M: np.ndarray, A: Kernel, kappa1: float
-) -> tuple[PiecewiseControl, np.ndarray, float]:
-    """Convex-combine a control and its nodes ``M`` with the stationary measure.
-
-    The flow map is affine and the stationary measure is one of its fixed
-    points, so the mixed trajectory is exactly the flow of the mixed
-    control.  Every entry of the result is at least
-    ``delta = kappa1 * min(stationary)``, and by joint convexity the
-    discounted cost does not increase.
-    """
-    if not 0.0 < kappa1 <= 1.0:
-        raise PreconditionViolation(f"mix_with_stationary: kappa1={kappa1!r} outside (0, 1]")
-    mstar = stationary_distribution(A).weights
-    eta1 = (1.0 - kappa1) * np.asarray(ctrl.eta, dtype=float) + kappa1 * mstar
-    M1 = (1.0 - kappa1) * M + kappa1 * mstar
-    M1.flags.writeable = False
-    delta = float(kappa1 * mstar.min())
-    return PiecewiseControl(T=ctrl.T, J=ctrl.J, eta=eta1), M1, delta
-
-
-def reverse_control(ctrl: PiecewiseControl) -> PiecewiseLinearPath:
-    """View a forward piecewise-constant control backwards from time T.
-
-    The result has zero slopes, and its last reversed piece continues past
-    ``T``, so the path is defined on all of ``[0, inf)`` as the mollifier
-    window requires.
-    """
-    breaks = np.linspace(0.0, ctrl.T, ctrl.J + 1)
-    vals = np.asarray(ctrl.eta, dtype=float)[::-1]
-    return PiecewiseLinearPath(breaks=breaks, start=vals, slope=np.zeros_like(vals))
-
-
-@dataclass(frozen=True)
-class MollifyResult:
-    path: PiecewiseLinearPath
-    cost_increase: float
-    deviation: float
-
-
-def mollify_control(
-    rev: PiecewiseLinearPath, kappa2: float, delta: float, delta0: float
-) -> MollifyResult:
-    """Forward moving average of width ``kappa2`` over the reversed step control.
-
-    ``rev`` must be a step function (zero slopes) whose pieces are all wider
-    than the window.  The average ``(1/kappa2) int_s^{s+kappa2} rev`` is then
-    flat at each row and ramps linearly to the next row over the window
-    ending at each interior break, so the result is exactly piecewise linear
-    with kinks ``0, b_1 - kappa2, b_1, ..., b_{J-1} - kappa2, b_{J-1}, T``;
-    its value at the kinks is each row of ``rev`` twice, bit for bit (the
-    last row holds on past ``T``, so there is no ramp at ``T``).  Requires
-    ``3 kappa2 e^T <= delta / 2`` so the flow deviation keeps the control
-    floored; ``cost_increase`` and ``deviation`` are the certified budgets
-    for this step.
-    """
-    T = rev.horizon
-    if np.any(rev.slope != 0.0):
-        raise PreconditionViolation("mollify_control: the reversed control must be a step function")
-    if not 0.0 < kappa2 < np.diff(rev.breaks).min():
-        raise PreconditionViolation(
-            f"mollify_control: window {kappa2!r} must be positive and narrower than every piece"
-        )
-    eT = math.exp(T)
-    dev = 3.0 * kappa2 * eT
-    if dev > 0.5 * delta * (1.0 + 1e-9):
-        raise PreconditionViolation(
-            f"mollify_control: window {kappa2!r} too wide for floor {delta!r}; "
-            "need 3 kappa2 e^T <= delta / 2"
-        )
-    inner = rev.breaks[1:-1]
-    kinks = np.concatenate([[0.0], np.column_stack([inner - kappa2, inner]).ravel(), [T]])
-    nodes = np.repeat(rev.start, 2, axis=0)
-    slope = np.diff(nodes, axis=0) / np.diff(kinks)[:, None]
-    path = PiecewiseLinearPath(breaks=kinks, start=nodes[:-1], slope=slope)
-    b2 = kappa2 * math.exp(kappa2) * abs(math.log(delta0)) + (dev + 2.0 * kappa2) / delta0
-    return MollifyResult(path=path, cost_increase=b2, deviation=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +149,7 @@ class KappaSchedule:
 
 @dataclass(frozen=True)
 class PlanBounds:
-    """Measured costs and certified budgets along the pipeline.
+    """Measured costs and certified budgets of the two steps of :func:`build_plan`.
 
     The quadrature values are continuous-time integrals; ``cost_mixed``
     is the solver's left-endpoint sum for the mixed pair, comparable to
@@ -254,7 +159,9 @@ class PlanBounds:
     schedule is the mollified control itself, so ``cost_schedule_quad``
     is ``cost_mollified_quad`` and ``bound_discretize`` and
     ``dev_discretize`` are 0 by construction; the other deviations are
-    a-priori bounds.
+    a-priori bounds: ``dev_mix = kappa1 |m - m*|_1`` and ``dev_mollify =
+    3 kappa2 e^T``.  ``lipschitz_l1`` is the largest l1 slope of the
+    mollified path, a jump between reversed rows spread over one window.
     """
 
     cost_solver: float
@@ -308,38 +215,55 @@ class ReversedPlan:
 
 
 def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float = DEFAULT_SLACK) -> ReversedPlan:
-    """Solve the rate bracket at ``m`` on horizon ``T`` and mollify its control.
+    """Solve the rate bracket at ``m`` on horizon ``T`` and build its reversed plan.
 
-    The tuning is derived: ``kappa1`` targets a mixing deviation of
-    ``EPS_TARGET`` in total variation (capped at 1), and the mollifier
-    window ``kappa2`` takes ``1/slack`` of the largest value its
-    precondition allows, capped at half the solver mesh ``T / J`` so that
-    the window stays narrower than every piece of the step control.  The
-    mollified path is the schedule.
+    Mixing with the stationary measure ``m*`` takes weight ``kappa1``,
+    which targets a deviation of ``EPS_TARGET`` in total variation (capped
+    at 1): the mixed nodes are the flow of the mixed control, since ``m*``
+    is a fixed point of the affine flow map, and every entry is at least
+    ``delta = kappa1 min(m*)``.  The reversed mixed control is a step
+    function whose last row holds past ``T``; its moving average over the
+    window ``kappa2`` has kinks ``0, b_1 - kappa2, b_1, ..., b_{J-1} -
+    kappa2, b_{J-1}, T`` and takes each reversed row twice there.  The
+    window is ``1/slack`` of the largest value with ``3 kappa2 e^T <= delta
+    / 2``, capped at half the solver mesh ``T / J`` so that it stays inside
+    every piece; where the cap does not bind, ``slack < 1`` breaks that
+    inequality and raises :class:`PreconditionViolation`.  The mollified
+    path is the schedule.
     """
-    if not 0.0 < slack:
-        raise PreconditionViolation("build_plan: slack must be positive")
+    if not 0.0 < slack < math.inf:
+        raise PreconditionViolation("build_plan: slack must be positive and finite")
     m_arr = ProbVec(_weights_of(m)).weights
     bracket = solve_rate(m_arr, A, T=float(T), J=J)
-    T_val = float(bracket.eta_opt.T)
+    T_val, J_val = float(bracket.eta_opt.T), bracket.eta_opt.J
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
     kappa1 = 1.0 if gap_star <= EPS_TARGET else EPS_TARGET / gap_star
-    ctrl1, M1, delta = mix_with_stationary(bracket.eta_opt, bracket.M_opt, A, kappa1)
-    w = _weights_vector(ctrl1.T, ctrl1.J)
-    cost_mixed = _cost_value(np.asarray(ctrl1.eta, dtype=float), M1, A.matrix, w)
-    cost_mixed_quad = forward_cost_continuous(ctrl1, M1, A)
+    eta1 = (1.0 - kappa1) * np.asarray(bracket.eta_opt.eta, dtype=float) + kappa1 * mstar
+    M1 = (1.0 - kappa1) * bracket.M_opt + kappa1 * mstar
+    delta = float(kappa1 * mstar.min())
+    cost_mixed = _cost_value(eta1, M1, A.matrix, _weights_vector(T_val, J_val))
+    cost_mixed_quad = forward_cost_continuous(PiecewiseControl(T=T_val, J=J_val, eta=eta1), M1, A)
     q = ProbVec(M1[-1])
-    rev = reverse_control(ctrl1)
+    rows = eta1[::-1]
+    rev = PiecewiseLinearPath(np.linspace(0.0, T_val, J_val + 1), rows, np.zeros_like(rows))
     cost_reversed_quad = reversed_cost(q, rev, A)
     eT = math.exp(T_val)
-    k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / ctrl1.J)
-    moll = mollify_control(rev, k2, delta, A.delta0)
-    cost_mollified_quad = reversed_cost(q, moll.path, A)
-    M_hat = reversed_flow_nodes(q, moll.path)
-    M_hat.flags.writeable = False
+    k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / J_val)
+    dev = 3.0 * k2 * eT
+    if dev > 0.5 * delta * (1.0 + 1e-9):
+        raise PreconditionViolation(
+            f"build_plan: window {k2!r} too wide for floor {delta!r}; need 3 kappa2 e^T <= delta / 2"
+        )
+    inner = rev.breaks[1:-1]
+    knots = np.concatenate([[0.0], np.column_stack([inner - k2, inner]).ravel(), [rev.horizon]])
     schedule = np.repeat(rev.start, 2, axis=0)
+    slope = np.diff(schedule, axis=0) / np.diff(knots)[:, None]
+    moll = PiecewiseLinearPath(knots, schedule[:-1], slope)
     schedule.flags.writeable = False
+    cost_mollified_quad = reversed_cost(q, moll, A)
+    M_hat = reversed_flow_nodes(q, moll)
+    M_hat.flags.writeable = False
     bounds = PlanBounds(
         cost_solver=bracket.lower,
         cost_mixed=cost_mixed,
@@ -347,13 +271,13 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
         cost_reversed_quad=cost_reversed_quad,
         cost_mollified_quad=cost_mollified_quad,
         cost_schedule_quad=cost_mollified_quad,
-        bound_mollify=moll.cost_increase,
+        bound_mollify=k2 * math.exp(k2) * abs(math.log(A.delta0)) + (dev + 2.0 * k2) / A.delta0,
         bound_discretize=0.0,
         dev_mix=kappa1 * gap_star,
-        dev_mollify=moll.deviation,
+        dev_mollify=dev,
         dev_discretize=0.0,
         target_gap=float(np.abs(M_hat[-1] - m_arr).sum()),
-        lipschitz_l1=moll.path.lipschitz_l1(),
+        lipschitz_l1=float(np.abs(slope).sum(axis=1).max()),
     )
     return ReversedPlan(
         T=T_val,
@@ -361,7 +285,7 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
         m=ProbVec(m_arr),
         delta=delta,
         delta0=A.delta0,
-        knots=moll.path.breaks,
+        knots=moll.breaks,
         schedule=schedule,
         M_hat=M_hat,
         solve=bracket.diagnostics,

@@ -6,11 +6,13 @@ import pytest
 
 from reinforced_ldp.chains import simulate_chain_batch
 from reinforced_ldp.errors import (
+    ConvergenceError,
     DimensionMismatch,
     PreconditionViolation,
     ResourceLimitExceeded,
 )
 from reinforced_ldp.exact import (
+    MASS_CHECK_ATOL,
     ball_rate,
     event_probability,
     exact_law,
@@ -183,6 +185,36 @@ def test_sure_ball_has_rate_exactly_zero(A, n, target, radius):
 def test_mem_cap_enforced():
     with pytest.raises(ResourceLimitExceeded):
         exact_law(D3, 1, 3000, mem_cap_bytes=2**20)
+
+
+# rows sum to 1 exactly under fsum, and rounding alone drifts past
+# MASS_CHECK_ATOL at level 9014 from x0 = 1
+DEEP_D2 = Kernel(0.8 * np.random.default_rng(1).dirichlet(np.ones(2), size=2) + 0.1)
+# a row 9e-13 above 1, inside the Kernel invariant: past MASS_CHECK_ATOL at level 3
+LEAKY_ROW = Kernel([[0.5, 0.5 + 9e-13], [0.3, 0.7]])
+
+
+@pytest.mark.parametrize("A,n", [(DEEP_D2, 9100), (LEAKY_ROW, 3), (LEAKY_ROW, 2000)],
+                         ids=["deep", "row-3", "row-2000"])
+def test_mass_check_allows_the_kernel_and_rounding_drift(A, n):
+    law = exact_law(A, 1, n)
+    drift = abs(float(law.probs.sum()) + law.dropped_mass - 1.0)
+    assert MASS_CHECK_ATOL < drift < n * 1e-12
+
+
+class _LeakyMatrix(np.ndarray):
+    """A kernel matrix whose products lose 1e-9 of their mass while its
+    entries still sum to 1."""
+
+    def __rmatmul__(self, other):
+        return (other @ self.view(np.ndarray)) * (1.0 - 1e-9)
+
+
+def test_mass_check_refuses_a_leak_per_level():
+    A = Kernel(BENCH.matrix)
+    object.__setattr__(A, "matrix", A.matrix.view(_LeakyMatrix))
+    with pytest.raises(ConvergenceError, match="drifted from 1 at level 2$"):
+        exact_law(A, 1, 50)
 
 
 def test_export_csvs(tmp_path):

@@ -20,17 +20,14 @@ from reinforced_ldp.lowerbound import (
     check_cost_convergence,
     export_cost_report_csv,
     export_runs_csv,
-    mix_with_stationary,
-    mollify_control,
     plan_to_json,
-    reverse_control,
     reversed_cost,
     reversed_flow_nodes,
     run_plan,
     verify_chain_rule_identity,
 )
 from reinforced_ldp.measures import Kernel, ProbVec, stationary_distribution
-from reinforced_ldp.ratesolver import PiecewiseControl, integrate_forward
+from reinforced_ldp.ratesolver import PiecewiseControl, integrate_forward, solve_rate
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 BENCH_TARGET = (0.3, 0.7)
@@ -48,12 +45,6 @@ def bench_plan():
 @pytest.fixture(scope="module")
 def light_plan():
     return build_plan(LIGHT_TARGET, BENCH, T=1.0, slack=1.0)
-
-
-def _step_path(after=0.3):
-    """Step function 1 -> ``after`` at s = 0.05 on [0, 0.1], as zero-slope pieces."""
-    start = np.array([[1.0, 0.0], [after, 1.0 - after]])
-    return PiecewiseLinearPath(np.array([0.0, 0.05, 0.1]), start, np.zeros_like(start))
 
 
 def _toy_control():
@@ -93,33 +84,28 @@ def test_schedule_rows(bench_plan):
     assert rows.min() >= bench_plan.delta - 1e-12
 
 
-def test_mixing_exactness():
-    ctrl, M = _toy_control()
+def test_mixing_exactness(bench_plan):
+    """The reversed control is the solver's control mixed with the stationary
+    measure, backwards, and ``q`` the last mixed node, bit for bit."""
+    p = bench_plan
+    bracket = solve_rate(np.asarray(BENCH_TARGET), BENCH, T=2.0)
     m_star = stationary_distribution(BENCH).weights
-    kappa = 0.4
-    ctrl1, M1, delta = mix_with_stationary(ctrl, M, BENCH, kappa)
-    assert np.allclose(ctrl1.eta, (1 - kappa) * ctrl.eta + kappa * m_star, atol=1e-15)
-    assert np.allclose(M1, (1 - kappa) * M + kappa * m_star, atol=1e-12)
-    assert delta == pytest.approx(kappa * m_star.min(), rel=1e-15)
-    assert M1.min() >= delta - 1e-12 and not M1.flags.writeable
+    kappa = p.kappas.kappa1
+    assert 0.0 < kappa < 1.0
+    eta1 = (1 - kappa) * bracket.eta_opt.eta + kappa * m_star
+    assert np.array_equal(p.control_reversed.start[::-1], eta1)
+    assert np.array_equal(p.q.weights, (1 - kappa) * bracket.M_opt[-1] + kappa * m_star)
+    assert p.delta == kappa * m_star.min()
+    assert eta1.min() >= p.delta - 1e-12 and p.q.weights.min() >= p.delta - 1e-12
 
 
-@pytest.mark.parametrize("kappa", [0.0, -0.1, 1.2])
-def test_mixing_rejects_bad_weight(kappa):
-    ctrl, M = _toy_control()
-    with pytest.raises(PreconditionViolation):
-        mix_with_stationary(ctrl, M, BENCH, kappa)
-
-
-def test_reversal_mapping():
-    ctrl, M = _toy_control()
-    ctrl1, _, _ = mix_with_stationary(ctrl, M, BENCH, 0.5)
-    rev = reverse_control(ctrl1)
-    assert np.array_equal(rev.breaks, np.linspace(0.0, 1.0, 5))
-    assert np.array_equal(rev.start, ctrl1.eta[::-1])
+def test_reversal_mapping(bench_plan):
+    rev = bench_plan.control_reversed
+    J = len(rev.start)
+    assert np.array_equal(rev.breaks, np.linspace(0.0, bench_plan.T, J + 1))
     assert not rev.slope.any()
-    # past the horizon the path freezes the last reversed value
-    assert np.array_equal(rev.value(1.5), ctrl1.eta[0])
+    # past the horizon the schedule freezes the first mixed row
+    assert np.array_equal(bench_plan.schedule[-1], rev.start[-1])
 
 
 def _grid_flow(q, eta, c):
@@ -138,10 +124,11 @@ def _uniform_step_path(eta, c):
 def test_reversed_flow_nodes_match_grid_integrator():
     """Closed-form nodes of a step path agree with the uniform-grid integrator."""
     ctrl, M = _toy_control()
-    rev = reverse_control(ctrl)
+    rows = ctrl.eta[::-1]
+    rev = PiecewiseLinearPath(np.linspace(0.0, ctrl.T, ctrl.J + 1), rows, np.zeros_like(rows))
     q = M[-1]
     nodes = reversed_flow_nodes(q, rev)
-    assert np.abs(nodes - _grid_flow(q, rev.start, ctrl.T / ctrl.J)).max() < 1e-12
+    assert np.abs(nodes - _grid_flow(q, rows, ctrl.T / ctrl.J)).max() < 1e-12
 
 
 def test_reversed_flow_nodes_solve_the_ode_on_linear_pieces():
@@ -205,32 +192,19 @@ def test_reversed_flow_nodes_match_a_decimal_reference_on_steep_ramps():
     assert worst <= 1e-15
 
 
-def test_piecewise_constant_path_semantics():
-    p = _step_path()
-    assert np.array_equal(p.value(0.0), [1.0, 0.0])
-    assert np.array_equal(p.value(0.05), [0.3, 0.7])
-    assert np.array_equal(p.value(0.2), [0.3, 0.7])
-    assert p.lipschitz_l1() == 0.0
-
-
-def _sloped_path():
-    breaks = np.array([0.0, 0.5, 1.25, 2.0])
-    start = np.array([[1.0, -2.0], [0.5, 3.0], [-1.0, 0.25]])
-    slope = np.array([[2.0, 4.0], [-1.5, 0.5], [3.0, -2.0]])
-    return PiecewiseLinearPath(breaks, start, slope)
-
-
-def test_linear_path_values():
-    """Values of nonzero-slope pieces, inside pieces, at breaks and past the horizon."""
-    p = _sloped_path()
-    b, start, slope = p.breaks, p.start, p.slope
-    times = np.array([0.0, 0.2, 0.5, 0.9, 1.25, 1.7, 2.0, 2.6, 4.0])
-    got = p.value(times)
-    for s, row in zip(times, got):
-        i = min(int(np.searchsorted(b, s, side="right")) - 1, 2)
-        assert np.allclose(row, start[i] + slope[i] * (s - b[i]), atol=1e-15, rtol=0.0)
-        assert np.array_equal(p.value(s), row)
-    assert p.lipschitz_l1() == 6.0
+@pytest.mark.parametrize("field,at,value", [
+    ("breaks", 1, np.nan),
+    ("breaks", 3, np.inf),
+    ("start", (1, 0), np.nan),
+    ("slope", (2, 1), -np.inf),
+], ids=["nan-break", "inf-last-break", "nan-row", "inf-slope"])
+def test_path_rejects_non_finite_input(field, at, value):
+    """A NaN or infinite break, row or slope is refused before any flow or
+    cost reads it; ``reversed_cost`` would return NaN."""
+    args = {"breaks": np.arange(4.0), "start": np.full((3, 2), 0.5), "slope": np.zeros((3, 2))}
+    args[field][at] = value
+    with pytest.raises(PreconditionViolation, match="must be finite"):
+        PiecewiseLinearPath(**args)
 
 
 def _window_average(p, s, kappa2):
@@ -241,46 +215,40 @@ def _window_average(p, s, kappa2):
     return overlap @ p.start / kappa2
 
 
-def test_mollify_is_window_average():
-    p = _step_path()
-    kappa2 = 0.01
-    res = mollify_control(p, kappa2, 0.5, 0.1)
-    for s in np.linspace(0.0, 0.1, 23):
-        assert np.allclose(res.path.value(s), _window_average(p, s, kappa2), atol=1e-12)
-    # steepest slope is the single jump smeared over one window
-    assert res.path.lipschitz_l1() == pytest.approx(1.4 / kappa2, rel=1e-12)
-    assert res.cost_increase >= 0.0 and res.deviation >= 0.0
+def test_mollify_is_window_average(bench_plan):
+    """The schedule, read as ``run_plan`` reads it, is the moving average of
+    the reversed step control over the window ``kappa2``, on the bench plan
+    and on a plan whose window is capped at half the solver mesh."""
+    short = build_plan((0.55, 0.45), Kernel([[0.6, 0.4], [0.4, 0.6]]), T=0.2, slack=1.0)
+    for p in (bench_plan, short):
+        kappa2, rev = p.kappas.kappa2, p.control_reversed
+        for s in np.linspace(0.0, 1.25 * p.T, 401):
+            read = [np.interp(s, p.knots, p.schedule[:, x]) for x in range(2)]
+            assert np.allclose(read, _window_average(rev, s, kappa2), atol=1e-12, rtol=0.0)
+        # steepest slope is the largest jump between reversed rows smeared over one window
+        jump = np.abs(np.diff(rev.start, axis=0)).sum(axis=1).max()
+        assert p.bounds.lipschitz_l1 == pytest.approx(jump / kappa2, rel=1e-9)
+        assert p.bounds.bound_mollify >= 0.0 and p.bounds.dev_mollify >= 0.0
 
 
 @pytest.mark.parametrize("T", [2.0, 4.0])
 def test_mollified_nodes_are_the_reversed_rows(T):
-    """At its kinks the mollified path takes each reversed mixed row twice, bit
-    for bit, so its nodes sum to 1 as the solver's rows do; the flat pieces
-    have exactly zero slope."""
+    """At its kinks the schedule takes each reversed mixed row twice, bit for
+    bit, so its nodes sum to 1 as the solver's rows do; the flat pieces have
+    exactly zero slope."""
     p = build_plan(BENCH_TARGET, BENCH, T=T, slack=1.0)
     rev = p.control_reversed
-    lin = mollify_control(rev, p.kappas.kappa2, p.delta, p.delta0).path
-    assert np.array_equal(lin.value(lin.breaks), np.repeat(rev.start, 2, axis=0))
-    assert not lin.slope[::2].any()
-    assert np.array_equal(lin.breaks[::2], rev.breaks[:-1])
+    assert np.array_equal(p.schedule, np.repeat(rev.start, 2, axis=0))
+    for x in range(2):
+        assert np.array_equal(np.interp(p.knots, p.knots, p.schedule[:, x]), p.schedule[:, x])
+    assert not _mollified_path(p).slope[::2].any()
+    assert np.array_equal(p.knots[::2], rev.breaks[:-1])
 
 
 def test_mollify_window_too_wide():
-    p = PiecewiseLinearPath(np.array([0.0, 0.1]), np.array([[0.5, 0.5]]), np.zeros((1, 2)))
-    with pytest.raises(PreconditionViolation):
-        mollify_control(p, 0.05, 0.1, 0.1)
-
-
-@pytest.mark.parametrize("kappa2", [0.05, 0.08])
-def test_mollify_window_not_narrower_than_a_piece(kappa2):
-    # 3 kappa2 e^T <= delta / 2 holds; the window reaches across a whole piece
-    with pytest.raises(PreconditionViolation, match="narrower than every piece"):
-        mollify_control(_step_path(), kappa2, 1.0, 0.1)
-
-
-def test_mollify_rejects_sloped_path():
-    with pytest.raises(PreconditionViolation, match="step function"):
-        mollify_control(_sloped_path(), 1e-4, 0.5, 0.1)
+    # the derived window at slack 0.5 breaks 3 kappa2 e^T <= delta / 2
+    with pytest.raises(PreconditionViolation, match="build_plan: window .* too wide"):
+        build_plan(BENCH_TARGET, BENCH, T=2.0, slack=0.5)
 
 
 def test_kappa2_cap_binds_on_a_short_horizon():
@@ -303,7 +271,9 @@ def test_kappa2_cap_binds_on_a_short_horizon():
 
 
 def _mollified_path(plan):
-    return mollify_control(plan.control_reversed, plan.kappas.kappa2, plan.delta, plan.delta0).path
+    """The schedule as a path: linear between its knots."""
+    slope = np.diff(plan.schedule, axis=0) / np.diff(plan.knots)[:, None]
+    return PiecewiseLinearPath(plan.knots, plan.schedule[:-1], slope)
 
 
 def test_bench_plan_schedule_mesh(bench_plan):
@@ -330,19 +300,18 @@ def test_schedule_cost_is_the_mollified_cost(kernel, m, T):
     knots is that control, and its reversed cost is the mollified cost."""
     A = Kernel(kernel)
     p = build_plan(m, A, T=T, slack=1.0)
-    slope = np.diff(p.schedule, axis=0) / np.diff(p.knots)[:, None]
-    read = PiecewiseLinearPath(p.knots, p.schedule[:-1], slope)
-    assert np.array_equal(read.slope, _mollified_path(p).slope)
+    read = _mollified_path(p)
+    assert p.bounds.lipschitz_l1 == np.abs(read.slope).sum(axis=1).max()
     assert reversed_cost(p.q, read, A) == p.bounds.cost_schedule_quad == p.bounds.cost_mollified_quad
 
 
-@pytest.mark.parametrize("slack", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("slack", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_slack_is_rejected_before_the_solve(monkeypatch, slack):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_rate called")
 
     monkeypatch.setattr(lowerbound, "solve_rate", no_solve)
-    with pytest.raises(PreconditionViolation, match="slack must be positive"):
+    with pytest.raises(PreconditionViolation, match="slack must be positive and finite"):
         build_plan(BENCH_TARGET, BENCH, T=2.0, slack=slack)
 
 
@@ -415,6 +384,13 @@ def _two_product_chain_rule(path, A):
     return lhs, rhs
 
 
+def _path_value(path, s):
+    """Rows ``start[i] + slope[i] (s - breaks[i])`` of the pieces holding the
+    times ``s``, the last piece continuing past the horizon."""
+    i = np.minimum(np.searchsorted(path.breaks, s, side="right") - 1, len(path.start) - 1)
+    return path.start[i] + path.slope[i] * (s - path.breaks[i])[:, None]
+
+
 def _reference_run(plan, A, n, eps0, seed, x0=1):
     """``run_plan`` with the mollified path's values at the clock, a fallback
     of one numpy dispatch per step and a one-hot ``Lbar``: the run oracle."""
@@ -440,7 +416,7 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
             cnt[x] += 1.0
     else:
         clock = times[n1 + 1 : n + 1] - times[n1]
-        mu[n1:] = _mollified_path(plan).value(clock)
+        mu[n1:] = _path_value(_mollified_path(plan), clock)
         states[n1:] = _inverse_cdf_rows(mu[n1:], u[n1:]) + 1
     one_hot = np.zeros((n, d))
     one_hot[np.arange(n), states - 1] = 1.0
