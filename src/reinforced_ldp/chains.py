@@ -20,12 +20,16 @@ bitwise reproducible regardless of scheduling.  Single paths draw from a
 numpy ``Generator`` over ``np.random.Philox``; a batch draws all its
 uniforms at once from :func:`philox_uniforms`, a vectorized Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, SC'11) that reproduces numpy's Philox
-streams bit for bit.
+streams bit for bit.  Its rounds run in place on uint64 arrays allocated
+once per call, and it stores the uniforms word-major, so a batch step
+reads its column of uniforms contiguously.
 
 Every state is drawn by one rule, the column scan :func:`_column_scan`:
 ``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF ``C``, the smallest
-``x`` with ``u <= C_x``, clamped to ``d-1``.  Batch steps, controlled steps
-and :func:`~reinforced_ldp.lowerbound.run_plan` scan their CDFs.  A single
+``x`` with ``u <= C_x``, clamped to ``d-1``.  A batch step builds only the
+scanned columns, ``C_0..C_{d-2}``, adding them in ``cumsum``'s order, and
+counts the draws with one masked add per state.  Controlled steps and
+:func:`~reinforced_ldp.lowerbound.run_plan` scan their CDFs.  A single
 path, and the fallback of ``run_plan``, draw in blocks
 (:func:`_reinforced_draws`): each pass over a block forms the CDFs
 ``cumsum((count / k) @ A)`` of all its steps from a guess of their draws,
@@ -67,7 +71,7 @@ _INFINITE_COST = "infinite running cost: control mass escaped the kernel support
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _SHIFT11 = np.uint64(11)
 
@@ -99,9 +103,15 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     to ``path_rng(seed, streams[i]).random(count)``.
 
     The Philox4x64-10 rounds run on uint64 arrays with one element per
-    stream.  As in numpy, block ``b`` is the image of counter
-    ``(b+1, 0, 0, 0)`` under key ``(seed, stream)``, its four words are used
-    in order, and word ``w`` becomes the double ``(w >> 11) * 2**-53``.
+    stream, allocated once per call and reused by every round of every
+    block: the counter words, the products of :func:`mulhilo64` and its
+    scratch, and the key word ``stream``, advanced in place.  The key word
+    ``seed`` is the same for every stream and stays a Python int.  As in
+    numpy, block ``b`` is the image of counter ``(b+1, 0, 0, 0)`` under key
+    ``(seed, stream)``, its four words are used in order, and word ``w``
+    becomes the double ``(w >> 11) * 2**-53``.  The result is the transpose
+    of a C-ordered ``(count, len(streams))`` array, so the uniforms of one
+    draw index across all streams are contiguous.
     """
     count = _as_count(count, "philox_uniforms: count")
     if count < 0:
@@ -110,21 +120,33 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     k1 = k1.ravel()
     r = k1.size
     blocks = -(-count // 4)
-    out = np.empty((r, 4 * blocks))
-    zero = np.zeros(r, dtype=np.uint64)
+    out = np.empty((4 * blocks, r))
+    c0, c1, c2, c3, hi1, lo0, lo1, t1, t2, key1 = np.empty((10, r), dtype=np.uint64)
     for b in range(blocks):
-        key0, key1 = np.full(r, k0, dtype=np.uint64), k1
-        c0, c1, c2, c3 = np.full(r, b + 1, dtype=np.uint64), zero, zero, zero
+        key0 = k0
+        np.copyto(key1, k1)
+        c0.fill(b + 1)
+        c1.fill(0)
+        c2.fill(0)
+        c3.fill(0)
         for i in range(_PHILOX_ROUNDS):
             if i:
-                key0 = key0 + _PHILOX_W[0]
-                key1 = key1 + _PHILOX_W[1]
-            hi0, lo0 = mulhilo64(_PHILOX_M[0], c0)
-            hi1, lo1 = mulhilo64(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+                key0 = (key0 + _PHILOX_W[0]) & _MASK64
+                key1 += _PHILOX_W[1]
+            # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0);
+            # hi0 is written into c2, which the first product has already read
+            mulhilo64(_PHILOX_M[1], c2, out=(hi1, lo1), scratch=(t1, t2))
+            mulhilo64(_PHILOX_M[0], c0, out=(c2, lo0), scratch=(t1, t2))
+            c2 ^= c3
+            c2 ^= key1
+            np.bitwise_xor(hi1, c1, out=c0)
+            c0 ^= key0
+            c1, lo1 = lo1, c1
+            c3, lo0 = lo0, c3
         for j, c in enumerate((c0, c1, c2, c3)):
-            np.multiply(c >> _SHIFT11, 2.0**-53, out=out[:, 4 * b + j])
-    return out[:, :count]
+            np.right_shift(c, _SHIFT11, out=t1)
+            np.multiply(t1, 2.0**-53, out=out[4 * b + j])
+    return out[:count].T
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -331,9 +353,14 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
 
     Path ``i`` consumes stream ``i`` of ``seed``, so path 0 reproduces
     ``simulate_chain(A, x0, n, seed)``.  Paths run in blocks of
-    ``_BATCH_CHUNK``; each step forms the CDF ``cumsum((counts / k) @ A)``
-    of every path in the block and draws all their states with one column
-    scan.
+    ``_BATCH_CHUNK``, and each block draws its uniforms with one call of
+    :func:`philox_uniforms`.  Each step forms ``m = (counts / k) @ A`` for
+    every path of the block in one matrix product and scans the CDF of
+    ``m`` as :func:`_column_scan` does, ``x = sum_{i<d-1} [u > C_i]``.  It
+    builds only the scanned columns: ``C_0 = m_0``, then ``C_i = C_{i-1} +
+    m_i``, the adds ``np.cumsum(m, axis=1)`` makes, in its order, so each
+    ``C_i`` is the same double.  The draws go into the counts by one masked
+    add per state, ``counts[:, i] += (x == i)``, with no scatter.
     """
     n = _as_count(n, "simulate_chain_batch: n")
     n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")
@@ -349,10 +376,18 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
         u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
         counts = np.zeros((r, d), dtype=np.int64)
         counts[:, x0 - 1] = 1
-        rows = np.arange(r)
+        x = np.empty(r, dtype=np.int64)
         for k in range(1, n):
-            cdf = np.cumsum((counts / float(k)) @ Amat, axis=1)
-            counts[rows, _column_scan(cdf, u[:, k - 1])] += 1
+            m = (counts / float(k)) @ Amat
+            uk = u[:, k - 1]
+            # x = sum_{i<d-1} [u > C_i], C_i summed column by column as cumsum does
+            acc = m[:, 0]
+            np.greater(uk, acc, out=x)
+            for i in range(1, d - 1):
+                acc = acc + m[:, i]
+                x += uk > acc
+            for i in range(d):
+                counts[:, i] += x == i
         out[lo:hi] = counts
         del u  # before the next block draws its own
     return out

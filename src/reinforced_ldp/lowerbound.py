@@ -152,8 +152,8 @@ class PlanBounds:
     """Measured costs and certified budgets of the two steps of :func:`build_plan`.
 
     The quadrature values are continuous-time integrals; ``cost_mixed``
-    is the solver's left-endpoint sum for the mixed pair, comparable to
-    ``cost_solver`` only.  The chain of guarantees is
+    is the solver's left-endpoint sum for the mixed pair, clamped at 0 like
+    ``cost_solver``, and comparable to it only.  The chain of guarantees is
     ``cost_mollified_quad <= cost_reversed_quad + bound_mollify``, with
     ``cost_reversed_quad == cost_mixed_quad`` by the time change.  The
     schedule is the mollified control itself, so ``cost_schedule_quad``
@@ -242,7 +242,8 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     eta1 = (1.0 - kappa1) * np.asarray(bracket.eta_opt.eta, dtype=float) + kappa1 * mstar
     M1 = (1.0 - kappa1) * bracket.M_opt + kappa1 * mstar
     delta = float(kappa1 * mstar.min())
-    cost_mixed = _cost_value(eta1, M1, A.matrix, _weights_vector(T_val, J_val))
+    # a relative-entropy sum: rounding can leave it a few ulps below zero, as in rate_profile
+    cost_mixed = max(_cost_value(eta1, M1, A.matrix, _weights_vector(T_val, J_val)), 0.0)
     cost_mixed_quad = forward_cost_continuous(PiecewiseControl(T=T_val, J=J_val, eta=eta1), M1, A)
     q = ProbVec(M1[-1])
     rows = eta1[::-1]

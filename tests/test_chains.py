@@ -359,11 +359,12 @@ def test_simulate_chain_batch_stream_zero_matches_single():
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
-@pytest.mark.parametrize("count", [1, 3, 4, 5, 19, 64])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 19, 64])
 def test_philox_uniforms_matches_numpy_philox(seed, count):
-    # counts that are not multiples of 4 leave a partly used last block;
-    # 8191/8192 straddle the default batch chunk, 2**63+5 sets the key's top bit
-    streams = [0, 1, 8191, 8192, 2**63 + 5]
+    # counts that are not multiples of 4 leave a partly used last block, and
+    # count 0 draws no block; 8191/8192 straddle the default batch chunk,
+    # 2**63+5 sets the key's top bit and 2**64-1 is the largest stream
+    streams = [0, 1, 8191, 8192, 2**63 + 5, 2**64 - 1]
     u = philox_uniforms(seed, streams, count)
     assert u.shape == (len(streams), count)
     for row, stream in zip(u, streams):
@@ -429,12 +430,12 @@ def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
     assert path.states.tolist() == expect == [draw + 1 for _, _, draw in crafted]
 
 
-def _reference_batch(A, x0, n, n_paths, seed, chunk):
+def _reference_batch(A, x0, n, n_paths, seed, chunk, uniforms=philox_uniforms):
     """``simulate_chain_batch`` drawing each step with :func:`_inverse_cdf_rows`: the batch oracle."""
     out = np.empty((n_paths, A.d), dtype=np.int64)
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
-        u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
+        u = uniforms(seed, np.arange(lo, hi), n - 1)
         counts = np.zeros((hi - lo, A.d), dtype=np.int64)
         counts[:, x0 - 1] = 1
         for k in range(1, n):
@@ -451,6 +452,43 @@ def test_simulate_chain_batch_matches_the_count_and_clamp_loop(monkeypatch, d):
     for x0 in (1, d):
         got = simulate_chain_batch(A, x0, 40, 300, SEED + d)
         assert np.array_equal(got, _reference_batch(A, x0, 40, 300, SEED + d, 128))
+
+
+# row 1 of each kernel, the step-1 measure from x0 = 1: the d=3 row's float
+# total is 1 - 10 * 2**-53, so a uniform can lie above it, and the d=4 row's
+# C_2 = (0.1 + 0.2) + 0.3 is one ulp above 0.1 + (0.2 + 0.3) and (0.3 + 0.2) + 0.1
+TIE_ROWS = {3: [0.3, 0.35, 0.349999999999999], 4: [0.1, 0.2, 0.3, 0.4]}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_simulate_chain_batch_step_one_ties(monkeypatch, d):
+    """Step-1 uniforms on each scanned CDF value ``C_i``, one ulp either side of
+    it, and above the row total draw as the count-and-clamp oracle does."""
+    rest = 0.9 * np.random.default_rng(d).dirichlet(np.ones(d), size=d - 1) + 0.1 / d
+    A = Kernel(np.vstack([TIE_ROWS[d], rest]))
+    cdf = np.cumsum(A.matrix[0])
+    ties = [0.0]
+    draws = [0]
+    for i, c in enumerate(cdf[:-1]):
+        ties += [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]
+        draws += [i, i, i + 1]
+    if d == 3:
+        assert cdf[-1] < np.nextafter(cdf[-1], 1.0) < 1.0 - EPS
+        ties += [np.nextafter(cdf[-1], 1.0), 1.0 - EPS]
+        draws += [d - 1, d - 1]
+
+    def crafted(seed, streams, count):
+        u = philox_uniforms(seed, streams, count).copy()
+        u[: len(ties), 0] = ties
+        return u
+
+    monkeypatch.setattr(chains, "philox_uniforms", crafted)
+    n_paths = len(ties) + 5
+    first = simulate_chain_batch(A, 1, 2, n_paths, SEED)
+    assert np.argmax(first[: len(ties)] - np.eye(d, dtype=np.int64)[0], axis=1).tolist() == draws
+    assert np.array_equal(first, _reference_batch(A, 1, 2, n_paths, SEED, n_paths, crafted))
+    got = simulate_chain_batch(A, 1, 12, n_paths, SEED)
+    assert np.array_equal(got, _reference_batch(A, 1, 12, n_paths, SEED, n_paths, crafted))
 
 
 def test_non_integer_step_count_is_precondition_error():

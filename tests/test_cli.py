@@ -370,12 +370,14 @@ def test_lowerbound_artifacts_match_golden_digests(tmp_path):
 
 # SHA-256 of `plan.json` with `include_schedule: true`, seed 0, slack 1: a d=3
 # plan, and a short-horizon plan whose mollifier window is capped at half the
-# solver mesh; every knot and schedule row of the plan is in the digest
+# solver mesh; every knot and schedule row of the plan is in the digest.  The
+# capped plan's solver cost is 0 and its cost_mixed prints as 0.0, clamped
+# from a rounded -5.8e-17; no other byte of it moved with the clamp
 PLAN_SCHEDULE_DIGESTS = {
     "d3": ([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]], [0.6, 0.3, 0.1], 1.0,
            "92cc98750e6118be3e88706846403ae0073ee73e513839d8f9290c68137ae02d"),
     "kappa2_cap": ([[0.6, 0.4], [0.4, 0.6]], [0.55, 0.45], 0.2,
-                   "08f843042ac587af308c371dc2fe8ea74b4fa7a829bda87a1cfa06d5d17d1b36"),
+                   "5df9cf00693e2862558e9f1ed6cc49c1e3fd0c0a946048b2f640cf12e33219d0"),
 }
 
 

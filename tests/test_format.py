@@ -132,9 +132,18 @@ def test_mulhilo64_matches_python_integers():
     a = rng.integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
     b = rng.integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
     a[:2], b[:2] = np.uint64(2**64 - 1), np.uint64(2**64 - 1)
+    b[2] = 0
     hi, lo = mulhilo64(a, b)
     for x, y, h, l in zip(a.tolist(), b.tolist(), hi.tolist(), lo.tolist()):
         assert (h << 64) | l == x * y
+    # a scalar first operand, as the Philox rounds pass their multipliers, into
+    # output and scratch arrays that every call reuses
+    bufs = np.full((4, b.size), 12345, dtype=np.uint64)
+    for x in (0xD2E7470EE14C6C93, 0xCA5A826395121157, 2**64 - 1, 1, 0):
+        hi, lo = mulhilo64(np.uint64(x), b, out=(bufs[0], bufs[1]), scratch=(bufs[2], bufs[3]))
+        assert hi.base is bufs and lo.base is bufs
+        for y, h, l in zip(b.tolist(), hi.tolist(), lo.tolist()):
+            assert (h << 64) | l == x * y
 
 
 def test_integer_columns_and_rows_cross_blocks(tmp_path):

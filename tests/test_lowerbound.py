@@ -68,6 +68,19 @@ def test_bounds_chain(bench_plan):
     assert bench_plan.solve.converged and bench_plan.solve.gap <= 1e-10
 
 
+def test_mixed_cost_is_clamped_at_zero():
+    """On this d=3 plan the solver's cost is 0 and the mixed pair's left-endpoint
+    sum rounds to about -1.5e-17; plan.json prints no negative relative entropy."""
+    A = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
+    plan = build_plan([0.2, 0.3, 0.5], A, T=1.0, slack=1.0)
+    b = plan.bounds
+    assert b.cost_solver == 0.0
+    assert b.cost_mixed == 0.0
+    assert abs(b.cost_mixed - b.cost_mixed_quad) < 1e-4
+    costs = {k: v for k, v in json.loads(plan_to_json(plan))["bounds"].items() if k.startswith("cost_")}
+    assert costs["cost_mixed"] == 0.0 and min(costs.values()) >= 0.0
+
+
 def test_terminal_gap(bench_plan):
     b = bench_plan.bounds
     gap = np.abs(bench_plan.M_hat[-1] - bench_plan.m.weights).sum()
