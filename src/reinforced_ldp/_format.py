@@ -33,6 +33,7 @@ import numpy as np
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ONE = np.uint64(1)
+_TEN = np.uint64(10)
 
 # rows per block of write_array_csv
 _BLOCK_ROWS = 8192
@@ -248,7 +249,9 @@ def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = max([_FAST_WIDTH if expo.any() else 22] + [len(t) for t in texts])
     chars = np.zeros(v.shape + (width + 1,), dtype=np.uint8)
     for j in range(21, 4, -1):
-        N, chars[..., j] = np.divmod(N, np.uint64(10))
+        q = N // _TEN
+        chars[..., j] = N - q * _TEN
+        N = q
     if width == _FAST_WIDTH:
         chars[..., 0] = chars[..., 5] * expo
         chars[..., 24:27] = _EXPONENT_DIGITS[E + 308]
@@ -270,7 +273,9 @@ def _int_cells(k: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     k = k.astype(np.uint64)
     chars = np.empty((len(k), width + 1), dtype=np.uint8)
     for j in range(width - 1, -1, -1):
-        k, chars[:, j] = np.divmod(k, np.uint64(10))
+        q = k // _TEN
+        chars[:, j] = k - q * _TEN
+        k = q
     # keep from the first nonzero digit on, and always the last digit and the comma
     keep = np.logical_or.accumulate(chars != 0, axis=1)
     keep[:, width - 1:] = True

@@ -112,6 +112,13 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     becomes the double ``(w >> 11) * 2**-53``.  The result is the transpose
     of a C-ordered ``(count, len(streams))`` array, so the uniforms of one
     draw index across all streams are contiguous.
+
+    Three of a block's twenty products take the same value for every
+    stream, and each is one Python-int product.  Round 0 multiplies the
+    counter words ``b+1`` and ``0``: ``M1 * 0 = 0``, so with ``p = M0 (b+1)``
+    it leaves ``(seed, 0, hi(p) ^ stream, lo(p))``.  Round 1 multiplies that
+    first word, the key word ``seed`` before its Weyl step, by ``M0``.  Only
+    its other product and the eight rounds after it run on arrays.
     """
     count = _as_count(count, "philox_uniforms: count")
     if count < 0:
@@ -122,17 +129,22 @@ def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
     blocks = -(-count // 4)
     out = np.empty((4 * blocks, r))
     c0, c1, c2, c3, hi1, lo0, lo1, t1, t2, key1 = np.empty((10, r), dtype=np.uint64)
+    m0 = int(_PHILOX_M[0])
+    s = m0 * k0  # round 1's M0 product, the same in every block
     for b in range(blocks):
-        key0 = k0
-        np.copyto(key1, k1)
-        c0.fill(b + 1)
-        c1.fill(0)
-        c2.fill(0)
-        c3.fill(0)
-        for i in range(_PHILOX_ROUNDS):
-            if i:
-                key0 = (key0 + _PHILOX_W[0]) & _MASK64
-                key1 += _PHILOX_W[1]
+        p = m0 * (b + 1)  # round 0's M0 product
+        np.bitwise_xor(k1, p >> 64, out=c2)
+        key0 = (k0 + _PHILOX_W[0]) & _MASK64
+        np.add(k1, _PHILOX_W[1], out=key1)
+        # round 1 on (seed, 0, c2, lo(p)): (hi1 ^ key0, lo1, hi(s) ^ lo(p) ^ key1, lo(s))
+        mulhilo64(_PHILOX_M[1], c2, out=(hi1, lo1), scratch=(t1, t2))
+        np.bitwise_xor(hi1, key0, out=c0)
+        np.bitwise_xor(key1, (s >> 64) ^ (p & _MASK64), out=c2)
+        c1, lo1 = lo1, c1
+        c3.fill(s & _MASK64)
+        for _ in range(2, _PHILOX_ROUNDS):
+            key0 = (key0 + _PHILOX_W[0]) & _MASK64
+            key1 += _PHILOX_W[1]
             # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0);
             # hi0 is written into c2, which the first product has already read
             mulhilo64(_PHILOX_M[1], c2, out=(hi1, lo1), scratch=(t1, t2))
@@ -374,8 +386,8 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
         hi = min(lo + _BATCH_CHUNK, n_paths)
         r = hi - lo
         u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
-        counts = np.zeros((r, d), dtype=np.int64)
-        counts[:, x0 - 1] = 1
+        counts = np.zeros((r, d))
+        counts[:, x0 - 1] = 1.0
         x = np.empty(r, dtype=np.int64)
         for k in range(1, n):
             m = (counts / float(k)) @ Amat

@@ -123,12 +123,17 @@ def _weights_of(obj) -> np.ndarray:
 
 def relative_entropy(nu, mu) -> float:
     """R(nu || mu) = sum nu log(nu/mu), with 0 log 0 = 0 and +inf when
-    nu puts mass where mu does not."""
+    nu puts mass where mu does not.
+
+    R is nonnegative, but the rounded sum of terms of both signs can fall
+    below 0 when nu is within rounding of mu; a negative sum returns 0.0.
+    +inf and nan are returned as they are."""
     a = _weights_of(nu)
     b = _weights_of(mu)
     if a.shape != b.shape:
         raise DimensionMismatch(f"relative_entropy: shapes {a.shape} and {b.shape} differ")
-    return float(np.sum(rel_entr(a, b)))
+    value = float(np.sum(rel_entr(a, b)))
+    return 0.0 if value < 0.0 else value
 
 
 def kernel_apply(m, A: Kernel) -> ProbVec:

@@ -371,6 +371,18 @@ def test_philox_uniforms_matches_numpy_philox(seed, count):
         assert np.array_equal(row, path_rng(seed, stream).random(count))
 
 
+@pytest.mark.parametrize("seed", [1, 2**63, 2**64 - 0x9E3779B97F4A7C15])
+def test_philox_uniforms_hoisted_rounds_match_numpy_philox(seed):
+    # count 37 draws ten blocks, the last partly used, so every block's
+    # counter b+1 enters round 0; the last seed makes round 1's key word
+    # seed + 0x9E3779B97F4A7C15 wrap to 0, so a round-1 product taken from
+    # the key after its Weyl step is 0 there
+    streams = [0, 8191, 2**64 - 1]
+    u = philox_uniforms(seed, streams, 37)
+    for row, stream in zip(u, streams):
+        assert np.array_equal(row, path_rng(seed, stream).random(37))
+
+
 def _inverse_cdf_rows(prob_rows, u):
     """Smallest index x with u <= CDF(x), one draw per row (0-based), by
     counting all ``d`` CDF values below ``u`` and clamping: the draw oracle."""

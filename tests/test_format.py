@@ -159,6 +159,18 @@ def test_integer_columns_and_rows_cross_blocks(tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
+def test_integer_cells_at_every_power_of_ten(tmp_path):
+    values = [0, 9, 10] + [v for k in range(2, 19) for v in (10**k - 1, 10**k)] + [2**63 - 1]
+    values = np.array(values, dtype=np.int64)
+    # a column capped at 10^k - 1 is k digits wide, one capped at 10^k is k + 1
+    caps = [c for k in range(1, 19) for c in (10**k - 1, 10**k)] + [2**63 - 1]
+    ints = [np.minimum(values, cap) for cap in caps]
+    out = tmp_path / "ints.csv"
+    write_array_csv(out, [f"c{j}" for j in range(len(ints))] + ["x"], ints, np.zeros((len(values), 1)))
+    rows = out.read_text().splitlines()[1:]
+    assert rows == [",".join("%d" % c[i] for c in ints) + ",0" for i in range(len(values))]
+
+
 def test_export_path_csv_equals_row_template(tmp_path):
     A = Kernel(0.9 * np.random.default_rng(12).dirichlet(np.ones(4), size=4) + 0.1 / 4)
     path = simulate_chain(A, 2, 10_050, 7)

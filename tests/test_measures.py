@@ -47,6 +47,16 @@ def test_relative_entropy_handles_zero_mass_in_nu():
     assert val == pytest.approx(math.log(2.0))
 
 
+def test_relative_entropy_is_not_negative_within_rounding_of_mu():
+    # the two terms of this nu round to a sum of -1.1e-16
+    nu = _normalize([0.010000000000000002, 0.01])
+    assert relative_entropy(nu, np.array([0.5, 0.5])) == 0.0
+
+
+def test_relative_entropy_keeps_nan():
+    assert math.isnan(relative_entropy(np.array([math.nan, 1.0]), np.array([0.5, 0.5])))
+
+
 def test_relative_entropy_infinite_off_support():
     assert relative_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
 
