@@ -21,6 +21,13 @@ by under ``2^53`` units, which can move the rounding only when the
 remainder lies less than ``2^64`` units below one half.  Such a value,
 about one in ``2^59``, goes through :func:`f17` itself, as does every
 value outside the domain.
+
+Digits, of integer cells and of the 17-digit ``N`` of a float cell, come
+out one decimal place per pass over the block, last place first, by a
+uint64 floor divide: ``q = N // 10``, the digit ``N - 10 q``, then ``N =
+q``.  numpy's uint64 ``np.divmod`` gives the same digits at about 2.6
+times the cost (17 places of 16,384 values: 1.3 ms against 0.50 ms on a
+2-vCPU Xeon).
 """
 from __future__ import annotations
 

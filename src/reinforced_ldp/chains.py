@@ -22,7 +22,10 @@ uniforms at once from :func:`philox_uniforms`, a vectorized Philox4x64-10
 (Salmon, Moraes, Dror & Shaw, SC'11) that reproduces numpy's Philox
 streams bit for bit.  Its rounds run in place on uint64 arrays allocated
 once per call, and it stores the uniforms word-major, so a batch step
-reads its column of uniforms contiguously.
+reads its column of uniforms contiguously.  Block ``b`` starts from the
+counter ``(b+1, 0, 0, 0)`` and the key ``(seed, stream)``, so three of its
+twenty products are the same for every stream and are Python-int
+products: round 0's ``M0 (b+1)`` and ``M1 0``, and round 1's ``M0 seed``.
 
 Every state is drawn by one rule, the column scan :func:`_column_scan`:
 ``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF ``C``, the smallest
@@ -42,7 +45,7 @@ controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
-rows in numpy: integer digits by vectorized division, and the 17 ``%.17g``
+rows in numpy: integer digits by a vectorized floor divide, and the 17 ``%.17g``
 digits of ``0`` and of every normal value below 1 in integer arithmetic,
 from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`, which the
 Philox rounds share).  Other values (``1``) go through ``f17``, so the
@@ -372,7 +375,9 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
     builds only the scanned columns: ``C_0 = m_0``, then ``C_i = C_{i-1} +
     m_i``, the adds ``np.cumsum(m, axis=1)`` makes, in its order, so each
     ``C_i`` is the same double.  The draws go into the counts by one masked
-    add per state, ``counts[:, i] += (x == i)``, with no scatter.
+    add per state, ``counts[:, i] += (x == i)``, with no scatter.  The
+    counts are float64, exact integers, so ``counts / k`` needs no
+    conversion and gives the doubles int64 counts would.
     """
     n = _as_count(n, "simulate_chain_batch: n")
     n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")

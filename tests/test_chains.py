@@ -358,29 +358,20 @@ def test_simulate_chain_batch_stream_zero_matches_single():
     assert np.all(batch.sum(axis=1) == 60)
 
 
-@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 19, 64])
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 0x9E3779B97F4A7C15, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 19, 37, 64])
 def test_philox_uniforms_matches_numpy_philox(seed, count):
     # counts that are not multiples of 4 leave a partly used last block, and
-    # count 0 draws no block; 8191/8192 straddle the default batch chunk,
-    # 2**63+5 sets the key's top bit and 2**64-1 is the largest stream
+    # count 0 draws no block; 37 draws ten blocks, so ten counters b+1 enter
+    # round 0's constant product; 8191/8192 straddle the default batch chunk,
+    # 2**63+5 sets the key's top bit and 2**64-1 is the largest stream; the
+    # seed 2**64 - 0x9E3779B97F4A7C15 makes round 1's key word wrap to 0, so
+    # a round-1 product taken from the key after its Weyl step is 0 there
     streams = [0, 1, 8191, 8192, 2**63 + 5, 2**64 - 1]
     u = philox_uniforms(seed, streams, count)
     assert u.shape == (len(streams), count)
     for row, stream in zip(u, streams):
         assert np.array_equal(row, path_rng(seed, stream).random(count))
-
-
-@pytest.mark.parametrize("seed", [1, 2**63, 2**64 - 0x9E3779B97F4A7C15])
-def test_philox_uniforms_hoisted_rounds_match_numpy_philox(seed):
-    # count 37 draws ten blocks, the last partly used, so every block's
-    # counter b+1 enters round 0; the last seed makes round 1's key word
-    # seed + 0x9E3779B97F4A7C15 wrap to 0, so a round-1 product taken from
-    # the key after its Weyl step is 0 there
-    streams = [0, 8191, 2**64 - 1]
-    u = philox_uniforms(seed, streams, 37)
-    for row, stream in zip(u, streams):
-        assert np.array_equal(row, path_rng(seed, stream).random(37))
 
 
 def _inverse_cdf_rows(prob_rows, u):
