@@ -27,20 +27,21 @@ counter ``(b+1, 0, 0, 0)`` and the key ``(seed, stream)``, so three of its
 twenty products are the same for every stream and are Python-int
 products: round 0's ``M0 (b+1)`` and ``M1 0``, and round 1's ``M0 seed``.
 
-Every state is drawn by one rule, the column scan :func:`_column_scan`:
-``x = sum_{i<d-1} [u > C_i]`` over the columns of a CDF ``C``, the smallest
-``x`` with ``u <= C_x``, clamped to ``d-1``.  A batch step builds only the
-scanned columns, ``C_0..C_{d-2}``, adding them in ``cumsum``'s order, and
-counts the draws with one masked add per state.  Controlled steps and
-:func:`~reinforced_ldp.lowerbound.run_plan` scan their CDFs.  A single
-path, and the fallback of ``run_plan``, draw in blocks
-(:func:`_reinforced_draws`): each pass over a block forms the CDFs
-``cumsum((count / k) @ A)`` of all its steps from a guess of their draws,
-as one matrix product, and scans them; the draws a pass leaves unchanged
-are the sequential ones.  Where a uniform lies within the rounding bound
-``tol`` of a block CDF edge, the step is redrawn by scanning numpy's 1-D
-``cumsum((count / k) @ A)``, so every draw is bit-identical to sampling
-from ``L^k A`` as computed by numpy.  Every
+Every state is drawn by one rule, the column scan
+``x = sum_{i<d-1} [u > C_i]`` over a CDF ``C``: the smallest ``x`` with
+``u <= C_x``, clamped to ``d-1``.  Controlled steps and
+:func:`~reinforced_ldp.lowerbound.run_plan` scan the CDFs they are given
+(:func:`_column_scan`).  A reinforced step draws from ``L^k A``, whose CDF
+is defined, for the measure ``q = count / k``, as the plain IEEE sums
+``m_y = q_0 A_0y + ... + q_{d-1} A_{d-1,y}`` and ``C_i = m_0 + ... + m_i``
+in index order.  One function forms and scans it, :func:`_reinforced_scan`,
+one numpy ufunc per product and add, so a value does not depend on how
+many draws are formed at once or on the BLAS.  A batch step scans the
+counts of all its paths at once, and a single path, and the fallback of
+``run_plan``, draw in blocks (:func:`_reinforced_draws`): each pass over a
+block scans the measures of all its steps from a guess of their draws,
+and the draws a pass leaves unchanged are the sequential ones.  So every
+draw of a batch path equals the single path's on its stream.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
@@ -69,7 +70,6 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_CAP = 8192
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
-_EPS = 2.0**-53
 _INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
 # Philox4x64-10 constants: round multipliers and Weyl key increments
@@ -263,75 +263,64 @@ class ChainPath:
     L: np.ndarray
 
 
+def _reinforced_scan(q: np.ndarray, Amat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """0-based reinforced draws ``x = sum_{i<d-1} [u > C_i]`` from the measures ``q``.
+
+    ``q`` holds the states along its first axis: a ``(d,)`` vector for every
+    draw, or one column per draw.  The masses are ``m_y = q_0 A_0y + ... +
+    q_{d-1} A_{d-1,y}`` and the CDF values ``C_i = m_0 + ... + m_i``, each
+    product and add one numpy ufunc in index order.  So every value is
+    rounded as the plain IEEE sum is, whatever the shape of ``q`` or the
+    BLAS, and a draw depends only on its own ``q`` and ``u``.  ``C_{d-1}``
+    is never formed: ``x`` is the smallest index with ``u <= C_x``, clamped
+    to ``d-1``, as in :func:`_column_scan`.
+    """
+    d = Amat.shape[0]
+    x = np.zeros(u.shape, dtype=np.int64)
+    c = 0.0
+    for y in range(d - 1):
+        m = q[0] * Amat[0, y]
+        for i in range(1, d):
+            m = m + q[i] * Amat[i, y]
+        c = c + m
+        x += u > c
+    return x
+
+
 def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndarray:
     """0-based states of ``len(u)`` reinforced draws from ``count`` after ``k`` steps.
 
-    Step ``t`` draws by :func:`_column_scan` of numpy's 1-D row
-    ``cumsum((count / k) @ Amat)``, then adds one to ``count[x]`` and to
-    ``k``; ``count`` holds exact integers summing to ``k``.  Every draw
-    equals that scan's bit for bit, but the steps run in blocks, each solved
-    by a fixed-point iteration in numpy.
+    Step ``t`` draws by :func:`_reinforced_scan` of ``count / k``, then adds
+    one to ``count[x]`` and to ``k``; ``count`` holds exact integers summing
+    to ``k``.  The steps run in blocks, each solved by a fixed-point
+    iteration in numpy, and every draw equals the sequential one bit for bit.
 
     A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
-    counts ``cnt`` at its first step ``k``, and its first guess scans the
-    CDF at that step.  A pass redraws every step of the guess from the
-    counts the guess implies, ``C = cnt + cumsum(one-hot of the earlier
-    draws)``, by one column scan of the block CDF ``cumsum(Amat.T @ (C /
-    steps))`` (states along the first axis).  A step's CDF depends only on
-    the draws before it, so the draws up to and including the first one a
-    pass changes are final; the next pass starts after it.  So every pass
-    settles at least one draw, and a block ends at the first pass that
-    changes nothing: the sequential draws.
-
-    A block CDF value can differ from numpy's 1-D row in the last bits,
-    since a matrix product may sum in another order than a vector-matrix
-    product.  So a step whose ``u`` lies within ``tol`` of a scanned block
-    CDF value is redrawn from the 1-D row of its counts.  ``tol``: let
-    ``eps = 2**-53`` and ``gamma_n = n eps / (1 - n eps)`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 3.1: a sum or
-    dot product of ``n`` nonnegative terms, in any order and with or without
-    fused multiply-adds, is within ``gamma_n`` of its value, relative to the
-    exact sum).  Both sides divide the same exact counts by the same ``k``,
-    so both are ``d``-term products of the same rounded quotients ``q``,
-    each entry within ``gamma_d`` of the exact ``s = q @ Amat``.  The cumsum
-    to a scanned column ``i <= d-2`` adds ``gamma_{d-2}``, so both CDF
-    values are within ``gamma_{2d-2} S_i`` of ``S_i = sum_{y<=i} s_y``, and
-    ``S_i`` is at most ``sum(q)`` times the largest row sum, below ``(1 +
-    eps)(1 + 1e-12)`` for a :class:`Kernel`.  While ``(2d - 2) eps <= 1/2``,
-    ``gamma_{2d-2} <= 2 (2d - 2) eps``, so the two differ by at most ``2
-    gamma_{2d-2} S_i < 4 (2d - 2) eps (1 + 2e-12) < 8 d eps = tol``.
-    Rounding is monotone and ``tol`` is a double, so a float ``|u - c|``
-    above ``tol`` means the exact one is too, and a step outside the band
-    draws the same state from either row.  Unlike a running row, a block
-    row carries no rounding from earlier steps, so ``tol`` does not grow
-    with ``k``.
+    counts ``cnt`` at its first step ``k``, and its first guess draws every
+    step from the measure at that step.  A pass redraws every step of the
+    guess from the counts the guess implies, ``C = cnt + cumsum(one-hot of
+    the earlier draws)``, by one scan of ``C / steps`` (states along the
+    first axis).  A step's measure depends only on the draws before it, and
+    the scan rounds each column as it rounds a lone vector, so the draws up
+    to and including the first one a pass changes are final; the next pass
+    starts after it.  So every pass settles at least one draw, and a block
+    ends at the first pass that changes nothing: the sequential draws.
     """
     d = Amat.shape[0]
-    last = d - 1
     out = np.empty(u.size, dtype=np.int64)
     cnt = np.array(count, dtype=float)
-    tol = 8.0 * d * _EPS
     t = 0
     while t < u.size:
         b = min(max(64, (k + t) // 8), _BLOCK_CAP, u.size - t)
-        x = _column_scan(np.cumsum((cnt / (k + t)) @ Amat), u[t : t + b])
+        x = _reinforced_scan(cnt / (k + t), Amat, u[t : t + b])
         while x.size:
             # one pass over the unsettled steps t .. t + x.size - 1
-            ub = u[t : t + x.size]
             steps = np.arange(k + t, k + t + x.size, dtype=float)
             C = np.zeros((d, x.size))
             for i in range(d):
                 np.cumsum(x[:-1] == i, dtype=float, out=C[i, 1:])
             C += cnt[:, None]
-            cdf = Amat.T @ (C / steps)
-            for i in range(1, last):
-                cdf[i] += cdf[i - 1]
-            y = _column_scan(cdf.T, ub)
-            near = (np.abs(cdf[:last] - ub) <= tol).any(axis=0)
-            for j in np.flatnonzero(near):
-                # u sits within tol of a block CDF edge: draw from numpy's 1-D row
-                row = np.cumsum((C[:, j] / steps[j]) @ Amat)
-                y[j] = _column_scan(row, ub[j : j + 1])[0]
+            y = _reinforced_scan(C / steps, Amat, u[t : t + x.size])
             changed = np.flatnonzero(x != y)
             f = changed[0] + 1 if changed.size else y.size
             out[t : t + f] = y[:f]
@@ -366,18 +355,16 @@ def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
 def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
-    Path ``i`` consumes stream ``i`` of ``seed``, so path 0 reproduces
+    Path ``i`` consumes stream ``i`` of ``seed`` and draws by the same
+    :func:`_reinforced_scan` as a single path, so row ``i`` equals
+    ``simulate_chain`` on stream ``i`` by construction; path 0 reproduces
     ``simulate_chain(A, x0, n, seed)``.  Paths run in blocks of
     ``_BATCH_CHUNK``, and each block draws its uniforms with one call of
-    :func:`philox_uniforms`.  Each step forms ``m = (counts / k) @ A`` for
-    every path of the block in one matrix product and scans the CDF of
-    ``m`` as :func:`_column_scan` does, ``x = sum_{i<d-1} [u > C_i]``.  It
-    builds only the scanned columns: ``C_0 = m_0``, then ``C_i = C_{i-1} +
-    m_i``, the adds ``np.cumsum(m, axis=1)`` makes, in its order, so each
-    ``C_i`` is the same double.  The draws go into the counts by one masked
-    add per state, ``counts[:, i] += (x == i)``, with no scatter.  The
-    counts are float64, exact integers, so ``counts / k`` needs no
-    conversion and gives the doubles int64 counts would.
+    :func:`philox_uniforms`.  The counts are held as a ``(d, paths)``
+    float64 array of exact integers, so ``counts / k`` gives the doubles
+    int64 counts would, and each step scans it with one column per path.
+    The draws go into the counts by one masked add per state, ``counts[i]
+    += (x == i)``, with no scatter.
     """
     n = _as_count(n, "simulate_chain_batch: n")
     n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")
@@ -389,23 +376,14 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
     out = np.empty((n_paths, d), dtype=np.int64)
     for lo in range(0, n_paths, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n_paths)
-        r = hi - lo
         u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
-        counts = np.zeros((r, d))
-        counts[:, x0 - 1] = 1.0
-        x = np.empty(r, dtype=np.int64)
+        counts = np.zeros((d, hi - lo))
+        counts[x0 - 1] = 1.0
         for k in range(1, n):
-            m = (counts / float(k)) @ Amat
-            uk = u[:, k - 1]
-            # x = sum_{i<d-1} [u > C_i], C_i summed column by column as cumsum does
-            acc = m[:, 0]
-            np.greater(uk, acc, out=x)
-            for i in range(1, d - 1):
-                acc = acc + m[:, i]
-                x += uk > acc
+            x = _reinforced_scan(counts / float(k), Amat, u[:, k - 1])
             for i in range(d):
-                counts[:, i] += x == i
-        out[lo:hi] = counts
+                counts[i] += x == i
+        out[lo:hi] = counts.T
         del u  # before the next block draws its own
     return out
 

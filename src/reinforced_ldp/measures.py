@@ -14,6 +14,7 @@ invariant are stored untouched.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import rel_entr
 
 from ._format import f17
-from .errors import ConvergenceError, DimensionMismatch, PositivityViolation, SimplexViolation
+from .errors import ConvergenceError, DimensionMismatch, PositivityViolation, PreconditionViolation, SimplexViolation
 
 SIMPLEX_ATOL = 1e-12      # stored weights satisfy |sum - 1| <= this
 RENORM_TOL = 1e-9         # inputs this close to the simplex are renormalized
@@ -73,7 +74,11 @@ class ProbVec:
 
     @classmethod
     def point_mass(cls, state: int, d: int) -> "ProbVec":
-        """Unit mass at ``state`` (1-based)."""
+        """Unit mass at ``state`` (1-based); ``state`` and ``d`` must be integers."""
+        try:
+            state, d = operator.index(state), operator.index(d)
+        except TypeError:
+            raise PreconditionViolation(f"point_mass: state and d must be integers, got {state!r}, {d!r}") from None
         if not 1 <= state <= d:
             raise DimensionMismatch(f"state {state} outside 1..{d}")
         w = np.zeros(d)

@@ -86,11 +86,13 @@ class PiecewiseControl:
     eta: np.ndarray
 
     def __post_init__(self):
+        J = _as_count(self.J, "PiecewiseControl: J")
+        object.__setattr__(self, "J", J)
+        if not (0.0 < self.T < math.inf and J >= 1):
+            raise PreconditionViolation(f"PiecewiseControl: need a finite T > 0 and J >= 1, got T={self.T!r}, J={J}")
         eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim != 2 or eta.shape[0] != self.J:
-            raise DimensionMismatch(f"PiecewiseControl: eta shape {eta.shape} does not match J={self.J}")
-        if not (self.T > 0 and self.J >= 1):
-            raise PreconditionViolation("PiecewiseControl: need T > 0 and J >= 1")
+        if eta.ndim != 2 or eta.shape[0] != J:
+            raise DimensionMismatch(f"PiecewiseControl: eta shape {eta.shape} does not match J={J}")
 
     @property
     def delta(self) -> float:

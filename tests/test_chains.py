@@ -138,9 +138,28 @@ def test_simulate_chain_reproducible():
     assert (a.states != c.states).any()
 
 
+def _defined_cdf(q, rows):
+    """The scanned CDF values ``C_0..C_{d-2}`` of the reinforced draw from the
+    measure ``q``, in Python floats: ``m_y = q_0 A_0y + ... + q_{d-1}
+    A_{d-1,y}`` and ``C_i = m_0 + ... + m_i``, each summed in index order."""
+    cdf, c = [], 0.0
+    for y in range(len(rows) - 1):
+        m = q[0] * rows[0][y]
+        for i in range(1, len(rows)):
+            m += q[i] * rows[i][y]
+        c += m
+        cdf.append(c)
+    return cdf
+
+
+def _defined_draw(q, rows, u):
+    """``x = sum_{i<d-1} [u > C_i]`` over :func:`_defined_cdf`: the draw oracle."""
+    return sum(u > c for c in _defined_cdf(q, rows))
+
+
 def _reference_chain(A, x0, n, seed, stream=0):
-    """``simulate_chain`` as one numpy dispatch per step, driven by
-    ``path_rng(seed, stream)``: the draw oracle."""
+    """``simulate_chain`` as one Python step at a time, driven by
+    ``path_rng(seed, stream)``: the path oracle."""
     d = A.d
     uniforms = path_rng(seed, stream).random(n - 1) if n > 1 else np.empty(0)
     states = np.empty(n, dtype=np.int64)
@@ -152,8 +171,7 @@ def _reference_chain(A, x0, n, seed, stream=0):
     counts[0] = count
     L[0] = count / 1.0
     for k in range(1, n):
-        cdf = np.cumsum(L[k - 1] @ A.matrix)
-        x = min(int(np.searchsorted(cdf, uniforms[k - 1], side="left")), d - 1)
+        x = _defined_draw(L[k - 1].tolist(), A.matrix.tolist(), uniforms[k - 1])
         states[k] = x + 1
         count[x] += 1
         counts[k] = count
@@ -180,92 +198,32 @@ def test_simulate_chain_shortest_paths(n):
 
 
 def _edge_uniforms(A, count, k, steps, seed):
-    """Uniforms on the edges of numpy's 1-D CDFs, with the draws numpy makes
-    from them.
+    """Uniforms between numpy's 1-D CDFs and the defined ones, with the
+    defined draws.
 
-    Step ``t`` draws from numpy's ``cumsum((count / k) @ A)``.  On even steps,
-    edge ``i`` of that CDF (cycling over ``0..d-2``) is compared with the same
-    edge of ``cumsum(r / k)``, where ``r`` adds ``A[x]`` after each draw; when
-    the two differ, ``u`` is set to numpy's edge, or one ulp above it, on the
-    side where that sum would draw the other state.  So each such ``u`` lies
-    on an edge whose value depends on the order of summation.  Returns the
-    uniforms, the draws and the gaps between the two CDFs in units of
-    2**-53.
+    Step ``t`` draws from the defined CDF of ``count / k``.  Where numpy's
+    ``cumsum((count / k) @ A)`` differs from it at scanned edges, one of them
+    (cycling with ``t``) gets ``u`` equal to the larger of the two values, so
+    the two CDFs draw on two sides of that edge.  Returns the uniforms, the
+    draws and the number of crafted steps.
     """
-    Amat, d = A.matrix, A.d
-    count = np.array(count, dtype=np.int64)
-    r = (count.astype(float) @ Amat).tolist()
+    rows = A.matrix.tolist()
+    count = [float(c) for c in count]
     u = path_rng(seed, 0).random(steps)
     draws = np.empty(steps, dtype=np.int64)
-    gaps = []
+    crafted = 0
     for t in range(steps):
-        kk = float(k + t)
-        cdf = np.cumsum((count / kk) @ Amat)
-        i = (t // 2) % (d - 1)
-        gap = float(np.cumsum(np.array(r) / kk)[i] - cdf[i])
-        if t % 2 == 0 and gap != 0.0:
-            u[t] = cdf[i] if gap < 0.0 else np.nextafter(cdf[i], 2.0)
-            gaps.append(abs(gap) / EPS)
-        x = min(int(np.searchsorted(cdf, u[t], side="left")), d - 1)
-        draws[t] = x
-        count[x] += 1
-        r = [rj + a for rj, a in zip(r, Amat[x])]
-    return u, draws, np.array(gaps)
-
-
-@pytest.mark.parametrize("A, count", [(BENCH, [66_667, 33_333]), (D3, [30_000, 40_000, 30_001])], ids=["d2", "d3"])
-def test_reinforced_draws_on_cdf_edges(A, count):
-    """Uniforms on numpy's 1-D CDF edges at k >= 1e5 draw the states numpy
-    draws from them.
-
-    Each such ``u`` sits on an edge, and at least 100 of the edges move by
-    more than ``8 d`` ulps, the redraw band of the block draws, under another
-    order of summation; the block draws still give numpy's states.
-    """
-    k = sum(count)
-    u, expect, gaps = _edge_uniforms(A, count, k, 2000, SEED)
-    assert len(gaps) >= 500
-    assert (gaps > 8 * A.d).sum() >= 100
-    got = _reinforced_draws(A.matrix, np.array(count), k, u)
-    assert np.array_equal(got, expect)
-
-
-def _scalar_draws(Amat, count, k, u):
-    """The single-path draws one Python step at a time: the block-draw oracle.
-
-    A running row ``count @ Amat`` is kept in Python floats, one row of
-    ``Amat`` added per step, and scanned over ``0..d-2``.  A step whose
-    ``u`` lies within ``(8d + 4k) 2**-53`` of a scanned CDF value, which
-    bounds the drift of the running row from numpy's CDF, is redrawn by a
-    column scan of numpy's ``cumsum((count / k) @ Amat)``.
-    """
-    d = Amat.shape[0]
-    last = d - 1
-    rows = Amat[:, :last].tolist()
-    cnt = np.asarray(count, dtype=float)
-    r = (cnt @ Amat)[:last].tolist()
-    cnt = cnt.tolist()
-    kk = float(k)
-    tol = (8.0 * d + 4.0 * kk) * EPS
-    out = []
-    for ut in u.tolist():
-        c = 0.0
-        for x in range(last):
-            c += r[x] / kk
-            if ut <= c + tol:
-                if ut > c - tol:
-                    cdf = np.cumsum((np.array(cnt) / kk) @ Amat)
-                    x = int(_column_scan(cdf, np.array([ut]))[0])
-                break
-        else:
-            x = last
-        out.append(x)
-        for j in range(last):
-            r[j] += rows[x][j]
-        cnt[x] += 1.0
-        kk += 1.0
-        tol += 4.0 * EPS
-    return np.array(out, dtype=np.int64)
+        q = [c / (k + t) for c in count]
+        cdf = _defined_cdf(q, rows)
+        row = np.cumsum(np.array(q) @ A.matrix)
+        edges = [i for i in range(A.d - 1) if row[i] != cdf[i]]
+        if edges:
+            i = edges[t % len(edges)]
+            u[t] = max(row[i], cdf[i])
+            crafted += 1
+        x = draws[t] = sum(u[t] > c for c in cdf)
+        count[x] += 1.0
+    return u, draws, crafted
 
 
 def _random_kernel(d, seed):
@@ -278,6 +236,42 @@ ORACLE_KERNELS = {
     "sticky": Kernel([[0.999, 0.001], [0.001, 0.999]]),
     "cyclic": Kernel([[0.01, 0.98, 0.01], [0.01, 0.01, 0.98], [0.98, 0.01, 0.01]]),
 }
+
+EDGE_STARTS = {
+    "d2": (BENCH, [66_667, 33_333]),
+    "d3": (D3, [30_000, 40_000, 30_001]),
+    "d4": (ORACLE_KERNELS["d4"], [30_000, 25_000, 20_001, 25_000]),
+    "d5": (ORACLE_KERNELS["d5"], [20_000, 25_000, 15_001, 20_000, 20_000]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_STARTS))
+def test_reinforced_draws_on_cdf_edges(name):
+    """Uniforms between numpy's 1-D CDF edges and the defined ones, at k >=
+    1e5, draw the defined states.
+
+    At each crafted step a scan of numpy's row draws another state than the
+    defined CDF; the block draws keep the defined one.
+    """
+    A, count = EDGE_STARTS[name]
+    k = sum(count)
+    u, expect, crafted = _edge_uniforms(A, count, k, 2000, SEED)
+    assert crafted >= 100
+    assert np.array_equal(_scalar_draws(A.matrix, count, k, u), expect)
+    assert np.array_equal(_reinforced_draws(A.matrix, np.array(count), k, u), expect)
+
+
+def _scalar_draws(Amat, count, k, u):
+    """The single-path draws one Python step at a time, each by
+    :func:`_defined_draw` of ``count / k``: the block-draw oracle."""
+    rows = Amat.tolist()
+    cnt = [float(c) for c in count]
+    out = []
+    for t, ut in enumerate(u.tolist()):
+        x = _defined_draw([c / (k + t) for c in cnt], rows, ut)
+        out.append(x)
+        cnt[x] += 1.0
+    return np.array(out, dtype=np.int64)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 5000])
@@ -307,15 +301,17 @@ def test_block_draws_match_the_scalar_loop_from_a_large_count(monkeypatch, name)
 
 
 def test_block_draws_on_block_cdf_edges():
-    """At d=4, uniforms on numpy's 1-D CDF edges where the block CDF lies on
-    the other side draw numpy's states.
+    """At d=4, uniforms between a BLAS block CDF and the defined CDF draw the
+    defined states.
 
-    A block CDF ``cumsum(A.T @ (C / steps))`` differs from numpy's 1-D rows
-    by an ulp or two on about a sixth of the rows at d=4.  Each crafted ``u``
-    keeps numpy's draw, so the counts and the block CDF stay those of the
-    uncrafted path, while a scan of the block CDF alone draws another state.
+    A block CDF ``cumsum(A.T @ (C / steps))`` differs from the defined one by
+    an ulp or two on about half of the rows at d=4.  Each crafted ``u`` is the
+    larger value at an edge of the step's defined draw, on the side where
+    the block CDF draws another state; it keeps the defined draw, so the
+    counts and the block CDF stay those of the uncrafted path.
     """
     A, d = ORACLE_KERNELS["d4"].matrix, 4
+    rows = A.tolist()
     count = np.array([30_000, 25_000, 20_001, 25_000])
     k, steps = int(count.sum()), 2000
     u = path_rng(SEED, 0).random(steps)
@@ -327,11 +323,11 @@ def test_block_draws_on_block_cdf_edges():
     block = np.cumsum(A.T @ (C / kk), axis=0)
     crafted = 0
     for t, x in enumerate(expect):
-        one = np.cumsum((C[:, t] / kk[t]) @ A)
-        if x < d - 1 and block[x, t] < one[x]:
-            u[t] = one[x]
-        elif x > 0 and block[x - 1, t] > one[x - 1]:
-            u[t] = np.nextafter(one[x - 1], 2.0)
+        cdf = _defined_cdf((C[:, t] / kk[t]).tolist(), rows)
+        if x < d - 1 and block[x, t] < cdf[x]:
+            u[t] = cdf[x]
+        elif x > 0 and block[x - 1, t] > cdf[x - 1]:
+            u[t] = block[x - 1, t]
         else:
             continue
         crafted += 1
@@ -434,17 +430,14 @@ def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
 
 
 def _reference_batch(A, x0, n, n_paths, seed, chunk, uniforms=philox_uniforms):
-    """``simulate_chain_batch`` drawing each step with :func:`_inverse_cdf_rows`: the batch oracle."""
-    out = np.empty((n_paths, A.d), dtype=np.int64)
+    """``simulate_chain_batch`` drawing each path by :func:`_scalar_draws`: the batch oracle."""
+    out = np.zeros((n_paths, A.d), dtype=np.int64)
+    out[:, x0 - 1] = 1
+    start = out[0].copy()
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
-        u = uniforms(seed, np.arange(lo, hi), n - 1)
-        counts = np.zeros((hi - lo, A.d), dtype=np.int64)
-        counts[:, x0 - 1] = 1
-        for k in range(1, n):
-            prob = (counts / float(k)) @ A.matrix
-            counts[np.arange(hi - lo), _inverse_cdf_rows(prob, u[:, k - 1])] += 1
-        out[lo:hi] = counts
+        for p, up in enumerate(uniforms(seed, np.arange(lo, hi), n - 1), start=lo):
+            out[p] += np.bincount(_scalar_draws(A.matrix, start, 1, up), minlength=A.d)
     return out
 
 
@@ -519,6 +512,60 @@ def test_simulate_chain_batch_rows_match_per_path_streams(monkeypatch, n):
     batch = simulate_chain_batch(A, 2, n, 7, SEED)
     for i in range(7):
         assert np.array_equal(batch[i], _reference_chain(A, 2, n, SEED, stream=i)[1][-1])
+
+
+def _blas_edge_uniforms(A, n, n_paths, seed):
+    """Philox uniforms with each path's first uniform between its BLAS batch
+    row and its numpy 1-D row set to the largest of those and the defined
+    CDF value.
+
+    On the uncrafted paths, step ``k`` forms the rows ``cumsum((counts / k)
+    @ A)`` of all paths in one matrix product, and path ``p``'s 1-D row
+    ``cumsum((counts[p] / k) @ A)``.  At the first step where the two differ
+    at a scanned edge, the path's uniform is set to the largest of the
+    three values there, so the two rows draw on two sides of it; the path's
+    later uniforms stay.  Returns the uniforms and the crafted step of each
+    path (-1 for none).
+    """
+    u = philox_uniforms(seed, np.arange(n_paths), n - 1).copy()
+    rows = A.matrix.tolist()
+    counts = np.zeros((n_paths, A.d))
+    counts[:, 0] = 1.0
+    crafted = np.full(n_paths, -1)
+    for k in range(1, n):
+        q = counts / float(k)
+        batch = np.cumsum(q @ A.matrix, axis=1)
+        for p in range(n_paths):
+            cdf = _defined_cdf(q[p].tolist(), rows)
+            if crafted[p] < 0:
+                one = np.cumsum(q[p] @ A.matrix)
+                edges = np.flatnonzero(batch[p, :-1] != one[:-1])
+                if edges.size:
+                    i = edges[0]
+                    u[p, k - 1] = max(batch[p, i], one[i], cdf[i])
+                    crafted[p] = k
+            counts[p, sum(u[p, k - 1] > c for c in cdf)] += 1.0
+    return u, crafted
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_simulate_chain_batch_rows_equal_their_streams_on_blas_edges(monkeypatch, d):
+    """Batch path ``i`` equals ``simulate_chain`` on stream ``i`` where a
+    matrix product's row and numpy's 1-D row of its measure draw apart.
+
+    Each path gets one uniform on the first edge where its row of the
+    batch's matrix product and its 1-D row differ; both draws are the
+    defined one.
+    """
+    A, n, n_paths, seed = _random_kernel(d, d), 40, 512, 7
+    u, crafted = _blas_edge_uniforms(A, n, n_paths, seed)
+    assert (crafted > 0).sum() >= 50 and crafted[0] > 0
+    monkeypatch.setattr(chains, "philox_uniforms", lambda seed, streams, count: u[streams, :count])
+    batch = simulate_chain_batch(A, 1, n, n_paths, seed)
+    for i in range(n_paths):
+        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0, row=u[i]: _FixedUniforms(row))
+        assert np.array_equal(batch[i], simulate_chain(A, 1, n, seed).counts[-1]), i
+    assert np.array_equal(batch, _reference_batch(A, 1, n, n_paths, seed, n_paths, chains.philox_uniforms))
 
 
 def test_non_integer_seed_or_stream_is_precondition_error():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reinforced_ldp.errors import (
     DimensionMismatch,
     PositivityViolation,
+    PreconditionViolation,
     SimplexViolation,
 )
 from reinforced_ldp.measures import (
@@ -182,6 +183,13 @@ def test_probvec_constructors():
     assert pm.weights.tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(DimensionMismatch):
         ProbVec.point_mass(4, 3)
+
+
+@pytest.mark.parametrize("state, d", [(1.5, 2), (2.0, 3), ("1", 2), (1, 2.0)])
+def test_point_mass_rejects_a_state_or_dimension_that_is_not_an_integer(state, d):
+    with pytest.raises(PreconditionViolation, match="point_mass: state and d must be integers"):
+        ProbVec.point_mass(state, d)
+    assert ProbVec.point_mass(np.int64(2), np.int64(3)).weights.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_probvec_rejects_negative_and_bad_sum():

@@ -334,6 +334,17 @@ def test_fractional_J_is_rejected(solve):
         solve()
 
 
+@pytest.mark.parametrize("T, J", [(1.0, 2.0), (1.0, 2.5), (1.0, 0), (math.inf, 2), (math.nan, 2), (0.0, 2), (-1.0, 2)])
+def test_piecewise_control_needs_an_integer_J_and_a_finite_positive_T(T, J):
+    with pytest.raises(PreconditionViolation, match="PiecewiseControl: "):
+        PiecewiseControl(T=T, J=J, eta=np.full((2, 2), 0.5))
+
+
+def test_piecewise_control_stores_J_as_an_int():
+    ctrl = PiecewiseControl(T=1.0, J=np.int64(2), eta=np.full((2, 2), 0.5))
+    assert type(ctrl.J) is int and ctrl.J == 2 and ctrl.delta == 0.5
+
+
 def test_solve_rate_dimension_check():
     with pytest.raises(DimensionMismatch):
         solve_rate(np.array([0.2, 0.3, 0.5]), BENCH, T=2.0, J=40)
