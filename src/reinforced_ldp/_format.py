@@ -11,16 +11,13 @@ of numpy arrays in blocks of ``_BLOCK_ROWS`` rows: each block is laid out
 as a uint8 matrix, one fixed-width slot per cell, with a keep-mask over
 it, and the kept bytes, in row order, are written straight to the file.
 Its floats equal :func:`f17` byte for byte.  The fast domain is ``0.0``
-and the normal doubles ``2^-1022 <= v < 1``: fixed form ``0.000ddd`` on
-``[1e-4, 1)`` and exponent form ``d.ddde-XX`` below.  There the 17
-significant digits come from integer arithmetic (:func:`_significand17`):
-the significand times the top 128 bits of a power of five.  Where that
-power fits in 128 bits, which covers ``v >= 1e-39``, the digits are
-exact, ties included.  Below, the truncated power leaves the product short
-by under ``2^53`` units, which can move the rounding only when the
-remainder lies less than ``2^64`` units below one half.  Such a value,
-about one in ``2^59``, goes through :func:`f17` itself, as does every
-value outside the domain.
+and ``_DECADES[0] <= v < 1``, where ``_DECADES[0]`` is the smallest double
+at or above ``1e-39``: fixed form ``0.000ddd`` on ``[1e-4, 1)`` and
+exponent form ``d.ddde-XX`` below.  There the 17 significant digits come
+from integer arithmetic (:func:`_significand17`): the significand times a
+power of five, which down to that decade fits in 128 bits, so the digits
+are exact, ties included.  Every value outside the domain goes through
+:func:`f17` itself.
 
 Digits, of integer cells and of the 17-digit ``N`` of a float cell, come
 out one decimal place per pass over the block, last place first, by a
@@ -46,11 +43,15 @@ _TEN = np.uint64(10)
 _BLOCK_ROWS = 8192
 
 
+# E = -39: the deepest decade whose digit scale 5^(16 - E) fits in 128 bits
+_E_MIN = 16 - int(math.log(2.0**128, 5))
+
+
 def _decades() -> np.ndarray:
-    """``_DECADES[E + 308]``: the smallest double ``>= 10^E``, for ``E = -308..0``."""
+    """``_DECADES[E - _E_MIN]``: the smallest double ``>= 10^E``, for ``E = _E_MIN..0``."""
     out = [1.0]
     five = 1
-    for k in range(1, 309):
+    for k in range(1, 1 - _E_MIN):
         five *= 5
         x = float(f"1e-{k}")  # the nearest double
         num, den = x.as_integer_ratio()
@@ -59,61 +60,56 @@ def _decades() -> np.ndarray:
     return np.array(out[::-1])
 
 
-def _pow5_table(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per ``E = -308..-1`` (index ``E + 308``) the digit scale ``5^P``, ``P = 16 - E``.
+def _pow5_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ``E = _E_MIN..-1`` (index ``E - _E_MIN``) the digit scale ``5^P``, ``P = 16 - E``.
 
-    Returns ``hi``, ``lo``, ``shift`` and ``err``.  ``hi 2^64 + lo`` is
-    ``5^P`` scaled by a power of two into ``[2^127, 2^128)``, exactly when
-    ``5^P`` has at most ``bits`` bits, else truncated to its top ``bits``
-    bits.  For a double with significand ``m`` and biased exponent ``e``,
-    ``v 10^P = m (hi 2^64 + lo) / 2^(64 + shift - e)``.  ``err`` is
-    0 for an exact entry; for a truncated one it bounds the product's
-    error, below ``m 2^(128 - bits) < 2^(181 - bits)``, in units of ``2^64``.
+    Returns ``hi``, ``lo`` and ``shift``.  ``hi 2^64 + lo`` is ``5^P``,
+    which has at most 128 bits, scaled by a power of two into ``[2^127,
+    2^128)``.  For a double with significand ``m`` and biased exponent
+    ``e``, ``v 10^P = m (hi 2^64 + lo) / 2^(64 + shift - e)``.
     """
-    hi, lo, shift, err = [], [], [], []
+    hi, lo, shift = [], [], []
     five = 5**16
-    for P in range(17, 325):
+    for P in range(17, 17 - _E_MIN):
         five *= 5
         b = five.bit_length()
-        F = five << (128 - b) if b <= 128 else five >> (b - 128)
-        F = F >> (128 - bits) << (128 - bits) if b > bits else F
+        F = five << (128 - b)
         hi.append(F >> 64)
         lo.append(F & 0xFFFFFFFFFFFFFFFF)
         # v 10^P = m 5^P 2^(e - 1075 + P), and 5^P = F 2^(b - 128)
         shift.append(1139 - P - b)
-        err.append(0 if b <= bits else 1 << max(117 - bits, 0))
-    return (np.array(hi[::-1], dtype=np.uint64), np.array(lo[::-1], dtype=np.uint64),
-            np.array(shift[::-1], dtype=np.uint64), np.array(err[::-1], dtype=np.uint64))
+    return tuple(np.array(t[::-1], dtype=np.uint64) for t in (hi, lo, shift))
 
 
 _DECADES = _decades()
-# _BINADE_DECADE[e] = floor(log10 2^(e - 1023)) for the biased exponents e = 1..1022 of
-# normal doubles below 1; a double of that binade lies in that decade or the next
-_BINADE_DECADE = np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-1023, 0)), side="right") - 309
-_POW5 = _pow5_table(128)
+# _BINADE_DECADE[e] = floor(log10 2^(e - 1023)), clamped at _E_MIN - 1, for the biased
+# exponents e = 1..1022 of normal doubles below 1; a double of that binade lies in
+# that decade or the next
+_BINADE_DECADE = np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-1023, 0)), side="right") + _E_MIN - 1
+_POW5 = _pow5_table()
 
-# A fast cell's slot: a lead byte, ".", "000", the 17 digits, "e-" and three
+# A fast cell's slot: a lead byte, ".", "000", the 17 digits, "e-" and two
 # exponent digits.  The lead is "0" in fixed form and the first digit in
 # exponent form.  Every f17 text, at most 24 bytes, fits in it as well.
-_FAST_WIDTH = 27
-_FAST_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"e-000", dtype=np.uint8)
+_FAST_WIDTH = 26
+_FAST_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"e-00", dtype=np.uint8)
 # _FAST_KEEP[row, last] keeps the bytes of a cell whose last nonzero digit
 # sits at `last` (5..21).  Rows 0..3 are fixed form for E = -4..-1: "0.",
 # the last -E - 1 of the three zeros, and the digits up to `last`; row 3
-# with last = 0 keeps only the "0" of a zero.  Rows 4 and 5 are exponent
-# form with two and three exponent digits: the lead, "." if a digit after
-# the first is kept, the digits after the first up to `last`, and the exponent.
+# with last = 0 keeps only the "0" of a zero.  Row 4 is exponent form: the
+# lead, "." if a digit after the first is kept, the digits after the first
+# up to `last`, and the exponent.
 _pos = np.arange(_FAST_WIDTH)
 _last = _pos[:, None]
 _fixed = (_pos <= _last) & ((_pos < 2) | (_pos >= np.arange(2, 6)[:, None, None]))
 _expo = ((_pos == 0) | ((_pos == 1) & (_last >= 6)) | ((_pos >= 6) & (_pos <= _last))
          | (_pos >= 22))
-_FAST_KEEP = np.concatenate([_fixed, (_expo & (_pos != 24))[None], _expo[None]])
-# _FAST_ROW[E + 308] is the row of _FAST_KEEP for the decimal exponent E
-_FAST_ROW = np.array([5] * 209 + [4] * 95 + [0, 1, 2, 3])
-# _EXPONENT_DIGITS[E + 308]: the three digits of -E
-_k = np.arange(308, 0, -1)
-_EXPONENT_DIGITS = np.stack([_k // 100, _k // 10 % 10, _k % 10], axis=1).astype(np.uint8)
+_FAST_KEEP = np.concatenate([_fixed, _expo[None]])
+# _FAST_ROW[E - _E_MIN] is the row of _FAST_KEEP and _EXPONENT_DIGITS[E - _E_MIN]
+# the two digits of -E, for the decimal exponents E = _E_MIN..-1
+_E = np.arange(_E_MIN, 0)
+_FAST_ROW = np.where(_E < -4, 4, _E + 4)
+_EXPONENT_DIGITS = np.stack([-_E // 10, -_E % 10], axis=1).astype(np.uint8)
 
 
 def f17(x: float) -> str:
@@ -170,45 +166,40 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance:
         fh.write(buf.getvalue())
 
 
-def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``N`` and ``E`` with ``v = N 10^(E-16)`` to 17 significant digits, wherever
-    ``sure``, for the normal doubles ``2^-1022 <= v < 1``.
+def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``N`` and ``E`` with ``v = N 10^(E-16)`` to 17 significant digits, for
+    ``_DECADES[0] <= v < 1``.
 
     Write ``v = m 2^(e-1075)`` with ``m`` the 53-bit significand and ``e``
     the biased exponent.  The decimal exponent ``E = floor(log10 v)`` is
     ``B = _BINADE_DECADE[e]`` or ``B + 1``, as the binade ``[2^(e-1023),
     2^(e-1022))`` spans less than a decade.  It is ``B + 1`` exactly when
-    ``v >= _DECADES[B + 309]``: that entry is the smallest double at or
-    above ``10^(B+1)``, so the comparison of doubles decides the one of reals.
+    ``v >= _DECADES[B + 1 - _E_MIN]``: that entry is the smallest double at
+    or above ``10^(B+1)``, so the comparison of doubles decides the one of
+    reals.
 
     The digits are ``N = round_half_even(v 10^P)`` with ``P = 16 - E``, and
     ``v 10^P = m F / 2^u`` with ``F = hi 2^64 + lo`` and ``u = 64 + shift - e``
     from ``_POW5``.  As ``v 10^P`` lies in ``[10^16, 10^17)`` and ``m F`` in
     ``[2^179, 2^181)``, ``u`` lies in [123, 127].  Two :func:`mulhilo64`
-    products give ``m F = w2 2^128 + w1 2^64 + w0``; with ``r = u - 64`` the
-    quotient is ``w2 << (64 - r) | w1 >> r`` and the remainder is
+    products give ``m F = w2 2^128 + w1 2^64 + w0`` exactly; with ``r = u -
+    64`` the quotient is ``w2 << (64 - r) | w1 >> r`` and the remainder is
     ``R 2^64 + w0`` with ``R = w1 mod 2^r``, against the half ``H 2^64``,
-    ``H = 2^(r-1)``.  Where ``F`` is exact this rounds half to even (an
-    exhaustive search over the binades of ``1e-39 <= v < 1e-11``, where
-    ``w0`` can be nonzero, found no double with ``R = H`` and ``w0 > 0``, but
-    the test of ``w0`` keeps the rounding exact by construction).  Where
-    ``F`` is truncated, the true remainder lies strictly between ``R`` and
-    ``R + 1 + err`` in units of ``2^64`` (``5^P`` is odd, so the cut is
-    never zero): above the half when ``R >= H``, so the quotient rounds up,
-    also if the remainder passes ``2^r`` (it then leaves under ``1 + err``
-    units, far below the half); below it when ``R + 1 + err <= H``.  Between
-    the two the value is not ``sure`` and must go through :func:`f17`.
+    ``H = 2^(r-1)``.  This rounds half to even (an exhaustive search over
+    the binades of ``1e-39 <= v < 1e-11``, where ``w0`` can be nonzero,
+    found no double with ``R = H`` and ``w0 > 0``, but the test of ``w0``
+    keeps the rounding exact by construction).
 
     Rounding carries ``N`` to ``10^17`` when ``v`` lies within half a unit
     of the 17th digit below ``10^(E+1)``; then ``N = 10^16`` in the next
     decade.  That decade is never ``-4`` or ``0``: the doubles below 1e-4
     and 1, ``9.9999999999999991e-05`` and ``1 - 2^-53``, do not carry.
     """
-    hi5, lo5, shift5, err5 = _POW5
+    hi5, lo5, shift5 = _POW5
     bits = v.view(np.uint64)
     e = bits >> np.uint64(52)
     # np.take with intp indices gathers about twice as fast as fancy indexing
-    k = np.take(_BINADE_DECADE, e.astype(np.intp)) + 308
+    k = np.take(_BINADE_DECADE, e.astype(np.intp)) - _E_MIN
     k += v >= np.take(_DECADES, k + 1)
     r = np.take(shift5, k) - e
     del e  # each block array is freed as soon as it is spent, to keep the peak low
@@ -227,14 +218,10 @@ def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     R = w1 & ((_ONE << r) - _ONE)
     del w1
     H = _ONE << (r - _ONE)
-    err = np.take(err5, k)
-    N += (R > H) | ((R == H) & ((w0 != 0) | (err != 0) | (N & _ONE).astype(bool)))
-    # R + 1 + err <= H, or R >= H, where H - R - 1 wraps round to above any err
-    sure = H - R - _ONE >= err
+    N += (R > H) | ((R == H) & ((w0 != 0) | (N & _ONE).astype(bool)))
     carry = N == np.uint64(10**17)
     N[carry] = np.uint64(10**16)
-    E = k + carry - 308
-    return N, E, sure
+    return N, k + carry + _E_MIN
 
 
 def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +235,9 @@ def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     form's first 22 bytes, or to its longest ``f17`` text.
     """
     zero = (v == 0) & ~np.signbit(v)
-    fast = zero | ((v >= 2.0**-1022) & (v < 1))
-    N, E, sure = _significand17(np.where(fast & ~zero, v, 0.5))
-    slow = np.flatnonzero(~(fast & sure))
+    fast = zero | ((v >= _DECADES[0]) & (v < 1))
+    N, E = _significand17(np.where(fast & ~zero, v, 0.5))
+    slow = np.flatnonzero(~fast)
     texts = [f17(x).encode() for x in v.ravel()[slow].tolist()]
     expo = E < -4
     width = max([_FAST_WIDTH if expo.any() else 22] + [len(t) for t in texts])
@@ -261,10 +248,10 @@ def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         N = q
     if width == _FAST_WIDTH:
         chars[..., 0] = chars[..., 5] * expo
-        chars[..., 24:27] = _EXPONENT_DIGITS[E + 308]
+        chars[..., 24:26] = _EXPONENT_DIGITS[E - _E_MIN]
     last = 21 - np.argmax(chars[..., 21:4:-1] != 0, axis=-1)
     keep = np.zeros(chars.shape, dtype=bool)
-    keep[..., :width] = _FAST_KEEP[_FAST_ROW[E + 308], np.where(zero, 0, last), :width]
+    keep[..., :width] = _FAST_KEEP[_FAST_ROW[E - _E_MIN], np.where(zero, 0, last), :width]
     chars[..., :width] += _FAST_TEMPLATE[:width]
     if texts:
         flat_chars, flat_keep = chars.reshape(-1, width + 1), keep.reshape(-1, width + 1)

@@ -47,7 +47,7 @@ controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
 rows in numpy: integer digits by a vectorized floor divide, and the 17 ``%.17g``
-digits of ``0`` and of every normal value below 1 in integer arithmetic,
+digits of ``0`` and of every value in ``[1e-39, 1)`` in integer arithmetic,
 from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`, which the
 Philox rounds share).  Other values (``1``) go through ``f17``, so the
 bytes equal a row-by-row ``%.17g``.
@@ -55,7 +55,6 @@ bytes equal a row-by-row ``%.17g``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ from scipy.special import rel_entr
 
 from ._format import mulhilo64, write_array_csv
 from .errors import DimensionMismatch, PolicyError, PreconditionViolation, ResourceLimitExceeded
-from .measures import Kernel
+from .measures import Kernel, _as_count
 
 _MASK64 = (1 << 64) - 1
 # most steps per block of _reinforced_draws, which holds a few (steps, d) arrays at once
@@ -209,14 +208,6 @@ def _time_grid(n: int) -> np.ndarray:
     t[1:] += L * 2.0**-p
     t.flags.writeable = False
     return t
-
-
-def _as_count(n, name: str) -> int:
-    """``n`` as a Python int; a value that is not an integer raises."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise PreconditionViolation(f"{name} must be an integer, got {n!r}") from None
 
 
 def _validate_x0(x0, d: int) -> int:
@@ -532,9 +523,10 @@ def export_path_csv(path: ChainPath, file, provenance: str | None = None) -> Non
     """Write a chain path as rows ``step, state, L_1..L_d``, floats as ``%.17g``.
 
     The rows go through :func:`~reinforced_ldp._format.write_array_csv`,
-    which formats blocks of rows in numpy: zeros and the ``L`` values below
-    1, in fixed or exponent form, get integer-arithmetic digits, and every
-    other value (``1``) goes through ``f17``.
+    which formats blocks of rows in numpy: zeros and the ``L`` values in
+    ``[1e-39, 1)``, in fixed or exponent form, get integer-arithmetic
+    digits, and every other value (``1``) goes through ``f17``.  An entry
+    of ``L^k`` is ``0`` or at least ``1/k``.
     """
     header = ["step", "state"] + [f"L_{x}" for x in range(1, path.d + 1)]
     steps = np.arange(1, len(path.L) + 1)

@@ -18,8 +18,9 @@ A law keeps its atoms in two read-only arrays, from the DP to the CSV: the
 counts of the nonzero cells, in lexicographic order, and their
 probabilities.  Ball probabilities sum a masked slice of them with
 ``math.fsum``, and the law CSV goes through the block writer
-:func:`~reinforced_ldp._format.write_array_csv`, whose fast path also
-covers the exponent form that most probabilities of a deep law print in.
+:func:`~reinforced_ldp._format.write_array_csv`, whose fast path covers
+the exponent form of probabilities down to ``1e-39``; deeper atoms of a
+deep law go through ``f17``.
 """
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._format import write_array_csv, write_csv
-from .chains import _as_count, _validate_x0
+from .chains import _validate_x0
 from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation, ResourceLimitExceeded
-from .measures import Kernel, _weights_of
+from .measures import Kernel, _as_count, _as_real, _weights_of
 
 DEFAULT_MEM_CAP_BYTES = 2 << 30
 DROP_THRESHOLD = 1e-300
@@ -160,7 +161,7 @@ def check_ball(target, radius: float, d: int) -> np.ndarray:
         raise DimensionMismatch(f"ball target shape {t.shape}, law dimension {d}")
     if not np.all(np.isfinite(t)):
         raise PreconditionViolation(f"ball target entries must be finite, got {t.tolist()!r}")
-    if not radius >= 0:
+    if not _as_real(radius, "ball radius") >= 0:
         raise PreconditionViolation(f"ball radius must be >= 0, got {radius!r}")
     return t
 
@@ -197,6 +198,7 @@ def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
 
 def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:
     """Finite-``n`` ball rates (see :func:`ball_rate`) at each level of ``n_list``."""
+    check_ball(target, radius, A.d)  # before the DP, so a bad ball costs no law
     laws = exact_law_levels(A, x0, n_list)
     return [ball_rate(laws[n], target, radius) for n in sorted(laws)]
 

@@ -47,7 +47,6 @@ import numpy as np
 from ._format import write_csv
 from .chains import (
     ControlledPath,
-    _as_count,
     _column_scan,
     _occupation_cost,
     _reinforced_draws,
@@ -58,7 +57,16 @@ from .chains import (
     verify_chain_rule_identity,
 )
 from .errors import DimensionMismatch, PreconditionViolation
-from .measures import Kernel, ProbVec, _weights_of, kernel_apply, relative_entropy, stationary_distribution
+from .measures import (
+    Kernel,
+    ProbVec,
+    _as_count,
+    _as_real,
+    _weights_of,
+    kernel_apply,
+    relative_entropy,
+    stationary_distribution,
+)
 from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes counter)
     _GL_X,
     PiecewiseControl,
@@ -231,10 +239,11 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     inequality and raises :class:`PreconditionViolation`.  The mollified
     path is the schedule.
     """
+    slack = _as_real(slack, "build_plan: slack")
     if not 0.0 < slack < math.inf:
         raise PreconditionViolation("build_plan: slack must be positive and finite")
     m_arr = ProbVec(_weights_of(m)).weights
-    bracket = solve_rate(m_arr, A, T=float(T), J=J)
+    bracket = solve_rate(m_arr, A, T=_as_real(T, "build_plan: T"), J=J)
     T_val, J_val = float(bracket.eta_opt.T), bracket.eta_opt.J
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
@@ -378,7 +387,7 @@ def _plan_path(
     d = A.d
     if plan.q.d != d:
         raise DimensionMismatch("run_plan: plan and kernel dimensions differ")
-    if not eps0 > 0.0:
+    if not _as_real(eps0, "run_plan: eps0") > 0.0:
         raise PreconditionViolation("run_plan: eps0 must be positive")
     n = _as_count(n, "run_plan: n")
     x0 = _validate_x0(x0, d)

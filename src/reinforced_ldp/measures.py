@@ -29,11 +29,33 @@ RENORM_TOL = 1e-9         # inputs this close to the simplex are renormalized
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 
+def _is_real(v) -> bool:
+    """A real number, not a bool: strings and ``None`` fail."""
+    return isinstance(v, Real) and not isinstance(v, (bool, np.bool_))
+
+
+def _as_real(x, name: str, error=PreconditionViolation) -> float:
+    """``x`` as a Python float; a value that is not a real number raises ``error``."""
+    if not _is_real(x):
+        raise error(f"{name} must be a real number, got {x!r}")
+    return float(x)
+
+
+def _as_count(n, name: str) -> int:
+    """``n`` as a Python int; a bool or a value that is not an integer raises."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise PreconditionViolation(f"{name} must be an integer, got {n!r}")
+
+
 def _float_array(raw, what: str, error) -> np.ndarray:
     """``raw`` as a new float array; ragged input, or an entry that is not a
     real number (a string or a bool), raises ``error``."""
     cells = np.array(raw, dtype=object)
-    if not all(isinstance(v, Real) and not isinstance(v, (bool, np.bool_)) for v in cells.flat):
+    if not all(_is_real(v) for v in cells.flat):
         raise error(f"{what}: expected a regular array of numbers, got {raw!r}")
     return cells.astype(float)
 
@@ -189,6 +211,7 @@ def build_kernel_mixture(alpha: float, p, B) -> Kernel:
     ``alpha`` in (0, 1) and strictly positive ``p`` guarantee the positivity
     floor even when the row-stochastic ``B`` has zero entries.
     """
+    alpha = _as_real(alpha, "build_kernel_mixture: alpha", PositivityViolation)
     if not 0.0 < alpha < 1.0:
         raise PositivityViolation(f"build_kernel_mixture: alpha={alpha!r} outside (0, 1)")
     q = _clean_weights(p, "build_kernel_mixture: p")

@@ -46,14 +46,13 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv, dptsv
 from scipy.special import rel_entr
 
-from .chains import _as_count
 from .errors import (
     ConvergenceError,
     DimensionMismatch,
     InfeasibleTrajectory,
     PreconditionViolation,
 )
-from .measures import Kernel, ProbVec, _weights_of
+from .measures import Kernel, ProbVec, _as_count, _as_real, _weights_of
 
 FEASIBILITY_ATOL = 1e-9      # node entries below -this mark the node infeasible
 BOUNDARY_LIFT = 1e-9         # queried m entries below this are lifted
@@ -86,10 +85,12 @@ class PiecewiseControl:
     eta: np.ndarray
 
     def __post_init__(self):
+        T = _as_real(self.T, "PiecewiseControl: T")
         J = _as_count(self.J, "PiecewiseControl: J")
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "J", J)
-        if not (0.0 < self.T < math.inf and J >= 1):
-            raise PreconditionViolation(f"PiecewiseControl: need a finite T > 0 and J >= 1, got T={self.T!r}, J={J}")
+        if not (0.0 < T < math.inf and J >= 1):
+            raise PreconditionViolation(f"PiecewiseControl: need a finite T > 0 and J >= 1, got T={T!r}, J={J}")
         eta = np.asarray(self.eta, dtype=float)
         if eta.ndim != 2 or eta.shape[0] != J:
             raise DimensionMismatch(f"PiecewiseControl: eta shape {eta.shape} does not match J={J}")
@@ -397,6 +398,7 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
     state swapped into the last place (the kernel relabelled alike) and
     swapped back after; the other points keep the bits of a plain solve.
     """
+    T = _as_real(T, "solve_rate: T")
     if not 0.0 < T < math.inf:
         raise PreconditionViolation(f"solve_rate: need a finite T > 0, got {T!r}")
     J = max(1, int(round(20 * T))) if J is None else _as_count(J, "solve_rate: J")
@@ -530,6 +532,7 @@ def simplex_mesh(d: int, step: float) -> list[np.ndarray]:
     d = _as_count(d, "simplex_mesh: d")
     if d < 1:
         raise PreconditionViolation(f"simplex_mesh: need d >= 1, got {d}")
+    step = _as_real(step, "simplex_mesh: step")
     K = int(round(1.0 / step)) if step > 0.0 else 0
     if K < 1 or abs(K * step - 1.0) > 1e-9:
         raise PreconditionViolation(f"simplex_mesh: need step > 0 with 1/step an integer, got step={step!r}")

@@ -31,7 +31,7 @@ from .chains import _time_grid, path_rng, simulate_chain_batch, simulate_control
 from .errors import ConfigError
 from .exact import exact_law, finite_n_rate
 from .lowerbound import _plan_path, build_plan, check_cost_convergence
-from .measures import Kernel, ProbVec, relative_entropy, stationary_distribution
+from .measures import Kernel, ProbVec, _as_real, relative_entropy, stationary_distribution
 from .ratesolver import (
     PiecewiseControl,
     _cost_value,
@@ -368,6 +368,7 @@ def run_acceptance(scale: float = 1.0, seed: int = 0, include=None) -> list[Crit
     A criterion that raises is recorded as failed with the exception in
     ``detail`` rather than aborting the battery.
     """
+    scale = _as_real(scale, "run_acceptance: scale", ConfigError)
     if not scale > 0.0:
         raise ConfigError(f"run_acceptance: scale must be positive, got {scale!r}")
     if include is None:

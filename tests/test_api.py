@@ -4,8 +4,30 @@ modules import nothing they do not use."""
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import reinforced_ldp
-from reinforced_ldp import lowerbound, ratesolver
+from reinforced_ldp import (
+    ConfigError,
+    Kernel,
+    PiecewiseControl,
+    PositivityViolation,
+    PreconditionViolation,
+    build_kernel_mixture,
+    build_plan,
+    check_cost_convergence,
+    event_probability,
+    exact_law,
+    finite_n_rate,
+    lowerbound,
+    rate_profile,
+    ratesolver,
+    run_acceptance,
+    run_plan,
+    simplex_mesh,
+    simulate_chain,
+)
 
 SRC = Path(reinforced_ldp.__file__).parent
 # (module, name) imported for another module's sake, each pinned by its own test
@@ -55,3 +77,39 @@ def test_src_modules_use_every_import():
 def test_unused_import_guard_sees_an_unused_name():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import exp, log\nx = np.exp(log(2))\n")
     assert _unused_imports(tree) == {"os", "exp"}
+
+
+BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
+# each call passes one scalar argument of the wrong type (a string, None or a
+# bool); the library raises its own error, the class it raises for that
+# argument out of range, and nothing runs first (finite_n_rate's n = 10^9
+# would stop at the DP's memory cap)
+SCALAR_ARGUMENTS = {
+    "rate_profile T": (lambda plan, law: rate_profile(BENCH, [(0.3, 0.7)], T="1"), PreconditionViolation),
+    "PiecewiseControl T": (lambda plan, law: PiecewiseControl(T="1", J=1, eta=[[0.5, 0.5]]), PreconditionViolation),
+    "simplex_mesh step": (lambda plan, law: simplex_mesh(2, "0.5"), PreconditionViolation),
+    "build_plan slack": (lambda plan, law: build_plan((0.3, 0.7), BENCH, slack="1"), PreconditionViolation),
+    "build_plan T": (lambda plan, law: build_plan((0.3, 0.7), BENCH, T="2"), PreconditionViolation),
+    "run_plan eps0": (lambda plan, law: run_plan(plan, BENCH, 100, "x", 0), PreconditionViolation),
+    "check_cost_convergence eps0": (lambda plan, law: check_cost_convergence(plan, BENCH, [100], 1, "x"),
+                                    PreconditionViolation),
+    "event_probability radius": (lambda plan, law: event_probability(law, (0.5, 0.5), "x"), PreconditionViolation),
+    "finite_n_rate radius": (lambda plan, law: finite_n_rate(BENCH, 1, (0.5, 0.5), None, [10**9]),
+                             PreconditionViolation),
+    "run_acceptance scale": (lambda plan, law: run_acceptance(scale="1"), ConfigError),
+    "build_kernel_mixture alpha": (lambda plan, law: build_kernel_mixture("0.5", [0.5, 0.5], np.eye(2)),
+                                   PositivityViolation),
+    "simulate_chain n": (lambda plan, law: simulate_chain(BENCH, 1, True, 0), PreconditionViolation),
+}
+
+
+@pytest.fixture(scope="module")
+def plan_and_law():
+    return build_plan((0.55, 0.45), BENCH, T=1.0, slack=1.0), exact_law(BENCH, 1, 6)
+
+
+@pytest.mark.parametrize("site", list(SCALAR_ARGUMENTS))
+def test_scalar_arguments_of_the_wrong_type_raise_library_errors(site, plan_and_law):
+    call, error = SCALAR_ARGUMENTS[site]
+    with pytest.raises(error, match="must be a real number|must be an integer"):
+        call(*plan_and_law)

@@ -67,28 +67,45 @@ def test_tie_values_are_half_way():
 
 def test_decade_doubles_lie_above_their_powers_of_ten():
     """The exact-exponent rule: each decade double is the smallest double at or above 10^k."""
-    assert len(_format._DECADES) == 309
-    for k, x in zip(range(-308, 1), _format._DECADES):
+    assert _format._E_MIN == -39 and len(_format._DECADES) == 40
+    for k, x in zip(range(-39, 1), _format._DECADES):
         assert Fraction(float(np.nextafter(x, 0.0))) < Fraction(10) ** k <= Fraction(float(x))
+
+
+def test_powers_of_five_are_exact_down_to_the_deepest_decade():
+    """The digit scale 5^P, P = 16 - E, of E = -39 fits in 128 bits and that of E = -40 does not."""
+    hi, lo, shift = _format._POW5
+    assert len(hi) == len(lo) == len(shift) == 39
+    assert (5**55).bit_length() == 128 < (5**56).bit_length()
+    for E, h, l in zip(range(-39, 0), hi.tolist(), lo.tolist()):
+        F = (h << 64) | l
+        five = 5 ** (16 - E)
+        assert F >> (128 - five.bit_length()) == five and F % 2 ** (128 - five.bit_length()) == 0
 
 
 def test_binade_decades_are_the_floor_of_log10():
     for e in range(1, 1023):
         k = int(_format._BINADE_DECADE[e])
-        assert Fraction(10) ** k <= Fraction(2) ** (e - 1023) < Fraction(10) ** (k + 1)
+        x = Fraction(2) ** (e - 1023)
+        if k >= -39:
+            assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1)
+        else:
+            assert k == -40 and x < Fraction(10) ** -39
+    assert _format._BINADE_DECADE[1] == -40
 
 
-# exponent form: every decade of normal doubles below 1e-4, with its edges
+# exponent form: every decade of normal doubles below 1e-4, with the edges of
+# every decade, built apart from the writer's table (those below 1e-39 go
+# through f17)
 LOG_UNIFORM = np.exp(np.random.default_rng(21).uniform(np.log(2.0**-1022), np.log(1e-4), 150_000))
-DECADE_EDGES = [float(x) for d in _format._DECADES[1:305] for x in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))]
+DECADE_EDGES = [float(x) for k in range(1, 309)
+                for d in [float(f"1e-{k}")] for x in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))]
 EXPONENT_TIES = [j / 2.0 ** (P + 1) for P in range(21, 25) for j in _ties(P)]
 
 
 def test_exponent_form_equals_f17(tmp_path):
     values = LOG_UNIFORM.tolist() + DECADE_EDGES + EXPONENT_TIES
     assert _written_floats(tmp_path, values) == [f17(x) for x in values]
-    # the 128-bit powers of five decide every one of them
-    assert _format._significand17(np.array(values))[2].all()
 
 
 def test_exponent_ties_are_half_way():
@@ -102,29 +119,29 @@ def test_exponent_ties_are_half_way():
 
 
 @pytest.mark.parametrize("k", [-14, -176, -305])
-def test_carry_to_the_next_decade(tmp_path, k):
+def test_carry_to_the_next_decade(tmp_path, monkeypatch, k):
     """The double below the decade double rounds up to 10^17 in its own decade and
-    is written as the next power of ten."""
-    below = float(np.nextafter(_format._DECADES[k + 308], 0.0))
+    is written as the next power of ten: by the fast path at k = -14, the one
+    such decade in its domain, and by f17 at the deeper two."""
+    seen = []
+    monkeypatch.setattr(_format, "f17", lambda x: seen.append(x) or f17(x))
+    d = float(f"1e{k}")
+    d = d if Fraction(d) >= Fraction(10) ** k else float(np.nextafter(d, 1.0))
+    below = float(np.nextafter(d, 0.0))
     assert Fraction(below) < Fraction(10) ** k
     assert _written_floats(tmp_path, [below]) == [f"1e-{-k}"] == [f17(below)]
+    assert seen == ([] if k == -14 else [below])
 
 
 def test_values_outside_the_fast_domain_go_through_f17(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(_format, "f17", lambda x: seen.append(x) or f17(x))
-    slow = [5e-324, 1e-310, float(np.nextafter(2.0**-1022, 0.0)), 1.0]
-    fast = [2.0**-1022, 1e-100, 1e-4]
+    deepest = float(_format._DECADES[0])
+    slow = [5e-324, 1e-310, float(np.nextafter(2.0**-1022, 0.0)), 2.0**-1022, 1e-100,
+            float(np.nextafter(deepest, 0.0)), 1.0]
+    fast = [deepest, 1e-4]
     assert _written_floats(tmp_path, slow + fast) == [f17(x) for x in slow + fast]
     assert seen == slow
-
-
-def test_truncated_powers_fall_back_to_f17(tmp_path, monkeypatch):
-    """With powers of five cut to 64 bits, values the cut leaves undecided go through f17."""
-    monkeypatch.setattr(_format, "_POW5", _format._pow5_table(64))
-    values = np.exp(np.random.default_rng(22).uniform(np.log(1e-300), np.log(1e-12), 30_000))
-    assert (~_format._significand17(values)[2]).sum() > 50
-    assert _written_floats(tmp_path, values.tolist()) == [f17(x) for x in values.tolist()]
 
 
 def test_mulhilo64_matches_python_integers():
