@@ -91,7 +91,6 @@ def test_binade_decades_are_the_floor_of_log10():
             assert Fraction(10) ** k <= x < Fraction(10) ** (k + 1)
         else:
             assert k == -40 and x < Fraction(10) ** -39
-    assert _format._BINADE_DECADE[1] == -40
 
 
 # exponent form: every decade of normal doubles below 1e-4, with the edges of
