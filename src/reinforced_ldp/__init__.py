@@ -48,11 +48,12 @@ from .exact import (
     finite_n_rate,
 )
 from .ratesolver import (
-    PiecewiseControl,
+    PiecewiseLinearPath,
     RateBracket,
     SolveDiagnostics,
     discounted_cost,
-    integrate_forward,
+    flow_cost,
+    flow_nodes,
     rate_profile,
     simplex_mesh,
     solve_dv_rate,
@@ -62,7 +63,6 @@ from .lowerbound import (
     CostConvergenceReport,
     CostTrendRow,
     KappaSchedule,
-    PiecewiseLinearPath,
     PlanBounds,
     PlanRun,
     ReversedPlan,
@@ -70,7 +70,6 @@ from .lowerbound import (
     check_cost_convergence,
     plan_to_json,
     reversed_cost,
-    reversed_flow_nodes,
     run_plan,
 )
 from .validation import CriterionResult, run_acceptance, write_report_csv
@@ -97,7 +96,6 @@ __all__ = [
     "InfeasibleTrajectory",
     "KappaSchedule",
     "Kernel",
-    "PiecewiseControl",
     "PiecewiseLinearPath",
     "PlanBounds",
     "PlanRun",
@@ -119,14 +117,14 @@ __all__ = [
     "exact_law",
     "exact_law_levels",
     "finite_n_rate",
-    "integrate_forward",
+    "flow_cost",
+    "flow_nodes",
     "kernel_apply",
     "path_rng",
     "plan_to_json",
     "rate_profile",
     "relative_entropy",
     "reversed_cost",
-    "reversed_flow_nodes",
     "run_acceptance",
     "run_plan",
     "simplex_mesh",

@@ -182,7 +182,10 @@ def _resolve_seed(args, doc: dict) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -370,9 +373,17 @@ def cmd_lowerbound(args) -> int:
         print(f"lowerbound: cost trend over n={n_list} written (quad {report.quad_cost:.6f}, "
               f"allowance {report.allowance:.6f})")
     if runs_sect is not None:
-        runs = [run_plan(plan, A, n_run, eps0, seed + i) for i in range(run_seeds)]
-        export_runs_csv(out / "runs.csv", runs, prov)
-        hits = sum(r.an_occurred for r in runs)
+        hits = 0
+
+        def runs():
+            # one run at a time: its row is written as it ends, and its n-step path is not kept
+            nonlocal hits
+            for i in range(run_seeds):
+                run = run_plan(plan, A, n_run, eps0, seed + i)
+                hits += run.an_occurred
+                yield run
+
+        export_runs_csv(out / "runs.csv", runs(), prov)
         print(f"lowerbound: {run_seeds} run(s) at n={n_run}; fallback taken {hits} time(s)")
     return 0
 

@@ -77,6 +77,7 @@ def exact_law_levels(
 ) -> dict[int, CountLaw]:
     """Laws at several levels from one DP sweep (keyed by requested n)."""
     wanted = sorted(set(_as_count(n, "exact_law: n") for n in n_list))
+    mem_cap_bytes = _as_count(mem_cap_bytes, "exact_law: mem_cap_bytes")
     if not wanted or wanted[0] < 1:
         raise PreconditionViolation("exact_law: every n must be >= 1")
     d = A.d

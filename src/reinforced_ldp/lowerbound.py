@@ -15,10 +15,10 @@ two steps, each in closed form:
 
 The mollified path is the schedule: a run reads it at the chain's own
 clock by linear interpolation between its kinks, so no second time grid
-is laid over the chain's.  Both controls in reversed time, the step
-function and its mollified version, are one type,
-:class:`PiecewiseLinearPath`: a start value and a slope per piece, with
-zero slopes for the step function.
+is laid over the chain's.  Every control of the pipeline, the solver's
+step control, its reversal and the mollified path, is the package's one
+control type, :class:`~reinforced_ldp.ratesolver.PiecewiseLinearPath`: a
+start value and a slope per piece, with zero slopes for a step control.
 
 Each step carries an explicit bound on the cost increase and on the
 trajectory deviation it can introduce, recorded in :class:`PlanBounds`, so
@@ -26,8 +26,10 @@ the scheduled cost stays within a certified distance of the solver's
 value.  The reversed-time dynamics ``M' = eta - M`` coincide with the
 drift of the empirical-measure recursion, so a controlled chain run
 forward under the schedule tracks the reversed trajectory and its
-empirical measure lands near ``m``.  The flow and its cost quadrature
-come from :mod:`~reinforced_ldp.ratesolver`.
+empirical measure lands near ``m``.  The flow in both directions and its
+cost quadrature are :func:`~reinforced_ldp.ratesolver.flow_nodes` and
+:func:`~reinforced_ldp.ratesolver.flow_cost`; :func:`reversed_cost` is
+the reversed pair of them.
 
 :func:`run_plan` executes the schedule: an i.i.d. warm-up drives the
 empirical measure toward the reversed starting point ``q``, a one-shot
@@ -69,13 +71,12 @@ from .measures import (
 )
 from .ratesolver import (  # noqa: F401  (_GL_X sizes perfbench's quad_nodes counter)
     _GL_X,
-    PiecewiseControl,
+    PiecewiseLinearPath,
     SolveDiagnostics,
     _cost_value,
-    _flow_nodes,
-    _flow_quad,
     _weights_vector,
-    forward_cost_continuous,
+    flow_cost,
+    flow_nodes,
     solve_rate,
 )
 
@@ -84,63 +85,16 @@ EPS_TARGET = 0.05            # total-variation deviation the mixing step may add
 
 
 # ---------------------------------------------------------------------------
-# piecewise paths in reversed time
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseLinearPath:
-    """Piecewise-linear path on ``[0, inf)``, possibly discontinuous at breaks.
-
-    On piece ``i``, ``[breaks[i], breaks[i+1])``, the value is
-    ``start[i] + slope[i] (s - breaks[i])``; the last piece continues past
-    ``breaks[-1]``.  A step function has zero slopes.
-    """
-
-    breaks: np.ndarray
-    start: np.ndarray
-    slope: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.start, dtype=float)
-        beta = np.asarray(self.slope, dtype=float)
-        if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size - 1 or beta.shape != v.shape:
-            raise DimensionMismatch(
-                f"PiecewiseLinearPath: breaks {b.shape}, start {v.shape} and slope {beta.shape} disagree"
-            )
-        if not all(np.isfinite(arr).all() for arr in (b, v, beta)):
-            raise PreconditionViolation("PiecewiseLinearPath: breaks, start and slope must be finite")
-        if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
-            raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
-        for arr in (b, v, beta):
-            arr.flags.writeable = False
-        object.__setattr__(self, "breaks", b)
-        object.__setattr__(self, "start", v)
-        object.__setattr__(self, "slope", beta)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.breaks[-1])
-
-
-# ---------------------------------------------------------------------------
-# reversed-time flow M' = eta - M and its cost, by the integrator of ratesolver
-
-
-def reversed_flow_nodes(q, path: PiecewiseLinearPath) -> np.ndarray:
-    """Values of ``M' = eta - M``, ``M(0) = q`` at the path's breaks, re-centred to sum 1."""
-    return _flow_nodes(_weights_of(q), np.diff(path.breaks), path.start, path.slope, -1.0)
+# reversed-time flow M' = eta - M and its cost
 
 
 def reversed_cost(q, path: PiecewiseLinearPath, A: Kernel) -> float:
-    """``e^{-T} int_0^T e^s R(eta(s) || M(s) A) ds`` along the reversed flow.
+    """``e^{-T} int_0^T e^s R(eta(s) || M(s) A) ds`` along the reversed flow from ``q``.
 
     By the substitution ``s -> T - s`` this equals the forward discounted
     cost of the un-reversed pair, which is what the plan's bounds control.
     """
-    Mn = reversed_flow_nodes(q, path)
-    b = path.breaks
-    return _flow_quad(A.matrix, b[:-1], b[1:], path.start, path.slope, Mn[:-1], forward=False, T=path.horizon)
+    return flow_cost(path, flow_nodes(q, path, forward=False), A, forward=False)
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +198,18 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
         raise PreconditionViolation("build_plan: slack must be positive and finite")
     m_arr = ProbVec(_weights_of(m)).weights
     bracket = solve_rate(m_arr, A, T=_as_real(T, "build_plan: T"), J=J)
-    T_val, J_val = float(bracket.eta_opt.T), bracket.eta_opt.J
+    T_val, J_val = bracket.eta_opt.horizon, len(bracket.eta_opt.start)
     mstar = stationary_distribution(A).weights
     gap_star = float(np.abs(m_arr - mstar).sum())
     kappa1 = 1.0 if gap_star <= EPS_TARGET else EPS_TARGET / gap_star
-    eta1 = (1.0 - kappa1) * np.asarray(bracket.eta_opt.eta, dtype=float) + kappa1 * mstar
+    eta1 = (1.0 - kappa1) * bracket.eta_opt.start + kappa1 * mstar
     M1 = (1.0 - kappa1) * bracket.M_opt + kappa1 * mstar
     delta = float(kappa1 * mstar.min())
     # a relative-entropy sum: rounding can leave it a few ulps below zero, as in rate_profile
     cost_mixed = max(_cost_value(eta1, M1, A.matrix, _weights_vector(T_val, J_val)), 0.0)
-    cost_mixed_quad = forward_cost_continuous(PiecewiseControl(T=T_val, J=J_val, eta=eta1), M1, A)
+    cost_mixed_quad = flow_cost(PiecewiseLinearPath.steps(T_val, eta1), M1, A)
     q = ProbVec(M1[-1])
-    rows = eta1[::-1]
-    rev = PiecewiseLinearPath(np.linspace(0.0, T_val, J_val + 1), rows, np.zeros_like(rows))
+    rev = PiecewiseLinearPath.steps(T_val, eta1[::-1])
     cost_reversed_quad = reversed_cost(q, rev, A)
     eT = math.exp(T_val)
     k2 = min(delta / (6.0 * eT) / slack, 0.5 * T_val / J_val)
@@ -272,8 +225,7 @@ def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float 
     moll = PiecewiseLinearPath(knots, schedule[:-1], slope)
     schedule.flags.writeable = False
     cost_mollified_quad = reversed_cost(q, moll, A)
-    M_hat = reversed_flow_nodes(q, moll)
-    M_hat.flags.writeable = False
+    M_hat = flow_nodes(q, moll, forward=False)
     bounds = PlanBounds(
         cost_solver=bracket.lower,
         cost_mixed=cost_mixed,

@@ -41,14 +41,14 @@ def _as_real(x, name: str, error=PreconditionViolation) -> float:
     return float(x)
 
 
-def _as_count(n, name: str) -> int:
-    """``n`` as a Python int; a bool or a value that is not an integer raises."""
+def _as_count(n, name: str, error=PreconditionViolation) -> int:
+    """``n`` as a Python int; a bool or a value that is not an integer raises ``error``."""
     if not isinstance(n, (bool, np.bool_)):
         try:
             return operator.index(n)
         except TypeError:
             pass
-    raise PreconditionViolation(f"{name} must be an integer, got {n!r}")
+    raise error(f"{name} must be an integer, got {n!r}")
 
 
 def _float_array(raw, what: str, error) -> np.ndarray:
@@ -97,10 +97,7 @@ class ProbVec:
     @classmethod
     def point_mass(cls, state: int, d: int) -> "ProbVec":
         """Unit mass at ``state`` (1-based); ``state`` and ``d`` must be integers."""
-        try:
-            state, d = operator.index(state), operator.index(d)
-        except TypeError:
-            raise PreconditionViolation(f"point_mass: state and d must be integers, got {state!r}, {d!r}") from None
+        state, d = _as_count(state, "point_mass: state"), _as_count(d, "point_mass: d")
         if not 1 <= state <= d:
             raise DimensionMismatch(f"state {state} outside 1..{d}")
         w = np.zeros(d)

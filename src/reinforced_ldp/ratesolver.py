@@ -29,13 +29,16 @@ occupation-measure formulation, ``solve_dv_rate``, computes the
 pair-measure rate by iterative proportional fitting and is exposed for
 cross-checks.
 
-The linear flow ``M' = sigma (M - eta)`` is integrated here for both signs
-(``sigma = -1`` is the plan pipeline's reversed flow) by one piece map: under
-a control ``v + beta s`` the gap ``G = M - eta`` is ``e^{sigma s} G(0) -
-sigma beta expm1(sigma s)``, free of cancellation on steep pieces.  Nodes
-carry the gap in difference form, exact at equilibria, and are re-centred
-onto sum 1 (else rounding grows like ``e^T`` forward); the quadrature reuses
-the map.
+Every control is one type, :class:`PiecewiseLinearPath`: breaks, and a start
+value and a slope per piece; the solver's controls are its step paths
+(:meth:`PiecewiseLinearPath.steps`).  The linear flow ``M' = sigma (M -
+eta)`` is integrated here for both signs (``sigma = -1`` is the plan
+pipeline's reversed flow) by one piece map: under a control ``v + beta s``
+the gap ``G = M - eta`` is ``e^{sigma s} G(0) - sigma beta expm1(sigma s)``,
+free of cancellation on steep pieces.  :func:`flow_nodes` carries the gap in
+difference form, exact at equilibria, and re-centres the nodes onto sum 1
+(else rounding grows like ``e^T`` forward); :func:`flow_cost`, the
+quadrature of the discounted cost, reuses the map.
 """
 from __future__ import annotations
 
@@ -77,31 +80,49 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseControl:
-    """A control that is constant on each of ``J`` intervals of ``[0, T]``."""
+class PiecewiseLinearPath:
+    """Piecewise-linear control on ``[0, inf)``, possibly discontinuous at breaks.
 
-    T: float
-    J: int
-    eta: np.ndarray
+    On piece ``i``, ``[breaks[i], breaks[i+1])``, the value is
+    ``start[i] + slope[i] (s - breaks[i])``; the last piece continues past
+    ``breaks[-1]``.  A step control has zero slopes (:meth:`steps`).
+    """
+
+    breaks: np.ndarray
+    start: np.ndarray
+    slope: np.ndarray
 
     def __post_init__(self):
-        T = _as_real(self.T, "PiecewiseControl: T")
-        J = _as_count(self.J, "PiecewiseControl: J")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "J", J)
-        if not (0.0 < T < math.inf and J >= 1):
-            raise PreconditionViolation(f"PiecewiseControl: need a finite T > 0 and J >= 1, got T={T!r}, J={J}")
-        eta = np.asarray(self.eta, dtype=float)
-        if eta.ndim != 2 or eta.shape[0] != J:
-            raise DimensionMismatch(f"PiecewiseControl: eta shape {eta.shape} does not match J={J}")
+        b = np.asarray(self.breaks, dtype=float)
+        v = np.asarray(self.start, dtype=float)
+        beta = np.asarray(self.slope, dtype=float)
+        if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size - 1 or beta.shape != v.shape:
+            raise DimensionMismatch(
+                f"PiecewiseLinearPath: breaks {b.shape}, start {v.shape} and slope {beta.shape} disagree"
+            )
+        if not all(np.isfinite(arr).all() for arr in (b, v, beta)):
+            raise PreconditionViolation("PiecewiseLinearPath: breaks, start and slope must be finite")
+        if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
+            raise PreconditionViolation("PiecewiseLinearPath: breaks must increase from 0")
+        for arr in (b, v, beta):
+            arr.flags.writeable = False
+        object.__setattr__(self, "breaks", b)
+        object.__setattr__(self, "start", v)
+        object.__setattr__(self, "slope", beta)
+
+    @classmethod
+    def steps(cls, T: float, eta) -> "PiecewiseLinearPath":
+        """The step control ``eta_j`` on the ``J = len(eta)`` pieces of
+        ``linspace(0, T, J + 1)``."""
+        T = _as_real(T, "PiecewiseLinearPath.steps: T")
+        if not 0.0 < T < math.inf:
+            raise PreconditionViolation(f"PiecewiseLinearPath.steps: need a finite T > 0, got {T!r}")
+        eta = np.asarray(eta, dtype=float)
+        return cls(np.linspace(0.0, T, len(eta) + 1 if eta.ndim else 0), eta, np.zeros_like(eta))
 
     @property
-    def delta(self) -> float:
-        return self.T / self.J
-
-    @property
-    def d(self) -> int:
-        return int(self.eta.shape[1])
+    def horizon(self) -> float:
+        return float(self.breaks[-1])
 
 
 @dataclass(frozen=True)
@@ -124,7 +145,7 @@ class RateBracket:
 
     lower: float
     upper: float
-    eta_opt: PiecewiseControl
+    eta_opt: PiecewiseLinearPath
     M_opt: np.ndarray
     diagnostics: SolveDiagnostics
 
@@ -163,53 +184,44 @@ def _flow_nodes(start, widths, v, slope, sign: float) -> np.ndarray:
     return M
 
 
-def integrate_forward(m, ctrl: PiecewiseControl) -> np.ndarray:
-    """Evolve ``m`` under ``ctrl``: the read-only ``(J+1, d)`` nodes ``M_0..M_J``,
-    which may leave the simplex."""
+def flow_nodes(m, path: PiecewiseLinearPath, forward: bool = True) -> np.ndarray:
+    """Nodes of ``M' = M - eta`` (``forward``) or ``M' = eta - M`` from ``M(0) = m``
+    at the path's breaks: a read-only ``(J+1, d)`` array, re-centred to sum 1,
+    which the forward flow may carry off the simplex."""
     m_arr = _weights_of(m)
-    if m_arr.size != ctrl.d:
-        raise DimensionMismatch("integrate_forward: dimension mismatch between m and control")
-    eta = np.asarray(ctrl.eta, dtype=float)
-    M = _flow_nodes(m_arr, np.full(ctrl.J, ctrl.delta), eta, np.zeros_like(eta), 1.0)
+    if m_arr.size != path.start.shape[1]:
+        raise DimensionMismatch("flow_nodes: dimension mismatch between m and control")
+    M = _flow_nodes(m_arr, np.diff(path.breaks), path.start, path.slope, 1.0 if forward else -1.0)
     M.flags.writeable = False
     return M
 
 
-def _flow_quad(Amat, lo, hi, v_lo, slope, M_lo, forward: bool, T: float = 0.0) -> float:
-    """``int w(s) R(eta(s) || M(s) A) ds`` over linear pieces of the control.
+def flow_cost(path: PiecewiseLinearPath, M: np.ndarray, A: Kernel, forward: bool = True) -> float:
+    """``int w(s) R(eta(s) || M(s) A) ds`` over the path's pieces, given its
+    nodes ``M`` (:func:`flow_nodes`).
 
-    On ``[lo, hi]`` the control is ``eta(s) = v_lo + slope (s - lo)`` (a
-    constant piece has slope 0) and ``M_lo`` is the flow at ``lo``.  The
-    forward flow ``M' = M - eta`` is weighted by ``w(s) = e^{-s}``, the
-    reversed flow ``M' = eta - M`` by ``w(s) = e^{s - T}``; the in-piece flow
-    is :func:`_flow_gap`, the rule 16-point Gauss-Legendre.
+    The forward flow is weighted by ``w(s) = e^{-s}``, the reversed one by
+    ``w(s) = e^{s - T}`` with ``T`` the path's horizon.  In each piece the
+    flow is :func:`_flow_gap` from the piece's node and the rule 16-point
+    Gauss-Legendre; unlike the solver's left-endpoint sum this integrates the
+    exact in-piece flow, so on a step control the two differ by ``O(T/J)``.
     """
     sign = 1.0 if forward else -1.0
+    lo, hi, T = path.breaks[:-1], path.breaks[1:], path.horizon
     total = 0.0
     for a in range(0, lo.size, _QUAD_CHUNK):
         b = min(a + _QUAD_CHUNK, lo.size)
         l, h = lo[a:b], hi[a:b]
-        vl, bt, Ml = v_lo[a:b], slope[a:b], M_lo[a:b]
+        vl, bt, Ml = path.start[a:b], path.slope[a:b], M[a:b]
         half = 0.5 * (h - l)
         s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
         ds = s - l[:, None]
         eta_s = vl[:, None, :] + bt[:, None, :] * ds[..., None]
-        M = eta_s + _flow_gap((Ml - vl)[:, None, :], bt[:, None, :], ds[..., None], sign)
-        r = rel_entr(eta_s, M @ Amat).sum(axis=2)
+        Ms = eta_s + _flow_gap((Ml - vl)[:, None, :], bt[:, None, :], ds[..., None], sign)
+        r = rel_entr(eta_s, Ms @ A.matrix).sum(axis=2)
         weight = np.exp(-s) if forward else np.exp(s - T)
         total += float(((weight * r * _GL_W[None, :]).sum(axis=1) * half).sum())
     return total
-
-
-def forward_cost_continuous(ctrl: PiecewiseControl, M: np.ndarray, A: Kernel) -> float:
-    """Continuous-time discounted cost of a piecewise-constant control.
-
-    Unlike the solver objective this integrates the exact in-piece flow,
-    so it differs from the left-endpoint sum by ``O(T/J)``.
-    """
-    edges = np.linspace(0.0, ctrl.T, ctrl.J + 1)
-    eta = np.asarray(ctrl.eta, dtype=float)
-    return _flow_quad(A.matrix, edges[:-1], edges[1:], eta, np.zeros_like(eta), M[:-1], forward=True)
 
 
 def _weights_vector(T: float, J: int) -> np.ndarray:
@@ -222,14 +234,17 @@ def _cost_value(eta: np.ndarray, M: np.ndarray, Amat: np.ndarray, w: np.ndarray)
     return float(w @ rel_entr(eta, K).sum(axis=1))
 
 
-def discounted_cost(m, ctrl: PiecewiseControl, A: Kernel) -> float:
-    """Discounted running cost of a feasible control."""
-    M = integrate_forward(m, ctrl)
+def discounted_cost(m, ctrl: PiecewiseLinearPath, A: Kernel) -> float:
+    """Discounted running cost ``sum_j w_j R(eta_j || M_j A)`` of a feasible
+    step control, ``w_j = e^{-b_j} - e^{-b_{j+1}}`` over its breaks ``b``."""
+    if ctrl.slope.any():
+        raise PreconditionViolation("discounted_cost: needs a step control, got nonzero slopes")
+    M = flow_nodes(m, ctrl)
     feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
     if not feasible.all():
         raise InfeasibleTrajectory(f"discounted_cost: node {int(np.argmin(feasible))} leaves the simplex")
-    w = _weights_vector(ctrl.T, ctrl.J)
-    val = _cost_value(np.asarray(ctrl.eta, dtype=float), M, A.matrix, w)
+    b = ctrl.breaks
+    val = _cost_value(ctrl.start, M, A.matrix, np.exp(-b[:-1]) * -np.expm1(-np.diff(b)))
     if not np.isfinite(val):
         raise InfeasibleTrajectory("discounted_cost: non-finite cost")
     return val
@@ -475,7 +490,7 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
         diag = SolveDiagnostics(iterations=iterations, gap=n_constraints / t, converged=converged,
                                 binding=bool(M[1:].min() <= BINDING_ATOL), boundary_lifted=lift)
         brackets.append(RateBracket(lower=lower, upper=lower + math.exp(-T) * math.log(1.0 / A.delta0),
-                                    eta_opt=PiecewiseControl(T=T, J=J, eta=eta), M_opt=M, diagnostics=diag))
+                                    eta_opt=PiecewiseLinearPath.steps(T, eta), M_opt=M, diagnostics=diag))
     return brackets
 
 

@@ -31,15 +31,15 @@ from .chains import _time_grid, path_rng, simulate_chain_batch, simulate_control
 from .errors import ConfigError
 from .exact import exact_law, finite_n_rate
 from .lowerbound import _plan_path, build_plan, check_cost_convergence
-from .measures import Kernel, ProbVec, _as_real, relative_entropy, stationary_distribution
+from .measures import Kernel, ProbVec, _as_count, _as_real, relative_entropy, stationary_distribution
 from .ratesolver import (
-    PiecewiseControl,
+    PiecewiseLinearPath,
     _cost_value,
     _newton_parts,
     _node_controls,
     _weights_vector,
     discounted_cost,
-    integrate_forward,
+    flow_nodes,
     rate_profile,
     solve_dv_rate,
     solve_rate,
@@ -190,8 +190,8 @@ def _feasible_control(rng, m, T, J, d):
         targets = 0.7 * rng.dirichlet(np.ones(d), size=J) + 0.3 / d
         lam = rng.uniform(0.0, reach, size=(J, 1))
         eta = (1.0 - lam) * m + lam * targets
-        ctrl = PiecewiseControl(T=T, J=J, eta=eta)
-        if integrate_forward(m, ctrl).min() > 1e-5:
+        ctrl = PiecewiseLinearPath.steps(T, eta)
+        if flow_nodes(m, ctrl).min() > 1e-5:
             return ctrl
         reach *= 0.9
     raise ConfigError("could not sample a feasible control")
@@ -213,7 +213,7 @@ def _c7_gradient(scale, seed):
 
     for _ in range(n_controls):
         m = _interior_point(rng, d)
-        M = integrate_forward(m, _feasible_control(rng, m, T, J, d))
+        M = flow_nodes(m, _feasible_control(rng, m, T, J, d))
         g = _newton_parts(M[None], A.matrix, w, e_delta, np.ones(1), barrier=False)[0][0]
         for j in range(J):
             for x in range(d - 1):
@@ -240,7 +240,7 @@ def _c8_convexity(scale, seed):
         c1 = discounted_cost(m1, ctrl1, A)
         c2 = discounted_cost(m2, ctrl2, A)
         cm = discounted_cost(
-            0.5 * (m1 + m2), PiecewiseControl(T, J, 0.5 * (ctrl1.eta + ctrl2.eta)), A
+            0.5 * (m1 + m2), PiecewiseLinearPath.steps(T, 0.5 * (ctrl1.start + ctrl2.start)), A
         )
         worst = max(worst, cm - 0.5 * (c1 + c2))
     return worst, 1e-10, worst <= 1e-10, f"{2 * n_pairs} feasible pairs"
@@ -371,6 +371,7 @@ def run_acceptance(scale: float = 1.0, seed: int = 0, include=None) -> list[Crit
     scale = _as_real(scale, "run_acceptance: scale", ConfigError)
     if not scale > 0.0:
         raise ConfigError(f"run_acceptance: scale must be positive, got {scale!r}")
+    seed = _as_count(seed, "run_acceptance: seed", ConfigError)
     if include is None:
         chosen = list(CRITERIA)
     else:

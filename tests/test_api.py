@@ -11,7 +11,7 @@ import reinforced_ldp
 from reinforced_ldp import (
     ConfigError,
     Kernel,
-    PiecewiseControl,
+    PiecewiseLinearPath,
     PositivityViolation,
     PreconditionViolation,
     build_kernel_mixture,
@@ -86,7 +86,8 @@ BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 # would stop at the DP's memory cap)
 SCALAR_ARGUMENTS = {
     "rate_profile T": (lambda plan, law: rate_profile(BENCH, [(0.3, 0.7)], T="1"), PreconditionViolation),
-    "PiecewiseControl T": (lambda plan, law: PiecewiseControl(T="1", J=1, eta=[[0.5, 0.5]]), PreconditionViolation),
+    "PiecewiseLinearPath.steps T": (lambda plan, law: PiecewiseLinearPath.steps("1", [[0.5, 0.5]]),
+                                    PreconditionViolation),
     "simplex_mesh step": (lambda plan, law: simplex_mesh(2, "0.5"), PreconditionViolation),
     "build_plan slack": (lambda plan, law: build_plan((0.3, 0.7), BENCH, slack="1"), PreconditionViolation),
     "build_plan T": (lambda plan, law: build_plan((0.3, 0.7), BENCH, T="2"), PreconditionViolation),
@@ -96,7 +97,10 @@ SCALAR_ARGUMENTS = {
     "event_probability radius": (lambda plan, law: event_probability(law, (0.5, 0.5), "x"), PreconditionViolation),
     "finite_n_rate radius": (lambda plan, law: finite_n_rate(BENCH, 1, (0.5, 0.5), None, [10**9]),
                              PreconditionViolation),
+    "exact_law mem_cap_bytes": (lambda plan, law: exact_law(BENCH, 1, 6, mem_cap_bytes="x"), PreconditionViolation),
     "run_acceptance scale": (lambda plan, law: run_acceptance(scale="1"), ConfigError),
+    "run_acceptance seed": (lambda plan, law: run_acceptance(scale=0.01, seed="x", include=["C1", "C3"]),
+                            ConfigError),
     "build_kernel_mixture alpha": (lambda plan, law: build_kernel_mixture("0.5", [0.5, 0.5], np.eye(2)),
                                    PositivityViolation),
     "simulate_chain n": (lambda plan, law: simulate_chain(BENCH, 1, True, 0), PreconditionViolation),

@@ -645,3 +645,14 @@ def test_mem_cap_env_is_resource_error(tmp_path, monkeypatch):
         "exact": {"n": 3000},
     })
     assert main(["exact", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, kernel_config, capsys):
+    """An ``--out`` below a regular file is a configuration error (exit 2)
+    naming the directory, not a traceback with exit 1."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(["simulate", "--config", kernel_config, "--out", str(out), "--n", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot create output directory") and str(out) in err

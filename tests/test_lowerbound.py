@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.special import rel_entr
 
 from reinforced_ldp import lowerbound
@@ -15,19 +15,17 @@ from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_SLACK,
     EPS_TARGET,
-    PiecewiseLinearPath,
     build_plan,
     check_cost_convergence,
     export_cost_report_csv,
     export_runs_csv,
     plan_to_json,
     reversed_cost,
-    reversed_flow_nodes,
     run_plan,
     verify_chain_rule_identity,
 )
 from reinforced_ldp.measures import Kernel, ProbVec, stationary_distribution
-from reinforced_ldp.ratesolver import PiecewiseControl, integrate_forward, solve_rate
+from reinforced_ldp.ratesolver import PiecewiseLinearPath, flow_cost, flow_nodes, solve_rate
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])
 BENCH_TARGET = (0.3, 0.7)
@@ -50,8 +48,8 @@ def light_plan():
 def _toy_control():
     """Small non-equilibrium control whose forward trajectory stays interior."""
     eta = np.array([[0.6, 0.4], [0.7, 0.3], [0.65, 0.35], [2.0 / 3.0, 1.0 / 3.0]])
-    ctrl = PiecewiseControl(T=1.0, J=4, eta=eta)
-    return ctrl, integrate_forward(np.array([0.5, 0.5]), ctrl)
+    ctrl = PiecewiseLinearPath.steps(1.0, eta)
+    return ctrl, flow_nodes(np.array([0.5, 0.5]), ctrl)
 
 
 def test_bounds_chain(bench_plan):
@@ -105,7 +103,7 @@ def test_mixing_exactness(bench_plan):
     m_star = stationary_distribution(BENCH).weights
     kappa = p.kappas.kappa1
     assert 0.0 < kappa < 1.0
-    eta1 = (1 - kappa) * bracket.eta_opt.eta + kappa * m_star
+    eta1 = (1 - kappa) * bracket.eta_opt.start + kappa * m_star
     assert np.array_equal(p.control_reversed.start[::-1], eta1)
     assert np.array_equal(p.q.weights, (1 - kappa) * bracket.M_opt[-1] + kappa * m_star)
     assert p.delta == kappa * m_star.min()
@@ -137,29 +135,64 @@ def _uniform_step_path(eta, c):
 def test_reversed_flow_nodes_match_grid_integrator():
     """Closed-form nodes of a step path agree with the uniform-grid integrator."""
     ctrl, M = _toy_control()
-    rows = ctrl.eta[::-1]
-    rev = PiecewiseLinearPath(np.linspace(0.0, ctrl.T, ctrl.J + 1), rows, np.zeros_like(rows))
+    rows = ctrl.start[::-1]
+    rev = PiecewiseLinearPath.steps(ctrl.horizon, rows)
     q = M[-1]
-    nodes = reversed_flow_nodes(q, rev)
-    assert np.abs(nodes - _grid_flow(q, rows, ctrl.T / ctrl.J)).max() < 1e-12
+    nodes = flow_nodes(q, rev, forward=False)
+    assert np.abs(nodes - _grid_flow(q, rows, ctrl.horizon / len(rows))).max() < 1e-12
 
 
-def test_reversed_flow_nodes_solve_the_ode_on_linear_pieces():
-    """Closed-form nodes under nonzero slopes agree with a numerical ODE solve."""
-    breaks = np.array([0.0, 0.3, 0.45, 1.0])
-    start = np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]])
-    slope = np.array([[0.5, -0.5], [-2.0, 2.0], [0.25, -0.25]])
-    path = PiecewiseLinearPath(breaks, start, slope)
-    q = np.array([0.35, 0.65])
-    nodes = reversed_flow_nodes(q, path)
-    M = q
-    for i in range(3):
+# sloped pieces whose values, and whose flow from Q in either direction, stay
+# inside the simplex, so the running cost is finite throughout
+SLOPED = PiecewiseLinearPath(
+    np.array([0.0, 0.3, 0.45, 1.0]),
+    np.array([[0.6, 0.4], [0.2, 0.8], [0.5, 0.5]]),
+    np.array([[0.5, -0.5], [-1.0, 1.0], [0.25, -0.25]]),
+)
+Q = np.array([0.35, 0.65])
+
+
+def _ode_flow(path, q, forward):
+    """Dense solutions of ``M' = sign (M - eta(s))`` by DOP853, one per piece."""
+    sign = 1.0 if forward else -1.0
+    b, v, beta = path.breaks, path.start, path.slope
+    sols, M = [], q
+    for i in range(len(v)):
         sol = solve_ivp(
-            lambda s, y, i=i: start[i] + slope[i] * (s - breaks[i]) - y,
-            (breaks[i], breaks[i + 1]), M, method="DOP853", rtol=1e-12, atol=1e-14,
+            lambda s, y, i=i: sign * (y - v[i] - beta[i] * (s - b[i])),
+            (b[i], b[i + 1]), M, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True,
         )
+        sols.append(sol)
         M = sol.y[:, -1]
-        assert np.abs(nodes[i + 1] - M).max() < 1e-10
+    return sols
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "reversed"])
+def test_flow_nodes_solve_the_ode_on_linear_pieces(forward):
+    """Closed-form nodes under nonzero slopes agree with a numerical ODE solve."""
+    nodes = flow_nodes(Q, SLOPED, forward=forward)
+    for i, sol in enumerate(_ode_flow(SLOPED, Q, forward)):
+        assert np.abs(nodes[i + 1] - sol.y[:, -1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["forward", "reversed"])
+def test_flow_cost_matches_adaptive_quadrature_of_the_ode_flow(forward):
+    """The Gauss-Legendre cost on sloped pieces against ``scipy.integrate.quad``
+    of the running cost along the ODE-integrated flow, weighted by ``e^{-s}``
+    forward and ``e^{s - T}`` reversed."""
+    A = BENCH
+    b, v, beta, T = SLOPED.breaks, SLOPED.start, SLOPED.slope, SLOPED.horizon
+    want = 0.0
+    for i, sol in enumerate(_ode_flow(SLOPED, Q, forward)):
+        def running(s, i=i, sol=sol):
+            eta = v[i] + beta[i] * (s - b[i])
+            weight = np.exp(-s) if forward else np.exp(s - T)
+            return weight * rel_entr(eta, sol.sol(s) @ A.matrix).sum()
+
+        want += quad(running, b[i], b[i + 1], epsabs=1e-14, epsrel=1e-12)[0]
+    got = flow_cost(SLOPED, flow_nodes(Q, SLOPED, forward=forward), A, forward=forward)
+    assert want > 1e-3
+    assert abs(got - want) <= 1e-12
 
 
 def _steep_ramp_path(n_ramps=40, width=1e-4):
@@ -186,7 +219,7 @@ def test_reversed_flow_nodes_match_a_decimal_reference_on_steep_ramps():
     """
     path = _steep_ramp_path()
     q = np.array([0.25, 0.75])
-    got = reversed_flow_nodes(q, path)
+    got = flow_nodes(q, path, forward=False)
     b, v, beta = path.breaks, path.start, path.slope
     worst = 0.0
     with localcontext() as ctx:
@@ -298,7 +331,7 @@ def test_bench_plan_schedule_mesh(bench_plan):
     assert np.array_equal(p.knots, lin.breaks)
     assert np.array_equal(p.schedule, np.repeat(p.control_reversed.start, 2, axis=0))
     assert p.Jc == 2 * len(p.control_reversed.start) - 1 == 79
-    assert np.array_equal(p.M_hat, reversed_flow_nodes(p.q, lin))
+    assert np.array_equal(p.M_hat, flow_nodes(p.q, lin, forward=False))
     assert b.cost_schedule_quad == b.cost_mollified_quad
     assert b.bound_discretize == b.dev_discretize == 0.0
 
@@ -341,7 +374,7 @@ def test_reversed_flow_nodes_stay_on_simplex(rows, qraw, c):
     eta = np.array(rows)
     eta /= eta.sum(axis=1, keepdims=True)
     q = ProbVec(np.array(qraw) / np.sum(qraw))
-    M = reversed_flow_nodes(q, _uniform_step_path(eta, c))
+    M = flow_nodes(q, _uniform_step_path(eta, c), forward=False)
     assert np.abs(M.sum(axis=1) - 1.0).max() < 1e-9
     assert M.min() >= -1e-12
     # one contraction step toward the current control row per interval

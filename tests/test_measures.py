@@ -185,9 +185,9 @@ def test_probvec_constructors():
         ProbVec.point_mass(4, 3)
 
 
-@pytest.mark.parametrize("state, d", [(1.5, 2), (2.0, 3), ("1", 2), (1, 2.0)])
+@pytest.mark.parametrize("state, d", [(1.5, 2), (2.0, 3), ("1", 2), (1, 2.0), (True, 2), (1, True)])
 def test_point_mass_rejects_a_state_or_dimension_that_is_not_an_integer(state, d):
-    with pytest.raises(PreconditionViolation, match="point_mass: state and d must be integers"):
+    with pytest.raises(PreconditionViolation, match="point_mass: (state|d) must be an integer"):
         ProbVec.point_mass(state, d)
     assert ProbVec.point_mass(np.int64(2), np.int64(3)).weights.tolist() == [0.0, 1.0, 0.0]
 

@@ -22,13 +22,13 @@ from reinforced_ldp.measures import (
     stationary_distribution,
 )
 from reinforced_ldp.ratesolver import (
-    PiecewiseControl,
+    PiecewiseLinearPath,
     _barrier_values,
     _newton_parts,
     _node_controls,
     _weights_vector,
     discounted_cost,
-    integrate_forward,
+    flow_nodes,
     rate_profile,
     simplex_mesh,
     solve_dv_rate,
@@ -42,7 +42,7 @@ D3 = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
 
 
 def _tile_control(m, T, J):
-    return PiecewiseControl(T=T, J=J, eta=np.tile(np.asarray(m, float), (J, 1)))
+    return PiecewiseLinearPath.steps(T, np.tile(np.asarray(m, float), (J, 1)))
 
 
 def _random_nodes(rng, m, T, J):
@@ -58,7 +58,7 @@ def _random_nodes(rng, m, T, J):
 
 
 def _random_control(rng, m, T, J):
-    return PiecewiseControl(T=T, J=J, eta=_node_controls(_random_nodes(rng, m, T, J), math.exp(T / J)))
+    return PiecewiseLinearPath.steps(T, _node_controls(_random_nodes(rng, m, T, J), math.exp(T / J)))
 
 
 def _slsqp_rate(m1, A, T, J):
@@ -94,7 +94,7 @@ def _slsqp_rate(m1, A, T, J):
 def test_equilibrium_trajectory_is_bit_exact():
     """eta == m keeps every node at m, with no float drift over 280 steps."""
     m = np.array([0.3, 0.7])
-    M = integrate_forward(m, _tile_control(m, 14.0, 280))
+    M = flow_nodes(m, _tile_control(m, 14.0, 280))
     assert np.array_equal(M, np.tile(m, (281, 1)))
     assert not M.flags.writeable
 
@@ -117,16 +117,19 @@ def _lfilter_flow_nodes(start, eta, factor):
 
 
 def test_uniform_integrators_match_the_lfilter_reference_bitwise():
-    """Zero slopes reduce the piece map to the filter's ``x + f D``, in both directions."""
+    """Zero slopes reduce the piece map to the filter's ``x + f D``, in both
+    directions.  The pin is on the integrator at exact widths ``T/K``:
+    :func:`flow_nodes` reads its widths from the breaks, ``np.diff`` of a
+    linspace, which can differ from ``T/K`` in the last bit."""
     rng = np.random.default_rng(11)
     for trial, K in enumerate([1, 2, 400, *rng.integers(1, 401, size=57).tolist()]):
         d = 2 + trial % 3
         start = rng.dirichlet(np.ones(d))
         eta = rng.dirichlet(np.ones(d), size=K)
         T = float(rng.uniform(0.05, 6.0))
-        fwd = integrate_forward(start, PiecewiseControl(T=T, J=K, eta=eta))
-        assert np.array_equal(fwd, _lfilter_flow_nodes(start, eta, math.exp(T / K)))
         c = T / K
+        fwd = ratesolver._flow_nodes(start, np.full(K, c), eta, np.zeros_like(eta), 1.0)
+        assert np.array_equal(fwd, _lfilter_flow_nodes(start, eta, math.exp(c)))
         rev = ratesolver._flow_nodes(start, np.full(K, c), eta, np.zeros_like(eta), -1.0)
         assert np.array_equal(rev, _lfilter_flow_nodes(start, eta, math.exp(-c)))
 
@@ -134,7 +137,7 @@ def test_uniform_integrators_match_the_lfilter_reference_bitwise():
 def test_trajectory_rows_sum_to_one():
     rng = np.random.default_rng(0)
     m = np.array([0.25, 0.35, 0.4])
-    M = integrate_forward(m, _random_control(rng, m, 8.0, 160))
+    M = flow_nodes(m, _random_control(rng, m, 8.0, 160))
     assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -148,9 +151,17 @@ def test_discounted_cost_at_equilibrium_is_plain_entropy():
 
 def test_discounted_cost_rejects_infeasible():
     eta = np.tile(np.array([0.0, 1.0]), (40, 1))
-    ctrl = PiecewiseControl(T=2.0, J=40, eta=eta)
+    ctrl = PiecewiseLinearPath.steps(2.0, eta)
     with pytest.raises(InfeasibleTrajectory):
         discounted_cost(np.array([0.9, 0.1]), ctrl, BENCH)
+
+
+def test_discounted_cost_needs_a_step_control():
+    """The left-endpoint sum reads one row per piece, so a sloped piece is refused."""
+    m = np.array([0.3, 0.7])
+    ctrl = PiecewiseLinearPath(np.array([0.0, 1.0]), m[None, :], np.array([[0.1, -0.1]]))
+    with pytest.raises(PreconditionViolation, match="discounted_cost: needs a step control"):
+        discounted_cost(m, ctrl, BENCH)
 
 
 def test_solve_rate_sanov_reduction():
@@ -195,7 +206,7 @@ def test_solve_rate_reaches_slsqp_optimum(m1, T, J):
     assert br.diagnostics.gap <= 1e-9
     assert abs(br.lower - _slsqp_rate(m1, BENCH, T, J)) <= 1e-8
     # the returned control drives the returned nodes
-    assert np.abs(integrate_forward(br.M_opt[0], br.eta_opt) - br.M_opt).max() <= 1e-9
+    assert np.abs(flow_nodes(br.M_opt[0], br.eta_opt) - br.M_opt).max() <= 1e-9
 
 
 @pytest.mark.parametrize("m1,T,J", [(0.3, 2.0, 1), (0.8, 0.01, None)], ids=["J1", "default-J"])
@@ -206,7 +217,7 @@ def test_one_interval_d2_solve_matches_a_bounded_scalar_minimum(m1, T, J):
     nonnegative."""
     m = np.array([m1, 1.0 - m1])
     br = solve_rate(m, BENCH, T=T, J=J)
-    assert br.eta_opt.J == 1 and br.diagnostics.converged
+    assert len(br.eta_opt.start) == 1 and br.diagnostics.converged
     e_delta = math.exp(T)
     w = _weights_vector(T, 1)
 
@@ -262,7 +273,7 @@ def test_newton_parts_match_finite_differences():
 
 def _bracket_bits(br):
     diag = br.diagnostics
-    return (br.lower, br.upper, br.eta_opt.eta.tobytes(), br.M_opt.tobytes(), diag.iterations,
+    return (br.lower, br.upper, br.eta_opt.start.tobytes(), br.M_opt.tobytes(), diag.iterations,
             diag.gap, diag.converged, diag.binding, diag.boundary_lifted)
 
 
@@ -334,15 +345,24 @@ def test_fractional_J_is_rejected(solve):
         solve()
 
 
-@pytest.mark.parametrize("T, J", [(1.0, 2.0), (1.0, 2.5), (1.0, 0), (math.inf, 2), (math.nan, 2), (0.0, 2), (-1.0, 2)])
-def test_piecewise_control_needs_an_integer_J_and_a_finite_positive_T(T, J):
-    with pytest.raises(PreconditionViolation, match="PiecewiseControl: "):
-        PiecewiseControl(T=T, J=J, eta=np.full((2, 2), 0.5))
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_steps_needs_a_finite_positive_T(T):
+    with pytest.raises(PreconditionViolation, match="PiecewiseLinearPath.steps: need a finite T > 0"):
+        PiecewiseLinearPath.steps(T, np.full((2, 2), 0.5))
 
 
-def test_piecewise_control_stores_J_as_an_int():
-    ctrl = PiecewiseControl(T=1.0, J=np.int64(2), eta=np.full((2, 2), 0.5))
-    assert type(ctrl.J) is int and ctrl.J == 2 and ctrl.delta == 0.5
+@pytest.mark.parametrize("eta", [np.zeros((0, 2)), np.float64(0.5), np.full(2, 0.5)], ids=["no-rows", "scalar", "1-d"])
+def test_steps_needs_a_matrix_of_at_least_one_row(eta):
+    with pytest.raises(DimensionMismatch, match="PiecewiseLinearPath: "):
+        PiecewiseLinearPath.steps(1.0, eta)
+
+
+def test_steps_lays_the_rows_on_an_even_grid_with_zero_slopes():
+    eta = np.array([[0.5, 0.5], [0.25, 0.75]])
+    ctrl = PiecewiseLinearPath.steps(np.int64(1), eta)
+    assert ctrl.breaks.tolist() == [0.0, 0.5, 1.0] and ctrl.horizon == 1.0
+    assert np.array_equal(ctrl.start, eta) and not ctrl.slope.any()
+    assert not ctrl.start.flags.writeable
 
 
 def test_solve_rate_dimension_check():
@@ -354,11 +374,11 @@ def test_cost_is_jointly_convex_along_segments():
     rng = np.random.default_rng(4)
     m = np.array([0.3, 0.7])
     T, J = 2.0, 40
-    a = _random_control(rng, m, T, J).eta
-    b = _random_control(rng, m, T, J).eta
-    ca = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=a), BENCH)
-    cb = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=b), BENCH)
-    mid = discounted_cost(m, PiecewiseControl(T=T, J=J, eta=0.5 * (a + b)), BENCH)
+    a = _random_control(rng, m, T, J).start
+    b = _random_control(rng, m, T, J).start
+    ca = discounted_cost(m, PiecewiseLinearPath.steps(T, a), BENCH)
+    cb = discounted_cost(m, PiecewiseLinearPath.steps(T, b), BENCH)
+    mid = discounted_cost(m, PiecewiseLinearPath.steps(T, 0.5 * (a + b)), BENCH)
     assert mid <= 0.5 * ca + 0.5 * cb + 1e-10
 
 
