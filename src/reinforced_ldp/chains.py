@@ -42,7 +42,11 @@ counts of all its paths at once, and a single path, and the fallback of
 block scans the measures of all its steps from a guess of their draws,
 and the draws a pass leaves unchanged are the sequential ones.  So every
 draw of a batch path equals the single path's on its stream.  Every
-controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`.
+controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`,
+and both sides of the chain-rule identity from :func:`_chain_rule_sides`.
+Like the column scans and the block draws, both write into arrays their
+caller gives, so the plan runs of one horizon draw all their seeds on one
+set of buffers.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
@@ -218,15 +222,17 @@ def _validate_x0(x0, d: int) -> int:
     return x0
 
 
-def _column_scan(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _column_scan(cdf: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0-based draws ``x = sum_{i<d-1} [u > C_i]``, one CDF column at a time.
 
     ``cdf`` holds the ``d`` CDF values ``C_0..C_{d-1}`` along its last axis:
     one row for every draw, or one row per draw.  For a nonnegative row the
     float CDF is nondecreasing, so ``x`` is the smallest index with
-    ``u <= C_x``, clamped to ``d-1``; ``C_{d-1}`` is never read.
+    ``u <= C_x``, clamped to ``d-1``; ``C_{d-1}`` is never read.  The draws
+    go into ``out``, an int64 array of ``u``'s shape, when it is given.
     """
-    x = np.zeros(u.shape, dtype=np.int64)
+    x = np.empty(u.shape, dtype=np.int64) if out is None else out
+    x.fill(0)
     for i in range(cdf.shape[-1] - 1):
         x += u > cdf[..., i]
     return x
@@ -278,13 +284,15 @@ def _reinforced_scan(q: np.ndarray, Amat: np.ndarray, u: np.ndarray) -> np.ndarr
     return x
 
 
-def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndarray:
+def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0-based states of ``len(u)`` reinforced draws from ``count`` after ``k`` steps.
 
     Step ``t`` draws by :func:`_reinforced_scan` of ``count / k``, then adds
     one to ``count[x]`` and to ``k``; ``count`` holds exact integers summing
     to ``k``.  The steps run in blocks, each solved by a fixed-point
     iteration in numpy, and every draw equals the sequential one bit for bit.
+    The states go into ``out``, an int64 array of ``u``'s size, when it is
+    given.
 
     A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
     counts ``cnt`` at its first step ``k``, and its first guess draws every
@@ -298,7 +306,8 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray) -> np.ndar
     ends at the first pass that changes nothing: the sequential draws.
     """
     d = Amat.shape[0]
-    out = np.empty(u.size, dtype=np.int64)
+    if out is None:
+        out = np.empty(u.size, dtype=np.int64)
     cnt = np.array(count, dtype=float)
     t = 0
     while t < u.size:
@@ -418,29 +427,32 @@ def _clean_policy_row(p, d: int, step: int) -> np.ndarray:
     return w / s
 
 
-def _running_measure(states: np.ndarray, x0: int, d: int) -> np.ndarray:
-    """The ``(n+1, d)`` running measure of a controlled path, one state at a time.
+def _running_measure(states: np.ndarray, x0: int, Lbar: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> None:
+    """Fill ``Lbar``, shape ``(n+1, d)``, with the running measure of a controlled path.
 
-    ``states`` holds the 0-based states ``X_1..X_n``; ``Lbar[k, x] =
-    (e_x0[x] + #{i <= k : X_i = x}) / (k+1)``, each count an exact integer,
-    so every entry is one rounding from its value.  The first ``d - 1``
-    numerators are running counts; the last is the exact integer remainder
-    ``(k+1)`` minus their sum.
+    ``states`` holds the 0-based states ``X_1..X_n``, ``steps`` the
+    divisors ``2..n+1``, and ``counts`` is a float scratch of ``n``
+    entries.  ``Lbar[k, x] = (e_x0[x] + #{i <= k : X_i = x}) / (k+1)``,
+    each count an exact integer, so every entry is one rounding from its
+    value.  The first ``d - 1`` numerators are running counts; the last is
+    the exact integer remainder ``(k+1)`` minus their sum.  Each count is
+    formed in the contiguous scratch, as floats from the start: a running
+    sum that casts a bool indicator copies all of it first, and writing
+    the indicator into a strided column of ``Lbar`` takes about ten times
+    as long.
     """
-    n = states.size
-    Lbar = np.empty((n + 1, d))
+    d = Lbar.shape[1]
     Lbar[0] = 0.0
     Lbar[0, x0 - 1] = 1.0
-    steps = np.arange(2, n + 2, dtype=float)
-    rest = steps.copy()
-    counts = np.empty(n)
+    rest = Lbar[1:, d - 1]
+    rest[...] = steps
     for x in range(d - 1):
-        np.cumsum(states == x, dtype=float, out=counts)
+        np.equal(states, x, out=counts)
+        np.cumsum(counts, out=counts)
         counts += Lbar[0, x]
         rest -= counts
         np.divide(counts, steps, out=Lbar[1:, x])
-    np.divide(rest, steps, out=Lbar[1:, d - 1])
-    return Lbar
+    rest /= steps
 
 
 def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> ControlledPath:
@@ -468,51 +480,64 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
         x = int(_column_scan(np.cumsum(w), uniforms[k - 1 : k])[0])
         states[k - 1] = x
         running[x] += 1.0
-    Lbar = _running_measure(states, x0, d)
+    Lbar = np.empty((n + 1, d))
+    _running_measure(states, x0, Lbar, np.arange(2.0, n + 2.0), np.empty(n))
     states += 1
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
-def _occupation_cost(mu: np.ndarray, rho: np.ndarray, n: int) -> float:
-    """Relative entropy between the two discounted occupation measures of a path.
+def _chain_rule_sides(path: ControlledPath, A: Kernel, scratch: np.ndarray, stepsum: bool = True):
+    """The two sides of the chain-rule identity on the caller's ``scratch``.
 
-    Their atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k /
-    n``, ``rho_k = Lbar_{k-1} A``; the atoms are divided in step order and
-    summed in reversed-time order, so the value equals
-    ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` bit for bit.  ``rho``
-    must be the caller's own temporary: the atoms overwrite it.
+    ``scratch`` holds two arrays of ``mu``'s shape, ``rho`` and the atoms,
+    and both are overwritten.  ``rho = Lbar[:n] A`` is one product.  The
+    right side, ``(1/n) sum_k R(mu_k || rho_k)``, is formed in the atoms
+    and summed; with ``stepsum`` false it is skipped and returned as None.
+    The left side is the relative entropy between the two discounted
+    occupation measures, whose atoms on (state, reversed-time bin) are
+    ``mu_k / n`` and ``rho_k / n``: they are divided in step order and
+    summed in reversed-time order, so the value equals ``rel_entr(mu[::-1]
+    / n, rho[::-1] / n).sum()`` bit for bit.  A side that is not finite
+    raises :class:`PolicyError`.
     """
+    n = path.n
+    rho, atoms = scratch
+    np.matmul(path.Lbar[:n], A.matrix, out=rho)
+    rhs = None
+    if stepsum:
+        rel_entr(path.mu, rho, out=atoms)
+        rhs = float(atoms.sum() / n)
+        if not np.isfinite(rhs):
+            raise PolicyError(_INFINITE_COST)
     rho /= n
-    beta = mu / n
-    rel_entr(beta, rho, out=rho)
-    beta[...] = rho[::-1]
-    cost = float(beta.sum())
-    if not np.isfinite(cost):
+    np.divide(path.mu, n, out=atoms)
+    rel_entr(atoms, rho, out=rho)
+    # the rows reversed, each copied as one record: a 2-d copy goes entry by entry
+    record = np.dtype((np.void, rho.itemsize * rho.shape[1]))
+    atoms.view(record)[:, 0] = rho.view(record)[::-1, 0]
+    lhs = float(atoms.sum())
+    if not np.isfinite(lhs):
         raise PolicyError(_INFINITE_COST)
-    return cost
+    return lhs, rhs
 
 
 def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, float]:
     """Running cost computed two ways.
 
     Left: relative entropy between the two discounted occupation measures,
-    by :func:`_occupation_cost`, whose atoms on (state, reversed-time bin)
-    are ``mu_k / n`` and ``rho_k / n`` with ``rho_k = Lbar_{k-1} A``.
-    Right: the per-step average ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.
-    The two agree to floating-point rounding.  Both read one product ``rho
-    = Lbar A``.  The cost trend of
-    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` computes the
-    left side only, by the same :func:`_occupation_cost`, so its costs are
-    this left side bit for bit.
+    whose atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k
+    / n`` with ``rho_k = Lbar_{k-1} A``.  Right: the per-step average
+    ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree to
+    floating-point rounding.  Both come from :func:`_chain_rule_sides` on
+    fresh scratch, which the runs of
+    :func:`~reinforced_ldp.lowerbound.run_plan` and the cost trend of
+    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` also use, on
+    one scratch per horizon; the trend computes the left side only, with
+    these bits.
     """
-    n = path.n
-    rho = path.Lbar[:n] @ A.matrix
-    rhs = float(rel_entr(path.mu, rho).sum() / n)
-    if not np.isfinite(rhs):
-        raise PolicyError(_INFINITE_COST)
-    return _occupation_cost(path.mu, rho, n), rhs
+    return _chain_rule_sides(path, A, np.empty((2,) + path.mu.shape))
 
 
 # ---------------------------------------------------------------------------

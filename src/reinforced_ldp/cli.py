@@ -43,12 +43,13 @@ from .exact import DEFAULT_MEM_CAP_BYTES, ball_rate, check_ball, exact_law_level
 from .lowerbound import (
     DEFAULT_SLACK,
     EPS_TARGET,
+    _plan_horizon,
+    _plan_runs,
     build_plan,
     check_cost_convergence,
     export_cost_report_csv,
     export_runs_csv,
     plan_to_json,
-    run_plan,
 )
 from .measures import Kernel, build_kernel_mixture, build_kernel_qsd
 from .ratesolver import rate_profile, simplex_mesh, solve_dv_rate
@@ -343,6 +344,9 @@ def cmd_lowerbound(args) -> int:
     if runs_sect is not None:
         n_run = _count(runs_sect, "lowerbound.runs", "n")
         run_seeds = _count(runs_sect, "lowerbound.runs", "n_seeds", 10)
+    # eps0 and each horizon's room for the schedule, by the check the runs make
+    for n in (n_list or []) + ([n_run] if runs_sect is not None else []):
+        _plan_horizon(T, n, eps0, "lowerbound")
     eff = {
         "command": "lowerbound",
         "kernel": A.matrix.tolist(),
@@ -376,10 +380,9 @@ def cmd_lowerbound(args) -> int:
         hits = 0
 
         def runs():
-            # one run at a time: its row is written as it ends, and its n-step path is not kept
+            # one run at a time on one set of buffers: its row is written as it ends
             nonlocal hits
-            for i in range(run_seeds):
-                run = run_plan(plan, A, n_run, eps0, seed + i)
+            for run in _plan_runs(plan, A, n_run, eps0, range(seed, seed + run_seeds), 1, "lowerbound"):
                 hits += run.an_occurred
                 yield run
 

@@ -35,7 +35,11 @@ the reversed pair of them.
 empirical measure toward the reversed starting point ``q``, a one-shot
 distance check decides whether to follow the schedule or to fall back to
 the zero-cost reference policy, and the remaining steps read the schedule
-at the chain's clock.
+at the chain's clock.  The runs of one horizon, in the cost trend of
+:func:`check_cost_convergence`, the CLI's runs and the acceptance checks,
+come from one generator, ``_plan_paths``, which checks the horizon once
+and draws every seed on one set of ``n``-row buffers; :func:`run_plan` is
+its one-seed case.
 """
 from __future__ import annotations
 
@@ -49,14 +53,13 @@ import numpy as np
 from ._format import write_csv
 from .chains import (
     ControlledPath,
+    _chain_rule_sides,
     _column_scan,
-    _occupation_cost,
     _reinforced_draws,
     _running_measure,
     _time_grid,
     _validate_x0,
     path_rng,
-    verify_chain_rule_identity,
 )
 from .errors import DimensionMismatch, PreconditionViolation
 from .measures import (
@@ -332,59 +335,105 @@ def _schedule_cdf(plan: ReversedPlan, n: int, n1: int) -> tuple[np.ndarray, np.n
     return rows, cdf
 
 
-def _plan_path(
-    plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: int = 1
-) -> tuple[ControlledPath, int, bool]:
-    """The path of :func:`run_plan`, without its costs: ``(path, a0, an)``."""
-    d = A.d
-    if plan.q.d != d:
-        raise DimensionMismatch("run_plan: plan and kernel dimensions differ")
-    if not _as_real(eps0, "run_plan: eps0") > 0.0:
-        raise PreconditionViolation("run_plan: eps0 must be positive")
-    n = _as_count(n, "run_plan: n")
-    x0 = _validate_x0(x0, d)
+def _plan_horizon(T: float, n, eps0, caller: str) -> tuple[int, int]:
+    """``(n, a0)`` for a plan run of ``n`` steps on horizon ``T``, or a
+    :class:`PreconditionViolation` naming ``caller``.
+
+    ``T`` must be finite and positive, ``eps0`` positive and ``n`` an
+    integer with ``t_n > T``; ``a0`` is the grid index of ``t_n - T``, and
+    the schedule needs ``1 <= a0`` and ``a0 + 1 < n``.  The runs check this
+    once per horizon, and the CLI before it builds the plan.
+    """
+    if not 0.0 < T < math.inf:
+        raise PreconditionViolation(f"{caller}: need a finite T > 0, got {T!r}")
+    if not _as_real(eps0, f"{caller}: eps0") > 0.0:
+        raise PreconditionViolation(f"{caller}: eps0 must be positive")
+    n = _as_count(n, f"{caller}: n")
     times = _time_grid(n)
     t_n = float(times[-1])
-    if t_n <= plan.T:
-        raise PreconditionViolation(
-            f"run_plan: need t_n > T, got t_n={t_n!r} at n={n} for T={plan.T!r}"
-        )
-    a0 = int(np.searchsorted(times, t_n - plan.T, side="right")) - 1
+    if t_n <= T:
+        raise PreconditionViolation(f"{caller}: need t_n > T, got t_n={t_n!r} at n={n} for T={T!r}")
+    a0 = int(np.searchsorted(times, t_n - T, side="right")) - 1
+    if a0 < 1 or a0 + 1 >= n:
+        raise PreconditionViolation(f"{caller}: horizon n={n} leaves no room for the schedule")
+    return n, a0
+
+
+def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str):
+    """The paths of :func:`run_plan` at each of ``seeds``, all of ``n`` steps,
+    on one set of buffers: ``(path, a0, an, scratch)`` per seed.
+
+    The dimensions, ``x0`` and the horizon (:func:`_plan_horizon`) are
+    checked once, and the ``n``-row buffers are allocated once: the states,
+    the control rows ``mu``, ``Lbar``, the divisors of
+    ``chains._running_measure`` and ``scratch``, the two ``(n, d)`` arrays
+    of ``chains._chain_rule_sides``.  A seed's uniforms are drawn into
+    ``scratch``, which the running counts and then the costs overwrite
+    only after the draws.  The path's arrays are read-only views of the
+    buffers, and they and ``scratch`` hold the seed's values until the next
+    seed is drawn.
+    """
+    d = A.d
+    if plan.q.d != d:
+        raise DimensionMismatch(f"{caller}: plan and kernel dimensions differ")
+    n, a0 = _plan_horizon(plan.T, n, eps0, caller)
+    x0 = _validate_x0(x0, d)
     n1 = a0 + 1
-    if a0 < 1 or n1 >= n:
-        raise PreconditionViolation(f"run_plan: horizon n={n} leaves no room for the schedule")
     q = plan.q.weights
-    rng = path_rng(seed, 0)
-    u = rng.random(n)
-
-    states = np.empty(n, dtype=np.int64)
-    mu = np.empty((n, d))
-    x1 = _column_scan(np.cumsum(q), u[:n1])
-    states[:n1] = x1
-    mu[:n1] = q
-
+    head_cdf = np.cumsum(q)
     e0 = np.zeros(d)
     e0[x0 - 1] = 1.0
-    head_counts = np.bincount(x1, minlength=d).astype(float)
-    L_head = (e0 + head_counts) / (n1 + 1.0)
-    an = bool(np.abs(L_head - q).sum() >= eps0)
+    states = np.empty(n, dtype=np.int64)
+    mu = np.empty((n, d))
+    Lbar = np.empty((n + 1, d))
+    steps = np.arange(2.0, n + 2.0)
+    scratch = np.empty((2, n, d))
+    u = scratch[0].reshape(-1)[:n]
+    mu[:n1] = q
+    views = [arr.view() for arr in (states, mu, Lbar)]
+    for view in views:
+        view.flags.writeable = False
+    for seed in seeds:
+        path_rng(seed, 0).random(out=u)
+        _column_scan(head_cdf, u[:n1], out=states[:n1])
+        head_counts = np.bincount(states[:n1], minlength=d).astype(float)
+        L_head = (e0 + head_counts) / (n1 + 1.0)
+        an = bool(np.abs(L_head - q).sum() >= eps0)
+        if an:
+            # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
+            _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:], out=states[n1:])
+        else:
+            rows, cdf = _schedule_cdf(plan, n, n1)
+            mu[n1:] = rows
+            _column_scan(cdf.T, u[n1:], out=states[n1:])
+        # the uniforms are spent: their slot holds the running counts
+        _running_measure(states, x0, Lbar, steps, u)
+        states += 1
+        if an:
+            # update k of the fallback reads Lbar[k-1] A
+            np.matmul(Lbar[n1:n], A.matrix, out=mu[n1:])
+        path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=views[0], mu=views[1], Lbar=views[2])
+        yield path, a0, an, scratch
 
-    if an:
-        # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
-        states[n1:] = _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:])
-    else:
-        rows, cdf = _schedule_cdf(plan, n, n1)
-        mu[n1:] = rows
-        states[n1:] = _column_scan(cdf.T, u[n1:])
 
-    Lbar = _running_measure(states, x0, d)
-    states += 1
-    if an:
-        # update k of the fallback reads Lbar[k-1] A
-        mu[n1:] = Lbar[n1:n] @ A.matrix
-    for arr in (states, mu, Lbar):
-        arr.flags.writeable = False
-    return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar), a0, an
+def _plan_runs(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str):
+    """The :class:`PlanRun` of each of ``seeds``, from :func:`_plan_paths`:
+    each run's path holds its values until the next run is drawn."""
+    for path, a0, an, scratch in _plan_paths(plan, A, n, eps0, seeds, x0, caller):
+        lhs, rhs = _chain_rule_sides(path, A, scratch)
+        terminal = path.Lbar[path.n]
+        yield PlanRun(
+            n=path.n,
+            a0=a0,
+            eps0=float(eps0),
+            an_occurred=an,
+            path=path,
+            terminal=ProbVec(terminal),
+            terminal_error=float(np.abs(terminal - plan.M_hat[-1]).sum()),
+            cost_occupation=lhs,
+            cost_stepsum=rhs,
+            seed=path.seed,
+        )
 
 
 def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: int = 1) -> PlanRun:
@@ -407,22 +456,13 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     (e0[x] + #{i <= k : X_i = x}) / (k+1)`` from the running count of ``x``
     in exact integers.  Both sides of the chain-rule identity are computed
     (:func:`~reinforced_ldp.chains.verify_chain_rule_identity`).
+
+    This is the one-seed case of the runs of a horizon (``_plan_paths``),
+    which the cost trend, the CLI's runs and the acceptance checks draw on
+    one set of buffers per horizon; here the buffers are the run's own, and
+    its path's arrays are read-only.
     """
-    path, a0, an = _plan_path(plan, A, n, eps0, seed, x0)
-    lhs, rhs = verify_chain_rule_identity(path, A)
-    terminal = path.Lbar[path.n]
-    return PlanRun(
-        n=path.n,
-        a0=a0,
-        eps0=float(eps0),
-        an_occurred=an,
-        path=path,
-        terminal=ProbVec(terminal),
-        terminal_error=float(np.abs(terminal - plan.M_hat[-1]).sum()),
-        cost_occupation=lhs,
-        cost_stepsum=rhs,
-        seed=int(seed),
-    )
+    return next(_plan_runs(plan, A, n, eps0, (seed,), x0, "run_plan"))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +514,7 @@ def check_cost_convergence(
     n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
     The seeds of one horizon share its schedule CDF, built once per
-    ``(plan, n)``.
+    ``(plan, n)``, and one set of path and cost buffers (``_plan_paths``).
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:
@@ -486,11 +526,12 @@ def check_cost_convergence(
     rows = []
     for block, n in enumerate(n_list):
         n = _as_count(n, "check_cost_convergence: n")
+        seeds = (seed + block * n_seeds + i for i in range(n_seeds))
         costs = np.empty(n_seeds)
         an_count = 0
-        for i in range(n_seeds):
-            path, _, an = _plan_path(plan, A, n, eps0, seed + block * n_seeds + i, x0)
-            costs[i] = _occupation_cost(path.mu, path.Lbar[:n] @ A.matrix, n)
+        runs = _plan_paths(plan, A, n, eps0, seeds, x0, "check_cost_convergence")
+        for i, (path, _, an, scratch) in enumerate(runs):
+            costs[i] = _chain_rule_sides(path, A, scratch, stepsum=False)[0]
             an_count += int(an)
         mean = float(costs.mean())
         rows.append(

@@ -85,7 +85,8 @@ class PiecewiseLinearPath:
 
     On piece ``i``, ``[breaks[i], breaks[i+1])``, the value is
     ``start[i] + slope[i] (s - breaks[i])``; the last piece continues past
-    ``breaks[-1]``.  A step control has zero slopes (:meth:`steps`).
+    ``breaks[-1]``.  A step control has zero slopes (:meth:`steps`).  The
+    path stores read-only float copies of the arrays it is given.
     """
 
     breaks: np.ndarray
@@ -93,9 +94,9 @@ class PiecewiseLinearPath:
     slope: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.breaks, dtype=float)
-        v = np.asarray(self.start, dtype=float)
-        beta = np.asarray(self.slope, dtype=float)
+        b = np.array(self.breaks, dtype=float)
+        v = np.array(self.start, dtype=float)
+        beta = np.array(self.slope, dtype=float)
         if b.ndim != 1 or b.size < 2 or v.ndim != 2 or v.shape[0] != b.size - 1 or beta.shape != v.shape:
             raise DimensionMismatch(
                 f"PiecewiseLinearPath: breaks {b.shape}, start {v.shape} and slope {beta.shape} disagree"

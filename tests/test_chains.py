@@ -648,12 +648,14 @@ def _running_measure_by_state(states, x0, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_running_measure_takes_the_last_count_as_the_remainder(d):
-    """The last column from ``(k+1)`` minus the other numerators keeps every byte."""
+    """The last column from ``(k+1)`` minus the other numerators keeps every
+    byte, and every entry of a reused buffer is written."""
     rng = np.random.default_rng(d)
     for x0 in range(1, d + 1):
         for n in (1, 2, 37, 5000):
             states = rng.choice(d, size=n, p=rng.dirichlet(np.ones(d)))
-            got = chains._running_measure(states, x0, d)
+            got = np.full((n + 1, d), np.nan)
+            chains._running_measure(states, x0, got, np.arange(2.0, n + 2.0), np.full(n, np.nan))
             assert got.tobytes() == _running_measure_by_state(states, x0, d).tobytes(), (x0, n)
 
 

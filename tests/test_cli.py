@@ -558,6 +558,30 @@ def test_lowerbound_experiment_config_checked_before_plan(tmp_path, monkeypatch,
     assert f"'{where}'" in capsys.readouterr().err
 
 
+# at T = 2: t_5 = 1.45 < T, and t_10 = 2.02 leaves no grid point in (0, t_10 - T]
+@pytest.mark.parametrize("extra,message", [
+    ({"eps0": 0.0, "runs": {"n": 1000}}, "lowerbound: eps0 must be positive"),
+    ({"eps0": -0.1, "n_list": [1000]}, "lowerbound: eps0 must be positive"),
+    ({"n_list": [1000, 5]}, "lowerbound: need t_n > T, got t_n=1.45 at n=5 for T=2.0"),
+    ({"runs": {"n": 10}}, "lowerbound: horizon n=10 leaves no room for the schedule"),
+    ({"n_list": [1000], "runs": {"n": 5}}, "lowerbound: need t_n > T"),
+    ({"T": -1.0, "runs": {"n": 1000}}, "lowerbound: need a finite T > 0, got -1.0"),
+], ids=["eps0-zero", "eps0-negative", "trend-t_n", "runs-room", "runs-t_n", "T-negative"])
+def test_lowerbound_run_preconditions_checked_before_plan(tmp_path, monkeypatch, capsys, extra, message):
+    """A run setting that no run can meet exits 3 before the plan is built or
+    written, and the message names the subcommand."""
+    def no_plan(*args, **kwargs):
+        raise AssertionError("build_plan ran before the run settings were checked")
+
+    monkeypatch.setattr(cli, "build_plan", no_plan)
+    cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX},
+                                  "lowerbound": {"m": [0.6, 0.4], "T": 2.0, **extra}})
+    out = tmp_path / "o"
+    assert main(["lowerbound", "--config", cfg, "--out", str(out)]) == 3
+    assert f"precondition violated: {message}" in capsys.readouterr().err
+    assert not (out / "plan.json").exists()
+
+
 @pytest.mark.parametrize("command,section,argv,where", [
     ("rate", {"points": []}, [], "rate.points"),
     ("exact", {"n_list": []}, [], "exact.n_list"),

@@ -1,6 +1,7 @@
 """Tests for the reversed-schedule construction and its simulation harness."""
 
 import json
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,7 +11,14 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import rel_entr
 
 from reinforced_ldp import lowerbound
-from reinforced_ldp.chains import ControlledPath, _time_grid, path_rng, simulate_controlled
+from reinforced_ldp.chains import (
+    ControlledPath,
+    _chain_rule_sides,
+    _time_grid,
+    path_rng,
+    simulate_controlled,
+    verify_chain_rule_identity,
+)
 from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.lowerbound import (
     DEFAULT_SLACK,
@@ -22,7 +30,6 @@ from reinforced_ldp.lowerbound import (
     plan_to_json,
     reversed_cost,
     run_plan,
-    verify_chain_rule_identity,
 )
 from reinforced_ldp.measures import Kernel, ProbVec, stationary_distribution
 from reinforced_ldp.ratesolver import PiecewiseLinearPath, flow_cost, flow_nodes, solve_rate
@@ -565,6 +572,61 @@ def test_chain_rule_check_matches_the_two_product_formula(bench_plan, source):
         path = run_plan(bench_plan, BENCH, 10_000, 1e-12 if source.endswith("fallback") else 3.0, seed=11).path
     lhs, rhs = verify_chain_rule_identity(path, BENCH)
     assert (lhs, rhs) == _two_product_chain_rule(path, BENCH)
+
+
+# eps0 = 0.02 sends some of seeds 0..7 to the fallback and keeps the others on the schedule
+@pytest.mark.parametrize("eps0", [3.0, 1e-12, 0.02], ids=["scheduled", "fallback", "mixed"])
+@pytest.mark.parametrize("start", ["first", "last"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, d, start, eps0):
+    """Every run drawn on a horizon's one set of buffers, as the CLI draws its
+    runs, equals ``run_plan`` on fresh arrays bit for bit: its path while it
+    is current, and its ``runs.csv`` row."""
+    A, plan = plans_by_dimension[d]
+    x0 = 1 if start == "first" else d
+    flags = []
+    for run in lowerbound._plan_runs(plan, A, 3_000, eps0, range(8), x0, "test"):
+        alone = run_plan(plan, A, 3_000, eps0, run.seed, x0)
+        for name in ("states", "mu", "Lbar"):
+            assert np.array_equal(getattr(run.path, name), getattr(alone.path, name)), (run.seed, name)
+            assert not getattr(run.path, name).flags.writeable
+        row = (run.n, run.a0, run.an_occurred, run.terminal_error, run.cost_occupation, run.cost_stepsum)
+        assert row == (alone.n, alone.a0, alone.an_occurred, alone.terminal_error,
+                       alone.cost_occupation, alone.cost_stepsum), run.seed
+        flags.append(run.an_occurred)
+    assert len(flags) == 8
+    assert set(flags) == ({False, True} if eps0 == 0.02 else {eps0 < 1.0})
+
+
+@pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
+def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
+    """After a horizon's first seed, drawing a path and both its costs
+    allocates less than one ``n``-row float column: the buffers are reused.
+    The fallback's block draws hold a few arrays of at most 8192 steps, about
+    0.7 MB at d = 2, whatever ``n``."""
+    n = 200_000
+    runs = lowerbound._plan_paths(bench_plan, BENCH, n, eps0, range(4), 1, "test")
+    path, _, an, scratch = next(runs)
+    _chain_rule_sides(path, BENCH, scratch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for path, _, an, scratch in runs:
+            assert an == (eps0 < 1.0)
+            _chain_rule_sides(path, BENCH, scratch)
+        growth = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert growth < 8 * n
+
+
+def test_library_run_errors_name_their_caller(bench_plan, light_plan):
+    with pytest.raises(PreconditionViolation, match="^check_cost_convergence: eps0 must be positive"):
+        check_cost_convergence(light_plan, BENCH, [1000], 2, 0.0)
+    with pytest.raises(PreconditionViolation, match="^check_cost_convergence: need t_n > T"):
+        check_cost_convergence(light_plan, BENCH, [1000, 2], 2, 0.3)
+    with pytest.raises(PreconditionViolation, match="^run_plan: horizon n=10 leaves no room"):
+        run_plan(bench_plan, BENCH, 10, 0.3, seed=0)
 
 
 def test_run_plan_step_count_must_be_an_integer(bench_plan):

@@ -365,6 +365,19 @@ def test_steps_lays_the_rows_on_an_even_grid_with_zero_slopes():
     assert not ctrl.start.flags.writeable
 
 
+def test_a_path_leaves_the_callers_arrays_writable_and_unshared():
+    """The path's arrays are read-only copies: building one neither freezes
+    the caller's float arrays nor moves with later writes to them."""
+    eta = np.array([[0.5, 0.5]])
+    ctrl = PiecewiseLinearPath.steps(1.0, eta)
+    breaks, start, slope = np.array([0.0, 1.0, 2.0]), np.full((2, 2), 0.5), np.zeros((2, 2))
+    path = PiecewiseLinearPath(breaks, start, slope)
+    for given, kept in ((eta, ctrl.start), (breaks, path.breaks), (start, path.start), (slope, path.slope)):
+        assert given.flags.writeable and not kept.flags.writeable
+        given[0] = 0.25
+        assert not np.shares_memory(given, kept) and kept[0].tolist() != given[0].tolist()
+
+
 def test_solve_rate_dimension_check():
     with pytest.raises(DimensionMismatch):
         solve_rate(np.array([0.2, 0.3, 0.5]), BENCH, T=2.0, J=40)
