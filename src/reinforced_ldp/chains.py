@@ -318,7 +318,9 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
             steps = np.arange(k + t, k + t + x.size, dtype=float)
             C = np.zeros((d, x.size))
             for i in range(d):
-                np.cumsum(x[:-1] == i, dtype=float, out=C[i, 1:])
+                # the indicator is written as floats: a running sum of bools copies them first
+                np.equal(x[:-1], i, out=C[i, 1:])
+                np.cumsum(C[i, 1:], out=C[i, 1:])
             C += cnt[:, None]
             y = _reinforced_scan(C / steps, Amat, u[t : t + x.size])
             changed = np.flatnonzero(x != y)

@@ -18,7 +18,11 @@ dropping each node's last coordinate), every constraint is local, and
 the Hessian of the objective is block-tridiagonal.  A log-barrier
 method centres with damped Newton steps, each one banded Cholesky solve
 (LAPACK ``dptsv``/``dpbsv``), and stops when the barrier's duality-gap bound
-``2dJ/t`` is below ``1e-10``.  All query points of a call advance as one
+``2dJ/t`` is below ``1e-10``.  The bound holds at an exactly centred point,
+so only that last centring runs until the squared Newton decrement is at
+most ``1e-12``; each earlier one ends at the first decrement below ``1/4``,
+where steps become full, and the barrier weight ``t`` grows by 20 without
+taking that step.  All query points of a call advance as one
 lock-step batch; arithmetic is elementwise and reductions are per point, so
 a point's result has the same bits alone or in any batch.
 
@@ -66,9 +70,11 @@ _RELABEL_BELOW = 1e-3        # d > 2: a queried m whose last entry is below this
 _T_INIT = 1.0                # barrier weight of the first centring
 _T_GROWTH = 20.0             # factor between successive centrings
 _GAP_TOL = 1e-10             # stop once the gap bound 2dJ/t is this small
-_FULL_STEP_LAM2 = 0.25       # squared Newton decrement below which steps are full
+_FULL_STEP_LAM2 = 0.25       # squared Newton decrement below which steps are full;
+                             # it ends every centring but the last
 _ARMIJO = 0.25               # sufficient-decrease fraction of damped steps
-_CENTRED_LAM2 = 1e-12        # squared Newton decrement that ends a centring
+_CENTRED_LAM2 = 1e-12        # squared Newton decrement that ends the last centring,
+                             # the one whose t has 2dJ/t <= _GAP_TOL
 _MAX_NEWTON = 1000           # Newton steps over all centrings
 
 # pair-measure (iterative proportional fitting) solve
@@ -462,18 +468,21 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
             t_arr = np.array(t)
             grad, band = _newton_parts(M, Amat, w, e_delta, t_arr)
             dM, lam2 = _newton_steps(grad, band, [queries[i] for i in ids], t)
-            go = [k for k, v in enumerate(lam2) if v > _CENTRED_LAM2]
+            # a centring ends once a point's step would be full, except the last
+            # one (its gap bound meets _GAP_TOL), which is centred exactly
+            last = [n_constraints / tk <= _GAP_TOL for tk in t]
+            go = [k for k, v in enumerate(lam2) if v > (_CENTRED_LAM2 if last[k] else _FULL_STEP_LAM2)]
             if len(go) == len(ids):
                 M = _line_search(M, dM, lam2, t_arr, Amat, w, e_delta)
             elif go:
                 M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
             done = {}
-            for k, v in enumerate(lam2):
-                if v > _CENTRED_LAM2:
+            for k in range(len(ids)):
+                if k in go:
                     steps[k] += 1
                     if steps[k] >= _MAX_NEWTON:
                         done[k] = False
-                elif n_constraints / t[k] <= _GAP_TOL:
+                elif last[k]:
                     done[k] = True
                 else:
                     t[k] *= _T_GROWTH

@@ -204,8 +204,9 @@ def test_rate_profile_csv(tmp_path):
 
 
 # SHA-256 of `rate_profile.csv` for a d=2 profile with `dv` on (the point
-# (0, 1) is lifted) and a d=3 interior mesh, as written by the one-point-at-a-time
-# Newton solver; any batching of the solves must keep them
+# (0, 1) is lifted) and a d=3 interior mesh, as written by the lock-step Newton
+# solver that centres only its last barrier weight exactly; any batching of the
+# solves must keep them
 D3_MATRIX = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]]
 RATE_CONFIGS = {
     "d2": {"kernel": {"matrix": BENCH_MATRIX},
@@ -215,8 +216,8 @@ RATE_CONFIGS = {
                                [0.4, 0.2, 0.4], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]], "T": 4.0, "J": 40}},
 }
 RATE_DIGESTS = {
-    "d2": "24b546ef0b3ddda5f0ca9afda2b3e3071a53c2635059e8c7e37c37c925d5dce0",
-    "d3": "69afdf2f5b182b6bbc8e12a18f4acb283405986ac48864182fd1056afb75759d",
+    "d2": "8f22d0fbcbce754cebcfed2b338fc7055b806b8ee2a546064138264706576420",
+    "d3": "d1db64eb80c4f9434f81d1e0e3e563edfadb2553f555887c8f2d358152142874",
 }
 
 
@@ -350,9 +351,9 @@ def test_lowerbound_plan_json(tmp_path):
 # with the mollified path itself as the schedule, read at the chain's clock;
 # any rewrite of the draws or costs must keep them
 LOWERBOUND_DIGESTS = {
-    "plan.json": "47abe367278b2ca882780c704c4e2eae5b866376d66431ad1600637cd7c338c4",
-    "cost_trend.csv": "5f6c730cbf8151c8038161f7310e62a6b41e5adbd0f7c953faf5f5c4f62b56d8",
-    "runs.csv": "63572422587877c058b758c38c89d52b10c0ff5663173d0f7e986b406060f847",
+    "plan.json": "3a5e97b0e86f27c1e3485dd9a5b7a69593b2a860dd95466d715321169034a667",
+    "cost_trend.csv": "fea1b978a8df6911fd14ae329b96616af755e0c8082aec9d9c3b15e8d4ac1a99",
+    "runs.csv": "d81f272ababbc31ab582751ea3a0f80d4539dc902c7f4cd6ce6d793fe3d9fe69",
 }
 
 
@@ -371,13 +372,13 @@ def test_lowerbound_artifacts_match_golden_digests(tmp_path):
 # SHA-256 of `plan.json` with `include_schedule: true`, seed 0, slack 1: a d=3
 # plan, and a short-horizon plan whose mollifier window is capped at half the
 # solver mesh; every knot and schedule row of the plan is in the digest.  The
-# capped plan's solver cost is 0 and its cost_mixed prints as 0.0, clamped
-# from a rounded -5.8e-17; no other byte of it moved with the clamp
+# capped plan's solver cost and cost_mixed are rounding noise at 0 (4.0e-17
+# and 3.4e-17), the clamp of cost_mixed at 0 not acting
 PLAN_SCHEDULE_DIGESTS = {
     "d3": ([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]], [0.6, 0.3, 0.1], 1.0,
-           "92cc98750e6118be3e88706846403ae0073ee73e513839d8f9290c68137ae02d"),
+           "72eb29230f86ac5f57b4128e4960beb86f9de2038e050327f9329b8e852de5c2"),
     "kappa2_cap": ([[0.6, 0.4], [0.4, 0.6]], [0.55, 0.45], 0.2,
-                   "5df9cf00693e2862558e9f1ed6cc49c1e3fd0c0a946048b2f640cf12e33219d0"),
+                   "8aceb556064066ea1f523c039e974e7bad09aaf915a3750befd188398729d923"),
 }
 
 

@@ -277,12 +277,13 @@ def _bracket_bits(br):
             diag.gap, diag.converged, diag.binding, diag.boundary_lifted)
 
 
-# (kernel, T, J, points, Newton budget); at T=4, J=80 the budget of 50 stops
-# (0.3, 0.7) and (0.8, 0.2) while (0.5, 0.5) and the lifted (0, 1) converge
+# (kernel, T, J, points, Newton budget); at T=4, J=80 the points take 35, 7, 26
+# and 33 steps alone, so the budget of 30 stops (0.3, 0.7) and (0.8, 0.2) while
+# (0.5, 0.5) and the lifted (0, 1) converge
 BATCH_CASES = {
     "d2": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], None),
     "d3": (D3, 4.0, 40, [[0.2, 0.2, 0.6], [0.0, 0.5, 0.5], [0.4, 0.4, 0.2], [0.6, 0.2, 0.2]], None),
-    "budget": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], 50),
+    "budget": (BENCH, 4.0, 80, [[0.3, 0.7], [0.5, 0.5], [0.0, 1.0], [0.8, 0.2]], 30),
     # two points solved relabelled, each with another state swapped last
     "relabel": (D3, 4.0, 40, [[0.2, 0.2, 0.6], [0.5, 0.5, 0.0], [0.4, 0.4, 0.2], [0.0, 0.9995, 0.0005]], None),
 }
@@ -305,6 +306,37 @@ def test_results_do_not_depend_on_batch_make_up(monkeypatch, case):
     expect = [_bracket_bits(br) for br in alone]
     assert [_bracket_bits(br) for br in rate_profile(A, points, T=T, J=J)] == expect
     assert [_bracket_bits(br) for br in rate_profile(A, shuffled, T=T, J=J)] == [expect[i] for i in order]
+
+
+@pytest.mark.parametrize("case", ["d2", "d3"])
+def test_only_the_last_centring_is_exact(monkeypatch, case):
+    """Each centring but the last raises t right after a point's first
+    decrement at or below ``_FULL_STEP_LAM2`` at that t; the last one, at
+    the final t, ends at the first decrement at or below ``_CENTRED_LAM2``."""
+    A, T, J, pts, _ = BATCH_CASES[case]
+    seen = {}
+    newton_steps = ratesolver._newton_steps
+
+    def spy(grad, band, ms, t):
+        dM, lam2 = newton_steps(grad, band, ms, t)
+        for m, tk, v in zip(ms, t, lam2):
+            seen.setdefault(tuple(m.tolist()), []).append((tk, v))
+        return dM, lam2
+
+    monkeypatch.setattr(ratesolver, "_newton_steps", spy)
+    brs = rate_profile(A, [np.array(p, dtype=float) for p in pts], T=T, J=J)
+    n_constraints = 2 * A.d * J
+    for p, br in zip(pts, brs):
+        trace = seen[tuple(np.array(p, dtype=float).tolist())]
+        final_t = trace[-1][0]
+        assert br.diagnostics.converged and br.diagnostics.gap == n_constraints / final_t
+        assert n_constraints / final_t <= ratesolver._GAP_TOL < n_constraints / (final_t / ratesolver._T_GROWTH)
+        assert len(trace) == br.diagnostics.iterations + len({tk for tk, _ in trace})
+        for i, (tk, v) in enumerate(trace):
+            last = i + 1 == len(trace)
+            tol = ratesolver._CENTRED_LAM2 if tk == final_t else ratesolver._FULL_STEP_LAM2
+            # a tick ends its centring exactly when its decrement is within tol
+            assert (v <= tol) == (last or trace[i + 1][0] > tk)
 
 
 def test_failed_newton_system_names_the_point(monkeypatch):
