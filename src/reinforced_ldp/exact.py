@@ -178,10 +178,14 @@ def event_probability(law: CountLaw, target, radius: float) -> float:
 
 @dataclass(frozen=True)
 class FiniteNRate:
+    """``rate_is_bound`` marks a ``rate`` that is only a lower bound on the
+    ball rate, because the ball's atoms all fell below the drop threshold."""
+
     n: int
     probability: float
     rate: float
     infinite: bool
+    rate_is_bound: bool
 
 
 def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
@@ -189,12 +193,18 @@ def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
 
     A zero-probability event yields an infinite rate with the ``infinite``
     flag set instead of an error, and a sure event a rate of exactly 0.
+    A ball that holds no kept atom of a law with ``dropped_mass > 0`` may
+    hold dropped ones: its probability is in ``(0, dropped_mass]``, so the
+    rate reported is the bound ``-log(dropped_mass) / n``, with
+    ``rate_is_bound`` set and ``probability`` the kept sum, 0.
     """
     p = event_probability(law, target, radius)
     if p == 0.0:
-        return FiniteNRate(n=law.n, probability=0.0, rate=math.inf, infinite=True)
+        bound = law.dropped_mass > 0.0
+        rate = -math.log(law.dropped_mass) / law.n if bound else math.inf
+        return FiniteNRate(n=law.n, probability=0.0, rate=rate, infinite=not bound, rate_is_bound=bound)
     rate = -math.log(p) / law.n if p < 1.0 else 0.0
-    return FiniteNRate(n=law.n, probability=p, rate=rate, infinite=False)
+    return FiniteNRate(n=law.n, probability=p, rate=rate, infinite=False, rate_is_bound=False)
 
 
 def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:
@@ -211,6 +221,6 @@ def export_law_csv(law: CountLaw, file, provenance: str | None = None) -> None:
 
 
 def export_rate_trend_csv(records: list[FiniteNRate], file, provenance: str | None = None) -> None:
-    header = ["n", "probability", "rate", "infinite"]
-    rows = ([r.n, r.probability, r.rate, r.infinite] for r in records)
+    header = ["n", "probability", "rate", "infinite", "rate_is_bound"]
+    rows = ([r.n, r.probability, r.rate, r.infinite, r.rate_is_bound] for r in records)
     write_csv(file, header, rows, provenance)

@@ -37,13 +37,12 @@ distance check decides whether to follow the schedule or to fall back to
 the zero-cost reference policy, and the remaining steps read the schedule
 at the chain's clock.  The runs of one horizon, in the cost trend of
 :func:`check_cost_convergence`, the CLI's runs and the acceptance checks,
-come from one generator, ``_plan_paths``, which checks the horizon once
-and draws every seed on one set of ``n``-row buffers; :func:`run_plan` is
-its one-seed case.
+come from one generator, ``_plan_paths``, which checks the horizon once,
+builds its schedule rows once and draws every seed on one set of
+``n``-row buffers; :func:`run_plan` is its one-seed case.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -310,31 +309,6 @@ class PlanRun:
     seed: int
 
 
-@functools.lru_cache(maxsize=8)
-def _schedule_cdf(plan: ReversedPlan, n: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Control rows and CDF of the scheduled phase of a plan's ``n``-step runs.
-
-    The phase covers steps ``n1+1..n``; ``rows`` is the read-only ``(n -
-    n1, d)`` schedule read by linear interpolation between its knots at the
-    clock ``t_k - t_{n1}`` of each step, and ``cdf`` the read-only ``(d, n
-    - n1)`` array of its columns added one at a time.  ``n1`` is fixed by
-    the plan's horizon and ``n``, so the cache holds one copy per ``(plan,
-    n)``, shared by every seed that follows the schedule.
-    """
-    times = _time_grid(n)
-    clock = times[n1 + 1 : n + 1] - times[n1]
-    cdf = np.empty((plan.q.d, n - n1))
-    rows = np.empty((n - n1, plan.q.d))
-    for x in range(plan.q.d):
-        cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
-        rows[:, x] = cdf[x]
-        if x:
-            cdf[x] += cdf[x - 1]
-    for arr in (rows, cdf):
-        arr.flags.writeable = False
-    return rows, cdf
-
-
 def _plan_horizon(T: float, n, eps0, caller: str) -> tuple[int, int]:
     """``(n, a0)`` for a plan run of ``n`` steps on horizon ``T``, or a
     :class:`PreconditionViolation` naming ``caller``.
@@ -367,7 +341,9 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     checked once, and the ``n``-row buffers are allocated once: the states,
     the control rows ``mu``, ``Lbar``, the divisors of
     ``chains._running_measure`` and ``scratch``, the two ``(n, d)`` arrays
-    of ``chains._chain_rule_sides``.  A seed's uniforms are drawn into
+    of ``chains._chain_rule_sides``.  The scheduled phase's control rows
+    and their CDF are built once too, before the first seed, and go away
+    with the generator.  A seed's uniforms are drawn into
     ``scratch``, which the running counts and then the costs overwrite
     only after the draws.  The path's arrays are read-only views of the
     buffers, and they and ``scratch`` hold the seed's values until the next
@@ -390,6 +366,17 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     scratch = np.empty((2, n, d))
     u = scratch[0].reshape(-1)[:n]
     mu[:n1] = q
+    # the scheduled phase's control rows, the schedule at the clock t_k - t_{n1},
+    # and their CDF, the columns added one at a time
+    times = _time_grid(n)
+    clock = times[n1 + 1 :] - times[n1]
+    rows = np.empty((n - n1, d))
+    cdf = np.empty((d, n - n1))
+    for x in range(d):
+        cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+        rows[:, x] = cdf[x]
+        if x:
+            cdf[x] += cdf[x - 1]
     views = [arr.view() for arr in (states, mu, Lbar)]
     for view in views:
         view.flags.writeable = False
@@ -403,7 +390,6 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
             _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:], out=states[n1:])
         else:
-            rows, cdf = _schedule_cdf(plan, n, n1)
             mu[n1:] = rows
             _column_scan(cdf.T, u[n1:], out=states[n1:])
         # the uniforms are spent: their slot holds the running counts
@@ -443,12 +429,10 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     ``t_n - T``; if the empirical measure then sits within ``eps0`` of
     ``q`` the remaining steps read the schedule at the chain's clock,
     otherwise the run falls back to the zero-cost reference policy.  The
-    head draws by one column scan of ``q``'s CDF.  The scheduled phase
-    reads its control rows, the schedule interpolated linearly between its
-    knots at the clock of each step, and their CDF, the columns added one
-    at a time, from ``_schedule_cdf``: built once per ``(plan, n)`` and
-    cached read-only, so the seeds of one horizon share it.  It draws by
-    one column scan of that CDF.  The fallback is the reinforced chain
+    head draws by one column scan of ``q``'s CDF.  The scheduled phase's
+    control rows are the schedule interpolated linearly between its knots
+    at the clock of each step, and it draws by one column scan of their
+    CDF, the columns added one at a time.  The fallback is the reinforced chain
     continued from the head's counts, drawn by the block draws of a single
     path in :mod:`~reinforced_ldp.chains`, with control rows ``mu_k =
     Lbar_{k-1} A``.  The empirical measure comes from the one builder every
@@ -459,8 +443,9 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
 
     This is the one-seed case of the runs of a horizon (``_plan_paths``),
     which the cost trend, the CLI's runs and the acceptance checks draw on
-    one set of buffers per horizon; here the buffers are the run's own, and
-    its path's arrays are read-only.
+    one set of buffers and one schedule build per horizon; here both are the
+    run's own, so a loop over ``run_plan`` builds the schedule every call,
+    and its path's arrays are read-only.
     """
     return next(_plan_runs(plan, A, n, eps0, (seed,), x0, "run_plan"))
 
@@ -513,8 +498,8 @@ def check_cost_convergence(
     Each run is the path of :func:`run_plan` at seed ``seed + block *
     n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
-    The seeds of one horizon share its schedule CDF, built once per
-    ``(plan, n)``, and one set of path and cost buffers (``_plan_paths``).
+    The seeds of one horizon share its schedule rows and CDF, built once
+    per horizon, and one set of path and cost buffers (``_plan_paths``).
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:

@@ -161,16 +161,12 @@ class RateBracket:
 # flow and cost
 
 
-def _flow_gap(gap, slope, ds, sign: float):
+def _flow_gap(gap, slope, e, em, sign: float):
     """``M - eta`` at offset ``ds`` into a piece of ``M' = sign (M - eta)``
-    with control ``v + slope s`` and start gap ``gap``.  Scalar ``ds`` (node
-    recursion) uses libm's exponentials, bit-pinned to a linear-filter
-    reference by tests; arrays (quadrature) use numpy's, 1 ulp off at times."""
-    x = sign * ds
-    if isinstance(x, float):
-        e, em = math.exp(x), math.expm1(x)
-    else:
-        e, em = np.exp(x), np.expm1(x)
+    with control ``v + slope s`` and start gap ``gap``, given ``e = exp(sign
+    ds)`` and ``em = expm1(sign ds)``.  The node recursion passes libm's
+    exponentials, bit-pinned to a linear-filter reference by tests; the
+    quadrature passes numpy's, 1 ulp off at times."""
     return e * gap - sign * em * slope
 
 
@@ -183,7 +179,8 @@ def _flow_nodes(start, widths, v, slope, sign: float) -> np.ndarray:
     D = (start - v[0]).tolist()
     gaps = []
     for i, (h, beta) in enumerate(zip(widths.tolist(), slope.tolist())):
-        gaps.append([_flow_gap(g, b, h, sign) for g, b in zip(D, beta)])
+        e, em = math.exp(sign * h), math.expm1(sign * h)
+        gaps.append([_flow_gap(g, b, e, em, sign) for g, b in zip(D, beta)])
         if i < len(lead):
             D = [x + g for x, g in zip(lead[i], gaps[-1])]
     M = np.vstack([start, end + np.array(gaps)])
@@ -224,7 +221,8 @@ def flow_cost(path: PiecewiseLinearPath, M: np.ndarray, A: Kernel, forward: bool
         s = 0.5 * (h + l)[:, None] + half[:, None] * _GL_X[None, :]
         ds = s - l[:, None]
         eta_s = vl[:, None, :] + bt[:, None, :] * ds[..., None]
-        Ms = eta_s + _flow_gap((Ml - vl)[:, None, :], bt[:, None, :], ds[..., None], sign)
+        x = (sign * ds)[..., None]
+        Ms = eta_s + _flow_gap((Ml - vl)[:, None, :], bt[:, None, :], np.exp(x), np.expm1(x), sign)
         r = rel_entr(eta_s, Ms @ A.matrix).sum(axis=2)
         weight = np.exp(-s) if forward else np.exp(s - T)
         total += float(((weight * r * _GL_W[None, :]).sum(axis=1) * half).sum())
@@ -462,8 +460,9 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
         M = np.repeat(np.reshape([starts[k][perm] for k in ids], (len(ids), 1, d)), J + 1, axis=1)
         t = [_T_INIT] * len(ids)
         steps = [0] * len(ids)
-        # one state leaves nothing to optimize; a budget of 0 allows no step
-        retire({k: d == 1 for k in range(len(ids)) if d == 1 or _MAX_NEWTON <= 0})
+        if d == 1:
+            # one state leaves nothing to optimize
+            retire(dict.fromkeys(range(len(ids)), True))
         while ids:
             t_arr = np.array(t)
             grad, band = _newton_parts(M, Amat, w, e_delta, t_arr)
@@ -472,9 +471,7 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
             # one (its gap bound meets _GAP_TOL), which is centred exactly
             last = [n_constraints / tk <= _GAP_TOL for tk in t]
             go = [k for k, v in enumerate(lam2) if v > (_CENTRED_LAM2 if last[k] else _FULL_STEP_LAM2)]
-            if len(go) == len(ids):
-                M = _line_search(M, dM, lam2, t_arr, Amat, w, e_delta)
-            elif go:
+            if go:
                 M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
             done = {}
             for k in range(len(ids)):

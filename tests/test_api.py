@@ -32,6 +32,9 @@ from reinforced_ldp import (
 SRC = Path(reinforced_ldp.__file__).parent
 # (module, name) imported for another module's sake, each pinned by its own test
 UNUSED_IMPORTS_ALLOWED = {("lowerbound", "_GL_X")}
+# (module, function) memoized at module level: the harmonic clock, and the
+# acceptance battery's one plan
+MODULE_CACHES = {("chains", "_time_grid"), ("validation", "_bench_plan")}
 
 
 def test_every_export_resolves():
@@ -77,6 +80,38 @@ def test_src_modules_use_every_import():
 def test_unused_import_guard_sees_an_unused_name():
     tree = ast.parse("import os\nimport numpy as np\nfrom math import exp, log\nx = np.exp(log(2))\n")
     assert _unused_imports(tree) == {"os", "exp"}
+
+
+def _cached_functions(tree: ast.Module) -> set[str]:
+    """Module-level functions decorated with ``functools.lru_cache`` or
+    ``functools.cache``, called with arguments or not."""
+    def is_cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and getattr(node.value, "id", None) == "functools")
+
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and any(map(is_cache, node.decorator_list))}
+
+
+def test_src_module_caches_are_the_known_ones():
+    cached = {
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _cached_functions(ast.parse(path.read_text()))
+    }
+    assert cached == MODULE_CACHES
+
+
+def test_cache_guard_sees_both_decorator_forms():
+    tree = ast.parse(
+        "import functools\n"
+        "@functools.lru_cache(maxsize=8)\ndef a(n): pass\n"
+        "@functools.cache\ndef b(n): pass\n"
+        "@functools.wraps(a)\ndef c(n): pass\n"
+        "class K:\n    @functools.cache\n    def d(self): pass\n"
+    )
+    assert _cached_functions(tree) == {"a", "b"}
 
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])

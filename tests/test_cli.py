@@ -133,7 +133,7 @@ def test_one_state_exact_law(tmp_path):
     out = tmp_path / "out"
     assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "law_5.csv").read_text().splitlines()[1:] == ["c_1,probability", "5,1"]
-    assert (out / "rate_trend.csv").read_text().splitlines()[2] == "5,1,0,false"
+    assert (out / "rate_trend.csv").read_text().splitlines()[2] == "5,1,0,false,false"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -155,21 +155,22 @@ EXACT_CONFIGS = {
              "exact": {"n_list": [100, 200, 400], "x0": 1, "target": [0.99, 0.01], "radius": 0.02}},
 }
 # SHA-256 of the `exact` artifacts at seed 0, as written by the dict-of-atoms
-# law and one %.17g cell at a time; any rewrite of the law or its CSV must keep them
+# law and one %.17g cell at a time; any rewrite of the law or its CSV must keep them.
+# The rate_trend.csv files also carry the rate_is_bound column, false on every row.
 EXACT_DIGESTS = {
     "d2/law_75.csv": "cf45e5f1505f5eaeed344ef90c3d1a699798c9b13aa77a30471333a63fbd6f38",
     "d2/law_150.csv": "8954811b514afd26fdc885adca2794eec70ac230738c6d4a1a29da20ccae67b4",
     "d2/law_300.csv": "523d71e3079445381058eced6fdbd0bba62562cb34575eb33e2891470248774d",
     "d2/law_600.csv": "fd9629160ff16447aa8dafb0d07076005a2902ae779641f699af4909f2150fff",
-    "d2/rate_trend.csv": "7f702d5740df70e65c87d5ae66b4d489ae8b6912891db8ce4243f13fe42f5503",
+    "d2/rate_trend.csv": "030ad6b0f6dc68f1dffff31d693d7e5bdd5e1c61dbd1a7dad5d37d2f2a7eb6f1",
     "d3/law_24.csv": "9d3d2ca7e116d89134ff71a9e3d921170d71def24bd0facb11947368c2ca7f71",
     "d3/law_48.csv": "94f001d834e43f9b38327d895ad41d279da0ae6d044f3dca324aeeb54c0bfc11",
     "d3/law_96.csv": "ed567c1554b5380e5597d9c4a0db7f9103cd0c60cf0e50febec9ac7db943081e",
-    "d3/rate_trend.csv": "d58412a4f1bc919174ab340e6dc603e822f66ae7af68b5b9199f70c59702f817",
+    "d3/rate_trend.csv": "aba9ef5e50d04b6540593c982db8f1b924103e2b0547fe72dc981a22071addc0",
     "deep/law_100.csv": "dec028226e19bae9b160d7a5fb6e7c657e43fef711e9e1b2c1a81781ce85b82b",
     "deep/law_200.csv": "7353f99cb4773da20ca92149340356d7a99f60a7d32688b42ae930adf3e21b51",
     "deep/law_400.csv": "44f3187ed929c7f3054e182de3daad992a935bf863c39df2435ad481771565ed",
-    "deep/rate_trend.csv": "ea9af3c48daada21b093dbeeb8ff9aa37604f57fbfa2cb47c09ebf49575e10ba",
+    "deep/rate_trend.csv": "fd68a9dabe9e9f6b1f03de3b7391760efb1e17fa9de7e11ab19b13fd6f59ca5d",
 }
 
 

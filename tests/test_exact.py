@@ -164,9 +164,46 @@ def test_finite_n_rate_trend_and_infinite_flag():
     by_n = {r.n: r for r in records}
     # the count lattice at n=5 misses the radius-0.05 ball entirely
     assert by_n[5].infinite and by_n[5].probability == 0.0 and math.isinf(by_n[5].rate)
+    assert not by_n[5].rate_is_bound
     r50 = by_n[50]
-    assert not r50.infinite and r50.probability > 0.0
+    assert not r50.infinite and not r50.rate_is_bound and r50.probability > 0.0
     assert r50.rate == pytest.approx(-math.log(r50.probability) / 50, abs=1e-15)
+
+
+def _log_space_ball_rate(A, n, target, radius):
+    """``-(1/n) log P`` of the ball for a d=2 chain from x0 = 1, by a DP on
+    the log-probabilities of the first count (``np.logaddexp``), which never
+    underflows: the far-ball oracle."""
+    logA = np.log(A.matrix)
+    logp = np.array([-np.inf, 0.0])  # level 1: the count of state 1 is 1
+    for k in range(1, n):
+        c1 = np.arange(k + 1.0)
+        with np.errstate(divide="ignore"):  # log 0 = -inf at the lattice ends
+            log_to = [np.logaddexp(np.log(c1 / k) + logA[0, y], np.log((k - c1) / k) + logA[1, y])
+                      for y in (0, 1)]
+        nxt = np.full(k + 2, -np.inf)
+        nxt[:-1] = logp + log_to[1]
+        nxt[1:] = np.logaddexp(nxt[1:], logp + log_to[0])
+        logp = nxt
+    c1 = np.arange(n + 1)
+    inside = np.abs(c1 / n - target[0]) + np.abs((n - c1) / n - target[1]) <= radius
+    return -np.logaddexp.reduce(logp[inside]) / n
+
+
+def test_ball_past_the_drop_threshold_reports_a_rate_bound():
+    """Every atom of this far ball falls below DROP_THRESHOLD at n = 300: the
+    law gives no probability, only the bound ``P <= dropped_mass``, so the
+    rate is reported as ``-log(dropped_mass) / n`` and flagged as a bound,
+    and it lies below the true rate from a log-space DP."""
+    A, n, target, radius = Kernel([[0.99, 0.01], [0.98, 0.02]]), 300, (0.05, 0.95), 0.05
+    law = exact_law(A, 1, n)
+    r = ball_rate(law, target, radius)
+    assert 0.0 < law.dropped_mass < 1e-298
+    assert r.rate_is_bound and not r.infinite and r.probability == 0.0
+    assert r.rate == -math.log(law.dropped_mass) / n
+    exact = _log_space_ball_rate(A, n, target, radius)
+    assert r.rate <= exact
+    assert exact == pytest.approx(3.4193, abs=1e-4)
 
 
 @pytest.mark.parametrize("A,n,target,radius", [
@@ -229,7 +266,7 @@ def test_export_csvs(tmp_path):
     trend = tmp_path / "trend.csv"
     export_rate_trend_csv(records, trend, "config_sha256=0 seed=0")
     header = trend.read_text().splitlines()[1]
-    assert header == "n,probability,rate,infinite"
+    assert header == "n,probability,rate,infinite,rate_is_bound"
 
 
 # ---------------------------------------------------------------------------

@@ -537,28 +537,38 @@ def test_cost_trend_is_the_occupation_cost_of_run_plan(plans_by_dimension, d, ep
         assert row.an_rate == sum(r.an_occurred for r in runs) / n_seeds == (eps0 < 1.0)
 
 
-def test_schedule_cdf_is_one_read_only_copy_per_plan_and_horizon(bench_plan):
+def test_interleaved_plans_and_horizons_draw_as_the_reference(bench_plan):
     """Runs of two plans on one horizon T, at two n, interleaved: each draws as
-    the one-hot reference does, and the cache builds one read-only set of
-    control rows and CDF per ``(plan, n)``."""
+    the one-hot reference does, and its scheduled control rows are read-only."""
     other = build_plan(LIGHT_TARGET, BENCH, T=2.0, slack=1.0)
     keys = [(bench_plan, 2_000), (other, 2_000), (bench_plan, 3_000), (other, 3_000)]
-    lowerbound._schedule_cdf.cache_clear()
     for seed, (plan, n) in enumerate(keys * 2):
         run = run_plan(plan, BENCH, n, 3.0, seed)
         path, _ = _reference_run(plan, BENCH, n, 3.0, seed)
         assert not run.an_occurred
         for name in ("states", "mu"):
             assert np.array_equal(getattr(run.path, name), getattr(path, name)), (seed, name)
-        rows, cdf = lowerbound._schedule_cdf(plan, n, run.a0 + 1)
-        assert np.array_equal(rows, run.path.mu[run.a0 + 1 :])
-        assert np.array_equal(cdf, np.cumsum(rows, axis=1).T)
-        for arr in (rows, cdf):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 0.5
-    info = lowerbound._schedule_cdf.cache_info()
-    assert info.currsize == info.misses == len(keys)
+        rows = run.path.mu[run.a0 + 1 :]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+
+
+def test_a_finished_cost_trend_keeps_no_schedule():
+    """Once the cost trend returns, its horizon's schedule rows and CDF are
+    gone: what stays traced is below two ``n``-row float columns (the cached
+    clock ``t_0..t_n`` is one).  The plan is built afresh, so no earlier run
+    of it has built anything."""
+    n = 200_000
+    plan = build_plan(BENCH_TARGET, BENCH, T=2.0, slack=1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_cost_convergence(plan, BENCH, [n], 2, 3.0)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * n
 
 
 @pytest.mark.parametrize("source", ["simulate_controlled", "run_plan_scheduled", "run_plan_fallback"])
