@@ -204,6 +204,10 @@ def test_ball_past_the_drop_threshold_reports_a_rate_bound():
     exact = _log_space_ball_rate(A, n, target, radius)
     assert r.rate <= exact
     assert exact == pytest.approx(3.4193, abs=1e-4)
+    # the oracle agrees with the law on a ball whose atoms are all kept (P = 1.7e-162)
+    kept = ball_rate(law, (0.5, 0.5), 0.1)
+    assert not kept.rate_is_bound
+    assert _log_space_ball_rate(A, n, (0.5, 0.5), 0.1) == pytest.approx(kept.rate, rel=1e-12)
 
 
 @pytest.mark.parametrize("A,n,target,radius", [
