@@ -270,6 +270,8 @@ def cmd_exact(args) -> int:
         records = [ball_rate(laws[n], np.asarray(target), radius) for n in sorted(laws)]
         export_rate_trend_csv(records, out / "rate_trend.csv", prov)
         print(f"exact: ball rates for {len(records)} level(s) written")
+        print(f"exact: {sum(r.rate_is_bound for r in records)} of {len(records)} ball rate(s) "
+              f"are lower bounds (rate_is_bound)")
     return 0
 
 
@@ -370,7 +372,7 @@ def cmd_lowerbound(args) -> int:
     plan_doc["provenance"] = prov
     (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
     print(f"lowerbound: schedule of {plan.Jc} pieces, "
-          f"certified cost {plan.certified_cost:.6f}, target gap {plan.bounds.target_gap:.3e}")
+          f"cost_schedule_quad {plan.bounds.cost_schedule_quad:.6f}, target gap {plan.bounds.target_gap:.3e}")
     if n_list is not None:
         report = check_cost_convergence(plan, A, n_list, trend_seeds, eps0, seed=seed)
         export_cost_report_csv(out / "cost_trend.csv", report, prov)

@@ -178,8 +178,10 @@ def event_probability(law: CountLaw, target, radius: float) -> float:
 
 @dataclass(frozen=True)
 class FiniteNRate:
-    """``rate_is_bound`` marks a ``rate`` that is only a lower bound on the
-    ball rate, because the ball's atoms all fell below the drop threshold."""
+    """``probability`` is the law's kept sum ``p`` over the ball; the ball's
+    true probability lies in ``[p, p + dropped_mass]``.  ``rate_is_bound``
+    marks a ``rate`` read from that interval's upper end, so only a lower
+    bound on the ball rate."""
 
     n: int
     probability: float
@@ -191,20 +193,16 @@ class FiniteNRate:
 def ball_rate(law: CountLaw, target, radius: float) -> FiniteNRate:
     """Decay rate ``-(1/n) log P(||L^n - target||_1 <= radius)`` under ``law``.
 
-    A zero-probability event yields an infinite rate with the ``infinite``
-    flag set instead of an error, and a sure event a rate of exactly 0.
-    A ball that holds no kept atom of a law with ``dropped_mass > 0`` may
-    hold dropped ones: its probability is in ``(0, dropped_mass]``, so the
-    rate reported is the bound ``-log(dropped_mass) / n``, with
-    ``rate_is_bound`` set and ``probability`` the kept sum, 0.
+    With ``p`` the kept sum, ``P`` lies in ``[p, hi]``, ``hi = min(p +
+    dropped_mass, 1)``, and the rate is read from ``hi``: ``-log(hi) / n``,
+    exactly 0 at ``hi == 1`` and infinite, with the ``infinite`` flag set
+    instead of an error, at ``hi == 0``.  ``rate_is_bound`` is ``hi > p``:
+    the dropped mass may lie in the ball and moves the rate.
     """
     p = event_probability(law, target, radius)
-    if p == 0.0:
-        bound = law.dropped_mass > 0.0
-        rate = -math.log(law.dropped_mass) / law.n if bound else math.inf
-        return FiniteNRate(n=law.n, probability=0.0, rate=rate, infinite=not bound, rate_is_bound=bound)
-    rate = -math.log(p) / law.n if p < 1.0 else 0.0
-    return FiniteNRate(n=law.n, probability=p, rate=rate, infinite=False, rate_is_bound=False)
+    hi = min(p + law.dropped_mass, 1.0)
+    rate = 0.0 if hi == 1.0 else math.inf if hi == 0.0 else -math.log(hi) / law.n
+    return FiniteNRate(n=law.n, probability=p, rate=rate, infinite=hi == 0.0, rate_is_bound=hi > p)
 
 
 def finite_n_rate(A: Kernel, x0: int, target, radius: float, n_list) -> list[FiniteNRate]:

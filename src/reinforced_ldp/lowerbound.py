@@ -173,10 +173,6 @@ class ReversedPlan:
     def Jc(self) -> int:
         return len(self.knots) - 1
 
-    @property
-    def certified_cost(self) -> float:
-        return self.bounds.cost_schedule_quad
-
 
 def build_plan(m, A: Kernel, T: float = 2.0, J: int | None = None, slack: float = DEFAULT_SLACK) -> ReversedPlan:
     """Solve the rate bracket at ``m`` on horizon ``T`` and build its reversed plan.
@@ -491,12 +487,11 @@ def check_cost_convergence(
     n_seeds: int,
     eps0: float,
     seed: int = 0,
-    x0: int = 1,
 ) -> CostConvergenceReport:
     """Run the plan across horizons and compare mean costs to the quadrature.
 
-    Each run is the path of :func:`run_plan` at seed ``seed + block *
-    n_seeds + i``, and its cost the occupation side of the chain-rule
+    Each run is the path of :func:`run_plan` from state 1 at seed ``seed +
+    block * n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
     The seeds of one horizon share its schedule rows and CDF, built once
     per horizon, and one set of path and cost buffers (``_plan_paths``).
@@ -514,7 +509,7 @@ def check_cost_convergence(
         seeds = (seed + block * n_seeds + i for i in range(n_seeds))
         costs = np.empty(n_seeds)
         an_count = 0
-        runs = _plan_paths(plan, A, n, eps0, seeds, x0, "check_cost_convergence")
+        runs = _plan_paths(plan, A, n, eps0, seeds, 1, "check_cost_convergence")
         for i, (path, _, an, scratch) in enumerate(runs):
             costs[i] = _chain_rule_sides(path, A, scratch, stepsum=False)[0]
             an_count += int(an)

@@ -136,6 +136,18 @@ def test_one_state_exact_law(tmp_path):
     assert (out / "rate_trend.csv").read_text().splitlines()[2] == "5,1,0,false,false"
 
 
+def test_exact_prints_how_many_rates_are_bounds(tmp_path, capsys):
+    """At n = 100 nothing is dropped; at n = 300 the far ball's atoms all are,
+    so its rate is a bound, and the count line says so."""
+    cfg = write_config(tmp_path, {"kernel": {"matrix": [[0.99, 0.01], [0.98, 0.02]]},
+                                  "exact": {"n_list": [100, 300], "target": [0.05, 0.95], "radius": 0.05}})
+    out = tmp_path / "out"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+    assert "exact: 1 of 2 ball rate(s) are lower bounds (rate_is_bound)\n" in capsys.readouterr().out
+    rows = (out / "rate_trend.csv").read_text().splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["false", "true"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_flag_is_config_error(tmp_path, no_work, capsys, value):
     cfg = write_config(tmp_path, {"kernel": {"matrix": BENCH_MATRIX}, "rate": {"points": [[0.5, 0.5]]}})

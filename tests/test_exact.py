@@ -210,6 +210,21 @@ def test_ball_past_the_drop_threshold_reports_a_rate_bound():
     assert _log_space_ball_rate(A, n, (0.5, 0.5), 0.1) == pytest.approx(kept.rate, rel=1e-12)
 
 
+def test_ball_with_kept_and_dropped_atoms_reports_a_rate_bound():
+    """This ball keeps atoms (sum 3.9e-294) and holds cells dropped below
+    DROP_THRESHOLD, so its probability lies in ``[p, p + dropped_mass]``: the
+    rate is read from the upper end and flagged as a bound, and it lies below
+    the true rate from a log-space DP, which lies below the kept sum's rate."""
+    A, n, radius = Kernel([[0.99, 0.01], [0.98, 0.02]]), 300, 0.02
+    target = (87.5 / n, 1.0 - 87.5 / n)
+    law = exact_law(A, 1, n)
+    r = ball_rate(law, target, radius)
+    assert 3.8e-294 < r.probability < 3.9e-294 and 2.5e-299 < law.dropped_mass < 2.6e-299
+    assert r.rate_is_bound and not r.infinite
+    assert r.rate == -math.log(r.probability + law.dropped_mass) / n
+    assert r.rate <= _log_space_ball_rate(A, n, target, radius) <= -math.log(r.probability) / n
+
+
 @pytest.mark.parametrize("A,n,target,radius", [
     (Kernel([[1.0]]), 5, [1.0], 0.0),
     (BENCH, 50, MSTAR_BENCH, 2.0),
