@@ -31,7 +31,7 @@ Every state is drawn by one rule, the column scan
 ``x = sum_{i<d-1} [u > C_i]`` over a CDF ``C``: the smallest ``x`` with
 ``u <= C_x``, clamped to ``d-1``.  Controlled steps and
 :func:`~reinforced_ldp.lowerbound.run_plan` scan the CDFs they are given
-(:func:`_column_scan`).  A reinforced step draws from ``L^k A``, whose CDF
+(:func:`_column_scan`), which hold ``C_0..C_{d-2}`` only.  A reinforced step draws from ``L^k A``, whose CDF
 is defined, for the measure ``q = count / k``, as the plain IEEE sums
 ``m_y = q_0 A_0y + ... + q_{d-1} A_{d-1,y}`` and ``C_i = m_0 + ... + m_i``
 in index order.  One function forms and scans it, :func:`_reinforced_scan`,
@@ -223,17 +223,18 @@ def _validate_x0(x0, d: int) -> int:
 
 
 def _column_scan(cdf: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0-based draws ``x = sum_{i<d-1} [u > C_i]``, one CDF column at a time.
+    """0-based draws ``x = sum_i [u > C_i]``, one CDF column at a time.
 
-    ``cdf`` holds the ``d`` CDF values ``C_0..C_{d-1}`` along its last axis:
-    one row for every draw, or one row per draw.  For a nonnegative row the
-    float CDF is nondecreasing, so ``x`` is the smallest index with
-    ``u <= C_x``, clamped to ``d-1``; ``C_{d-1}`` is never read.  The draws
-    go into ``out``, an int64 array of ``u``'s shape, when it is given.
+    ``cdf`` holds the CDF values ``C_0..C_{d-2}`` of a ``d``-state row along
+    its last axis, and every column given is counted: one row for every
+    draw, or one row per draw.  For a nonnegative row the float CDF is
+    nondecreasing, so ``x`` is the smallest index with ``u <= C_x``, clamped
+    to ``d-1``; ``C_{d-1}``, which the clamp makes moot, is left out.  The
+    draws go into ``out``, an int64 array of ``u``'s shape, when it is given.
     """
     x = np.empty(u.shape, dtype=np.int64) if out is None else out
     x.fill(0)
-    for i in range(cdf.shape[-1] - 1):
+    for i in range(cdf.shape[-1]):
         x += u > cdf[..., i]
     return x
 
@@ -268,9 +269,9 @@ def _reinforced_scan(q: np.ndarray, Amat: np.ndarray, u: np.ndarray) -> np.ndarr
     q_{d-1} A_{d-1,y}`` and the CDF values ``C_i = m_0 + ... + m_i``, each
     product and add one numpy ufunc in index order.  So every value is
     rounded as the plain IEEE sum is, whatever the shape of ``q`` or the
-    BLAS, and a draw depends only on its own ``q`` and ``u``.  ``C_{d-1}``
-    is never formed: ``x`` is the smallest index with ``u <= C_x``, clamped
-    to ``d-1``, as in :func:`_column_scan`.
+    BLAS, and a draw depends only on its own ``q`` and ``u``.  As in
+    :func:`_column_scan`, only ``C_0..C_{d-2}`` are formed: ``x`` is the
+    smallest index with ``u <= C_x``, clamped to ``d-1``.
     """
     d = Amat.shape[0]
     x = np.zeros(u.shape, dtype=np.int64)
@@ -479,7 +480,7 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     for k in range(1, n + 1):
         w = _clean_policy_row(policy(k, running / k), d, k)
         mu[k - 1] = w
-        x = int(_column_scan(np.cumsum(w), uniforms[k - 1 : k])[0])
+        x = int(_column_scan(np.cumsum(w)[:-1], uniforms[k - 1 : k])[0])
         states[k - 1] = x
         running[x] += 1.0
     Lbar = np.empty((n + 1, d))

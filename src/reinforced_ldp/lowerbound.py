@@ -38,7 +38,8 @@ the zero-cost reference policy, and the remaining steps read the schedule
 at the chain's clock.  The runs of one horizon, in the cost trend of
 :func:`check_cost_convergence`, the CLI's runs and the acceptance checks,
 come from one generator, ``_plan_paths``, which checks the horizon once,
-builds its schedule rows once and draws every seed on one set of
+interpolates the schedule into its control rows once (again only after a
+fallback seed overwrote them) and draws every seed on one set of
 ``n``-row buffers; :func:`run_plan` is its one-seed case.
 """
 from __future__ import annotations
@@ -337,13 +338,16 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     checked once, and the ``n``-row buffers are allocated once: the states,
     the control rows ``mu``, ``Lbar``, the divisors of
     ``chains._running_measure`` and ``scratch``, the two ``(n, d)`` arrays
-    of ``chains._chain_rule_sides``.  The scheduled phase's control rows
-    and their CDF are built once too, before the first seed, and go away
-    with the generator.  A seed's uniforms are drawn into
-    ``scratch``, which the running counts and then the costs overwrite
-    only after the draws.  The path's arrays are read-only views of the
-    buffers, and they and ``scratch`` hold the seed's values until the next
-    seed is drawn.
+    of ``chains._chain_rule_sides``.  Before the first seed the schedule is
+    interpolated at the clock straight into the scheduled rows of ``mu``,
+    and their CDF ``C_0..C_{d-2}``, the one copy the scan reads, is built
+    from them and goes away with the generator; the clock is a temporary
+    of the fill.  A fallback seed overwrites those rows, so a scheduled
+    seed after it fills them again by the same interpolation.  A seed's
+    uniforms are drawn into ``scratch``, which the running counts and then
+    the costs overwrite only after the draws.  The path's arrays are
+    read-only views of the buffers, and they and ``scratch`` hold the
+    seed's values until the next seed is drawn.
     """
     d = A.d
     if plan.q.d != d:
@@ -352,7 +356,7 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     x0 = _validate_x0(x0, d)
     n1 = a0 + 1
     q = plan.q.weights
-    head_cdf = np.cumsum(q)
+    head_cdf = np.cumsum(q)[:-1]
     e0 = np.zeros(d)
     e0[x0 - 1] = 1.0
     states = np.empty(n, dtype=np.int64)
@@ -362,20 +366,25 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     scratch = np.empty((2, n, d))
     u = scratch[0].reshape(-1)[:n]
     mu[:n1] = q
-    # the scheduled phase's control rows, the schedule at the clock t_k - t_{n1},
-    # and their CDF, the columns added one at a time
-    times = _time_grid(n)
-    clock = times[n1 + 1 :] - times[n1]
-    rows = np.empty((n - n1, d))
-    cdf = np.empty((d, n - n1))
-    for x in range(d):
-        cdf[x] = np.interp(clock, plan.knots, plan.schedule[:, x])
-        rows[:, x] = cdf[x]
+
+    def schedule_rows():
+        # the schedule at the clock t_k - t_{n1}, one column at a time
+        times = _time_grid(n)
+        clock = times[n1 + 1 :] - times[n1]
+        for x in range(d):
+            mu[n1:, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+
+    schedule_rows()
+    # the scanned CDF of the scheduled rows, the columns added one at a time
+    cdf = np.empty((d - 1, n - n1))
+    for x in range(d - 1):
+        cdf[x] = mu[n1:, x]
         if x:
             cdf[x] += cdf[x - 1]
     views = [arr.view() for arr in (states, mu, Lbar)]
     for view in views:
         view.flags.writeable = False
+    stale = False
     for seed in seeds:
         path_rng(seed, 0).random(out=u)
         _column_scan(head_cdf, u[:n1], out=states[:n1])
@@ -386,7 +395,9 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
             _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:], out=states[n1:])
         else:
-            mu[n1:] = rows
+            if stale:
+                # the last seed fell back and overwrote the scheduled rows
+                schedule_rows()
             _column_scan(cdf.T, u[n1:], out=states[n1:])
         # the uniforms are spent: their slot holds the running counts
         _running_measure(states, x0, Lbar, steps, u)
@@ -394,6 +405,7 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
         if an:
             # update k of the fallback reads Lbar[k-1] A
             np.matmul(Lbar[n1:n], A.matrix, out=mu[n1:])
+        stale = an
         path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=views[0], mu=views[1], Lbar=views[2])
         yield path, a0, an, scratch
 
@@ -493,8 +505,9 @@ def check_cost_convergence(
     Each run is the path of :func:`run_plan` from state 1 at seed ``seed +
     block * n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
-    The seeds of one horizon share its schedule rows and CDF, built once
-    per horizon, and one set of path and cost buffers (``_plan_paths``).
+    The seeds of one horizon share its scheduled CDF, built once per
+    horizon, and one set of path and cost buffers, the scheduled control
+    rows among them (``_plan_paths``).
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:

@@ -20,11 +20,13 @@ method centres with damped Newton steps, each one banded Cholesky solve
 (LAPACK ``dptsv``/``dpbsv``), and stops when the barrier's duality-gap bound
 ``2dJ/t`` is below ``1e-10``.  The bound holds at an exactly centred point,
 so only that last centring runs until the squared Newton decrement is at
-most ``1e-12``; each earlier one ends at the first decrement below ``1/4``,
-where steps become full, and the barrier weight ``t`` grows by 20 without
-taking that step.  All query points of a call advance as one
-lock-step batch; arithmetic is elementwise and reductions are per point, so
-a point's result has the same bits alone or in any batch.
+most ``1e-12``, or until a full step fails to halve it, the sign of a
+rounding floor (the solve then reports that it did not converge); each
+earlier one ends at the first decrement below ``1/4``, where steps become
+full, and the barrier weight ``t`` grows by 20 without taking that step.
+All query points of a call advance as one lock-step batch; arithmetic is
+elementwise and reductions are per point, so a point's result has the
+same bits alone or in any batch.
 
 The value at the returned point is reported as ``lower``; adding the
 discounted tail allowance ``e^{-T} log(1/delta0)`` (the cost of freezing
@@ -408,8 +410,8 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
     """:func:`solve_rate` for every point of ``ms``, one bracket per point in
     input order.  The points run in lock-step: each tick builds the Newton
     parts of all running points at once, and a point leaves the batch when
-    it converges or runs out of steps, so each bracket has the bits of a
-    lone solve.
+    it converges, stalls in its last centring or runs out of steps, so each
+    bracket has the bits of a lone solve.
 
     The free coordinates drop each node's last entry, whose barrier curvature
     ``1/M^2`` enters every entry of the reduced Hessian block; near 0 it swamps
@@ -444,22 +446,24 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
     final = [None] * P
 
     def retire(done: dict):
-        nonlocal ids, M, t, steps
+        nonlocal ids, M, t, steps, prev
         for k, converged in done.items():
             final[ids[k]] = (M[k][:, perm], t[k], steps[k], converged)
         keep = [k for k in range(len(ids)) if k not in done]
         ids, M = [ids[k] for k in keep], M[keep]
-        t, steps = [t[k] for k in keep], [steps[k] for k in keep]
+        t, steps, prev = [t[k] for k in keep], [steps[k] for k in keep], [prev[k] for k in keep]
 
     for x in sorted(set(swap)):
         perm = np.arange(d)
         perm[[x, -1]] = perm[[-1, x]]
         Amat = A.matrix[np.ix_(perm, perm)]
-        # the running points: input positions, nodes, barrier weights, Newton steps
+        # the running points: input positions, nodes, barrier weights, Newton steps,
+        # and lambda^2 at the previous tick of the last centring (inf before it)
         ids = [k for k in range(P) if swap[k] == x]
         M = np.repeat(np.reshape([starts[k][perm] for k in ids], (len(ids), 1, d)), J + 1, axis=1)
         t = [_T_INIT] * len(ids)
         steps = [0] * len(ids)
+        prev = [math.inf] * len(ids)
         if d == 1:
             # one state leaves nothing to optimize
             retire(dict.fromkeys(range(len(ids)), True))
@@ -470,12 +474,20 @@ def rate_profile(A: Kernel, ms, T: float = 14.0, J: int | None = None) -> list[R
             # a centring ends once a point's step would be full, except the last
             # one (its gap bound meets _GAP_TOL), which is centred exactly
             last = [n_constraints / tk <= _GAP_TOL for tk in t]
-            go = [k for k, v in enumerate(lam2) if v > (_CENTRED_LAM2 if last[k] else _FULL_STEP_LAM2)]
+            # full steps shrink lambda^2 quadratically, so one that did not halve it
+            # has met the rounding floor, which can lie above _CENTRED_LAM2: stop there
+            stalled = [lk and p < _FULL_STEP_LAM2 and v > max(_CENTRED_LAM2, 0.5 * p)
+                       for lk, p, v in zip(last, prev, lam2)]
+            prev = [v if lk else math.inf for lk, v in zip(last, lam2)]
+            go = [k for k, v in enumerate(lam2)
+                  if not stalled[k] and v > (_CENTRED_LAM2 if last[k] else _FULL_STEP_LAM2)]
             if go:
                 M[go] = _line_search(M[go], dM[go], [lam2[k] for k in go], t_arr[go], Amat, w, e_delta)
             done = {}
             for k in range(len(ids)):
-                if k in go:
+                if stalled[k]:
+                    done[k] = False
+                elif k in go:
                     steps[k] += 1
                     if steps[k] >= _MAX_NEWTON:
                         done[k] = False

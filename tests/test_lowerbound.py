@@ -584,7 +584,11 @@ def test_chain_rule_check_matches_the_two_product_formula(bench_plan, source):
     assert (lhs, rhs) == _two_product_chain_rule(path, BENCH)
 
 
-# eps0 = 0.02 sends some of seeds 0..7 to the fallback and keeps the others on the schedule
+# eps0 = 0.02 sends some of seeds 0..7 to the fallback (F) and keeps the others on the
+# schedule (s); a scheduled seed after a fallback one refills the rows the fallback overwrote
+MIXED_FLAGS = {(2, "first"): "FssssssF", (2, "last"): "sssssssF", (3, "first"): "ssFssFFF", (3, "last"): "ssFssFFF"}
+
+
 @pytest.mark.parametrize("eps0", [3.0, 1e-12, 0.02], ids=["scheduled", "fallback", "mixed"])
 @pytest.mark.parametrize("start", ["first", "last"])
 @pytest.mark.parametrize("d", [2, 3])
@@ -606,6 +610,8 @@ def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, 
         flags.append(run.an_occurred)
     assert len(flags) == 8
     assert set(flags) == ({False, True} if eps0 == 0.02 else {eps0 < 1.0})
+    if eps0 == 0.02:
+        assert "".join("F" if an else "s" for an in flags) == MIXED_FLAGS[d, start]
 
 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
@@ -628,6 +634,28 @@ def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
     finally:
         tracemalloc.stop()
     assert growth < 8 * n
+
+
+@pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
+def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
+    """Building a horizon, drawing its first seed and both its costs peaks
+    below 108 bytes a step at d = 2 with the clock already cached: the
+    buffers (about 80 n), the scanned CDF ``C_0`` and the fill's clock and
+    column.  A second copy of the scheduled rows, their ``C_1`` and a clock
+    held over the seeds took 121.5 n."""
+    n = 200_000
+    _time_grid(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        runs = lowerbound._plan_paths(bench_plan, BENCH, n, eps0, range(2), 1, "test")
+        path, _, an, scratch = next(runs)
+        assert an == (eps0 < 1.0)
+        _chain_rule_sides(path, BENCH, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 108 * n
 
 
 def test_library_run_errors_name_their_caller(bench_plan, light_plan):

@@ -339,6 +339,18 @@ def test_only_the_last_centring_is_exact(monkeypatch, case):
             assert (v <= tol) == (last or trace[i + 1][0] > tk)
 
 
+def test_a_stalled_last_centring_ends_unconverged():
+    """At this d=3 point the last centring (t = 1.024e13) meets a rounding
+    floor: lambda^2 stays near 2.29e-9, above ``_CENTRED_LAM2``.  The first
+    full step that fails to halve it ends the solve, unconverged, long
+    before ``_MAX_NEWTON`` (1000 steps)."""
+    A = Kernel([[0.6076, 0.2938, 0.0986], [0.6716, 0.0512, 0.2772], [0.9182, 0.0745, 0.0073]])
+    br = solve_rate((0.00367, 0.01257, 0.98376), A, T=6.0, J=60)
+    assert br.diagnostics.iterations < 100
+    assert not br.diagnostics.converged
+    assert br.diagnostics.gap <= ratesolver._GAP_TOL
+
+
 def test_failed_newton_system_names_the_point(monkeypatch):
     """A LAPACK failure for one point of a batch names that point and its t."""
     real = ratesolver.dptsv
