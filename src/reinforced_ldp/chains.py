@@ -31,7 +31,10 @@ Every state is drawn by one rule, the column scan
 ``x = sum_{i<d-1} [u > C_i]`` over a CDF ``C``: the smallest ``x`` with
 ``u <= C_x``, clamped to ``d-1``.  Controlled steps and
 :func:`~reinforced_ldp.lowerbound.run_plan` scan the CDFs they are given
-(:func:`_column_scan`), which hold ``C_0..C_{d-2}`` only.  A reinforced step draws from ``L^k A``, whose CDF
+(:func:`_column_scan`): ``C_0..C_{d-2}`` only, along the first axis, as
+one array or as a sequence of arrays, so a plan run scans the first
+column of its control rows as ``C_0`` without a copy and writes its draws
+into one-byte states.  A reinforced step draws from ``L^k A``, whose CDF
 is defined, for the measure ``q = count / k``, as the plain IEEE sums
 ``m_y = q_0 A_0y + ... + q_{d-1} A_{d-1,y}`` and ``C_i = m_0 + ... + m_i``
 in index order.  One function forms and scans it, :func:`_reinforced_scan`,
@@ -222,20 +225,23 @@ def _validate_x0(x0, d: int) -> int:
     return x0
 
 
-def _column_scan(cdf: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _column_scan(cdf, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0-based draws ``x = sum_i [u > C_i]``, one CDF column at a time.
 
     ``cdf`` holds the CDF values ``C_0..C_{d-2}`` of a ``d``-state row along
-    its last axis, and every column given is counted: one row for every
-    draw, or one row per draw.  For a nonnegative row the float CDF is
+    its first axis, an array or a sequence of arrays, and every column
+    given is counted: a value for every draw, or an array of ``u``'s shape,
+    any view of the caller's (the plan runs scan ``C_0`` as a column of
+    their control rows).  For a nonnegative row the float CDF is
     nondecreasing, so ``x`` is the smallest index with ``u <= C_x``, clamped
-    to ``d-1``; ``C_{d-1}``, which the clamp makes moot, is left out.  The
-    draws go into ``out``, an int64 array of ``u``'s shape, when it is given.
+    to ``d-1``; ``C_{d-1}``, which the clamp makes moot, is left out, so a
+    one-state row has no column and draws 0.  The draws go into ``out``, an
+    integer array of ``u``'s shape wide enough for ``d-1``, when it is given.
     """
     x = np.empty(u.shape, dtype=np.int64) if out is None else out
     x.fill(0)
-    for i in range(cdf.shape[-1]):
-        x += u > cdf[..., i]
+    for c in cdf:
+        x += u > c
     return x
 
 
@@ -292,8 +298,8 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
     one to ``count[x]`` and to ``k``; ``count`` holds exact integers summing
     to ``k``.  The steps run in blocks, each solved by a fixed-point
     iteration in numpy, and every draw equals the sequential one bit for bit.
-    The states go into ``out``, an int64 array of ``u``'s size, when it is
-    given.
+    The states go into ``out``, an integer array of ``u``'s size wide enough
+    for ``d-1``, when it is given.
 
     A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
     counts ``cnt`` at its first step ``k``, and its first guess draws every
@@ -404,6 +410,10 @@ class ControlledPath:
     control used by update ``k`` and ``states[k-1]`` the sampled state.
     ``Lbar[k] = (e_x0 + counts_k) / (k+1)``, where ``counts_k`` counts the
     states of the first ``k`` updates (see :func:`_running_measure`).
+    ``states`` is int64 from :func:`simulate_controlled`; a plan path's
+    (:func:`~reinforced_ldp.lowerbound.run_plan`) uses the smallest
+    unsigned dtype that holds ``d``, ``np.min_scalar_type(d)``, one byte up
+    to 255 states.
     """
 
     n: int

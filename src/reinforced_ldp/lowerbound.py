@@ -38,9 +38,11 @@ the zero-cost reference policy, and the remaining steps read the schedule
 at the chain's clock.  The runs of one horizon, in the cost trend of
 :func:`check_cost_convergence`, the CLI's runs and the acceptance checks,
 come from one generator, ``_plan_paths``, which checks the horizon once,
-interpolates the schedule into its control rows once (again only after a
-fallback seed overwrote them) and draws every seed on one set of
-``n``-row buffers; :func:`run_plan` is its one-seed case.
+interpolates the schedule into its control rows once, in blocks of steps
+(again only after a fallback seed overwrote them), scans the rows' first
+column as their ``C_0`` and draws every seed on one set of ``n``-row
+buffers, the states one byte each up to 255 states; :func:`run_plan` is
+its one-seed case.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ import numpy as np
 
 from ._format import write_csv
 from .chains import (
+    _BLOCK_CAP,
     ControlledPath,
     _chain_rule_sides,
     _column_scan,
@@ -336,13 +339,16 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
 
     The dimensions, ``x0`` and the horizon (:func:`_plan_horizon`) are
     checked once, and the ``n``-row buffers are allocated once: the states,
-    the control rows ``mu``, ``Lbar``, the divisors of
+    in the smallest unsigned dtype that holds ``d`` (one byte up to 255
+    states), the control rows ``mu``, ``Lbar``, the divisors of
     ``chains._running_measure`` and ``scratch``, the two ``(n, d)`` arrays
     of ``chains._chain_rule_sides``.  Before the first seed the schedule is
     interpolated at the clock straight into the scheduled rows of ``mu``,
-    and their CDF ``C_0..C_{d-2}``, the one copy the scan reads, is built
-    from them and goes away with the generator; the clock is a temporary
-    of the fill.  A fallback seed overwrites those rows, so a scheduled
+    ``chains._BLOCK_CAP`` steps at a time, so the clock and the
+    interpolated column are temporaries of one block.  The scan reads
+    ``C_0`` as the rows' first column, a view, and ``C_1..C_{d-2}`` from
+    sums of the rows built once, which go away with the generator.  A
+    fallback seed overwrites those rows, ``C_0`` with them, so a scheduled
     seed after it fills them again by the same interpolation.  A seed's
     uniforms are drawn into ``scratch``, which the running counts and then
     the costs overwrite only after the draws.  The path's arrays are
@@ -359,7 +365,7 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     head_cdf = np.cumsum(q)[:-1]
     e0 = np.zeros(d)
     e0[x0 - 1] = 1.0
-    states = np.empty(n, dtype=np.int64)
+    states = np.empty(n, dtype=np.min_scalar_type(d))
     mu = np.empty((n, d))
     Lbar = np.empty((n + 1, d))
     steps = np.arange(2.0, n + 2.0)
@@ -368,19 +374,21 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     mu[:n1] = q
 
     def schedule_rows():
-        # the schedule at the clock t_k - t_{n1}, one column at a time
+        # the schedule at the clock t_k - t_{n1}, one column at a time, in blocks of steps
         times = _time_grid(n)
-        clock = times[n1 + 1 :] - times[n1]
-        for x in range(d):
-            mu[n1:, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+        for lo in range(n1, n, _BLOCK_CAP):
+            hi = min(lo + _BLOCK_CAP, n)
+            clock = times[lo + 1 : hi + 1] - times[n1]
+            for x in range(d):
+                mu[lo:hi, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
 
     schedule_rows()
-    # the scanned CDF of the scheduled rows, the columns added one at a time
-    cdf = np.empty((d - 1, n - n1))
-    for x in range(d - 1):
-        cdf[x] = mu[n1:, x]
-        if x:
-            cdf[x] += cdf[x - 1]
+    # the scanned CDF of the scheduled rows (none at d = 1): C_0 is their
+    # first column, and C_1..C_{d-2} add the next columns one at a time
+    sums = np.empty((max(d - 2, 0), n - n1))
+    cdf = [mu[n1:, 0], *sums][: d - 1]
+    for x in range(1, d - 1):
+        np.add(cdf[x - 1], mu[n1:, x], out=cdf[x])
     views = [arr.view() for arr in (states, mu, Lbar)]
     for view in views:
         view.flags.writeable = False
@@ -398,7 +406,7 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             if stale:
                 # the last seed fell back and overwrote the scheduled rows
                 schedule_rows()
-            _column_scan(cdf.T, u[n1:], out=states[n1:])
+            _column_scan(cdf, u[n1:], out=states[n1:])
         # the uniforms are spent: their slot holds the running counts
         _running_measure(states, x0, Lbar, steps, u)
         states += 1
@@ -440,7 +448,8 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     head draws by one column scan of ``q``'s CDF.  The scheduled phase's
     control rows are the schedule interpolated linearly between its knots
     at the clock of each step, and it draws by one column scan of their
-    CDF, the columns added one at a time.  The fallback is the reinforced chain
+    CDF: ``C_0`` is the rows' first column and each further column is added
+    one at a time.  The fallback is the reinforced chain
     continued from the head's counts, drawn by the block draws of a single
     path in :mod:`~reinforced_ldp.chains`, with control rows ``mu_k =
     Lbar_{k-1} A``.  The empirical measure comes from the one builder every
@@ -505,9 +514,11 @@ def check_cost_convergence(
     Each run is the path of :func:`run_plan` from state 1 at seed ``seed +
     block * n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
-    The seeds of one horizon share its scheduled CDF, built once per
-    horizon, and one set of path and cost buffers, the scheduled control
-    rows among them (``_plan_paths``).
+    The seeds of one horizon share its scheduled control rows, filled once
+    per horizon in blocks of steps, the CDF sums the scan reads besides
+    their first column, and one set of path and cost buffers with one-byte
+    states (``_plan_paths``): at d = 2 a horizon peaks at about 74 traced
+    bytes a step.
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:

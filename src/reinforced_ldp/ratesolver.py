@@ -299,9 +299,10 @@ def _newton_parts(M, Amat, w, e_delta: float, t, barrier: bool = True):
     # Hessian blocks of interval j: H_cur (M_j, M_j), H_cn (M_j, M_{j+1}) and
     # H_next (M_{j+1}, M_{j+1}); node j+1 collects H_next of interval j and
     # H_cur of interval j+1.  Blocks are stored entry-major, B[x, z] a (P, J)
-    # array, and A diag(h_K) A^T is summed in y order.
+    # array, and A diag(h_K) A^T is summed in y order.  h_K and h_cross are
+    # copied entry-major once, so the block broadcasts read contiguous planes.
     A4 = Amat[:, :, None, None]
-    hK, hc = h_K.transpose(2, 0, 1), h_cross.transpose(2, 0, 1)
+    hK, hc = (np.ascontiguousarray(h.transpose(2, 0, 1)) for h in (h_K, h_cross))
     AhA = 0.0
     for y in range(d):
         AhA = AhA + (A4[:, y] * hK[y])[:, None] * A4[:, y]

@@ -397,13 +397,38 @@ CRAFTED_DRAWS = [
 @pytest.mark.parametrize("row, u, draw", CRAFTED_DRAWS)
 def test_column_scan_matches_the_clamped_count_on_crafted_rows(row, u, draw):
     rows = np.array([row])
-    # the scan is given C_0..C_{d-2}: the clamp stands in for C_{d-1}
-    cdf = np.cumsum(rows, axis=1)[:, :-1]
+    # the scan is given C_0..C_{d-2} along the first axis: the clamp stands in for C_{d-1}
+    cdf = np.cumsum(rows, axis=1)[:, :-1].T
     expect = _inverse_cdf_rows(rows, np.array([u]))
     assert expect.tolist() == [draw]
-    # one row per draw, and one row for every draw
+    # one value per draw, and one value for every draw
     assert _column_scan(cdf, np.array([u])).tolist() == [draw]
-    assert _column_scan(cdf[0], np.full(3, u)).tolist() == [draw] * 3
+    assert _column_scan(cdf[:, 0], np.full(3, u)).tolist() == [draw] * 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_column_scan_reads_a_strided_first_column(d):
+    """Given ``C_0`` as a strided column of the rows and ``C_1..C_{d-2}`` as
+    their running sums, as the plan runs give them, the scan draws as the
+    clamped count over the whole CDF, into a compact integer ``out`` too;
+    a quarter of the uniforms sit on a CDF value."""
+    rng = np.random.default_rng(d)
+    rows = rng.dirichlet(np.ones(d), size=2_000)
+    rows[::7, rng.integers(d)] = 0.0  # zero-probability columns: equal CDF values
+    u = rng.random(len(rows))
+    on = rng.random(len(rows)) < 0.25
+    full = np.cumsum(rows, axis=1)
+    u[on] = full[on, rng.integers(d - 1)]
+    sums = np.empty((d - 2, len(rows)))
+    cdf = [rows[:, 0], *sums]
+    for x in range(1, d - 1):
+        np.add(cdf[x - 1], rows[:, x], out=cdf[x])
+    assert not cdf[0].flags.c_contiguous
+    expect = _inverse_cdf_rows(rows, u)
+    assert np.array_equal(_column_scan(cdf, u), expect)
+    out = np.empty(len(rows), dtype=np.min_scalar_type(d))
+    assert _column_scan(cdf, u, out=out) is out
+    assert np.array_equal(out, expect)
 
 
 def _searchsorted_draw(cdf, u):

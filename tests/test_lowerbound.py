@@ -516,9 +516,26 @@ def test_run_plan_matches_the_one_hot_reference(plans_by_dimension, d, start, ep
     run = run_plan(plan, A, 3_000, eps0, seed=5, x0=x0)
     path, (lhs, rhs) = _reference_run(plan, A, 3_000, eps0, 5, x0)
     assert run.an_occurred == (eps0 < 1.0)
+    # the states come in the compact dtype, with the int64 reference's values
+    assert run.path.states.dtype == np.min_scalar_type(d) == np.uint8
     for name in ("states", "mu", "Lbar"):
         assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
     assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+
+
+def test_one_state_plan_runs_stay_at_the_state_at_no_cost():
+    """At d = 1 the scans are given no CDF column: every state is 1, every
+    control row and measure is 1, and both costs are 0.  The head's measure
+    is ``q`` itself, so even ``eps0 = 1e-12`` keeps every seed on the schedule."""
+    A = Kernel([[1.0]])
+    plan = build_plan([1.0], A, T=1.0, slack=1.0)
+    runs = list(lowerbound._plan_runs(plan, A, 2_000, 1e-12, range(3), 1, "test"))
+    assert len(runs) == 3
+    for run in runs:
+        assert not run.an_occurred
+        assert np.all(run.path.states == 1)
+        assert np.all(run.path.mu == 1.0) and np.all(run.path.Lbar == 1.0)
+        assert (run.cost_occupation, run.cost_stepsum, run.terminal_error) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
@@ -639,10 +656,13 @@ def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
     """Building a horizon, drawing its first seed and both its costs peaks
-    below 108 bytes a step at d = 2 with the clock already cached: the
-    buffers (about 80 n), the scanned CDF ``C_0`` and the fill's clock and
-    column.  A second copy of the scheduled rows, their ``C_1`` and a clock
-    held over the seeds took 121.5 n."""
+    below 84 bytes a step at d = 2 with the clock already cached: the
+    buffers, about 73 n (one-byte states, ``mu`` and ``Lbar`` 16 each, the
+    divisors 8 and the cost arrays 32), and the fill's blocks of at most
+    8192 steps.  ``C_0`` is a view of the scheduled rows.  int64 states, a
+    copy of ``C_0`` and a horizon-sized clock and column in the fill took
+    93.9 n; a second copy of the rows, their ``C_1`` and a clock held over
+    the seeds took 121.5 n before that."""
     n = 200_000
     _time_grid(n)
     tracemalloc.start()
@@ -655,7 +675,7 @@ def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 108 * n
+    assert peak < 84 * n
 
 
 def test_library_run_errors_name_their_caller(bench_plan, light_plan):
