@@ -124,26 +124,20 @@ def cell(v) -> str:
     return str(v)
 
 
-def mulhilo64(a, b, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def mulhilo64(a, b) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products ``a * b`` of uint64 values.
 
-    ``a`` may be one uint64 scalar.  A caller in a loop passes its own
-    buffers of the product's shape: ``out = (hi, lo)`` receives the words
-    and ``scratch`` holds two more arrays; none of them may share memory
-    with ``a`` or ``b``.  Without them the arrays are allocated.
+    ``a`` may be one uint64 scalar.
     """
-    hi, lo = (None, None) if out is None else out
-    t1, t2 = (None, None) if scratch is None else scratch
     a_lo, a_hi = a & _LO32, a >> _SHIFT32
-    t1 = np.bitwise_and(b, _LO32, out=t1)  # b_lo
-    t2 = np.multiply(a_hi, t1, out=t2)  # hi_lo
+    t1 = b & _LO32  # b_lo
+    t2 = a_hi * t1  # hi_lo
     t1 *= a_lo  # lo_lo
     t1 >>= _SHIFT32
-    lo = np.bitwise_and(t2, _LO32, out=lo)
-    t1 += lo
+    t1 += t2 & _LO32
     t2 >>= _SHIFT32
-    lo = np.right_shift(b, _SHIFT32, out=lo)  # b_hi
-    hi = np.multiply(a_hi, lo, out=hi)
+    lo = b >> _SHIFT32  # b_hi
+    hi = a_hi * lo
     lo *= a_lo  # lo_hi
     # lo_hi <= (2**32 - 1)**2 and the other two addends are below 2**32, so cross fits in 64 bits
     t1 += lo

@@ -14,18 +14,12 @@ without a Python loop as the correctly rounded sum of the doubles
 path on that grid satisfies the chain-rule identity checked by
 :func:`verify_chain_rule_identity`.
 
-Randomness: a counter-based Philox generator keyed by ``(seed, stream)``,
-one independent stream per path, so batched and per-path simulations are
-bitwise reproducible regardless of scheduling.  Single paths draw from a
-numpy ``Generator`` over ``np.random.Philox``; a batch draws all its
-uniforms at once from :func:`philox_uniforms`, a vectorized Philox4x64-10
-(Salmon, Moraes, Dror & Shaw, SC'11) that reproduces numpy's Philox
-streams bit for bit.  Its rounds run in place on uint64 arrays allocated
-once per call, and it stores the uniforms word-major, so a batch step
-reads its column of uniforms contiguously.  Block ``b`` starts from the
-counter ``(b+1, 0, 0, 0)`` and the key ``(seed, stream)``, so three of its
-twenty products are the same for every stream and are Python-int
-products: round 0's ``M0 (b+1)`` and ``M1 0``, and round 1's ``M0 seed``.
+Randomness: every draw comes from :func:`path_rng`, a numpy ``Generator``
+over ``np.random.Philox`` keyed by ``(seed, stream)``.  A single path, a
+controlled path and a plan run read stream 0 of their seed from its start.
+A batch reads stream 0 of its seed in segments, one per path, so batch
+path ``p`` is the single path driven by segment ``p``, whatever the
+batch's chunking.
 
 Every state is drawn by one rule, the column scan
 ``x = sum_{i<d-1} [u > C_i]`` over a CDF ``C``: the smallest ``x`` with
@@ -44,7 +38,7 @@ counts of all its paths at once, and a single path, and the fallback of
 ``run_plan``, draw in blocks (:func:`_reinforced_draws`): each pass over a
 block scans the measures of all its steps from a guess of their draws,
 and the draws a pass leaves unchanged are the sequential ones.  So every
-draw of a batch path equals the single path's on its stream.  Every
+draw of a batch path equals the single path's on its segment.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`,
 and both sides of the chain-rule identity from :func:`_chain_rule_sides`.
 Like the column scans and the block draws, both write into arrays their
@@ -55,9 +49,8 @@ set of buffers.
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
 rows in numpy: integer digits by a vectorized floor divide, and the 17 ``%.17g``
 digits of ``0`` and of every value in ``[1e-39, 1)`` in integer arithmetic,
-from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`, which the
-Philox rounds share).  Other values (``1``) go through ``f17``, so the
-bytes equal a row-by-row ``%.17g``.
+from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`).  Other
+values (``1``) go through ``f17``, so the bytes equal a row-by-row ``%.17g``.
 """
 from __future__ import annotations
 
@@ -67,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import rel_entr
 
-from ._format import mulhilo64, write_array_csv
+from ._format import write_array_csv
 from .errors import DimensionMismatch, PolicyError, PreconditionViolation, ResourceLimitExceeded
 from .measures import Kernel, _as_count
 
@@ -78,96 +71,17 @@ _BLOCK_CAP = 8192
 _BATCH_CHUNK = 8192
 _INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
-# Philox4x64-10 constants: round multipliers and Weyl key increments
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_SHIFT11 = np.uint64(11)
-
-
-def _stream_key(seed: int, streams) -> tuple[int, np.ndarray]:
-    """Philox key words ``(seed, stream)``, each reduced mod 2**64.
-
-    ``streams`` is one stream or an array of them; the stream words come
-    back as a uint64 array of that shape.  The seed and every stream must
-    be integers; a negative one is reduced like any other.
-    """
-    if isinstance(streams, np.ndarray) and streams.dtype.kind in "iu":
-        words = streams.astype(np.uint64)  # the cast wraps mod 2**64
-    else:
-        obj = np.asarray(streams, dtype=object)
-        words = [_as_count(w, "stream") & _MASK64 for w in obj.flat]
-        words = np.array(words, dtype=np.uint64).reshape(obj.shape)
-    return _as_count(seed, "seed") & _MASK64, words
-
 
 def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for stream ``stream`` of seed ``seed``."""
-    k0, k1 = _stream_key(seed, stream)
-    return np.random.Generator(np.random.Philox(key=k0 | (int(k1) << 64)))
+    """Philox generator for stream ``stream`` of seed ``seed``.
 
-
-def philox_uniforms(seed: int, streams, count: int) -> np.ndarray:
-    """Uniforms of shape ``(len(streams), count)``, row i equal bit for bit
-    to ``path_rng(seed, streams[i]).random(count)``.
-
-    The Philox4x64-10 rounds run on uint64 arrays with one element per
-    stream, allocated once per call and reused by every round of every
-    block: the counter words, the products of :func:`mulhilo64` and its
-    scratch, and the key word ``stream``, advanced in place.  The key word
-    ``seed`` is the same for every stream and stays a Python int.  As in
-    numpy, block ``b`` is the image of counter ``(b+1, 0, 0, 0)`` under key
-    ``(seed, stream)``, its four words are used in order, and word ``w``
-    becomes the double ``(w >> 11) * 2**-53``.  The result is the transpose
-    of a C-ordered ``(count, len(streams))`` array, so the uniforms of one
-    draw index across all streams are contiguous.
-
-    Three of a block's twenty products take the same value for every
-    stream, and each is one Python-int product.  Round 0 multiplies the
-    counter words ``b+1`` and ``0``: ``M1 * 0 = 0``, so with ``p = M0 (b+1)``
-    it leaves ``(seed, 0, hi(p) ^ stream, lo(p))``.  Round 1 multiplies that
-    first word, the key word ``seed`` before its Weyl step, by ``M0``.  Only
-    its other product and the eight rounds after it run on arrays.
+    The key is ``(seed, stream)``, each reduced mod 2**64, so a negative
+    one is reduced like any other; both must be integers.  This is the
+    package's one source of random draws.
     """
-    count = _as_count(count, "philox_uniforms: count")
-    if count < 0:
-        raise PreconditionViolation(f"philox_uniforms: count must be >= 0, got {count}")
-    k0, k1 = _stream_key(seed, streams)
-    k1 = k1.ravel()
-    r = k1.size
-    blocks = -(-count // 4)
-    out = np.empty((4 * blocks, r))
-    c0, c1, c2, c3, hi1, lo0, lo1, t1, t2, key1 = np.empty((10, r), dtype=np.uint64)
-    m0 = int(_PHILOX_M[0])
-    s = m0 * k0  # round 1's M0 product, the same in every block
-    for b in range(blocks):
-        p = m0 * (b + 1)  # round 0's M0 product
-        np.bitwise_xor(k1, p >> 64, out=c2)
-        key0 = (k0 + _PHILOX_W[0]) & _MASK64
-        np.add(k1, _PHILOX_W[1], out=key1)
-        # round 1 on (seed, 0, c2, lo(p)): (hi1 ^ key0, lo1, hi(s) ^ lo(p) ^ key1, lo(s))
-        mulhilo64(_PHILOX_M[1], c2, out=(hi1, lo1), scratch=(t1, t2))
-        np.bitwise_xor(hi1, key0, out=c0)
-        np.bitwise_xor(key1, (s >> 64) ^ (p & _MASK64), out=c2)
-        c1, lo1 = lo1, c1
-        c3.fill(s & _MASK64)
-        for _ in range(2, _PHILOX_ROUNDS):
-            key0 = (key0 + _PHILOX_W[0]) & _MASK64
-            key1 += _PHILOX_W[1]
-            # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0);
-            # hi0 is written into c2, which the first product has already read
-            mulhilo64(_PHILOX_M[1], c2, out=(hi1, lo1), scratch=(t1, t2))
-            mulhilo64(_PHILOX_M[0], c0, out=(c2, lo0), scratch=(t1, t2))
-            c2 ^= c3
-            c2 ^= key1
-            np.bitwise_xor(hi1, c1, out=c0)
-            c0 ^= key0
-            c1, lo1 = lo1, c1
-            c3, lo0 = lo0, c3
-        for j, c in enumerate((c0, c1, c2, c3)):
-            np.right_shift(c, _SHIFT11, out=t1)
-            np.multiply(t1, 2.0**-53, out=out[4 * b + j])
-    return out[:count].T
+    k0 = _as_count(seed, "seed") & _MASK64
+    k1 = _as_count(stream, "stream") & _MASK64
+    return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64)))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -364,12 +278,14 @@ def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
 def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
-    Path ``i`` consumes stream ``i`` of ``seed`` and draws by the same
-    :func:`_reinforced_scan` as a single path, so row ``i`` equals
-    ``simulate_chain`` on stream ``i`` by construction; path 0 reproduces
-    ``simulate_chain(A, x0, n, seed)``.  Paths run in blocks of
-    ``_BATCH_CHUNK``, and each block draws its uniforms with one call of
-    :func:`philox_uniforms`.  The counts are held as a ``(d, paths)``
+    All paths draw from one stream, ``path_rng(seed, 0)``, in segments:
+    path ``p`` takes its ``n - 1`` uniforms ``p(n-1) .. (p+1)(n-1) - 1``, and
+    draws by the same :func:`_reinforced_scan` as a single path.  So row
+    ``p`` equals ``simulate_chain`` driven by segment ``p``, whatever the
+    chunking, and path 0 reproduces ``simulate_chain(A, x0, n, seed)``.
+    Paths run in blocks of ``_BATCH_CHUNK``; each block draws its uniforms
+    as one ``(paths, n - 1)`` array, one row per path, and step ``k`` scans
+    its strided column ``k - 1``.  The counts are held as a ``(d, paths)``
     float64 array of exact integers, so ``counts / k`` gives the doubles
     int64 counts would, and each step scans it with one column per path.
     The draws go into the counts by one masked add per state, ``counts[i]
@@ -382,10 +298,11 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
     d = A.d
     x0 = _validate_x0(x0, d)
     Amat = A.matrix
+    rng = path_rng(seed, 0)
     out = np.empty((n_paths, d), dtype=np.int64)
     for lo in range(0, n_paths, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n_paths)
-        u = philox_uniforms(seed, np.arange(lo, hi), n - 1)
+        u = rng.random((hi - lo, n - 1))
         counts = np.zeros((d, hi - lo))
         counts[x0 - 1] = 1.0
         for k in range(1, n):

@@ -1,5 +1,6 @@
-"""The package's export list matches what the package defines, and its
-modules import nothing they do not use."""
+"""The package's export list matches what the package defines, its
+modules import nothing they do not use, and only ``chains.path_rng``
+touches ``numpy.random``."""
 
 import ast
 from pathlib import Path
@@ -112,6 +113,49 @@ def test_cache_guard_sees_both_decorator_forms():
         "class K:\n    @functools.cache\n    def d(self): pass\n"
     )
     assert _cached_functions(tree) == {"a", "b"}
+
+
+def _random_users(tree: ast.Module) -> set[str]:
+    """Top-level functions (``<module>`` for other statements) that touch
+    ``numpy.random``: an ``np.random`` or ``numpy.random`` attribute outside a
+    type annotation, or an import of ``numpy.random``."""
+    annotations = set()
+    for node in ast.walk(tree):
+        parts = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        annotations.update(id(sub) for part in parts if part is not None for sub in ast.walk(part))
+
+    def touches(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        return False
+
+    return {getattr(stmt, "name", "<module>") for stmt in tree.body
+            for node in ast.walk(stmt) if id(node) not in annotations and touches(node)}
+
+
+def test_only_path_rng_derives_random_streams():
+    users = {
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in _random_users(ast.parse(path.read_text()))
+    }
+    assert users == {("chains", "path_rng")}
+
+
+def test_random_stream_guard_sees_a_stray_generator():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "def path_rng(seed) -> np.random.Generator:\n    return np.random.Generator(Philox(seed))\n"
+        "def draw(rng: np.random.Generator):\n    return np.random.default_rng(0).random()\n"
+        "def typed(rng: np.random.Generator) -> np.random.Generator:\n    return rng\n"
+    )
+    assert _random_users(tree) == {"<module>", "path_rng", "draw"}
 
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])

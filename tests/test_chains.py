@@ -9,7 +9,6 @@ from reinforced_ldp.chains import (
     _reinforced_draws,
     _time_grid,
     path_rng,
-    philox_uniforms,
     simulate_chain,
     simulate_chain_batch,
     simulate_controlled,
@@ -157,11 +156,11 @@ def _defined_draw(q, rows, u):
     return sum(u > c for c in _defined_cdf(q, rows))
 
 
-def _reference_chain(A, x0, n, seed, stream=0):
+def _reference_chain(A, x0, n, seed):
     """``simulate_chain`` as one Python step at a time, driven by
-    ``path_rng(seed, stream)``: the path oracle."""
+    ``path_rng(seed, 0)``: the path oracle."""
     d = A.d
-    uniforms = path_rng(seed, stream).random(n - 1) if n > 1 else np.empty(0)
+    uniforms = path_rng(seed, 0).random(n - 1) if n > 1 else np.empty(0)
     states = np.empty(n, dtype=np.int64)
     counts = np.zeros((n, d), dtype=np.int64)
     L = np.empty((n, d))
@@ -354,22 +353,6 @@ def test_simulate_chain_batch_stream_zero_matches_single():
     assert np.all(batch.sum(axis=1) == 60)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 0x9E3779B97F4A7C15, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 19, 37, 64])
-def test_philox_uniforms_matches_numpy_philox(seed, count):
-    # counts that are not multiples of 4 leave a partly used last block, and
-    # count 0 draws no block; 37 draws ten blocks, so ten counters b+1 enter
-    # round 0's constant product; 8191/8192 straddle the default batch chunk,
-    # 2**63+5 sets the key's top bit and 2**64-1 is the largest stream; the
-    # seed 2**64 - 0x9E3779B97F4A7C15 makes round 1's key word wrap to 0, so
-    # a round-1 product taken from the key after its Weyl step is 0 there
-    streams = [0, 1, 8191, 8192, 2**63 + 5, 2**64 - 1]
-    u = philox_uniforms(seed, streams, count)
-    assert u.shape == (len(streams), count)
-    for row, stream in zip(u, streams):
-        assert np.array_equal(row, path_rng(seed, stream).random(count))
-
-
 def _inverse_cdf_rows(prob_rows, u):
     """Smallest index x with u <= CDF(x), one draw per row (0-based), by
     counting all ``d`` CDF values below ``u`` and clamping: the draw oracle."""
@@ -437,11 +420,24 @@ def _searchsorted_draw(cdf, u):
 
 
 class _FixedUniforms:
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
+    """A generator whose draws are the given uniforms, in order: ``random``
+    takes a count or a shape and returns the next draws in that shape."""
 
-    def random(self, n):
-        return self.u[:n].copy()
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float).ravel()
+        self.used = 0
+
+    def random(self, size):
+        count = math.prod(np.atleast_1d(size))
+        out = self.u[self.used : self.used + count].reshape(size)
+        self.used += count
+        return out.copy()
+
+
+def _segments(seed, n, n_paths):
+    """Stream 0 of ``seed`` cut into ``n_paths`` consecutive segments of ``n - 1``
+    draws, one row per batch path."""
+    return path_rng(seed, 0).random(n_paths * (n - 1)).reshape(n_paths, n - 1)
 
 
 def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
@@ -455,15 +451,14 @@ def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
     assert path.states.tolist() == expect == [draw + 1 for _, _, draw in crafted]
 
 
-def _reference_batch(A, x0, n, n_paths, seed, chunk, uniforms=philox_uniforms):
-    """``simulate_chain_batch`` drawing each path by :func:`_scalar_draws`: the batch oracle."""
-    out = np.zeros((n_paths, A.d), dtype=np.int64)
+def _reference_batch(A, x0, segments):
+    """``simulate_chain_batch`` drawing path ``p`` by :func:`_scalar_draws` on
+    row ``p`` of ``segments``: the batch oracle."""
+    out = np.zeros((len(segments), A.d), dtype=np.int64)
     out[:, x0 - 1] = 1
     start = out[0].copy()
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        for p, up in enumerate(uniforms(seed, np.arange(lo, hi), n - 1), start=lo):
-            out[p] += np.bincount(_scalar_draws(A.matrix, start, 1, up), minlength=A.d)
+    for p, up in enumerate(segments):
+        out[p] += np.bincount(_scalar_draws(A.matrix, start, 1, up), minlength=A.d)
     return out
 
 
@@ -473,7 +468,7 @@ def test_simulate_chain_batch_matches_the_count_and_clamp_loop(monkeypatch, d):
     A = Kernel(0.9 * np.random.default_rng(d).dirichlet(np.ones(d), size=d) + 0.1 / d)
     for x0 in (1, d):
         got = simulate_chain_batch(A, x0, 40, 300, SEED + d)
-        assert np.array_equal(got, _reference_batch(A, x0, 40, 300, SEED + d, 128))
+        assert np.array_equal(got, _reference_batch(A, x0, _segments(SEED + d, 40, 300)))
 
 
 # row 1 of each kernel, the step-1 measure from x0 = 1: the d=3 row's float
@@ -499,18 +494,15 @@ def test_simulate_chain_batch_step_one_ties(monkeypatch, d):
         ties += [np.nextafter(cdf[-1], 1.0), 1.0 - EPS]
         draws += [d - 1, d - 1]
 
-    def crafted(seed, streams, count):
-        u = philox_uniforms(seed, streams, count).copy()
-        u[: len(ties), 0] = ties
-        return u
-
-    monkeypatch.setattr(chains, "philox_uniforms", crafted)
     n_paths = len(ties) + 5
-    first = simulate_chain_batch(A, 1, 2, n_paths, SEED)
-    assert np.argmax(first[: len(ties)] - np.eye(d, dtype=np.int64)[0], axis=1).tolist() == draws
-    assert np.array_equal(first, _reference_batch(A, 1, 2, n_paths, SEED, n_paths, crafted))
-    got = simulate_chain_batch(A, 1, 12, n_paths, SEED)
-    assert np.array_equal(got, _reference_batch(A, 1, 12, n_paths, SEED, n_paths, crafted))
+    for n in (2, 12):
+        u = _segments(SEED, n, n_paths)
+        u[: len(ties), 0] = ties
+        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(u))
+        got = simulate_chain_batch(A, 1, n, n_paths, SEED)
+        assert np.array_equal(got, _reference_batch(A, 1, u))
+        if n == 2:
+            assert np.argmax(got[: len(ties)] - np.eye(d, dtype=np.int64)[0], axis=1).tolist() == draws
 
 
 def test_non_integer_step_count_is_precondition_error():
@@ -532,16 +524,21 @@ def test_non_integer_step_count_is_precondition_error():
 
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_simulate_chain_batch_rows_match_per_path_streams(monkeypatch, n):
-    # 7 paths in chunks of 3: rows 3 and 6 open a new chunk
-    monkeypatch.setattr(chains, "_BATCH_CHUNK", 3)
-    A = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
-    batch = simulate_chain_batch(A, 2, n, 7, SEED)
-    for i in range(7):
-        assert np.array_equal(batch[i], _reference_chain(A, 2, n, SEED, stream=i)[1][-1])
+    """Batch path ``p`` equals ``simulate_chain`` driven by segment ``p`` of
+    stream 0, in one chunk and in chunks of 3, where rows 3 and 6 open a new one."""
+    segments = _segments(SEED, n, 7)
+    single = []
+    for row in segments:
+        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(row))
+        single.append(simulate_chain(D3, 2, n, SEED).counts[-1])
+    monkeypatch.undo()
+    for chunk in (chains._BATCH_CHUNK, 3):
+        monkeypatch.setattr(chains, "_BATCH_CHUNK", chunk)
+        assert np.array_equal(simulate_chain_batch(D3, 2, n, 7, SEED), single), chunk
 
 
 def _blas_edge_uniforms(A, n, n_paths, seed):
-    """Philox uniforms with each path's first uniform between its BLAS batch
+    """Batch segments with each path's first uniform between its BLAS batch
     row and its numpy 1-D row set to the largest of those and the defined
     CDF value.
 
@@ -553,7 +550,7 @@ def _blas_edge_uniforms(A, n, n_paths, seed):
     later uniforms stay.  Returns the uniforms and the crafted step of each
     path (-1 for none).
     """
-    u = philox_uniforms(seed, np.arange(n_paths), n - 1).copy()
+    u = _segments(seed, n, n_paths)
     rows = A.matrix.tolist()
     counts = np.zeros((n_paths, A.d))
     counts[:, 0] = 1.0
@@ -576,7 +573,7 @@ def _blas_edge_uniforms(A, n, n_paths, seed):
 
 @pytest.mark.parametrize("d", [4, 5])
 def test_simulate_chain_batch_rows_equal_their_streams_on_blas_edges(monkeypatch, d):
-    """Batch path ``i`` equals ``simulate_chain`` on stream ``i`` where a
+    """Batch path ``i`` equals ``simulate_chain`` on segment ``i`` where a
     matrix product's row and numpy's 1-D row of its measure draw apart.
 
     Each path gets one uniform on the first edge where its row of the
@@ -586,12 +583,12 @@ def test_simulate_chain_batch_rows_equal_their_streams_on_blas_edges(monkeypatch
     A, n, n_paths, seed = _random_kernel(d, d), 40, 512, 7
     u, crafted = _blas_edge_uniforms(A, n, n_paths, seed)
     assert (crafted > 0).sum() >= 50 and crafted[0] > 0
-    monkeypatch.setattr(chains, "philox_uniforms", lambda seed, streams, count: u[streams, :count])
+    monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(u))
     batch = simulate_chain_batch(A, 1, n, n_paths, seed)
     for i in range(n_paths):
         monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0, row=u[i]: _FixedUniforms(row))
         assert np.array_equal(batch[i], simulate_chain(A, 1, n, seed).counts[-1]), i
-    assert np.array_equal(batch, _reference_batch(A, 1, n, n_paths, seed, n_paths, chains.philox_uniforms))
+    assert np.array_equal(batch, _reference_batch(A, 1, u))
 
 
 def test_non_integer_seed_or_stream_is_precondition_error():
@@ -601,9 +598,6 @@ def test_non_integer_seed_or_stream_is_precondition_error():
         lambda s: simulate_controlled(BENCH, 1, feedback, 10, s),
         lambda s: path_rng(s),
         lambda s: path_rng(SEED, s),
-        lambda s: philox_uniforms(SEED, [0, s], 4),
-        lambda s: philox_uniforms(SEED, np.array([s]), 4),
-        lambda s: philox_uniforms(SEED, [0], s),
     )
     for call in calls:
         for bad in (1.5, 2.0, "3"):
@@ -611,7 +605,6 @@ def test_non_integer_seed_or_stream_is_precondition_error():
                 call(bad)
     # negative seeds and streams are reduced mod 2**64
     assert np.array_equal(simulate_chain(BENCH, 1, 30, -1).states, simulate_chain(BENCH, 1, 30, 2**64 - 1).states)
-    assert np.array_equal(philox_uniforms(-2, np.array([-1, 3]), 5), philox_uniforms(2**64 - 2, [2**64 - 1, 3], 5))
     assert np.array_equal(path_rng(-2, -1).random(5), path_rng(2**64 - 2, 2**64 - 1).random(5))
 
 
