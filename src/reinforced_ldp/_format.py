@@ -34,6 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import PreconditionViolation
+
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ONE = np.uint64(1)
@@ -281,8 +283,13 @@ def write_array_csv(path, header: Sequence[str], ints: Sequence[np.ndarray], flo
     decimal, floats as :func:`f17`.  No row is formatted in a Python loop:
     a block of ``_BLOCK_ROWS`` rows becomes a uint8 matrix of fixed-width
     cells, each with its separator, and the bytes its keep-mask selects are
-    written as they are.
+    written as they are.  An integer column with a negative, fractional or
+    non-finite value raises :class:`PreconditionViolation` naming its
+    header, before the file is opened.
     """
+    for name, c in zip(header, ints):
+        if c.size and not (c.min() >= 0 and (c.dtype.kind in "iu" or np.all(np.isfinite(c) & (c == np.floor(c))))):
+            raise PreconditionViolation(f"write_array_csv: column '{name}' must hold nonnegative integers")
     widths = [len(str(int(c.max(initial=0)))) for c in ints]
     with open(path, "wb") as fh:
         fh.write(_head(header, provenance).encode())

@@ -31,14 +31,17 @@ column of its control rows as ``C_0`` without a copy and writes its draws
 into one-byte states.  A reinforced step draws from ``L^k A``, whose CDF
 is defined, for the measure ``q = count / k``, as the plain IEEE sums
 ``m_y = q_0 A_0y + ... + q_{d-1} A_{d-1,y}`` and ``C_i = m_0 + ... + m_i``
-in index order.  One function forms and scans it, :func:`_reinforced_scan`,
-one numpy ufunc per product and add, so a value does not depend on how
-many draws are formed at once or on the BLAS.  A batch step scans the
-counts of all its paths at once, and a single path, and the fallback of
-``run_plan``, draw in blocks (:func:`_reinforced_draws`): each pass over a
-block scans the measures of all its steps from a guess of their draws,
-and the draws a pass leaves unchanged are the sequential ones.  So every
-draw of a batch path equals the single path's on its segment.  Every
+in index order.  One function forms it, :func:`_reinforced_cdf`, one
+numpy ufunc per product and add, so a value does not depend on how many
+measures are formed at once or on the BLAS, and :func:`_column_scan`
+scans it.  A batch step forms one CDF column per count vector its paths
+can hold, and gathers it at each path (:func:`_level_steps`), or, when a
+block has fewer paths than count vectors, one column per path
+(:func:`_count_steps`).  A single path, and the fallback of ``run_plan``,
+draw in blocks (:func:`_reinforced_draws`): each pass over a block scans
+the measures of all its steps from a guess of their draws, and the draws
+a pass leaves unchanged are the sequential ones.  So every draw of a
+batch path equals the single path's on its segment.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`,
 and both sides of the chain-rule identity from :func:`_chain_rule_sides`.
 Like the column scans and the block draws, both write into arrays their
@@ -153,8 +156,14 @@ def _column_scan(cdf, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     integer array of ``u``'s shape wide enough for ``d-1``, when it is given.
     """
     x = np.empty(u.shape, dtype=np.int64) if out is None else out
-    x.fill(0)
-    for c in cdf:
+    cols = iter(cdf)
+    first = next(cols, None)
+    if first is None:
+        x.fill(0)
+    else:
+        # the first indicator is written as integers: adding a bool array to zeros takes two more passes
+        np.greater(u, first, out=x)
+    for c in cols:
         x += u > c
     return x
 
@@ -181,39 +190,39 @@ class ChainPath:
     L: np.ndarray
 
 
-def _reinforced_scan(q: np.ndarray, Amat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """0-based reinforced draws ``x = sum_{i<d-1} [u > C_i]`` from the measures ``q``.
+def _reinforced_cdf(q: np.ndarray, Amat: np.ndarray) -> list:
+    """The reinforced CDF values ``C_0..C_{d-2}`` of the measures ``q``.
 
-    ``q`` holds the states along its first axis: a ``(d,)`` vector for every
-    draw, or one column per draw.  The masses are ``m_y = q_0 A_0y + ... +
-    q_{d-1} A_{d-1,y}`` and the CDF values ``C_i = m_0 + ... + m_i``, each
+    ``q`` holds the states along its first axis: a ``(d,)`` vector, or one
+    column per measure.  The masses are ``m_y = q_0 A_0y + ... + q_{d-1}
+    A_{d-1,y}`` and the CDF values ``C_i = 0.0 + m_0 + ... + m_i``, each
     product and add one numpy ufunc in index order.  So every value is
     rounded as the plain IEEE sum is, whatever the shape of ``q`` or the
-    BLAS, and a draw depends only on its own ``q`` and ``u``.  As in
-    :func:`_column_scan`, only ``C_0..C_{d-2}`` are formed: ``x`` is the
-    smallest index with ``u <= C_x``, clamped to ``d-1``.
+    BLAS, and a column depends only on its own ``q``.  As in
+    :func:`_column_scan`, which draws from the list returned, ``C_{d-1}``
+    is not formed.
     """
     d = Amat.shape[0]
-    x = np.zeros(u.shape, dtype=np.int64)
+    cdf = []
     c = 0.0
     for y in range(d - 1):
         m = q[0] * Amat[0, y]
         for i in range(1, d):
             m = m + q[i] * Amat[i, y]
         c = c + m
-        x += u > c
-    return x
+        cdf.append(c)
+    return cdf
 
 
 def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """0-based states of ``len(u)`` reinforced draws from ``count`` after ``k`` steps.
 
-    Step ``t`` draws by :func:`_reinforced_scan` of ``count / k``, then adds
-    one to ``count[x]`` and to ``k``; ``count`` holds exact integers summing
-    to ``k``.  The steps run in blocks, each solved by a fixed-point
-    iteration in numpy, and every draw equals the sequential one bit for bit.
-    The states go into ``out``, an integer array of ``u``'s size wide enough
-    for ``d-1``, when it is given.
+    Step ``t`` draws by :func:`_column_scan` of the :func:`_reinforced_cdf`
+    of ``count / k``, then adds one to ``count[x]`` and to ``k``; ``count``
+    holds exact integers summing to ``k``.  The steps run in blocks, each
+    solved by a fixed-point iteration in numpy, and every draw equals the
+    sequential one bit for bit.  The states go into ``out``, an integer
+    array of ``u``'s size wide enough for ``d-1``, when it is given.
 
     A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
     counts ``cnt`` at its first step ``k``, and its first guess draws every
@@ -233,7 +242,7 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
     t = 0
     while t < u.size:
         b = min(max(64, (k + t) // 8), _BLOCK_CAP, u.size - t)
-        x = _reinforced_scan(cnt / (k + t), Amat, u[t : t + b])
+        x = _column_scan(_reinforced_cdf(cnt / (k + t), Amat), u[t : t + b])
         while x.size:
             # one pass over the unsettled steps t .. t + x.size - 1
             steps = np.arange(k + t, k + t + x.size, dtype=float)
@@ -243,7 +252,7 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
                 np.equal(x[:-1], i, out=C[i, 1:])
                 np.cumsum(C[i, 1:], out=C[i, 1:])
             C += cnt[:, None]
-            y = _reinforced_scan(C / steps, Amat, u[t : t + x.size])
+            y = _column_scan(_reinforced_cdf(C / steps, Amat), u[t : t + x.size])
             changed = np.flatnonzero(x != y)
             f = changed[0] + 1 if changed.size else y.size
             out[t : t + f] = y[:f]
@@ -275,21 +284,83 @@ def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
     return ChainPath(n=n, d=d, x0=x0, seed=int(seed), states=states, counts=counts, L=L)
 
 
+def _count_steps(Amat: np.ndarray, x0: int, u: np.ndarray) -> np.ndarray:
+    """Final counts, shape ``(paths, d)``, of the paths that start at ``x0``
+    and draw on the rows of ``u``, one :func:`_reinforced_cdf` column per path.
+
+    The counts are held as a ``(d, paths)`` float64 array of exact
+    integers, so ``counts / k`` gives the doubles int64 counts would.  The
+    draws go into the counts by one masked add per state, ``counts[i] +=
+    (x == i)``, with no scatter.
+    """
+    d = Amat.shape[0]
+    counts = np.zeros((d, len(u)))
+    counts[x0 - 1] = 1.0
+    for k in range(1, u.shape[1] + 1):
+        x = _column_scan(_reinforced_cdf(counts / float(k), Amat), u[:, k - 1])
+        for i in range(d):
+            counts[i] += x == i
+    return counts.T
+
+
+def _level_steps(Amat: np.ndarray, x0: int, u: np.ndarray) -> np.ndarray:
+    """:func:`_count_steps` with one :func:`_reinforced_cdf` column per count vector.
+
+    A path is held as the index of its last ``d - 1`` counts, the count of
+    state ``i >= 1`` as digit ``i - 1`` in base ``n + 1``; the count of
+    state 0 is the step ``k`` less their sum.  After ``k`` steps every index
+    lies in ``[0, k s]``, ``s = 1 + (n + 1) + ... + (n + 1)^(d-2)``, so step
+    ``k`` forms the CDF of the count vectors of those indices once, as
+    exact-integer levels divided by ``k``, gathers each column at the
+    paths' indices and scans it.  A level's column is the one its paths'
+    counts would form, so the draws are :func:`_count_steps`'s.  The drawn
+    state moves the index by its digit's weight (0 for state 0, so the
+    draw itself at ``d = 2``), and no count exceeds ``n``, so the final
+    counts are the digits.
+    """
+    d = Amat.shape[0]
+    n = u.shape[1] + 1
+    base = n + 1
+    weights = np.zeros(d, dtype=np.int64)
+    weights[1:] = base ** np.arange(d - 1)
+    span = int(weights.sum())
+    digits = np.arange((n - 1) * span + 1)[:, None] // weights[1:] % base
+    # the levels of every index, state 0's less its step
+    levels = np.empty((d, len(digits)))
+    levels[0] = -digits.sum(axis=1)
+    levels[1:] = digits.T
+    idx = np.full(len(u), weights[x0 - 1])
+    x = np.empty(len(u), dtype=np.int64)
+    for k in range(1, n):
+        q = levels[:, : k * span + 1].copy()
+        q[0] += k
+        q /= float(k)
+        cdf = _reinforced_cdf(q, Amat)
+        _column_scan([np.take(c, idx) for c in cdf], u[:, k - 1], out=x)
+        idx += np.take(weights, x) if d > 2 else x
+    counts = np.empty((len(u), d), dtype=np.int64)
+    counts[:, 1:] = idx[:, None] // weights[1:] % base
+    counts[:, 0] = n - counts[:, 1:].sum(axis=1)
+    return counts
+
+
 def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
     All paths draw from one stream, ``path_rng(seed, 0)``, in segments:
     path ``p`` takes its ``n - 1`` uniforms ``p(n-1) .. (p+1)(n-1) - 1``, and
-    draws by the same :func:`_reinforced_scan` as a single path.  So row
-    ``p`` equals ``simulate_chain`` driven by segment ``p``, whatever the
-    chunking, and path 0 reproduces ``simulate_chain(A, x0, n, seed)``.
-    Paths run in blocks of ``_BATCH_CHUNK``; each block draws its uniforms
-    as one ``(paths, n - 1)`` array, one row per path, and step ``k`` scans
-    its strided column ``k - 1``.  The counts are held as a ``(d, paths)``
-    float64 array of exact integers, so ``counts / k`` gives the doubles
-    int64 counts would, and each step scans it with one column per path.
-    The draws go into the counts by one masked add per state, ``counts[i]
-    += (x == i)``, with no scatter.
+    draws by the same :func:`_reinforced_cdf` and :func:`_column_scan` as a
+    single path.  So row ``p`` equals ``simulate_chain`` driven by segment
+    ``p``, whatever the chunking, and path 0 reproduces ``simulate_chain(A,
+    x0, n, seed)``.  Paths run in blocks of ``_BATCH_CHUNK``; each block
+    draws its uniforms as one ``(paths, n - 1)`` array, one row per path,
+    and step ``k`` scans its strided column ``k - 1``.
+
+    A step's draws depend on the past only through the counts, so a block
+    forms one CDF column per count vector (:func:`_level_steps`) when the
+    indices its final counts can take are no more than its paths; a block
+    with fewer paths forms one column per path (:func:`_count_steps`).
+    So no array of a block outgrows its uniforms, and no index its int64.
     """
     n = _as_count(n, "simulate_chain_batch: n")
     n_paths = _as_count(n_paths, "simulate_chain_batch: n_paths")
@@ -297,19 +368,15 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
         raise PreconditionViolation("simulate_chain_batch: n and n_paths must be >= 1")
     d = A.d
     x0 = _validate_x0(x0, d)
-    Amat = A.matrix
+    # the indices that _level_steps's final counts can take
+    cells = n * sum((n + 1) ** i for i in range(d - 1)) + 1
     rng = path_rng(seed, 0)
     out = np.empty((n_paths, d), dtype=np.int64)
     for lo in range(0, n_paths, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n_paths)
         u = rng.random((hi - lo, n - 1))
-        counts = np.zeros((d, hi - lo))
-        counts[x0 - 1] = 1.0
-        for k in range(1, n):
-            x = _reinforced_scan(counts / float(k), Amat, u[:, k - 1])
-            for i in range(d):
-                counts[i] += x == i
-        out[lo:hi] = counts.T
+        steps = _level_steps if cells <= hi - lo else _count_steps
+        out[lo:hi] = steps(A.matrix, x0, u)
         del u  # before the next block draws its own
     return out
 

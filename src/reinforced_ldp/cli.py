@@ -17,6 +17,7 @@ drifts).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -421,7 +422,10 @@ def cmd_validate(args) -> int:
 # parser and entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first :func:`main` call of a process
+    and kept: each parse fills a new namespace, so calls share no state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--out", default=".", help="output directory (default: current)")

@@ -35,7 +35,7 @@ SRC = Path(reinforced_ldp.__file__).parent
 UNUSED_IMPORTS_ALLOWED = {("lowerbound", "_GL_X")}
 # (module, function) memoized at module level: the harmonic clock, and the
 # acceptance battery's one plan
-MODULE_CACHES = {("chains", "_time_grid"), ("validation", "_bench_plan")}
+MODULE_CACHES = {("chains", "_time_grid"), ("cli", "_build_parser"), ("validation", "_bench_plan")}
 
 
 def test_every_export_resolves():

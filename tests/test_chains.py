@@ -471,6 +471,56 @@ def test_simulate_chain_batch_matches_the_count_and_clamp_loop(monkeypatch, d):
         assert np.array_equal(got, _reference_batch(A, x0, _segments(SEED + d, 40, 300)))
 
 
+@pytest.mark.parametrize("chunk", [3, 128, None])
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_chain_batch_blocks_on_both_sides_of_the_size_rule(monkeypatch, d, n, chunk):
+    """A block with at least as many paths as the indices its final counts
+    can take (``cells``) draws one CDF column per count vector, a smaller
+    one one column per path, and both draw as the reference does.
+
+    Below the default chunk, a batch of full blocks and a last block of
+    ``cells - 1`` paths takes both sides in one call when ``cells`` fits a
+    chunk; with the default, one block of ``cells - 1`` and one of ``cells``.
+    """
+    chunk = chunk or chains._BATCH_CHUNK
+    A = {2: BENCH, 3: D3}[d]
+    cells = n * sum((n + 1) ** i for i in range(d - 1)) + 1
+    if chunk == chains._BATCH_CHUNK:
+        sizes = [s for s in (cells - 1, cells) if s]
+    else:
+        sizes = [chunk + cells - 1 if cells <= chunk else 2 * chunk + 1]
+    sides = []
+
+    def recorded(name):
+        steps = getattr(chains, name)
+
+        def record(Amat, x0, u):
+            sides.append((name, len(u)))
+            return steps(Amat, x0, u)
+        return record
+
+    for name in ("_level_steps", "_count_steps"):
+        monkeypatch.setattr(chains, name, recorded(name))
+    monkeypatch.setattr(chains, "_BATCH_CHUNK", chunk)
+    for n_paths in sizes:
+        for x0 in (1, d):
+            got = simulate_chain_batch(A, x0, n, n_paths, SEED + n_paths)
+            expect = _reference_batch(A, x0, _segments(SEED + n_paths, n, n_paths))
+            assert np.array_equal(got, expect), (n_paths, x0)
+    assert all((name == "_level_steps") == (paths >= cells) for name, paths in sides)
+    both = {"_level_steps", "_count_steps"}
+    assert {name for name, _ in sides} == ({"_count_steps"} if cells > chunk else both)
+
+
+def test_simulate_chain_batch_on_a_wide_kernel_keeps_its_start():
+    """At d = 70 the digit weights of a level index would pass 2**63, so
+    even a one-step batch forms its counts per path and keeps ``x0``."""
+    A = Kernel(np.full((70, 70), 1 / 70))
+    for x0 in (1, 35, 70):
+        assert np.array_equal(simulate_chain_batch(A, x0, 1, 3, SEED), np.tile(np.eye(70, dtype=np.int64)[x0 - 1], (3, 1)))
+
+
 # row 1 of each kernel, the step-1 measure from x0 = 1: the d=3 row's float
 # total is 1 - 10 * 2**-53, so a uniform can lie above it, and the d=4 row's
 # C_2 = (0.1 + 0.2) + 0.3 is one ulp above 0.1 + (0.2 + 0.3) and (0.3 + 0.2) + 0.1

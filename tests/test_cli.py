@@ -53,6 +53,32 @@ def test_readme_example_config_reads_in_every_subcommand(tmp_path, no_work, comm
         main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"])
 
 
+def test_main_calls_share_no_parsed_state(tmp_path, kernel_config, monkeypatch):
+    """Consecutive calls reuse one parser, and each sees only its own flags."""
+    seen = []
+
+    def capture(args, doc):
+        seen.append(vars(args))
+        raise Sentinel
+
+    monkeypatch.setattr(cli, "_resolve_seed", capture)
+    argvs = [
+        ["simulate", "--config", kernel_config, "--out", "a", "--n", "7", "--x0", "2", "--paths", "3", "--seed", "5"],
+        ["exact", "--config", kernel_config, "--n", "9"],
+        ["simulate", "--config", kernel_config, "--threads", "1"],
+    ]
+    for argv in argvs:
+        with pytest.raises(Sentinel):
+            main(argv)
+    common = {"config": kernel_config, "out": ".", "seed": None, "threads": None}
+    assert seen == [
+        {**common, "command": "simulate", "out": "a", "seed": 5, "n": 7, "x0": 2, "paths": 3, "func": cli.cmd_simulate},
+        {**common, "command": "exact", "n": 9, "x0": None, "func": cli.cmd_exact},
+        {**common, "command": "simulate", "threads": 1, "n": None, "x0": None, "paths": None, "func": cli.cmd_simulate},
+    ]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_simulate_writes_paths_and_summary(tmp_path, kernel_config):
     out = tmp_path / "out"
     code = main(["simulate", "--config", kernel_config, "--out", str(out),

@@ -8,6 +8,7 @@ import pytest
 from reinforced_ldp import _format
 from reinforced_ldp._format import f17, mulhilo64, write_array_csv
 from reinforced_ldp.chains import export_path_csv, simulate_chain
+from reinforced_ldp.errors import PreconditionViolation
 from reinforced_ldp.measures import Kernel
 
 DECADE_NEIGHBOURS = [x for b in (1e-4, 1e-3, 1e-2, 0.1, 1.0)
@@ -182,6 +183,20 @@ def test_integer_cells_at_every_power_of_ten(tmp_path):
     write_array_csv(out, [f"c{j}" for j in range(len(ints))] + ["x"], ints, np.zeros((len(values), 1)))
     rows = out.read_text().splitlines()[1:]
     assert rows == [",".join("%d" % c[i] for c in ints) + ",0" for i in range(len(values))]
+
+
+@pytest.mark.parametrize("bad", [[3, -2, 10], [3.7, 2, 10], [3.0, float("nan"), 1.0], [3.0, float("inf"), 1.0]])
+def test_integer_column_rejects_what_it_cannot_write(tmp_path, bad):
+    """A negative, fractional or non-finite integer cell raises, naming its
+    column, before the file is opened: the digit loop would write wrong digits."""
+    out = tmp_path / "bad.csv"
+    good = np.arange(3)
+    with pytest.raises(PreconditionViolation, match="column 'b'"):
+        write_array_csv(out, ["a", "b", "x"], [good, np.array(bad)], np.zeros((3, 1)))
+    assert not out.exists()
+    # integral floats are integers
+    write_array_csv(out, ["a", "b", "x"], [good, np.array([3.0, 2.0, 10.0])], np.zeros((3, 1)))
+    assert out.read_text() == "a,b,x\n0,3,0\n1,2,0\n2,10,0\n"
 
 
 def test_export_path_csv_equals_row_template(tmp_path):
