@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DimensionMismatch,
-    InfeasibleTrajectory,
     PolicyError,
     PositivityViolation,
     PreconditionViolation,
@@ -51,7 +50,6 @@ from .ratesolver import (
     PiecewiseLinearPath,
     RateBracket,
     SolveDiagnostics,
-    discounted_cost,
     flow_cost,
     flow_nodes,
     rate_profile,
@@ -93,7 +91,6 @@ __all__ = [
     "CriterionResult",
     "DimensionMismatch",
     "FiniteNRate",
-    "InfeasibleTrajectory",
     "KappaSchedule",
     "Kernel",
     "PiecewiseLinearPath",
@@ -112,7 +109,6 @@ __all__ = [
     "build_kernel_qsd",
     "build_plan",
     "check_cost_convergence",
-    "discounted_cost",
     "event_probability",
     "exact_law",
     "exact_law_levels",

@@ -15,9 +15,9 @@ path on that grid satisfies the chain-rule identity checked by
 :func:`verify_chain_rule_identity`.
 
 Randomness: every draw comes from :func:`path_rng`, a numpy ``Generator``
-over ``np.random.Philox`` keyed by ``(seed, stream)``.  A single path, a
-controlled path and a plan run read stream 0 of their seed from its start.
-A batch reads stream 0 of its seed in segments, one per path, so batch
+over ``np.random.Philox`` keyed by the seed.  A single path, a controlled
+path and a plan run read the stream of their seed from its start.  A
+batch reads the stream of its seed in segments, one per path, so batch
 path ``p`` is the single path driven by segment ``p``, whatever the
 batch's chunking.
 
@@ -75,16 +75,14 @@ _BATCH_CHUNK = 8192
 _INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
 
-def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for stream ``stream`` of seed ``seed``.
+def path_rng(seed: int) -> np.random.Generator:
+    """Philox generator of seed ``seed``.
 
-    The key is ``(seed, stream)``, each reduced mod 2**64, so a negative
-    one is reduced like any other; both must be integers.  This is the
-    package's one source of random draws.
+    The key is ``seed`` reduced mod 2**64, so a negative seed is reduced
+    like any other; it must be an integer.  This is the package's one
+    source of random draws.
     """
-    k0 = _as_count(seed, "seed") & _MASK64
-    k1 = _as_count(stream, "stream") & _MASK64
-    return np.random.Generator(np.random.Philox(key=k0 | (k1 << 64)))
+    return np.random.Generator(np.random.Philox(key=_as_count(seed, "seed") & _MASK64))
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -195,22 +193,21 @@ def _reinforced_cdf(q: np.ndarray, Amat: np.ndarray) -> list:
 
     ``q`` holds the states along its first axis: a ``(d,)`` vector, or one
     column per measure.  The masses are ``m_y = q_0 A_0y + ... + q_{d-1}
-    A_{d-1,y}`` and the CDF values ``C_i = 0.0 + m_0 + ... + m_i``, each
-    product and add one numpy ufunc in index order.  So every value is
-    rounded as the plain IEEE sum is, whatever the shape of ``q`` or the
-    BLAS, and a column depends only on its own ``q``.  As in
+    A_{d-1,y}`` and the CDF values ``C_i = m_0 + ... + m_i``, each product
+    and add one numpy ufunc in index order, as the given-row CDFs are
+    summed.  So every value is rounded as the plain IEEE sum is, whatever
+    the shape of ``q`` or the BLAS, and a column depends only on its own
+    ``q``.  As in
     :func:`_column_scan`, which draws from the list returned, ``C_{d-1}``
     is not formed.
     """
     d = Amat.shape[0]
     cdf = []
-    c = 0.0
     for y in range(d - 1):
         m = q[0] * Amat[0, y]
         for i in range(1, d):
             m = m + q[i] * Amat[i, y]
-        c = c + m
-        cdf.append(c)
+        cdf.append(cdf[-1] + m if y else m)
     return cdf
 
 
@@ -263,7 +260,7 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
 
 
 def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
-    """Simulate ``n`` steps of the reinforced chain (stream 0 of ``seed``)."""
+    """Simulate ``n`` steps of the reinforced chain (the stream of ``seed``)."""
     n = _as_count(n, "simulate_chain: n")
     if n < 1:
         raise PreconditionViolation(f"simulate_chain: n must be >= 1, got {n}")
@@ -273,7 +270,7 @@ def simulate_chain(A: Kernel, x0: int, n: int, seed: int) -> ChainPath:
     count[x0 - 1] = 1
     states = np.empty(n, dtype=np.int64)
     states[0] = x0 - 1
-    states[1:] = _reinforced_draws(A.matrix, count, 1, path_rng(seed, 0).random(n - 1))
+    states[1:] = _reinforced_draws(A.matrix, count, 1, path_rng(seed).random(n - 1))
     counts = np.zeros((n, d), dtype=np.int64)
     counts[np.arange(n), states] = 1
     np.cumsum(counts, axis=0, out=counts)
@@ -347,7 +344,7 @@ def _level_steps(Amat: np.ndarray, x0: int, u: np.ndarray) -> np.ndarray:
 def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) -> np.ndarray:
     """Final count vectors of ``n_paths`` independent chains, shape (n_paths, d).
 
-    All paths draw from one stream, ``path_rng(seed, 0)``, in segments:
+    All paths draw from one stream, ``path_rng(seed)``, in segments:
     path ``p`` takes its ``n - 1`` uniforms ``p(n-1) .. (p+1)(n-1) - 1``, and
     draws by the same :func:`_reinforced_cdf` and :func:`_column_scan` as a
     single path.  So row ``p`` equals ``simulate_chain`` driven by segment
@@ -370,7 +367,7 @@ def simulate_chain_batch(A: Kernel, x0: int, n: int, n_paths: int, seed: int) ->
     x0 = _validate_x0(x0, d)
     # the indices that _level_steps's final counts can take
     cells = n * sum((n + 1) ** i for i in range(d - 1)) + 1
-    rng = path_rng(seed, 0)
+    rng = path_rng(seed)
     out = np.empty((n_paths, d), dtype=np.int64)
     for lo in range(0, n_paths, _BATCH_CHUNK):
         hi = min(lo + _BATCH_CHUNK, n_paths)
@@ -465,7 +462,7 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
         raise PreconditionViolation(f"simulate_controlled: n must be >= 1, got {n}")
     d = A.d
     x0 = _validate_x0(x0, d)
-    uniforms = path_rng(seed, 0).random(n)
+    uniforms = path_rng(seed).random(n)
     mu = np.empty((n, d))
     states = np.empty(n, dtype=np.int64)
     # e_x0 + counts: exact integers, so dividing by k rounds once

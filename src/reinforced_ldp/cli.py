@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DimensionMismatch,
-    InfeasibleTrajectory,
     PolicyError,
     PositivityViolation,
     PreconditionViolation,
@@ -473,10 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (PositivityViolation, SimplexViolation, DimensionMismatch, PolicyError) as exc:
+    except (ConfigError, PositivityViolation, SimplexViolation, DimensionMismatch, PolicyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PreconditionViolation as exc:
@@ -485,7 +481,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return 4
-    except (ConvergenceError, InfeasibleTrajectory) as exc:
+    except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 5
 

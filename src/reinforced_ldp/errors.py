@@ -17,10 +17,6 @@ class PolicyError(ValueError):
     """A control policy returned an invalid distribution."""
 
 
-class InfeasibleTrajectory(ValueError):
-    """A control drives the state trajectory out of the simplex."""
-
-
 class PreconditionViolation(ValueError):
     """A documented operation precondition does not hold."""
 

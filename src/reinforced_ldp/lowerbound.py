@@ -394,7 +394,7 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
         view.flags.writeable = False
     stale = False
     for seed in seeds:
-        path_rng(seed, 0).random(out=u)
+        path_rng(seed).random(out=u)
         _column_scan(head_cdf, u[:n1], out=states[:n1])
         head_counts = np.bincount(states[:n1], minlength=d).astype(float)
         L_head = (e0 + head_counts) / (n1 + 1.0)

@@ -8,7 +8,9 @@ of width ``delta = T/J``.  A piecewise constant control
     M_{j+1} = eta_j + e^delta (M_j - eta_j),        M_0 = m,
 
 at running cost ``sum_j w_j R(eta_j || M_j A)`` with discount weights
-``w_j = e^{-j delta} - e^{-(j+1) delta}``.
+``w_j = e^{-j delta} - e^{-(j+1) delta}``.  One function evaluates it,
+``_cost_value``; the acceptance checks of its gradient (C7) and of its
+joint convexity (C8) evaluate that same function.
 
 :func:`solve_rate` minimizes over the nodes ``M_1..M_J`` instead of the
 controls: each control is recovered as
@@ -55,15 +57,9 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv, dptsv
 from scipy.special import rel_entr
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatch,
-    InfeasibleTrajectory,
-    PreconditionViolation,
-)
+from .errors import ConvergenceError, DimensionMismatch, PreconditionViolation
 from .measures import Kernel, ProbVec, _as_count, _as_real, _weights_of
 
-FEASIBILITY_ATOL = 1e-9      # node entries below -this mark the node infeasible
 BOUNDARY_LIFT = 1e-9         # queried m entries below this are lifted
 BINDING_ATOL = 1e-8          # node entries below this report a binding cap
 _RELABEL_BELOW = 1e-3        # d > 2: a queried m whose last entry is below this is relabelled
@@ -241,22 +237,6 @@ def _cost_value(eta: np.ndarray, M: np.ndarray, Amat: np.ndarray, w: np.ndarray)
     return float(w @ rel_entr(eta, K).sum(axis=1))
 
 
-def discounted_cost(m, ctrl: PiecewiseLinearPath, A: Kernel) -> float:
-    """Discounted running cost ``sum_j w_j R(eta_j || M_j A)`` of a feasible
-    step control, ``w_j = e^{-b_j} - e^{-b_{j+1}}`` over its breaks ``b``."""
-    if ctrl.slope.any():
-        raise PreconditionViolation("discounted_cost: needs a step control, got nonzero slopes")
-    M = flow_nodes(m, ctrl)
-    feasible = M.min(axis=1) >= -FEASIBILITY_ATOL
-    if not feasible.all():
-        raise InfeasibleTrajectory(f"discounted_cost: node {int(np.argmin(feasible))} leaves the simplex")
-    b = ctrl.breaks
-    val = _cost_value(ctrl.start, M, A.matrix, np.exp(-b[:-1]) * -np.expm1(-np.diff(b)))
-    if not np.isfinite(val):
-        raise InfeasibleTrajectory("discounted_cost: non-finite cost")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # the solver: log-barrier Newton over the trajectory nodes
 
@@ -366,7 +346,7 @@ def _newton_steps(grad, band, ms, t):
         else:
             _, x, info = dpbsv(band[k], -g, lower=1, overwrite_b=1)
         if info < 0:
-            raise ValueError(f"solve_rate: illegal value in argument {-info} of the LAPACK band solve")
+            raise ConvergenceError(f"solve_rate: illegal value in argument {-info} of the LAPACK band solve")
         if info > 0:
             raise ConvergenceError(f"solve_rate: Newton system not positive definite at m={tuple(ms[k].tolist())}, t={t[k]:.3g}")
         lam2.append(-float(g @ x))

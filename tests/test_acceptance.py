@@ -35,3 +35,12 @@ def test_chain_rule_criterion_fails_a_shifted_rho(monkeypatch):
     monkeypatch.setattr(validation, "verify_chain_rule_identity", shifted)
     value, threshold, passed, _ = validation._c5_chain_rule(0.05, SEED)
     assert not passed and value > 1e3 * threshold
+
+
+def test_convexity_criterion_fails_a_concave_cost(monkeypatch):
+    """C8 fails when the objective it checks is the negative of the solver's,
+    so it reads the solver's own objective."""
+    cost = validation._cost_value
+    monkeypatch.setattr(validation, "_cost_value", lambda *args: -cost(*args))
+    value, threshold, passed, _ = validation._c8_convexity(0.1, SEED)
+    assert not passed and value > 1e3 * threshold

@@ -1,8 +1,12 @@
 """The package's export list matches what the package defines, its
-modules import nothing they do not use, and only ``chains.path_rng``
-touches ``numpy.random``."""
+modules import nothing they do not use, only ``chains.path_rng``
+touches ``numpy.random``, and every exception a library module raises
+leaves the command line with a documented exit code."""
 
 import ast
+import builtins
+import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ from reinforced_ldp import (
     build_kernel_mixture,
     build_plan,
     check_cost_convergence,
+    cli,
     event_probability,
     exact_law,
     finite_n_rate,
@@ -31,6 +36,7 @@ from reinforced_ldp import (
 )
 
 SRC = Path(reinforced_ldp.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 # (module, name) imported for another module's sake, each pinned by its own test
 UNUSED_IMPORTS_ALLOWED = {("lowerbound", "_GL_X")}
 # (module, function) memoized at module level: the harmonic clock, and the
@@ -156,6 +162,77 @@ def test_random_stream_guard_sees_a_stray_generator():
         "def typed(rng: np.random.Generator) -> np.random.Generator:\n    return rng\n"
     )
     assert _random_users(tree) == {"<module>", "path_rng", "draw"}
+
+
+def _named_exceptions(tree: ast.Module, namespace: dict) -> set[type]:
+    """Exception classes a module can raise: every class it names outside a
+    class's bases and the type of an ``except`` clause (in a ``raise``, or
+    handed to a helper that raises it), and the types of a clause that
+    re-raises by a bare ``raise``.  Names resolve in ``namespace``, then
+    among the builtins."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            skip.update(id(sub) for base in node.bases for sub in ast.walk(base))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if not any(isinstance(sub, ast.Raise) and sub.exc is None for sub in ast.walk(node)):
+                skip.update(id(sub) for sub in ast.walk(node.type))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and id(node) not in skip:
+            obj = namespace.get(node.id, getattr(builtins, node.id, None))
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                named.add(obj)
+    return named
+
+
+def _exit_codes(tree: ast.Module) -> dict[str, int]:
+    """The exit code ``main`` returns for each exception class it catches, by name."""
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    codes = {}
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            (code,) = [stmt.value.value for stmt in handler.body if isinstance(stmt, ast.Return)]
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            codes.update((t.id, code) for t in types)
+    return codes
+
+
+def test_library_exceptions_exit_with_documented_codes():
+    documented = {int(c) for c in re.findall(r"^\| (\d+) \|", README.read_text(), flags=re.M)}
+    codes = {getattr(cli, name, getattr(builtins, name, None)): code
+             for name, code in _exit_codes(ast.parse((SRC / "cli.py").read_text())).items()}
+    assert set(codes.values()) <= documented - {0, 1}
+    unmapped = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        module = reinforced_ldp if path.stem == "__init__" else importlib.import_module(f"reinforced_ldp.{path.stem}")
+        for exc in _named_exceptions(ast.parse(path.read_text()), vars(module)):
+            if not any(issubclass(exc, caught) for caught in codes):
+                unmapped.add((path.stem, exc.__name__))
+    assert unmapped == set()
+
+
+def test_exception_guard_sees_raised_handed_and_reraised_classes():
+    tree = ast.parse(
+        "class Stop(RuntimeError):\n    pass\n"
+        "def f(x, error=KeyError):\n"
+        "    try:\n        return int(x)\n"
+        "    except TypeError:\n        pass\n"
+        "    except (OSError, EOFError):\n        raise\n"
+        "    if x:\n        raise ValueError(x)\n"
+        "    g(x, LookupError, Stop)\n"
+        "    raise error(x)\n"
+    )
+    assert _named_exceptions(tree, {"Stop": StopIteration, "g": print}) == {
+        KeyError, OSError, EOFError, ValueError, LookupError, StopIteration}
+    main = ast.parse(
+        "def main():\n    try:\n        run()\n"
+        "    except (KeyError, OSError) as exc:\n        return 2\n"
+        "    except ValueError:\n        return 5\n"
+    )
+    assert _exit_codes(main) == {"KeyError": 2, "OSError": 2, "ValueError": 5}
 
 
 BENCH = Kernel([[0.9, 0.1], [0.2, 0.8]])

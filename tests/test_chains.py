@@ -158,9 +158,9 @@ def _defined_draw(q, rows, u):
 
 def _reference_chain(A, x0, n, seed):
     """``simulate_chain`` as one Python step at a time, driven by
-    ``path_rng(seed, 0)``: the path oracle."""
+    ``path_rng(seed)``: the path oracle."""
     d = A.d
-    uniforms = path_rng(seed, 0).random(n - 1) if n > 1 else np.empty(0)
+    uniforms = path_rng(seed).random(n - 1) if n > 1 else np.empty(0)
     states = np.empty(n, dtype=np.int64)
     counts = np.zeros((n, d), dtype=np.int64)
     L = np.empty((n, d))
@@ -208,7 +208,7 @@ def _edge_uniforms(A, count, k, steps, seed):
     """
     rows = A.matrix.tolist()
     count = [float(c) for c in count]
-    u = path_rng(seed, 0).random(steps)
+    u = path_rng(seed).random(steps)
     draws = np.empty(steps, dtype=np.int64)
     crafted = 0
     for t in range(steps):
@@ -281,7 +281,7 @@ def test_block_draws_match_the_scalar_loop_from_the_first_step(name, n):
     A = ORACLE_KERNELS[name]
     count = np.zeros(A.d, dtype=np.int64)
     count[-1] = 1
-    u = path_rng(SEED + n, 0).random(n)
+    u = path_rng(SEED + n).random(n)
     assert np.array_equal(_reinforced_draws(A.matrix, count, 1, u), _scalar_draws(A.matrix, count, 1, u))
 
 
@@ -292,7 +292,7 @@ def test_block_draws_match_the_scalar_loop_from_a_large_count(monkeypatch, name)
     A = ORACLE_KERNELS[name]
     k = 120_000
     count = np.random.default_rng(A.d).multinomial(k, np.ones(A.d) / A.d).astype(float)
-    u = path_rng(SEED, A.d).random(20_000)
+    u = np.random.Generator(np.random.Philox(key=SEED | (A.d << 64))).random(20_000)
     expect = _scalar_draws(A.matrix, count, k, u)
     assert np.array_equal(_reinforced_draws(A.matrix, count, k, u), expect)
     monkeypatch.setattr(chains, "_BLOCK_CAP", 700)
@@ -313,7 +313,7 @@ def test_block_draws_on_block_cdf_edges():
     rows = A.tolist()
     count = np.array([30_000, 25_000, 20_001, 25_000])
     k, steps = int(count.sum()), 2000
-    u = path_rng(SEED, 0).random(steps)
+    u = path_rng(SEED).random(steps)
     expect = _scalar_draws(A, count, k, u)
     C = np.empty((d, steps))
     C[:, 0] = count
@@ -437,7 +437,7 @@ class _FixedUniforms:
 def _segments(seed, n, n_paths):
     """Stream 0 of ``seed`` cut into ``n_paths`` consecutive segments of ``n - 1``
     draws, one row per batch path."""
-    return path_rng(seed, 0).random(n_paths * (n - 1)).reshape(n_paths, n - 1)
+    return path_rng(seed).random(n_paths * (n - 1)).reshape(n_paths, n - 1)
 
 
 def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
@@ -445,7 +445,7 @@ def test_controlled_draws_match_searchsorted_on_crafted_rows(monkeypatch):
     with uniforms on CDF values and past zero-probability columns."""
     crafted = [case for case in CRAFTED_DRAWS if len(case[0]) == 3 and sum(case[0]) == 1.0]
     assert len(crafted) == 7
-    monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms([u for _, u, _ in crafted]))
+    monkeypatch.setattr(chains, "path_rng", lambda seed: _FixedUniforms([u for _, u, _ in crafted]))
     path = simulate_controlled(D3, 1, lambda k, Lbar: crafted[k - 1][0], len(crafted), SEED)
     expect = [_searchsorted_draw(np.cumsum(row), u) + 1 for row, u, _ in crafted]
     assert path.states.tolist() == expect == [draw + 1 for _, _, draw in crafted]
@@ -548,7 +548,7 @@ def test_simulate_chain_batch_step_one_ties(monkeypatch, d):
     for n in (2, 12):
         u = _segments(SEED, n, n_paths)
         u[: len(ties), 0] = ties
-        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(u))
+        monkeypatch.setattr(chains, "path_rng", lambda seed: _FixedUniforms(u))
         got = simulate_chain_batch(A, 1, n, n_paths, SEED)
         assert np.array_equal(got, _reference_batch(A, 1, u))
         if n == 2:
@@ -575,11 +575,11 @@ def test_non_integer_step_count_is_precondition_error():
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_simulate_chain_batch_rows_match_per_path_streams(monkeypatch, n):
     """Batch path ``p`` equals ``simulate_chain`` driven by segment ``p`` of
-    stream 0, in one chunk and in chunks of 3, where rows 3 and 6 open a new one."""
+    the seed's stream, in one chunk and in chunks of 3, where rows 3 and 6 open a new one."""
     segments = _segments(SEED, n, 7)
     single = []
     for row in segments:
-        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(row))
+        monkeypatch.setattr(chains, "path_rng", lambda seed: _FixedUniforms(row))
         single.append(simulate_chain(D3, 2, n, SEED).counts[-1])
     monkeypatch.undo()
     for chunk in (chains._BATCH_CHUNK, 3):
@@ -633,10 +633,10 @@ def test_simulate_chain_batch_rows_equal_their_streams_on_blas_edges(monkeypatch
     A, n, n_paths, seed = _random_kernel(d, d), 40, 512, 7
     u, crafted = _blas_edge_uniforms(A, n, n_paths, seed)
     assert (crafted > 0).sum() >= 50 and crafted[0] > 0
-    monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0: _FixedUniforms(u))
+    monkeypatch.setattr(chains, "path_rng", lambda seed: _FixedUniforms(u))
     batch = simulate_chain_batch(A, 1, n, n_paths, seed)
     for i in range(n_paths):
-        monkeypatch.setattr(chains, "path_rng", lambda seed, stream=0, row=u[i]: _FixedUniforms(row))
+        monkeypatch.setattr(chains, "path_rng", lambda seed, row=u[i]: _FixedUniforms(row))
         assert np.array_equal(batch[i], simulate_chain(A, 1, n, seed).counts[-1]), i
     assert np.array_equal(batch, _reference_batch(A, 1, u))
 
@@ -646,16 +646,15 @@ def test_non_integer_seed_or_stream_is_precondition_error():
         lambda s: simulate_chain(BENCH, 1, 10, s),
         lambda s: simulate_chain_batch(BENCH, 1, 10, 3, s),
         lambda s: simulate_controlled(BENCH, 1, feedback, 10, s),
-        lambda s: path_rng(s),
-        lambda s: path_rng(SEED, s),
+        path_rng,
     )
     for call in calls:
         for bad in (1.5, 2.0, "3"):
             with pytest.raises(PreconditionViolation, match="must be an integer"):
                 call(bad)
-    # negative seeds and streams are reduced mod 2**64
+    # negative seeds are reduced mod 2**64
     assert np.array_equal(simulate_chain(BENCH, 1, 30, -1).states, simulate_chain(BENCH, 1, 30, 2**64 - 1).states)
-    assert np.array_equal(path_rng(-2, -1).random(5), path_rng(2**64 - 2, 2**64 - 1).random(5))
+    assert np.array_equal(path_rng(-2).random(5), path_rng(2**64 - 2).random(5))
 
 
 def test_x0_validation():
@@ -766,14 +765,6 @@ def test_policy_outside_kernel_support_raises():
     # control mass on state 1 is fine here; cost stays finite
     lhs, rhs = verify_chain_rule_identity(path, bad)
     assert math.isfinite(lhs) and math.isfinite(rhs)
-
-
-def test_path_rng_streams_are_distinct():
-    u0 = path_rng(9, 0).random(8)
-    u1 = path_rng(9, 1).random(8)
-    again = path_rng(9, 0).random(8)
-    assert np.array_equal(u0, again)
-    assert (u0 != u1).any()
 
 
 def test_export_path_csv_shape(tmp_path):

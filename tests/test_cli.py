@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from reinforced_ldp import cli, exact
+from reinforced_ldp import cli, exact, ratesolver
 from reinforced_ldp.cli import main
-from reinforced_ldp.errors import ConvergenceError, InfeasibleTrajectory
+from reinforced_ldp.errors import ConvergenceError
 from reinforced_ldp.validation import REPORT_FILENAME
 
 BENCH_MATRIX = [[0.9, 0.1], [0.2, 0.8]]
@@ -319,7 +319,7 @@ def test_rate_dv_flag_string_is_config_error(tmp_path, capsys):
     assert "'rate.dv' has a value of the wrong type" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [ConvergenceError, InfeasibleTrajectory])
+@pytest.mark.parametrize("error", [ConvergenceError])
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
@@ -331,6 +331,18 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys, error):
     })
     assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 5
     assert "solver failure: forced failure" in capsys.readouterr().err
+
+
+def test_lapack_argument_error_is_solver_failure(tmp_path, monkeypatch, capsys):
+    """A band solve that reports an illegal argument (``info < 0``) exits 5,
+    not with a traceback and exit 1."""
+    monkeypatch.setattr(ratesolver, "dptsv", lambda d, e, b, **kwargs: (d, e, b, -1))
+    cfg = write_config(tmp_path, {
+        "kernel": {"matrix": BENCH_MATRIX},
+        "rate": {"points": [[0.5, 0.5]], "T": 2.0, "J": 40},
+    })
+    assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]) == 5
+    assert "solver failure: solve_rate: illegal value in argument 1" in capsys.readouterr().err
 
 
 def _solve_config(command, matrix, m, extra):
@@ -720,3 +732,13 @@ def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, kernel_c
     assert main(["simulate", "--config", kernel_config, "--out", str(out), "--n", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot create output directory") and str(out) in err
+
+
+def test_artifact_that_cannot_be_written_is_config_error(tmp_path, kernel_config, capsys):
+    """A directory where ``simulate`` writes a path file is a configuration
+    error (exit 2) naming the file, not a traceback with exit 1."""
+    out = tmp_path / "out"
+    (out / "path_0.csv").mkdir(parents=True)
+    assert main(["simulate", "--config", kernel_config, "--out", str(out), "--n", "10", "--paths", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "path_0.csv" in err

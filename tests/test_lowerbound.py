@@ -451,7 +451,7 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
     times = _time_grid(n)
     n1 = int(np.searchsorted(times, times[-1] - plan.T, side="right"))  # a0 + 1
     q = plan.q.weights
-    u = path_rng(seed, 0).random(n)
+    u = path_rng(seed).random(n)
     states = np.empty(n, dtype=np.int64)
     mu = np.empty((n, d))
     x1 = _inverse_cdf_rows(np.broadcast_to(q, (n1, d)), u[:n1])

@@ -10,7 +10,6 @@ from reinforced_ldp import ratesolver
 from reinforced_ldp.errors import (
     ConvergenceError,
     DimensionMismatch,
-    InfeasibleTrajectory,
     PreconditionViolation,
     SimplexViolation,
 )
@@ -24,10 +23,10 @@ from reinforced_ldp.measures import (
 from reinforced_ldp.ratesolver import (
     PiecewiseLinearPath,
     _barrier_values,
+    _cost_value,
     _newton_parts,
     _node_controls,
     _weights_vector,
-    discounted_cost,
     flow_nodes,
     rate_profile,
     simplex_mesh,
@@ -141,27 +140,17 @@ def test_trajectory_rows_sum_to_one():
     assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def _step_cost(m, ctrl):
+    """The objective solve_rate minimizes, at the step control ``ctrl`` from ``m``."""
+    return _cost_value(ctrl.start, flow_nodes(m, ctrl), BENCH.matrix, _weights_vector(ctrl.horizon, len(ctrl.start)))
+
+
 def test_discounted_cost_at_equilibrium_is_plain_entropy():
     # stationary trajectory: cost is (1 - e^{-T}) R(m || m A)
     m = np.array([0.3, 0.7])
-    got = discounted_cost(m, _tile_control(m, 14.0, 280), BENCH)
+    got = _step_cost(m, _tile_control(m, 14.0, 280))
     expect = -math.expm1(-14.0) * relative_entropy(m, m @ BENCH.matrix)
     assert got == pytest.approx(expect, rel=1e-12)
-
-
-def test_discounted_cost_rejects_infeasible():
-    eta = np.tile(np.array([0.0, 1.0]), (40, 1))
-    ctrl = PiecewiseLinearPath.steps(2.0, eta)
-    with pytest.raises(InfeasibleTrajectory):
-        discounted_cost(np.array([0.9, 0.1]), ctrl, BENCH)
-
-
-def test_discounted_cost_needs_a_step_control():
-    """The left-endpoint sum reads one row per piece, so a sloped piece is refused."""
-    m = np.array([0.3, 0.7])
-    ctrl = PiecewiseLinearPath(np.array([0.0, 1.0]), m[None, :], np.array([[0.1, -0.1]]))
-    with pytest.raises(PreconditionViolation, match="discounted_cost: needs a step control"):
-        discounted_cost(m, ctrl, BENCH)
 
 
 def test_solve_rate_sanov_reduction():
@@ -433,9 +422,9 @@ def test_cost_is_jointly_convex_along_segments():
     T, J = 2.0, 40
     a = _random_control(rng, m, T, J).start
     b = _random_control(rng, m, T, J).start
-    ca = discounted_cost(m, PiecewiseLinearPath.steps(T, a), BENCH)
-    cb = discounted_cost(m, PiecewiseLinearPath.steps(T, b), BENCH)
-    mid = discounted_cost(m, PiecewiseLinearPath.steps(T, 0.5 * (a + b)), BENCH)
+    ca = _step_cost(m, PiecewiseLinearPath.steps(T, a))
+    cb = _step_cost(m, PiecewiseLinearPath.steps(T, b))
+    mid = _step_cost(m, PiecewiseLinearPath.steps(T, 0.5 * (a + b)))
     assert mid <= 0.5 * ca + 0.5 * cb + 1e-10
 
 
