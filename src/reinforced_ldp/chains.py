@@ -9,8 +9,8 @@ lower-bound experiments.
 A deterministic time grid ``t_k = sum_{j=1..k} 1/(j+1)`` (harmonic tail)
 turns step indices into continuous time.  :func:`_time_grid` builds it
 without a Python loop as the correctly rounded sum of the doubles
-``fl(1/(j+1))``: one exact int64 prefix sum of two limbs per term, for
-``n < 2**28``.  The pair of discounted occupation measures built from a controlled
+``fl(1/(j+1))``: an exact int64 prefix sum of two limbs per term, in
+blocks of terms, for ``n < 2**28``.  The pair of discounted occupation measures built from a controlled
 path on that grid satisfies the chain-rule identity checked by
 :func:`verify_chain_rule_identity`.
 
@@ -43,10 +43,12 @@ the measures of all its steps from a guess of their draws, and the draws
 a pass leaves unchanged are the sequential ones.  So every draw of a
 batch path equals the single path's on its segment.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`,
-and both sides of the chain-rule identity from :func:`_chain_rule_sides`.
-Like the column scans and the block draws, both write into arrays their
-caller gives, so the plan runs of one horizon draw all their seeds on one
-set of buffers.
+and both sides of the chain-rule identity from :class:`_ChainRuleSums`.
+Like the column scans and the block draws, both take a path a block of
+steps at a time, the measure from exact counts carried between blocks and
+the costs summed by numpy's own pairwise tree (:class:`_StagedSum`), so
+the plan runs of a horizon hold no array of ``n`` rows but its control
+rows, and give the bits of a path formed whole.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
@@ -72,6 +74,8 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_CAP = 8192
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
+# most elements of a subtree of numpy's pairwise sum that _StagedSum sums alone
+_LEAF_CAP = 2 * _BLOCK_CAP
 _INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
 
@@ -95,7 +99,9 @@ def _time_grid(n: int) -> np.ndarray:
     integer limbs ``hi = floor(x 2**48)`` and ``lo = (x - hi 2**-48) 2**P <
     2**(b+6)``; ``np.cumsum`` sums both in int64, ``lo``'s overflow is carried
     into ``hi``, and ``t_k = H 2**-48 + L 2**-P`` adds two exact doubles in
-    one rounding.  ``H <= t_n 2**48 < 2**53`` and ``L <= n 2**(b+6) <
+    one rounding.  The sums run ``_BLOCK_CAP`` terms at a time from the
+    exact ``H`` and ``L`` of the terms before, so every temporary is a
+    block's.  ``H <= t_n 2**48 < 2**53`` and ``L <= n 2**(b+6) <
     2**(2b+6)``, so no limb overflows while ``2b + 6 < 63``: ``n < 2**28``.
     A larger ``n`` raises before anything is allocated (each array of its
     clock would take 2 GiB).  For every ``k <= 3,000,000`` the clock equals
@@ -116,18 +122,25 @@ def _time_grid(n: int) -> np.ndarray:
     if 2 * b + 6 >= 63:
         raise ResourceLimitExceeded(f"time grid: n must be below 2**28, got {n}")
     p = 54 + b
-    x = 1.0 / np.arange(2.0, n + 2.0)
-    hi = np.floor(x * 2.0**48)
-    x -= hi * 2.0**-48
-    x *= 2.0**p
-    H = np.cumsum(hi.astype(np.int64))
-    L = np.cumsum(x.astype(np.int64))
-    H += L >> (p - 48)
-    L &= (1 << (p - 48)) - 1
     t = np.empty(n + 1)
     t[0] = 0.0
-    np.multiply(H, 2.0**-48, out=t[1:])
-    t[1:] += L * 2.0**-p
+    # the limb sums of the terms before the block, L reduced below 2**(p-48)
+    H = L = 0
+    for lo in range(1, n + 1, _BLOCK_CAP):
+        hi = min(lo + _BLOCK_CAP, n + 1)
+        x = 1.0 / np.arange(lo + 1.0, hi + 1.0)
+        top = np.floor(x * 2.0**48)
+        x -= top * 2.0**-48
+        x *= 2.0**p
+        Hs = np.cumsum(top.astype(np.int64))
+        Hs += H
+        Ls = np.cumsum(x.astype(np.int64))
+        Ls += L
+        Hs += Ls >> (p - 48)
+        Ls &= (1 << (p - 48)) - 1
+        np.multiply(Hs, 2.0**-48, out=t[lo:hi])
+        t[lo:hi] += Ls * 2.0**-p
+        H, L = int(Hs[-1]), int(Ls[-1])
     t.flags.writeable = False
     return t
 
@@ -421,31 +434,34 @@ def _clean_policy_row(p, d: int, step: int) -> np.ndarray:
     return w / s
 
 
-def _running_measure(states: np.ndarray, x0: int, Lbar: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> None:
-    """Fill ``Lbar``, shape ``(n+1, d)``, with the running measure of a controlled path.
+def _running_measure(states: np.ndarray, carry: np.ndarray, Lbar: np.ndarray, steps: np.ndarray, counts: np.ndarray) -> None:
+    """Fill ``Lbar``, shape ``(B, d)``, with the running measure after each of ``states``.
 
-    ``states`` holds the 0-based states ``X_1..X_n``, ``steps`` the
-    divisors ``2..n+1``, and ``counts`` is a float scratch of ``n``
-    entries.  ``Lbar[k, x] = (e_x0[x] + #{i <= k : X_i = x}) / (k+1)``,
+    ``states`` holds the 0-based states ``X_{k+1}..X_{k+B}`` of a controlled
+    path, ``carry`` the numerators ``e_x0 + counts_k`` of the measure before
+    them, as exact integers, and ``steps`` the divisors ``k+2..k+B+1``;
+    ``counts`` is a float scratch of ``B`` entries.  Row ``j`` is
+    ``Lbar[k+1+j, x] = (carry[x] + #{i <= j : X_{k+1+i} = x}) / (k+2+j)``,
     each count an exact integer, so every entry is one rounding from its
-    value.  The first ``d - 1`` numerators are running counts; the last is
-    the exact integer remainder ``(k+1)`` minus their sum.  Each count is
-    formed in the contiguous scratch, as floats from the start: a running
-    sum that casts a bool indicator copies all of it first, and writing
-    the indicator into a strided column of ``Lbar`` takes about ten times
-    as long.
+    value and a path filled block by block equals one filled at once.
+    ``carry`` is advanced past the block.  The first ``d - 1`` numerators
+    are running counts; the last is the exact integer remainder, the
+    divisor ``k+2+j`` less their sum.  Each count is formed in the contiguous scratch, as
+    floats from the start: a running sum that casts a bool indicator copies
+    all of it first, and writing the indicator into a strided column of
+    ``Lbar`` takes about ten times as long.
     """
     d = Lbar.shape[1]
-    Lbar[0] = 0.0
-    Lbar[0, x0 - 1] = 1.0
-    rest = Lbar[1:, d - 1]
+    rest = Lbar[:, d - 1]
     rest[...] = steps
     for x in range(d - 1):
         np.equal(states, x, out=counts)
         np.cumsum(counts, out=counts)
-        counts += Lbar[0, x]
+        counts += carry[x]
         rest -= counts
-        np.divide(counts, steps, out=Lbar[1:, x])
+        np.divide(counts, steps, out=Lbar[:, x])
+        carry[x] = counts[-1]
+    carry[d - 1] = rest[-1]
     rest /= steps
 
 
@@ -475,46 +491,174 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
         states[k - 1] = x
         running[x] += 1.0
     Lbar = np.empty((n + 1, d))
-    _running_measure(states, x0, Lbar, np.arange(2.0, n + 2.0), np.empty(n))
+    Lbar[0] = 0.0
+    Lbar[0, x0 - 1] = 1.0
+    _running_measure(states, Lbar[0].copy(), Lbar[1:], np.arange(2.0, n + 2.0), np.empty(n))
     states += 1
     for arr in (states, mu, Lbar):
         arr.flags.writeable = False
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
-def _chain_rule_sides(path: ControlledPath, A: Kernel, scratch: np.ndarray, stepsum: bool = True):
-    """The two sides of the chain-rule identity on the caller's ``scratch``.
+def _pairwise_split(lo: int, hi: int) -> int:
+    """Where numpy's pairwise sum splits the elements ``lo..hi-1``: half the
+    count, less its remainder mod 8, past ``lo``."""
+    h = (hi - lo) // 2
+    return lo + h - h % 8
 
-    ``scratch`` holds two arrays of ``mu``'s shape, ``rho`` and the atoms,
-    and both are overwritten.  ``rho = Lbar[:n] A`` is one product.  The
-    right side, ``(1/n) sum_k R(mu_k || rho_k)``, is formed in the atoms
-    and summed; with ``stepsum`` false it is skipped and returned as None.
-    The left side is the relative entropy between the two discounted
-    occupation measures, whose atoms on (state, reversed-time bin) are
-    ``mu_k / n`` and ``rho_k / n``: they are divided in step order and
-    summed in reversed-time order, so the value equals ``rel_entr(mu[::-1]
-    / n, rho[::-1] / n).sum()`` bit for bit.  A side that is not finite
-    raises :class:`PolicyError`.
+
+def _pairwise_leaves(lo: int, hi: int) -> list:
+    """The subtrees ``(lo, hi)`` of at most ``_LEAF_CAP`` elements that numpy's
+    pairwise sum of the elements ``lo..hi-1`` splits into, in order."""
+    if hi - lo <= _LEAF_CAP:
+        return [(lo, hi)]
+    mid = _pairwise_split(lo, hi)
+    return _pairwise_leaves(lo, mid) + _pairwise_leaves(mid, hi)
+
+
+def _pairwise_total(sums: dict, lo: int, hi: int):
+    """The subtree sums ``sums[lo]`` of :func:`_pairwise_leaves` added up the tree."""
+    if hi - lo <= _LEAF_CAP:
+        return sums[lo]
+    mid = _pairwise_split(lo, hi)
+    return _pairwise_total(sums, lo, mid) + _pairwise_total(sums, mid, hi)
+
+
+class _StagedSum:
+    """``ndarray.sum`` of ``size`` elements that arrive in runs of ``cap``, the
+    last one shorter.
+
+    For a contiguous float64 array, ``ndarray.sum`` is ``0.0`` plus numpy's
+    pairwise sum: a range of more than 128 elements is split at
+    :func:`_pairwise_split` and its halves are summed alone.  So the
+    subtrees of at most ``_LEAF_CAP`` elements (:func:`_pairwise_leaves`)
+    are summed by ``np.sum`` on their own, which only clears the sign of a
+    zero, and their sums added up the tree give the array's sum bit for bit.
+
+    The runs come first to last, or last to first with ``reverse``.  Each
+    is written by the caller into the view :meth:`run` returns, in a stage
+    of ``cap + _LEAF_CAP`` elements, and a subtree is summed once the stage
+    holds all of it.  Only the elements of the one subtree still open stay
+    staged; they are moved to the start of the stage (its end with
+    ``reverse``) when the next run would not fit after (before) them.  The
+    views, the subtrees each run completes and the moves depend only on
+    ``size`` and ``cap``, so they are laid out once, and :meth:`start`
+    readies the same runs for new elements.
     """
-    n = path.n
-    rho, atoms = scratch
-    np.matmul(path.Lbar[:n], A.matrix, out=rho)
-    rhs = None
-    if stepsum:
-        rel_entr(path.mu, rho, out=atoms)
-        rhs = float(atoms.sum() / n)
-        if not np.isfinite(rhs):
+
+    def __init__(self, size: int, cap: int, reverse: bool = False):
+        leaves = _pairwise_leaves(0, size)
+        order = leaves[::-1] if reverse else leaves  # in the order they fill
+        self.size = size
+        stage = np.empty(min(size, cap + _LEAF_CAP))
+        S = len(stage)
+        # per run: the subtree sums due before it, the move before it, its view
+        self.runs = []
+        due, done = [], 0
+        lo = hi = size if reverse else 0  # the staged elements are lo..hi-1
+        off = size - S if reverse else 0  # the element stage[0] holds
+        for start in range(0, size, cap):
+            count = min(cap, size - start)
+            if reverse:
+                a, b = lo - count, lo
+                new = hi - S if a < off else off
+            else:
+                a, b = hi, hi + count
+                new = lo if b > off + S else off
+            move = None
+            if new != off:
+                move = (stage[lo - new : hi - new], stage[lo - off : hi - off])
+                off = new
+            self.runs.append((due, move, stage[a - off : b - off]))
+            lo, hi = min(lo, a), max(hi, b)
+            due = []
+            for first, last in order[done:]:
+                if first < lo or last > hi:
+                    lo, hi = max(first, lo), min(last, hi)
+                    break
+                due.append((first, stage[first - off : last - off]))
+                done += 1
+        self.last = due
+        self.start()
+
+    def start(self) -> None:
+        """Ready the runs for a new set of elements."""
+        self.next = 0
+        self.sums = {}
+
+    def run(self) -> np.ndarray:
+        """The view of the stage the next run is written into."""
+        due, move, view = self.runs[self.next]
+        self.next += 1
+        for lo, leaf in due:
+            self.sums[lo] = leaf.sum()
+        if move is not None:
+            move[0][...] = move[1]
+        return view
+
+    def total(self):
+        """The sum of the ``size`` elements, once every run is written."""
+        for lo, leaf in self.last:
+            self.sums[lo] = leaf.sum()
+        return _pairwise_total(self.sums, 0, self.size)
+
+
+class _ChainRuleSums:
+    """Both sides of the chain-rule identity of an ``n``-step path on ``d``
+    states, fed the path's steps in blocks of at most ``_BLOCK_CAP``.
+
+    :meth:`add` takes a block's measures ``Lbar_{k-1}`` and control rows
+    ``mu_k``, and forms ``rho_k = Lbar_{k-1} A`` by one product.  The
+    right side, ``(1/n) sum_k R(mu_k || rho_k)``, is written straight into
+    its stage in step order; with ``stepsum`` false it is skipped and
+    returned as None.  The left side is the relative entropy between the
+    two discounted occupation measures, whose atoms on (state,
+    reversed-time bin) are ``mu_k / n`` and ``rho_k / n``: they are divided
+    in step order, and their rows copied into their stage in reversed-time
+    order, each as one record (a 2-d copy goes entry by entry).  Both are
+    summed by :class:`_StagedSum`, so the values equal ``rel_entr(mu, rho).sum()
+    / n`` and ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` over the
+    whole path, with ``rho`` formed block by block, bit for bit.  A side
+    that is not finite raises :class:`PolicyError`.  :meth:`start` readies
+    the sums for the next path of the same shape.
+    """
+
+    def __init__(self, n: int, d: int, stepsum: bool = True):
+        cap = min(n, _BLOCK_CAP)
+        self.n = n
+        self.rho = np.empty((cap, d))
+        self.atoms = np.empty((cap, d))
+        self.record = np.dtype((np.void, self.rho.itemsize * d))
+        self.stepsum = _StagedSum(n * d, cap * d) if stepsum else None
+        self.occupation = _StagedSum(n * d, cap * d, reverse=True)
+
+    def start(self) -> None:
+        for sums in (self.stepsum, self.occupation):
+            if sums is not None:
+                sums.start()
+
+    def add(self, Lbar: np.ndarray, mu: np.ndarray, Amat: np.ndarray) -> None:
+        B, d = Lbar.shape
+        rho = self.rho[:B]
+        atoms = self.atoms[:B]
+        np.matmul(Lbar, Amat, out=rho)
+        if self.stepsum is not None:
+            rel_entr(mu, rho, out=self.stepsum.run().reshape(B, d))
+        rho /= self.n
+        np.divide(mu, self.n, out=atoms)
+        rel_entr(atoms, rho, out=rho)
+        self.occupation.run().view(self.record)[:] = rho.view(self.record)[::-1, 0]
+
+    def sides(self):
+        rhs = None
+        if self.stepsum is not None:
+            rhs = float(self.stepsum.total() / self.n)
+            if not np.isfinite(rhs):
+                raise PolicyError(_INFINITE_COST)
+        lhs = float(self.occupation.total())
+        if not np.isfinite(lhs):
             raise PolicyError(_INFINITE_COST)
-    rho /= n
-    np.divide(path.mu, n, out=atoms)
-    rel_entr(atoms, rho, out=rho)
-    # the rows reversed, each copied as one record: a 2-d copy goes entry by entry
-    record = np.dtype((np.void, rho.itemsize * rho.shape[1]))
-    atoms.view(record)[:, 0] = rho.view(record)[::-1, 0]
-    lhs = float(atoms.sum())
-    if not np.isfinite(lhs):
-        raise PolicyError(_INFINITE_COST)
-    return lhs, rhs
+        return lhs, rhs
 
 
 def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, float]:
@@ -524,14 +668,18 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
     whose atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k
     / n`` with ``rho_k = Lbar_{k-1} A``.  Right: the per-step average
     ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree to
-    floating-point rounding.  Both come from :func:`_chain_rule_sides` on
-    fresh scratch, which the runs of
+    floating-point rounding.  Both come from :class:`_ChainRuleSums`, fed
+    the path in blocks of ``_BLOCK_CAP`` steps, which the runs of
     :func:`~reinforced_ldp.lowerbound.run_plan` and the cost trend of
-    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` also use, on
-    one scratch per horizon; the trend computes the left side only, with
-    these bits.
+    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` also use as
+    they draw; the trend computes the left side only, with these bits.
     """
-    return _chain_rule_sides(path, A, np.empty((2,) + path.mu.shape))
+    n = path.n
+    sums = _ChainRuleSums(n, path.d)
+    for lo in range(0, n, _BLOCK_CAP):
+        hi = min(lo + _BLOCK_CAP, n)
+        sums.add(path.Lbar[lo:hi], path.mu[lo:hi], A.matrix)
+    return sums.sides()
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ line flags override config values.  Every CSV output starts with a
 provenance comment ``# config_sha256=<hash> seed=<seed>`` where the hash
 covers the effective (post-override) parameter set.  Exit codes: 0
 success, 1 validation failures, 2 configuration errors, 3 violated
-preconditions, 4 resource limits, 5 numerical failures (a solve that does
-not converge, a control that leaves the simplex, or an exact law whose mass
-drifts).
+preconditions, 4 resource limits, 5 numerical failures (a rate solve that
+cannot proceed, or an exact law whose mass drifts).
 """
 from __future__ import annotations
 
@@ -382,7 +381,7 @@ def cmd_lowerbound(args) -> int:
         hits = 0
 
         def runs():
-            # one run at a time on one set of buffers: its row is written as it ends
+            # one run at a time, streamed through blocks of steps: its row is written as it ends
             nonlocal hits
             for run in _plan_runs(plan, A, n_run, eps0, range(seed, seed + run_seeds), 1, "lowerbound"):
                 hits += run.an_occurred

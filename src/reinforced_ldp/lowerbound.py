@@ -37,18 +37,21 @@ distance check decides whether to follow the schedule or to fall back to
 the zero-cost reference policy, and the remaining steps read the schedule
 at the chain's clock.  The runs of one horizon, in the cost trend of
 :func:`check_cost_convergence`, the CLI's runs and the acceptance checks,
-come from one generator, ``_plan_paths``, which checks the horizon once,
-interpolates the schedule into its control rows once, in blocks of steps
-(again only after a fallback seed overwrote them), scans the rows' first
-column as their ``C_0`` and draws every seed on one set of ``n``-row
-buffers, the states one byte each up to 255 states; :func:`run_plan` is
-its one-seed case.
+come from one generator, ``_plan_seeds``, which checks the horizon once,
+interpolates the schedule into its control rows once, in blocks of steps,
+scans the rows' first column as their ``C_0``, and streams every seed
+through blocks of ``chains._BLOCK_CAP`` steps: each block is drawn,
+measured and costed before the next, with one-byte states up to 255
+states and the costs summed by numpy's own pairwise tree, so no array of
+``n`` rows is held but the control rows, and no bit differs from a path
+formed whole.  :func:`run_plan` is its one-seed case, which keeps its path.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +59,7 @@ from ._format import write_csv
 from .chains import (
     _BLOCK_CAP,
     ControlledPath,
-    _chain_rule_sides,
+    _ChainRuleSums,
     _column_scan,
     _reinforced_draws,
     _running_measure,
@@ -292,16 +295,18 @@ class PlanRun:
     ``cost_occupation`` is the relative entropy between the discounted
     occupation measures of the path; ``cost_stepsum`` the per-step
     average.  The two agree to rounding (chain rule); both are kept so
-    experiments can report either side.  The cost trend of
-    :func:`check_cost_convergence` builds no ``PlanRun``: it computes the
-    occupation side only, with the bits of ``cost_occupation``.
+    experiments can report either side.  ``path`` is the run's path from
+    :func:`run_plan`, and None for the CLI's runs, which keep only their
+    ``runs.csv`` row.  The cost trend of :func:`check_cost_convergence`
+    builds no ``PlanRun``: it computes the occupation side only, with the
+    bits of ``cost_occupation``.
     """
 
     n: int
     a0: int
     eps0: float
     an_occurred: bool
-    path: ControlledPath
+    path: ControlledPath | None
     terminal: ProbVec
     terminal_error: float
     cost_occupation: float
@@ -333,27 +338,51 @@ def _plan_horizon(T: float, n, eps0, caller: str) -> tuple[int, int]:
     return n, a0
 
 
-def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str):
-    """The paths of :func:`run_plan` at each of ``seeds``, all of ``n`` steps,
-    on one set of buffers: ``(path, a0, an, scratch)`` per seed.
+class _SeedRun(NamedTuple):
+    """What :func:`_plan_seeds` yields for a seed; the costs it was not asked
+    for, and the path unless kept, are None."""
+
+    seed: int
+    n: int
+    a0: int
+    an: bool
+    terminal: np.ndarray
+    cost_occupation: float | None
+    cost_stepsum: float | None
+    path: ControlledPath | None
+
+
+def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str,
+                costs: str | None = "both", keep: bool = False):
+    """The runs of :func:`run_plan` at each of ``seeds``, all of ``n`` steps,
+    drawn, measured and costed ``chains._BLOCK_CAP`` steps at a time: one
+    :class:`_SeedRun` per seed.
 
     The dimensions, ``x0`` and the horizon (:func:`_plan_horizon`) are
-    checked once, and the ``n``-row buffers are allocated once: the states,
-    in the smallest unsigned dtype that holds ``d`` (one byte up to 255
-    states), the control rows ``mu``, ``Lbar``, the divisors of
-    ``chains._running_measure`` and ``scratch``, the two ``(n, d)`` arrays
-    of ``chains._chain_rule_sides``.  Before the first seed the schedule is
-    interpolated at the clock straight into the scheduled rows of ``mu``,
-    ``chains._BLOCK_CAP`` steps at a time, so the clock and the
-    interpolated column are temporaries of one block.  The scan reads
-    ``C_0`` as the rows' first column, a view, and ``C_1..C_{d-2}`` from
-    sums of the rows built once, which go away with the generator.  A
-    fallback seed overwrites those rows, ``C_0`` with them, so a scheduled
-    seed after it fills them again by the same interpolation.  A seed's
-    uniforms are drawn into ``scratch``, which the running counts and then
-    the costs overwrite only after the draws.  The path's arrays are
-    read-only views of the buffers, and they and ``scratch`` hold the
-    seed's values until the next seed is drawn.
+    checked once.  The one array kept across the seeds is the horizon's
+    control rows ``rows``, filled before the first seed: the schedule
+    interpolated at the clock into the scheduled rows, a block of steps at
+    a time, so the clock and the interpolated column are temporaries of one
+    block, and ``q`` in the head rows of the block that holds step ``n1``,
+    which also serve every head block before it.  The scan reads ``C_0`` as
+    the scheduled rows' first column, a view, and ``C_1..C_{d-2}`` from
+    sums of the rows built once with them.
+
+    A seed runs in blocks of steps that start at multiples of
+    ``_BLOCK_CAP``.  Each block draws its uniforms from the seed's stream,
+    its head states by a scan of ``q``'s CDF and, after the distance check
+    at step ``n1`` has chosen, its other states by a scan of the scheduled
+    rows' CDF or by the fallback's block draws from the exact counts; it
+    forms its rows of ``Lbar`` from the counts carried in (one-byte states,
+    in the smallest unsigned dtype that holds ``d``), the fallback's rows
+    ``Lbar_{k-1} A`` by one product into a block of its own, and feeds the
+    chain-rule sums (``chains._ChainRuleSums``): both sides with ``costs``
+    ``"both"``, the occupation side with ``"occupation"``, none with None.
+    So a horizon of at most ``_BLOCK_CAP`` steps is one block, whose
+    products are those of the whole path, and a seed holds only block-sized
+    arrays; its path is None.  With ``keep`` every seed draws into ``n``-row
+    arrays of its own instead, its control rows filled anew, and its path
+    is their read-only views.
     """
     d = A.d
     if plan.q.d != d:
@@ -362,79 +391,115 @@ def _plan_paths(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     x0 = _validate_x0(x0, d)
     n1 = a0 + 1
     q = plan.q.weights
+    Amat = A.matrix
     head_cdf = np.cumsum(q)[:-1]
     e0 = np.zeros(d)
     e0[x0 - 1] = 1.0
-    states = np.empty(n, dtype=np.min_scalar_type(d))
-    mu = np.empty((n, d))
-    Lbar = np.empty((n + 1, d))
-    steps = np.arange(2.0, n + 2.0)
-    scratch = np.empty((2, n, d))
-    u = scratch[0].reshape(-1)[:n]
-    mu[:n1] = q
+    cap = min(n, _BLOCK_CAP)
+    # the first step rows[0] holds: a block that holds step n1 starts at or after it
+    s = 0 if keep else max(n1 - cap, 0)
 
-    def schedule_rows():
-        # the schedule at the clock t_k - t_{n1}, one column at a time, in blocks of steps
+    def control_rows(rows):
+        # q up to step n1, then the schedule at the clock t_k - t_{n1}, in blocks of steps
+        rows[: n1 - s] = q
         times = _time_grid(n)
         for lo in range(n1, n, _BLOCK_CAP):
             hi = min(lo + _BLOCK_CAP, n)
             clock = times[lo + 1 : hi + 1] - times[n1]
             for x in range(d):
-                mu[lo:hi, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+                rows[lo - s : hi - s, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+        # the scanned CDF of the scheduled rows (none at d = 1): C_0 is their
+        # first column, and C_1..C_{d-2} add the next columns one at a time
+        sched = rows[n1 - s :]
+        cdf = [sched[:, 0], *np.empty((max(d - 2, 0), n - n1))][: d - 1]
+        for x in range(1, d - 1):
+            np.add(cdf[x - 1], sched[:, x], out=cdf[x])
+        return cdf
 
-    schedule_rows()
-    # the scanned CDF of the scheduled rows (none at d = 1): C_0 is their
-    # first column, and C_1..C_{d-2} add the next columns one at a time
-    sums = np.empty((max(d - 2, 0), n - n1))
-    cdf = [mu[n1:, 0], *sums][: d - 1]
-    for x in range(1, d - 1):
-        np.add(cdf[x - 1], mu[n1:, x], out=cdf[x])
-    views = [arr.view() for arr in (states, mu, Lbar)]
-    for view in views:
-        view.flags.writeable = False
-    stale = False
+    if not keep:
+        rows = np.empty((n - s, d))
+        cdf = control_rows(rows)
+        states = np.empty(cap, dtype=np.min_scalar_type(d))
+        Lbar = np.empty((cap + 1, d))
+        fallback = np.empty((cap, d))
+    sums = None if costs is None else _ChainRuleSums(n, d, stepsum=costs == "both")
+    divisors = np.arange(2.0, cap + 2.0)
+    steps = np.empty(cap)
+    counts = np.empty(cap)
+    u = np.empty(cap)
     for seed in seeds:
-        path_rng(seed).random(out=u)
-        _column_scan(head_cdf, u[:n1], out=states[:n1])
-        head_counts = np.bincount(states[:n1], minlength=d).astype(float)
-        L_head = (e0 + head_counts) / (n1 + 1.0)
-        an = bool(np.abs(L_head - q).sum() >= eps0)
-        if an:
-            # fallback: the zero-cost reference policy, a reinforced chain from the head's counts
-            _reinforced_draws(A.matrix, e0 + head_counts, n1 + 1, u[n1:], out=states[n1:])
-        else:
-            if stale:
-                # the last seed fell back and overwrote the scheduled rows
-                schedule_rows()
-            _column_scan(cdf, u[n1:], out=states[n1:])
-        # the uniforms are spent: their slot holds the running counts
-        _running_measure(states, x0, Lbar, steps, u)
-        states += 1
-        if an:
-            # update k of the fallback reads Lbar[k-1] A
-            np.matmul(Lbar[n1:n], A.matrix, out=mu[n1:])
-        stale = an
-        path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=views[0], mu=views[1], Lbar=views[2])
-        yield path, a0, an, scratch
+        if keep:
+            states = np.empty(n, dtype=np.min_scalar_type(d))
+            rows = np.empty((n, d))
+            Lbar = np.empty((n + 1, d))
+            cdf = control_rows(rows)
+        if sums is not None:
+            sums.start()
+        rng = path_rng(seed)
+        carry = e0.copy()
+        Lbar[0] = e0
+        an = False
+        for lo in range(0, n, cap):
+            hi = min(lo + cap, n)
+            B = hi - lo
+            h = min(max(n1 - lo, 0), B)  # the block's head steps
+            ub = u[:B]
+            rng.random(out=ub)
+            st = states[lo:hi] if keep else states[:B]
+            Lb = Lbar[lo : hi + 1] if keep else Lbar[: B + 1]
+            if h:
+                _column_scan(head_cdf, ub[:h], out=st[:h])
+            if h < B:
+                k = lo + h
+                cnt = carry
+                if k == n1:
+                    cnt = carry + np.bincount(st[:h], minlength=d)
+                    an = bool(np.abs(cnt / (n1 + 1.0) - q).sum() >= eps0)
+                if an:
+                    # the zero-cost reference policy, a reinforced chain from the counts
+                    _reinforced_draws(Amat, cnt, k + 1, ub[h:], out=st[h:])
+                else:
+                    _column_scan([c[k - n1 : hi - n1] for c in cdf], ub[h:], out=st[h:])
+            np.add(divisors[:B], lo, out=steps[:B])
+            _running_measure(st, carry, Lb[1:], steps[:B], counts[:B])
+            a = max(lo - s, 0)
+            mu = rows[a : a + B]
+            if an:
+                if not keep:
+                    mu = fallback[:B]
+                    mu[:h] = q
+                # update k of the fallback reads Lbar[k-1] A
+                np.matmul(Lb[h:B], Amat, out=mu[h:])
+            if sums is not None:
+                sums.add(Lb[:B], mu, Amat)
+            if not keep:
+                Lb[0] = Lb[B]
+        terminal = Lbar[n] if keep else Lbar[0].copy()
+        lhs, rhs = (None, None) if sums is None else sums.sides()
+        path = None
+        if keep:
+            states += 1
+            for arr in (states, rows, Lbar):
+                arr.flags.writeable = False
+            path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=rows, Lbar=Lbar)
+        yield _SeedRun(int(seed), n, a0, an, terminal, lhs, rhs, path)
 
 
-def _plan_runs(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str):
-    """The :class:`PlanRun` of each of ``seeds``, from :func:`_plan_paths`:
-    each run's path holds its values until the next run is drawn."""
-    for path, a0, an, scratch in _plan_paths(plan, A, n, eps0, seeds, x0, caller):
-        lhs, rhs = _chain_rule_sides(path, A, scratch)
-        terminal = path.Lbar[path.n]
+def _plan_runs(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str, keep: bool = False):
+    """The :class:`PlanRun` of each of ``seeds``, from :func:`_plan_seeds`
+    with both costs: its path is None, or with ``keep`` its own."""
+    for run in _plan_seeds(plan, A, n, eps0, seeds, x0, caller, keep=keep):
         yield PlanRun(
-            n=path.n,
-            a0=a0,
+            n=run.n,
+            a0=run.a0,
             eps0=float(eps0),
-            an_occurred=an,
-            path=path,
-            terminal=ProbVec(terminal),
-            terminal_error=float(np.abs(terminal - plan.M_hat[-1]).sum()),
-            cost_occupation=lhs,
-            cost_stepsum=rhs,
-            seed=path.seed,
+            an_occurred=run.an,
+            path=run.path,
+            terminal=ProbVec(run.terminal),
+            terminal_error=float(np.abs(run.terminal - plan.M_hat[-1]).sum()),
+            cost_occupation=run.cost_occupation,
+            cost_stepsum=run.cost_stepsum,
+            seed=run.seed,
         )
 
 
@@ -458,13 +523,13 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     in exact integers.  Both sides of the chain-rule identity are computed
     (:func:`~reinforced_ldp.chains.verify_chain_rule_identity`).
 
-    This is the one-seed case of the runs of a horizon (``_plan_paths``),
-    which the cost trend, the CLI's runs and the acceptance checks draw on
-    one set of buffers and one schedule build per horizon; here both are the
-    run's own, so a loop over ``run_plan`` builds the schedule every call,
-    and its path's arrays are read-only.
+    This is the one-seed case of the runs of a horizon (``_plan_seeds``),
+    which the cost trend, the CLI's runs and the acceptance checks stream
+    through blocks of steps, with one schedule build per horizon; here the
+    run keeps its path in ``n``-row arrays of its own, read-only, so a loop
+    over ``run_plan`` builds the schedule every call.
     """
-    return next(_plan_runs(plan, A, n, eps0, (seed,), x0, "run_plan"))
+    return next(_plan_runs(plan, A, n, eps0, (seed,), x0, "run_plan", keep=True))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +580,10 @@ def check_cost_convergence(
     block * n_seeds + i``, and its cost the occupation side of the chain-rule
     identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
     The seeds of one horizon share its scheduled control rows, filled once
-    per horizon in blocks of steps, the CDF sums the scan reads besides
-    their first column, and one set of path and cost buffers with one-byte
-    states (``_plan_paths``): at d = 2 a horizon peaks at about 74 traced
-    bytes a step.
+    per horizon in blocks of steps, and the CDF sums the scan reads besides
+    their first column; each seed is streamed through blocks of steps
+    (``_plan_seeds``).  At d = 2 a horizon peaks at about 21 traced bytes a
+    step (n = 2e5, the clock cached), 16 of them the control rows.
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
     if n_seeds < 1:
@@ -533,10 +598,10 @@ def check_cost_convergence(
         seeds = (seed + block * n_seeds + i for i in range(n_seeds))
         costs = np.empty(n_seeds)
         an_count = 0
-        runs = _plan_paths(plan, A, n, eps0, seeds, 1, "check_cost_convergence")
-        for i, (path, _, an, scratch) in enumerate(runs):
-            costs[i] = _chain_rule_sides(path, A, scratch, stepsum=False)[0]
-            an_count += int(an)
+        runs = _plan_seeds(plan, A, n, eps0, seeds, 1, "check_cost_convergence", costs="occupation")
+        for i, run in enumerate(runs):
+            costs[i] = run.cost_occupation
+            an_count += int(run.an)
         mean = float(costs.mean())
         rows.append(
             CostTrendRow(

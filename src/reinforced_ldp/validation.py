@@ -30,7 +30,7 @@ from ._format import write_csv
 from .chains import _time_grid, path_rng, simulate_chain_batch, simulate_controlled, verify_chain_rule_identity
 from .errors import ConfigError
 from .exact import exact_law, finite_n_rate
-from .lowerbound import _plan_paths, build_plan, check_cost_convergence
+from .lowerbound import _plan_seeds, build_plan, check_cost_convergence
 from .measures import Kernel, ProbVec, _as_count, _as_real, relative_entropy, stationary_distribution
 from .ratesolver import (
     PiecewiseLinearPath,
@@ -267,8 +267,8 @@ def _c9_terminal(scale, seed):
     for block, n in enumerate(n_list):
         errs = np.empty(n_seeds)
         seeds = (seed + block * n_seeds + i for i in range(n_seeds))
-        for i, (path, _, _, _) in enumerate(_plan_paths(plan, _BENCH, n, _PLAN_EPS0, seeds, 1, "C9")):
-            errs[i] = np.abs(path.Lbar[n] - plan.M_hat[-1]).sum()
+        for i, run in enumerate(_plan_seeds(plan, _BENCH, n, _PLAN_EPS0, seeds, 1, "C9", costs=None)):
+            errs[i] = np.abs(run.terminal - plan.M_hat[-1]).sum()
         means.append(float(errs.mean()))
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
     ok = decreasing and means[-1] <= 0.05

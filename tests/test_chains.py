@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reinforced_ldp import chains
 from reinforced_ldp.chains import (
@@ -717,14 +718,67 @@ def _running_measure_by_state(states, x0, d):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_running_measure_takes_the_last_count_as_the_remainder(d):
     """The last column from ``(k+1)`` minus the other numerators keeps every
-    byte, and every entry of a reused buffer is written."""
+    byte, whole or in blocks that carry the exact counts, and every entry of
+    a reused buffer is written."""
     rng = np.random.default_rng(d)
     for x0 in range(1, d + 1):
         for n in (1, 2, 37, 5000):
             states = rng.choice(d, size=n, p=rng.dirichlet(np.ones(d)))
-            got = np.full((n + 1, d), np.nan)
-            chains._running_measure(states, x0, got, np.arange(2.0, n + 2.0), np.full(n, np.nan))
-            assert got.tobytes() == _running_measure_by_state(states, x0, d).tobytes(), (x0, n)
+            want = _running_measure_by_state(states, x0, d)
+            for block in (n, 1, 700):
+                got = np.full((n + 1, d), np.nan)
+                got[0] = want[0]
+                carry = want[0].copy()
+                for lo in range(0, n, block):
+                    hi = min(lo + block, n)
+                    steps = np.arange(lo + 2.0, hi + 2.0)
+                    chains._running_measure(states[lo:hi], carry, got[lo + 1 : hi + 1], steps, np.full(hi - lo, np.nan))
+                    assert np.array_equal(carry, want[0] + np.bincount(states[:hi], minlength=d)), (x0, n, block, hi)
+                assert got.tobytes() == want.tobytes(), (x0, n, block)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    rows=st.one_of(st.integers(1, 300), st.integers(1_600, 1_700), st.integers(3_270, 3_290),
+                   st.integers(8_180, 8_200), st.integers(16_380, 16_400), st.integers(1, 60_000)),
+    cap=st.sampled_from([1, 777, chains._BLOCK_CAP]),
+    reverse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_staged_sum_is_ndarray_sum(d, rows, cap, reverse, seed):
+    """Rows staged a block at a time, in order or reversed-row order, sum to
+    ``ndarray.sum`` of the whole array bit for bit, around the subtree size
+    ``chains._LEAF_CAP`` and the block size: numpy's own pairwise tree."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-12, 4, (rows, d))
+    a[rng.random((rows, d)) < 0.05] = 0.0
+    cap = min(cap, rows)
+    staged = chains._StagedSum(rows * d, cap * d, reverse=reverse)
+    record = np.dtype((np.void, a.itemsize * d))
+    for lo in range(0, rows, cap):
+        hi = min(lo + cap, rows)
+        view = staged.run()
+        assert view.size == (hi - lo) * d
+        if reverse:
+            view.view(record)[:] = a[lo:hi].view(record)[::-1, 0]
+        else:
+            view.reshape(hi - lo, d)[:] = a[lo:hi]
+    whole = a[::-1].copy() if reverse else a
+    assert staged.total() == whole.sum()
+
+
+@pytest.mark.parametrize("size", [1, 7, 129, 16_384, 16_385, 49_153, 300_007, 1_000_003])
+def test_pairwise_leaves_tile_the_sum_and_add_up_to_it(size):
+    """The subtrees tile ``0..size-1`` in order, none above ``_LEAF_CAP``
+    elements, and their ``np.sum`` values added up the tree give ``ndarray.sum``."""
+    leaves = chains._pairwise_leaves(0, size)
+    assert leaves[0][0] == 0 and leaves[-1][1] == size
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert max(hi - lo for lo, hi in leaves) <= chains._LEAF_CAP
+    a = np.random.default_rng(size).standard_normal(size)
+    sums = {lo: a[lo:hi].sum() for lo, hi in leaves}
+    assert chains._pairwise_total(sums, 0, size) == a.sum()
 
 
 def test_policy_sees_the_stored_measure():

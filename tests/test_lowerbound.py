@@ -13,7 +13,6 @@ from scipy.special import rel_entr
 from reinforced_ldp import lowerbound
 from reinforced_ldp.chains import (
     ControlledPath,
-    _chain_rule_sides,
     _time_grid,
     path_rng,
     simulate_controlled,
@@ -529,13 +528,17 @@ def test_one_state_plan_runs_stay_at_the_state_at_no_cost():
     is ``q`` itself, so even ``eps0 = 1e-12`` keeps every seed on the schedule."""
     A = Kernel([[1.0]])
     plan = build_plan([1.0], A, T=1.0, slack=1.0)
-    runs = list(lowerbound._plan_runs(plan, A, 2_000, 1e-12, range(3), 1, "test"))
-    assert len(runs) == 3
-    for run in runs:
-        assert not run.an_occurred
-        assert np.all(run.path.states == 1)
-        assert np.all(run.path.mu == 1.0) and np.all(run.path.Lbar == 1.0)
-        assert (run.cost_occupation, run.cost_stepsum, run.terminal_error) == (0.0, 0.0, 0.0)
+    for keep in (False, True):
+        runs = list(lowerbound._plan_runs(plan, A, 2_000, 1e-12, range(3), 1, "test", keep=keep))
+        assert len(runs) == 3
+        for run in runs:
+            assert not run.an_occurred
+            assert (run.cost_occupation, run.cost_stepsum, run.terminal_error) == (0.0, 0.0, 0.0)
+            if keep:
+                assert np.all(run.path.states == 1)
+                assert np.all(run.path.mu == 1.0) and np.all(run.path.Lbar == 1.0)
+            else:
+                assert run.path is None
 
 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
@@ -610,17 +613,16 @@ MIXED_FLAGS = {(2, "first"): "FssssssF", (2, "last"): "sssssssF", (3, "first"): 
 @pytest.mark.parametrize("start", ["first", "last"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, d, start, eps0):
-    """Every run drawn on a horizon's one set of buffers, as the CLI draws its
-    runs, equals ``run_plan`` on fresh arrays bit for bit: its path while it
-    is current, and its ``runs.csv`` row."""
+    """Every run of a horizon streamed through block buffers, as the CLI draws
+    its runs, has the ``runs.csv`` row and terminal measure of ``run_plan`` on
+    arrays of its own, bit for bit, and keeps no path."""
     A, plan = plans_by_dimension[d]
     x0 = 1 if start == "first" else d
     flags = []
     for run in lowerbound._plan_runs(plan, A, 3_000, eps0, range(8), x0, "test"):
         alone = run_plan(plan, A, 3_000, eps0, run.seed, x0)
-        for name in ("states", "mu", "Lbar"):
-            assert np.array_equal(getattr(run.path, name), getattr(alone.path, name)), (run.seed, name)
-            assert not getattr(run.path, name).flags.writeable
+        assert run.path is None
+        assert np.array_equal(run.terminal.weights, alone.path.Lbar[-1]), run.seed
         row = (run.n, run.a0, run.an_occurred, run.terminal_error, run.cost_occupation, run.cost_stepsum)
         assert row == (alone.n, alone.a0, alone.an_occurred, alone.terminal_error,
                        alone.cost_occupation, alone.cost_stepsum), run.seed
@@ -631,22 +633,46 @@ def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, 
         assert "".join("F" if an else "s" for an in flags) == MIXED_FLAGS[d, start]
 
 
+# at n = 20,000 (T = 1, head 7,357 steps) eps0 = 0.01 sends seeds 0 and 3 to the
+# fallback and keeps seeds 1 and 2 on the schedule, at d = 3 and at d = 4
+@pytest.mark.parametrize("eps0", [3.0, 1e-12, 0.01], ids=["scheduled", "fallback", "mixed"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_runs_across_block_edges_match_the_one_hot_reference(plans_by_dimension, d, eps0):
+    """At n = 20,000 a run spans three blocks of ``chains._BLOCK_CAP`` steps,
+    the head ends inside the first, and the sums run over subtrees that
+    straddle the blocks: every streamed run, and ``run_plan``'s path, equals
+    the one-hot reference with its two-product costs bit for bit."""
+    A, plan = plans_by_dimension[d]
+    n = 20_000
+    flags = ""
+    for run in lowerbound._plan_runs(plan, A, n, eps0, range(4), d, "test"):
+        path, (lhs, rhs) = _reference_run(plan, A, n, eps0, run.seed, d)
+        assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs), run.seed
+        assert np.array_equal(run.terminal.weights, path.Lbar[n]), run.seed
+        flags += "F" if run.an_occurred else "s"
+        if run.seed == 0:
+            alone = run_plan(plan, A, n, eps0, run.seed, d)
+            for name in ("states", "mu", "Lbar"):
+                assert np.array_equal(getattr(alone.path, name), getattr(path, name)), name
+            assert verify_chain_rule_identity(alone.path, A) == (lhs, rhs)
+    assert flags == {3.0: "ssss", 1e-12: "FFFF", 0.01: "FssF"}[eps0]
+
+
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
     """After a horizon's first seed, drawing a path and both its costs
-    allocates less than one ``n``-row float column: the buffers are reused.
-    The fallback's block draws hold a few arrays of at most 8192 steps, about
-    0.7 MB at d = 2, whatever ``n``."""
+    allocates less than one ``n``-row float column: every array of a seed
+    is a block's.  The fallback's block draws hold a few arrays of at most
+    8192 steps, about 0.7 MB at d = 2, whatever ``n``."""
     n = 200_000
-    runs = lowerbound._plan_paths(bench_plan, BENCH, n, eps0, range(4), 1, "test")
-    path, _, an, scratch = next(runs)
-    _chain_rule_sides(path, BENCH, scratch)
+    runs = lowerbound._plan_seeds(bench_plan, BENCH, n, eps0, range(4), 1, "test")
+    next(runs)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for path, _, an, scratch in runs:
-            assert an == (eps0 < 1.0)
-            _chain_rule_sides(path, BENCH, scratch)
+        for run in runs:
+            assert run.an == (eps0 < 1.0)
+            assert run.path is None and run.cost_stepsum is not None
         growth = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -656,26 +682,26 @@ def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
     """Building a horizon, drawing its first seed and both its costs peaks
-    below 84 bytes a step at d = 2 with the clock already cached: the
-    buffers, about 73 n (one-byte states, ``mu`` and ``Lbar`` 16 each, the
-    divisors 8 and the cost arrays 32), and the fill's blocks of at most
-    8192 steps.  ``C_0`` is a view of the scheduled rows.  int64 states, a
-    copy of ``C_0`` and a horizon-sized clock and column in the fill took
-    93.9 n; a second copy of the rows, their ``C_1`` and a clock held over
-    the seeds took 121.5 n before that."""
+    below 28 bytes a step at d = 2 with the clock already cached: the
+    horizon's control rows, 16 bytes a scheduled step and a block's head
+    rows, and arrays of at most ``chains._BLOCK_CAP`` steps, about 1.2 MB,
+    plus the fallback's block draws.  ``C_0`` is a view of the scheduled
+    rows.  With the path, its divisors and the cost arrays held over the
+    horizon it took 74 n; with int64 states, a copy of ``C_0`` and a
+    horizon-sized clock and column in the fill 93.9 n; with a second copy
+    of the rows, their ``C_1`` and a clock held over the seeds 121.5 n."""
     n = 200_000
     _time_grid(n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        runs = lowerbound._plan_paths(bench_plan, BENCH, n, eps0, range(2), 1, "test")
-        path, _, an, scratch = next(runs)
-        assert an == (eps0 < 1.0)
-        _chain_rule_sides(path, BENCH, scratch)
+        runs = lowerbound._plan_seeds(bench_plan, BENCH, n, eps0, range(2), 1, "test")
+        run = next(runs)
+        assert run.an == (eps0 < 1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 84 * n
+    assert peak < 28 * n
 
 
 def test_library_run_errors_name_their_caller(bench_plan, light_plan):
