@@ -380,9 +380,9 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     ``"both"``, the occupation side with ``"occupation"``, none with None.
     So a horizon of at most ``_BLOCK_CAP`` steps is one block, whose
     products are those of the whole path, and a seed holds only block-sized
-    arrays; its path is None.  With ``keep`` every seed draws into ``n``-row
-    arrays of its own instead, its control rows filled anew, and its path
-    is their read-only views.
+    arrays; its path is None.  With ``keep`` each block's states, control
+    rows and ``Lbar`` rows are also copied into ``n``-row arrays of the
+    seed's own, and its path is their read-only views.
     """
     d = A.d
     if plan.q.d != d:
@@ -396,32 +396,28 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     e0 = np.zeros(d)
     e0[x0 - 1] = 1.0
     cap = min(n, _BLOCK_CAP)
-    # the first step rows[0] holds: a block that holds step n1 starts at or after it
-    s = 0 if keep else max(n1 - cap, 0)
+    state_dtype = np.min_scalar_type(d)
+    # rows[0] holds step s: a block that holds step n1 starts at or after it
+    s = max(n1 - cap, 0)
+    rows = np.empty((n - s, d))
+    # q up to step n1, then the schedule at the clock t_k - t_{n1}, in blocks of steps
+    rows[: n1 - s] = q
+    times = _time_grid(n)
+    for lo in range(n1, n, _BLOCK_CAP):
+        hi = min(lo + _BLOCK_CAP, n)
+        clock = times[lo + 1 : hi + 1] - times[n1]
+        for x in range(d):
+            rows[lo - s : hi - s, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
+    # the scanned CDF of the scheduled rows (none at d = 1): C_0 is their
+    # first column, and C_1..C_{d-2} add the next columns one at a time
+    sched = rows[n1 - s :]
+    cdf = [sched[:, 0], *np.empty((max(d - 2, 0), n - n1))][: d - 1]
+    for x in range(1, d - 1):
+        np.add(cdf[x - 1], sched[:, x], out=cdf[x])
 
-    def control_rows(rows):
-        # q up to step n1, then the schedule at the clock t_k - t_{n1}, in blocks of steps
-        rows[: n1 - s] = q
-        times = _time_grid(n)
-        for lo in range(n1, n, _BLOCK_CAP):
-            hi = min(lo + _BLOCK_CAP, n)
-            clock = times[lo + 1 : hi + 1] - times[n1]
-            for x in range(d):
-                rows[lo - s : hi - s, x] = np.interp(clock, plan.knots, plan.schedule[:, x])
-        # the scanned CDF of the scheduled rows (none at d = 1): C_0 is their
-        # first column, and C_1..C_{d-2} add the next columns one at a time
-        sched = rows[n1 - s :]
-        cdf = [sched[:, 0], *np.empty((max(d - 2, 0), n - n1))][: d - 1]
-        for x in range(1, d - 1):
-            np.add(cdf[x - 1], sched[:, x], out=cdf[x])
-        return cdf
-
-    if not keep:
-        rows = np.empty((n - s, d))
-        cdf = control_rows(rows)
-        states = np.empty(cap, dtype=np.min_scalar_type(d))
-        Lbar = np.empty((cap + 1, d))
-        fallback = np.empty((cap, d))
+    states = np.empty(cap, dtype=state_dtype)
+    Lbar = np.empty((cap + 1, d))
+    fallback = np.empty((cap, d))
     sums = None if costs is None else _ChainRuleSums(n, d, stepsum=costs == "both")
     divisors = np.arange(2.0, cap + 2.0)
     steps = np.empty(cap)
@@ -429,10 +425,10 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     u = np.empty(cap)
     for seed in seeds:
         if keep:
-            states = np.empty(n, dtype=np.min_scalar_type(d))
-            rows = np.empty((n, d))
-            Lbar = np.empty((n + 1, d))
-            cdf = control_rows(rows)
+            path_states = np.empty(n, dtype=state_dtype)
+            path_mu = np.empty((n, d))
+            path_Lbar = np.empty((n + 1, d))
+            path_Lbar[0] = e0
         if sums is not None:
             sums.start()
         rng = path_rng(seed)
@@ -445,8 +441,8 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             h = min(max(n1 - lo, 0), B)  # the block's head steps
             ub = u[:B]
             rng.random(out=ub)
-            st = states[lo:hi] if keep else states[:B]
-            Lb = Lbar[lo : hi + 1] if keep else Lbar[: B + 1]
+            st = states[:B]
+            Lb = Lbar[: B + 1]
             if h:
                 _column_scan(head_cdf, ub[:h], out=st[:h])
             if h < B:
@@ -465,23 +461,25 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             a = max(lo - s, 0)
             mu = rows[a : a + B]
             if an:
-                if not keep:
-                    mu = fallback[:B]
-                    mu[:h] = q
+                mu = fallback[:B]
+                mu[:h] = q
                 # update k of the fallback reads Lbar[k-1] A
                 np.matmul(Lb[h:B], Amat, out=mu[h:])
             if sums is not None:
                 sums.add(Lb[:B], mu, Amat)
-            if not keep:
-                Lb[0] = Lb[B]
-        terminal = Lbar[n] if keep else Lbar[0].copy()
+            if keep:
+                path_states[lo:hi] = st
+                path_mu[lo:hi] = mu
+                path_Lbar[lo + 1 : hi + 1] = Lb[1:]
+            Lb[0] = Lb[B]
+        terminal = Lbar[0].copy()
         lhs, rhs = (None, None) if sums is None else sums.sides()
         path = None
         if keep:
-            states += 1
-            for arr in (states, rows, Lbar):
+            path_states += 1
+            for arr in (path_states, path_mu, path_Lbar):
                 arr.flags.writeable = False
-            path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=rows, Lbar=Lbar)
+            path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=path_states, mu=path_mu, Lbar=path_Lbar)
         yield _SeedRun(int(seed), n, a0, an, terminal, lhs, rhs, path)
 
 
@@ -526,8 +524,9 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     This is the one-seed case of the runs of a horizon (``_plan_seeds``),
     which the cost trend, the CLI's runs and the acceptance checks stream
     through blocks of steps, with one schedule build per horizon; here the
-    run keeps its path in ``n``-row arrays of its own, read-only, so a loop
-    over ``run_plan`` builds the schedule every call.
+    run also copies each block into ``n``-row arrays of its own, its
+    read-only path, and a loop over ``run_plan`` builds the schedule every
+    call.
     """
     return next(_plan_runs(plan, A, n, eps0, (seed,), x0, "run_plan", keep=True))
 

@@ -605,7 +605,7 @@ def test_chain_rule_check_matches_the_two_product_formula(bench_plan, source):
 
 
 # eps0 = 0.02 sends some of seeds 0..7 to the fallback (F) and keeps the others on the
-# schedule (s); a scheduled seed after a fallback one refills the rows the fallback overwrote
+# schedule (s), so the mixed seeds cover both kinds of run on one horizon
 MIXED_FLAGS = {(2, "first"): "FssssssF", (2, "last"): "sssssssF", (3, "first"): "ssFssFFF", (3, "last"): "ssFssFFF"}
 
 
@@ -615,13 +615,16 @@ MIXED_FLAGS = {(2, "first"): "FssssssF", (2, "last"): "sssssssF", (3, "first"): 
 def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, d, start, eps0):
     """Every run of a horizon streamed through block buffers, as the CLI draws
     its runs, has the ``runs.csv`` row and terminal measure of ``run_plan`` on
-    arrays of its own, bit for bit, and keeps no path."""
+    arrays of its own, bit for bit, and keeps no path; ``run_plan``'s path
+    is read-only."""
     A, plan = plans_by_dimension[d]
     x0 = 1 if start == "first" else d
     flags = []
     for run in lowerbound._plan_runs(plan, A, 3_000, eps0, range(8), x0, "test"):
         alone = run_plan(plan, A, 3_000, eps0, run.seed, x0)
         assert run.path is None
+        for name in ("states", "mu", "Lbar"):
+            assert not getattr(alone.path, name).flags.writeable, (run.seed, name)
         assert np.array_equal(run.terminal.weights, alone.path.Lbar[-1]), run.seed
         row = (run.n, run.a0, run.an_occurred, run.terminal_error, run.cost_occupation, run.cost_stepsum)
         assert row == (alone.n, alone.a0, alone.an_occurred, alone.terminal_error,
