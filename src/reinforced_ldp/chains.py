@@ -43,12 +43,12 @@ the measures of all its steps from a guess of their draws, and the draws
 a pass leaves unchanged are the sequential ones.  So every draw of a
 batch path equals the single path's on its segment.  Every
 controlled path's ``Lbar`` comes from one builder, :func:`_running_measure`,
-and both sides of the chain-rule identity from :class:`_ChainRuleSums`.
-Like the column scans and the block draws, both take a path a block of
-steps at a time, the measure from exact counts carried between blocks and
-the costs summed by numpy's own pairwise tree (:class:`_StagedSum`), so
-the plan runs of a horizon hold no array of ``n`` rows but its control
-rows, and give the bits of a path formed whole.
+and its running cost ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)`` from one sum,
+:class:`_StepCost`.  Like the column scans and the block draws, both take
+a path a block of steps at a time: the measure from exact counts carried
+between blocks, so its bits are those of a path formed whole, and the cost
+as one ``np.sum`` per block, the block sums added in step order.  So the
+plan runs of a horizon hold no array of ``n`` rows but its control rows.
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
@@ -74,8 +74,6 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_CAP = 8192
 # paths per block of simulate_chain_batch, which holds the block's uniforms at once
 _BATCH_CHUNK = 8192
-# most elements of a subtree of numpy's pairwise sum that _StagedSum sums alone
-_LEAF_CAP = 2 * _BLOCK_CAP
 _INFINITE_COST = "infinite running cost: control mass escaped the kernel support"
 
 
@@ -235,15 +233,19 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
     array of ``u``'s size wide enough for ``d-1``, when it is given.
 
     A block covers ``B = min(max(64, k // 8), _BLOCK_CAP)`` steps from the
-    counts ``cnt`` at its first step ``k``, and its first guess draws every
-    step from the measure at that step.  A pass redraws every step of the
-    guess from the counts the guess implies, ``C = cnt + cumsum(one-hot of
-    the earlier draws)``, by one scan of ``C / steps`` (states along the
-    first axis).  A step's measure depends only on the draws before it, and
-    the scan rounds each column as it rounds a lone vector, so the draws up
-    to and including the first one a pass changes are final; the next pass
-    starts after it.  So every pass settles at least one draw, and a block
-    ends at the first pass that changes nothing: the sequential draws.
+    counts ``cnt`` at its first step ``k``, or all the steps left when
+    fewer than ``2 B`` (and at most ``_BLOCK_CAP``) are: so the plan runs,
+    which call this once per block of ``_BLOCK_CAP`` steps, leave no short
+    block, with passes of its own, at each call's end.  Its first guess
+    draws every step from the measure at that step.  A pass redraws every
+    step of the guess from the counts the guess implies, ``C = cnt +
+    cumsum(one-hot of the earlier draws)``, by one scan of ``C / steps``
+    (states along the first axis).  A step's measure depends only on the
+    draws before it, and the scan rounds each column as it rounds a lone
+    vector, so the draws up to and including the first one a pass changes
+    are final; the next pass starts after it.  So every pass settles at
+    least one draw, and a block ends at the first pass that changes
+    nothing: the sequential draws.
     """
     d = Amat.shape[0]
     if out is None:
@@ -251,7 +253,10 @@ def _reinforced_draws(Amat: np.ndarray, count, k: int, u: np.ndarray, out: np.nd
     cnt = np.array(count, dtype=float)
     t = 0
     while t < u.size:
-        b = min(max(64, (k + t) // 8), _BLOCK_CAP, u.size - t)
+        b = min(max(64, (k + t) // 8), _BLOCK_CAP)
+        rest = u.size - t
+        if rest < 2 * b and rest <= _BLOCK_CAP:
+            b = rest
         x = _column_scan(_reinforced_cdf(cnt / (k + t), Amat), u[t : t + b])
         while x.size:
             # one pass over the unsettled steps t .. t + x.size - 1
@@ -500,169 +505,40 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
-def _pairwise_split(lo: int, hi: int) -> int:
-    """Where numpy's pairwise sum splits the elements ``lo..hi-1``: half the
-    count, less its remainder mod 8, past ``lo``."""
-    h = (hi - lo) // 2
-    return lo + h - h % 8
+class _StepCost:
+    """The paper's running cost ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)`` of an
+    ``n``-step path on ``d`` states, fed the path's steps in blocks of at
+    most ``_BLOCK_CAP``.
 
-
-def _pairwise_leaves(lo: int, hi: int) -> list:
-    """The subtrees ``(lo, hi)`` of at most ``_LEAF_CAP`` elements that numpy's
-    pairwise sum of the elements ``lo..hi-1`` splits into, in order."""
-    if hi - lo <= _LEAF_CAP:
-        return [(lo, hi)]
-    mid = _pairwise_split(lo, hi)
-    return _pairwise_leaves(lo, mid) + _pairwise_leaves(mid, hi)
-
-
-def _pairwise_total(sums: dict, lo: int, hi: int):
-    """The subtree sums ``sums[lo]`` of :func:`_pairwise_leaves` added up the tree."""
-    if hi - lo <= _LEAF_CAP:
-        return sums[lo]
-    mid = _pairwise_split(lo, hi)
-    return _pairwise_total(sums, lo, mid) + _pairwise_total(sums, mid, hi)
-
-
-class _StagedSum:
-    """``ndarray.sum`` of ``size`` elements that arrive in runs of ``cap``, the
-    last one shorter.
-
-    For a contiguous float64 array, ``ndarray.sum`` is ``0.0`` plus numpy's
-    pairwise sum: a range of more than 128 elements is split at
-    :func:`_pairwise_split` and its halves are summed alone.  So the
-    subtrees of at most ``_LEAF_CAP`` elements (:func:`_pairwise_leaves`)
-    are summed by ``np.sum`` on their own, which only clears the sign of a
-    zero, and their sums added up the tree give the array's sum bit for bit.
-    None of this is numpy API: the rule is that of ``DOUBLE_pairwise_sum``
-    in numpy's ``loops_utils.h.src`` (its 8-way unrolled base case of 128
-    elements), checked on numpy 2.4.6, and ``test_staged_sum_is_ndarray_sum``
-    fails first if a numpy release changes it.
-
-    The runs come first to last, or last to first with ``reverse``.  Each
-    is written by the caller into the view :meth:`run` returns, in a stage
-    of ``cap + _LEAF_CAP`` elements, and a subtree is summed once the stage
-    holds all of it.  Only the elements of the one subtree still open stay
-    staged; they are moved to the start of the stage (its end with
-    ``reverse``) when the next run would not fit after (before) them.  The
-    views, the subtrees each run completes and the moves depend only on
-    ``size`` and ``cap``, so they are laid out once, and :meth:`start`
-    readies the same runs for new elements.
+    :meth:`add` takes a block's measures ``Lbar_{k-1}`` and control rows
+    ``mu_k``, forms ``rho_k = Lbar_{k-1} A`` by one product into a scratch
+    block, overwrites it with the terms ``rel_entr(mu_k, rho_k)`` and adds
+    their ``np.sum`` to a Python float, so the block sums are added in step
+    order.  :meth:`value` divides the total by ``n``; a cost that is not
+    finite raises :class:`PolicyError`.  A path of at most ``_BLOCK_CAP``
+    steps is one block: its cost is ``rel_entr(mu, rho).sum() / n``.
+    :meth:`start` readies the sum for the next path.
     """
 
-    def __init__(self, size: int, cap: int, reverse: bool = False):
-        leaves = _pairwise_leaves(0, size)
-        order = leaves[::-1] if reverse else leaves  # in the order they fill
-        self.size = size
-        stage = np.empty(min(size, cap + _LEAF_CAP))
-        S = len(stage)
-        # per run: the subtree sums due before it, the move before it, its view
-        self.runs = []
-        due, done = [], 0
-        lo = hi = size if reverse else 0  # the staged elements are lo..hi-1
-        off = size - S if reverse else 0  # the element stage[0] holds
-        for start in range(0, size, cap):
-            count = min(cap, size - start)
-            if reverse:
-                a, b = lo - count, lo
-                new = hi - S if a < off else off
-            else:
-                a, b = hi, hi + count
-                new = lo if b > off + S else off
-            move = None
-            if new != off:
-                move = (stage[lo - new : hi - new], stage[lo - off : hi - off])
-                off = new
-            self.runs.append((due, move, stage[a - off : b - off]))
-            lo, hi = min(lo, a), max(hi, b)
-            due = []
-            for first, last in order[done:]:
-                if first < lo or last > hi:
-                    lo, hi = max(first, lo), min(last, hi)
-                    break
-                due.append((first, stage[first - off : last - off]))
-                done += 1
-        self.last = due
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.rho = np.empty((min(n, _BLOCK_CAP), d))
         self.start()
 
     def start(self) -> None:
-        """Ready the runs for a new set of elements."""
-        self.next = 0
-        self.sums = {}
-
-    def run(self) -> np.ndarray:
-        """The view of the stage the next run is written into."""
-        due, move, view = self.runs[self.next]
-        self.next += 1
-        for lo, leaf in due:
-            self.sums[lo] = leaf.sum()
-        if move is not None:
-            move[0][...] = move[1]
-        return view
-
-    def total(self):
-        """The sum of the ``size`` elements, once every run is written."""
-        for lo, leaf in self.last:
-            self.sums[lo] = leaf.sum()
-        return _pairwise_total(self.sums, 0, self.size)
-
-
-class _ChainRuleSums:
-    """Both sides of the chain-rule identity of an ``n``-step path on ``d``
-    states, fed the path's steps in blocks of at most ``_BLOCK_CAP``.
-
-    :meth:`add` takes a block's measures ``Lbar_{k-1}`` and control rows
-    ``mu_k``, and forms ``rho_k = Lbar_{k-1} A`` by one product.  The
-    right side, ``(1/n) sum_k R(mu_k || rho_k)``, is written straight into
-    its stage in step order; with ``stepsum`` false it is skipped and
-    returned as None.  The left side is the relative entropy between the
-    two discounted occupation measures, whose atoms on (state,
-    reversed-time bin) are ``mu_k / n`` and ``rho_k / n``: they are divided
-    in step order, and their rows copied into their stage in reversed-time
-    order, each as one record (a 2-d copy goes entry by entry).  Both are
-    summed by :class:`_StagedSum`, so the values equal ``rel_entr(mu, rho).sum()
-    / n`` and ``rel_entr(mu[::-1] / n, rho[::-1] / n).sum()`` over the
-    whole path, with ``rho`` formed block by block, bit for bit.  A side
-    that is not finite raises :class:`PolicyError`.  :meth:`start` readies
-    the sums for the next path of the same shape.
-    """
-
-    def __init__(self, n: int, d: int, stepsum: bool = True):
-        cap = min(n, _BLOCK_CAP)
-        self.n = n
-        self.rho = np.empty((cap, d))
-        self.atoms = np.empty((cap, d))
-        self.record = np.dtype((np.void, self.rho.itemsize * d))
-        self.stepsum = _StagedSum(n * d, cap * d) if stepsum else None
-        self.occupation = _StagedSum(n * d, cap * d, reverse=True)
-
-    def start(self) -> None:
-        for sums in (self.stepsum, self.occupation):
-            if sums is not None:
-                sums.start()
+        self.total = 0.0
 
     def add(self, Lbar: np.ndarray, mu: np.ndarray, Amat: np.ndarray) -> None:
-        B, d = Lbar.shape
-        rho = self.rho[:B]
-        atoms = self.atoms[:B]
+        rho = self.rho[: len(Lbar)]
         np.matmul(Lbar, Amat, out=rho)
-        if self.stepsum is not None:
-            rel_entr(mu, rho, out=self.stepsum.run().reshape(B, d))
-        rho /= self.n
-        np.divide(mu, self.n, out=atoms)
-        rel_entr(atoms, rho, out=rho)
-        self.occupation.run().view(self.record)[:] = rho.view(self.record)[::-1, 0]
+        rel_entr(mu, rho, out=rho)
+        self.total += float(rho.sum())
 
-    def sides(self):
-        rhs = None
-        if self.stepsum is not None:
-            rhs = float(self.stepsum.total() / self.n)
-            if not np.isfinite(rhs):
-                raise PolicyError(_INFINITE_COST)
-        lhs = float(self.occupation.total())
-        if not np.isfinite(lhs):
+    def value(self) -> float:
+        cost = self.total / self.n
+        if not np.isfinite(cost):
             raise PolicyError(_INFINITE_COST)
-        return lhs, rhs
+        return cost
 
 
 def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, float]:
@@ -670,20 +546,27 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
 
     Left: relative entropy between the two discounted occupation measures,
     whose atoms on (state, reversed-time bin) are ``mu_k / n`` and ``rho_k
-    / n`` with ``rho_k = Lbar_{k-1} A``.  Right: the per-step average
-    ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``.  The two agree to
-    floating-point rounding.  Both come from :class:`_ChainRuleSums`, fed
-    the path in blocks of ``_BLOCK_CAP`` steps, which the runs of
+    / n`` with ``rho_k = Lbar_{k-1} A``: ``rel_entr(mu[::-1] / n, rho[::-1]
+    / n).sum()`` over the whole path, ``rho`` formed ``_BLOCK_CAP`` rows at
+    a time.  Right: the per-step average ``(1/n) sum_k R(mu_k || Lbar_{k-1}
+    A)``, from :class:`_StepCost`, the sum that costs the runs of
     :func:`~reinforced_ldp.lowerbound.run_plan` and the cost trend of
-    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` also use as
-    they draw; the trend computes the left side only, with these bits.
+    :func:`~reinforced_ldp.lowerbound.check_cost_convergence` as they
+    draw, so ``run_plan(...).cost_stepsum`` equals it bit for bit.  By the
+    chain rule the two are one number, and they agree to floating-point
+    rounding; a side that is not finite raises :class:`PolicyError`.
     """
-    n = path.n
-    sums = _ChainRuleSums(n, path.d)
+    n, Amat = path.n, A.matrix
+    step = _StepCost(n, path.d)
+    rho = np.empty((n, path.d))
     for lo in range(0, n, _BLOCK_CAP):
         hi = min(lo + _BLOCK_CAP, n)
-        sums.add(path.Lbar[lo:hi], path.mu[lo:hi], A.matrix)
-    return sums.sides()
+        step.add(path.Lbar[lo:hi], path.mu[lo:hi], Amat)
+        np.matmul(path.Lbar[lo:hi], Amat, out=rho[lo:hi])
+    lhs = float(rel_entr(path.mu[::-1] / n, rho[::-1] / n).sum())
+    if not np.isfinite(lhs):
+        raise PolicyError(_INFINITE_COST)
+    return lhs, step.value()
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ interpolates the schedule into its control rows once, in blocks of steps,
 scans the rows' first column as their ``C_0``, and streams every seed
 through blocks of ``chains._BLOCK_CAP`` steps: each block is drawn,
 measured and costed before the next, with one-byte states up to 255
-states and the costs summed by numpy's own pairwise tree, so no array of
-``n`` rows is held but the control rows, and no bit differs from a path
-formed whole.  :func:`run_plan` is its one-seed case, which keeps its path.
+states, so no array of ``n`` rows is held but the control rows and no
+draw or measure differs from a path formed whole.  A run's cost is the
+paper's running cost ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``, one
+``np.sum`` per block, added in step order.  :func:`run_plan` is its
+one-seed case, which keeps its path.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ from ._format import write_csv
 from .chains import (
     _BLOCK_CAP,
     ControlledPath,
-    _ChainRuleSums,
+    _StepCost,
     _column_scan,
     _reinforced_draws,
     _running_measure,
@@ -292,14 +294,15 @@ def plan_to_json(plan: ReversedPlan, include_schedule: bool = False) -> str:
 class PlanRun:
     """One controlled-chain execution of a reversed plan.
 
-    ``cost_occupation`` is the relative entropy between the discounted
-    occupation measures of the path; ``cost_stepsum`` the per-step
-    average.  The two agree to rounding (chain rule); both are kept so
-    experiments can report either side.  ``path`` is the run's path from
-    :func:`run_plan`, and None for the CLI's runs, which keep only their
-    ``runs.csv`` row.  The cost trend of :func:`check_cost_convergence`
-    builds no ``PlanRun``: it computes the occupation side only, with the
-    bits of ``cost_occupation``.
+    ``cost_stepsum`` is the paper's running cost of the path, the per-step
+    average ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``; by the chain rule it
+    is also the relative entropy between the path's two discounted
+    occupation measures, which
+    :func:`~reinforced_ldp.chains.verify_chain_rule_identity` computes as
+    its other side.  ``path`` is the run's path from :func:`run_plan`, and
+    None for the CLI's runs, which keep only their ``runs.csv`` row.  The
+    cost trend of :func:`check_cost_convergence` builds no ``PlanRun``; its
+    costs have the bits of ``cost_stepsum``.
     """
 
     n: int
@@ -309,7 +312,6 @@ class PlanRun:
     path: ControlledPath | None
     terminal: ProbVec
     terminal_error: float
-    cost_occupation: float
     cost_stepsum: float
     seed: int
 
@@ -339,21 +341,20 @@ def _plan_horizon(T: float, n, eps0, caller: str) -> tuple[int, int]:
 
 
 class _SeedRun(NamedTuple):
-    """What :func:`_plan_seeds` yields for a seed; the costs it was not asked
-    for, and the path unless kept, are None."""
+    """What :func:`_plan_seeds` yields for a seed; the cost when it was not
+    asked for, and the path unless kept, are None."""
 
     seed: int
     n: int
     a0: int
     an: bool
     terminal: np.ndarray
-    cost_occupation: float | None
     cost_stepsum: float | None
     path: ControlledPath | None
 
 
 def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str,
-                costs: str | None = "both", keep: bool = False):
+                cost: bool = True, keep: bool = False):
     """The runs of :func:`run_plan` at each of ``seeds``, all of ``n`` steps,
     drawn, measured and costed ``chains._BLOCK_CAP`` steps at a time: one
     :class:`_SeedRun` per seed.
@@ -375,9 +376,8 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     rows' CDF or by the fallback's block draws from the exact counts; it
     forms its rows of ``Lbar`` from the counts carried in (one-byte states,
     in the smallest unsigned dtype that holds ``d``), the fallback's rows
-    ``Lbar_{k-1} A`` by one product into a block of its own, and feeds the
-    chain-rule sums (``chains._ChainRuleSums``): both sides with ``costs``
-    ``"both"``, the occupation side with ``"occupation"``, none with None.
+    ``Lbar_{k-1} A`` by one product into a block of its own, and, with
+    ``cost``, adds its rows to the run's cost (``chains._StepCost``).
     So a horizon of at most ``_BLOCK_CAP`` steps is one block, whose
     products are those of the whole path, and a seed holds only block-sized
     arrays; its path is None.  With ``keep`` each block's states, control
@@ -418,7 +418,7 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     states = np.empty(cap, dtype=state_dtype)
     Lbar = np.empty((cap + 1, d))
     fallback = np.empty((cap, d))
-    sums = None if costs is None else _ChainRuleSums(n, d, stepsum=costs == "both")
+    step_cost = _StepCost(n, d) if cost else None
     divisors = np.arange(2.0, cap + 2.0)
     steps = np.empty(cap)
     counts = np.empty(cap)
@@ -429,8 +429,8 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             path_mu = np.empty((n, d))
             path_Lbar = np.empty((n + 1, d))
             path_Lbar[0] = e0
-        if sums is not None:
-            sums.start()
+        if step_cost is not None:
+            step_cost.start()
         rng = path_rng(seed)
         carry = e0.copy()
         Lbar[0] = e0
@@ -465,27 +465,27 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
                 mu[:h] = q
                 # update k of the fallback reads Lbar[k-1] A
                 np.matmul(Lb[h:B], Amat, out=mu[h:])
-            if sums is not None:
-                sums.add(Lb[:B], mu, Amat)
+            if step_cost is not None:
+                step_cost.add(Lb[:B], mu, Amat)
             if keep:
                 path_states[lo:hi] = st
                 path_mu[lo:hi] = mu
                 path_Lbar[lo + 1 : hi + 1] = Lb[1:]
             Lb[0] = Lb[B]
         terminal = Lbar[0].copy()
-        lhs, rhs = (None, None) if sums is None else sums.sides()
+        cost_stepsum = None if step_cost is None else step_cost.value()
         path = None
         if keep:
             path_states += 1
             for arr in (path_states, path_mu, path_Lbar):
                 arr.flags.writeable = False
             path = ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=path_states, mu=path_mu, Lbar=path_Lbar)
-        yield _SeedRun(int(seed), n, a0, an, terminal, lhs, rhs, path)
+        yield _SeedRun(int(seed), n, a0, an, terminal, cost_stepsum, path)
 
 
 def _plan_runs(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, caller: str, keep: bool = False):
     """The :class:`PlanRun` of each of ``seeds``, from :func:`_plan_seeds`
-    with both costs: its path is None, or with ``keep`` its own."""
+    with its cost: its path is None, or with ``keep`` its own."""
     for run in _plan_seeds(plan, A, n, eps0, seeds, x0, caller, keep=keep):
         yield PlanRun(
             n=run.n,
@@ -495,7 +495,6 @@ def _plan_runs(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, ca
             path=run.path,
             terminal=ProbVec(run.terminal),
             terminal_error=float(np.abs(run.terminal - plan.M_hat[-1]).sum()),
-            cost_occupation=run.cost_occupation,
             cost_stepsum=run.cost_stepsum,
             seed=run.seed,
         )
@@ -518,8 +517,9 @@ def run_plan(plan: ReversedPlan, A: Kernel, n: int, eps0: float, seed: int, x0: 
     Lbar_{k-1} A``.  The empirical measure comes from the one builder every
     controlled path uses, ``chains._running_measure``: ``Lbar[k, x] =
     (e0[x] + #{i <= k : X_i = x}) / (k+1)`` from the running count of ``x``
-    in exact integers.  Both sides of the chain-rule identity are computed
-    (:func:`~reinforced_ldp.chains.verify_chain_rule_identity`).
+    in exact integers.  The cost is the per-step side of the chain-rule
+    identity, bit for bit that of
+    :func:`~reinforced_ldp.chains.verify_chain_rule_identity`.
 
     This is the one-seed case of the runs of a horizon (``_plan_seeds``),
     which the cost trend, the CLI's runs and the acceptance checks stream
@@ -547,7 +547,7 @@ class CostTrendRow:
 
 @dataclass(frozen=True, eq=False)
 class CostConvergenceReport:
-    """Monte Carlo occupation costs against the plan's certified value.
+    """Monte Carlo running costs against the plan's certified value.
 
     ``quad_cost`` is the scheduled-phase integral; the i.i.d. head
     contributes ``iid_limit = e^{-T} R(q || q A)`` in the long-horizon
@@ -576,12 +576,12 @@ def check_cost_convergence(
     """Run the plan across horizons and compare mean costs to the quadrature.
 
     Each run is the path of :func:`run_plan` from state 1 at seed ``seed +
-    block * n_seeds + i``, and its cost the occupation side of the chain-rule
-    identity only, equal bit for bit to ``run_plan(...).cost_occupation``.
+    block * n_seeds + i``, and its cost equals ``run_plan(...).cost_stepsum``
+    bit for bit.
     The seeds of one horizon share its scheduled control rows, filled once
     per horizon in blocks of steps, and the CDF sums the scan reads besides
     their first column; each seed is streamed through blocks of steps
-    (``_plan_seeds``).  At d = 2 a horizon peaks at about 21 traced bytes a
+    (``_plan_seeds``).  At d = 2 a horizon peaks at about 18 traced bytes a
     step (n = 2e5, the clock cached), 16 of them the control rows.
     """
     n_seeds = _as_count(n_seeds, "check_cost_convergence: n_seeds")
@@ -597,9 +597,9 @@ def check_cost_convergence(
         seeds = (seed + block * n_seeds + i for i in range(n_seeds))
         costs = np.empty(n_seeds)
         an_count = 0
-        runs = _plan_seeds(plan, A, n, eps0, seeds, 1, "check_cost_convergence", costs="occupation")
+        runs = _plan_seeds(plan, A, n, eps0, seeds, 1, "check_cost_convergence")
         for i, run in enumerate(runs):
-            costs[i] = run.cost_occupation
+            costs[i] = run.cost_stepsum
             an_count += int(run.an)
         mean = float(costs.mean())
         rows.append(
@@ -627,9 +627,17 @@ def check_cost_convergence(
 
 
 def export_runs_csv(file, runs, provenance: str | None = None) -> None:
+    """Write one row per run: ``n, seed, An_flag, terminal_error,
+    cost_occupation, cost_stepsum``.
+
+    A run has one cost, ``cost_stepsum``.  The ``cost_occupation`` column
+    repeats it: by the chain rule the two sides are one number, and the
+    header is kept for the benchmark's runs check, which so compares a
+    number with itself until that check and the column go together.
+    """
     header = ["n", "seed", "An_flag", "terminal_error", "cost_occupation", "cost_stepsum"]
     rows = (
-        [r.n, r.seed, int(r.an_occurred), r.terminal_error, r.cost_occupation, r.cost_stepsum]
+        [r.n, r.seed, int(r.an_occurred), r.terminal_error, r.cost_stepsum, r.cost_stepsum]
         for r in runs
     )
     write_csv(file, header, rows, provenance)

@@ -267,7 +267,7 @@ def _c9_terminal(scale, seed):
     for block, n in enumerate(n_list):
         errs = np.empty(n_seeds)
         seeds = (seed + block * n_seeds + i for i in range(n_seeds))
-        for i, run in enumerate(_plan_seeds(plan, _BENCH, n, _PLAN_EPS0, seeds, 1, "C9", costs=None)):
+        for i, run in enumerate(_plan_seeds(plan, _BENCH, n, _PLAN_EPS0, seeds, 1, "C9", cost=False)):
             errs[i] = np.abs(run.terminal - plan.M_hat[-1]).sum()
         means.append(float(errs.mean()))
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
@@ -277,7 +277,7 @@ def _c9_terminal(scale, seed):
 
 
 def _c10_cost_band(scale, seed):
-    """Monte Carlo occupation cost stays inside the certified band."""
+    """Monte Carlo running cost stays inside the certified band."""
     plan = _bench_plan()
     n_seeds = _count(40, scale, 8)
     report = check_cost_convergence(

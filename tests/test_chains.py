@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from reinforced_ldp import chains
 from reinforced_ldp.chains import (
@@ -298,6 +297,36 @@ def test_block_draws_match_the_scalar_loop_from_a_large_count(monkeypatch, name)
     assert np.array_equal(_reinforced_draws(A.matrix, count, k, u), expect)
     monkeypatch.setattr(chains, "_BLOCK_CAP", 700)
     assert np.array_equal(_reinforced_draws(A.matrix, count, k, u), expect)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_KERNELS))
+def test_block_draws_in_calls_of_the_block_cap_take_no_more_passes_than_one_call(monkeypatch, name):
+    """A fallback from step 13,001 drawn in calls that end at multiples of
+    ``_BLOCK_CAP`` steps, as the plan runs draw it, gives the one call's
+    draws and forms no more CDFs (one per block and one per pass): the end
+    of each call leaves no short block."""
+    A = ORACLE_KERNELS[name]
+    k0, n = 13_000, 60_000
+    count = np.random.default_rng(A.d).multinomial(k0 + 1, np.ones(A.d) / A.d)
+    u = path_rng(SEED).random(n - k0)
+    formed = [0]
+    cdf = chains._reinforced_cdf
+
+    def counted(q, Amat):
+        formed[0] += 1
+        return cdf(q, Amat)
+
+    monkeypatch.setattr(chains, "_reinforced_cdf", counted)
+    whole = _reinforced_draws(A.matrix, count, k0 + 1, u)
+    one_call, formed[0] = formed[0], 0
+    cnt, lo = count.copy(), k0
+    while lo < n:
+        hi = min((lo // chains._BLOCK_CAP + 1) * chains._BLOCK_CAP, n)
+        part = _reinforced_draws(A.matrix, cnt, lo + 1, u[lo - k0 : hi - k0])
+        assert np.array_equal(part, whole[lo - k0 : hi - k0]), lo
+        cnt = cnt + np.bincount(part, minlength=A.d)
+        lo = hi
+    assert formed[0] <= one_call
 
 
 def test_block_draws_on_block_cdf_edges():
@@ -735,50 +764,6 @@ def test_running_measure_takes_the_last_count_as_the_remainder(d):
                     chains._running_measure(states[lo:hi], carry, got[lo + 1 : hi + 1], steps, np.full(hi - lo, np.nan))
                     assert np.array_equal(carry, want[0] + np.bincount(states[:hi], minlength=d)), (x0, n, block, hi)
                 assert got.tobytes() == want.tobytes(), (x0, n, block)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(1, 5),
-    rows=st.one_of(st.integers(1, 300), st.integers(1_600, 1_700), st.integers(3_270, 3_290),
-                   st.integers(8_180, 8_200), st.integers(16_380, 16_400), st.integers(1, 60_000)),
-    cap=st.sampled_from([1, 777, chains._BLOCK_CAP]),
-    reverse=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_staged_sum_is_ndarray_sum(d, rows, cap, reverse, seed):
-    """Rows staged a block at a time, in order or reversed-row order, sum to
-    ``ndarray.sum`` of the whole array bit for bit, around the subtree size
-    ``chains._LEAF_CAP`` and the block size: numpy's own pairwise tree."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((rows, d)) * 10.0 ** rng.integers(-12, 4, (rows, d))
-    a[rng.random((rows, d)) < 0.05] = 0.0
-    cap = min(cap, rows)
-    staged = chains._StagedSum(rows * d, cap * d, reverse=reverse)
-    record = np.dtype((np.void, a.itemsize * d))
-    for lo in range(0, rows, cap):
-        hi = min(lo + cap, rows)
-        view = staged.run()
-        assert view.size == (hi - lo) * d
-        if reverse:
-            view.view(record)[:] = a[lo:hi].view(record)[::-1, 0]
-        else:
-            view.reshape(hi - lo, d)[:] = a[lo:hi]
-    whole = a[::-1].copy() if reverse else a
-    assert staged.total() == whole.sum()
-
-
-@pytest.mark.parametrize("size", [1, 7, 129, 16_384, 16_385, 49_153, 300_007, 1_000_003])
-def test_pairwise_leaves_tile_the_sum_and_add_up_to_it(size):
-    """The subtrees tile ``0..size-1`` in order, none above ``_LEAF_CAP``
-    elements, and their ``np.sum`` values added up the tree give ``ndarray.sum``."""
-    leaves = chains._pairwise_leaves(0, size)
-    assert leaves[0][0] == 0 and leaves[-1][1] == size
-    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
-    assert max(hi - lo for lo, hi in leaves) <= chains._LEAF_CAP
-    a = np.random.default_rng(size).standard_normal(size)
-    sums = {lo: a[lo:hi].sum() for lo, hi in leaves}
-    assert chains._pairwise_total(sums, 0, size) == a.sum()
 
 
 def test_policy_sees_the_stored_measure():

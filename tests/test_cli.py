@@ -399,12 +399,13 @@ def test_lowerbound_plan_json(tmp_path):
 
 # SHA-256 of `lowerbound` on the bench kernel at m=(0.5, 0.5), T=2, slack 1,
 # seed 0, with a cost trend over n=1000, 2000 (4 seeds) and two runs at n=10000,
-# with the mollified path itself as the schedule, read at the chain's clock;
-# any rewrite of the draws or costs must keep them
+# with the mollified path itself as the schedule, read at the chain's clock, and
+# each run's one cost summed per 8192-step block; any rewrite of the draws or
+# costs must keep them
 LOWERBOUND_DIGESTS = {
     "plan.json": "3a5e97b0e86f27c1e3485dd9a5b7a69593b2a860dd95466d715321169034a667",
-    "cost_trend.csv": "fea1b978a8df6911fd14ae329b96616af755e0c8082aec9d9c3b15e8d4ac1a99",
-    "runs.csv": "d81f272ababbc31ab582751ea3a0f80d4539dc902c7f4cd6ce6d793fe3d9fe69",
+    "cost_trend.csv": "9b93f9571fddc0c89ad743e969205d23114bee0d28a201dd1dce02bf78d0b5ed",
+    "runs.csv": "34373838d7e179e957e22dc909ef94aed1dade48b3f77fc393065245e0b186e2",
 }
 
 

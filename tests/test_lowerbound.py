@@ -392,7 +392,7 @@ def test_run_plan_deterministic(bench_plan):
     r2 = run_plan(bench_plan, BENCH, 10_000, 0.3, seed=3)
     assert np.array_equal(r1.path.states, r2.path.states)
     assert r1.terminal_error == r2.terminal_error
-    assert r1.cost_occupation == r2.cost_occupation
+    assert r1.cost_stepsum == r2.cost_stepsum
 
 
 def test_run_plan_tracks_schedule(bench_plan):
@@ -403,8 +403,9 @@ def test_run_plan_tracks_schedule(bench_plan):
     assert run.terminal_error == pytest.approx(err, abs=1e-15)
     lhs, rhs = verify_chain_rule_identity(run.path, BENCH)
     assert abs(lhs - rhs) < 1e-8
-    # the two cost quadratures are the same sum in different order
-    assert abs(run.cost_occupation - run.cost_stepsum) < 1e-10
+    # the run's cost is the step side; the occupation side sums the same terms in another order
+    assert run.cost_stepsum == rhs
+    assert abs(lhs - run.cost_stepsum) < 1e-10
     assert 1 <= run.a0 < 10_000
 
 
@@ -425,15 +426,26 @@ def _inverse_cdf_rows(prob_rows, u):
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
+def _reference_step_cost(path, A):
+    """The step side ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``: the sums of
+    ``rel_entr`` over blocks of 8192 steps, added in order by a plain loop
+    (the builtin ``sum`` compensates), divided by ``n``: the cost oracle."""
+    n = path.n
+    total = 0.0
+    for lo in range(0, n, 8192):
+        hi = min(lo + 8192, n)
+        total += float(rel_entr(path.mu[lo:hi], path.Lbar[lo:hi] @ A.matrix).sum())
+    return total / n
+
+
 def _two_product_chain_rule(path, A):
     """Both sides of the chain-rule identity, the left as the relative entropy
     of the two discounted occupation measures, atoms ``mu / n`` and ``rho / n``
-    in reversed-time order: the cost oracle."""
+    in reversed-time order, the right by :func:`_reference_step_cost`."""
     n = path.n
     rho = path.Lbar[:n] @ A.matrix
     lhs = float(rel_entr(path.mu[::-1] / n, rho[::-1] / n).sum())
-    rhs = float(rel_entr(path.mu, rho).sum() / n)
-    return lhs, rhs
+    return lhs, _reference_step_cost(path, A)
 
 
 def _path_value(path, s):
@@ -485,11 +497,11 @@ def _reference_run(plan, A, n, eps0, seed, x0=1):
 
 def test_run_plan_fallback_matches_reference_loop(bench_plan):
     run = run_plan(bench_plan, BENCH, 2_000, 1e-12, seed=3)
-    path, (lhs, rhs) = _reference_run(bench_plan, BENCH, 2_000, 1e-12, 3)
+    path, (_, rhs) = _reference_run(bench_plan, BENCH, 2_000, 1e-12, 3)
     assert run.an_occurred
     for name in ("states", "mu", "Lbar"):
         assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
-    assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+    assert run.cost_stepsum == rhs
 
 
 D3 = Kernel([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.2, 0.3, 0.5]])
@@ -513,18 +525,18 @@ def test_run_plan_matches_the_one_hot_reference(plans_by_dimension, d, start, ep
     A, plan = plans_by_dimension[d]
     x0 = 1 if start == "first" else d
     run = run_plan(plan, A, 3_000, eps0, seed=5, x0=x0)
-    path, (lhs, rhs) = _reference_run(plan, A, 3_000, eps0, 5, x0)
+    path, (_, rhs) = _reference_run(plan, A, 3_000, eps0, 5, x0)
     assert run.an_occurred == (eps0 < 1.0)
     # the states come in the compact dtype, with the int64 reference's values
     assert run.path.states.dtype == np.min_scalar_type(d) == np.uint8
     for name in ("states", "mu", "Lbar"):
         assert np.array_equal(getattr(run.path, name), getattr(path, name)), name
-    assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs)
+    assert run.cost_stepsum == rhs
 
 
 def test_one_state_plan_runs_stay_at_the_state_at_no_cost():
     """At d = 1 the scans are given no CDF column: every state is 1, every
-    control row and measure is 1, and both costs are 0.  The head's measure
+    control row and measure is 1, and the cost is 0.  The head's measure
     is ``q`` itself, so even ``eps0 = 1e-12`` keeps every seed on the schedule."""
     A = Kernel([[1.0]])
     plan = build_plan([1.0], A, T=1.0, slack=1.0)
@@ -533,7 +545,7 @@ def test_one_state_plan_runs_stay_at_the_state_at_no_cost():
         assert len(runs) == 3
         for run in runs:
             assert not run.an_occurred
-            assert (run.cost_occupation, run.cost_stepsum, run.terminal_error) == (0.0, 0.0, 0.0)
+            assert (run.cost_stepsum, run.terminal_error) == (0.0, 0.0)
             if keep:
                 assert np.all(run.path.states == 1)
                 assert np.all(run.path.mu == 1.0) and np.all(run.path.Lbar == 1.0)
@@ -544,15 +556,16 @@ def test_one_state_plan_runs_stay_at_the_state_at_no_cost():
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cost_trend_is_the_occupation_cost_of_run_plan(plans_by_dimension, d, eps0):
-    """The trend computes the occupation side only, with the bits of
-    ``run_plan``'s ``cost_occupation`` over the same seeds."""
+    """The trend's costs have the bits of ``run_plan``'s ``cost_stepsum``
+    over the same seeds, the relative entropy of the occupation measures
+    by the chain rule."""
     A, plan = plans_by_dimension[d]
     n_list, n_seeds, seed = (1_500, 3_000), 3, 4
     report = check_cost_convergence(plan, A, n_list, n_seeds, eps0, seed=seed)
     assert [r.n for r in report.rows] == list(n_list)
     for block, (n, row) in enumerate(zip(n_list, report.rows)):
         runs = [run_plan(plan, A, n, eps0, seed + block * n_seeds + i) for i in range(n_seeds)]
-        costs = np.array([r.cost_occupation for r in runs])
+        costs = np.array([r.cost_stepsum for r in runs])
         assert (row.mc_mean, row.mc_std) == (float(costs.mean()), float(costs.std()))
         assert row.an_rate == sum(r.an_occurred for r in runs) / n_seeds == (eps0 < 1.0)
 
@@ -626,9 +639,8 @@ def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, 
         for name in ("states", "mu", "Lbar"):
             assert not getattr(alone.path, name).flags.writeable, (run.seed, name)
         assert np.array_equal(run.terminal.weights, alone.path.Lbar[-1]), run.seed
-        row = (run.n, run.a0, run.an_occurred, run.terminal_error, run.cost_occupation, run.cost_stepsum)
-        assert row == (alone.n, alone.a0, alone.an_occurred, alone.terminal_error,
-                       alone.cost_occupation, alone.cost_stepsum), run.seed
+        row = (run.n, run.a0, run.an_occurred, run.terminal_error, run.cost_stepsum)
+        assert row == (alone.n, alone.a0, alone.an_occurred, alone.terminal_error, alone.cost_stepsum), run.seed
         flags.append(run.an_occurred)
     assert len(flags) == 8
     assert set(flags) == ({False, True} if eps0 == 0.02 else {eps0 < 1.0})
@@ -641,16 +653,16 @@ def test_runs_on_shared_buffers_equal_run_plan_seed_by_seed(plans_by_dimension, 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12, 0.01], ids=["scheduled", "fallback", "mixed"])
 @pytest.mark.parametrize("d", [3, 4])
 def test_runs_across_block_edges_match_the_one_hot_reference(plans_by_dimension, d, eps0):
-    """At n = 20,000 a run spans three blocks of ``chains._BLOCK_CAP`` steps,
-    the head ends inside the first, and the sums run over subtrees that
-    straddle the blocks: every streamed run, and ``run_plan``'s path, equals
-    the one-hot reference with its two-product costs bit for bit."""
+    """At n = 20,000 a run spans three blocks of ``chains._BLOCK_CAP`` steps
+    and the head ends inside the first: every streamed run, and
+    ``run_plan``'s path, equals the one-hot reference, and its cost the
+    reference's block-summed step cost, bit for bit."""
     A, plan = plans_by_dimension[d]
     n = 20_000
     flags = ""
     for run in lowerbound._plan_runs(plan, A, n, eps0, range(4), d, "test"):
         path, (lhs, rhs) = _reference_run(plan, A, n, eps0, run.seed, d)
-        assert (run.cost_occupation, run.cost_stepsum) == (lhs, rhs), run.seed
+        assert run.cost_stepsum == rhs, run.seed
         assert np.array_equal(run.terminal.weights, path.Lbar[n]), run.seed
         flags += "F" if run.an_occurred else "s"
         if run.seed == 0:
@@ -661,9 +673,37 @@ def test_runs_across_block_edges_match_the_one_hot_reference(plans_by_dimension,
     assert flags == {3.0: "ssss", 1e-12: "FFFF", 0.01: "FssF"}[eps0]
 
 
+# an eps0 at which seeds 0..3, started at state d, split between the fallback and the schedule
+MIXED_EPS0 = {
+    (2, 1_000): 0.006, (2, 8_192): 0.006, (2, 8_193): 0.006, (2, 20_000): 0.006,
+    (3, 1_000): 0.02, (3, 8_192): 0.006, (3, 8_193): 0.006, (3, 20_000): 0.006,
+    (4, 1_000): 0.03, (4, 8_192): 0.02, (4, 8_193): 0.02, (4, 20_000): 0.006,
+}
+
+
+@pytest.mark.parametrize("kind", ["scheduled", "fallback", "mixed"])
+@pytest.mark.parametrize("n", [1_000, 8_192, 8_193, 20_000])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_run_cost_is_the_block_summed_step_cost(plans_by_dimension, d, n, kind):
+    """Around one block of ``chains._BLOCK_CAP`` steps and across three,
+    each run's cost is the reference's 8192-step block sums of
+    ``rel_entr(mu, Lbar A)``, added in order and divided by ``n``, and the
+    step side of ``verify_chain_rule_identity``, bit for bit; the
+    occupation side is the same number to 1e-12, relative."""
+    A, plan = plans_by_dimension[d]
+    eps0 = {"scheduled": 3.0, "fallback": 1e-12, "mixed": MIXED_EPS0[d, n]}[kind]
+    flags = set()
+    for run in lowerbound._plan_runs(plan, A, n, eps0, range(4), d, "test", keep=True):
+        lhs, rhs = verify_chain_rule_identity(run.path, A)
+        assert run.cost_stepsum == _reference_step_cost(run.path, A) == rhs, run.seed
+        assert abs(lhs - rhs) <= 1e-12 * rhs, run.seed
+        flags.add(run.an_occurred)
+    assert flags == {"scheduled": {False}, "fallback": {True}, "mixed": {False, True}}[kind]
+
+
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
-    """After a horizon's first seed, drawing a path and both its costs
+    """After a horizon's first seed, drawing a path and its cost
     allocates less than one ``n``-row float column: every array of a seed
     is a block's.  The fallback's block draws hold a few arrays of at most
     8192 steps, about 0.7 MB at d = 2, whatever ``n``."""
@@ -684,15 +724,16 @@ def test_later_seeds_of_a_horizon_allocate_no_n_row_array(bench_plan, eps0):
 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
 def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
-    """Building a horizon, drawing its first seed and both its costs peaks
-    below 28 bytes a step at d = 2 with the clock already cached: the
-    horizon's control rows, 16 bytes a scheduled step and a block's head
-    rows, and arrays of at most ``chains._BLOCK_CAP`` steps, about 1.2 MB,
-    plus the fallback's block draws.  ``C_0`` is a view of the scheduled
-    rows.  With the path, its divisors and the cost arrays held over the
-    horizon it took 74 n; with int64 states, a copy of ``C_0`` and a
-    horizon-sized clock and column in the fill 93.9 n; with a second copy
-    of the rows, their ``C_1`` and a clock held over the seeds 121.5 n."""
+    """Building a horizon, drawing its first seed and its cost peaks below
+    24 bytes a step at d = 2 with the clock already cached: the horizon's
+    control rows, 16 bytes a scheduled step and a block's head rows, and
+    arrays of at most ``chains._BLOCK_CAP`` steps, plus the fallback's block
+    draws.  ``C_0`` is a view of the scheduled rows.  With a second cost
+    side staged over a subtree of numpy's pairwise sum it took 21.4 n; with
+    the path, its divisors and the cost arrays held over the horizon 74 n;
+    with int64 states, a copy of ``C_0`` and a horizon-sized clock and
+    column in the fill 93.9 n; with a second copy of the rows, their
+    ``C_1`` and a clock held over the seeds 121.5 n."""
     n = 200_000
     _time_grid(n)
     tracemalloc.start()
@@ -704,7 +745,7 @@ def test_one_horizon_keeps_one_copy_of_the_scheduled_rows(bench_plan, eps0):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 28 * n
+    assert peak < 24 * n
 
 
 def test_library_run_errors_name_their_caller(bench_plan, light_plan):
@@ -782,6 +823,10 @@ def test_export_csvs(light_plan, tmp_path):
     assert lines[0] == "# config_sha256=x seed=0"
     assert lines[1] == "n,seed,An_flag,terminal_error,cost_occupation,cost_stepsum"
     assert len(lines) == 4
+    # the runs have one cost: the occupation cell repeats it
+    for line, run in zip(lines[2:], runs):
+        cells = line.split(",")
+        assert cells[4] == cells[5] and float(cells[5]) == run.cost_stepsum
 
     rep = check_cost_convergence(light_plan, BENCH, (500,), 2, 0.3, seed=0)
     rep_file = tmp_path / "trend.csv"
