@@ -47,8 +47,11 @@ and its running cost ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)`` from one sum,
 :class:`_StepCost`.  Like the column scans and the block draws, both take
 a path a block of steps at a time: the measure from exact counts carried
 between blocks, so its bits are those of a path formed whole, and the cost
-as one ``np.sum`` per block, the block sums added in step order.  So the
-plan runs of a horizon hold no array of ``n`` rows but its control rows.
+as one ``np.sum`` per block of the terms ``mu log1p((mu - rho) / rho)``
+in numpy ufuncs (:func:`_step_terms`), the block sums added in step order.
+So the plan runs of a horizon hold no array of ``n`` rows but its control
+rows, and build one generator, reset to each seed's stream
+(:func:`_restart`).
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
 :func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
@@ -85,6 +88,26 @@ def path_rng(seed: int) -> np.random.Generator:
     source of random draws.
     """
     return np.random.Generator(np.random.Philox(key=_as_count(seed, "seed") & _MASK64))
+
+
+def _restart(rng: np.random.Generator, seed: int) -> None:
+    """Reset ``rng``, a generator of :func:`path_rng`, to the start of ``seed``'s stream.
+
+    It sets the generator's public Philox state to that of ``path_rng(seed)``
+    before its first draw: key ``[seed mod 2**64, 0]``, counter 0, no
+    buffered output, so the draws that follow are ``path_rng(seed)``'s bit
+    for bit.  A reset takes a few microseconds; a new generator draws
+    ``os.urandom`` entropy for a seed sequence that a keyed Philox never
+    reads, several times as long.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([_as_count(seed, "seed") & _MASK64, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -505,6 +528,33 @@ def simulate_controlled(A: Kernel, x0: int, policy, n: int, seed: int) -> Contro
     return ControlledPath(n=n, d=d, x0=x0, seed=int(seed), states=states, mu=mu, Lbar=Lbar)
 
 
+# the least (mu - rho) / rho that _step_terms takes the log1p of: log1p(-1) is -inf
+_TERM_FLOOR = -1.0 + 2.0**-52
+
+
+def _step_terms(mu: np.ndarray, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The relative-entropy terms ``mu log(mu / rho)`` of a block of steps,
+    written into ``out``, a contiguous array of ``mu``'s shape.
+
+    Each term is ``mu * log1p(max((mu - rho) / rho, -1 + 2**-52))``: scipy's
+    ``rel_entr`` branch for ``1/2 < mu/rho < 2``, here taken for every
+    ratio, with one numpy ufunc per operation and numpy's SIMD ``log1p``.
+    It holds for ``mu >= 0`` and ``rho >= delta0 > 0``, as in every step of
+    a controlled path of a positive kernel.  Near ratios agree with
+    ``rel_entr`` to a few 1e-16, relative; a far ratio's term is within a
+    few ulp of ``max(mu, rho, |term|)``; ``mu = 0`` gives ``-0.0``; the floor acts
+    only for ``mu < 2**-52 rho``, whose term is then off by at most ``mu
+    |log(mu / rho)|``.  A non-finite ``mu`` or ``rho = 0`` gives a
+    non-finite term.  No branch, mask or error state is set per block, and
+    the bits follow numpy's SIMD dispatch for ``log1p``.
+    """
+    np.subtract(mu, rho, out=out)
+    np.divide(out, rho, out=out)
+    np.maximum(out, _TERM_FLOOR, out=out)
+    np.log1p(out, out=out)
+    return np.multiply(mu, out, out=out)
+
+
 class _StepCost:
     """The paper's running cost ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)`` of an
     ``n``-step path on ``d`` states, fed the path's steps in blocks of at
@@ -512,17 +562,18 @@ class _StepCost:
 
     :meth:`add` takes a block's measures ``Lbar_{k-1}`` and control rows
     ``mu_k``, forms ``rho_k = Lbar_{k-1} A`` by one product into a scratch
-    block, overwrites it with the terms ``rel_entr(mu_k, rho_k)`` and adds
-    their ``np.sum`` to a Python float, so the block sums are added in step
-    order.  :meth:`value` divides the total by ``n``; a cost that is not
-    finite raises :class:`PolicyError`.  A path of at most ``_BLOCK_CAP``
-    steps is one block: its cost is ``rel_entr(mu, rho).sum() / n``.
-    :meth:`start` readies the sum for the next path.
+    block, writes the terms :func:`_step_terms` into a second scratch block
+    and adds their ``np.sum`` to a Python float, so the block sums are added
+    in step order.  :meth:`value` divides the total by ``n``; a cost that is
+    not finite raises :class:`PolicyError`.  A path of at most
+    ``_BLOCK_CAP`` steps is one block: its cost is the ``np.sum`` of its
+    terms over ``n``.  :meth:`start` readies the sum for the next path.
     """
 
     def __init__(self, n: int, d: int):
         self.n = n
         self.rho = np.empty((min(n, _BLOCK_CAP), d))
+        self.terms = np.empty_like(self.rho)
         self.start()
 
     def start(self) -> None:
@@ -531,8 +582,7 @@ class _StepCost:
     def add(self, Lbar: np.ndarray, mu: np.ndarray, Amat: np.ndarray) -> None:
         rho = self.rho[: len(Lbar)]
         np.matmul(Lbar, Amat, out=rho)
-        rel_entr(mu, rho, out=rho)
-        self.total += float(rho.sum())
+        self.total += float(_step_terms(mu, rho, self.terms[: len(Lbar)]).sum())
 
     def value(self) -> float:
         cost = self.total / self.n
@@ -554,7 +604,10 @@ def verify_chain_rule_identity(path: ControlledPath, A: Kernel) -> tuple[float, 
     :func:`~reinforced_ldp.lowerbound.check_cost_convergence` as they
     draw, so ``run_plan(...).cost_stepsum`` equals it bit for bit.  By the
     chain rule the two are one number, and they agree to floating-point
-    rounding; a side that is not finite raises :class:`PolicyError`.
+    rounding; a side that is not finite raises :class:`PolicyError`.  The
+    left's terms are scipy's ``rel_entr`` and the right's numpy's
+    :func:`_step_terms`, so the two sides also compare two forms of each
+    term; both still read the same ``rho``.
     """
     n, Amat = path.n, A.matrix
     step = _StepCost(n, path.d)

@@ -64,6 +64,7 @@ from .chains import (
     _StepCost,
     _column_scan,
     _reinforced_draws,
+    _restart,
     _running_measure,
     _time_grid,
     _validate_x0,
@@ -367,7 +368,9 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     block, and ``q`` in the head rows of the block that holds step ``n1``,
     which also serve every head block before it.  The scan reads ``C_0`` as
     the scheduled rows' first column, a view, and ``C_1..C_{d-2}`` from
-    sums of the rows built once with them.
+    sums of the rows built once with them.  The horizon's one generator is
+    reset to the start of each seed's stream (``chains._restart``), so a
+    seed draws as ``path_rng(seed)`` does without building a generator.
 
     A seed runs in blocks of steps that start at multiples of
     ``_BLOCK_CAP``.  Each block draws its uniforms from the seed's stream,
@@ -423,6 +426,7 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
     steps = np.empty(cap)
     counts = np.empty(cap)
     u = np.empty(cap)
+    rng = path_rng(0)
     for seed in seeds:
         if keep:
             path_states = np.empty(n, dtype=state_dtype)
@@ -431,7 +435,7 @@ def _plan_seeds(plan: ReversedPlan, A: Kernel, n, eps0: float, seeds, x0: int, c
             path_Lbar[0] = e0
         if step_cost is not None:
             step_cost.start()
-        rng = path_rng(seed)
+        _restart(rng, seed)
         carry = e0.copy()
         Lbar[0] = e0
         an = False

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from reinforced_ldp import chains
 from reinforced_ldp.chains import (
@@ -687,6 +688,24 @@ def test_non_integer_seed_or_stream_is_precondition_error():
     assert np.array_equal(path_rng(-2).random(5), path_rng(2**64 - 2).random(5))
 
 
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 - 1, 10**30])
+def test_restart_draws_what_a_new_generator_draws(seed):
+    """A generator used for draws of every kind, then reset to ``seed``'s
+    stream, draws what ``path_rng(seed)`` draws, bit for bit, and the reset
+    validates the seed as ``path_rng`` does."""
+    rng = path_rng(7)
+    rng.random(5)
+    rng.random(dtype=np.float32)  # leaves half a word buffered
+    rng.integers(10, size=3)
+    chains._restart(rng, seed)
+    fresh = path_rng(seed)
+    assert rng.random(13).tobytes() == fresh.random(13).tobytes()
+    assert rng.random(dtype=np.float32) == fresh.random(dtype=np.float32)
+    assert rng.random(1000).tobytes() == fresh.random(1000).tobytes()
+    with pytest.raises(PreconditionViolation, match="must be an integer"):
+        chains._restart(rng, 1.5)
+
+
 def test_x0_validation():
     with pytest.raises(DimensionMismatch):
         simulate_chain(BENCH, 3, 10, SEED)
@@ -792,6 +811,64 @@ def test_chain_rule_identity_random_policies():
         lhs, rhs = verify_chain_rule_identity(path, BENCH)
         assert abs(lhs - rhs) <= 1e-8
         assert lhs >= 0.0
+
+
+def _step_terms(mu, rho):
+    return chains._step_terms(mu, rho, np.empty_like(mu))
+
+
+def _assert_terms_within_bound(mu, rho):
+    """Each numpy term is within 8 ulp of ``max(mu, rho)``, or of the term
+    itself where it is larger (ratios above e), of scipy's ``rel_entr``;
+    where the floor acts (``0 < mu < 2**-52 rho``) it is within ``mu
+    |log(mu / rho)|``; ``mu = 0`` gives exactly 0."""
+    got, want = _step_terms(mu, rho), rel_entr(mu, rho)
+    err = np.abs(got - want)
+    bound = 8 * np.spacing(np.maximum(np.maximum(mu, rho), np.abs(want)))
+    floored = (mu > 0) & (mu < 2.0**-52 * rho)
+    bound[floored] = np.maximum(bound[floored], np.abs(want[floored]))
+    assert np.all(err <= bound), np.max(err / bound)
+    assert np.all(got[mu == 0] == 0.0)
+    return got, want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_step_terms_meet_their_bound_against_scipy(d):
+    """The run cost's terms against scipy's ``rel_entr``, the test oracle:
+    ratios ``mu / rho`` from 1e-12 to 1e3, at and around 1/2 and 2 (where
+    scipy changes branch), Dirichlet rows, zeros and floored masses."""
+    rng = np.random.default_rng(100 + d)
+    rho = rng.dirichlet(np.ones(d), 20_000)
+    edges = rng.choice([0.5, 2.0], rho.shape)
+    mus = {
+        "far": rho * 10.0 ** rng.uniform(-12, 3, rho.shape),
+        "edges": rho * edges * (1 + rng.uniform(-1e-3, 1e-3, rho.shape)),
+        "at_edges": np.nextafter(rho * edges, rng.choice([0.0, 1.0], rho.shape)),
+        "dirichlet": rng.dirichlet(np.ones(d), len(rho)),
+        "zeros": np.where(rng.random(rho.shape) < 0.5, 0.0, rng.dirichlet(np.ones(d), len(rho))),
+        "floored": rho * 10.0 ** rng.uniform(-300, -15.7, rho.shape),
+    }
+    for name, mu in mus.items():
+        got, want = _assert_terms_within_bound(mu, rho)
+        if name == "floored":
+            assert np.any(mu < 2.0**-52 * rho) and np.any(got != want)
+        if name == "zeros":
+            assert np.count_nonzero(mu == 0) > 1000
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_step_terms_of_near_ratios_agree_with_scipy(d):
+    """Where ``|mu - rho| / rho < 1e-6``, as along a run that tracks its
+    reference, each term is scipy's to 1e-14, relative."""
+    rng = np.random.default_rng(200 + d)
+    rho = rng.dirichlet(np.ones(d), 50_000)
+    mu = rho * (1 + rng.choice([-1.0, 1.0], rho.shape) * 10.0 ** rng.uniform(-15, -6, rho.shape))
+    got, want = _step_terms(mu, rho), rel_entr(mu, rho)
+    assert np.all(np.abs(mu - rho) < 1e-6 * rho)
+    nonzero = want != 0
+    assert np.count_nonzero(nonzero) > 0.9 * mu.size
+    assert np.all(np.abs(got - want)[nonzero] <= 1e-14 * np.abs(want[nonzero]))
+    assert np.all(got[~nonzero] == 0.0)
 
 
 def test_policy_outside_kernel_support_raises():

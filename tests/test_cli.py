@@ -400,11 +400,12 @@ def test_lowerbound_plan_json(tmp_path):
 # SHA-256 of `lowerbound` on the bench kernel at m=(0.5, 0.5), T=2, slack 1,
 # seed 0, with a cost trend over n=1000, 2000 (4 seeds) and two runs at n=10000,
 # with the mollified path itself as the schedule, read at the chain's clock, and
-# each run's one cost summed per 8192-step block; any rewrite of the draws or
-# costs must keep them
+# each run's one cost summed per 8192-step block of numpy log1p terms; any
+# rewrite of the draws or costs must keep them.  The cost trend's mc_std bits
+# follow numpy's SIMD dispatch for log1p
 LOWERBOUND_DIGESTS = {
     "plan.json": "3a5e97b0e86f27c1e3485dd9a5b7a69593b2a860dd95466d715321169034a667",
-    "cost_trend.csv": "9b93f9571fddc0c89ad743e969205d23114bee0d28a201dd1dce02bf78d0b5ed",
+    "cost_trend.csv": "622abf9cb9db00732f615180f0eaf79099428b5eaceacc14f1e6eb334b08257a",
     "runs.csv": "34373838d7e179e957e22dc909ef94aed1dade48b3f77fc393065245e0b186e2",
 }
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.special import rel_entr
 
-from reinforced_ldp import lowerbound
+from reinforced_ldp import chains, lowerbound
 from reinforced_ldp.chains import (
     ControlledPath,
     _time_grid,
@@ -426,15 +426,22 @@ def _inverse_cdf_rows(prob_rows, u):
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
+def _reference_terms(mu, rho):
+    """The step terms ``mu log(mu / rho)`` as the runs form them,
+    ``mu log1p(max((mu - rho) / rho, -1 + 2**-52))``, in fresh arrays."""
+    return mu * np.log1p(np.maximum((mu - rho) / rho, -1.0 + 2.0**-52))
+
+
 def _reference_step_cost(path, A):
     """The step side ``(1/n) sum_k R(mu_k || Lbar_{k-1} A)``: the sums of
-    ``rel_entr`` over blocks of 8192 steps, added in order by a plain loop
-    (the builtin ``sum`` compensates), divided by ``n``: the cost oracle."""
+    :func:`_reference_terms` over blocks of 8192 steps, added in order by a
+    plain loop (the builtin ``sum`` compensates), divided by ``n``: the
+    cost oracle."""
     n = path.n
     total = 0.0
     for lo in range(0, n, 8192):
         hi = min(lo + 8192, n)
-        total += float(rel_entr(path.mu[lo:hi], path.Lbar[lo:hi] @ A.matrix).sum())
+        total += float(_reference_terms(path.mu[lo:hi], path.Lbar[lo:hi] @ A.matrix).sum())
     return total / n
 
 
@@ -699,6 +706,43 @@ def test_run_cost_is_the_block_summed_step_cost(plans_by_dimension, d, n, kind):
         assert abs(lhs - rhs) <= 1e-12 * rhs, run.seed
         flags.add(run.an_occurred)
     assert flags == {"scheduled": {False}, "fallback": {True}, "mixed": {False, True}}[kind]
+
+
+@pytest.mark.parametrize("kind", ["scheduled", "fallback", "mixed"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_run_cost_agrees_with_the_scipy_summed_cost(plans_by_dimension, d, kind):
+    """Across three blocks, each run's cost, from numpy ``log1p`` terms, is
+    within 1e-13, relative, of the same block sums of scipy's ``rel_entr``,
+    the term oracle."""
+    A, plan = plans_by_dimension[d]
+    n = 20_000
+    eps0 = {"scheduled": 3.0, "fallback": 1e-12, "mixed": MIXED_EPS0[d, n]}[kind]
+    flags = set()
+    for run in lowerbound._plan_runs(plan, A, n, eps0, range(4), d, "test", keep=True):
+        mu, rho = run.path.mu, run.path.Lbar[:n] @ A.matrix
+        blocks = [rel_entr(mu[lo : lo + 8192], rho[lo : lo + 8192]).sum() for lo in range(0, n, 8192)]
+        scipy_cost = sum(map(float, blocks)) / n
+        assert abs(run.cost_stepsum - scipy_cost) <= 1e-13 * scipy_cost, run.seed
+        flags.add(run.an_occurred)
+    assert flags == {"scheduled": {False}, "fallback": {True}, "mixed": {False, True}}[kind]
+
+
+@pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
+def test_plan_runs_call_no_scipy_rel_entr(bench_plan, monkeypatch, eps0):
+    """The runs form their terms in numpy: with ``chains.rel_entr`` made to
+    raise, scheduled and fallback seeds run and cost as before, while the
+    occupation side of ``verify_chain_rule_identity`` still calls scipy."""
+    want = [run.cost_stepsum for run in lowerbound._plan_seeds(bench_plan, BENCH, 10_000, eps0, range(3), 1, "test")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy rel_entr called")
+
+    monkeypatch.setattr(chains, "rel_entr", refuse)
+    runs = list(lowerbound._plan_seeds(bench_plan, BENCH, 10_000, eps0, range(3), 1, "test", keep=True))
+    assert [run.cost_stepsum for run in runs] == want
+    assert all(run.an == (eps0 < 1.0) for run in runs)
+    with pytest.raises(AssertionError, match="scipy rel_entr called"):
+        verify_chain_rule_identity(runs[0].path, BENCH)
 
 
 @pytest.mark.parametrize("eps0", [3.0, 1e-12], ids=["scheduled", "fallback"])
