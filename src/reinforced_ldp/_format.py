@@ -7,24 +7,39 @@ line endings on every platform.
 
 Two writers share the header layout.  :func:`write_csv` formats rows of
 Python values one cell at a time.  :func:`write_array_csv` writes columns
-of numpy arrays in blocks of ``_BLOCK_ROWS`` rows: each block is laid out
-as a uint8 matrix, one fixed-width slot per cell, with a keep-mask over
-it, and the kept bytes, in row order, are written straight to the file.
-Its floats equal :func:`f17` byte for byte.  The fast domain is ``0.0``
-and ``_DECADES[0] <= v < 1``, where ``_DECADES[0]`` is the smallest double
-at or above ``1e-39``: fixed form ``0.000ddd`` on ``[1e-4, 1)`` and
-exponent form ``d.ddde-XX`` below.  There the 17 significant digits come
-from integer arithmetic (:func:`_significand17`): the significand times a
-power of five, which down to that decade fits in 128 bits, so the digits
-are exact, ties included.  Every value outside the domain goes through
-:func:`f17` itself.
+of numpy arrays in blocks of ``_BLOCK_ROWS`` rows.  A block is one zeroed
+row matrix of uint32 words: every cell has a fixed slot of words, its
+separator included, and a slot's unused bytes stay NUL.  The matrix is
+held word-major, so each slot word is filled for the whole block as one
+contiguous plane; one transposing copy gives the bytes in row order, and
+``bytes.translate(None, b"\\0")`` drops the NULs before the write.
 
-Digits, of integer cells and of the 17-digit ``N`` of a float cell, come
-out one decimal place per pass over the block, last place first, by a
-uint64 floor divide: ``q = N // 10``, the digit ``N - 10 q``, then ``N =
-q``.  numpy's uint64 ``np.divmod`` gives the same digits at about 2.6
-times the cost (17 places of 16,384 values: 1.3 ms against 0.50 ms on a
-2-vCPU Xeon).
+Digits are written four at a time, as words looked up in ``_QUADS``.  An
+integer cell takes a word per four digits, its leading zero groups as
+NULs.  A float cell takes seven words: two lead words (the separator and
+``0.``, ``0.0``... with the first digit, or that digit and ``.`` in
+exponent form) from ``_LEAD``, the other 16 digits as four groups, and
+the ``e-XX`` word from ``_EXPONENT``.  A group that only zeros follow is
+looked up in the table's stripped half, where trailing zeros are NUL, so
+the flag "all zeros so far", carried from the last group, strips them;
+the lead and exponent tables are indexed by decade, first digit and that
+flag.  Its floats equal :func:`f17` byte for byte.  The 17 digits ``N``
+come from one of two routes, chosen per cell:
+
+* ``0.0`` and ``1e-6 <= v < 1``: the exact two-product.  ``10^P``, ``P =
+  16 - E <= 22``, is an exact double, and Dekker's split gives ``v 10^P =
+  p + err`` exactly in doubles; ``p >= 10^16 > 2^53`` is an even integer,
+  so ``N = p + rint(err)`` rounds half to even.  No value of these decades
+  rounds up to the next one.
+* ``_DECADES[0] <= v < 1e-6``, where ``_DECADES[0]`` is the smallest
+  double at or above ``1e-39``: :func:`_significand17`, the significand
+  times a power of five, which down to that decade fits in 128 bits.
+
+Both are exact, ties included.  Values from ``1e-4`` up print in fixed
+form, smaller ones in exponent form.  Every other value (``1``, negative,
+subnormal, below ``1e-39``, non-finite) goes through :func:`f17` itself.
+A 5e4-step path of two states is written in 13-16 ms, about 4 ms of it
+in ``translate`` (process time on one pinned vCPU of a 2-vCPU Xeon).
 """
 from __future__ import annotations
 
@@ -39,7 +54,6 @@ from .errors import PreconditionViolation
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _ONE = np.uint64(1)
-_TEN = np.uint64(10)
 
 # rows per block of write_array_csv
 _BLOCK_ROWS = 8192
@@ -90,28 +104,66 @@ _DECADES = _decades()
 _BINADE_DECADE = np.searchsorted(_DECADES, np.ldexp(1.0, np.arange(-1023, 0)), side="right") + _E_MIN - 1
 _POW5 = _pow5_table()
 
-# A fast cell's slot: a lead byte, ".", "000", the 17 digits, "e-" and two
-# exponent digits.  The lead is "0" in fixed form and the first digit in
-# exponent form.  Every f17 text, at most 24 bytes, fits in it as well.
-_FAST_WIDTH = 26
-_FAST_TEMPLATE = np.frombuffer(b"0.000" + b"0" * 17 + b"e-00", dtype=np.uint8)
-# _FAST_KEEP[row, last] keeps the bytes of a cell whose last nonzero digit
-# sits at `last` (5..21).  Rows 0..3 are fixed form for E = -4..-1: "0.",
-# the last -E - 1 of the three zeros, and the digits up to `last`; row 3
-# with last = 0 keeps only the "0" of a zero.  Row 4 is exponent form: the
-# lead, "." if a digit after the first is kept, the digits after the first
-# up to `last`, and the exponent.
-_pos = np.arange(_FAST_WIDTH)
-_last = _pos[:, None]
-_fixed = (_pos <= _last) & ((_pos < 2) | (_pos >= np.arange(2, 6)[:, None, None]))
-_expo = ((_pos == 0) | ((_pos == 1) & (_last >= 6)) | ((_pos >= 6) & (_pos <= _last))
-         | (_pos >= 22))
-_FAST_KEEP = np.concatenate([_fixed, _expo[None]])
-# _FAST_ROW[E - _E_MIN] is the row of _FAST_KEEP and _EXPONENT_DIGITS[E - _E_MIN]
-# the two digits of -E, for the decimal exponents E = _E_MIN..-1
-_E = np.arange(_E_MIN, 0)
-_FAST_ROW = np.where(_E < -4, 4, _E + 4)
-_EXPONENT_DIGITS = np.stack([-_E // 10, -_E % 10], axis=1).astype(np.uint8)
+_Q = 10**4
+
+
+def _quads() -> np.ndarray:
+    """Four-digit groups as uint32 words of their ASCII bytes, in four parts.
+
+    ``[0, _Q)`` is ``"%04d"``.  ``[_Q, 2 _Q)`` is the same with its trailing
+    zeros as NUL: a float's last groups, after its last nonzero digit.
+    ``[2 _Q, 3 _Q)`` is ``"%4d"`` with its leading blanks as NUL: an
+    integer's first nonzero group, or its last group if every group is
+    zero.  Entry ``3 _Q``, four NULs, is each of an integer's leading zero
+    groups.
+    """
+    g = np.arange(_Q)
+    text = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + np.uint8(ord("0"))  # column g: "%04d" % g
+    # digit i (of 0..3) is a trailing zero when g is a multiple of 10^(4 - i),
+    # and a leading one, but for the last digit, when g < 10^(3 - i)
+    no_trailing = g % 10 ** np.arange(4, 0, -1)[:, None] != 0
+    no_leading = g >= 10 ** np.arange(3, -1, -1)[:, None]
+    no_leading[3] = True
+    parts = [text, text * no_trailing, text * no_leading, np.zeros((4, 1), np.uint8)]
+    return np.concatenate(parts, axis=1).T.copy().view(np.uint32).ravel()
+
+
+def _leads() -> tuple[np.ndarray, np.ndarray]:
+    """The words of a float cell around its last 16 digits, by ``20 k + 10 bare + d0``.
+
+    For the decade ``E = k + _E_MIN``, the first digit ``d0`` and ``bare``
+    when the last 16 digits are zeros, the lead is the separator and the
+    text before those digits, as two uint32 words (one row each), and the
+    exponent word is ``"e-XX"`` or NULs.  A zero (``d0 = 0``) is ``",0"``
+    in every decade.
+    """
+    leads, exponents = [], []
+    for E in range(_E_MIN, 0):
+        for bare in (False, True):
+            for d0 in range(10):
+                if d0 == 0:
+                    leads.append(b",0")
+                elif E >= -4:
+                    leads.append(b",0." + b"0" * (-E - 1) + b"%d" % d0)
+                else:
+                    leads.append(b",%d" % d0 + (b"" if bare else b"."))
+                exponents.append(b"e-%02d" % -E if E < -4 and d0 else b"")
+    lead = np.array(leads, dtype="S8").view(np.uint32).reshape(-1, 2).T.copy()
+    return lead, np.array(exponents, dtype="S4").view(np.uint32)
+
+
+_QUADS = _quads()
+_LEAD, _EXPONENT = _leads()
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", dtype=np.uint32)
+
+# The two-product route, 1e-6 <= v < 1: decades E = -6..-1, k = _TWO_K + j,
+# and 10^P, P = 16 - E = 22 - j, exact doubles split in two 26-bit halves
+_TWO_K = -6 - _E_MIN
+_TWO_LO = _DECADES[_TWO_K]
+_SPLIT = 2.0**27 + 1
+_P10 = np.array([float(10**P) for P in range(22, 16, -1)])
+_P10_HI = _P10 * _SPLIT - (_P10 * _SPLIT - _P10)
+_P10_LO = _P10 - _P10_HI
 
 
 def f17(x: float) -> str:
@@ -220,58 +272,97 @@ def _significand17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return N, k + carry + _E_MIN
 
 
-def _float_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes and keep-mask of the cells ``f17(v) + ","``, shape ``v.shape + (width + 1,)``.
+def _float_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the cells ``"," + f17(v)`` of the ``(F, R)`` floats ``v`` into ``out[f, :, r]``,
+    seven uint32 words a cell: two lead words, four digit groups and the exponent.
 
-    A fast-domain cell is laid out in the ``_FAST_TEMPLATE`` slot with the
-    17 digits of ``N`` and the exponent digits of ``E``, and the row of
-    ``_FAST_KEEP`` for ``E`` keeps its fixed or its exponent form.  A zero
-    keeps only its ``"0"``.  Every other cell holds ``f17(v)``, padded with
-    masked NULs.  A block without exponent-form cells is cut to the fixed
-    form's first 22 bytes, or to its longest ``f17`` text.
+    ``v`` is the caller's scratch and is overwritten.  A cell in ``[1e-6, 1)``
+    or ``0.0`` takes its digits from the two-product, one in ``[_DECADES[0],
+    1e-6)`` from :func:`_significand17`, and every other cell's text is
+    :func:`f17`'s.  The 17 digits ``N`` are the first digit ``d0`` and the
+    groups ``g1..g4``; a group whose later groups are all zeros is looked up
+    in the stripped half of ``_QUADS``, and so the lead knows when all 16 are
+    zeros.
     """
-    zero = (v == 0) & ~np.signbit(v)
-    fast = zero | ((v >= _DECADES[0]) & (v < 1))
-    N, E = _significand17(np.where(fast & ~zero, v, 0.5))
-    slow = np.flatnonzero(~fast)
-    texts = [f17(x).encode() for x in v.ravel()[slow].tolist()]
-    expo = E < -4
-    width = max([_FAST_WIDTH if expo.any() else 22] + [len(t) for t in texts])
-    chars = np.zeros(v.shape + (width + 1,), dtype=np.uint8)
-    for j in range(21, 4, -1):
-        q = N // _TEN
-        chars[..., j] = N - q * _TEN
-        N = q
-    if width == _FAST_WIDTH:
-        chars[..., 0] = chars[..., 5] * expo
-        chars[..., 24:26] = _EXPONENT_DIGITS[E - _E_MIN]
-    last = 21 - np.argmax(chars[..., 21:4:-1] != 0, axis=-1)
-    keep = np.zeros(chars.shape, dtype=bool)
-    keep[..., :width] = _FAST_KEEP[_FAST_ROW[E - _E_MIN], np.where(zero, 0, last), :width]
-    chars[..., :width] += _FAST_TEMPLATE[:width]
-    if texts:
-        flat_chars, flat_keep = chars.reshape(-1, width + 1), keep.reshape(-1, width + 1)
-        flat_chars[slow, :width] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-        flat_keep[slow, :width] = flat_chars[slow, :width] != 0
-    chars[..., width] = ord(",")
-    keep[..., width] = True
-    return chars, keep
+    flat = v.reshape(-1)
+    two = v >= _TWO_LO
+    two &= v < 1.0
+    other = np.flatnonzero(~two & (v.view(np.uint64) != 0))  # all but +0.0
+    x = flat[other]
+    flat[other] = 0.0
+    # j = E + 6, the decade of v above 1e-6; 0 for a zero
+    j = (v >= _DECADES[_TWO_K + 1]).view(np.uint8).copy()
+    for d in _DECADES[_TWO_K + 2:-1]:
+        j += (v >= d).view(np.uint8)
+    k = j.astype(np.intp)
+    # Dekker's two-product: v 10^P = p + err exactly, with 10^P and both its
+    # halves exact doubles; p >= 10^16 > 2^53 is an even integer, so
+    # p + rint(err) is v 10^P rounded half to even, below 10^17 in these decades
+    c, ch, cl = np.take(_P10, k), np.take(_P10_HI, k), np.take(_P10_LO, k)
+    t = v * _SPLIT
+    vh = t - v
+    vh = np.subtract(t, vh, out=vh)
+    vl = np.subtract(v, vh, out=t)
+    p = v * c
+    err = np.multiply(vh, ch, out=c)
+    np.subtract(p, err, out=err)
+    err -= np.multiply(vl, ch, out=ch)
+    err -= np.multiply(vh, cl, out=vh)
+    err = np.subtract(np.multiply(vl, cl, out=vl), err, out=err)
+    N = p.astype(np.int64)
+    N += np.rint(err, out=err).astype(np.int64)
+    del t, vh, vl, p, err, ch, cl
+    k += _TWO_K
+    mid = (x >= _DECADES[0]) & (x < _TWO_LO)
+    if mid.any():
+        Nm, E = _significand17(x[mid])
+        N.reshape(-1)[other[mid]] = Nm
+        k.reshape(-1)[other[mid]] = E - _E_MIN
+    q = N // 10**8
+    g4 = (N - q * 10**8).astype(np.uint32)  # g3 g4
+    hi = q.astype(np.uint32)  # d0 g1 g2
+    del N, q
+    g3 = g4 // _Q
+    g4 -= g3 * _Q
+    t = hi // _Q  # d0 g1
+    g2 = hi - t * _Q
+    d0 = np.floor_divide(t, _Q, out=hi)
+    g1 = t - d0 * _Q
+    zeros = g4 == 0
+    out[:, 5] = np.take(_QUADS, g4 + _Q)
+    for i, g in ((4, g3), (3, g2), (2, g1)):
+        out[:, i] = np.take(_QUADS, g + zeros * _Q)
+        zeros &= g == 0
+    k *= 20
+    k += zeros * 10
+    k += d0
+    out[:, 0] = np.take(_LEAD[0], k)
+    out[:, 1] = np.take(_LEAD[1], k)
+    out[:, 6] = np.take(_EXPONENT, k)
+    slow = other[~mid]
+    if slow.size:
+        texts = np.array([("," + f17(y)).encode() for y in x[~mid].tolist()], dtype="S28")
+        f, r = np.divmod(slow, v.shape[1])
+        out[f, :, r] = texts.view(np.uint32).reshape(-1, 7)
 
 
-def _int_cells(k: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bytes and keep-mask of the cells ``str(k) + ","`` of nonnegative integers ``k < 10^width``."""
-    k = k.astype(np.uint64)
-    chars = np.empty((len(k), width + 1), dtype=np.uint8)
-    for j in range(width - 1, -1, -1):
-        q = k // _TEN
-        chars[:, j] = k - q * _TEN
-        k = q
-    # keep from the first nonzero digit on, and always the last digit and the comma
-    keep = np.logical_or.accumulate(chars != 0, axis=1)
-    keep[:, width - 1:] = True
-    chars += ord("0")
-    chars[:, width] = ord(",")
-    return chars, keep
+def _int_words(c: np.ndarray, out: np.ndarray) -> None:
+    """Write the nonnegative integers ``c < 10^(4 m)`` into the ``m`` planes ``out``,
+    four digits a uint32 word, leading zeros as NUL but for the last digit."""
+    c = c.astype(np.uint64)
+    groups = []
+    for _ in range(len(out) - 1):
+        q = c // np.uint64(_Q)
+        groups.append((c - q * np.uint64(_Q)).astype(np.intp))
+        c = q
+    groups.append(c.astype(np.intp))
+    lead = True  # the groups so far are all zeros
+    for i, g in enumerate(reversed(groups)):
+        index = g + lead * (2 * _Q)
+        if i < len(out) - 1:
+            lead = lead & (g == 0)
+            index += lead * _Q
+        out[i] = np.take(_QUADS, index)
 
 
 def write_array_csv(path, header: Sequence[str], ints: Sequence[np.ndarray], floats: np.ndarray,
@@ -281,24 +372,40 @@ def write_array_csv(path, header: Sequence[str], ints: Sequence[np.ndarray], flo
     ``ints`` holds 1-D arrays of nonnegative integers and ``floats`` a 2-D
     float array, all with the same number of rows.  Integers are written in
     decimal, floats as :func:`f17`.  No row is formatted in a Python loop:
-    a block of ``_BLOCK_ROWS`` rows becomes a uint8 matrix of fixed-width
-    cells, each with its separator, and the bytes its keep-mask selects are
-    written as they are.  An integer column with a negative, fractional or
-    non-finite value raises :class:`PreconditionViolation` naming its
-    header, before the file is opened.
+    a block of ``_BLOCK_ROWS`` rows becomes one row matrix of uint32 words,
+    every cell in its own slot of words with its separator, held word-major
+    so that each slot's words are written as contiguous planes, and its
+    bytes but the NULs are written as they are.  An integer column with a
+    negative, fractional, non-finite or 2^64-or-larger value raises
+    :class:`PreconditionViolation` naming its header, before the file is
+    opened.
     """
     for name, c in zip(header, ints):
-        if c.size and not (c.min() >= 0 and (c.dtype.kind in "iu" or np.all(np.isfinite(c) & (c == np.floor(c))))):
+        if c.size and not (c.min() >= 0 and (c.dtype.kind in "iu" or (
+                np.all(np.isfinite(c) & (c == np.floor(c))) and c.max() < 2.0**64))):
             raise PreconditionViolation(f"write_array_csv: column '{name}' must hold nonnegative integers")
-    widths = [len(str(int(c.max(initial=0)))) for c in ints]
+    rows, F = floats.shape
+    # each integer column: a comma word but for the first cell, and a word per four digits
+    slots = []
+    f0 = 0  # the first plane after the integer slots
+    for j, c in enumerate(ints):
+        f0 += j > 0
+        m = -(-len(str(int(c.max(initial=0)))) // 4)
+        slots.append((f0, f0 + m))
+        f0 += m
+    words = np.zeros((f0 + 7 * F + 1, min(rows, _BLOCK_ROWS)), dtype=np.uint32)
+    for lo, _ in slots[1:]:
+        words[lo - 1] = _COMMA
+    words[-1] = _NEWLINE
     with open(path, "wb") as fh:
         fh.write(_head(header, provenance).encode())
-        for lo in range(0, len(floats), _BLOCK_ROWS):
-            block = np.asarray(floats[lo:lo + _BLOCK_ROWS], dtype=np.float64)
-            rows = len(block)
-            cells = [_int_cells(c[lo:lo + rows], w) for c, w in zip(ints, widths)]
-            cells.append(tuple(a.reshape(rows, -1) for a in _float_cells(block)))
-            chars = np.concatenate([c for c, _ in cells], axis=1)
-            chars[:, -1] = ord("\n")
-            keep = np.concatenate([k for _, k in cells], axis=1)
-            fh.write(chars[keep].tobytes())
+        for lo in range(0, rows, _BLOCK_ROWS):
+            block = np.array(floats[lo:lo + _BLOCK_ROWS].T, dtype=np.float64, order="C")
+            R = block.shape[1]
+            view = words[:, :R]
+            for c, (a, b) in zip(ints, slots):
+                _int_words(c[lo:lo + R], view[a:b])
+            _float_words(block, view[f0:-1].reshape(F, 7, R))
+            if not ints and F:
+                view[f0].view(np.uint8)[::4] = 0  # the first cell's comma
+            fh.write(view.T.tobytes().translate(None, b"\0"))

@@ -54,11 +54,14 @@ rows, and build one generator, reset to each seed's stream
 (:func:`_restart`).
 
 :func:`export_path_csv` writes ``L^k`` one row per step through
-:func:`~reinforced_ldp._format.write_array_csv`, which formats blocks of
-rows in numpy: integer digits by a vectorized floor divide, and the 17 ``%.17g``
-digits of ``0`` and of every value in ``[1e-39, 1)`` in integer arithmetic,
-from 128-bit products (:func:`~reinforced_ldp._format.mulhilo64`).  Other
-values (``1``) go through ``f17``, so the bytes equal a row-by-row ``%.17g``.
+:func:`~reinforced_ldp._format.write_array_csv`, which lays out each block
+of rows in numpy as one NUL-padded row matrix, its digits looked up four
+at a time.  The 17 ``%.17g`` digits of ``0`` and of every value in
+``[1e-6, 1)``, so of every entry of ``L^k`` below ``k = 10^6`` but ``1``,
+come from an exact two-product of doubles, and those of ``[1e-39, 1e-6)``
+from 128-bit integer products (:func:`~reinforced_ldp._format.mulhilo64`).
+Other values (``1``) go through ``f17``, so the bytes equal a row-by-row
+``%.17g``.
 """
 from __future__ import annotations
 
@@ -631,9 +634,10 @@ def export_path_csv(path: ChainPath, file, provenance: str | None = None) -> Non
 
     The rows go through :func:`~reinforced_ldp._format.write_array_csv`,
     which formats blocks of rows in numpy: zeros and the ``L`` values in
-    ``[1e-39, 1)``, in fixed or exponent form, get integer-arithmetic
-    digits, and every other value (``1``) goes through ``f17``.  An entry
-    of ``L^k`` is ``0`` or at least ``1/k``.
+    ``[1e-6, 1)`` get their digits from an exact two-product, those in
+    ``[1e-39, 1e-6)``, in exponent form, from 128-bit products, and every
+    other value (``1``) goes through ``f17``.  An entry of ``L^k`` is ``0``
+    or at least ``1/k``.
     """
     header = ["step", "state"] + [f"L_{x}" for x in range(1, path.d + 1)]
     steps = np.arange(1, len(path.L) + 1)

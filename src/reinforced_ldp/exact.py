@@ -18,9 +18,10 @@ A law keeps its atoms in two read-only arrays, from the DP to the CSV: the
 counts of the nonzero cells, in lexicographic order, and their
 probabilities.  Ball probabilities sum a masked slice of them with
 ``math.fsum``, and the law CSV goes through the block writer
-:func:`~reinforced_ldp._format.write_array_csv`, whose fast path covers
-the exponent form of probabilities down to ``1e-39``; deeper atoms of a
-deep law go through ``f17``.
+:func:`~reinforced_ldp._format.write_array_csv`, whose two digit routes
+cover probabilities down to ``1e-39``: an exact two-product of doubles
+from ``1e-6`` up, 128-bit integer products below.  Deeper atoms of a deep
+law go through ``f17``.
 """
 from __future__ import annotations
 

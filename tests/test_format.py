@@ -84,6 +84,35 @@ def test_powers_of_five_are_exact_down_to_the_deepest_decade():
         assert F >> (128 - five.bit_length()) == five and F % 2 ** (128 - five.bit_length()) == 0
 
 
+def test_powers_of_ten_of_the_two_product_are_exact():
+    """10^P, P = 17..22, for the decades [1e-6, 1): exact doubles, and the sums
+    of two halves of at most 26 significant bits each (Dekker's split)."""
+    assert _format._TWO_LO == _format._DECADES[-7]
+    for P, c, hi, lo in zip(range(22, 16, -1), _format._P10, _format._P10_HI, _format._P10_LO):
+        assert Fraction(float(c)) == 10**P == Fraction(float(hi)) + Fraction(float(lo))
+        for half in (float(hi), float(lo)):
+            num = abs(half.as_integer_ratio()[0])
+            assert (num // (num & -num)).bit_length() <= 26
+
+
+def test_the_two_product_decades_never_carry():
+    """The double below each decade double from 1e-5 to 1 keeps ``v 10^P`` below
+    ``10^17 - 1/2``, so no value of ``[1e-6, 1)`` rounds to the next decade."""
+    for E in range(-6, 0):
+        below = float(np.nextafter(_format._DECADES[E + 40], 0.0))
+        assert Fraction(below) * 10 ** (16 - E) < 10**17 - Fraction(1, 2)
+
+
+def test_digit_tables_equal_python_formatting():
+    quads = _format._QUADS.view("V4")
+    assert len(quads) == 3 * 10**4 + 1 and bytes(quads[-1]) == b"\0" * 4
+    for g in range(10**4):
+        text = b"%04d" % g
+        assert bytes(quads[g]) == text
+        assert bytes(quads[10**4 + g]) == text.rstrip(b"0").ljust(4, b"\0")
+        assert bytes(quads[2 * 10**4 + g]) == (b"%4d" % g).replace(b" ", b"\0")
+
+
 def test_binade_decades_are_the_floor_of_log10():
     for e in range(1, 1023):
         k = int(_format._BINADE_DECADE[e])
@@ -121,7 +150,7 @@ def test_exponent_ties_are_half_way():
 @pytest.mark.parametrize("k", [-14, -176, -305])
 def test_carry_to_the_next_decade(tmp_path, monkeypatch, k):
     """The double below the decade double rounds up to 10^17 in its own decade and
-    is written as the next power of ten: by the fast path at k = -14, the one
+    is written as the next power of ten: by the 128-bit route at k = -14, the one
     such decade in its domain, and by f17 at the deeper two."""
     seen = []
     monkeypatch.setattr(_format, "f17", lambda x: seen.append(x) or f17(x))
@@ -142,6 +171,34 @@ def test_values_outside_the_fast_domain_go_through_f17(tmp_path, monkeypatch):
     fast = [deepest, 1e-4]
     assert _written_floats(tmp_path, slow + fast) == [f17(x) for x in slow + fast]
     assert seen == slow
+
+
+def test_the_two_product_decades_make_no_128_bit_product(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(_format, "mulhilo64", lambda a, b: calls.append(len(b)) or mulhilo64(a, b))
+    rng = np.random.default_rng(22)
+    lowest = float(_format._DECADES[-7])  # the smallest double at or above 1e-6
+    values = np.exp(rng.uniform(np.log(lowest), 0.0, 8000)).tolist() + [lowest, float(np.nextafter(1.0, 0.0))]
+    values = [x for x in values + TIES if x >= lowest] + [0.0]
+    assert _written_floats(tmp_path, values) == [f17(x) for x in values]
+    assert calls == []
+    assert _written_floats(tmp_path, values + [1e-7]) == [f17(x) for x in values + [1e-7]]
+    assert calls == [1]
+
+
+def test_one_block_of_every_route_equals_f17(tmp_path):
+    """The oracle, tie and exponent-form values interleaved in one block, so
+    every cell's route is chosen beside cells of the other routes."""
+    values = [c / k for k in range(1, 101) for c in range(k + 1)] + TIES + EXPONENT_TIES
+    values += LOG_UNIFORM[:12_000].tolist() + DECADE_NEIGHBOURS + OUTSIDE
+    values += [0.0] * (-len(values) % 4)
+    floats = np.random.default_rng(23).permutation(values).reshape(-1, 4)
+    assert len(floats) <= _format._BLOCK_ROWS
+    steps = np.arange(len(floats))
+    out = tmp_path / "mixed.csv"
+    write_array_csv(out, ["k", "a", "b", "c", "d"], [steps], floats)
+    expected = "k,a,b,c,d\n" + "".join("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, *f) for k, f in zip(steps, floats.tolist()))
+    assert out.read_bytes() == expected.encode()
 
 
 def test_mulhilo64_matches_python_integers():
@@ -185,10 +242,12 @@ def test_integer_cells_at_every_power_of_ten(tmp_path):
     assert rows == [",".join("%d" % c[i] for c in ints) + ",0" for i in range(len(values))]
 
 
-@pytest.mark.parametrize("bad", [[3, -2, 10], [3.7, 2, 10], [3.0, float("nan"), 1.0], [3.0, float("inf"), 1.0]])
+@pytest.mark.parametrize("bad", [[3, -2, 10], [3.7, 2, 10], [3.0, float("nan"), 1.0], [3.0, float("inf"), 1.0],
+                                 [3.0, 1e20, 1.0], [3.0, 2.0**64, 1.0]])
 def test_integer_column_rejects_what_it_cannot_write(tmp_path, bad):
-    """A negative, fractional or non-finite integer cell raises, naming its
-    column, before the file is opened: the digit loop would write wrong digits."""
+    """A negative, fractional, non-finite or 2^64-and-above integer cell
+    raises, naming its column, before the file is opened: its uint64 digits
+    would be wrong."""
     out = tmp_path / "bad.csv"
     good = np.arange(3)
     with pytest.raises(PreconditionViolation, match="column 'b'"):
